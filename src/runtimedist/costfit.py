@@ -14,6 +14,11 @@ mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
 with every structural coefficient constrained nonnegative and the constant
 term left free. The solver is an in-repo active-set method; its KKT
 optimality conditions are checkable for every fit.
+
+Probe oracle protocol: `oracle((node_id, unit), coords) -> values`, where
+`coords` is an (m, arity) array of selectivity coordinates (shape (1, 0)
+for a C1 term) and `values` the m reference costs. A term is probed in one
+call over its whole grid, and fitted from the `(coords, values)` arrays.
 """
 
 from __future__ import annotations
@@ -32,23 +37,28 @@ class FitError(ValueError):
     pass
 
 
-def design_row(tag: str, coord: tuple[float, ...]) -> list[float]:
-    """Term values at one probe coordinate, constant term last."""
+def design_matrix(tag: str, coords) -> np.ndarray:
+    """Term values at each probe coordinate: one row per row of the
+    (m, arity) coordinate array, constant term last."""
+    if tag not in ARITY:
+        raise FitError(f"unknown cost-function type {tag!r}")
+    X = np.asarray(coords, dtype=float)
+    if X.ndim != 2 or X.shape[1] != ARITY[tag]:
+        raise FitError(f"{tag} takes (m, {ARITY[tag]}) coordinates, got shape {X.shape}")
+    one = np.ones(X.shape[0])
     if tag == "C1":
-        return [1.0]
-    if tag in ("C2", "C3"):
-        (x,) = coord
-        return [x, 1.0]
-    if tag == "C4":
-        (x,) = coord
-        return [x * x, x, 1.0]
-    if tag == "C5":
-        xl, xr = coord
-        return [xl, xr, 1.0]
-    if tag == "C6":
-        xl, xr = coord
-        return [xl * xr, xl, xr, 1.0]
-    raise FitError(f"unknown cost-function type {tag!r}")
+        cols = [one]
+    elif tag in ("C2", "C3"):
+        cols = [X[:, 0], one]
+    elif tag == "C4":
+        x = X[:, 0]
+        cols = [x * x, x, one]
+    elif tag == "C5":
+        cols = [X[:, 0], X[:, 1], one]
+    else:
+        xl, xr = X[:, 0], X[:, 1]
+        cols = [xl * xr, xl, xr, one]
+    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -70,50 +80,44 @@ class CostFunction:
     def evaluate(self, *coord: float) -> float:
         if len(coord) != self.arity:
             raise FitError(f"{self.tag} takes {self.arity} coordinates, got {len(coord)}")
-        return float(np.dot(self.b, design_row(self.tag, coord)))
+        return float(np.dot(self.b, design_matrix(self.tag, [coord])[0]))
 
 
-@dataclass(frozen=True)
-class ProbePoint:
-    coord: tuple[float, ...]
-    value: float
-
-
-def grid_points(distributions, W: int = 10) -> list[tuple[float, ...]]:
+def grid_points(distributions, W: int = 10) -> np.ndarray:
     """Probe coordinates spanning mu +/- 3 sigma, clamped to [0, 1].
 
-    `distributions` is one or two (mu, sigma2) pairs. The interval is split
-    into W equal subintervals, giving W+1 boundary points per axis; the
-    binary case takes the (W+1)^2 cross product. A zero-sigma axis
-    collapses to the single point mu.
+    `distributions` is zero, one or two (mu, sigma2) pairs. The interval is
+    split into W equal subintervals, giving W+1 boundary points per axis;
+    the binary case takes the (W+1)^2 cross product, first axis outer. A
+    zero-sigma axis collapses to the single point mu. Returns an
+    (m, len(distributions)) coordinate array; with no distribution, the
+    single empty coordinate of a C1 term, shape (1, 0).
     """
     if W < 1:
         raise ValueError("W must be >= 1")
+    if len(distributions) > 2:
+        raise ValueError("grid_points takes at most two distributions")
     axes = []
     for mu, sigma2 in distributions:
         sigma = float(np.sqrt(max(sigma2, 0.0)))
         pts = np.linspace(mu - 3.0 * sigma, mu + 3.0 * sigma, W + 1)
         axes.append(np.clip(pts, 0.0, 1.0))
-    if len(axes) == 1:
-        return [(float(x),) for x in axes[0]]
-    if len(axes) == 2:
-        return [(float(x), float(y)) for x in axes[0] for y in axes[1]]
-    raise ValueError("grid_points takes one or two distributions")
-
-
-def probe_reference(oracle, operator, coords) -> list[ProbePoint]:
-    """Evaluate a reference cost oracle at each coordinate."""
-    return [ProbePoint(coord=tuple(c), value=float(oracle(operator, tuple(c)))) for c in coords]
+    if not axes:
+        return np.empty((1, 0))
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 def nnls_solve(A, y, constrained) -> tuple[np.ndarray, bool]:
     """Least squares min ||Ab - y|| with b_i >= 0 for constrained i.
 
-    Active-set method: unconstrained variables stay permanently in the
-    passive set; constrained variables enter on the most positive dual
-    (tolerance 1e-10) and leave when driven to the boundary. Returns the
-    coefficient vector and a degeneracy flag (set when any passive-set
-    subproblem was rank deficient; the minimum-norm solution is used then).
+    Active-set method (Lawson-Hanson): unconstrained variables stay
+    permanently in the passive set; constrained variables enter on the most
+    positive dual (tolerance 1e-10) and leave when driven to the boundary.
+    An entering variable whose passive-set solution is not positive would
+    not move off zero; it is rejected until x next changes, and the next
+    candidate is tried. Returns the coefficient vector and a degeneracy
+    flag (set when any passive-set subproblem was rank deficient; the
+    minimum-norm solution is used then).
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,15 +147,21 @@ def nnls_solve(A, y, constrained) -> tuple[np.ndarray, bool]:
     idx, sol = solve_passive()
     x[idx] = sol
 
+    rejected = np.zeros(p, dtype=bool)
     for _ in range(200 * (p + 1)):
         w = A.T @ (y - A @ x)
-        cand = np.flatnonzero(constrained & ~passive & (w > DUAL_TOL))
+        cand = np.flatnonzero(constrained & ~passive & ~rejected & (w > DUAL_TOL))
         if cand.size == 0:
             break
         j = cand[np.argmax(w[cand])]
         passive[j] = True
+        idx, sol = solve_passive()
+        if sol[np.searchsorted(idx, j)] <= 0.0:
+            passive[j] = False
+            rejected[j] = True
+            continue
+        rejected[:] = False
         for _ in range(200 * (p + 1)):
-            idx, sol = solve_passive()
             bad = np.flatnonzero(constrained[idx] & (sol <= 0.0))
             if bad.size == 0:
                 x[:] = 0.0
@@ -163,6 +173,7 @@ def nnls_solve(A, y, constrained) -> tuple[np.ndarray, bool]:
             drop = idx[constrained[idx] & (x[idx] <= DUAL_TOL)]
             x[drop] = 0.0
             passive[drop] = False
+            idx, sol = solve_passive()
     return x, degenerate
 
 
@@ -188,25 +199,30 @@ def kkt_residual(A, y, b, constrained) -> float:
     return worst
 
 
-def fit_cost_function(tag: str, probes) -> CostFunction:
-    """Fit one cost function of the given type from probe points.
+def fit_cost_function(tag: str, coords, values) -> CostFunction:
+    """Fit one cost function of the given type from probe coordinates (an
+    (m, arity) array) and the reference costs observed there.
 
     The constant term (last coefficient) is unconstrained; all structural
-    terms are constrained nonnegative. A collapsed grid (fewer distinct
-    coordinates than terms, e.g. a zero-variance selectivity) degrades to a
-    constant fit through the probe mean, flagged degenerate.
+    terms are constrained nonnegative. A C1 term is the mean of its probes.
+    A collapsed grid (fewer distinct coordinates than terms, e.g. a
+    zero-variance selectivity) degrades to a constant fit through the probe
+    mean, flagged degenerate.
     """
-    probes = list(probes)
+    A = design_matrix(tag, coords)
+    y = np.asarray(values, dtype=float)
     p = NUM_COEFS[tag]
-    if not probes:
+    if not y.size:
         raise FitError("no probe points")
-    y = np.array([pt.value for pt in probes], dtype=float)
-    distinct = {pt.coord for pt in probes}
-    if len(probes) < p or len(distinct) < p:
+    if y.shape != (A.shape[0],):
+        raise FitError(f"{A.shape[0]} probe coordinates but {y.size} values")
+    if tag == "C1":
+        return CostFunction(tag=tag, b=(float(np.mean(y)),))
+    distinct = {tuple(row) for row in A.tolist()}
+    if len(y) < p or len(distinct) < p:
         b = [0.0] * p
         b[-1] = float(np.mean(y))
         return CostFunction(tag=tag, b=tuple(b), degenerate=True)
-    A = np.array([design_row(tag, pt.coord) for pt in probes], dtype=float)
     constrained = np.array([True] * (p - 1) + [False])
     b, degenerate = nnls_solve(A, y, constrained)
     return CostFunction(tag=tag, b=tuple(float(v) for v in b), degenerate=degenerate)

@@ -10,7 +10,9 @@ subtree, in left-to-right leaf order.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 SCAN_KINDS = ("SeqScan", "IndexScan")
 UNARY_KINDS = ("Sort", "Materialize", "Aggregate")
@@ -35,12 +37,12 @@ DEFAULT_COST_PROFILES = {
 }
 
 CMP_OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -80,6 +82,49 @@ class OperatorNode:
     cost_profile: dict[str, str] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class PlanIndex:
+    """Structure derived from a plan in one post-order walk.
+
+    `leaves` maps every node to its leaf relation appearances, left to
+    right; appearance ordinals count repeated uses of the same relation
+    across the whole plan, so a self-join yields (R, 0) and (R, 1).
+    `agg_above` holds the aggregates and every operator above one.
+    """
+
+    order: tuple[int, ...]
+    leaves: dict[int, tuple[tuple[str, int], ...]]
+    appearance: dict[int, tuple[str, int]]  # scan node id -> (relation, ordinal)
+    agg_above: frozenset[int]
+
+
+def _index_plan(plan: "Plan") -> PlanIndex:
+    order: list[int] = []
+    leaves: dict[int, tuple[tuple[str, int], ...]] = {}
+    appearance: dict[int, tuple[str, int]] = {}
+    agg_above: set[int] = set()
+    counters: dict[str, int] = {}
+    stack = [(plan.root, False)]  # a loop, not a recursive closure: no reference cycle
+    while stack:
+        nid, children_done = stack.pop()
+        node = plan.nodes[nid]
+        if not children_done:
+            stack.append((nid, True))
+            stack.extend((c, False) for c in reversed(node.children))
+            continue
+        if node.kind in SCAN_KINDS:
+            ordinal = counters.get(node.relation, 0)
+            counters[node.relation] = ordinal + 1
+            appearance[nid] = (node.relation, ordinal)
+            leaves[nid] = (appearance[nid],)
+        else:
+            leaves[nid] = tuple(app for c in node.children for app in leaves[c])
+        if node.kind == "Aggregate" or any(c in agg_above for c in node.children):
+            agg_above.add(nid)
+        order.append(nid)
+    return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above))
+
+
 @dataclass
 class Plan:
     nodes: dict[int, OperatorNode]
@@ -91,13 +136,13 @@ class Plan:
     def children(self, node_id: int) -> list[OperatorNode]:
         return [self.nodes[c] for c in self.nodes[node_id].children]
 
-    def postorder(self, start: int | None = None):
-        def walk(nid):
-            for c in self.nodes[nid].children:
-                yield from walk(c)
-            yield self.nodes[nid]
+    @cached_property
+    def index(self) -> PlanIndex:
+        """Derived structure, built on first use; plans are not mutated."""
+        return _index_plan(self)
 
-        yield from walk(self.root if start is None else start)
+    def postorder(self):
+        return (self.nodes[nid] for nid in self.index.order)
 
 
 @dataclass
@@ -185,21 +230,14 @@ def _validate_tree(plan: Plan) -> None:
             seen.add(c)
     if plan.root in seen:
         raise PlanError("root must not be a child")
-    reachable = {n.id for n in plan.postorder()}
-    if reachable != set(plan.nodes):
+    index = plan.index
+    if len(index.order) != len(plan.nodes):
         raise PlanError("plan contains nodes unreachable from the root")
-    for node in plan.postorder():
-        if _needs_estimate_m(plan, node.id) and node.estimate_M is None:
+    for nid in index.order:
+        if nid in index.agg_above and plan.nodes[nid].estimate_M is None:
             raise PlanError(
-                f"node {node.id}: estimate_M required (aggregate or above an aggregate)"
+                f"node {nid}: estimate_M required (aggregate or above an aggregate)"
             )
-
-
-def _needs_estimate_m(plan: Plan, node_id: int) -> bool:
-    node = plan.node(node_id)
-    if node.kind == "Aggregate":
-        return True
-    return any(plan.node(d).kind == "Aggregate" for d in descendants(plan, node_id))
 
 
 def serialize_plan(plan: Plan) -> str:
@@ -225,53 +263,9 @@ def serialize_plan(plan: Plan) -> str:
 
 
 def leaf_tables(plan: Plan, node_id: int | None = None) -> list[tuple[str, int]]:
-    """Leaf relation appearances under a node, left to right.
-
-    Appearance ordinals count repeated uses of the same relation across the
-    whole plan, so a self-join yields (R, 0) and (R, 1).
-    """
-    counters: dict[str, int] = {}
-    out: dict[int, list[tuple[str, int]]] = {}
-
-    def walk(nid: int) -> list[tuple[str, int]]:
-        node = plan.node(nid)
-        if node.kind in SCAN_KINDS:
-            ordinal = counters.get(node.relation, 0)
-            counters[node.relation] = ordinal + 1
-            res = [(node.relation, ordinal)]
-        else:
-            res = []
-            for c in node.children:
-                res.extend(walk(c))
-        out[nid] = res
-        return res
-
-    walk(plan.root)
-    return out[plan.root if node_id is None else node_id]
-
-
-def leaf_appearance_map(plan: Plan) -> dict[int, tuple[str, int]]:
-    """Map scan node id -> (relation, appearance ordinal), left to right."""
-    counters: dict[str, int] = {}
-    out: dict[int, tuple[str, int]] = {}
-    for node in plan.postorder():
-        if node.kind in SCAN_KINDS:
-            ordinal = counters.get(node.relation, 0)
-            counters[node.relation] = ordinal + 1
-            out[node.id] = (node.relation, ordinal)
-    return out
-
-
-def descendants(plan: Plan, node_id: int) -> list[int]:
-    out = []
-
-    def walk(nid):
-        for c in plan.node(nid).children:
-            out.append(c)
-            walk(c)
-
-    walk(node_id)
-    return out
+    """Leaf relation appearances under a node (the root by default), left
+    to right, as (relation, appearance ordinal)."""
+    return list(plan.index.leaves[plan.root if node_id is None else node_id])
 
 
 def _resolve(schema: tuple[str, ...], column: str, node_id: int) -> int:
@@ -291,13 +285,79 @@ def _sel_filter(node, schema, rows, prov):
     if not sel:
         return rows, prov
     tests = [(_resolve(schema, a.column, node.id), CMP_OPS[a.op], a.value) for a in sel]
-    keep_rows, keep_prov = [], None if prov is None else []
-    for i, row in enumerate(rows):
-        if all(op(row[idx], val) for idx, op, val in tests):
-            keep_rows.append(row)
-            if prov is not None:
-                keep_prov.append(prov[i])
-    return keep_rows, keep_prov
+    keep = range(len(rows))
+    for idx, op, val in tests:  # atom by atom over the rows still kept
+        keep = [i for i in keep if op(rows[i][idx], val)]
+    return [rows[i] for i in keep], None if prov is None else [prov[i] for i in keep]
+
+
+def _run_scan(node, appearance, bindings, track_provenance, sink) -> AnnotatedResult:
+    if appearance not in bindings:
+        raise ExecutionError(f"leaf {appearance} is not bound to a table")
+    table = bindings[appearance]
+    if hasattr(table, "table_index"):
+        pairs = table.rows  # SampleTable: (sample_index, tuple)
+        rows = [r for _, r in pairs]
+        prov = [(j,) for j, _ in pairs] if track_provenance else None
+        base_cols = _table_columns(table, bindings)
+    else:
+        rows = list(table.rows)
+        prov = None
+        base_cols = table.column_names
+    rel, ordinal = appearance
+    alias = rel if ordinal == 0 else f"{rel}#{ordinal}"
+    schema = tuple(f"{alias}.{c}" for c in base_cols)
+    rows, prov = _sel_filter(node, schema, rows, prov)
+    if sink is not None and prov is not None:
+        for p in prov:
+            sink(node.id, p)
+    return AnnotatedResult(count=len(rows), schema=schema, rows=rows, provenance=prov)
+
+
+def _table_columns(table, bindings):
+    # SampleTables carry no schema; recover column names from any bound
+    # Relation of the same name, else positional names.
+    for b in bindings.values():
+        if hasattr(b, "schema") and getattr(b, "name", None) == table.relation:
+            return b.column_names
+    meta = bindings.get(("__schema__", table.relation))
+    if meta is not None:
+        return meta
+    width = len(table.rows[0][1]) if table.rows else 0
+    return tuple(f"c{i}" for i in range(width))
+
+
+def _run_join(node, left, right, track_provenance, sink) -> AnnotatedResult:
+    if left.rows is None or right.rows is None:
+        # A child deferred to its cardinality estimate; so must we.
+        return AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
+    atoms = [a for a in node.predicate if isinstance(a, JoinAtom)]
+    if not atoms:
+        raise ExecutionError(f"join node {node.id} has no equi-join atom")
+    # One atom keys by the value itself, several by the tuple of values.
+    lkey = operator.itemgetter(*[_resolve(left.schema, a.left, node.id) for a in atoms])
+    rkey = operator.itemgetter(*[_resolve(right.schema, a.right, node.id) for a in atoms])
+    schema = left.schema + right.schema
+    track = track_provenance and left.provenance is not None and right.provenance is not None
+    ht: dict = {}
+    for i, row in enumerate(left.rows):
+        ht.setdefault(lkey(row), []).append(i)
+    rows: list[tuple] = []
+    prov: list | None = [] if track else None
+    sel = [a for a in node.predicate if isinstance(a, SelAtom)]
+    tests = [(_resolve(schema, a.column, node.id), CMP_OPS[a.op], a.value) for a in sel]
+    for j, rrow in enumerate(right.rows):
+        for i in ht.get(rkey(rrow), ()):
+            out = left.rows[i] + rrow
+            if tests and not all(op(out[idx], val) for idx, op, val in tests):
+                continue
+            if track:
+                p = left.provenance[i] + right.provenance[j]
+                if sink is not None:
+                    sink(node.id, p)
+                prov.append(p)
+            rows.append(out)
+    return AnnotatedResult(count=len(rows), schema=schema, rows=rows, provenance=prov)
 
 
 def execute(plan: Plan, bindings: dict, track_provenance: bool = False, sink=None) -> dict[int, AnnotatedResult]:
@@ -311,116 +371,42 @@ def execute(plan: Plan, bindings: dict, track_provenance: bool = False, sink=Non
     scan/join row, before the row is buffered for the parent, so a consumer
     can accumulate statistics on the fly.
     """
-    appearances = leaf_appearance_map(plan)
+    index = plan.index
     results: dict[int, AnnotatedResult] = {}
-
-    def emit(nid, prov):
-        if sink is not None:
-            sink(nid, prov)
-
-    def run(nid: int) -> AnnotatedResult:
-        node = plan.node(nid)
+    for nid in index.order:
+        node = plan.nodes[nid]
         if node.kind in SCAN_KINDS:
-            res = _run_scan(node, appearances[nid])
+            res = _run_scan(node, index.appearance[nid], bindings, track_provenance, sink)
         elif node.kind == "Aggregate":
-            run(node.children[0])
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif node.kind in ("Sort", "Materialize"):
-            child = run(node.children[0])
+            child = results[node.children[0]]
             res = AnnotatedResult(
                 count=child.count, schema=child.schema, rows=child.rows,
                 provenance=child.provenance,
             )
         else:
-            res = _run_join(node, run(node.children[0]), run(node.children[1]))
+            left, right = node.children
+            res = _run_join(node, results[left], results[right], track_provenance, sink)
         results[nid] = res
-        return res
-
-    def _run_scan(node, appearance):
-        key = appearance
-        if key not in bindings:
-            raise ExecutionError(f"leaf {key} is not bound to a table")
-        table = bindings[key]
-        if hasattr(table, "table_index"):
-            pairs = table.rows  # SampleTable: (sample_index, tuple)
-            rows = [r for _, r in pairs]
-            prov = [(j,) for j, _ in pairs] if track_provenance else None
-            base_cols = _table_columns(table, bindings, node)
-        else:
-            rows = list(table.rows)
-            prov = None
-            base_cols = table.column_names
-        rel, ordinal = appearance
-        alias = rel if ordinal == 0 else f"{rel}#{ordinal}"
-        schema = tuple(f"{alias}.{c}" for c in base_cols)
-        rows, prov = _sel_filter(node, schema, rows, prov)
-        if track_provenance and prov is not None:
-            for p in prov:
-                emit(node.id, p)
-        return AnnotatedResult(count=len(rows), schema=schema, rows=rows, provenance=prov)
-
-    def _table_columns(table, bindings, node):
-        # SampleTables carry no schema; recover column names from any bound
-        # Relation of the same name, else positional names.
-        for b in bindings.values():
-            if hasattr(b, "schema") and getattr(b, "name", None) == table.relation:
-                return b.column_names
-        meta = bindings.get(("__schema__", table.relation))
-        if meta is not None:
-            return meta
-        width = len(table.rows[0][1]) if table.rows else 0
-        return tuple(f"c{i}" for i in range(width))
-
-    def _run_join(node, left, right):
-        if left.rows is None or right.rows is None:
-            # A child deferred to its cardinality estimate; so must we.
-            return AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
-        atoms = [a for a in node.predicate if isinstance(a, JoinAtom)]
-        if not atoms:
-            raise ExecutionError(f"join node {node.id} has no equi-join atom")
-        lk = [_resolve(left.schema, a.left, node.id) for a in atoms]
-        rk = [_resolve(right.schema, a.right, node.id) for a in atoms]
-        schema = left.schema + right.schema
-        track = track_provenance and left.provenance is not None and right.provenance is not None
-        ht: dict = {}
-        for i, row in enumerate(left.rows):
-            ht.setdefault(tuple(row[k] for k in lk), []).append(i)
-        rows: list[tuple] = []
-        prov: list | None = [] if track else None
-        sel = [a for a in node.predicate if isinstance(a, SelAtom)]
-        tests = [(_resolve(schema, a.column, node.id), CMP_OPS[a.op], a.value) for a in sel]
-        for j, rrow in enumerate(right.rows):
-            for i in ht.get(tuple(rrow[k] for k in rk), ()):
-                out = left.rows[i] + rrow
-                if tests and not all(op(out[idx], val) for idx, op, val in tests):
-                    continue
-                if track:
-                    p = left.provenance[i] + right.provenance[j]
-                    emit(node.id, p)
-                    prov.append(p)
-                rows.append(out)
-        return AnnotatedResult(count=len(rows), schema=schema, rows=rows, provenance=prov)
-
-    run(plan.root)
     return results
 
 
 def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, float]:
     """True selectivity of every operator: output count over the product of
     its base leaf-table sizes, from one execution over the full relations."""
-    appearances = leaf_appearance_map(plan)
-    bindings = {app: relations[app[0]] for app in appearances.values()}
+    index = plan.index
+    bindings = {app: relations[app[0]] for app in index.appearance.values()}
     results = execute(plan, bindings, track_provenance=False)
-    leaf_sets = {n.id: leaf_tables(plan, n.id) for n in plan.postorder()}
     truth = {}
-    for node in plan.postorder():
+    for nid in index.order:
         denom = 1
-        for rel, _ in leaf_sets[node.id]:
+        for rel, _ in index.leaves[nid]:
             size = relations[rel].row_count
             if size == 0:
                 raise ZeroDivisionError(
                     f"relation {rel!r} is empty; selectivity undefined (degenerate input)"
                 )
             denom *= size
-        truth[node.id] = results[node.id].count / denom
+        truth[nid] = results[nid].count / denom
     return truth

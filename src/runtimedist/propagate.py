@@ -456,22 +456,20 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
 def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     """Fit every operator's per-unit cost function from reference probes.
 
-    The oracle is called as oracle((node_id, unit), coord) -> cost value.
-    C1 terms take a single nullary probe; unary/binary terms probe the
-    mu +/- 3 sigma grid of the input selectivity distribution(s).
+    One oracle call per cost term, over the term's whole grid:
+    oracle((node_id, unit), coords) -> values, with `coords` an (m, arity)
+    array: the mu +/- 3 sigma grid of the input selectivity
+    distribution(s), or for a C1 term the single nullary coordinate, shape
+    (1, 0).
     """
     ctx = CovContext(plan, estimates, {e.var_id: (e.rho_n, e.sigma2) for e in estimates.values()})
     fitted: dict[int, dict[str, CostFunction]] = {}
     for node in plan.postorder():
         fitted[node.id] = {}
         for unit, (tag, vars_) in term_vars(plan, node).items():
-            if tag == "C1":
-                value = float(oracle((node.id, unit), ()))
-                fitted[node.id][unit] = CostFunction(tag="C1", b=(value,))
-                continue
             coords = costfit.grid_points([ctx.dist(v) for v in vars_], W=W)
-            probes = costfit.probe_reference(oracle, (node.id, unit), coords)
-            fitted[node.id][unit] = costfit.fit_cost_function(tag, probes)
+            values = oracle((node.id, unit), coords)
+            fitted[node.id][unit] = costfit.fit_cost_function(tag, coords, values)
     return fitted
 
 

@@ -129,7 +129,7 @@ def estimate_for_subset(est: SelEstimate, positions: list[int]) -> float:
 def default_assignment(plan: Plan) -> dict[tuple[str, int], int]:
     """Assign each leaf appearance its appearance ordinal as table index,
     so repeated relations draw from distinct, independent sample tables."""
-    return {app: app[1] for app in planmod.leaf_appearance_map(plan).values()}
+    return {app: app[1] for app in plan.index.appearance.values()}
 
 
 def estimate_all(plan: Plan, pool, relations: dict, assignment=None) -> dict[int, SelEstimate]:
@@ -142,7 +142,8 @@ def estimate_all(plan: Plan, pool, relations: dict, assignment=None) -> dict[int
     """
     if assignment is None:
         assignment = default_assignment(plan)
-    appearances = planmod.leaf_appearance_map(plan)
+    index = plan.index
+    appearances = index.appearance
     n = pool.n
     if n < 1:
         raise EstimationError("pool has no sampling steps")
@@ -155,16 +156,10 @@ def estimate_all(plan: Plan, pool, relations: dict, assignment=None) -> dict[int
     for rel in {a[0] for a in appearances.values()}:
         bindings[("__schema__", rel)] = relations[rel].column_names
 
-    leaf_sets = {node.id: planmod.leaf_tables(plan, node.id) for node in plan.postorder()}
     accs: dict[int, QAccumulator] = {}
-    agg_above: set[int] = set()
     for node in plan.postorder():
-        if node.kind == "Aggregate" or any(
-            c in agg_above or plan.node(c).kind == "Aggregate" for c in node.children
-        ):
-            agg_above.add(node.id)
-        elif node.kind in SCAN_KINDS or node.kind in JOIN_KINDS:
-            accs[node.id] = QAccumulator(n=n, K=len(leaf_sets[node.id]))
+        if node.id not in index.agg_above and (node.kind in SCAN_KINDS or node.kind in JOIN_KINDS):
+            accs[node.id] = QAccumulator(n=n, K=len(index.leaves[node.id]))
 
     def sink(node_id, prov):
         acc = accs.get(node_id)
@@ -175,9 +170,9 @@ def estimate_all(plan: Plan, pool, relations: dict, assignment=None) -> dict[int
 
     estimates: dict[int, SelEstimate] = {}
     for node in plan.postorder():
-        leaf_set = tuple(leaf_sets[node.id])
+        leaf_set = index.leaves[node.id]
         K = len(leaf_set)
-        if node.id in agg_above:
+        if node.id in index.agg_above:
             denom = 1
             for rel, _ in leaf_set:
                 denom *= relations[rel].row_count

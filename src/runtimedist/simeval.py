@@ -3,8 +3,10 @@
 A TrueCostWorld stands in for a real DBMS plus hardware: it hides true
 cost-unit distributions and true per-operator cost coefficients. The
 predictor sees the world only through calibration records and cost-model
-probe oracles; "actual" running times are simulated by evaluating the true
-cost model at the true selectivities with fresh cost-unit draws per run.
+probe oracles (`oracle((node_id, unit), coords) -> values`, an (m, arity)
+coordinate array in, m true costs out); "actual" running times are
+simulated by evaluating the true cost model at the true selectivities with
+fresh cost-unit draws per run.
 
 Also here: the exact enumeration oracle for Var[rho_n], a Monte Carlo
 variance oracle for covariance-free plans, workload generation, and the
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import plan as planmod
 from .calib import CalibrationRecord, COST_UNITS
-from .costfit import ARITY, design_row
+from .costfit import design_matrix
 from .plan import Plan, DEFAULT_COST_PROFILES
 from .propagate import term_vars
 
@@ -237,20 +239,21 @@ class TrueCostWorld:
         return tag, (a[0] * p_l * p_r, a[1] * p_l, a[2] * p_r, a[3])
 
     def cost_oracle(self, plan: Plan, relations):
-        """Probe oracle: true logical cost of (node, unit) at a selectivity
-        coordinate. This is all the predictor learns of the cost model."""
+        """Probe oracle: true logical costs of (node, unit) at each row of
+        an (m, arity) selectivity coordinate array, as an m-vector. This is
+        all the predictor learns of the cost model."""
 
-        def oracle(key, coord):
-            node_id, unit = key
-            tag, b = self.true_b(plan, relations, node_id, unit)
-            return float(np.dot(b, design_row(tag, tuple(coord))))
+        def oracle(key, coords):
+            tag, b = self.true_b(plan, relations, *key)
+            return design_matrix(tag, coords) @ np.asarray(b)
 
         return oracle
 
 
 def _leaf_product(plan: Plan, relations, node_id: int) -> float:
+    # Left to right over the leaves: large products are not exact.
     out = 1.0
-    for rel, _ in planmod.leaf_tables(plan, node_id):
+    for rel, _ in plan.index.leaves[node_id]:
         out *= relations[rel].row_count
     return out
 
@@ -269,7 +272,7 @@ def simulate_actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: i
             draw = max(
                 float(rng.normal(world.unit_means[unit], math.sqrt(world.unit_vars[unit]))), 0.0
             )
-            total += float(np.dot(b, design_row(tag, coord))) * draw
+            total += float(np.dot(b, design_matrix(tag, [coord])[0])) * draw
     return total
 
 
@@ -353,10 +356,9 @@ def membership_tensor(plan: Plan, relations) -> tuple[np.ndarray, list]:
     wrapped as an exhaustive sample table."""
     from .store import SampleTable
 
-    appearances = planmod.leaf_appearance_map(plan)
     leaf_order = planmod.leaf_tables(plan, None)
     bindings = {}
-    for app in appearances.values():
+    for app in plan.index.appearance.values():
         rel = relations[app[0]]
         rows = tuple((i, r) for i, r in enumerate(rel.rows))
         bindings[app] = SampleTable(relation=rel.name, table_index=app[1], n=rel.row_count, rows=rows)

@@ -21,7 +21,7 @@ from conftest import (
     tiny_instance,
 )
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
-from runtimedist.costfit import CostFunction, ProbePoint
+from runtimedist.costfit import CostFunction
 
 
 def _record(num: int, ok: bool, detail: str):
@@ -152,11 +152,7 @@ def test_criterion_4_nnls_correctness():
         else:
             axis = np.linspace(0, 1, 5)
             coords = [(x, y) for x in axis for y in axis]
-        probes = [
-            ProbePoint(tuple(c), float(np.dot(b_true, costfit.design_row(tag, c))))
-            for c in coords
-        ]
-        cf = costfit.fit_cost_function(tag, probes)
+        cf = costfit.fit_cost_function(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
         err = max(abs(g - t) / abs(t) for g, t in zip(cf.b, b_true))
         worst_rec = max(worst_rec, err)
         assert err <= 1e-6, (tag, cf.b, b_true)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from runtimedist import costfit
-from runtimedist.costfit import CostFunction, ProbePoint
+from runtimedist.costfit import CostFunction
 
 
-def _probes(tag, coords, fn):
-    return [ProbePoint(coord=tuple(c), value=float(fn(*c))) for c in coords]
+def _fit(tag, coords, fn):
+    coords = np.asarray(coords, dtype=float)
+    return costfit.fit_cost_function(tag, coords, [fn(*c) for c in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +38,19 @@ def test_grid_binary_cross_product():
     assert len({p[0] for p in pts}) == 11
 
 
-def test_probe_reference_linear():
-    oracle = lambda op, coord: 100.0 * coord[0] + 5.0
-    pts = costfit.probe_reference(oracle, "op", [(0.0,), (0.5,), (1.0,)])
-    assert [p.value for p in pts] == [5.0, 55.0, 105.0]
+def test_design_matrix_linear():
+    A = costfit.design_matrix("C3", [(0.0,), (0.5,), (1.0,)])
+    assert (A @ np.array([100.0, 5.0])).tolist() == [5.0, 55.0, 105.0]
+
+
+def test_design_matrix_rows_and_shape_errors():
+    assert costfit.design_matrix("C1", [()]).tolist() == [[1.0]]
+    assert costfit.design_matrix("C4", [(0.5,)]).tolist() == [[0.25, 0.5, 1.0]]
+    assert costfit.design_matrix("C6", [(0.5, 0.25)]).tolist() == [[0.125, 0.5, 0.25, 1.0]]
+    with pytest.raises(costfit.FitError):
+        costfit.design_matrix("C5", [(0.5,)])
+    with pytest.raises(costfit.FitError):
+        costfit.design_matrix("C7", [(0.5,)])
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +110,56 @@ def test_kkt_property(seed, p, extra):
     assert all(b[i] >= 0 for i in range(p) if constrained[i])
 
 
+def _lstsq_calls(monkeypatch):
+    calls = [0]
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_nnls_entering_zero_solution_rejected(monkeypatch):
+    # A C6 fit captured from a 12-relation join chain: the left selectivity
+    # is ~1e-15, so two columns fall below lstsq's rank cutoff. Coefficient
+    # 1 re-enters with a passive-set solution of exactly 0, which made the
+    # step length 0/0 and the fit NaN. An entering coefficient that does
+    # not move off zero is rejected until x changes.
+    xl = [0.0, 0.0, 0.0, 0.0, 1.0012928389099477e-15, 2.734375e-15, 4.467457161090054e-15,
+          6.200539322180107e-15, 7.933621483270158e-15, 9.666703644360213e-15,
+          1.1399785805450263e-14]
+    xr = [0.1937425327571933, 0.21299402620575464, 0.23224551965431597, 0.2514970131028773,
+          0.2707485065514386, 0.29, 0.3092514934485613, 0.32850298689712265,
+          0.34775448034568396, 0.36700597379424527, 0.38625746724280663]
+    b_true = (1.558392802734759e26, 1.1558637744370102e23, 2272.6234889585658, 14.895397562964696)
+    A = costfit.design_matrix("C6", [(a, b) for a in xl for b in xr])
+    y = np.array([np.dot(b_true, row) for row in A])
+    constrained = [True, True, True, False]
+    calls = _lstsq_calls(monkeypatch)
+    b, _ = costfit.nnls_solve(A, y, constrained)
+    assert np.all(np.isfinite(b))
+    assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+    assert calls[0] <= 10  # the iteration caps allow 1000 solves per entering variable
+
+
+def test_nnls_entering_negative_solution_terminates(monkeypatch):
+    # The same shape where the re-entering coefficient solves negative:
+    # it used to enter, leave at once and re-enter until the iteration cap.
+    axis_l = np.clip(np.linspace(2.734375e-15 - 9e-15, 2.734375e-15 + 9e-15, 11), 0.0, 1.0)
+    axis_r = np.linspace(0.29 - 0.096, 0.29 + 0.096, 11)
+    A = costfit.design_matrix("C6", [(a, b) for a in axis_l for b in axis_r])
+    y = A @ np.array([1.5e26, 1e23, 2000.0, 15.0])
+    constrained = [True, True, True, False]
+    calls = _lstsq_calls(monkeypatch)
+    b, _ = costfit.nnls_solve(A, y, constrained)
+    assert np.all(np.isfinite(b))
+    assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+    assert calls[0] <= 10
+
+
 def test_residual_dominance():
     # The constrained fit never beats the unconstrained optimum, and never
     # loses to the clipped unconstrained solution.
@@ -121,16 +181,14 @@ def test_residual_dominance():
 
 
 def test_fit_c1_constant():
-    cf = costfit.fit_cost_function("C1", [ProbePoint((), 7.0)] * 3)
+    cf = costfit.fit_cost_function("C1", np.empty((3, 0)), [7.0] * 3)
     assert cf.b == (7.0,)
     assert cf.evaluate() == 7.0
 
 
 def test_fit_c4_recovery():
     coords = [(x,) for x in np.linspace(0, 1, 11)]
-    cf = costfit.fit_cost_function(
-        "C4", _probes("C4", coords, lambda x: 3.0 * x * x + 0.5 * x + 7.0)
-    )
+    cf = _fit("C4", coords, lambda x: 3.0 * x * x + 0.5 * x + 7.0)
     assert cf.b == pytest.approx([3.0, 0.5, 7.0], rel=1e-6)
     assert not cf.degenerate
 
@@ -140,10 +198,7 @@ def test_fit_c6_coefficient_mapping():
     # b = (a0*1e4, a1*100, 0, 0) in selectivity space.
     a0, a1 = 0.3, 1.7
     grid = costfit.grid_points([(0.5, 0.02), (0.5, 0.02)], W=10)
-    cf = costfit.fit_cost_function(
-        "C6",
-        _probes("C6", grid, lambda xl, xr: a0 * (100 * xl) * (100 * xr) + a1 * (100 * xl)),
-    )
+    cf = _fit("C6", grid, lambda xl, xr: a0 * (100 * xl) * (100 * xr) + a1 * (100 * xl))
     assert cf.b[0] == pytest.approx(a0 * 1e4, rel=1e-6)
     assert cf.b[1] == pytest.approx(a1 * 100, rel=1e-6)
     assert abs(cf.b[2]) < 1e-6 and abs(cf.b[3]) < 1e-6
@@ -161,24 +216,21 @@ def test_noiseless_recovery_all_types(tag):
         else:
             axis = np.linspace(0, 1, 5)
             coords = [(x, y) for x in axis for y in axis]
-        probes = [
-            ProbePoint(tuple(c), float(np.dot(b_true, costfit.design_row(tag, c))))
-            for c in coords
-        ]
-        cf = costfit.fit_cost_function(tag, probes)
+        cf = costfit.fit_cost_function(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
         assert cf.b == pytest.approx(b_true, rel=1e-6, abs=1e-8)
 
 
 def test_fit_collapsed_grid_degenerates():
-    probes = [ProbePoint((0.4,), 9.0)] * 5
-    cf = costfit.fit_cost_function("C4", probes)
+    cf = costfit.fit_cost_function("C4", [(0.4,)] * 5, [9.0] * 5)
     assert cf.degenerate
     assert cf.b == (0.0, 0.0, 9.0)
 
 
 def test_fit_insufficient_points():
     with pytest.raises(costfit.FitError):
-        costfit.fit_cost_function("C4", [])
+        costfit.fit_cost_function("C4", np.empty((0, 1)), [])
+    with pytest.raises(costfit.FitError):
+        costfit.fit_cost_function("C4", [(0.1,), (0.2,), (0.3,)], [1.0, 2.0])
 
 
 def test_cost_function_validation():

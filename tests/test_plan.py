@@ -1,8 +1,11 @@
 """Plan parsing, validation, execution, and provenance."""
 
+import gc
 import json
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from runtimedist import plan as planmod, store
 
@@ -68,6 +71,106 @@ def test_self_join_appearance_ordinals():
     }
     p = _parse(doc)
     assert planmod.leaf_tables(p, 3) == [("R", 0), ("R", 1)]
+
+
+# A generated tree: a relation name (a scan), (unary kind, child) or
+# (join kind, left, right).
+_trees = st.recursive(
+    st.sampled_from(["R", "S", "T"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["Sort", "Materialize", "Aggregate"]), sub),
+        st.tuples(st.sampled_from(["HashJoin", "NestLoopJoin"]), sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _tree_doc(tree):
+    """Plan document for a generated tree, ids given in preorder from 10
+    in steps of 7, with the tree node of each id."""
+    nodes, by_id = [], {}
+
+    def add(t):
+        nid = 10 + 7 * len(by_id)
+        by_id[nid] = t
+        rec = {"id": nid, "estimate_M": 1}
+        nodes.append(rec)
+        if isinstance(t, str):
+            rec.update(kind="SeqScan", relation=t, children=[])
+        else:
+            rec.update(kind=t[0], children=[add(c) for c in t[1:]])
+        return nid
+
+    root = add(tree)
+    return {"nodes": nodes, "root": root}, by_id
+
+
+def _brute_leaves(t):
+    return [t] if isinstance(t, str) else [r for c in t[1:] for r in _brute_leaves(c)]
+
+
+def _brute_has_aggregate(t):
+    return not isinstance(t, str) and (t[0] == "Aggregate" or any(map(_brute_has_aggregate, t[1:])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_plan_index_matches_brute_force(tree):
+    doc, by_id = _tree_doc(tree)
+    p = _parse(doc)
+    index = p.index
+    # The whole plan's leaves, left to right, number each relation's uses.
+    seen: dict = {}
+    ordinals = []
+    for rel in _brute_leaves(tree):
+        ordinals.append((rel, seen.get(rel, 0)))
+        seen[rel] = seen.get(rel, 0) + 1
+    assert list(index.leaves[p.root]) == ordinals
+    assert planmod.leaf_tables(p) == ordinals
+    scans = [nid for nid in sorted(by_id) if isinstance(by_id[nid], str)]
+    assert [index.appearance[nid] for nid in scans] == ordinals  # preorder = leaf order
+    children = {rec["id"]: rec["children"] for rec in doc["nodes"]}
+
+    def subtree(nid):
+        yield nid
+        for c in children[nid]:
+            yield from subtree(c)
+
+    for nid, t in by_id.items():
+        below = set(subtree(nid))
+        assert list(index.leaves[nid]) == [o for s, o in zip(scans, ordinals) if s in below]
+        assert (nid in index.agg_above) == _brute_has_aggregate(t)
+    # Post-order: every node after its children, the root last.
+    pos = {nid: i for i, nid in enumerate(index.order)}
+    assert sorted(pos) == sorted(by_id) and index.order[-1] == p.root
+    assert all(pos[c] < pos[n.id] for n in p.nodes.values() for c in n.children)
+
+
+def test_plan_and_results_leave_no_reference_cycle():
+    # A plan, its index and an execution's results are freed by reference
+    # counting alone once dropped.
+    l = _rel("L", ["k", "a"], [(i % 7, i) for i in range(300)])
+    r = _rel("R", ["k", "b"], [(i % 7, i) for i in range(300)])
+    doc = {
+        "nodes": [
+            _scan(1, "L"), _scan(2, "R"),
+            {"id": 3, "kind": "HashJoin", "children": [1, 2],
+             "predicate": [{"left": "k", "right": "k"}]},
+            {"id": 4, "kind": "Sort", "children": [3]},
+        ],
+        "root": 4,
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        p = _parse(doc)
+        results = planmod.execute(p, {("L", 0): l, ("R", 0): r})
+        assert results[4].count == results[3].count > 0
+        refs = [weakref.ref(obj) for obj in (p, results[4], results[1])]
+        del p, results
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_roundtrip_serialization():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from runtimedist import calib, plan as planmod, propagate, selest, store
-from runtimedist.costfit import CostFunction
+from runtimedist.costfit import ARITY, CostFunction
 from runtimedist.selest import SelEstimate
 
 
@@ -427,3 +427,34 @@ def test_three_level_breakdown_pattern():
     for pair in [(1, 2), (1, 3), (2, 3), (3, 4)]:
         assert not any(e.pair == pair for e in entries)
     assert dist.variance >= 0.0
+
+
+def test_fit_makes_one_oracle_call_per_term():
+    relations, world, _, pool = _world_fixture()
+    doc = {
+        "nodes": [
+            {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
+             "predicate": [{"col": "r1_val", "op": "<", "value": 5000}]},
+            {"id": 2, "kind": "IndexScan", "relation": "r2", "children": []},
+            {"id": 3, "kind": "NestLoopJoin", "children": [1, 2],
+             "predicate": [{"left": "r1_key", "right": "r2_key"}]},
+            {"id": 4, "kind": "Sort", "children": [3]},
+        ],
+        "root": 4,
+    }
+    plan = planmod.parse_plan(json.dumps(doc))
+    est = selest.estimate_all(plan, pool, relations)
+    inner = world.cost_oracle(plan, relations)
+    calls = []
+
+    def oracle(key, coords):
+        calls.append((key, np.shape(coords)))
+        return inner(key, coords)
+
+    fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=6)
+    terms = [(nid, u) for nid, per in fitted.items() for u in per]
+    assert sorted(key for key, _ in calls) == sorted(terms)
+    for (nid, unit), shape in calls:
+        arity = ARITY[fitted[nid][unit].tag]
+        assert shape == ((1, 0) if arity == 0 else (7 ** arity, arity))
+    assert ((1, "c_r"), (1, 0)) in calls  # a SeqScan's C1 term is probed too

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from runtimedist import calib, plan as planmod, propagate, selest, simeval, store
+from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.simeval import EvalRecord, TrueCostWorld, WorkloadSpec
 from conftest import brute_membership, sample_rows_in_index_order, tiny_instance
 
@@ -172,12 +173,71 @@ def test_noise_free_runtime_matches_oracle_total():
     for node in plan.postorder():
         for unit, (tag, vars_) in propagate.term_vars(plan, node).items():
             coord = tuple(1.0 if v is None else truth[v] for v in vars_)
-            expect += oracle((node.id, unit), coord) * world.unit_means[unit]
+            expect += oracle((node.id, unit), [coord])[0] * world.unit_means[unit]
     got = simeval.simulate_actual_runtime(plan, relations, world, seed=0)
     assert got == pytest.approx(expect, rel=1e-12)
     # with zero noise every seed gives the same runtime
     assert simeval.simulate_actual_runtime(plan, relations, world, seed=77) == pytest.approx(got)
     assert simeval.actual_runtime(plan, relations, world, seed=5, runs=3) == pytest.approx(got)
+
+
+# Every family C1-C6 on some term: an IndexScan with a C4 read of its whole
+# relation, a HashJoin with C1-C5 and a NestLoopJoin with C6.
+_ALL_FAMILIES = {
+    "nodes": [
+        {"id": 1, "kind": "IndexScan", "relation": "r1", "children": [],
+         "cost_profile": {"c_s": "C4"}},
+        {"id": 2, "kind": "SeqScan", "relation": "r2", "children": []},
+        {"id": 3, "kind": "SeqScan", "relation": "r3", "children": []},
+        {"id": 4, "kind": "HashJoin", "children": [1, 2],
+         "predicate": [{"left": "r1_key", "right": "r2_key"}],
+         "cost_profile": {"c_s": "C1", "c_r": "C2", "c_t": "C3", "c_i": "C4", "c_o": "C5"}},
+        {"id": 5, "kind": "NestLoopJoin", "children": [4, 3],
+         "predicate": [{"left": "r2_key2", "right": "r3_key2"}]},
+    ],
+    "root": 5,
+}
+
+
+def _scalar_row(tag, c):
+    """One design row, written out per family."""
+    return {
+        "C1": lambda: [1.0],
+        "C2": lambda: [c[0], 1.0],
+        "C3": lambda: [c[0], 1.0],
+        "C4": lambda: [c[0] * c[0], c[0], 1.0],
+        "C5": lambda: [c[0], c[1], 1.0],
+        "C6": lambda: [c[0] * c[1], c[0], c[1], 1.0],
+    }[tag]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_array_oracle_matches_scalar_evaluation(data):
+    relations = simeval.generate_database(1, sizes=(30, 40, 50))
+    plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
+    coef = st.floats(0.5, 2.0)
+    coefs: dict = {}
+    for node in plan.postorder():
+        for unit, tag in node.cost_profile.items():
+            coefs.setdefault(node.kind, {})[unit] = tuple(
+                data.draw(coef) for _ in range(costfit.NUM_COEFS[tag]))
+    world = TrueCostWorld(unit_means={}, unit_vars={}, coefs=coefs, seed=0)
+    oracle = world.cost_oracle(plan, relations)
+    families = set()
+    for node in plan.postorder():
+        for unit, tag in node.cost_profile.items():
+            families.add(tag)
+            m = data.draw(st.integers(1, 6))
+            coords = [tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(costfit.ARITY[tag]))
+                      for _ in range(m)]
+            got = oracle((node.id, unit), np.array(coords).reshape(m, costfit.ARITY[tag]))
+            _, b = world.true_b(plan, relations, node.id, unit)
+            assert got.shape == (m,)
+            for value, c in zip(got, coords):
+                want = sum(bi * ri for bi, ri in zip(b, _scalar_row(tag, c)))
+                assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert families == set(costfit.ARITY)
 
 
 def test_actual_runtime_is_mean_of_runs():
