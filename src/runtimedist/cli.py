@@ -468,12 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Errors reported as one JSON line on stderr, with exit code 1.
+REPORTED_ERRORS = (
+    ConfigError, FileNotFoundError, ValueError, store.PoolError,
+    planmod.ExecutionError, selest.EstimationError, propagate.PropagationError,
+)
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except REPORTED_ERRORS as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

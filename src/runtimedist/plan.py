@@ -4,15 +4,19 @@ Plans are parsed from a JSON document, validated, and evaluated over either
 base relations or sample tables. When executed over sample tables with
 provenance tracking, every scan/join output row carries the sample indexes
 of the contributing sample tuples, one per leaf table of the operator's
-subtree, in left-to-right leaf order.
+subtree, in left-to-right leaf order. An operator's rows are built only
+where a parent (or the caller, for the root) reads them; any other
+operator only counts its output.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 SCAN_KINDS = ("SeqScan", "IndexScan")
 UNARY_KINDS = ("Sort", "Materialize", "Aggregate")
@@ -81,6 +85,17 @@ class OperatorNode:
     estimate_M: int | None = None
     cost_profile: dict[str, str] = field(default_factory=dict)
 
+    @functools.cached_property
+    def selections(self) -> tuple[tuple[str, object, object], ...]:
+        """The selection atoms as (column, comparison function, constant)."""
+        return tuple((a.column, CMP_OPS[a.op], a.value) for a in self.predicate if isinstance(a, SelAtom))
+
+    @functools.cached_property
+    def join_columns(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The equi-join atoms' left columns and right columns."""
+        atoms = [a for a in self.predicate if isinstance(a, JoinAtom)]
+        return tuple(a.left for a in atoms), tuple(a.right for a in atoms)
+
 
 @dataclass(frozen=True)
 class PlanIndex:
@@ -90,12 +105,23 @@ class PlanIndex:
     right; appearance ordinals count repeated uses of the same relation
     across the whole plan, so a self-join yields (R, 0) and (R, 1).
     `agg_above` holds the aggregates and every operator above one.
+    `read` holds the operators whose rows a parent reads: the children of
+    a join not above an aggregate, and the child of a read Sort or
+    Materialize. An Aggregate never reads its child, and a join at or
+    above one outputs its `estimate_M`. `read_with_root` adds the root
+    and the pass-through operators it reads in turn, for a caller that
+    reads the root's rows. `streamed` holds the operators that produce
+    rows, and hand each to a sink: the scans, and the joins not above an
+    aggregate.
     """
 
     order: tuple[int, ...]
     leaves: dict[int, tuple[tuple[str, int], ...]]
     appearance: dict[int, tuple[str, int]]  # scan node id -> (relation, ordinal)
     agg_above: frozenset[int]
+    read: frozenset[int]
+    read_with_root: frozenset[int]
+    streamed: tuple[int, ...]  # post-order
 
 
 def _index_plan(plan: "Plan") -> PlanIndex:
@@ -122,7 +148,23 @@ def _index_plan(plan: "Plan") -> PlanIndex:
         if node.kind == "Aggregate" or any(c in agg_above for c in node.children):
             agg_above.add(nid)
         order.append(nid)
-    return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above))
+    read: set[int] = set()
+    read_with_root = {plan.root}
+    for nid in reversed(order):  # every parent before its children
+        node = plan.nodes[nid]
+        for reads in (read, read_with_root):
+            if (node.kind in JOIN_KINDS and nid not in agg_above) or (
+                node.kind in ("Sort", "Materialize") and nid in reads
+            ):
+                reads.update(node.children)
+    streamed = tuple(
+        nid for nid in order
+        if plan.nodes[nid].kind in SCAN_KINDS or (plan.nodes[nid].kind in JOIN_KINDS and nid not in agg_above)
+    )
+    return PlanIndex(
+        tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), frozenset(read_with_root),
+        streamed,
+    )
 
 
 @dataclass
@@ -136,7 +178,7 @@ class Plan:
     def children(self, node_id: int) -> list[OperatorNode]:
         return [self.nodes[c] for c in self.nodes[node_id].children]
 
-    @cached_property
+    @functools.cached_property
     def index(self) -> PlanIndex:
         """Derived structure, built on first use; plans are not mutated."""
         return _index_plan(self)
@@ -268,8 +310,11 @@ def leaf_tables(plan: Plan, node_id: int | None = None) -> list[tuple[str, int]]
     return list(plan.index.leaves[plan.root if node_id is None else node_id])
 
 
+@functools.lru_cache(maxsize=4096)
 def _resolve(schema: tuple[str, ...], column: str, node_id: int) -> int:
-    """Resolve a possibly qualified column name against a schema."""
+    """Resolve a possibly qualified column name against a schema: its exact
+    name, else the one column it is the suffix after a dot of. Cached:
+    executions resolve the same few names against the same few schemas."""
     if column in schema:
         return schema.index(column)
     matches = [i for i, c in enumerate(schema) if c.endswith("." + column)]
@@ -280,114 +325,121 @@ def _resolve(schema: tuple[str, ...], column: str, node_id: int) -> int:
     raise ExecutionError(f"node {node_id}: column {column!r} is ambiguous in {schema}")
 
 
-def _sel_filter(node, schema, rows, prov):
-    sel = [a for a in node.predicate if isinstance(a, SelAtom)]
-    if not sel:
-        return rows, prov
-    tests = [(_resolve(schema, a.column, node.id), CMP_OPS[a.op], a.value) for a in sel]
-    keep = range(len(rows))
-    for idx, op, val in tests:  # atom by atom over the rows still kept
-        keep = [i for i in keep if op(rows[i][idx], val)]
-    return [rows[i] for i in keep], None if prov is None else [prov[i] for i in keep]
+@functools.lru_cache(maxsize=4096)
+def _key(schema: tuple[str, ...], columns: tuple[str, ...], node_id: int):
+    """Join key of a row: the value of one column, the tuple of several."""
+    return operator.itemgetter(*[_resolve(schema, c, node_id) for c in columns])
 
 
-def _run_scan(node, appearance, bindings, track_provenance, sink) -> AnnotatedResult:
-    if appearance not in bindings:
-        raise ExecutionError(f"leaf {appearance} is not bound to a table")
-    table = bindings[appearance]
-    if hasattr(table, "table_index"):
-        pairs = table.rows  # SampleTable: (sample_index, tuple)
-        rows = [r for _, r in pairs]
-        prov = [(j,) for j, _ in pairs] if track_provenance else None
-        base_cols = _table_columns(table, bindings)
-    else:
-        rows = list(table.rows)
-        prov = None
-        base_cols = table.column_names
+@functools.lru_cache(maxsize=1024)
+def _scan_schema(appearance: tuple[str, int], column_names: tuple[str, ...]) -> tuple[str, ...]:
+    """A scan's columns as `alias.column`; a relation's second appearance
+    is aliased `R#1`, its third `R#2`, and so on."""
     rel, ordinal = appearance
     alias = rel if ordinal == 0 else f"{rel}#{ordinal}"
-    schema = tuple(f"{alias}.{c}" for c in base_cols)
-    rows, prov = _sel_filter(node, schema, rows, prov)
+    return tuple(f"{alias}.{c}" for c in column_names)
+
+
+def _run_scan(node, appearance, bindings, track_provenance, sink, read) -> AnnotatedResult:
+    table = bindings.get(appearance)
+    if table is None:
+        raise ExecutionError(f"leaf {appearance} is not bound to a table")
+    schema = _scan_schema(appearance, table.column_names)
+    tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
+    if not hasattr(table, "table_index"):  # a Relation: plain rows, no provenance
+        rows = table.rows
+        for idx, op, val in tests:  # atom by atom over the rows still kept
+            rows = [r for r in rows if op(r[idx], val)]
+        return AnnotatedResult(len(rows), schema, list(rows) if read else None)
+    pairs = table.rows  # a SampleTable: (sample_index, tuple) pairs
+    for idx, op, val in tests:
+        pairs = [pr for pr in pairs if op(pr[1][idx], val)]
+    prov = [(j,) for j, _ in pairs] if track_provenance else None
     if sink is not None and prov is not None:
+        nid = node.id
         for p in prov:
-            sink(node.id, p)
-    return AnnotatedResult(count=len(rows), schema=schema, rows=rows, provenance=prov)
+            sink(nid, p)
+    if not read:
+        return AnnotatedResult(len(pairs), schema, None)
+    return AnnotatedResult(len(pairs), schema, [r for _, r in pairs], prov)
 
 
-def _table_columns(table, bindings):
-    # SampleTables carry no schema; recover column names from any bound
-    # Relation of the same name, else positional names.
-    for b in bindings.values():
-        if hasattr(b, "schema") and getattr(b, "name", None) == table.relation:
-            return b.column_names
-    meta = bindings.get(("__schema__", table.relation))
-    if meta is not None:
-        return meta
-    width = len(table.rows[0][1]) if table.rows else 0
-    return tuple(f"c{i}" for i in range(width))
-
-
-def _run_join(node, left, right, track_provenance, sink) -> AnnotatedResult:
-    if left.rows is None or right.rows is None:
-        # A child deferred to its cardinality estimate; so must we.
-        return AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
-    atoms = [a for a in node.predicate if isinstance(a, JoinAtom)]
-    if not atoms:
+def _run_join(node, left, right, track_provenance, sink, read) -> AnnotatedResult:
+    lcols, rcols = node.join_columns
+    if not lcols:
         raise ExecutionError(f"join node {node.id} has no equi-join atom")
-    # One atom keys by the value itself, several by the tuple of values.
-    lkey = operator.itemgetter(*[_resolve(left.schema, a.left, node.id) for a in atoms])
-    rkey = operator.itemgetter(*[_resolve(right.schema, a.right, node.id) for a in atoms])
+    lkey = _key(left.schema, lcols, node.id)
+    rkey = _key(right.schema, rcols, node.id)
     schema = left.schema + right.schema
+    tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
     track = track_provenance and left.provenance is not None and right.provenance is not None
+    if not (read or tests or (track and sink is not None)):
+        # Nothing looks at a pair: count the matches per key.
+        matches = Counter(map(lkey, left.rows))
+        count = sum(map(matches.get, map(rkey, right.rows), itertools.repeat(0)))
+        return AnnotatedResult(count=count, schema=schema, rows=None)
     ht: dict = {}
     for i, row in enumerate(left.rows):
         ht.setdefault(lkey(row), []).append(i)
-    rows: list[tuple] = []
-    prov: list | None = [] if track else None
-    sel = [a for a in node.predicate if isinstance(a, SelAtom)]
-    tests = [(_resolve(schema, a.column, node.id), CMP_OPS[a.op], a.value) for a in sel]
+    count = 0
+    rows: list[tuple] | None = [] if read else None
+    prov: list | None = [] if read and track else None
+    lrows = left.rows
     for j, rrow in enumerate(right.rows):
         for i in ht.get(rkey(rrow), ()):
-            out = left.rows[i] + rrow
-            if tests and not all(op(out[idx], val) for idx, op, val in tests):
-                continue
+            if tests or read:
+                out = lrows[i] + rrow
+                if tests and not all(op(out[idx], val) for idx, op, val in tests):
+                    continue
+                if read:
+                    rows.append(out)
+            count += 1
             if track:
                 p = left.provenance[i] + right.provenance[j]
                 if sink is not None:
                     sink(node.id, p)
-                prov.append(p)
-            rows.append(out)
-    return AnnotatedResult(count=len(rows), schema=schema, rows=rows, provenance=prov)
+                if prov is not None:
+                    prov.append(p)
+    return AnnotatedResult(count=count, schema=schema, rows=rows, provenance=prov)
 
 
-def execute(plan: Plan, bindings: dict, track_provenance: bool = False, sink=None) -> dict[int, AnnotatedResult]:
+def execute(
+    plan: Plan, bindings: dict, *, read_root: bool, track_provenance: bool = False, sink=None,
+) -> dict[int, AnnotatedResult]:
     """Evaluate a plan bottom-up and return per-operator results.
 
     `bindings` maps (relation, appearance) to either a Relation or a
-    SampleTable; every leaf appearance must be bound. With provenance
-    tracking, bound tables must be SampleTables and each scan/join output
-    row is paired with a vector of sample indexes, one per leaf table of
-    the subtree. `sink(node_id, provenance)` is invoked once per produced
-    scan/join row, before the row is buffered for the parent, so a consumer
-    can accumulate statistics on the fly.
+    SampleTable; every leaf appearance must be bound, and a table's
+    `column_names` name its columns. Every operator reports its count;
+    only an operator whose rows are read keeps them: a join's children, the
+    child of a read Sort/Materialize, and the root when `read_root` is set
+    (`PlanIndex.read`). Any other scan or join only counts its output: a
+    scan its matches, a join its matches per key (so a root join over full
+    relations is never built), or, with residual selection atoms or a
+    provenance sink, each pair, unbuffered.
+    Sort/Materialize pass their child's result on; Aggregates, and joins
+    above them, report their `estimate_M` and no rows.
+
+    With provenance tracking, bound tables must be SampleTables and each
+    kept scan/join row is paired with a vector of sample indexes, one per
+    leaf table of the subtree. `sink(node_id, provenance)` is invoked once
+    per produced scan/join row, read or not, so a consumer can accumulate
+    statistics on the fly without the rows being buffered.
     """
     index = plan.index
+    reads = index.read_with_root if read_root else index.read
     results: dict[int, AnnotatedResult] = {}
     for nid in index.order:
         node = plan.nodes[nid]
         if node.kind in SCAN_KINDS:
-            res = _run_scan(node, index.appearance[nid], bindings, track_provenance, sink)
-        elif node.kind == "Aggregate":
-            res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
+            res = _run_scan(node, index.appearance[nid], bindings, track_provenance, sink, nid in reads)
         elif node.kind in ("Sort", "Materialize"):
-            child = results[node.children[0]]
-            res = AnnotatedResult(
-                count=child.count, schema=child.schema, rows=child.rows,
-                provenance=child.provenance,
-            )
+            res = results[node.children[0]]  # pass-through: the child's result itself
+        elif nid in index.agg_above:
+            res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         else:
             left, right = node.children
-            res = _run_join(node, results[left], results[right], track_provenance, sink)
+            res = _run_join(node, results[left], results[right], track_provenance, sink, nid in reads)
         results[nid] = res
     return results
 
@@ -397,7 +449,7 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
     its base leaf-table sizes, from one execution over the full relations."""
     index = plan.index
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
-    results = execute(plan, bindings, track_provenance=False)
+    results = execute(plan, bindings, read_root=False)
     truth = {}
     for nid in index.order:
         denom = 1

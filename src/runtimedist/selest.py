@@ -10,17 +10,17 @@ buffered for estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import plan as planmod
-from .plan import Plan, SCAN_KINDS, JOIN_KINDS
+from .plan import Plan, SCAN_KINDS
 
 
 class EstimationError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class SelEstimate:
     op_id: int
     rho_n: float
@@ -56,26 +56,6 @@ def scan_variance(rho_n: float) -> float:
     return rho_n * (1.0 - rho_n)
 
 
-class QAccumulator:
-    """Streaming per-position counters Q[k][j] over produced result rows."""
-
-    def __init__(self, n: int, K: int):
-        self.n = n
-        self.K = K
-        self.count = 0
-        self.q: list[dict[int, int]] = [dict() for _ in range(K)]
-
-    def add(self, provenance: tuple[int, ...]) -> None:
-        if len(provenance) != self.K:
-            raise EstimationError(
-                f"provenance arity {len(provenance)} != K={self.K}"
-            )
-        self.count += 1
-        for k, j in enumerate(provenance):
-            qk = self.q[k]
-            qk[j] = qk.get(j, 0) + 1
-
-
 def _position_terms(q: list[dict[int, int]], n: int, K: int, rho_n: float) -> list[float]:
     """Per-position contributions to S2_n: for each position r,
     (1/(n-1)) * sum_j (Q[r][j]/n^(K-1) - rho_n)^2, zero-count indexes
@@ -99,12 +79,16 @@ def join_variance(provenance_rows, n: int, K: int):
     rho_n = result count / n^K; S2_n is the exact per-position sum over the
     Q counters, with the n = 1 convention S2_1 = 0.
     """
-    acc = QAccumulator(n=n, K=K)
+    q: list[dict[int, int]] = [{} for _ in range(K)]
+    count = 0
     for prov in provenance_rows:
-        acc.add(tuple(prov))
-    rho_n = acc.count / float(n) ** K
-    s2_n = sum(_position_terms(acc.q, n, K, rho_n))
-    return rho_n, s2_n, acc.q
+        if len(prov) != K:
+            raise EstimationError(f"provenance arity {len(prov)} != K={K}")
+        count += 1
+        for qk, j in zip(q, prov):
+            qk[j] = qk.get(j, 0) + 1
+    rho_n = count / float(n) ** K
+    return rho_n, sum(_position_terms(q, n, K, rho_n)), q
 
 
 def shared_variance(q_sub: list[dict[int, int]], n: int, K: int, rho_n: float) -> float:
@@ -126,88 +110,71 @@ def estimate_for_subset(est: SelEstimate, positions: list[int]) -> float:
     return shared_variance([est.q[p] for p in positions], est.n, est.K, est.rho_n)
 
 
-def default_assignment(plan: Plan) -> dict[tuple[str, int], int]:
-    """Assign each leaf appearance its appearance ordinal as table index,
-    so repeated relations draw from distinct, independent sample tables."""
-    return {app: app[1] for app in plan.index.appearance.values()}
-
-
 def estimate_all(plan: Plan, pool, relations: dict, assignment=None) -> dict[int, SelEstimate]:
     """Post-order selectivity estimation for every operator of a plan.
 
     Scans use the closed-form variance, joins the streaming Q-scan,
     Sort/Materialize inherit the child's estimate, and aggregates (plus any
     operator above one) take rho from the supplied cardinality estimate
-    with zero variance.
+    with zero variance. `assignment` maps each leaf appearance to the index
+    of its sample table in the pool; by default an appearance reads the
+    table numbered by its appearance ordinal, so repeated relations draw
+    from distinct, independent sample tables.
     """
-    if assignment is None:
-        assignment = default_assignment(plan)
     index = plan.index
-    appearances = index.appearance
     n = pool.n
     if n < 1:
         raise EstimationError("pool has no sampling steps")
-
     bindings = {}
-    for app in appearances.values():
-        if app not in assignment:
+    for app in index.appearance.values():
+        if assignment is None:
+            bindings[app] = pool.table(app[0], app[1])
+        elif app in assignment:
+            bindings[app] = pool.table(app[0], assignment[app])
+        else:
             raise EstimationError(f"leaf appearance {app} has no assigned sample table")
-        bindings[app] = pool.table(app[0], assignment[app])
-    for rel in {a[0] for a in appearances.values()}:
-        bindings[("__schema__", rel)] = relations[rel].column_names
 
-    accs: dict[int, QAccumulator] = {}
-    for node in plan.postorder():
-        if node.id not in index.agg_above and (node.kind in SCAN_KINDS or node.kind in JOIN_KINDS):
-            accs[node.id] = QAccumulator(n=n, K=len(index.leaves[node.id]))
+    # Q counters, one dict per leaf position, for every operator the
+    # executor streams rows from; its output count comes with the results.
+    qs = {nid: [{} for _ in index.leaves[nid]] for nid in index.streamed}
 
     def sink(node_id, prov):
-        acc = accs.get(node_id)
-        if acc is not None:
-            acc.add(prov)
+        for qk, j in zip(qs[node_id], prov):
+            qk[j] = qk.get(j, 0) + 1
 
-    planmod.execute(plan, bindings, track_provenance=True, sink=sink)
+    results = planmod.execute(plan, bindings, read_root=False, track_provenance=True, sink=sink)
 
     estimates: dict[int, SelEstimate] = {}
-    for node in plan.postorder():
-        leaf_set = index.leaves[node.id]
+    for nid in index.order:
+        node = plan.nodes[nid]
+        leaf_set = index.leaves[nid]
         K = len(leaf_set)
-        if node.id in index.agg_above:
+        var_id = nid
+        if nid in index.agg_above:
             denom = 1
             for rel, _ in leaf_set:
                 denom *= relations[rel].row_count
-            rho = node.estimate_M / denom
-            estimates[node.id] = SelEstimate(
-                op_id=node.id, rho_n=rho, s2_n=0.0, n=n, K=K, leaf_set=leaf_set,
-                snm={m: 0.0 for m in range(1, K + 1)}, q=None,
-                count=node.estimate_M, source="aggregate",
-            )
+            count, q, source = node.estimate_M, None, "aggregate"
+            rho, s2 = count / denom, 0.0
+            snm = {m: 0.0 for m in range(1, K + 1)}
         elif node.kind in ("Sort", "Materialize"):
             child = estimates[node.children[0]]
-            estimates[node.id] = SelEstimate(
-                op_id=node.id, rho_n=child.rho_n, s2_n=child.s2_n, n=n, K=child.K,
-                leaf_set=child.leaf_set, snm=dict(child.snm), var_id=child.var_id,
-                q=child.q, count=child.count, source="inherit",
-            )
+            count, q, source = child.count, child.q, "inherit"
+            rho, s2, K, leaf_set, var_id = child.rho_n, child.s2_n, child.K, child.leaf_set, child.var_id
+            snm = dict(child.snm)
         elif node.kind in SCAN_KINDS:
-            acc = accs[node.id]
-            rho = acc.count / n
+            count, q, source = results[nid].count, qs[nid], "scan-closed-form"
+            rho = count / n
             s2 = scan_variance(rho)
-            estimates[node.id] = SelEstimate(
-                op_id=node.id, rho_n=rho, s2_n=s2, n=n, K=1, leaf_set=leaf_set,
-                snm={1: s2}, q=acc.q, count=acc.count, source="scan-closed-form",
-            )
+            snm = {1: s2}
         else:
-            acc = accs[node.id]
-            rho = acc.count / float(n) ** K
-            terms = _position_terms(acc.q, n, K, rho)
+            count, q, source = results[nid].count, qs[nid], "q-scan"
+            rho = count / float(n) ** K
             snm = {}
-            running = 0.0
-            for m in range(1, K + 1):
-                running += terms[m - 1]
-                snm[m] = running
-            estimates[node.id] = SelEstimate(
-                op_id=node.id, rho_n=rho, s2_n=snm[K], n=n, K=K, leaf_set=leaf_set,
-                snm=snm, q=acc.q, count=acc.count, source="q-scan",
-            )
+            s2 = 0.0
+            for m, term in enumerate(_position_terms(q, n, K, rho), start=1):
+                s2 += term
+                snm[m] = s2
+        # Positional: keyword matching would be a tenth of the estimate's time at small n.
+        estimates[nid] = SelEstimate(nid, rho, s2, n, K, leaf_set, snm, var_id, q, count, source)
     return estimates

@@ -258,30 +258,43 @@ def _leaf_product(plan: Plan, relations, node_id: int) -> float:
     return out
 
 
+def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
+    """(unit, true logical cost) of every cost term at the true
+    selectivities, in post-order; a run only draws the unit costs."""
+    costs = []
+    for node in plan.postorder():
+        for unit, (tag, vars_) in term_vars(plan, node).items():
+            _, b = world.true_b(plan, relations, node.id, unit)
+            coord = tuple(1.0 if v is None else truth[v] for v in vars_)
+            costs.append((unit, float(np.dot(b, design_matrix(tag, [coord])[0]))))
+    return costs
+
+
+def _simulate(costs, world: TrueCostWorld, seed: int) -> float:
+    rng = np.random.default_rng(np.random.SeedSequence([world.seed, seed, 0x5EED]))
+    total = 0.0
+    for unit, cost in costs:
+        draw = max(
+            float(rng.normal(world.unit_means[unit], math.sqrt(world.unit_vars[unit]))), 0.0
+        )
+        total += cost * draw
+    return total
+
+
 def simulate_actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, truth=None) -> float:
     """One simulated run: true cost model at true selectivities, with fresh
     cost-unit draws. Deterministic for a given seed."""
     if truth is None:
         truth = planmod.selectivity_truth(plan, relations)
-    rng = np.random.default_rng(np.random.SeedSequence([world.seed, seed, 0x5EED]))
-    total = 0.0
-    for node in plan.postorder():
-        for unit, (tag, vars_) in term_vars(plan, node).items():
-            _, b = world.true_b(plan, relations, node.id, unit)
-            coord = tuple(1.0 if v is None else truth[v] for v in vars_)
-            draw = max(
-                float(rng.normal(world.unit_means[unit], math.sqrt(world.unit_vars[unit]))), 0.0
-            )
-            total += float(np.dot(b, design_matrix(tag, [coord])[0])) * draw
-    return total
+    return _simulate(_true_term_costs(plan, relations, world, truth), world, seed)
 
 
 def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs: int = 5) -> float:
-    """Reported actual running time: the mean of `runs` simulated runs."""
+    """Reported actual running time: the mean of `runs` simulated runs,
+    which share the term costs and differ in their unit-cost draws."""
     truth = planmod.selectivity_truth(plan, relations)
-    return float(
-        np.mean([simulate_actual_runtime(plan, relations, world, seed * 1000 + r, truth=truth) for r in range(runs)])
-    )
+    costs = _true_term_costs(plan, relations, world, truth)
+    return float(np.mean([_simulate(costs, world, seed * 1000 + r) for r in range(runs)]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +374,10 @@ def membership_tensor(plan: Plan, relations) -> tuple[np.ndarray, list]:
     for app in plan.index.appearance.values():
         rel = relations[app[0]]
         rows = tuple((i, r) for i, r in enumerate(rel.rows))
-        bindings[app] = SampleTable(relation=rel.name, table_index=app[1], n=rel.row_count, rows=rows)
-        bindings[("__schema__", rel.name)] = rel.column_names
-    results = planmod.execute(plan, bindings, track_provenance=True)
+        bindings[app] = SampleTable(
+            relation=rel.name, table_index=app[1], n=rel.row_count, rows=rows, column_names=rel.column_names,
+        )
+    results = planmod.execute(plan, bindings, read_root=True, track_provenance=True)
     shape = tuple(relations[rel].row_count for rel, _ in leaf_order)
     z = np.zeros(shape, dtype=bool)
     root = results[plan.root]

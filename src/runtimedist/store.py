@@ -3,7 +3,8 @@
 A relation is an immutable in-memory table loaded from CSV. A sample pool
 holds, per relation, J independent sample tables of a common size n. Each
 sampled row carries a sample index (its draw order), which downstream
-provenance tracking uses to attribute join results to individual draws.
+provenance tracking uses to attribute join results to individual draws,
+and each sample table carries its relation's column names.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ _CASTERS = {"int64": int, "float64": float, "string": str}
 
 class IngestError(ValueError):
     """Raised when a CSV file does not match its declared schema."""
+
+
+class PoolError(IndexError):
+    """Raised when a plan asks a pool for more sample tables than it holds."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,7 @@ class SampleTable:
     table_index: int
     n: int
     rows: tuple[tuple[int, tuple], ...]  # (sample_index, tuple)
+    column_names: tuple[str, ...]  # the relation's, so a table resolves columns alone
 
 
 @dataclass
@@ -63,7 +69,7 @@ class SamplePool:
         except KeyError:
             raise KeyError(f"relation {relation!r} not in pool") from None
         if index >= len(per_rel):
-            raise IndexError(
+            raise PoolError(
                 f"pool holds {len(per_rel)} tables for {relation!r}, "
                 f"index {index} requested; raise the pool size"
             )
@@ -155,7 +161,9 @@ def draw_samples(relation: Relation, n: int, pool_size: int, seed: int) -> list[
         rng = _table_rng(seed, relation.name, t)
         picks = rng.permutation(relation.row_count)[:n]
         rows = tuple((j, relation.rows[int(i)]) for j, i in enumerate(picks))
-        tables.append(SampleTable(relation=relation.name, table_index=t, n=n, rows=rows))
+        tables.append(SampleTable(
+            relation=relation.name, table_index=t, n=n, rows=rows, column_names=relation.column_names,
+        ))
     return tables
 
 

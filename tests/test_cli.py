@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from runtimedist import cli
+from runtimedist import cli, propagate, selest
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,17 @@ def test_step10_oracle_on_tiny_relation(workdir, tmp_path):
     assert doc["var_rho_empirical"] == pytest.approx(doc["var_rho_exact"], rel=0.2)
 
 
-def test_errors_reported_as_json(workdir, tmp_path, capsys):
+def _plan_file(tmp_path, name, nodes, root):
+    path = tmp_path / f"{name}.plan"
+    path.write_text(json.dumps({"nodes": nodes, "root": root}))
+    return str(path)
+
+
+def _scan(nid, rel):
+    return {"id": nid, "kind": "SeqScan", "relation": rel, "children": []}
+
+
+def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
     # missing data directory
     rc = cli.dispatch(["ingest", "--data-dir", str(tmp_path / "nope"),
                        "--out-dir", str(tmp_path / "out")])
@@ -187,6 +197,35 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys):
                        "--config", str(workdir / "run.cfg"), "--out-dir", str(fresh)])
     assert rc == 1
     assert "not found" in json.loads(capsys.readouterr().err)["error"]
+    # a join over a column no relation has (raised before any row is counted)
+    bad_join = _plan_file(tmp_path, "bad-join", [
+        _scan(1, "r1"), _scan(2, "r2"),
+        {"id": 3, "kind": "HashJoin", "children": [1, 2],
+         "predicate": [{"left": "r1_nope", "right": "r2_key"}]},
+    ], 3)
+    assert _run(workdir, "predict", "--plan", bad_join) == 1
+    assert "r1_nope" in json.loads(capsys.readouterr().err)["error"]
+    # a self-join needs a second sample table of r1
+    self_join = _plan_file(tmp_path, "self-join", [
+        _scan(1, "r1"), _scan(2, "r1"),
+        {"id": 3, "kind": "HashJoin", "children": [1, 2],
+         "predicate": [{"left": "r1_key", "right": "r1_key"}]},
+    ], 3)
+    assert _run(workdir, "predict", "--plan", self_join, "--pool-size", "1") == 1
+    assert "pool size" in json.loads(capsys.readouterr().err)["error"]
+    # estimation and propagation errors, which no CLI input reaches today
+    plan = str(workdir / "out" / "workload" / "scan-0.plan")
+    for owner, attr, error in [
+        (selest, "estimate_all", selest.EstimationError),
+        (propagate, "variance_time", propagate.PropagationError),
+    ]:
+        def fail(*args, error=error, **kwargs):
+            raise error(f"injected {error.__name__}")
+
+        with monkeypatch.context() as m:
+            m.setattr(owner, attr, fail)
+            assert _run(workdir, "predict", "--plan", plan) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"injected {error.__name__}"}
 
 
 def test_unknown_subcommand_exits_nonzero():

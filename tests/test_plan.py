@@ -3,11 +3,14 @@
 import gc
 import json
 import weakref
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from runtimedist import plan as planmod, store
+from runtimedist import plan as planmod, selest, store
+from conftest import brute_membership, tiny_instance
 
 
 def _rel(name, cols, rows):
@@ -164,7 +167,7 @@ def test_plan_and_results_leave_no_reference_cycle():
     gc.disable()
     try:
         p = _parse(doc)
-        results = planmod.execute(p, {("L", 0): l, ("R", 0): r})
+        results = planmod.execute(p, {("L", 0): l, ("R", 0): r}, read_root=True)
         assert results[4].count == results[3].count > 0
         refs = [weakref.ref(obj) for obj in (p, results[4], results[1])]
         del p, results
@@ -235,14 +238,14 @@ def test_cost_profile_defaults_and_override():
 def test_scan_filter_count():
     rel = _rel("R", ["a"], [(1,), (9,), (3,)])
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": "<", "value": 5}])], "root": 1})
-    res = planmod.execute(p, {("R", 0): rel})
+    res = planmod.execute(p, {("R", 0): rel}, read_root=True)
     assert res[1].count == 2
     assert res[1].rows == [(1,), (3,)]
 
 
 def test_hash_join_hand_example():
-    left = store.SampleTable("L", 0, 2, ((0, (1,)), (1, (2,))))
-    right = store.SampleTable("R", 0, 2, ((0, (1,)), (1, (1,))))
+    left = store.SampleTable("L", 0, 2, ((0, (1,)), (1, (2,))), ("k",))
+    right = store.SampleTable("R", 0, 2, ((0, (1,)), (1, (1,))), ("k",))
     doc = {
         "nodes": [
             _scan(1, "L"),
@@ -253,9 +256,7 @@ def test_hash_join_hand_example():
         "root": 3,
     }
     p = _parse(doc)
-    bindings = {("L", 0): left, ("R", 0): right,
-                ("__schema__", "L"): ("k",), ("__schema__", "R"): ("k",)}
-    res = planmod.execute(p, bindings, track_provenance=True)
+    res = planmod.execute(p, {("L", 0): left, ("R", 0): right}, read_root=True, track_provenance=True)
     assert res[3].count == 2
     assert sorted(res[3].provenance) == [(0, 0), (0, 1)]
 
@@ -273,13 +274,13 @@ def test_cross_product_sanity():
         ],
         "root": 3,
     }
-    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r})
+    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=False)
     assert res[3].count == 3 * 2
 
 
 def test_provenance_reconstructs_rows():
-    l = store.SampleTable("L", 0, 3, ((0, (1, 10)), (1, (2, 20)), (2, (1, 30))))
-    r = store.SampleTable("R", 0, 2, ((0, (1, 5)), (1, (3, 6))))
+    l = store.SampleTable("L", 0, 3, ((0, (1, 10)), (1, (2, 20)), (2, (1, 30))), ("k", "v"))
+    r = store.SampleTable("R", 0, 2, ((0, (1, 5)), (1, (3, 6))), ("k", "w"))
     doc = {
         "nodes": [
             _scan(1, "L"),
@@ -289,9 +290,7 @@ def test_provenance_reconstructs_rows():
         ],
         "root": 3,
     }
-    bindings = {("L", 0): l, ("R", 0): r,
-                ("__schema__", "L"): ("k", "v"), ("__schema__", "R"): ("k", "w")}
-    res = planmod.execute(_parse(doc), bindings, track_provenance=True)
+    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=True, track_provenance=True)
     by_index = {"L": dict(l.rows), "R": dict(r.rows)}
     for row, prov in zip(res[3].rows, res[3].provenance):
         assert row == by_index["L"][prov[0]] + by_index["R"][prov[1]]
@@ -303,8 +302,7 @@ def test_sink_streams_rows():
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": ">", "value": 1}])], "root": 1})
     seen = []
     planmod.execute(
-        p, {("R", 0): table, ("__schema__", "R"): ("a",)},
-        track_provenance=True, sink=lambda nid, prov: seen.append((nid, prov)),
+        p, {("R", 0): table}, read_root=False, track_provenance=True, sink=lambda nid, prov: seen.append((nid, prov)),
     )
     assert len(seen) == 2
     assert all(nid == 1 for nid, _ in seen)
@@ -319,7 +317,7 @@ def test_aggregate_defers_to_estimate():
         ],
         "root": 2,
     }
-    res = planmod.execute(_parse(doc), {("R", 0): rel})
+    res = planmod.execute(_parse(doc), {("R", 0): rel}, read_root=True)
     assert res[2].count == 7
     assert res[2].rows is None and res[2].provenance is None
 
@@ -334,7 +332,7 @@ def test_sort_materialize_pass_through():
         ],
         "root": 3,
     }
-    res = planmod.execute(_parse(doc), {("R", 0): rel})
+    res = planmod.execute(_parse(doc), {("R", 0): rel}, read_root=True)
     assert res[3].count == res[1].count == 2
     assert res[3].rows == res[1].rows
 
@@ -344,9 +342,9 @@ def test_executor_is_table_agnostic():
     # the base relation itself.
     rel = _rel("R", ["a"], [(1,), (9,), (3,), (4,)])
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": "<", "value": 5}])], "root": 1})
-    base = planmod.execute(p, {("R", 0): rel})
+    base = planmod.execute(p, {("R", 0): rel}, read_root=False)
     (table,) = store.draw_samples(rel, n=4, pool_size=1, seed=0)
-    sampled = planmod.execute(p, {("R", 0): table, ("__schema__", "R"): ("a",)})
+    sampled = planmod.execute(p, {("R", 0): table}, read_root=False)
     assert base[1].count == sampled[1].count
 
 
@@ -361,14 +359,30 @@ def test_join_without_equi_atom_rejected():
         "root": 3,
     }
     with pytest.raises(planmod.ExecutionError, match="equi-join"):
-        planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r})
+        planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=False)
 
 
 def test_unknown_column_rejected():
     rel = _rel("R", ["a"], [(1,)])
     p = _parse({"nodes": [_scan(1, "R", [{"col": "zz", "op": "<", "value": 5}])], "root": 1})
     with pytest.raises(planmod.ExecutionError, match="zz"):
-        planmod.execute(p, {("R", 0): rel})
+        planmod.execute(p, {("R", 0): rel}, read_root=False)
+
+
+def test_count_only_join_rejects_unknown_column():
+    # The root join is only counted, but its columns resolve first.
+    l = _rel("L", ["k"], [(1,)])
+    r = _rel("R", ["k"], [(1,)])
+    doc = {
+        "nodes": [
+            _scan(1, "L"), _scan(2, "R"),
+            {"id": 3, "kind": "HashJoin", "children": [1, 2],
+             "predicate": [{"left": "k", "right": "nope"}]},
+        ],
+        "root": 3,
+    }
+    with pytest.raises(planmod.ExecutionError, match="nope"):
+        planmod.selectivity_truth(_parse(doc), {"L": l, "R": r})
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +431,120 @@ def test_selectivity_truth_empty_relation():
     p = _parse({"nodes": [_scan(1, "R")], "root": 1})
     with pytest.raises(ZeroDivisionError):
         planmod.selectivity_truth(p, {"R": rel})
+
+
+# ---------------------------------------------------------------------------
+# Count-only execution against materialized execution and brute force
+
+_JOIN_KINDS = ["HashJoin", "MergeJoin", "NestLoopJoin"]
+
+
+@st.composite
+def _variants(draw):
+    """A tiny_instance plan with changes: join kinds, a self-join, a
+    residual selection atom on the top join, Sort/Materialize wrappers and
+    an Aggregate."""
+    shape = draw(st.integers(1, 3))
+    joins = shape - 1
+    return {
+        "seed": draw(st.integers(0, 10_000)),
+        "shape": shape,
+        "kinds": draw(st.lists(st.sampled_from(_JOIN_KINDS), min_size=joins, max_size=joins)),
+        "self_join": shape >= 2 and draw(st.booleans()),
+        # (leaf position, column index, comparator, constant)
+        "residual": None if shape < 2 else draw(st.none() | st.tuples(
+            st.integers(0, shape - 1), st.integers(0, 2),
+            st.sampled_from(sorted(planmod.CMP_OPS)), st.integers(0, 2))),
+        # (index into the current node list, kind), applied in turn
+        "wraps": draw(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(["Sort", "Materialize"])),
+                               max_size=2)),
+        "aggregate": draw(st.none() | st.tuples(st.integers(0, 20), st.integers(0, 40))),
+    }
+
+
+def _variant_plan(v):
+    """(relations, plan, leaf relations, brute-force membership of the
+    plan's full join, id of the topmost node that outputs it outside any
+    aggregate or None)."""
+    relations, plan, desc = tiny_instance(v["seed"], shape=v["shape"])
+    doc = json.loads(planmod.serialize_plan(plan))
+    nodes = {rec["id"]: rec for rec in doc["nodes"]}
+    leaf_rels = [f"t{pos + 1}" for pos in range(v["shape"])]
+    for jid, kind in zip((10, 11), v["kinds"]):
+        nodes[jid]["kind"] = kind
+    if v["self_join"]:  # leaf 2 reads t1 again, as its second appearance
+        leaf_rels[1] = "t1"
+        nodes[2].update(relation="t1", predicate=[dict(nodes[2]["predicate"][0], col="t1_x")])
+        nodes[10]["predicate"] = [{"left": "t1_y", "right": "t1_y"}]
+        if v["shape"] == 3:
+            nodes[11]["predicate"] = [{"left": "t1#1.t1_z", "right": "t3_z"}]
+    tables = [list(relations[rel].rows) for rel in leaf_rels]
+    z = brute_membership(desc, tables)
+    if v["residual"] is not None:
+        pos, col, op, thr = v["residual"]
+        rel = leaf_rels[pos]
+        alias = rel if pos == 0 or rel != "t1" else "t1#1"
+        top = 10 + v["shape"] - 2
+        nodes[top]["predicate"].append({"col": f"{alias}.{rel}_{'xyz'[col]}", "op": op, "value": thr})
+        keep = np.array([planmod.CMP_OPS[op](row[col], thr) for row in tables[pos]])
+        z = z & keep.reshape([-1 if axis == pos else 1 for axis in range(z.ndim)])
+    parent = {c: rec["id"] for rec in doc["nodes"] for c in rec["children"]}
+
+    def wrap(target, kind, **extra):
+        nid = 100 + len(nodes)
+        nodes[nid] = {"id": nid, "kind": kind, "children": [target], **extra}
+        if target in parent:
+            siblings = nodes[parent[target]]["children"]
+            siblings[siblings.index(target)] = nid
+            parent[nid] = parent[target]
+        else:
+            doc["root"] = nid
+        parent[target] = nid
+
+    for pick, kind in v["wraps"]:
+        wrap(sorted(nodes)[pick % len(nodes)], kind)
+    full = doc["root"]  # the full join's output, passed through Sort/Materialize
+    if v["aggregate"] is not None:
+        pick, m = v["aggregate"]
+        wrap(sorted(nodes)[pick % len(nodes)], "Aggregate", estimate_M=m)
+        for rec in nodes.values():
+            rec.setdefault("estimate_M", m)
+    doc["nodes"] = list(nodes.values())
+    p = planmod.parse_plan(json.dumps(doc))
+    while full in p.index.agg_above:
+        node = p.nodes[full]
+        full = node.children[0] if node.kind in planmod.UNARY_KINDS else None
+        if full is None:
+            break
+    return relations, p, z, full
+
+
+@settings(max_examples=120, deadline=None)
+@given(_variants())
+def test_count_only_execution_matches_materialized(v):
+    relations, p, z, full = _variant_plan(v)
+    counted = planmod.execute(p, {app: relations[app[0]] for app in p.index.appearance.values()},
+                              read_root=False)
+    for nid in p.index.order:
+        # Each operator materialized as the root of its own subplan.
+        sub = planmod.Plan(nodes=p.nodes, root=nid)
+        res = planmod.execute(sub, {app: relations[app[0]] for app in sub.index.appearance.values()},
+                              read_root=True)[nid]
+        assert counted[nid].count == res.count
+        if res.rows is not None:
+            assert len(res.rows) == res.count
+    if full is not None:
+        assert counted[full].count == int(z.sum())
+    # The estimator streams the root unbuffered; buffering it changes nothing.
+    pool = store.build_pool(relations, n=3, pool_size=2, seed=v["seed"])
+    streamed = selest.estimate_all(p, pool, relations)
+    execute = planmod.execute
+
+    def buffered(plan, bindings, *, read_root, **kwargs):
+        return execute(plan, bindings, read_root=True, **kwargs)
+
+    with mock.patch.object(planmod, "execute", buffered):
+        reference = selest.estimate_all(p, pool, relations)
+    for nid, est in streamed.items():
+        ref = reference[nid]
+        assert (est.rho_n, est.s2_n, est.snm, est.q) == (ref.rho_n, ref.s2_n, ref.snm, ref.q)
