@@ -40,8 +40,6 @@ DEFAULTS = {
     "key_domain": 200,
 }
 
-ABLATIONS = {"all": "all", "no-var-c": "no-var-c", "no-var-x": "no-var-x", "no-cov": "no-cov"}
-
 
 class ConfigError(ValueError):
     pass
@@ -80,11 +78,9 @@ def load_config(args) -> dict:
         if getattr(args, flag, None) not in (None, ""):
             cfg[key] = getattr(args, flag)
     if getattr(args, "ablation", None):
-        if args.ablation not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {args.ablation!r}; one of {sorted(ABLATIONS)}")
-        cfg["policy"] = ABLATIONS[args.ablation]
-    if cfg["policy"] not in ABLATIONS:
-        raise ConfigError(f"unknown policy {cfg['policy']!r}")
+        cfg["policy"] = args.ablation
+    if cfg["policy"] not in propagate.POLICIES:
+        raise ConfigError(f"unknown policy {cfg['policy']!r}; one of {propagate.POLICIES}")
     return cfg
 
 
@@ -293,20 +289,14 @@ def cmd_calibrate(args):
     return 0
 
 
-def _fit_for_plan(cfg, p, relations, pool, world):
-    estimates = selest.estimate_all(p, pool, relations)
-    oracle = world.cost_oracle(p, relations)
-    fitted = propagate.fit_all_cost_functions(p, estimates, oracle, W=int(cfg["grid_w"]))
-    return estimates, fitted
-
-
 def cmd_fitcost(args):
     cfg = load_config(args)
     relations = load_relations(cfg)
     pool = build_pool(cfg, relations)
     world = load_world(cfg)
     p = load_plan(args.plan)
-    _, fitted = _fit_for_plan(cfg, p, relations, pool, world)
+    estimates = selest.estimate_all(p, pool, relations)
+    fitted = propagate.fit_all_cost_functions(p, estimates, world.cost_oracle(p, relations), W=int(cfg["grid_w"]))
     doc = {
         "oracle": "simulator-true-cost-model",
         "functions": {
@@ -438,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-w", dest="grid_w", type=int)
         sp.add_argument("--world")
         sp.add_argument(
-            "--ablation", choices=sorted(ABLATIONS),
+            "--ablation", choices=propagate.POLICIES,
             help="covariance policy: all (V1), no-var-c (V2), no-var-x (V3), no-cov (V4)",
         )
 

@@ -1,13 +1,9 @@
 """Logical cost functions in selectivity space and their fitting.
 
-Six polynomial families map selectivities to primitive-operation counts:
-
-  C1: f = b0
-  C2: f = b0*X + b1              (X: the operator's own selectivity)
-  C3: f = b0*Xl + b1             (Xl: input selectivity)
-  C4: f = b0*Xl^2 + b1*Xl + b2
-  C5: f = b0*Xl + b1*Xr + b2
-  C6: f = b0*Xl*Xr + b1*Xl + b2*Xr + b3
+Every cost family is one row of `FAMILIES`, and everything per family is
+derived from its row: the design matrix here, the inputs an operator must
+have (`plan`), the moments and covariance monomials (`propagate`), and the
+harness's true coefficients and Monte Carlo evaluation (`simeval`).
 
 Coefficients are fitted from reference cost-model probes on a grid spanning
 mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
@@ -23,12 +19,24 @@ call over its whole grid, and fitted from the `(coords, values)` arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-ARITY = {"C1": 0, "C2": 1, "C3": 1, "C4": 1, "C5": 2, "C6": 2}
-NUM_COEFS = {"C1": 1, "C2": 2, "C3": 2, "C4": 3, "C5": 3, "C6": 4}
+# family -> (inputs, monomials). Inputs are roles: the operator's own
+# selectivity X, its left input Xl, its right input Xr. Monomials are
+# exponent tuples over the inputs, constant last, exponents at most 2.
+FAMILIES = {
+    "C1": ((), ((),)),  # b0
+    "C2": (("own",), ((1,), (0,))),  # b0*X + b1
+    "C3": (("left",), ((1,), (0,))),  # b0*Xl + b1
+    "C4": (("left",), ((2,), (1,), (0,))),  # b0*Xl^2 + b1*Xl + b2
+    "C5": (("left", "right"), ((1, 0), (0, 1), (0, 0))),  # b0*Xl + b1*Xr + b2
+    "C6": (("left", "right"), ((1, 1), (1, 0), (0, 1), (0, 0))),  # b0*Xl*Xr + b1*Xl + b2*Xr + b3
+}
+ARITY = {tag: len(inputs) for tag, (inputs, _) in FAMILIES.items()}
+NUM_COEFS = {tag: len(monomials) for tag, (_, monomials) in FAMILIES.items()}
 
 DUAL_TOL = 1e-10
 
@@ -37,28 +45,39 @@ class FitError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=None)
+def _factors(monomials) -> tuple:
+    """Per monomial, the positions of its inputs, each repeated by its
+    exponent: C6 gives ((0, 1), (0,), (1,), ())."""
+    return tuple(tuple(i for i, e in enumerate(exps) for _ in range(e)) for exps in monomials)
+
+
+def monomial_values(tag: str, inputs) -> list:
+    """The family's monomials at one value per input (floats, or arrays
+    of one length), constant last."""
+    values = []
+    for idx in _factors(FAMILIES[tag][1]):
+        v = inputs[idx[0]] if idx else 1.0
+        for i in idx[1:]:
+            v = v * inputs[i]
+        values.append(v)
+    return values
+
+
 def design_matrix(tag: str, coords) -> np.ndarray:
     """Term values at each probe coordinate: one row per row of the
     (m, arity) coordinate array, constant term last."""
-    if tag not in ARITY:
+    if tag not in FAMILIES:
         raise FitError(f"unknown cost-function type {tag!r}")
     X = np.asarray(coords, dtype=float)
-    if X.ndim != 2 or X.shape[1] != ARITY[tag]:
-        raise FitError(f"{tag} takes (m, {ARITY[tag]}) coordinates, got shape {X.shape}")
-    one = np.ones(X.shape[0])
-    if tag == "C1":
-        cols = [one]
-    elif tag in ("C2", "C3"):
-        cols = [X[:, 0], one]
-    elif tag == "C4":
-        x = X[:, 0]
-        cols = [x * x, x, one]
-    elif tag == "C5":
-        cols = [X[:, 0], X[:, 1], one]
-    else:
-        xl, xr = X[:, 0], X[:, 1]
-        cols = [xl * xr, xl, xr, one]
-    return np.column_stack(cols)
+    arity = len(FAMILIES[tag][0])
+    if X.ndim != 2 or X.shape[1] != arity:
+        raise FitError(f"{tag} takes (m, {arity}) coordinates, got shape {X.shape}")
+    values = monomial_values(tag, [X[:, i] for i in range(arity)])
+    A = np.empty((X.shape[0], len(values)))
+    for k, v in enumerate(values):
+        A[:, k] = v
+    return A
 
 
 @dataclass(frozen=True)
@@ -68,19 +87,18 @@ class CostFunction:
     degenerate: bool = False
 
     def __post_init__(self):
-        if len(self.b) != NUM_COEFS[self.tag]:
-            raise FitError(
-                f"{self.tag} needs {NUM_COEFS[self.tag]} coefficients, got {len(self.b)}"
-            )
+        p = len(FAMILIES[self.tag][1])
+        if len(self.b) != p:
+            raise FitError(f"{self.tag} needs {p} coefficients, got {len(self.b)}")
 
     @property
     def arity(self) -> int:
-        return ARITY[self.tag]
+        return len(FAMILIES[self.tag][0])
 
     def evaluate(self, *coord: float) -> float:
         if len(coord) != self.arity:
             raise FitError(f"{self.tag} takes {self.arity} coordinates, got {len(coord)}")
-        return float(np.dot(self.b, design_matrix(self.tag, [coord])[0]))
+        return sum(b * v for b, v in zip(self.b, monomial_values(self.tag, coord)))
 
 
 def grid_points(distributions, W: int = 10) -> np.ndarray:
@@ -204,19 +222,20 @@ def fit_cost_function(tag: str, coords, values) -> CostFunction:
     (m, arity) array) and the reference costs observed there.
 
     The constant term (last coefficient) is unconstrained; all structural
-    terms are constrained nonnegative. A C1 term is the mean of its probes.
+    terms are constrained nonnegative. A constant-only (C1) term is the
+    mean of its probes.
     A collapsed grid (fewer distinct coordinates than terms, e.g. a
     zero-variance selectivity) degrades to a constant fit through the probe
     mean, flagged degenerate.
     """
     A = design_matrix(tag, coords)
     y = np.asarray(values, dtype=float)
-    p = NUM_COEFS[tag]
+    p = A.shape[1]
     if not y.size:
         raise FitError("no probe points")
     if y.shape != (A.shape[0],):
         raise FitError(f"{A.shape[0]} probe coordinates but {y.size} values")
-    if tag == "C1":
+    if p == 1:
         return CostFunction(tag=tag, b=(float(np.mean(y)),))
     distinct = {tuple(row) for row in A.tolist()}
     if len(y) < p or len(distinct) < p:

@@ -18,13 +18,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .calib import COST_UNITS
+from .costfit import FAMILIES
+
 SCAN_KINDS = ("SeqScan", "IndexScan")
 UNARY_KINDS = ("Sort", "Materialize", "Aggregate")
 JOIN_KINDS = ("HashJoin", "MergeJoin", "NestLoopJoin")
 KINDS = SCAN_KINDS + UNARY_KINDS + JOIN_KINDS
-
-COST_UNITS = ("c_s", "c_r", "c_t", "c_i", "c_o")
-COST_TYPES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
 # Per-kind defaults mapping cost unit -> cost-function type. Overridable in
 # the plan document via cost_profile. Units absent from a profile carry no
@@ -95,6 +95,20 @@ class OperatorNode:
         """The equi-join atoms' left columns and right columns."""
         atoms = [a for a in self.predicate if isinstance(a, JoinAtom)]
         return tuple(a.left for a in atoms), tuple(a.right for a in atoms)
+
+    @functools.cached_property
+    def roles(self) -> dict:
+        """Cost-family input roles -> selectivity variables as node ids:
+        "own" is this operator, "left" and "right" its children. A leaf's
+        left input is None, the constant 1: a scan reads its relation."""
+        return dict(zip(("own", "left", "right"), [self.id, *(self.children or [None])]))
+
+    def inputs(self, tag: str) -> tuple:
+        """The selectivity variables of a cost family's inputs here."""
+        try:
+            return tuple(map(self.roles.__getitem__, FAMILIES[tag][0]))
+        except KeyError:
+            raise PlanError(f"node {self.id}: {tag} needs two children") from None
 
 
 @dataclass(frozen=True)
@@ -240,11 +254,11 @@ def parse_plan(text: str) -> Plan:
         for unit, tag in rec.get("cost_profile", {}).items():
             if unit not in COST_UNITS:
                 raise PlanError(f"node {nid}: unknown cost unit {unit!r}")
-            if tag not in COST_TYPES:
+            if tag not in FAMILIES:
                 raise PlanError(f"node {nid}: unknown cost type {tag!r}")
             profile[unit] = tag
         est = rec.get("estimate_M")
-        nodes[nid] = OperatorNode(
+        nodes[nid] = node = OperatorNode(
             id=nid,
             kind=kind,
             children=children,
@@ -253,6 +267,8 @@ def parse_plan(text: str) -> Plan:
             estimate_M=None if est is None else int(est),
             cost_profile=profile,
         )
+        for tag in profile.values():
+            node.inputs(tag)
     root = int(doc["root"])
     if root not in nodes:
         raise PlanError(f"root {root} is not a node")
@@ -417,8 +433,8 @@ def execute(
     scan its matches, a join its matches per key (so a root join over full
     relations is never built), or, with residual selection atoms or a
     provenance sink, each pair, unbuffered.
-    Sort/Materialize pass their child's result on; Aggregates, and joins
-    above them, report their `estimate_M` and no rows.
+    Sort/Materialize pass their child's result on; Aggregates, and any
+    operator above one, report their own `estimate_M` and no rows.
 
     With provenance tracking, bound tables must be SampleTables and each
     kept scan/join row is paired with a vector of sample indexes, one per
@@ -431,12 +447,12 @@ def execute(
     results: dict[int, AnnotatedResult] = {}
     for nid in index.order:
         node = plan.nodes[nid]
-        if node.kind in SCAN_KINDS:
+        if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
+            res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
+        elif node.kind in SCAN_KINDS:
             res = _run_scan(node, index.appearance[nid], bindings, track_provenance, sink, nid in reads)
         elif node.kind in ("Sort", "Materialize"):
             res = results[node.children[0]]  # pass-through: the child's result itself
-        elif nid in index.agg_above:
-            res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         else:
             left, right = node.children
             res = _run_join(node, results[left], results[right], track_provenance, sink, nid in reads)

@@ -12,6 +12,7 @@ computation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,54 +53,80 @@ def term_vars(plan: Plan, node) -> dict[str, tuple[str, tuple]]:
     Variables are node ids; None stands for the degenerate constant-1 input
     of a leaf's unary-input cost term (a scan reads its whole relation).
     """
-    out = {}
-    for unit, tag in node.cost_profile.items():
-        if tag == "C1":
-            vars_ = ()
-        elif tag == "C2":
-            vars_ = (node.id,)
-        elif tag in ("C3", "C4"):
-            vars_ = (node.children[0],) if node.children else (None,)
-        else:
-            if len(node.children) != 2:
-                raise PropagationError(
-                    f"node {node.id}: {tag} cost term needs two children"
-                )
-            vars_ = (node.children[0], node.children[1])
-        out[unit] = (tag, vars_)
-    return out
+    return {unit: (tag, node.inputs(tag)) for unit, tag in node.cost_profile.items()}
+
+
+def moments(dist) -> tuple[float, float, float]:
+    """E[X^p] for p = 0, 1, 2 of a normal X with dist = (mu, sigma2)."""
+    mu, s2 = dist
+    return 1.0, mu, mu * mu + s2
+
+
+def covariances(dist) -> tuple:
+    """Cov(X^p, X^q) for p, q = 0, 1, 2 of a normal X with dist = (mu,
+    sigma2): s2, 2*mu*s2 and 2*s2*(2*mu^2 + s2), never computed as
+    E[X^(p+q)] - E[X^p] E[X^q]."""
+    mu, s2 = dist
+    c12 = 2.0 * mu * s2
+    return (0.0, 0.0, 0.0), (0.0, s2, c12), (0.0, c12, 2.0 * s2 * (2.0 * mu * mu + s2))
+
+
+def cov_product(tables, factors) -> float:
+    """Cov(prod X_i^p_i, prod X_i^q_i) over independent variables, for
+    factors (i, p, q), `tables[i]` the variable's (moments, covariances):
+    per variable C = Cov(X^p, X^q) and M = E[X^p] E[X^q], combined across
+    variables as C1*M2 + M1*C2 + C1*C2."""
+    c, m = 0.0, 1.0
+    for i, p, q in factors:
+        mom, cov = tables[i]
+        mv = mom[p] * mom[q]
+        cv = cov[p][q]
+        c, m = c * mv + m * cv + c * cv, m * mv
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def _covarying_pairs(monomials) -> tuple:
+    """(k, l, weight, factors) for every pair k <= l of a family's
+    monomials that share an input, the only pairs that covary; factors
+    are (input, p, q) over the inputs either one uses."""
+    pairs = []
+    for k, ek in enumerate(monomials):
+        for l, el in enumerate(monomials[k:], start=k):
+            if any(p and q for p, q in zip(ek, el)):
+                factors = tuple((i, p, q) for i, (p, q) in enumerate(zip(ek, el)) if p or q)
+                pairs.append((k, l, 1.0 if k == l else 2.0, factors))
+    return tuple(pairs)
+
+
+def cost_function_mean(cf: CostFunction, dists) -> float:
+    """E[f] of a cost function under independent normal selectivity inputs,
+    one (mu, sigma2) pair per input."""
+    inputs, monomials = costfit.FAMILIES[cf.tag]
+    if len(dists) < len(inputs):
+        raise PropagationError(f"{cf.tag} needs {len(inputs)} input distributions, got {len(dists)}")
+    moms = list(map(moments, dists))
+    e = 0.0
+    for b, exps in zip(cf.b, monomials):
+        for mom, p in zip(moms, exps):
+            b *= mom[p]
+        e += b
+    return e
 
 
 def cost_function_moments(cf: CostFunction, dists) -> tuple[float, float]:
     """(E[f], Var[f]) of a cost function under normal selectivity inputs.
 
-    `dists` holds one (mu, sigma2) pair per input variable; C5/C6 inputs
-    are independent (left and right subtrees share no sample table).
+    `dists` holds one (mu, sigma2) pair per input variable; two inputs are
+    independent (left and right subtrees share no sample table).
     """
+    e = cost_function_mean(cf, dists)
+    tables = list(zip(map(moments, dists), map(covariances, dists)))
     b = cf.b
-    if cf.tag == "C1":
-        return b[0], 0.0
-    if cf.tag in ("C2", "C3"):
-        (mu, s2), = dists
-        return b[0] * mu + b[1], b[0] * b[0] * s2
-    if cf.tag == "C4":
-        (mu, s2), = dists
-        e = b[0] * (mu * mu + s2) + b[1] * mu + b[2]
-        v = s2 * ((b[1] + 2.0 * b[0] * mu) ** 2 + 2.0 * b[0] * b[0] * s2)
-        return e, v
-    if cf.tag == "C5":
-        (ml, sl), (mr, sr) = dists
-        return b[0] * ml + b[1] * mr + b[2], b[0] * b[0] * sl + b[1] * b[1] * sr
-    if cf.tag == "C6":
-        (ml, sl), (mr, sr) = dists
-        e = b[0] * ml * mr + b[1] * ml + b[2] * mr + b[3]
-        v = (
-            sl * (b[0] * mr + b[1]) ** 2
-            + sr * (b[0] * ml + b[2]) ** 2
-            + b[0] * b[0] * sl * sr
-        )
-        return e, v
-    raise PropagationError(f"unknown cost function type {cf.tag}")
+    v = 0.0
+    for k, l, weight, factors in _covarying_pairs(costfit.FAMILIES[cf.tag][1]):
+        v += weight * b[k] * b[l] * cov_product(tables, factors)
+    return e, v
 
 
 def term_variance(e_f: float, var_f: float, mu_c: float, s2_c: float) -> float:
@@ -112,21 +139,13 @@ def term_variance(e_f: float, var_f: float, mu_c: float, s2_c: float) -> float:
 
 
 def _monomials(cf: CostFunction, vars_):
-    """Cost function as [(coefficient, ((var, power), ...))], constant last."""
-    b = cf.b
-    if cf.tag == "C1":
-        return [(b[0], ())]
-    if cf.tag in ("C2", "C3"):
-        (v,) = vars_
-        return [(b[0], ((v, 1),)), (b[1], ())]
-    if cf.tag == "C4":
-        (v,) = vars_
-        return [(b[0], ((v, 2),)), (b[1], ((v, 1),)), (b[2], ())]
-    if cf.tag == "C5":
-        vl, vr = vars_
-        return [(b[0], ((vl, 1),)), (b[1], ((vr, 1),)), (b[2], ())]
-    vl, vr = vars_
-    return [(b[0], ((vl, 1), (vr, 1))), (b[1], ((vl, 1),)), (b[2], ((vr, 1),)), (b[3], ())]
+    """Cost function as [(coefficient, ((var, power), ...))], without its
+    constant, which covaries with nothing."""
+    return [
+        (b, tuple((v, p) for v, p in zip(vars_, exps) if p))
+        for b, exps in zip(cf.b, costfit.FAMILIES[cf.tag][1])
+        if any(exps)
+    ]
 
 
 def _g(rho: float) -> float:
@@ -158,56 +177,10 @@ class CovContext:
             return 1.0, 0.0
         return self.dists[self.resolve(v)]
 
-    def mean_pow(self, v, p: int) -> float:
-        mu, s2 = self.dist(v)
-        return mu if p == 1 else mu * mu + s2
-
-    def moment_pow(self, v, p: int) -> float:
-        """Non-central normal moment E[v^p], p <= 4."""
-        mu, s2 = self.dist(v)
-        if p == 1:
-            return mu
-        if p == 2:
-            return mu * mu + s2
-        if p == 3:
-            return mu**3 + 3.0 * mu * s2
-        if p == 4:
-            return mu**4 + 6.0 * mu * mu * s2 + 3.0 * s2 * s2
-        raise PropagationError(f"moment order {p} unsupported")
-
-    def moment_pow_id(self, var_id, p: int) -> float:
-        """E[v^p] for an already resolved variable id (None: constant 1)."""
-        if p == 0 or var_id is None:
-            return 1.0
-        mu, s2 = self.dists[var_id]
-        if p == 1:
-            return mu
-        if p == 2:
-            return mu * mu + s2
-        if p == 3:
-            return mu**3 + 3.0 * mu * s2
-        if p == 4:
-            return mu**4 + 6.0 * mu * mu * s2 + 3.0 * s2 * s2
-        raise PropagationError(f"moment order {p} unsupported")
-
-    def var_pow(self, v, p: int) -> float:
-        mu, s2 = self.dist(v)
-        return s2 if p == 1 else 2.0 * s2 * (2.0 * mu * mu + s2)
-
-    def monomial_mean(self, mono) -> float:
-        out = 1.0
-        for v, p in mono:
-            out *= self.mean_pow(v, p)
-        return out
-
-    def monomial_var(self, mono) -> float:
-        # Independent factors within one monomial (left/right subtrees).
-        e2, esq = 1.0, 1.0
-        for v, p in mono:
-            mu_p = self.mean_pow(v, p)
-            e2 *= mu_p * mu_p
-            esq *= mu_p * mu_p + self.var_pow(v, p)
-        return esq - e2
+    def tables(self, v):
+        """(moments, covariances) of a variable, as `cov_product` reads them."""
+        d = self.dist(v)
+        return moments(d), covariances(d)
 
     def related(self, a, b) -> str:
         """'same', 'independent', or 'nested' for two variables."""
@@ -225,17 +198,6 @@ class CovContext:
         raise PropagationError(
             f"variables {va} and {vb} overlap without nesting; not a tree plan"
         )
-
-    def zero_var(self, v) -> bool:
-        return self.dist(v)[1] == 0.0
-
-    def direct_cov(self, v, pa: int, pb: int) -> float:
-        mu, s2 = self.dist(v)
-        if pa == 1 and pb == 1:
-            return s2
-        if pa == 2 and pb == 2:
-            return 2.0 * s2 * (2.0 * mu * mu + s2)
-        return 2.0 * mu * s2  # (2,1) or (1,2)
 
     def bound_pair(self, a, pa: int, b, pb: int) -> tuple[float, str]:
         """Upper bound on |Cov(X_a^pa, X_b^pb)| for nested variables."""
@@ -273,7 +235,7 @@ class CovContext:
         links = []
         for a, pa in m1:
             for b, pb in m2:
-                if self.zero_var(a) or self.zero_var(b):
+                if self.dist(a)[1] == 0.0 or self.dist(b)[1] == 0.0:
                     continue
                 rel = self.related(a, b)
                 if rel != "independent":
@@ -281,49 +243,37 @@ class CovContext:
         if not links:
             return 0.0, "zero"
         if all(rel == "same" for *_, rel in links):
-            # Variables shared between the monomials; everything reduces to
-            # normal moments of the grouped powers (independent groups).
+            # Variables shared between the monomials; grouped powers of
+            # independent variables reduce to per-variable covariances.
             p1: dict = {}
             p2: dict = {}
-            for v, p in m1:
-                p1[self.resolve(v)] = p1.get(self.resolve(v), 0) + p
-            for v, p in m2:
-                p2[self.resolve(v)] = p2.get(self.resolve(v), 0) + p
-            e12 = 1.0
-            for v in set(p1) | set(p2):
-                e12 *= self.moment_pow_id(v, p1.get(v, 0) + p2.get(v, 0))
-            e1 = math.prod(self.moment_pow_id(v, p) for v, p in p1.items())
-            e2 = math.prod(self.moment_pow_id(v, p) for v, p in p2.items())
-            return e12 - e1 * e2, "direct"
+            tables: dict = {}
+            for mono, powers in ((m1, p1), (m2, p2)):
+                for v, p in mono:
+                    r = self.resolve(v)
+                    powers[r] = powers.get(r, 0) + p
+                    tables[r] = self.tables(v)
+            factors = [(r, p1.get(r, 0), p2.get(r, 0)) for r in tables]
+            return cov_product(tables, factors), "direct"
         if len(links) == 1:
             a, pa, b, pb, rel = links[0]
             factor = 1.0
             for v, p in m1:
                 if v is not a:
-                    factor *= self.mean_pow(v, p)
+                    factor *= moments(self.dist(v))[p]
             for v, p in m2:
                 if v is not b:
-                    factor *= self.mean_pow(v, p)
+                    factor *= moments(self.dist(v))[p]
             bound, kind = self.bound_pair(a, pa, b, pb)
             return factor * bound, kind
         # Correlation flows through more than one variable pair; fall back
-        # to the generic geometric-mean bound with per-monomial variances.
-        return math.sqrt(self.monomial_var(m1) * self.monomial_var(m2)), "bound-gm"
-
-
-def cov_direct(ctx: CovContext, m1, m2) -> float:
-    """Signed covariance for reducible monomial pairs; refuses otherwise."""
-    value, kind = ctx.cov_monomials(m1, m2)
-    if kind not in ("zero", "direct"):
-        raise PropagationError("pair is not reducible; use cov_bound")
-    return value
-
-
-def cov_bound(ctx: CovContext, a, pa: int, b, pb: int) -> tuple[float, str]:
-    """Nonnegative covariance bound for a nested (ancestor/descendant) pair."""
-    if ctx.related(a, b) != "nested":
-        raise PropagationError("cov_bound applies to nested variable pairs only")
-    return ctx.bound_pair(a, pa, b, pb)
+        # to the generic geometric-mean bound with per-monomial variances
+        # (a monomial's factors are independent: left/right subtrees).
+        var1, var2 = (
+            cov_product([self.tables(v) for v, _ in m], [(i, p, p) for i, (_, p) in enumerate(m)])
+            for m in (m1, m2)
+        )
+        return math.sqrt(var1 * var2), "bound-gm"
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +303,7 @@ def expected_time(plan: Plan, costfuncs, estimates, units) -> float:
     for node in plan.postorder():
         for unit, (tag, vars_) in term_vars(plan, node).items():
             cf = costfuncs[node.id][unit]
-            e_f, _ = cost_function_moments(cf, [ctx.dist(v) for v in vars_])
-            total += e_f * unit_means[unit]
+            total += cost_function_mean(cf, [ctx.dist(v) for v in vars_]) * unit_means[unit]
     return total
 
 
@@ -370,12 +319,13 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     dists, unit_means, unit_vars = _apply_policy(estimates, units, policy)
     ctx = CovContext(plan, estimates, dists)
     nodes = list(plan.postorder())
-    terms = {}  # (op, unit) -> (tag, vars, cf, monomials, E[f], Var[f])
+    terms = {}  # op -> [(unit, monomials, E[f], Var[f])], in cost-profile order
     for node in nodes:
+        terms[node.id] = []
         for unit, (tag, vars_) in term_vars(plan, node).items():
             cf = costfuncs[node.id][unit]
             e_f, var_f = cost_function_moments(cf, [ctx.dist(v) for v in vars_])
-            terms[(node.id, unit)] = (unit, _monomials(cf, vars_), e_f, var_f)
+            terms[node.id].append((unit, _monomials(cf, vars_), e_f, var_f))
 
     breakdown: list[tuple[str, float, str]] = []
     entries: list[CovEntry] = []
@@ -384,7 +334,7 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     cov_ub = 0.0
 
     for node in nodes:
-        op_terms = [terms[(node.id, u)] for u in node.cost_profile if (node.id, u) in terms]
+        op_terms = terms[node.id]
         v = 0.0
         for unit, _, e_f, var_f in op_terms:
             v += term_variance(e_f, var_f, unit_means[unit], unit_vars[unit])
@@ -415,12 +365,8 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
                 direct = 0.0
                 bound = 0.0
                 kinds = set()
-                for (op1, u1), (unit1, mono1, _, _) in terms.items():
-                    if op1 != ni.id:
-                        continue
-                    for (op2, u2), (unit2, mono2, _, _) in terms.items():
-                        if op2 != nj.id:
-                            continue
+                for unit1, mono1, _, _ in terms[ni.id]:
+                    for unit2, mono2, _, _ in terms[nj.id]:
                         scale = unit_means[unit1] * unit_means[unit2]
                         for coef1, m1 in mono1:
                             for coef2, m2 in mono2:

@@ -73,24 +73,6 @@ def _position_terms(q: list[dict[int, int]], n: int, K: int, rho_n: float) -> li
     return terms
 
 
-def join_variance(provenance_rows, n: int, K: int):
-    """Consume streamed provenance vectors once; return (rho_n, S2_n, q).
-
-    rho_n = result count / n^K; S2_n is the exact per-position sum over the
-    Q counters, with the n = 1 convention S2_1 = 0.
-    """
-    q: list[dict[int, int]] = [{} for _ in range(K)]
-    count = 0
-    for prov in provenance_rows:
-        if len(prov) != K:
-            raise EstimationError(f"provenance arity {len(prov)} != K={K}")
-        count += 1
-        for qk, j in zip(q, prov):
-            qk[j] = qk.get(j, 0) + 1
-    rho_n = count / float(n) ** K
-    return rho_n, sum(_position_terms(q, n, K, rho_n)), q
-
-
 def shared_variance(q_sub: list[dict[int, int]], n: int, K: int, rho_n: float) -> float:
     """S2_{n,m} over a subset of m leaf positions.
 

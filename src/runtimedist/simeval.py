@@ -24,7 +24,7 @@ import numpy as np
 
 from . import plan as planmod
 from .calib import CalibrationRecord, COST_UNITS
-from .costfit import design_matrix
+from .costfit import FAMILIES, design_matrix, monomial_values
 from .plan import Plan, DEFAULT_COST_PROFILES
 from .propagate import term_vars
 
@@ -163,10 +163,12 @@ class TrueCostWorld:
         for kind, profile in DEFAULT_COST_PROFILES.items():
             coefs[kind] = {}
             for unit, tag in profile.items():
-                n_coef = {"C1": 1, "C2": 2, "C3": 2, "C4": 3, "C5": 3, "C6": 4}[tag]
+                n_coef = len(FAMILIES[tag][1])
                 a = [float(rng.uniform(0.5, 2.0)) for _ in range(n_coef - 1)]
                 a.append(float(rng.uniform(0.0, 20.0)))  # additive constant
-                if tag == "C1":
+                if n_coef == 1:
+                    # A constant-only family draws its constant twice and
+                    # keeps the second: the draw order fixes every world.
                     a = [float(rng.uniform(0.0, 20.0))]
                 coefs[kind][unit] = tuple(a)
         return cls(unit_means=unit_means, unit_vars=unit_vars, coefs=coefs, seed=seed)
@@ -214,29 +216,23 @@ class TrueCostWorld:
         return records
 
     def true_b(self, plan: Plan, relations, node_id: int, unit: str) -> tuple[str, tuple[float, ...]]:
-        """True selectivity-space coefficients for one operator term."""
+        """True selectivity-space coefficients for one operator term: each
+        true a-coefficient times its monomial at the inputs' leaf products
+        (a scan's left input: its relation's row count)."""
         node = plan.node(node_id)
         tag = node.cost_profile[unit]
-        a = self.coefs[node.kind][unit]
-        own = _leaf_product(plan, relations, node_id)
-        if tag == "C1":
-            return tag, (a[0],)
-        if tag == "C2":
-            return tag, (a[0] * own, a[1])
-        if tag in ("C3", "C4"):
-            p_l = (
-                _leaf_product(plan, relations, node.children[0])
-                if node.children
-                else relations[node.relation].row_count
+        monomials = FAMILIES[tag][1]
+        a = self.coefs.get(node.kind, {}).get(unit, ())
+        if len(a) < len(monomials):
+            raise ValueError(
+                f"the world has no {tag} coefficients for ({node.kind}, {unit}); "
+                "it covers only the default cost profiles"
             )
-            if tag == "C3":
-                return tag, (a[0] * p_l, a[1])
-            return tag, (a[0] * p_l * p_l, a[1] * p_l, a[2])
-        p_l = _leaf_product(plan, relations, node.children[0])
-        p_r = _leaf_product(plan, relations, node.children[1])
-        if tag == "C5":
-            return tag, (a[0] * p_l, a[1] * p_r, a[2])
-        return tag, (a[0] * p_l * p_r, a[1] * p_l, a[2] * p_r, a[3])
+        scale = [
+            relations[node.relation].row_count if v is None else _leaf_product(plan, relations, v)
+            for v in node.inputs(tag)
+        ]
+        return tag, tuple(ak * v for ak, v in zip(a, monomial_values(tag, scale)))
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
@@ -265,8 +261,8 @@ def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list
     for node in plan.postorder():
         for unit, (tag, vars_) in term_vars(plan, node).items():
             _, b = world.true_b(plan, relations, node.id, unit)
-            coord = tuple(1.0 if v is None else truth[v] for v in vars_)
-            costs.append((unit, float(np.dot(b, design_matrix(tag, [coord])[0]))))
+            coord = [1.0 if v is None else truth[v] for v in vars_]
+            costs.append((unit, sum(bk * v for bk, v in zip(b, monomial_values(tag, coord)))))
     return costs
 
 
@@ -301,18 +297,6 @@ def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs:
 # Monte Carlo variance oracle (covariance-free plans only).
 
 
-def _eval_cf_array(tag, b, coords):
-    if tag == "C1":
-        return b[0]
-    if tag in ("C2", "C3"):
-        return b[0] * coords[0] + b[1]
-    if tag == "C4":
-        return b[0] * coords[0] ** 2 + b[1] * coords[0] + b[2]
-    if tag == "C5":
-        return b[0] * coords[0] + b[1] * coords[1] + b[2]
-    return b[0] * coords[0] * coords[1] + b[1] * coords[0] + b[2] * coords[1] + b[3]
-
-
 def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1_000_000, seed: int = 0):
     """Empirical (mean, variance) of t_q under independent normal draws of
     every cost unit and every selectivity variable.
@@ -321,23 +305,18 @@ def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1
     independent; correlated variables are refused because their joint
     distribution is not determined by the marginals.
     """
-    var_ids = set()
     var_dist = {}
     per_term = []
     for node in plan.postorder():
         for unit, (tag, vars_) in term_vars(plan, node).items():
             cf = costfuncs[node.id][unit]
-            resolved = []
             for v in vars_:
-                if v is None:
-                    resolved.append(None)
-                else:
+                if v is not None:
                     est = estimates[v]
-                    resolved.append(est.var_id)
-                    var_ids.add(est.var_id)
                     var_dist[est.var_id] = (est.rho_n, est.sigma2, set(est.leaf_set))
-            per_term.append((unit, cf.tag, cf.b, tuple(resolved)))
-    ids = sorted(var_ids)
+            resolved = tuple(None if v is None else estimates[v].var_id for v in vars_)
+            per_term.append((unit, cf.tag, cf.b, resolved))
+    ids = sorted(var_dist)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             if var_dist[a][2] & var_dist[b][2]:
@@ -350,11 +329,11 @@ def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1
         v: rng.normal(var_dist[v][0], math.sqrt(var_dist[v][1]), size=draws) for v in ids
     }
     total = np.zeros(draws)
-    ones = np.ones(draws)
     for unit, tag, b, resolved in per_term:
-        coords = [ones if v is None else xs[v] for v in resolved]
+        coords = [1.0 if v is None else xs[v] for v in resolved]
         cs = rng.normal(units.mean(unit), math.sqrt(units.variance(unit)), size=draws)
-        total += _eval_cf_array(tag, b, coords) * cs
+        f = sum(bk * col for bk, col in zip(b, monomial_values(tag, coords)))
+        total += f * cs
     return float(total.mean()), float(total.var(ddof=1))
 
 
@@ -426,20 +405,12 @@ def resample_rho(plan: Plan, relations, n: int, pools: int, seed: int, chunk: in
     done = 0
     while done < pools:
         p = min(chunk, pools - done)
-        picks = [rng.integers(0, sizes[k], size=(p, n)) for k in range(K)]
-        if K == 1:
-            sub = z[picks[0]]
-            out[done : done + p] = sub.mean(axis=1)
-        elif K == 2:
-            sub = z[picks[0][:, :, None], picks[1][:, None, :]]
-            out[done : done + p] = sub.reshape(p, -1).mean(axis=1)
-        else:
-            sub = z[
-                picks[0][:, :, None, None],
-                picks[1][:, None, :, None],
-                picks[2][:, None, None, :],
-            ]
-            out[done : done + p] = sub.reshape(p, -1).mean(axis=1)
+        # position k's picks on axis k + 1 of a (p, n, ..., n) index grid
+        idx = tuple(
+            rng.integers(0, sizes[k], size=(p, n)).reshape((p,) + (1,) * k + (n,) + (1,) * (K - 1 - k))
+            for k in range(K)
+        )
+        out[done : done + p] = z[idx].reshape(p, -1).mean(axis=1)
         done += p
     return out
 
@@ -502,6 +473,10 @@ def _scan_node(nid, rel, target, relations, kind="SeqScan"):
     }
 
 
+def _join_node(nid, kind, children, left, right):
+    return {"id": nid, "kind": kind, "children": children, "predicate": [{"left": left, "right": right}]}
+
+
 def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
     """Plans whose true selectivities land within the tolerance of their
     targets, verified against the ground-truth data; unrealizable targets
@@ -513,7 +488,7 @@ def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
     plans = []
     skipped = []
 
-    def verify(doc, checks, label):
+    def verify(doc, checks):
         p = planmod.parse_plan(json.dumps(doc))
         truth = planmod.selectivity_truth(p, relations)
         for nid, target in checks:
@@ -526,7 +501,7 @@ def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
     for i, s in enumerate(spec.scan_targets):
         rel = rels[int(rng.integers(0, len(rels)))]
         doc = {"nodes": [_scan_node(1, rel, s, relations)], "root": 1}
-        p = verify(doc, [(1, s)], f"scan-{i}")
+        p = verify(doc, [(1, s)])
         if p is None:
             skipped.append(f"scan target {s} unrealizable")
             continue
@@ -534,22 +509,15 @@ def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
 
     join_kinds = ["HashJoin", "NestLoopJoin", "MergeJoin"]
     for i, (s1, s2) in enumerate(spec.join_targets):
-        r1, r2 = "r1", "r2"
-        kind = join_kinds[i % len(join_kinds)]
         doc = {
             "nodes": [
-                _scan_node(1, r1, s1, relations),
-                _scan_node(2, r2, s2, relations),
-                {
-                    "id": 3,
-                    "kind": kind,
-                    "children": [1, 2],
-                    "predicate": [{"left": f"{r1}_key", "right": f"{r2}_key"}],
-                },
+                _scan_node(1, "r1", s1, relations),
+                _scan_node(2, "r2", s2, relations),
+                _join_node(3, join_kinds[i % len(join_kinds)], [1, 2], "r1_key", "r2_key"),
             ],
             "root": 3,
         }
-        p = verify(doc, [(1, s1), (2, s2)], f"join-{i}")
+        p = verify(doc, [(1, s1), (2, s2)])
         if p is None:
             skipped.append(f"join targets ({s1},{s2}) unrealizable")
             continue
@@ -561,22 +529,12 @@ def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
                 _scan_node(1, "r1", s1, relations),
                 _scan_node(2, "r2", s2, relations),
                 _scan_node(3, "r3", s3, relations),
-                {
-                    "id": 4,
-                    "kind": "HashJoin",
-                    "children": [1, 2],
-                    "predicate": [{"left": "r1_key", "right": "r2_key"}],
-                },
-                {
-                    "id": 5,
-                    "kind": "HashJoin",
-                    "children": [4, 3],
-                    "predicate": [{"left": "r2_key2", "right": "r3_key2"}],
-                },
+                _join_node(4, "HashJoin", [1, 2], "r1_key", "r2_key"),
+                _join_node(5, "HashJoin", [4, 3], "r2_key2", "r3_key2"),
             ],
             "root": 5,
         }
-        p = verify(doc, [(1, s1), (2, s2), (3, s3)], f"join3-{i}")
+        p = verify(doc, [(1, s1), (2, s2), (3, s3)])
         if p is None:
             skipped.append(f"3-way targets ({s1},{s2},{s3}) unrealizable")
             continue

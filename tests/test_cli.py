@@ -213,6 +213,16 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
     ], 3)
     assert _run(workdir, "predict", "--plan", self_join, "--pool-size", "1") == 1
     assert "pool size" in json.loads(capsys.readouterr().err)["error"]
+    # custom cost profiles the world holds no coefficients for: a unit the
+    # default SeqScan profile lacks, and C4 where the world drew C3's two
+    for unit, tag in [("c_i", "C2"), ("c_s", "C4")]:
+        custom = _plan_file(tmp_path, f"custom-{unit}", [
+            dict(_scan(1, "r1"), cost_profile={unit: tag}),
+        ], 1)
+        assert _run(workdir, "predict", "--plan", custom) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert f"{tag} coefficients for (SeqScan, {unit})" in err
+        assert "default cost profiles" in err
     # estimation and propagation errors, which no CLI input reaches today
     plan = str(workdir / "out" / "workload" / "scan-0.plan")
     for owner, attr, error in [

@@ -199,6 +199,11 @@ def test_roundtrip_serialization():
         ({"nodes": [_scan(1, "R"),
                     {"id": 2, "kind": "Aggregate", "children": [1]}], "root": 2}, "estimate_M"),
         ({"nodes": [_scan(1, "R")], "root": 9}, "root"),
+        ({"nodes": [dict(_scan(1, "R"), cost_profile={"c_t": "C5"})], "root": 1},
+         "C5 needs two children"),
+        ({"nodes": [_scan(1, "R"), {"id": 2, "kind": "Sort", "children": [1],
+                                    "cost_profile": {"c_o": "C6"}}], "root": 2},
+         "C6 needs two children"),
     ],
 )
 def test_validation_errors(doc, match):

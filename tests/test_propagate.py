@@ -84,16 +84,15 @@ def _ctx_single(mu, s2):
 
 def test_cov_square_linear_pinned():
     ctx = _ctx_single(1.0, 0.25)
-    value = propagate.cov_direct(ctx, ((1, 2),), ((1, 1),))
-    assert value == pytest.approx(0.5)
+    assert ctx.cov_monomials(((1, 2),), ((1, 1),)) == (pytest.approx(0.5), "direct")
 
 
 def test_cov_basic_identities():
     mu, s2 = 0.7, 0.09
     ctx = _ctx_single(mu, s2)
-    assert propagate.cov_direct(ctx, ((1, 1),), ((1, 1),)) == pytest.approx(s2)
-    assert propagate.cov_direct(ctx, ((1, 2),), ((1, 2),)) == pytest.approx(
-        2 * s2 * (2 * mu * mu + s2)
+    assert ctx.cov_monomials(((1, 1),), ((1, 1),)) == (pytest.approx(s2), "direct")
+    assert ctx.cov_monomials(((1, 2),), ((1, 2),)) == (
+        pytest.approx(2 * s2 * (2 * mu * mu + s2)), "direct"
     )
 
 
@@ -112,11 +111,10 @@ def test_cov_product_decomposition():
     est = {1: _scan_estimate(1, 0.5, rel="A"), 2: _scan_estimate(2, 0.5, rel="B")}
     dists = {1: (0.4, 0.02), 2: (0.6, 0.03)}
     ctx = propagate.CovContext(plan, est, dists)
-    value = propagate.cov_direct(ctx, ((1, 1), (2, 1)), ((1, 1),))
-    assert value == pytest.approx(0.6 * 0.02)
+    assert ctx.cov_monomials(((1, 1), (2, 1)), ((1, 1),)) == (pytest.approx(0.6 * 0.02), "direct")
     # mu_l = 0 zeroes the symmetric case
     ctx0 = propagate.CovContext(plan, est, {1: (0.0, 0.02), 2: (0.6, 0.03)})
-    assert propagate.cov_direct(ctx0, ((1, 1), (2, 1)), ((2, 1),)) == pytest.approx(0.0)
+    assert ctx0.cov_monomials(((1, 1), (2, 1)), ((2, 1),)) == (pytest.approx(0.0), "direct")
 
 
 def test_cov_independent_is_zero():
@@ -172,14 +170,14 @@ def test_bound_b3_pinned_value():
     # With a large descendant variance, B1 exceeds the closed-form bound
     # (1 - (1-1/n)^m) g(rho) g(rho'); n=100, m=2, rho=rho'=0.5.
     ctx = _nested_pair(s2_desc=50.0)
-    value, kind = propagate.cov_bound(ctx, 10, 1, 11, 1)
+    value, kind = ctx.bound_pair(10, 1, 11, 1)
     assert kind == "bound-B3"
     assert value == pytest.approx(0.0049750, abs=1e-7)
 
 
 def test_bound_b1_when_smaller():
     ctx = _nested_pair(s2_desc=1e-4)
-    value, kind = propagate.cov_bound(ctx, 10, 1, 11, 1)
+    value, kind = ctx.bound_pair(10, 1, 11, 1)
     assert kind == "bound-B1"
     # B1 = sqrt(S2_desc/n * S2_anc_restricted/n); the crafted q gives the
     # ancestor restriction 2 * (99*0.25)/99 = 0.5.
@@ -203,18 +201,6 @@ def test_bound_square_forms_nonnegative_and_symmetric():
     v12r, _ = ctx.bound_pair(11, 1, 10, 2)
     assert v22 >= 0.0 and v21 >= 0.0
     assert v21 == pytest.approx(v12r)
-
-
-def test_cov_bound_rejects_non_nested():
-    ctx = _nested_pair(s2_desc=0.3)
-    with pytest.raises(propagate.PropagationError):
-        propagate.cov_bound(ctx, 1, 1, 2, 1)
-
-
-def test_cov_direct_refuses_nested():
-    ctx = _nested_pair(s2_desc=0.3)
-    with pytest.raises(propagate.PropagationError, match="cov_bound"):
-        propagate.cov_direct(ctx, ((10, 1),), ((11, 1),))
 
 
 # ---------------------------------------------------------------------------

@@ -79,34 +79,27 @@ def test_two_way_join_hand_example():
 
 
 def test_three_way_single_match():
-    rho, s2, q = selest.join_variance([(0, 0, 0)], n=2, K=3)
-    assert rho == pytest.approx(1 / 8)
-    assert s2 == pytest.approx(3 / 32)
-    for qk in q:
-        assert qk == {0: 1}
+    # One match (0, 0, 0) among n^K = 8 combinations: rho = 1/8, and each
+    # position's counter holds that one match.
+    q = [{0: 1}, {0: 1}, {0: 1}]
+    assert selest.shared_variance(q, n=2, K=3, rho_n=1 / 8) == pytest.approx(3 / 32)
 
 
 def test_join_variance_zero_matches():
-    rho, s2, q = selest.join_variance([], n=4, K=2)
-    assert rho == 0.0
-    assert s2 == 0.0
+    assert selest.shared_variance([{}, {}], n=4, K=2, rho_n=0.0) == 0.0
 
 
 def test_join_variance_n1_convention():
-    rho, s2, _ = selest.join_variance([(0, 0)], n=1, K=2)
-    assert rho == 1.0
-    assert s2 == 0.0
-
-
-def test_join_variance_arity_mismatch():
-    with pytest.raises(selest.EstimationError, match="arity"):
-        selest.join_variance([(0, 0, 0)], n=2, K=2)
+    assert selest.shared_variance([{0: 1}, {0: 1}], n=1, K=2, rho_n=1.0) == 0.0
 
 
 def test_shared_variance_contract():
-    _, s2, q = selest.join_variance([(0, 0), (1, 1)], n=2, K=2)
-    rho = 0.5
-    assert selest.shared_variance(q, 2, 2, rho) == pytest.approx(s2)
+    # Over the full position list it is the estimate's own S2_n.
+    p, relations, pool = _join2_fixture([1, 2], [1, 1])
+    est = selest.estimate_all(p, pool, relations)[3]
+    q, rho = est.q, est.rho_n
+    assert selest.shared_variance(q, est.n, est.K, rho) == pytest.approx(est.s2_n)
+    assert est.s2_n == pytest.approx(0.5)
     with pytest.raises(ValueError):
         selest.shared_variance([], 2, 2, rho)
     with pytest.raises(ValueError):
@@ -139,6 +132,35 @@ def test_aggregate_estimate():
     assert est.rho_n == pytest.approx(7 / 1000)
     assert est.s2_n == 0.0
     assert est.source == "aggregate"
+
+
+def test_truth_follows_estimate_above_aggregate():
+    # Every operator at or above an aggregate reports its own estimate_M,
+    # in ground truth as in the estimate: a Sort, a join, a Materialize.
+    r1 = store.Relation("r1", (("r1_k", "int64"),), tuple((i % 7,) for i in range(300)))
+    r2 = store.Relation("r2", (("r2_k", "int64"),), tuple((i % 5,) for i in range(200)))
+    doc = {
+        "nodes": [
+            {"id": 1, "kind": "SeqScan", "relation": "r1", "children": []},
+            {"id": 2, "kind": "Aggregate", "children": [1], "estimate_M": 10},
+            {"id": 3, "kind": "Sort", "children": [2], "estimate_M": 70},
+            {"id": 4, "kind": "SeqScan", "relation": "r2", "children": []},
+            {"id": 5, "kind": "HashJoin", "children": [3, 4], "estimate_M": 500,
+             "predicate": [{"left": "r1_k", "right": "r2_k"}]},
+            {"id": 6, "kind": "Materialize", "children": [5], "estimate_M": 40},
+        ],
+        "root": 6,
+    }
+    p = planmod.parse_plan(json.dumps(doc))
+    relations = {"r1": r1, "r2": r2}
+    pool = store.build_pool(relations, n=20, pool_size=1, seed=0)
+    truth = planmod.selectivity_truth(p, relations)
+    est = selest.estimate_all(p, pool, relations)
+    assert p.index.agg_above == {2, 3, 5, 6}
+    for nid in p.index.agg_above:
+        assert truth[nid] == est[nid].rho_n
+    assert truth[3] == 70 / 300
+    assert truth[6] == 40 / (300 * 200)
 
 
 def test_pass_through_inherits_variable():

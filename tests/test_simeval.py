@@ -240,6 +240,38 @@ def test_array_oracle_matches_scalar_evaluation(data):
     assert families == set(costfit.ARITY)
 
 
+def test_true_b_matches_written_out_scaling():
+    # Each family's true coefficients written out: a-coefficients times the
+    # leaf products of the inputs (a scan's left input: its row count).
+    relations = simeval.generate_database(1, sizes=(30, 40, 50))
+    plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
+    world = TrueCostWorld.generate(2)
+    world.coefs["HashJoin"].update({u: (1.5, 0.75, 3.0)[: costfit.NUM_COEFS[tag]]
+                                    for u, tag in plan.node(4).cost_profile.items()})
+    world.coefs["IndexScan"]["c_s"] = (1.25, 0.5, 2.0)
+
+    def leaf_product(nid):
+        return math.prod(relations[r].row_count for r, _ in plan.index.leaves[nid])
+
+    for node in plan.postorder():
+        own = leaf_product(node.id)
+        p_l = leaf_product(node.children[0]) if node.children else relations[node.relation].row_count
+        p_r = leaf_product(node.children[1]) if len(node.children) == 2 else None
+        for unit, tag in node.cost_profile.items():
+            a = world.coefs[node.kind][unit]
+            want = {
+                "C1": lambda: (a[0],),
+                "C2": lambda: (a[0] * own, a[1]),
+                "C3": lambda: (a[0] * p_l, a[1]),
+                "C4": lambda: (a[0] * p_l * p_l, a[1] * p_l, a[2]),
+                "C5": lambda: (a[0] * p_l, a[1] * p_r, a[2]),
+                "C6": lambda: (a[0] * p_l * p_r, a[1] * p_l, a[2] * p_r, a[3]),
+            }[tag]()
+            got_tag, got = world.true_b(plan, relations, node.id, unit)
+            assert got_tag == tag
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (node.id, unit, tag)
+
+
 def test_actual_runtime_is_mean_of_runs():
     relations = _small_db()
     world = TrueCostWorld.generate(3)
