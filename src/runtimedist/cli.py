@@ -28,8 +28,6 @@ DEFAULTS = {
     "pool_size": 2,
     "grid_w": 10,
     "policy": "all",
-    "alpha_step": 0.01,
-    "alpha_max": 6.0,
     "calib_reps": 50,
     "runs": 5,
     "world": "",            # path to world.json; default <out_dir>/world.json

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -96,20 +97,6 @@ class OperatorNode:
         atoms = [a for a in self.predicate if isinstance(a, JoinAtom)]
         return tuple(a.left for a in atoms), tuple(a.right for a in atoms)
 
-    @functools.cached_property
-    def roles(self) -> dict:
-        """Cost-family input roles -> selectivity variables as node ids:
-        "own" is this operator, "left" and "right" its children. A leaf's
-        left input is None, the constant 1: a scan reads its relation."""
-        return dict(zip(("own", "left", "right"), [self.id, *(self.children or [None])]))
-
-    def inputs(self, tag: str) -> tuple:
-        """The selectivity variables of a cost family's inputs here."""
-        try:
-            return tuple(map(self.roles.__getitem__, FAMILIES[tag][0]))
-        except KeyError:
-            raise PlanError(f"node {self.id}: {tag} needs two children") from None
-
 
 @dataclass(frozen=True)
 class PlanIndex:
@@ -126,7 +113,11 @@ class PlanIndex:
     and the pass-through operators it reads in turn, for a caller that
     reads the root's rows. `streamed` holds the operators that produce
     rows, and hand each to a sink: the scans, and the joins not above an
-    aggregate.
+    aggregate. `terms` maps each cost term (node id, cost unit), in
+    post-order and cost-profile order, to its family and the selectivity
+    variables of the family's inputs, as node ids: "own" is the operator,
+    "left" and "right" its children, and a leaf's left input is None, the
+    constant 1 (a scan reads its whole relation).
     """
 
     order: tuple[int, ...]
@@ -136,6 +127,7 @@ class PlanIndex:
     read: frozenset[int]
     read_with_root: frozenset[int]
     streamed: tuple[int, ...]  # post-order
+    terms: dict[tuple[int, str], tuple[str, tuple]]
 
 
 def _index_plan(plan: "Plan") -> PlanIndex:
@@ -143,6 +135,7 @@ def _index_plan(plan: "Plan") -> PlanIndex:
     leaves: dict[int, tuple[tuple[str, int], ...]] = {}
     appearance: dict[int, tuple[str, int]] = {}
     agg_above: set[int] = set()
+    terms: dict[tuple[int, str], tuple[str, tuple]] = {}
     counters: dict[str, int] = {}
     stack = [(plan.root, False)]  # a loop, not a recursive closure: no reference cycle
     while stack:
@@ -161,6 +154,12 @@ def _index_plan(plan: "Plan") -> PlanIndex:
             leaves[nid] = tuple(app for c in node.children for app in leaves[c])
         if node.kind == "Aggregate" or any(c in agg_above for c in node.children):
             agg_above.add(nid)
+        roles = dict(zip(("own", "left", "right"), [nid, *(node.children or [None])]))
+        for unit, tag in node.cost_profile.items():
+            try:
+                terms[nid, unit] = tag, tuple(map(roles.__getitem__, FAMILIES[tag][0]))
+            except KeyError:
+                raise PlanError(f"node {nid}: {tag} needs two children") from None
         order.append(nid)
     read: set[int] = set()
     read_with_root = {plan.root}
@@ -177,7 +176,7 @@ def _index_plan(plan: "Plan") -> PlanIndex:
     )
     return PlanIndex(
         tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), frozenset(read_with_root),
-        streamed,
+        streamed, terms,
     )
 
 
@@ -188,9 +187,6 @@ class Plan:
 
     def node(self, node_id: int) -> OperatorNode:
         return self.nodes[node_id]
-
-    def children(self, node_id: int) -> list[OperatorNode]:
-        return [self.nodes[c] for c in self.nodes[node_id].children]
 
     @functools.cached_property
     def index(self) -> PlanIndex:
@@ -258,7 +254,7 @@ def parse_plan(text: str) -> Plan:
                 raise PlanError(f"node {nid}: unknown cost type {tag!r}")
             profile[unit] = tag
         est = rec.get("estimate_M")
-        nodes[nid] = node = OperatorNode(
+        nodes[nid] = OperatorNode(
             id=nid,
             kind=kind,
             children=children,
@@ -267,8 +263,6 @@ def parse_plan(text: str) -> Plan:
             estimate_M=None if est is None else int(est),
             cost_profile=profile,
         )
-        for tag in profile.values():
-            node.inputs(tag)
     root = int(doc["root"])
     if root not in nodes:
         raise PlanError(f"root {root} is not a node")
@@ -460,21 +454,18 @@ def execute(
     return results
 
 
+def leaf_product(plan: Plan, relations, node_id: int) -> int:
+    """The product of the row counts of a node's leaf relations, exact."""
+    return math.prod(relations[rel].row_count for rel, _ in plan.index.leaves[node_id])
+
+
 def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, float]:
     """True selectivity of every operator: output count over the product of
     its base leaf-table sizes, from one execution over the full relations."""
     index = plan.index
+    for rel, _ in index.appearance.values():
+        if relations[rel].row_count == 0:
+            raise ZeroDivisionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
     results = execute(plan, bindings, read_root=False)
-    truth = {}
-    for nid in index.order:
-        denom = 1
-        for rel, _ in index.leaves[nid]:
-            size = relations[rel].row_count
-            if size == 0:
-                raise ZeroDivisionError(
-                    f"relation {rel!r} is empty; selectivity undefined (degenerate input)"
-                )
-            denom *= size
-        truth[nid] = results[nid].count / denom
-    return truth
+    return {nid: results[nid].count / leaf_product(plan, relations, nid) for nid in index.order}

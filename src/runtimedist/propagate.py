@@ -47,15 +47,6 @@ class RunningTimeDistribution:
         return math.sqrt(self.variance)
 
 
-def term_vars(plan: Plan, node) -> dict[str, tuple[str, tuple]]:
-    """Per cost unit: (cost-function type, selectivity variable nodes).
-
-    Variables are node ids; None stands for the degenerate constant-1 input
-    of a leaf's unary-input cost term (a scan reads its whole relation).
-    """
-    return {unit: (tag, node.inputs(tag)) for unit, tag in node.cost_profile.items()}
-
-
 def moments(dist) -> tuple[float, float, float]:
     """E[X^p] for p = 0, 1, 2 of a normal X with dist = (mu, sigma2)."""
     mu, s2 = dist
@@ -140,11 +131,12 @@ def term_variance(e_f: float, var_f: float, mu_c: float, s2_c: float) -> float:
 
 def _monomials(cf: CostFunction, vars_):
     """Cost function as [(coefficient, ((var, power), ...))], without its
-    constant, which covaries with nothing."""
+    constant and its zero-coefficient monomials, which covary with
+    nothing."""
     return [
         (b, tuple((v, p) for v, p in zip(vars_, exps) if p))
         for b, exps in zip(cf.b, costfit.FAMILIES[cf.tag][1])
-        if any(exps)
+        if b != 0.0 and any(exps)
     ]
 
 
@@ -295,100 +287,84 @@ def _apply_policy(estimates, units, policy: str):
     return dists, unit_means, unit_vars
 
 
+def fitted_terms(plan: Plan, costfuncs):
+    """(node id, unit, input variables, fitted function) of every cost term
+    of the plan, in `PlanIndex.terms` order. A function must be of its
+    term's family: its exponents are read against the family's inputs."""
+    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+        cf = costfuncs[nid][unit]
+        if cf.tag != tag:
+            raise PropagationError(f"node {nid}, unit {unit}: fitted {cf.tag} function for a {tag} term")
+        yield nid, unit, vars_, cf
+
+
 def expected_time(plan: Plan, costfuncs, estimates, units) -> float:
     """E[t_q] = sum_k sum_c E[f_kc] * mu_c."""
     dists, unit_means, _ = _apply_policy(estimates, units, "all")
     ctx = CovContext(plan, estimates, dists)
     total = 0.0
-    for node in plan.postorder():
-        for unit, (tag, vars_) in term_vars(plan, node).items():
-            cf = costfuncs[node.id][unit]
-            total += cost_function_mean(cf, [ctx.dist(v) for v in vars_]) * unit_means[unit]
+    for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
+        total += cost_function_mean(cf, [ctx.dist(v) for v in vars_]) * unit_means[unit]
     return total
 
 
 def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
-    """Var[t_q] with a per-component breakdown.
+    """Var[t_q] with a per-component breakdown that sums to it.
 
-    Per-operator variances sum term variances over units plus within-
-    operator cross-unit covariances scaled by unit means. Cross-operator
-    pairs contribute twice their direct covariance when reducible, or twice
-    their upper-bound magnitude added positively. Cross-unit covariances
-    reduce through unit independence to mu_c * mu_c' * Cov(f, f').
+    Over the cost terms i = (operator, unit) with fitted f_i and unit c_i,
+    Var[t_q] = sum_i Var[f_i c_i] + 2 sum_{i<j} mu_i mu_j Cov(f_i, f_j):
+    units are independent of each other and of the selectivities. A pair's
+    covariance is exact where reducible and otherwise an upper-bound
+    magnitude added positively. Terms and same-operator pairs make up the
+    operator's `op:<id>` component, its bounds a second `op:<id>`
+    component of their bound kind; a cross-operator pair goes to
+    `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
     """
     dists, unit_means, unit_vars = _apply_policy(estimates, units, policy)
     ctx = CovContext(plan, estimates, dists)
-    nodes = list(plan.postorder())
-    terms = {}  # op -> [(unit, monomials, E[f], Var[f])], in cost-profile order
-    for node in nodes:
-        terms[node.id] = []
-        for unit, (tag, vars_) in term_vars(plan, node).items():
-            cf = costfuncs[node.id][unit]
-            e_f, var_f = cost_function_moments(cf, [ctx.dist(v) for v in vars_])
-            terms[node.id].append((unit, _monomials(cf, vars_), e_f, var_f))
+    # (a, b) -> [exact share, bound share, bound kinds] of the variance, for
+    # operators a <= b in post-order; an operator's own starts from its
+    # term variances.
+    parts = {(nid, nid): [0.0, 0.0, set()] for nid in plan.index.order}
+    terms = []  # (operator, mu_c, monomials)
+    for nid, unit, vars_, cf in fitted_terms(plan, costfuncs):
+        e_f, var_f = cost_function_moments(cf, [ctx.dist(v) for v in vars_])
+        parts[nid, nid][0] += term_variance(e_f, var_f, unit_means[unit], unit_vars[unit])
+        terms.append((nid, unit_means[unit], _monomials(cf, vars_)))
+
+    for i, (a, mu_a, mono_a) in enumerate(terms):
+        for b, mu_b, mono_b in terms[i + 1 :]:
+            if a != b and policy == "no-cov":
+                continue
+            part = parts.setdefault((a, b), [0.0, 0.0, set()])
+            scale = 2.0 * mu_a * mu_b
+            for coef1, m1 in mono_a:
+                for coef2, m2 in mono_b:
+                    val, kind = ctx.cov_monomials(m1, m2)
+                    if kind == "direct":
+                        part[0] += scale * coef1 * coef2 * val
+                    elif kind != "zero":
+                        part[1] += scale * abs(coef1) * abs(coef2) * val
+                        part[2].add(kind)
 
     breakdown: list[tuple[str, float, str]] = []
     entries: list[CovEntry] = []
     flags: list[str] = []
     var_ops = 0.0
     cov_ub = 0.0
-
-    for node in nodes:
-        op_terms = terms[node.id]
-        v = 0.0
-        for unit, _, e_f, var_f in op_terms:
-            v += term_variance(e_f, var_f, unit_means[unit], unit_vars[unit])
-        for i in range(len(op_terms)):
-            for j in range(i + 1, len(op_terms)):
-                u1, mono1, _, _ = op_terms[i]
-                u2, mono2, _, _ = op_terms[j]
-                c = 0.0
-                b = 0.0
-                for coef1, m1 in mono1:
-                    for coef2, m2 in mono2:
-                        val, kind = ctx.cov_monomials(m1, m2)
-                        if kind in ("zero", "direct"):
-                            c += coef1 * coef2 * val
-                        else:
-                            # possible only under custom profiles that give
-                            # a join an own-selectivity (C2) term
-                            b += abs(coef1) * abs(coef2) * val
-                v += 2.0 * unit_means[u1] * unit_means[u2] * c
-                cov_ub += 2.0 * unit_means[u1] * unit_means[u2] * b
-        var_ops += v
-        breakdown.append((f"op:{node.id}", v, "variance"))
-
-    if policy != "no-cov":
-        for a in range(len(nodes)):
-            for bidx in range(a + 1, len(nodes)):
-                ni, nj = nodes[a], nodes[bidx]
-                direct = 0.0
-                bound = 0.0
-                kinds = set()
-                for unit1, mono1, _, _ in terms[ni.id]:
-                    for unit2, mono2, _, _ in terms[nj.id]:
-                        scale = unit_means[unit1] * unit_means[unit2]
-                        for coef1, m1 in mono1:
-                            for coef2, m2 in mono2:
-                                if coef1 == 0.0 or coef2 == 0.0:
-                                    continue
-                                val, kind = ctx.cov_monomials(m1, m2)
-                                if kind == "zero":
-                                    continue
-                                if kind == "direct":
-                                    direct += scale * coef1 * coef2 * val
-                                else:
-                                    bound += scale * abs(coef1) * abs(coef2) * val
-                                    kinds.add(kind)
-                if direct != 0.0:
-                    var_ops += 2.0 * direct
-                    breakdown.append((f"cov:{ni.id}-{nj.id}", 2.0 * direct, "direct"))
-                    entries.append(CovEntry((ni.id, nj.id), "terms", "direct", direct))
-                if bound != 0.0:
-                    cov_ub += 2.0 * bound
-                    kind = kinds.pop() if len(kinds) == 1 else "bound-min"
-                    breakdown.append((f"cov:{ni.id}-{nj.id}", 2.0 * bound, kind))
-                    entries.append(CovEntry((ni.id, nj.id), "terms", kind, bound))
+    for (a, b), (exact, bound, kinds) in parts.items():
+        name = f"op:{a}" if a == b else f"cov:{a}-{b}"
+        if a == b or exact != 0.0:
+            var_ops += exact
+            breakdown.append((name, exact, "variance" if a == b else "direct"))
+            if a != b:
+                entries.append(CovEntry((a, b), "terms", "direct", exact / 2.0))
+        if bound != 0.0:
+            cov_ub += bound
+            kind = kinds.pop() if len(kinds) == 1 else "bound-min"
+            breakdown.append((name, bound, kind))
+            if a != b:
+                entries.append(CovEntry((a, b), "terms", kind, bound / 2.0))
 
     total = var_ops + cov_ub
     if total < 0.0:
@@ -409,13 +385,10 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     (1, 0).
     """
     ctx = CovContext(plan, estimates, {e.var_id: (e.rho_n, e.sigma2) for e in estimates.values()})
-    fitted: dict[int, dict[str, CostFunction]] = {}
-    for node in plan.postorder():
-        fitted[node.id] = {}
-        for unit, (tag, vars_) in term_vars(plan, node).items():
-            coords = costfit.grid_points([ctx.dist(v) for v in vars_], W=W)
-            values = oracle((node.id, unit), coords)
-            fitted[node.id][unit] = costfit.fit_cost_function(tag, coords, values)
+    fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
+    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+        coords = costfit.grid_points([ctx.dist(v) for v in vars_], W=W)
+        fitted[nid][unit] = costfit.fit_cost_function(tag, coords, oracle((nid, unit), coords))
     return fitted
 
 

@@ -92,29 +92,21 @@ def estimate_for_subset(est: SelEstimate, positions: list[int]) -> float:
     return shared_variance([est.q[p] for p in positions], est.n, est.K, est.rho_n)
 
 
-def estimate_all(plan: Plan, pool, relations: dict, assignment=None) -> dict[int, SelEstimate]:
+def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
     """Post-order selectivity estimation for every operator of a plan.
 
     Scans use the closed-form variance, joins the streaming Q-scan,
     Sort/Materialize inherit the child's estimate, and aggregates (plus any
     operator above one) take rho from the supplied cardinality estimate
-    with zero variance. `assignment` maps each leaf appearance to the index
-    of its sample table in the pool; by default an appearance reads the
-    table numbered by its appearance ordinal, so repeated relations draw
-    from distinct, independent sample tables.
+    with zero variance. A leaf appearance reads the pool's sample table
+    numbered by its appearance ordinal, so repeated relations draw from
+    distinct, independent sample tables.
     """
     index = plan.index
     n = pool.n
     if n < 1:
         raise EstimationError("pool has no sampling steps")
-    bindings = {}
-    for app in index.appearance.values():
-        if assignment is None:
-            bindings[app] = pool.table(app[0], app[1])
-        elif app in assignment:
-            bindings[app] = pool.table(app[0], assignment[app])
-        else:
-            raise EstimationError(f"leaf appearance {app} has no assigned sample table")
+    bindings = {app: pool.table(*app) for app in index.appearance.values()}
 
     # Q counters, one dict per leaf position, for every operator the
     # executor streams rows from; its output count comes with the results.
@@ -133,11 +125,8 @@ def estimate_all(plan: Plan, pool, relations: dict, assignment=None) -> dict[int
         K = len(leaf_set)
         var_id = nid
         if nid in index.agg_above:
-            denom = 1
-            for rel, _ in leaf_set:
-                denom *= relations[rel].row_count
             count, q, source = node.estimate_M, None, "aggregate"
-            rho, s2 = count / denom, 0.0
+            rho, s2 = count / planmod.leaf_product(plan, relations, nid), 0.0
             snm = {m: 0.0 for m in range(1, K + 1)}
         elif node.kind in ("Sort", "Materialize"):
             child = estimates[node.children[0]]

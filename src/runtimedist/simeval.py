@@ -26,7 +26,7 @@ from . import plan as planmod
 from .calib import CalibrationRecord, COST_UNITS
 from .costfit import FAMILIES, design_matrix, monomial_values
 from .plan import Plan, DEFAULT_COST_PROFILES
-from .propagate import term_vars
+from .propagate import fitted_terms
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +219,15 @@ class TrueCostWorld:
         """True selectivity-space coefficients for one operator term: each
         true a-coefficient times its monomial at the inputs' leaf products
         (a scan's left input: its relation's row count)."""
-        node = plan.node(node_id)
-        tag = node.cost_profile[unit]
-        monomials = FAMILIES[tag][1]
-        a = self.coefs.get(node.kind, {}).get(unit, ())
-        if len(a) < len(monomials):
+        kind = plan.node(node_id).kind
+        tag, vars_ = plan.index.terms[node_id, unit]
+        a = self.coefs.get(kind, {}).get(unit, ())
+        if len(a) < len(FAMILIES[tag][1]):
             raise ValueError(
-                f"the world has no {tag} coefficients for ({node.kind}, {unit}); "
+                f"the world has no {tag} coefficients for ({kind}, {unit}); "
                 "it covers only the default cost profiles"
             )
-        scale = [
-            relations[node.relation].row_count if v is None else _leaf_product(plan, relations, v)
-            for v in node.inputs(tag)
-        ]
+        scale = [planmod.leaf_product(plan, relations, node_id if v is None else v) for v in vars_]
         return tag, tuple(ak * v for ak, v in zip(a, monomial_values(tag, scale)))
 
     def cost_oracle(self, plan: Plan, relations):
@@ -246,23 +242,14 @@ class TrueCostWorld:
         return oracle
 
 
-def _leaf_product(plan: Plan, relations, node_id: int) -> float:
-    # Left to right over the leaves: large products are not exact.
-    out = 1.0
-    for rel, _ in plan.index.leaves[node_id]:
-        out *= relations[rel].row_count
-    return out
-
-
 def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
     """(unit, true logical cost) of every cost term at the true
     selectivities, in post-order; a run only draws the unit costs."""
     costs = []
-    for node in plan.postorder():
-        for unit, (tag, vars_) in term_vars(plan, node).items():
-            _, b = world.true_b(plan, relations, node.id, unit)
-            coord = [1.0 if v is None else truth[v] for v in vars_]
-            costs.append((unit, sum(bk * v for bk, v in zip(b, monomial_values(tag, coord)))))
+    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+        _, b = world.true_b(plan, relations, nid, unit)
+        coord = [1.0 if v is None else truth[v] for v in vars_]
+        costs.append((unit, sum(bk * v for bk, v in zip(b, monomial_values(tag, coord)))))
     return costs
 
 
@@ -307,15 +294,13 @@ def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1
     """
     var_dist = {}
     per_term = []
-    for node in plan.postorder():
-        for unit, (tag, vars_) in term_vars(plan, node).items():
-            cf = costfuncs[node.id][unit]
-            for v in vars_:
-                if v is not None:
-                    est = estimates[v]
-                    var_dist[est.var_id] = (est.rho_n, est.sigma2, set(est.leaf_set))
-            resolved = tuple(None if v is None else estimates[v].var_id for v in vars_)
-            per_term.append((unit, cf.tag, cf.b, resolved))
+    for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
+        for v in vars_:
+            if v is not None:
+                est = estimates[v]
+                var_dist[est.var_id] = (est.rho_n, est.sigma2, set(est.leaf_set))
+        resolved = tuple(None if v is None else estimates[v].var_id for v in vars_)
+        per_term.append((unit, cf.tag, cf.b, resolved))
     ids = sorted(var_dist)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from runtimedist import calib, plan as planmod, propagate, selest, store
+from runtimedist import calib, costfit, plan as planmod, propagate, selest, store
 from runtimedist.costfit import ARITY, CostFunction
 from runtimedist.selest import SelEstimate
 
@@ -219,7 +220,7 @@ def _world_fixture(seed=5, sizes=(300, 300, 300)):
 
 def _scan_only_costfuncs():
     return {1: {
-        "c_s": CostFunction("C1", (0.0,)),
+        "c_s": CostFunction("C3", (0.0, 0.0)),
         "c_r": CostFunction("C1", (0.0,)),
         "c_t": CostFunction("C3", (0.0, 5.0)),
         "c_o": CostFunction("C2", (0.0, 0.0)),
@@ -243,6 +244,20 @@ def test_single_scan_matches_term_variance():
     assert total2 == pytest.approx(25 * 0.04 + 4.0 * sigma2)
 
 
+def test_function_of_another_family_refused():
+    # A C1 function in a SeqScan's C3 c_s slot would be read against the
+    # C3 input.
+    plan = _single_scan_plan()
+    est = {1: _scan_estimate(1, 0.5)}
+    units = _units({"c_t": 2.0}, {"c_t": 0.04})
+    cfs = _scan_only_costfuncs()
+    cfs[1]["c_s"] = CostFunction("C1", (0.0,))
+    for fn in (propagate.expected_time, propagate.variance_time):
+        with pytest.raises(propagate.PropagationError,
+                           match="node 1, unit c_s: fitted C1 function for a C3 term"):
+            fn(plan, cfs, est, units)
+
+
 def test_disjoint_scans_sum_exactly():
     doc = {
         "nodes": [
@@ -263,15 +278,14 @@ def test_disjoint_scans_sum_exactly():
     }
     units = _units({u: 1.0 for u in planmod.COST_UNITS},
                    {u: 0.01 for u in planmod.COST_UNITS})
+    # the scans' other default terms cost nothing
+    zero = {"c_s": CostFunction("C3", (0.0, 0.0)), "c_r": CostFunction("C1", (0.0,)),
+            "c_t": CostFunction("C3", (0.0, 0.0))}
     cfs = {
-        1: {u: CostFunction("C2", (1.0, 0.5)) for u in ("c_o",)},
-        2: {u: CostFunction("C2", (2.0, 0.5)) for u in ("c_o",)},
+        1: {**zero, "c_o": CostFunction("C2", (1.0, 0.5))},
+        2: {**zero, "c_o": CostFunction("C2", (2.0, 0.5))},
         3: {u: CostFunction("C5", (1.0, 1.0, 0.0)) for u in ("c_t", "c_o")},
     }
-    # restrict profiles to the provided terms
-    for nid in (1, 2):
-        plan.node(nid).cost_profile = {"c_o": "C2"}
-    plan.node(3).cost_profile = {"c_t": "C5", "c_o": "C5"}
     total, breakdown, entries, flags = propagate.variance_time(plan, cfs, est, units)
     # scans are independent of each other: no (1,2) entry
     assert not any(e.pair == (1, 2) for e in entries)
@@ -444,3 +458,72 @@ def test_fit_makes_one_oracle_call_per_term():
         arity = ARITY[fitted[nid][unit].tag]
         assert shape == ((1, 0) if arity == 0 else (7 ** arity, arity))
     assert ((1, "c_r"), (1, 0)) in calls  # a SeqScan's C1 term is probed too
+
+
+# ---------------------------------------------------------------------------
+# Property: the variance and its breakdown on generated plans
+
+
+@pytest.fixture(scope="module")
+def world_inputs():
+    relations, _, _, pool = _world_fixture()
+    return relations, pool
+
+
+@st.composite
+def _costed_plans(draw):
+    """A 2- or 3-relation join plan, optionally under a Sort, with random
+    cost profiles; a join may be costed on its own selectivity (C2) next
+    to a C5 or C6 term on its inputs."""
+    k = draw(st.sampled_from([2, 3]))
+    nodes = [
+        {"id": i, "kind": draw(st.sampled_from(planmod.SCAN_KINDS)), "relation": f"r{i}", "children": [],
+         "predicate": [{"col": f"r{i}_val", "op": "<", "value": draw(st.integers(0, 10000))}]}
+        for i in range(1, k + 1)
+    ]
+    join_on = [("r1_key", "r2_key"), ("r2_key2", "r3_key2")]
+    children = [1, 2]
+    if k == 3 and draw(st.booleans()):  # right-deep: r1 joins (r2 join r3)
+        nodes.append({"id": 4, "kind": "HashJoin", "children": [2, 3],
+                      "predicate": [{"left": "r2_key2", "right": "r3_key2"}]})
+        children, join_on = [1, 4], [join_on[0]]
+    for nid, (left, right) in enumerate(join_on[: k - 1], start=len(nodes) + 1):
+        nodes.append({"id": nid, "kind": draw(st.sampled_from(planmod.JOIN_KINDS)), "children": children,
+                      "predicate": [{"left": left, "right": right}]})
+        children = [nid, 3]
+    if draw(st.booleans()):
+        nodes.append({"id": len(nodes) + 1, "kind": "Sort", "children": [nodes[-1]["id"]]})
+    for node in nodes:
+        families = [t for t, (inputs, _) in costfit.FAMILIES.items()
+                    if "right" not in inputs or node["children"][1:]]
+        node["cost_profile"] = draw(st.dictionaries(st.sampled_from(planmod.COST_UNITS),
+                                                    st.sampled_from(families)))
+        if node["kind"] in planmod.JOIN_KINDS and draw(st.booleans()):
+            node["cost_profile"].update({"c_t": "C2", "c_o": draw(st.sampled_from(["C5", "C6"]))})
+    return planmod.parse_plan(json.dumps({"nodes": nodes, "root": nodes[-1]["id"]}))
+
+
+_coef = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_costed_plans(), data=st.data())
+def test_variance_breakdown_properties(world_inputs, plan, data):
+    relations, pool = world_inputs
+    est = selest.estimate_all(plan, pool, relations)
+    cfs = {
+        node.id: {unit: CostFunction(tag, data.draw(st.tuples(*[_coef] * len(costfit.FAMILIES[tag][1]))))
+                  for unit, tag in node.cost_profile.items()}
+        for node in plan.postorder()
+    }
+    units = _units({u: data.draw(st.floats(0.0, 2.0)) for u in planmod.COST_UNITS},
+                   {u: data.draw(st.floats(0.0, 0.1)) for u in planmod.COST_UNITS})
+    for policy in propagate.POLICIES:
+        total, breakdown, entries, flags = propagate.variance_time(plan, cfs, est, units, policy=policy)
+        assert total >= 0.0
+        if "clamped" not in flags:
+            assert math.isclose(sum(v for _, v, _ in breakdown), total, rel_tol=1e-12, abs_tol=1e-300)
+        bound = sum(v for _, v, kind in breakdown if kind.startswith("bound"))
+        rest = sum(v for _, v, kind in breakdown if not kind.startswith("bound"))
+        assert ("bound-dominated" in flags) == (bound > 0.0 and bound >= rest)
+        assert all(e.pair[0] != e.pair[1] for e in entries)

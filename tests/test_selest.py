@@ -175,12 +175,6 @@ def test_pass_through_inherits_variable():
     assert est[4].s2_n == est[3].s2_n
 
 
-def test_unassigned_leaf_rejected():
-    p, relations, pool = _join2_fixture([1, 2], [1, 1])
-    with pytest.raises(selest.EstimationError, match="no assigned sample table"):
-        selest.estimate_all(p, pool, relations, assignment={("L", 0): 0})
-
-
 def test_exhaustive_sample_recovers_truth():
     p, relations, pool = _join2_fixture([1, 2, 3, 1], [1, 1, 2, 4])
     est = selest.estimate_all(p, pool, relations)

@@ -170,10 +170,9 @@ def test_noise_free_runtime_matches_oracle_total():
     truth = planmod.selectivity_truth(plan, relations)
     oracle = world.cost_oracle(plan, relations)
     expect = 0.0
-    for node in plan.postorder():
-        for unit, (tag, vars_) in propagate.term_vars(plan, node).items():
-            coord = tuple(1.0 if v is None else truth[v] for v in vars_)
-            expect += oracle((node.id, unit), [coord])[0] * world.unit_means[unit]
+    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+        coord = tuple(1.0 if v is None else truth[v] for v in vars_)
+        expect += oracle((nid, unit), [coord])[0] * world.unit_means[unit]
     got = simeval.simulate_actual_runtime(plan, relations, world, seed=0)
     assert got == pytest.approx(expect, rel=1e-12)
     # with zero noise every seed gives the same runtime
