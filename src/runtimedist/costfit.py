@@ -8,18 +8,26 @@ harness's true coefficients and Monte Carlo evaluation (`simeval`).
 Coefficients are fitted from reference cost-model probes on a grid spanning
 mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
 with every structural coefficient constrained nonnegative and the constant
-term left free. The solver is an in-repo active-set method; its KKT
-optimality conditions are checkable for every fit.
+term left free. The solver enumerates passive sets on scaled columns after
+one QR factorization, an exact finite method; its KKT optimality conditions
+are checkable for every fit. A fit is flagged `degenerate` when the data
+cannot determine its coefficients: its grid collapsed to fewer distinct
+points than coefficients, or the chosen passive set was rank deficient
+(e.g. an input selectivity estimated as exactly 0 gives an all-zero
+column).
 
 Probe oracle protocol: `oracle((node_id, unit), coords) -> values`, where
 `coords` is an (m, arity) array of selectivity coordinates (shape (1, 0)
 for a C1 term) and `values` the m reference costs. A term is probed in one
-call over its whole grid, and fitted from the `(coords, values)` arrays.
+call over its whole grid, and fitted from the `(coords, values)` arrays; a
+term whose inputs are all constants is probed once instead
+(`propagate.fit_all_cost_functions`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +45,6 @@ FAMILIES = {
 }
 ARITY = {tag: len(inputs) for tag, (inputs, _) in FAMILIES.items()}
 NUM_COEFS = {tag: len(monomials) for tag, (_, monomials) in FAMILIES.items()}
-
-DUAL_TOL = 1e-10
 
 
 class FitError(ValueError):
@@ -107,7 +113,7 @@ def grid_points(distributions, W: int = 10) -> np.ndarray:
     `distributions` is zero, one or two (mu, sigma2) pairs. The interval is
     split into W equal subintervals, giving W+1 boundary points per axis;
     the binary case takes the (W+1)^2 cross product, first axis outer. A
-    zero-sigma axis collapses to the single point mu. Returns an
+    zero-sigma axis repeats mu W+1 times. Returns an
     (m, len(distributions)) coordinate array; with no distribution, the
     single empty coordinate of a C1 term, shape (1, 0).
     """
@@ -128,14 +134,18 @@ def grid_points(distributions, W: int = 10) -> np.ndarray:
 def nnls_solve(A, y, constrained) -> tuple[np.ndarray, bool]:
     """Least squares min ||Ab - y|| with b_i >= 0 for constrained i.
 
-    Active-set method (Lawson-Hanson): unconstrained variables stay
-    permanently in the passive set; constrained variables enter on the most
-    positive dual (tolerance 1e-10) and leave when driven to the boundary.
-    An entering variable whose passive-set solution is not positive would
-    not move off zero; it is rejected until x next changes, and the next
-    candidate is tried. Returns the coefficient vector and a degeneracy
-    flag (set when any passive-set subproblem was rank deficient; the
-    minimum-norm solution is used then).
+    Exact and finite. The problem is convex, so its optimum is the
+    smallest-residual feasible one among the least-squares solutions on
+    each passive set: the unconstrained coefficients plus a subset of the
+    constrained ones, the rest held at zero. Columns are scaled to unit
+    norm (a zero column keeps scale 1), so that a column of tiny values is
+    not cut off as rank deficient, and factored once, A = QR; each passive
+    set is solved on R against z = Q^T y. The full set is tried first and
+    taken when feasible. There are 2^k sets for k constrained
+    coefficients, at most 8 for the cost families. Returns the coefficient
+    vector and a degeneracy flag, a `bool`: the chosen passive set was rank
+    deficient (e.g. an all-zero column), and its minimum-norm solution is
+    the one returned.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -148,50 +158,27 @@ def nnls_solve(A, y, constrained) -> tuple[np.ndarray, bool]:
         raise FitError("non-finite values in the fit inputs")
     constrained = np.asarray(constrained, dtype=bool)
 
-    x = np.zeros(p)
-    passive = ~constrained.copy()
-    degenerate = False
-
-    def solve_passive():
-        nonlocal degenerate
+    scale = np.linalg.norm(A, axis=0)
+    scale[scale == 0.0] = 1.0
+    Q, R = np.linalg.qr(A / scale)
+    z = Q.T @ y
+    cons = np.flatnonzero(constrained)
+    best = None  # (residual, passive indices, solution, rank deficient)
+    for kept in itertools.product((True, False), repeat=cons.size):  # the full set first
+        passive = ~constrained
+        passive[cons] = kept
         idx = np.flatnonzero(passive)
-        if idx.size == 0:
-            return idx, np.empty(0)
-        sol, _, rank, _ = np.linalg.lstsq(A[:, idx], y, rcond=None)
-        if rank < idx.size:
-            degenerate = True
-        return idx, sol
-
-    idx, sol = solve_passive()
-    x[idx] = sol
-
-    rejected = np.zeros(p, dtype=bool)
-    for _ in range(200 * (p + 1)):
-        w = A.T @ (y - A @ x)
-        cand = np.flatnonzero(constrained & ~passive & ~rejected & (w > DUAL_TOL))
-        if cand.size == 0:
-            break
-        j = cand[np.argmax(w[cand])]
-        passive[j] = True
-        idx, sol = solve_passive()
-        if sol[np.searchsorted(idx, j)] <= 0.0:
-            passive[j] = False
-            rejected[j] = True
+        sol, _, rank, _ = np.linalg.lstsq(R[:, idx], z, rcond=None)
+        if np.any(sol[constrained[idx]] < 0.0):
             continue
-        rejected[:] = False
-        for _ in range(200 * (p + 1)):
-            bad = np.flatnonzero(constrained[idx] & (sol <= 0.0))
-            if bad.size == 0:
-                x[:] = 0.0
-                x[idx] = sol
-                break
-            xi = x[idx][bad]
-            alpha = np.min(xi / (xi - sol[bad]))
-            x[idx] = x[idx] + alpha * (sol - x[idx])
-            drop = idx[constrained[idx] & (x[idx] <= DUAL_TOL)]
-            x[drop] = 0.0
-            passive[drop] = False
-            idx, sol = solve_passive()
+        res = float(np.linalg.norm(R[:, idx] @ sol - z))
+        if best is None or res < best[0]:
+            best = res, idx, sol, bool(rank < idx.size)
+        if idx.size == p:  # the unconstrained optimum is feasible
+            break
+    _, idx, sol, degenerate = best
+    x = np.zeros(p)
+    x[idx] = sol / scale[idx]
     return x, degenerate
 
 

@@ -16,6 +16,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import costfit
 from .costfit import CostFunction
 from .plan import Plan
@@ -156,8 +158,7 @@ class CovContext:
     child's random variable.
     """
 
-    def __init__(self, plan: Plan, estimates, dists):
-        self.plan = plan
+    def __init__(self, estimates, dists):
         self.estimates = estimates
         self.dists = dists  # var_id -> (mu, sigma2), post-policy
 
@@ -301,7 +302,7 @@ def fitted_terms(plan: Plan, costfuncs):
 def expected_time(plan: Plan, costfuncs, estimates, units) -> float:
     """E[t_q] = sum_k sum_c E[f_kc] * mu_c."""
     dists, unit_means, _ = _apply_policy(estimates, units, "all")
-    ctx = CovContext(plan, estimates, dists)
+    ctx = CovContext(estimates, dists)
     total = 0.0
     for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
         total += cost_function_mean(cf, [ctx.dist(v) for v in vars_]) * unit_means[unit]
@@ -321,7 +322,7 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
     """
     dists, unit_means, unit_vars = _apply_policy(estimates, units, policy)
-    ctx = CovContext(plan, estimates, dists)
+    ctx = CovContext(estimates, dists)
     # (a, b) -> [exact share, bound share, bound kinds] of the variance, for
     # operators a <= b in post-order; an operator's own starts from its
     # term variances.
@@ -378,15 +379,20 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
 def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     """Fit every operator's per-unit cost function from reference probes.
 
-    One oracle call per cost term, over the term's whole grid:
-    oracle((node_id, unit), coords) -> values, with `coords` an (m, arity)
-    array: the mu +/- 3 sigma grid of the input selectivity
-    distribution(s), or for a C1 term the single nullary coordinate, shape
-    (1, 0).
+    One oracle call per cost term: oracle((node_id, unit), coords) ->
+    values, with `coords` an (m, arity) array. A term whose inputs are all
+    constants (a C1 term, or one on a scan's constant left input) is a
+    constant: it is probed once, at the all-ones coordinate, and stored as
+    (0, ..., 0, value). Any other term is probed over the mu +/- 3 sigma
+    grid of its input selectivity distribution(s) and fitted.
     """
-    ctx = CovContext(plan, estimates, {e.var_id: (e.rho_n, e.sigma2) for e in estimates.values()})
+    ctx = CovContext(estimates, {e.var_id: (e.rho_n, e.sigma2) for e in estimates.values()})
     fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
+        if all(v is None for v in vars_):
+            value = float(oracle((nid, unit), np.ones((1, len(vars_))))[0])
+            fitted[nid][unit] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
+            continue
         coords = costfit.grid_points([ctx.dist(v) for v in vars_], W=W)
         fitted[nid][unit] = costfit.fit_cost_function(tag, coords, oracle((nid, unit), coords))
     return fitted

@@ -29,22 +29,9 @@ from .plan import Plan, DEFAULT_COST_PROFILES
 from .propagate import fitted_terms
 
 
-# ---------------------------------------------------------------------------
-# Normal CDF via the Abramowitz-Stegun 26.2.17 rational approximation,
-# absolute error < 7.5e-8.
-
-_AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
-_AS_P = 0.2316419
-_INV_SQRT_2PI = 0.3989422804014327
-
-
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x), accurate to better than 1e-7."""
-    if x < 0:
-        return 1.0 - normal_cdf(-x)
-    t = 1.0 / (1.0 + _AS_P * x)
-    poly = t * (_AS_B[0] + t * (_AS_B[1] + t * (_AS_B[2] + t * (_AS_B[3] + t * _AS_B[4]))))
-    return 1.0 - _INV_SQRT_2PI * math.exp(-0.5 * x * x) * poly
+    """Standard normal CDF Phi(x)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -122,32 +122,34 @@ def _lstsq_calls(monkeypatch):
     return calls
 
 
-def test_nnls_entering_zero_solution_rejected(monkeypatch):
-    # A C6 fit captured from a 12-relation join chain: the left selectivity
-    # is ~1e-15, so two columns fall below lstsq's rank cutoff. Coefficient
-    # 1 re-enters with a passive-set solution of exactly 0, which made the
-    # step length 0/0 and the fit NaN. An entering coefficient that does
-    # not move off zero is rejected until x changes.
+def test_nnls_chain_fit_recovers_tiny_column(monkeypatch):
+    # The C6 `c_o` fit of node 108 in the benchmark's chain variant 2,
+    # plan chain12-2: the left selectivity is ~1e-15, so unscaled, the Xl*Xr
+    # and Xl columns fall below lstsq's rank cutoff. Scaled, every passive
+    # set is well conditioned and the true coefficients come back.
     xl = [0.0, 0.0, 0.0, 0.0, 1.0012928389099477e-15, 2.734375e-15, 4.467457161090054e-15,
           6.200539322180107e-15, 7.933621483270158e-15, 9.666703644360213e-15,
           1.1399785805450263e-14]
     xr = [0.1937425327571933, 0.21299402620575464, 0.23224551965431597, 0.2514970131028773,
           0.2707485065514386, 0.29, 0.3092514934485613, 0.32850298689712265,
           0.34775448034568396, 0.36700597379424527, 0.38625746724280663]
-    b_true = (1.558392802734759e26, 1.1558637744370102e23, 2272.6234889585658, 14.895397562964696)
+    b_true = (1.5583928027347594e26, 1.1558637744370102e23, 2272.6234889585658, 14.895397562964696)
     A = costfit.design_matrix("C6", [(a, b) for a in xl for b in xr])
-    y = np.array([np.dot(b_true, row) for row in A])
+    y = A @ np.array(b_true)
     constrained = [True, True, True, False]
     calls = _lstsq_calls(monkeypatch)
-    b, _ = costfit.nnls_solve(A, y, constrained)
+    b, degenerate = costfit.nnls_solve(A, y, constrained)
     assert np.all(np.isfinite(b))
     assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
-    assert calls[0] <= 10  # the iteration caps allow 1000 solves per entering variable
+    assert calls[0] <= 10  # at most 8 passive sets
+    assert b[:2] == pytest.approx(b_true[:2], rel=1e-6)
+    assert degenerate is False
 
 
-def test_nnls_entering_negative_solution_terminates(monkeypatch):
-    # The same shape where the re-entering coefficient solves negative:
-    # it used to enter, leave at once and re-enter until the iteration cap.
+def test_nnls_narrow_tiny_column_finite(monkeypatch):
+    # The same shape with a clipped axis of width ~1e-14 around 2.7e-15,
+    # whose unconstrained solution is infeasible: the passive sets are
+    # enumerated, and the solve stays finite and optimal.
     axis_l = np.clip(np.linspace(2.734375e-15 - 9e-15, 2.734375e-15 + 9e-15, 11), 0.0, 1.0)
     axis_r = np.linspace(0.29 - 0.096, 0.29 + 0.096, 11)
     A = costfit.design_matrix("C6", [(a, b) for a in axis_l for b in axis_r])
@@ -158,6 +160,23 @@ def test_nnls_entering_negative_solution_terminates(monkeypatch):
     assert np.all(np.isfinite(b))
     assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
     assert calls[0] <= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4), st.lists(st.floats(-15.0, 26.0), min_size=4, max_size=4))
+def test_nnls_recovers_planted_coefficients_across_column_scales(seed, p, exponents):
+    # Columns scaled by 1e-15 to 1e26, a planted nonnegative b (some entries
+    # 0) whose columns contribute comparably to y, and a free constant.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** np.array(exponents[: p - 1] + [0.0])
+    A = rng.uniform(0.1, 1.0, size=(2 * p + 5, p)) * scale
+    planted = np.where(rng.random(p) < 0.3, 0.0, rng.uniform(0.5, 2.0, size=p))
+    planted[-1] = rng.uniform(-1.0, 1.0)
+    y = A @ (planted / scale)
+    constrained = np.array([True] * (p - 1) + [False])
+    b, _ = costfit.nnls_solve(A, y, constrained)
+    assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+    assert b * scale == pytest.approx(planted, rel=1e-8, abs=1e-8)
 
 
 def test_residual_dominance():
@@ -224,6 +243,17 @@ def test_fit_collapsed_grid_degenerates():
     cf = costfit.fit_cost_function("C4", [(0.4,)] * 5, [9.0] * 5)
     assert cf.degenerate
     assert cf.b == (0.0, 0.0, 9.0)
+
+
+def test_fit_zero_column_flagged_degenerate():
+    # A join above a sample join that kept no rows: Xl is 0 at every probe,
+    # so nothing determines its coefficient. The fit is the Xr-and-constant
+    # fit with b[0] = 0, flagged degenerate.
+    xr = np.linspace(0.2, 0.8, 11)
+    cf = costfit.fit_cost_function("C5", [(0.0, x) for x in xr], 3.0 * xr + 2.0)
+    assert cf.degenerate is True
+    assert cf.b == pytest.approx([0.0, 3.0, 2.0], rel=1e-12, abs=1e-12)
+    assert cf.b[1:] == pytest.approx(costfit.fit_cost_function("C3", xr[:, None], 3.0 * xr + 2.0).b, rel=1e-12)
 
 
 def test_fit_insufficient_points():

@@ -78,9 +78,8 @@ def test_term_variance_pinned():
 
 
 def _ctx_single(mu, s2):
-    plan = _single_scan_plan()
     est = {1: _scan_estimate(1, 0.5)}
-    return propagate.CovContext(plan, est, {1: (mu, s2)})
+    return propagate.CovContext(est, {1: (mu, s2)})
 
 
 def test_cov_square_linear_pinned():
@@ -99,38 +98,18 @@ def test_cov_basic_identities():
 
 def test_cov_product_decomposition():
     # Cov(Xl*Xr, Xl) = mu_r * sigma_l^2 for independent Xl, Xr.
-    doc = {
-        "nodes": [
-            {"id": 1, "kind": "SeqScan", "relation": "A", "children": []},
-            {"id": 2, "kind": "SeqScan", "relation": "B", "children": []},
-            {"id": 3, "kind": "NestLoopJoin", "children": [1, 2],
-             "predicate": [{"left": "a", "right": "b"}]},
-        ],
-        "root": 3,
-    }
-    plan = planmod.parse_plan(json.dumps(doc))
     est = {1: _scan_estimate(1, 0.5, rel="A"), 2: _scan_estimate(2, 0.5, rel="B")}
     dists = {1: (0.4, 0.02), 2: (0.6, 0.03)}
-    ctx = propagate.CovContext(plan, est, dists)
+    ctx = propagate.CovContext(est, dists)
     assert ctx.cov_monomials(((1, 1), (2, 1)), ((1, 1),)) == (pytest.approx(0.6 * 0.02), "direct")
     # mu_l = 0 zeroes the symmetric case
-    ctx0 = propagate.CovContext(plan, est, {1: (0.0, 0.02), 2: (0.6, 0.03)})
+    ctx0 = propagate.CovContext(est, {1: (0.0, 0.02), 2: (0.6, 0.03)})
     assert ctx0.cov_monomials(((1, 1), (2, 1)), ((2, 1),)) == (pytest.approx(0.0), "direct")
 
 
 def test_cov_independent_is_zero():
-    doc = {
-        "nodes": [
-            {"id": 1, "kind": "SeqScan", "relation": "A", "children": []},
-            {"id": 2, "kind": "SeqScan", "relation": "B", "children": []},
-            {"id": 3, "kind": "HashJoin", "children": [1, 2],
-             "predicate": [{"left": "a", "right": "b"}]},
-        ],
-        "root": 3,
-    }
-    plan = planmod.parse_plan(json.dumps(doc))
     est = {1: _scan_estimate(1, 0.5, rel="A"), 2: _scan_estimate(2, 0.5, rel="B")}
-    ctx = propagate.CovContext(plan, est, {1: (0.5, 0.01), 2: (0.5, 0.01)})
+    ctx = propagate.CovContext(est, {1: (0.5, 0.01), 2: (0.5, 0.01)})
     value, kind = ctx.cov_monomials(((1, 1),), ((2, 1),))
     assert (value, kind) == (0.0, "zero")
 
@@ -146,25 +125,12 @@ def _nested_pair(s2_desc, anc_count=5000):
                       leaf_set=(("A", 0), ("B", 0), ("C", 0)),
                       snm={1: 0.5, 2: 0.5, 3: 1.0},
                       q=[{0: anc_count}, {0: anc_count}, {0: anc_count}])
-    doc = {
-        "nodes": [
-            {"id": 1, "kind": "SeqScan", "relation": "A", "children": []},
-            {"id": 2, "kind": "SeqScan", "relation": "B", "children": []},
-            {"id": 3, "kind": "SeqScan", "relation": "C", "children": []},
-            {"id": 10, "kind": "HashJoin", "children": [1, 2],
-             "predicate": [{"left": "a", "right": "b"}]},
-            {"id": 11, "kind": "HashJoin", "children": [10, 3],
-             "predicate": [{"left": "b", "right": "c"}]},
-        ],
-        "root": 11,
-    }
-    plan = planmod.parse_plan(json.dumps(doc))
     est = {10: desc, 11: anc,
            1: _scan_estimate(1, 0.5, rel="A"),
            2: _scan_estimate(2, 0.5, rel="B"),
            3: _scan_estimate(3, 0.5, rel="C")}
     dists = {k: (e.rho_n, e.sigma2) for k, e in est.items()}
-    return propagate.CovContext(plan, est, dists)
+    return propagate.CovContext(est, dists)
 
 
 def test_bound_b3_pinned_value():
@@ -455,9 +421,15 @@ def test_fit_makes_one_oracle_call_per_term():
     terms = [(nid, u) for nid, per in fitted.items() for u in per]
     assert sorted(key for key, _ in calls) == sorted(terms)
     for (nid, unit), shape in calls:
-        arity = ARITY[fitted[nid][unit].tag]
-        assert shape == ((1, 0) if arity == 0 else (7 ** arity, arity))
+        tag, vars_ = plan.index.terms[nid, unit]
+        if all(v is None for v in vars_):  # a constant: one probe, fitted exactly
+            assert shape == (1, ARITY[tag])
+            assert not fitted[nid][unit].degenerate
+        else:
+            assert shape == (7 ** ARITY[tag], ARITY[tag])
     assert ((1, "c_r"), (1, 0)) in calls  # a SeqScan's C1 term is probed too
+    assert ((1, "c_s"), (1, 1)) in calls  # and its C3 terms on the constant left input
+    assert fitted[1]["c_s"].b == (0.0, inner((1, "c_s"), np.ones((1, 1)))[0])
 
 
 # ---------------------------------------------------------------------------
