@@ -113,11 +113,14 @@ class PlanIndex:
     and the pass-through operators it reads in turn, for a caller that
     reads the root's rows. `streamed` holds the operators that produce
     rows, and hand each to a sink: the scans, and the joins not above an
-    aggregate. `terms` maps each cost term (node id, cost unit), in
-    post-order and cost-profile order, to its family and the selectivity
-    variables of the family's inputs, as node ids: "own" is the operator,
-    "left" and "right" its children, and a leaf's left input is None, the
-    constant 1 (a scan reads its whole relation).
+    aggregate. `var` maps every node to its selectivity variable, a node
+    id: a Sort or Materialize not above an aggregate passes its child's
+    rows on and shares its child's variable; any other node is its own.
+    `terms` maps each cost term (node id, cost unit), in post-order and
+    cost-profile order, to its family and the variables of the family's
+    inputs: "own" is the operator's, "left" and "right" its children's,
+    and a leaf's left input is None, the constant 1 (a scan reads its
+    whole relation).
     """
 
     order: tuple[int, ...]
@@ -127,6 +130,7 @@ class PlanIndex:
     read: frozenset[int]
     read_with_root: frozenset[int]
     streamed: tuple[int, ...]  # post-order
+    var: dict[int, int]
     terms: dict[tuple[int, str], tuple[str, tuple]]
 
 
@@ -135,6 +139,7 @@ def _index_plan(plan: "Plan") -> PlanIndex:
     leaves: dict[int, tuple[tuple[str, int], ...]] = {}
     appearance: dict[int, tuple[str, int]] = {}
     agg_above: set[int] = set()
+    var: dict[int, int] = {}
     terms: dict[tuple[int, str], tuple[str, tuple]] = {}
     counters: dict[str, int] = {}
     stack = [(plan.root, False)]  # a loop, not a recursive closure: no reference cycle
@@ -154,7 +159,9 @@ def _index_plan(plan: "Plan") -> PlanIndex:
             leaves[nid] = tuple(app for c in node.children for app in leaves[c])
         if node.kind == "Aggregate" or any(c in agg_above for c in node.children):
             agg_above.add(nid)
-        roles = dict(zip(("own", "left", "right"), [nid, *(node.children or [None])]))
+        passes = node.kind in ("Sort", "Materialize") and nid not in agg_above
+        var[nid] = var[node.children[0]] if passes else nid
+        roles = dict(zip(("own", "left", "right"), [var[nid], *([var[c] for c in node.children] or [None])]))
         for unit, tag in node.cost_profile.items():
             try:
                 terms[nid, unit] = tag, tuple(map(roles.__getitem__, FAMILIES[tag][0]))
@@ -176,7 +183,7 @@ def _index_plan(plan: "Plan") -> PlanIndex:
     )
     return PlanIndex(
         tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), frozenset(read_with_root),
-        streamed, terms,
+        streamed, var, terms,
     )
 
 

@@ -7,7 +7,10 @@ moment-matched normal approximations for each cost-function family, exact
 normal-moment covariances where variable pairs share or are independent of
 each other, and conservative upper bounds (added positively) where
 ancestor/descendant selectivities correlate in ways that admit no direct
-computation.
+computation. The selectivity variables are the plan's (`PlanIndex.var`),
+and one covariance table per plan (`covariance_table`) holds the
+covariance of every pair of monomials the cost terms read, each computed
+once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ class PropagationError(RuntimeError):
 @dataclass(frozen=True)
 class CovEntry:
     pair: tuple[int, int]
-    variables: str
     kind: str  # zero | direct | bound-B1 | bound-B3 | bound-min | bound-gm
     value: float  # signed for direct, nonnegative magnitude for bounds
 
@@ -64,32 +66,45 @@ def covariances(dist) -> tuple:
     return (0.0, 0.0, 0.0), (0.0, s2, c12), (0.0, c12, 2.0 * s2 * (2.0 * mu * mu + s2))
 
 
-def cov_product(tables, factors) -> float:
-    """Cov(prod X_i^p_i, prod X_i^q_i) over independent variables, for
-    factors (i, p, q), `tables[i]` the variable's (moments, covariances):
-    per variable C = Cov(X^p, X^q) and M = E[X^p] E[X^q], combined across
+def cov_product(tables, m1, m2) -> float:
+    """Cov(m1, m2) of two monomials ((variable, power), ...) whose distinct
+    variables are independent, `tables[v]` a variable's (moments,
+    covariances): with p and q a variable's powers in m1 and m2, per
+    variable C = Cov(X^p, X^q) and M = E[X^p] E[X^q], combined across
     variables as C1*M2 + M1*C2 + C1*C2."""
+    powers: dict = {}
+    for k, mono in enumerate((m1, m2)):
+        for v, p in mono:
+            powers.setdefault(v, [0, 0])[k] += p
     c, m = 0.0, 1.0
-    for i, p, q in factors:
-        mom, cov = tables[i]
+    for v, (p, q) in powers.items():
+        mom, cov = tables[v]
         mv = mom[p] * mom[q]
         cv = cov[p][q]
         c, m = c * mv + m * cv + c * cv, m * mv
     return c
 
 
-@functools.lru_cache(maxsize=None)
-def _covarying_pairs(monomials) -> tuple:
-    """(k, l, weight, factors) for every pair k <= l of a family's
-    monomials that share an input, the only pairs that covary; factors
-    are (input, p, q) over the inputs either one uses."""
-    pairs = []
-    for k, ek in enumerate(monomials):
-        for l, el in enumerate(monomials[k:], start=k):
-            if any(p and q for p, q in zip(ek, el)):
-                factors = tuple((i, p, q) for i, (p, q) in enumerate(zip(ek, el)) if p or q)
-                pairs.append((k, l, 1.0 if k == l else 2.0, factors))
-    return tuple(pairs)
+def _monomials(cf: CostFunction, vars_):
+    """Cost function as [(coefficient, ((var, power), ...))], without its
+    constant and its zero-coefficient monomials, which covary with
+    nothing."""
+    return [
+        (b, tuple((v, p) for v, p in zip(vars_, exps) if p))
+        for b, exps in zip(cf.b, costfit.FAMILIES[cf.tag][1])
+        if b != 0.0 and any(exps)
+    ]
+
+
+def _variance(monomials, cov) -> float:
+    """Var[sum_k b_k m_k] for monomials [(b_k, m_k)], from the exact
+    covariance cov(m_k, m_l) of each pair k <= l."""
+    v = 0.0
+    for k, (b1, m1) in enumerate(monomials):
+        v += b1 * b1 * cov(m1, m1)
+        for b2, m2 in monomials[k + 1 :]:
+            v += 2.0 * b1 * b2 * cov(m1, m2)
+    return v
 
 
 def cost_function_mean(cf: CostFunction, dists) -> float:
@@ -115,11 +130,7 @@ def cost_function_moments(cf: CostFunction, dists) -> tuple[float, float]:
     """
     e = cost_function_mean(cf, dists)
     tables = list(zip(map(moments, dists), map(covariances, dists)))
-    b = cf.b
-    v = 0.0
-    for k, l, weight, factors in _covarying_pairs(costfit.FAMILIES[cf.tag][1]):
-        v += weight * b[k] * b[l] * cov_product(tables, factors)
-    return e, v
+    return e, _variance(_monomials(cf, range(len(dists))), functools.partial(cov_product, tables))
 
 
 def term_variance(e_f: float, var_f: float, mu_c: float, s2_c: float) -> float:
@@ -128,18 +139,7 @@ def term_variance(e_f: float, var_f: float, mu_c: float, s2_c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Covariance machinery over monomials in node-selectivity variables.
-
-
-def _monomials(cf: CostFunction, vars_):
-    """Cost function as [(coefficient, ((var, power), ...))], without its
-    constant and its zero-coefficient monomials, which covary with
-    nothing."""
-    return [
-        (b, tuple((v, p) for v, p in zip(vars_, exps) if p))
-        for b, exps in zip(cf.b, costfit.FAMILIES[cf.tag][1])
-        if b != 0.0 and any(exps)
-    ]
+# Covariance of monomials over a plan's selectivity variables (`PlanIndex.var`).
 
 
 def _g(rho: float) -> float:
@@ -150,123 +150,80 @@ def _h(rho: float) -> float:
     return math.sqrt(max(rho * (1.0 - rho) * (rho - rho * rho + 1.0), 0.0))
 
 
-class CovContext:
-    """Resolves variable distributions and pairwise relationships.
+def bound_pair(estimates, a: int, pa: int, b: int, pb: int) -> tuple[float, str]:
+    """Upper bound on |Cov(X_a^pa, X_b^pb)| for nested variables a and b,
+    from their selectivity estimates."""
+    ea, eb = estimates[a], estimates[b]
+    desc, anc = (ea, eb) if set(ea.leaf_set) <= set(eb.leaf_set) else (eb, ea)
+    n = desc.n
+    m = desc.K
+    inv = 1.0 - 1.0 / n
+    rho_a, rho_b = ea.rho_n, eb.rho_n
+    if pa == 1 and pb == 1:
+        from .selest import estimate_for_subset
 
-    Built once per plan from the selectivity estimates; variables are node
-    ids resolved through var_id so pass-through operators share their
-    child's random variable.
-    """
+        positions = [anc.leaf_set.index(app) for app in desc.leaf_set]
+        s_anc = estimate_for_subset(anc, positions)
+        s_desc = desc.s2_n
+        b1 = math.sqrt(max(s_desc / n, 0.0) * max(s_anc / n, 0.0))
+        b3 = (1.0 - inv**m) * _g(rho_a) * _g(rho_b)
+        return (b1, "bound-B1") if b1 <= b3 else (b3, "bound-B3")
+    ka, kb = ea.K, eb.K
+    tail = math.sqrt(max(1.0 - inv**ka, 0.0)) * math.sqrt(max(1.0 - inv**kb, 0.0))
+    if pa == 2 and pb == 2:
+        bracket = 1.0 - inv ** (ka + kb - m) * (1.0 - 2.0 / n) ** m * (1.0 - 3.0 / n) ** m
+        return max(bracket, 0.0) * tail * _h(rho_a) * _h(rho_b), "bound-B3"
+    # exactly one squared member; h applies to it, g to the linear one
+    k_sq = ka if pa == 2 else kb
+    rho_sq = rho_a if pa == 2 else rho_b
+    rho_lin = rho_b if pa == 2 else rho_a
+    bracket = 1.0 - inv**k_sq * (1.0 - 2.0 / n) ** m
+    return max(bracket, 0.0) * tail * _h(rho_sq) * _g(rho_lin), "bound-B3"
 
-    def __init__(self, estimates, dists):
-        self.estimates = estimates
-        self.dists = dists  # var_id -> (mu, sigma2), post-policy
 
-    def resolve(self, v):
-        return None if v is None else self.estimates[v].var_id
+def covariance_table(estimates, dists):
+    """A plan's covariance table: a cached function (m1, m2) -> (value,
+    kind) of two monomials ((variable, power), ...), `dists` giving each
+    variable's (mu, sigma2). A variable of each monomial, both of nonzero
+    variance, covary when they are the same or nested (one leaf set
+    inside the other). If every such pair is one variable, the value is
+    exact: "direct" (`cov_product`), or "zero" with no pair. One nested
+    pair gives its `bound_pair`, computed once per distinct pair, times
+    the other factors' means; more give "bound-gm", the geometric mean of
+    the monomials' variances. A bound is a nonnegative magnitude."""
+    tables = {v: (moments(d), covariances(d)) for v, d in dists.items()}
+    leaves = {v: frozenset(e.leaf_set) for v, e in estimates.items()}
+    bound = functools.lru_cache(maxsize=None)(lambda *key: bound_pair(estimates, *key))
 
-    def dist(self, v) -> tuple[float, float]:
-        if v is None:
-            return 1.0, 0.0
-        return self.dists[self.resolve(v)]
-
-    def tables(self, v):
-        """(moments, covariances) of a variable, as `cov_product` reads them."""
-        d = self.dist(v)
-        return moments(d), covariances(d)
-
-    def related(self, a, b) -> str:
-        """'same', 'independent', or 'nested' for two variables."""
-        va, vb = self.resolve(a), self.resolve(b)
-        if va is None or vb is None:
-            return "independent"
-        if va == vb:
-            return "same"
-        sa = set(self.estimates[va].leaf_set)
-        sb = set(self.estimates[vb].leaf_set)
-        if not sa & sb:
-            return "independent"
-        if sa <= sb or sb <= sa:
-            return "nested"
-        raise PropagationError(
-            f"variables {va} and {vb} overlap without nesting; not a tree plan"
-        )
-
-    def bound_pair(self, a, pa: int, b, pb: int) -> tuple[float, str]:
-        """Upper bound on |Cov(X_a^pa, X_b^pb)| for nested variables."""
-        ea = self.estimates[self.resolve(a)]
-        eb = self.estimates[self.resolve(b)]
-        desc, anc = (ea, eb) if set(ea.leaf_set) <= set(eb.leaf_set) else (eb, ea)
-        n = desc.n
-        m = desc.K
-        inv = 1.0 - 1.0 / n
-        rho_a, rho_b = ea.rho_n, eb.rho_n
-        if pa == 1 and pb == 1:
-            from .selest import estimate_for_subset
-
-            positions = [anc.leaf_set.index(app) for app in desc.leaf_set]
-            s_anc = estimate_for_subset(anc, positions)
-            s_desc = desc.s2_n
-            b1 = math.sqrt(max(s_desc / n, 0.0) * max(s_anc / n, 0.0))
-            b3 = (1.0 - inv**m) * _g(rho_a) * _g(rho_b)
-            return (b1, "bound-B1") if b1 <= b3 else (b3, "bound-B3")
-        ka, kb = ea.K, eb.K
-        tail = math.sqrt(max(1.0 - inv**ka, 0.0)) * math.sqrt(max(1.0 - inv**kb, 0.0))
-        if pa == 2 and pb == 2:
-            bracket = 1.0 - inv ** (ka + kb - m) * (1.0 - 2.0 / n) ** m * (1.0 - 3.0 / n) ** m
-            return max(bracket, 0.0) * tail * _h(rho_a) * _h(rho_b), "bound-B3"
-        # exactly one squared member; h applies to it, g to the linear one
-        k_sq = ka if pa == 2 else kb
-        rho_sq = rho_a if pa == 2 else rho_b
-        rho_lin = rho_b if pa == 2 else rho_a
-        bracket = 1.0 - inv**k_sq * (1.0 - 2.0 / n) ** m
-        return max(bracket, 0.0) * tail * _h(rho_sq) * _g(rho_lin), "bound-B3"
-
-    def cov_monomials(self, m1, m2) -> tuple[float, str]:
-        """Covariance of two monomials: signed value for kinds 'zero' and
-        'direct', a nonnegative magnitude for bound kinds."""
+    @functools.lru_cache(maxsize=None)
+    def cov(m1, m2) -> tuple[float, str]:
         links = []
         for a, pa in m1:
             for b, pb in m2:
-                if self.dist(a)[1] == 0.0 or self.dist(b)[1] == 0.0:
+                if dists[a][1] == 0.0 or dists[b][1] == 0.0:
                     continue
-                rel = self.related(a, b)
-                if rel != "independent":
-                    links.append((a, pa, b, pb, rel))
+                if a == b or leaves[a] <= leaves[b] or leaves[b] <= leaves[a]:
+                    links.append((a, pa, b, pb))
+                elif leaves[a] & leaves[b]:
+                    raise PropagationError(f"variables {a} and {b} overlap without nesting; not a tree plan")
         if not links:
             return 0.0, "zero"
-        if all(rel == "same" for *_, rel in links):
-            # Variables shared between the monomials; grouped powers of
-            # independent variables reduce to per-variable covariances.
-            p1: dict = {}
-            p2: dict = {}
-            tables: dict = {}
-            for mono, powers in ((m1, p1), (m2, p2)):
-                for v, p in mono:
-                    r = self.resolve(v)
-                    powers[r] = powers.get(r, 0) + p
-                    tables[r] = self.tables(v)
-            factors = [(r, p1.get(r, 0), p2.get(r, 0)) for r in tables]
-            return cov_product(tables, factors), "direct"
+        if all(a == b for a, _, b, _ in links):
+            return cov_product(tables, m1, m2), "direct"
         if len(links) == 1:
-            a, pa, b, pb, rel = links[0]
+            a, pa, b, pb = links[0]
             factor = 1.0
-            for v, p in m1:
-                if v is not a:
-                    factor *= moments(self.dist(v))[p]
-            for v, p in m2:
-                if v is not b:
-                    factor *= moments(self.dist(v))[p]
-            bound, kind = self.bound_pair(a, pa, b, pb)
-            return factor * bound, kind
-        # Correlation flows through more than one variable pair; fall back
-        # to the generic geometric-mean bound with per-monomial variances
-        # (a monomial's factors are independent: left/right subtrees).
-        var1, var2 = (
-            cov_product([self.tables(v) for v, _ in m], [(i, p, p) for i, (_, p) in enumerate(m)])
-            for m in (m1, m2)
-        )
-        return math.sqrt(var1 * var2), "bound-gm"
+            for mono, x in ((m1, a), (m2, b)):
+                for v, p in mono:
+                    if v != x:
+                        factor *= tables[v][0][p]
+            value, kind = bound(a, pa, b, pb)
+            return factor * value, kind
+        # Correlation flows through more than one variable pair; a
+        # monomial's factors are independent (left/right subtrees).
+        return math.sqrt(cov_product(tables, m1, m1) * cov_product(tables, m2, m2)), "bound-gm"
+
+    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +232,9 @@ class CovContext:
 def _apply_policy(estimates, units, policy: str):
     if policy not in POLICIES:
         raise PropagationError(f"unknown covariance policy {policy!r}; one of {POLICIES}")
-    dists = {}
-    for est in estimates.values():
-        if est.op_id != est.var_id:
-            continue
-        s2 = 0.0 if policy == "no-var-x" else est.sigma2
-        dists[est.var_id] = (est.rho_n, s2)
+    dists = {None: (1.0, 0.0)}  # a scan's left input, the constant 1
+    for nid, est in estimates.items():
+        dists[nid] = (est.rho_n, 0.0 if policy == "no-var-x" else est.sigma2)
     unit_means = {u: units.mean(u) for u in units.units}
     unit_vars = {
         u: (0.0 if policy == "no-var-c" else units.variance(u)) for u in units.units
@@ -302,10 +256,9 @@ def fitted_terms(plan: Plan, costfuncs):
 def expected_time(plan: Plan, costfuncs, estimates, units) -> float:
     """E[t_q] = sum_k sum_c E[f_kc] * mu_c."""
     dists, unit_means, _ = _apply_policy(estimates, units, "all")
-    ctx = CovContext(estimates, dists)
     total = 0.0
     for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
-        total += cost_function_mean(cf, [ctx.dist(v) for v in vars_]) * unit_means[unit]
+        total += cost_function_mean(cf, [dists[v] for v in vars_]) * unit_means[unit]
     return total
 
 
@@ -316,22 +269,28 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     Var[t_q] = sum_i Var[f_i c_i] + 2 sum_{i<j} mu_i mu_j Cov(f_i, f_j):
     units are independent of each other and of the selectivities. A pair's
     covariance is exact where reducible and otherwise an upper-bound
-    magnitude added positively. Terms and same-operator pairs make up the
+    magnitude added positively; every term variance and pair covariance
+    reads one `covariance_table`. Terms and same-operator pairs make up the
     operator's `op:<id>` component, its bounds a second `op:<id>`
     component of their bound kind; a cross-operator pair goes to
     `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
     """
     dists, unit_means, unit_vars = _apply_policy(estimates, units, policy)
-    ctx = CovContext(estimates, dists)
+    cov = covariance_table(estimates, dists)
+
+    def within(m1, m2):  # a term's inputs are one variable or two independent ones: exact
+        return cov(m1, m2)[0]
+
     # (a, b) -> [exact share, bound share, bound kinds] of the variance, for
     # operators a <= b in post-order; an operator's own starts from its
     # term variances.
     parts = {(nid, nid): [0.0, 0.0, set()] for nid in plan.index.order}
     terms = []  # (operator, mu_c, monomials)
     for nid, unit, vars_, cf in fitted_terms(plan, costfuncs):
-        e_f, var_f = cost_function_moments(cf, [ctx.dist(v) for v in vars_])
-        parts[nid, nid][0] += term_variance(e_f, var_f, unit_means[unit], unit_vars[unit])
-        terms.append((nid, unit_means[unit], _monomials(cf, vars_)))
+        mono = _monomials(cf, vars_)
+        e_f = cost_function_mean(cf, [dists[v] for v in vars_])
+        parts[nid, nid][0] += term_variance(e_f, _variance(mono, within), unit_means[unit], unit_vars[unit])
+        terms.append((nid, unit_means[unit], mono))
 
     for i, (a, mu_a, mono_a) in enumerate(terms):
         for b, mu_b, mono_b in terms[i + 1 :]:
@@ -341,7 +300,7 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
             scale = 2.0 * mu_a * mu_b
             for coef1, m1 in mono_a:
                 for coef2, m2 in mono_b:
-                    val, kind = ctx.cov_monomials(m1, m2)
+                    val, kind = cov(m1, m2)
                     if kind == "direct":
                         part[0] += scale * coef1 * coef2 * val
                     elif kind != "zero":
@@ -359,13 +318,13 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
             var_ops += exact
             breakdown.append((name, exact, "variance" if a == b else "direct"))
             if a != b:
-                entries.append(CovEntry((a, b), "terms", "direct", exact / 2.0))
+                entries.append(CovEntry((a, b), "direct", exact / 2.0))
         if bound != 0.0:
             cov_ub += bound
             kind = kinds.pop() if len(kinds) == 1 else "bound-min"
             breakdown.append((name, bound, kind))
             if a != b:
-                entries.append(CovEntry((a, b), "terms", kind, bound / 2.0))
+                entries.append(CovEntry((a, b), kind, bound / 2.0))
 
     total = var_ops + cov_ub
     if total < 0.0:
@@ -386,14 +345,14 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     (0, ..., 0, value). Any other term is probed over the mu +/- 3 sigma
     grid of its input selectivity distribution(s) and fitted.
     """
-    ctx = CovContext(estimates, {e.var_id: (e.rho_n, e.sigma2) for e in estimates.values()})
+    dists = {nid: (e.rho_n, e.sigma2) for nid, e in estimates.items()}
     fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
         if all(v is None for v in vars_):
             value = float(oracle((nid, unit), np.ones((1, len(vars_))))[0])
             fitted[nid][unit] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
             continue
-        coords = costfit.grid_points([ctx.dist(v) for v in vars_], W=W)
+        coords = costfit.grid_points([dists[v] for v in vars_], W=W)
         fitted[nid][unit] = costfit.fit_cost_function(tag, coords, oracle((nid, unit), coords))
     return fitted
 
@@ -411,7 +370,8 @@ def predict_distribution(
 ):
     """End-to-end prediction: estimate selectivities, fit cost functions
     against the reference oracle (unless prefitted), and propagate to the
-    output normal distribution."""
+    output normal distribution. Its flags are `variance_time`'s, and
+    "degenerate-fit" when any cost function is `degenerate`."""
     from .selest import estimate_all
 
     if estimates is None:
@@ -424,5 +384,7 @@ def predict_distribution(
     variance, breakdown, entries, flags = variance_time(
         plan, costfuncs, estimates, units, policy=policy
     )
+    if any(cf.degenerate for per in costfuncs.values() for cf in per.values()):
+        flags.append("degenerate-fit")
     dist = RunningTimeDistribution(mean=mean, variance=variance, breakdown=breakdown, flags=flags)
     return dist, estimates, costfuncs, entries

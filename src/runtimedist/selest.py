@@ -29,19 +29,12 @@ class SelEstimate:
     K: int
     leaf_set: tuple[tuple[str, int], ...]
     snm: dict[int, float]
-    # var_id identifies the underlying random variable: pass-through
-    # operators (Sort, Materialize) reuse their child's.
-    var_id: int = -1
     # Per-position accumulators (sample_index -> count), aligned with
     # leaf_set, kept so shared-position variances for arbitrary subsets can
     # be computed without re-execution. None for aggregate-derived estimates.
     q: list[dict[int, int]] | None = None
     count: int = 0
     source: str = "q-scan"
-
-    def __post_init__(self):
-        if self.var_id < 0:
-            self.var_id = self.op_id
 
     @property
     def sigma2(self) -> float:
@@ -123,7 +116,6 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
         node = plan.nodes[nid]
         leaf_set = index.leaves[nid]
         K = len(leaf_set)
-        var_id = nid
         if nid in index.agg_above:
             count, q, source = node.estimate_M, None, "aggregate"
             rho, s2 = count / planmod.leaf_product(plan, relations, nid), 0.0
@@ -131,7 +123,7 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
         elif node.kind in ("Sort", "Materialize"):
             child = estimates[node.children[0]]
             count, q, source = child.count, child.q, "inherit"
-            rho, s2, K, leaf_set, var_id = child.rho_n, child.s2_n, child.K, child.leaf_set, child.var_id
+            rho, s2, K, leaf_set = child.rho_n, child.s2_n, child.K, child.leaf_set
             snm = dict(child.snm)
         elif node.kind in SCAN_KINDS:
             count, q, source = results[nid].count, qs[nid], "scan-closed-form"
@@ -147,5 +139,5 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
                 s2 += term
                 snm[m] = s2
         # Positional: keyword matching would be a tenth of the estimate's time at small n.
-        estimates[nid] = SelEstimate(nid, rho, s2, n, K, leaf_set, snm, var_id, q, count, source)
+        estimates[nid] = SelEstimate(nid, rho, s2, n, K, leaf_set, snm, q, count, source)
     return estimates

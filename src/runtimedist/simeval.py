@@ -285,9 +285,8 @@ def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1
         for v in vars_:
             if v is not None:
                 est = estimates[v]
-                var_dist[est.var_id] = (est.rho_n, est.sigma2, set(est.leaf_set))
-        resolved = tuple(None if v is None else estimates[v].var_id for v in vars_)
-        per_term.append((unit, cf.tag, cf.b, resolved))
+                var_dist[v] = (est.rho_n, est.sigma2, set(est.leaf_set))
+        per_term.append((unit, cf.tag, cf.b, vars_))
     ids = sorted(var_dist)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
@@ -301,8 +300,8 @@ def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1
         v: rng.normal(var_dist[v][0], math.sqrt(var_dist[v][1]), size=draws) for v in ids
     }
     total = np.zeros(draws)
-    for unit, tag, b, resolved in per_term:
-        coords = [1.0 if v is None else xs[v] for v in resolved]
+    for unit, tag, b, vars_ in per_term:
+        coords = [1.0 if v is None else xs[v] for v in vars_]
         cs = rng.normal(units.mean(unit), math.sqrt(units.variance(unit)), size=draws)
         f = sum(bk * col for bk, col in zip(b, monomial_values(tag, coords)))
         total += f * cs

@@ -106,7 +106,7 @@ def test_criterion_3_monotonicity_and_bound_ordering():
     for seed in range(50):
         relations, plan, est, z, n = _estimates_and_tensor(seed, shape=seed % 3 + 1)
         for e in est.values():
-            if e.op_id != e.var_id or e.q is None:
+            if plan.index.var[e.op_id] != e.op_id or e.q is None:
                 continue
             seq = [e.snm[m] for m in range(1, e.K + 1)]
             assert all(a <= b for a, b in zip(seq, seq[1:])), (seed, e.op_id, seq)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from runtimedist import plan as planmod, selest, store
+from runtimedist.costfit import FAMILIES
 from conftest import brute_membership, tiny_instance
 
 
@@ -139,10 +140,20 @@ def test_plan_index_matches_brute_force(tree):
         for c in children[nid]:
             yield from subtree(c)
 
+    def variable(nid):  # down through Sort/Materialize with no aggregate at or below
+        t = by_id[nid]
+        if isinstance(t, str) or t[0] not in ("Sort", "Materialize") or _brute_has_aggregate(t):
+            return nid
+        return variable(children[nid][0])
+
     for nid, t in by_id.items():
         below = set(subtree(nid))
         assert list(index.leaves[nid]) == [o for s, o in zip(scans, ordinals) if s in below]
         assert (nid in index.agg_above) == _brute_has_aggregate(t)
+        assert index.var[nid] == variable(nid)
+    for (nid, unit), (tag, vars_) in index.terms.items():
+        roles = {"own": variable(nid), **dict(zip(("left", "right"), map(variable, children[nid])))}
+        assert vars_ == tuple(roles.get(r) for r in FAMILIES[tag][0])  # a scan's left: None
     # Post-order: every node after its children, the root last.
     pos = {nid: i for i, nid in enumerate(index.order)}
     assert sorted(pos) == sorted(by_id) and index.order[-1] == p.root

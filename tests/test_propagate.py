@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from runtimedist import calib, costfit, plan as planmod, propagate, selest, store
+from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import ARITY, CostFunction
 from runtimedist.selest import SelEstimate
 
@@ -77,21 +77,21 @@ def test_term_variance_pinned():
 # Covariances
 
 
-def _ctx_single(mu, s2):
+def _table_single(mu, s2):
     est = {1: _scan_estimate(1, 0.5)}
-    return propagate.CovContext(est, {1: (mu, s2)})
+    return propagate.covariance_table(est, {1: (mu, s2)})
 
 
 def test_cov_square_linear_pinned():
-    ctx = _ctx_single(1.0, 0.25)
-    assert ctx.cov_monomials(((1, 2),), ((1, 1),)) == (pytest.approx(0.5), "direct")
+    cov = _table_single(1.0, 0.25)
+    assert cov(((1, 2),), ((1, 1),)) == (pytest.approx(0.5), "direct")
 
 
 def test_cov_basic_identities():
     mu, s2 = 0.7, 0.09
-    ctx = _ctx_single(mu, s2)
-    assert ctx.cov_monomials(((1, 1),), ((1, 1),)) == (pytest.approx(s2), "direct")
-    assert ctx.cov_monomials(((1, 2),), ((1, 2),)) == (
+    cov = _table_single(mu, s2)
+    assert cov(((1, 1),), ((1, 1),)) == (pytest.approx(s2), "direct")
+    assert cov(((1, 2),), ((1, 2),)) == (
         pytest.approx(2 * s2 * (2 * mu * mu + s2)), "direct"
     )
 
@@ -100,17 +100,17 @@ def test_cov_product_decomposition():
     # Cov(Xl*Xr, Xl) = mu_r * sigma_l^2 for independent Xl, Xr.
     est = {1: _scan_estimate(1, 0.5, rel="A"), 2: _scan_estimate(2, 0.5, rel="B")}
     dists = {1: (0.4, 0.02), 2: (0.6, 0.03)}
-    ctx = propagate.CovContext(est, dists)
-    assert ctx.cov_monomials(((1, 1), (2, 1)), ((1, 1),)) == (pytest.approx(0.6 * 0.02), "direct")
+    cov = propagate.covariance_table(est, dists)
+    assert cov(((1, 1), (2, 1)), ((1, 1),)) == (pytest.approx(0.6 * 0.02), "direct")
     # mu_l = 0 zeroes the symmetric case
-    ctx0 = propagate.CovContext(est, {1: (0.0, 0.02), 2: (0.6, 0.03)})
-    assert ctx0.cov_monomials(((1, 1), (2, 1)), ((2, 1),)) == (pytest.approx(0.0), "direct")
+    cov0 = propagate.covariance_table(est, {1: (0.0, 0.02), 2: (0.6, 0.03)})
+    assert cov0(((1, 1), (2, 1)), ((2, 1),)) == (pytest.approx(0.0), "direct")
 
 
 def test_cov_independent_is_zero():
     est = {1: _scan_estimate(1, 0.5, rel="A"), 2: _scan_estimate(2, 0.5, rel="B")}
-    ctx = propagate.CovContext(est, {1: (0.5, 0.01), 2: (0.5, 0.01)})
-    value, kind = ctx.cov_monomials(((1, 1),), ((2, 1),))
+    cov = propagate.covariance_table(est, {1: (0.5, 0.01), 2: (0.5, 0.01)})
+    value, kind = cov(((1, 1),), ((2, 1),))
     assert (value, kind) == (0.0, "zero")
 
 
@@ -125,26 +125,32 @@ def _nested_pair(s2_desc, anc_count=5000):
                       leaf_set=(("A", 0), ("B", 0), ("C", 0)),
                       snm={1: 0.5, 2: 0.5, 3: 1.0},
                       q=[{0: anc_count}, {0: anc_count}, {0: anc_count}])
-    est = {10: desc, 11: anc,
-           1: _scan_estimate(1, 0.5, rel="A"),
-           2: _scan_estimate(2, 0.5, rel="B"),
-           3: _scan_estimate(3, 0.5, rel="C")}
-    dists = {k: (e.rho_n, e.sigma2) for k, e in est.items()}
-    return propagate.CovContext(est, dists)
+    return {10: desc, 11: anc,
+            1: _scan_estimate(1, 0.5, rel="A"),
+            2: _scan_estimate(2, 0.5, rel="B"),
+            3: _scan_estimate(3, 0.5, rel="C")}
+
+
+def _bound_both_ways(est, a, pa, b, pb):
+    """`bound_pair`, checked equal to the covariance table's entry for the
+    two single-variable monomials."""
+    value, kind = propagate.bound_pair(est, a, pa, b, pb)
+    cov = propagate.covariance_table(est, {k: (e.rho_n, e.sigma2) for k, e in est.items()})
+    if value != 0.0:
+        assert cov(((a, pa),), ((b, pb),)) == (value, kind)
+    return value, kind
 
 
 def test_bound_b3_pinned_value():
     # With a large descendant variance, B1 exceeds the closed-form bound
     # (1 - (1-1/n)^m) g(rho) g(rho'); n=100, m=2, rho=rho'=0.5.
-    ctx = _nested_pair(s2_desc=50.0)
-    value, kind = ctx.bound_pair(10, 1, 11, 1)
+    value, kind = _bound_both_ways(_nested_pair(s2_desc=50.0), 10, 1, 11, 1)
     assert kind == "bound-B3"
     assert value == pytest.approx(0.0049750, abs=1e-7)
 
 
 def test_bound_b1_when_smaller():
-    ctx = _nested_pair(s2_desc=1e-4)
-    value, kind = ctx.bound_pair(10, 1, 11, 1)
+    value, kind = _bound_both_ways(_nested_pair(s2_desc=1e-4), 10, 1, 11, 1)
     assert kind == "bound-B1"
     # B1 = sqrt(S2_desc/n * S2_anc_restricted/n); the crafted q gives the
     # ancestor restriction 2 * (99*0.25)/99 = 0.5.
@@ -153,19 +159,19 @@ def test_bound_b1_when_smaller():
 
 def test_bound_degenerate_rho_vanishes():
     for rho in (0.0, 1.0):
-        ctx = _nested_pair(s2_desc=50.0)
-        for est in ctx.estimates.values():
-            est.rho_n = rho
+        est = _nested_pair(s2_desc=50.0)
+        for e in est.values():
+            e.rho_n = rho
         for pa, pb in [(1, 1), (2, 2), (2, 1), (1, 2)]:
-            value, _ = ctx.bound_pair(10, pa, 11, pb)
+            value, _ = _bound_both_ways(est, 10, pa, 11, pb)
             assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bound_square_forms_nonnegative_and_symmetric():
-    ctx = _nested_pair(s2_desc=0.3)
-    v22, _ = ctx.bound_pair(10, 2, 11, 2)
-    v21, _ = ctx.bound_pair(10, 2, 11, 1)
-    v12r, _ = ctx.bound_pair(11, 1, 10, 2)
+    est = _nested_pair(s2_desc=0.3)
+    v22, _ = _bound_both_ways(est, 10, 2, 11, 2)
+    v21, _ = _bound_both_ways(est, 10, 2, 11, 1)
+    v12r, _ = _bound_both_ways(est, 11, 1, 10, 2)
     assert v22 >= 0.0 and v21 >= 0.0
     assert v21 == pytest.approx(v12r)
 
@@ -175,8 +181,6 @@ def test_bound_square_forms_nonnegative_and_symmetric():
 
 
 def _world_fixture(seed=5, sizes=(300, 300, 300)):
-    from runtimedist import simeval
-
     relations = simeval.generate_database(seed, sizes=sizes, key_domain=30)
     world = simeval.TrueCostWorld.generate(seed)
     units = calib.fit_cost_units(world.calibration_records(100, seed=seed))
@@ -393,6 +397,59 @@ def test_three_level_breakdown_pattern():
     for pair in [(1, 2), (1, 3), (2, 3), (3, 4)]:
         assert not any(e.pair == pair for e in entries)
     assert dist.variance >= 0.0
+
+
+def test_variance_time_computes_each_bound_once(monkeypatch):
+    # A left-deep chain of five relations: each join's terms read the join
+    # below, nested in the next join's left input. A NestLoopJoin's C6
+    # monomial Xl*Xr meets a nested variable through Xl alone, the same
+    # bound as its Xl monomial does, so bounds recur across monomial pairs.
+    relations = simeval.generate_database(3, sizes=(300,) * 5, key_domain=30)
+    world = simeval.TrueCostWorld.generate(3)
+    units = calib.fit_cost_units(world.calibration_records(100, seed=3))
+    pool = store.build_pool(relations, n=50, pool_size=1, seed=3)
+    nodes = [{"id": i, "kind": "SeqScan", "relation": f"r{i}", "children": [],
+              "predicate": [{"col": f"r{i}_val", "op": "<", "value": 6000}]} for i in range(1, 6)]
+    left = 1
+    for j in range(2, 6):
+        nodes.append({"id": 100 + j, "kind": ("HashJoin", "NestLoopJoin")[j % 2], "children": [left, j],
+                      "predicate": [{"left": f"r{j - 1}_key2", "right": f"r{j}_key"}]})
+        left = 100 + j
+    plan = planmod.parse_plan(json.dumps({"nodes": nodes, "root": left}))
+    est = selest.estimate_all(plan, pool, relations)
+    cfs = propagate.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations))
+    inner = propagate.bound_pair
+    calls = []
+
+    def counting(estimates, *key):
+        calls.append(key)
+        return inner(estimates, *key)
+
+    monkeypatch.setattr(propagate, "bound_pair", counting)
+    _, _, entries, _ = propagate.variance_time(plan, cfs, est, units)
+    assert any(e.kind in ("bound-B1", "bound-B3") for e in entries)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_degenerate_fit_flagged():
+    relations, world, units, pool = _world_fixture()
+
+    def predict(value):
+        doc = {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
+                          "predicate": [{"col": "r1_val", "op": "<", "value": value}]}], "root": 1}
+        plan = planmod.parse_plan(json.dumps(doc))
+        return propagate.predict_distribution(plan, pool, relations, units,
+                                              oracle=world.cost_oracle(plan, relations))
+
+    # No sampled row passes: rho_n = 0 with zero variance, so the grid of
+    # the scan's C2 c_o term collapses to one point.
+    dist, est, cfs, _ = predict(0)
+    assert est[1].rho_n == 0.0 and cfs[1]["c_o"].degenerate
+    assert "degenerate-fit" in dist.flags
+    dist, est, cfs, _ = predict(5000)
+    assert 0.0 < est[1].rho_n < 1.0
+    assert not any(cf.degenerate for cf in cfs[1].values())
+    assert "degenerate-fit" not in dist.flags
 
 
 def test_fit_makes_one_oracle_call_per_term():

@@ -170,7 +170,7 @@ def test_pass_through_inherits_variable():
     doc["root"] = 4
     p = planmod.parse_plan(json.dumps(doc))
     est = selest.estimate_all(p, pool, relations)
-    assert est[4].var_id == est[3].var_id == 3
+    assert p.index.var[4] == p.index.var[3] == 3
     assert est[4].rho_n == est[3].rho_n
     assert est[4].s2_n == est[3].s2_n
 
