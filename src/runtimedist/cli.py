@@ -372,11 +372,11 @@ def cmd_evaluate(args):
     csv_path = os.path.join(cfg["out_dir"], "evaluation.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["plan_id", "mean", "stddev", "actual", "error", "norm_error"])
+        writer.writerow(["plan_id", "mean", "stddev", "actual", "error", "norm_error", "flags"])
         for r in records:
             writer.writerow([
                 r.plan_id, repr(r.predicted_mean), repr(r.predicted_stddev), repr(r.actual),
-                repr(r.error), repr(r.norm_error) if r.predicted_stddev > 0 else "",
+                repr(r.error), repr(r.norm_error) if r.predicted_stddev > 0 else "", ";".join(r.flags),
             ])
     summary["policy"] = cfg["policy"]
     _write_json(os.path.join(cfg["out_dir"], "summary.json"), _stamp(dict(summary)))

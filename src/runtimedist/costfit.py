@@ -8,20 +8,22 @@ harness's true coefficients and Monte Carlo evaluation (`simeval`).
 Coefficients are fitted from reference cost-model probes on a grid spanning
 mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
 with every structural coefficient constrained nonnegative and the constant
-term left free. The solver enumerates passive sets on scaled columns after
-one QR factorization, an exact finite method; its KKT optimality conditions
-are checkable for every fit. A fit is flagged `degenerate` when the data
+term left free. Terms of one family on one grid are fitted in one call:
+one design matrix, one distinct-point check, one column scaling and one
+least-squares solve for every term's probe vector. A term whose
+unconstrained solution is infeasible then gets the exact passive-set
+enumeration after a QR factorization; its KKT optimality conditions are
+checkable for every fit. A fit is flagged `degenerate` when the data
 cannot determine its coefficients: its grid collapsed to fewer distinct
-points than coefficients, or the chosen passive set was rank deficient
-(e.g. an input selectivity estimated as exactly 0 gives an all-zero
-column).
+points than coefficients, or its design matrix is rank deficient (e.g. an
+input selectivity estimated as exactly 0 gives an all-zero column).
 
 Probe oracle protocol: `oracle((node_id, unit), coords) -> values`, where
 `coords` is an (m, arity) array of selectivity coordinates (shape (1, 0)
 for a C1 term) and `values` the m reference costs. A term is probed in one
-call over its whole grid, and fitted from the `(coords, values)` arrays; a
-term whose inputs are all constants is probed once instead
-(`propagate.fit_all_cost_functions`).
+call over its whole grid, and the terms sharing a grid are fitted from the
+`(coords, values)` arrays together; a term whose inputs are all constants
+is probed once instead (`propagate.fit_all_cost_functions`).
 """
 
 from __future__ import annotations
@@ -124,62 +126,69 @@ def grid_points(distributions, W: int = 10) -> np.ndarray:
     axes = []
     for mu, sigma2 in distributions:
         sigma = float(np.sqrt(max(sigma2, 0.0)))
-        pts = np.linspace(mu - 3.0 * sigma, mu + 3.0 * sigma, W + 1)
-        axes.append(np.clip(pts, 0.0, 1.0))
-    if not axes:
-        return np.empty((1, 0))
-    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        axes.append(np.clip(np.linspace(mu - 3.0 * sigma, mu + 3.0 * sigma, W + 1), 0.0, 1.0))
+    if len(axes) < 2:
+        return axes[0][:, None] if axes else np.empty((1, 0))
+    return np.column_stack((np.repeat(axes[0], W + 1), np.tile(axes[1], W + 1)))
 
 
-def nnls_solve(A, y, constrained) -> tuple[np.ndarray, bool]:
-    """Least squares min ||Ab - y|| with b_i >= 0 for constrained i.
+def nnls_solve(A, Y, constrained):
+    """Least squares min ||Ab - y|| with b_i >= 0 for constrained i, for
+    each column y of Y.
 
     Exact and finite. The problem is convex, so its optimum is the
     smallest-residual feasible one among the least-squares solutions on
     each passive set: the unconstrained coefficients plus a subset of the
-    constrained ones, the rest held at zero. Columns are scaled to unit
-    norm (a zero column keeps scale 1), so that a column of tiny values is
-    not cut off as rank deficient, and factored once, A = QR; each passive
-    set is solved on R against z = Q^T y. The full set is tried first and
-    taken when feasible. There are 2^k sets for k constrained
-    coefficients, at most 8 for the cost families. Returns the coefficient
-    vector and a degeneracy flag, a `bool`: the chosen passive set was rank
-    deficient (e.g. an all-zero column), and its minimum-norm solution is
-    the one returned.
+    constrained ones, the rest held at zero. Columns of A are scaled to
+    unit norm (a zero column keeps scale 1), so that a column of tiny
+    values is not cut off as rank deficient. One least-squares solve on
+    the full set covers every column of Y, and is taken where feasible.
+    Only the other columns get the QR factorization A = QR and the other
+    passive sets, each solved on R against Z = Q^T Y for all of them at
+    once; there are 2^k sets for k constrained coefficients, at most 8 for
+    the cost families. As with `np.linalg.lstsq`, a 1-D y gives a (p,)
+    solution and one `bool`, an (m, u) Y a (p, u) solution and u bools.
+    The flag marks a rank-deficient A (e.g. an all-zero column): the data
+    cannot determine every coefficient, and a passive set's minimum-norm
+    solution is the one returned.
     """
     A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
+    Y = np.asarray(Y, dtype=float)
+    if A.ndim != 2 or Y.ndim not in (1, 2) or A.shape[0] != Y.shape[0]:
         raise FitError("design matrix and observations are incompatible")
     m, p = A.shape
     if m < p:
         raise FitError(f"need at least as many probe points ({m}) as terms ({p})")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(Y)):
         raise FitError("non-finite values in the fit inputs")
     constrained = np.asarray(constrained, dtype=bool)
+    Y2 = Y.reshape(m, -1)
 
     scale = np.linalg.norm(A, axis=0)
     scale[scale == 0.0] = 1.0
-    Q, R = np.linalg.qr(A / scale)
-    z = Q.T @ y
-    cons = np.flatnonzero(constrained)
-    best = None  # (residual, passive indices, solution, rank deficient)
-    for kept in itertools.product((True, False), repeat=cons.size):  # the full set first
-        passive = ~constrained
-        passive[cons] = kept
-        idx = np.flatnonzero(passive)
-        sol, _, rank, _ = np.linalg.lstsq(R[:, idx], z, rcond=None)
-        if np.any(sol[constrained[idx]] < 0.0):
-            continue
-        res = float(np.linalg.norm(R[:, idx] @ sol - z))
-        if best is None or res < best[0]:
-            best = res, idx, sol, bool(rank < idx.size)
-        if idx.size == p:  # the unconstrained optimum is feasible
-            break
-    _, idx, sol, degenerate = best
-    x = np.zeros(p)
-    x[idx] = sol / scale[idx]
-    return x, degenerate
+    As = A / scale
+    X, _, rank, _ = np.linalg.lstsq(As, Y2, rcond=None)
+    bad = np.flatnonzero(np.any(X[constrained] < 0.0, axis=0))
+    if bad.size:
+        Q, R = np.linalg.qr(As)
+        Z = Q.T @ Y2[:, bad]
+        best = np.full(bad.size, np.inf)
+        cons = np.flatnonzero(constrained)
+        sets = itertools.product((True, False), repeat=cons.size)
+        for kept in itertools.islice(sets, 1, None):  # the full set is infeasible for these
+            passive = ~constrained
+            passive[cons] = kept
+            idx = np.flatnonzero(passive)
+            sol = np.linalg.lstsq(R[:, idx], Z, rcond=None)[0]
+            res = np.linalg.norm(R[:, idx] @ sol - Z, axis=0)
+            take = (res < best) & ~np.any(sol[constrained[idx]] < 0.0, axis=0)
+            best[take] = res[take]
+            X[:, bad[take]] = 0.0
+            X[np.ix_(idx, bad[take])] = sol[:, take]
+    X /= scale[:, None]
+    if Y.ndim == 1:
+        return X[:, 0], bool(rank < p)
+    return X, np.full(Y2.shape[1], rank < p)
 
 
 def kkt_residual(A, y, b, constrained) -> float:
@@ -192,43 +201,49 @@ def kkt_residual(A, y, b, constrained) -> float:
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.asarray(b, dtype=float)
-    constrained = np.asarray(constrained, dtype=bool)
+    active = np.asarray(constrained, dtype=bool) & (b == 0.0)
     g = A.T @ (A @ b - y)
     scale = max(1.0, float(np.max(np.abs(A.T @ y)))) if y.size else 1.0
-    worst = 0.0
-    for i in range(len(b)):
-        if constrained[i] and b[i] == 0.0:
-            worst = max(worst, -g[i] / scale if g[i] < 0 else 0.0)
-        else:
-            worst = max(worst, abs(g[i]) / scale)
-    return worst
+    return float(np.max(np.where(active, -g, np.abs(g)), initial=0.0)) / scale
 
 
-def fit_cost_function(tag: str, coords, values) -> CostFunction:
-    """Fit one cost function of the given type from probe coordinates (an
-    (m, arity) array) and the reference costs observed there.
+def _distinct_at_least(coords, p: int) -> bool:
+    """Whether the (m, arity) coordinates hold at least p distinct points."""
+    seen = set()
+    for point in map(tuple, np.asarray(coords, dtype=float).tolist()):
+        seen.add(point)
+        if len(seen) >= p:
+            return True
+    return False
 
-    The constant term (last coefficient) is unconstrained; all structural
-    terms are constrained nonnegative. A constant-only (C1) term is the
-    mean of its probes.
-    A collapsed grid (fewer distinct coordinates than terms, e.g. a
-    zero-variance selectivity) degrades to a constant fit through the probe
-    mean, flagged degenerate.
+
+def fit_cost_functions(tag: str, coords, values):
+    """Fit cost functions of the given type from probe coordinates (an
+    (m, arity) array) and the reference costs there: one function for m
+    values, a list of u for an (m, u) array, each column fitted alone.
+
+    The constant term (last coefficient) is free and the structural terms
+    nonnegative (`nnls_solve`). A C1 term is the mean of its probes; a
+    collapsed grid (fewer distinct coordinates than terms, e.g. a
+    zero-variance selectivity) degrades to a constant fit through the
+    probe mean, flagged degenerate.
     """
     A = design_matrix(tag, coords)
-    y = np.asarray(values, dtype=float)
-    p = A.shape[1]
-    if not y.size:
+    Y = np.asarray(values, dtype=float)
+    m, p = A.shape
+    if not Y.size:
         raise FitError("no probe points")
-    if y.shape != (A.shape[0],):
-        raise FitError(f"{A.shape[0]} probe coordinates but {y.size} values")
-    if p == 1:
-        return CostFunction(tag=tag, b=(float(np.mean(y)),))
-    distinct = {tuple(row) for row in A.tolist()}
-    if len(y) < p or len(distinct) < p:
-        b = [0.0] * p
-        b[-1] = float(np.mean(y))
-        return CostFunction(tag=tag, b=tuple(b), degenerate=True)
-    constrained = np.array([True] * (p - 1) + [False])
-    b, degenerate = nnls_solve(A, y, constrained)
-    return CostFunction(tag=tag, b=tuple(float(v) for v in b), degenerate=degenerate)
+    if Y.ndim not in (1, 2) or Y.shape[0] != m:
+        raise FitError(f"{m} probe coordinates but values of shape {Y.shape}")
+    Y2 = Y.reshape(m, -1)
+    if p == 1 or m < p or not _distinct_at_least(coords, p):  # the probe mean
+        B = np.zeros((p, Y2.shape[1]))
+        B[-1] = Y2.mean(axis=0)
+        degenerate = np.full(Y2.shape[1], p > 1)
+    else:
+        B, degenerate = nnls_solve(A, Y2, [True] * (p - 1) + [False])
+    fits = [
+        CostFunction(tag=tag, b=tuple(float(v) for v in B[:, j]), degenerate=bool(degenerate[j]))
+        for j in range(Y2.shape[1])
+    ]
+    return fits[0] if Y.ndim == 1 else fits

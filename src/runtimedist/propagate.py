@@ -285,12 +285,13 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     # operators a <= b in post-order; an operator's own starts from its
     # term variances.
     parts = {(nid, nid): [0.0, 0.0, set()] for nid in plan.index.order}
-    terms = []  # (operator, mu_c, monomials)
+    terms = []  # (operator, mu_c, monomials) of each term that can covary
     for nid, unit, vars_, cf in fitted_terms(plan, costfuncs):
         mono = _monomials(cf, vars_)
         e_f = cost_function_mean(cf, [dists[v] for v in vars_])
         parts[nid, nid][0] += term_variance(e_f, _variance(mono, within), unit_means[unit], unit_vars[unit])
-        terms.append((nid, unit_means[unit], mono))
+        if mono:  # a constant term covaries with nothing
+            terms.append((nid, unit_means[unit], mono))
 
     for i, (a, mu_a, mono_a) in enumerate(terms):
         for b, mu_b, mono_b in terms[i + 1 :]:
@@ -343,17 +344,29 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     constants (a C1 term, or one on a scan's constant left input) is a
     constant: it is probed once, at the all-ones coordinate, and stored as
     (0, ..., 0, value). Any other term is probed over the mu +/- 3 sigma
-    grid of its input selectivity distribution(s) and fitted.
+    grid of its input selectivity distribution(s). Terms of one family on
+    the same input variables share one grid, built once, and are fitted
+    together in one `costfit.fit_cost_functions` call. Each operator's
+    functions are keyed by unit in `PlanIndex.terms` order.
     """
     dists = {nid: (e.rho_n, e.sigma2) for nid, e in estimates.items()}
-    fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
-    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+    fits: dict[tuple[int, str], CostFunction] = {}
+    grids: dict[tuple, tuple] = {}  # (family, variables) -> (coords, terms, probe values)
+    for term, (tag, vars_) in plan.index.terms.items():
         if all(v is None for v in vars_):
-            value = float(oracle((nid, unit), np.ones((1, len(vars_))))[0])
-            fitted[nid][unit] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
+            value = float(oracle(term, np.ones((1, len(vars_))))[0])
+            fits[term] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
             continue
-        coords = costfit.grid_points([dists[v] for v in vars_], W=W)
-        fitted[nid][unit] = costfit.fit_cost_function(tag, coords, oracle((nid, unit), coords))
+        if (tag, vars_) not in grids:
+            grids[tag, vars_] = costfit.grid_points([dists[v] for v in vars_], W=W), [], []
+        coords, terms, values = grids[tag, vars_]
+        terms.append(term)
+        values.append(oracle(term, coords))
+    for (tag, _), (coords, terms, values) in grids.items():
+        fits.update(zip(terms, costfit.fit_cost_functions(tag, coords, np.column_stack(values))))
+    fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
+    for nid, unit in plan.index.terms:
+        fitted[nid][unit] = fits[nid, unit]
     return fitted
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,7 @@ class EvalRecord:
     predicted_mean: float
     predicted_stddev: float
     actual: float
+    flags: tuple[str, ...] = ()  # the prediction's flags
 
     @property
     def error(self) -> float:
@@ -518,7 +520,8 @@ def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
 
 def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, policy: str = "all", W: int = 10, runs: int = 5):
     """Predict every plan, simulate its actual runtime, and compute the
-    correlation and error-distribution metrics."""
+    correlation and error-distribution metrics. The summary's "flags"
+    counts the plans whose prediction carries each flag."""
     from .propagate import predict_distribution
 
     records = []
@@ -534,6 +537,7 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
                 predicted_mean=dist.mean,
                 predicted_stddev=dist.stddev,
                 actual=act,
+                flags=tuple(dist.flags),
             )
         )
     usable = [r for r in records if r.predicted_stddev > 0.0]
@@ -544,6 +548,7 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
         "excluded_zero_sigma": len(records) - len(usable),
         "r_p": pearson(sigmas, errors),
         "r_s": spearman(sigmas, errors),
+        "flags": dict(sorted(Counter(f for r in records for f in r.flags).items())),
     }
     _, dbar, _ = error_distribution_distance(usable)
     summary["d_bar"] = dbar

@@ -152,7 +152,7 @@ def test_criterion_4_nnls_correctness():
         else:
             axis = np.linspace(0, 1, 5)
             coords = [(x, y) for x in axis for y in axis]
-        cf = costfit.fit_cost_function(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
+        cf = costfit.fit_cost_functions(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
         err = max(abs(g - t) / abs(t) for g, t in zip(cf.b, b_true))
         worst_rec = max(worst_rec, err)
         assert err <= 1e-6, (tag, cf.b, b_true)

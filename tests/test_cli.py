@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline."""
 
+import csv
 import json
 import os
 
@@ -139,8 +140,30 @@ def test_step9_evaluate_byte_stable(workdir):
     assert summary1["count"] >= 2
     assert -1.0 <= summary1["r_s"] <= 1.0
     rows = first.decode().strip().splitlines()
-    assert rows[0] == "plan_id,mean,stddev,actual,error,norm_error"
+    assert rows[0] == "plan_id,mean,stddev,actual,error,norm_error,flags"
     assert len(rows) == summary1["count"] + 1
+
+
+def test_step9b_evaluate_keeps_prediction_flags(workdir):
+    # Each plan's flags in evaluation.csv are the ones `predict` gives it,
+    # and summary.json counts the plans carrying each flag.
+    assert _run(workdir, "evaluate") == 0
+    out = workdir / "out"
+    with open(out / "evaluation.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    manifest = json.loads((out / "workload" / "manifest.json").read_text())
+    counts = {}
+    for row, rec in zip(rows, manifest["plans"]):
+        assert row["plan_id"] == rec["label"]
+        assert _run(workdir, "predict", "--plan", rec["path"]) == 0
+        last = (out / "predictions.jsonl").read_text().strip().splitlines()[-1]
+        flags = json.loads(last)["flags"]
+        assert row["flags"] == ";".join(flags)
+        for flag in flags:
+            counts[flag] = counts.get(flag, 0) + 1
+    assert counts  # this workload has plans with degenerate fits: the check is not vacuous
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["flags"] == counts
 
 
 def test_step10_oracle_on_tiny_relation(workdir, tmp_path):

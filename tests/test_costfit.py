@@ -10,7 +10,7 @@ from runtimedist.costfit import CostFunction
 
 def _fit(tag, coords, fn):
     coords = np.asarray(coords, dtype=float)
-    return costfit.fit_cost_function(tag, coords, [fn(*c) for c in coords])
+    return costfit.fit_cost_functions(tag, coords, [fn(*c) for c in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,37 @@ def test_nnls_recovers_planted_coefficients_across_column_scales(seed, p, expone
     assert b * scale == pytest.approx(planted, rel=1e-8, abs=1e-8)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 4), st.booleans(), st.lists(st.booleans(), max_size=4))
+def test_nnls_columns_solved_together_as_alone(seed, p, zero_column, more):
+    # An (m, u) solve equals u one-column solves. A column planted with
+    # nonnegative coefficients takes the full passive set; one planted with
+    # a negative structural coefficient is infeasible there and is
+    # enumerated. An all-zero column, as from a selectivity estimated as
+    # exactly 0, makes the design rank deficient: every column is flagged.
+    rng = np.random.default_rng(seed)
+    m = p + 3 + int(rng.integers(0, 6))
+    A = rng.normal(size=(m, p))
+    if zero_column:
+        A[:, 0] = 0.0
+    constrained = np.array([True] * (p - 1) + [False])
+    columns = []
+    for feasible in [True, False] + more:
+        b = rng.uniform(0.5, 2.0, size=p)
+        if not feasible:
+            b[p - 2] = -1.0
+        columns.append(A @ b + 0.01 * rng.normal(size=m))
+    Y = np.column_stack(columns)
+    B, flags = costfit.nnls_solve(A, Y, constrained)
+    assert B.shape == (p, Y.shape[1]) and flags.shape == (Y.shape[1],)
+    for j, y in enumerate(Y.T):
+        b, flag = costfit.nnls_solve(A, y, constrained)
+        assert np.max(np.abs(B[:, j] - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+        assert flag is bool(flags[j]) is zero_column
+        assert costfit.kkt_residual(A, y, B[:, j], constrained) <= 1e-8
+    assert np.linalg.lstsq(A, Y[:, 1], rcond=None)[0][p - 2] < 0.0  # infeasible on the full set
+
+
 def test_residual_dominance():
     # The constrained fit never beats the unconstrained optimum, and never
     # loses to the clipped unconstrained solution.
@@ -200,7 +231,7 @@ def test_residual_dominance():
 
 
 def test_fit_c1_constant():
-    cf = costfit.fit_cost_function("C1", np.empty((3, 0)), [7.0] * 3)
+    cf = costfit.fit_cost_functions("C1", np.empty((3, 0)), [7.0] * 3)
     assert cf.b == (7.0,)
     assert cf.evaluate() == 7.0
 
@@ -235,12 +266,12 @@ def test_noiseless_recovery_all_types(tag):
         else:
             axis = np.linspace(0, 1, 5)
             coords = [(x, y) for x in axis for y in axis]
-        cf = costfit.fit_cost_function(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
+        cf = costfit.fit_cost_functions(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
         assert cf.b == pytest.approx(b_true, rel=1e-6, abs=1e-8)
 
 
 def test_fit_collapsed_grid_degenerates():
-    cf = costfit.fit_cost_function("C4", [(0.4,)] * 5, [9.0] * 5)
+    cf = costfit.fit_cost_functions("C4", [(0.4,)] * 5, [9.0] * 5)
     assert cf.degenerate
     assert cf.b == (0.0, 0.0, 9.0)
 
@@ -250,17 +281,17 @@ def test_fit_zero_column_flagged_degenerate():
     # so nothing determines its coefficient. The fit is the Xr-and-constant
     # fit with b[0] = 0, flagged degenerate.
     xr = np.linspace(0.2, 0.8, 11)
-    cf = costfit.fit_cost_function("C5", [(0.0, x) for x in xr], 3.0 * xr + 2.0)
+    cf = costfit.fit_cost_functions("C5", [(0.0, x) for x in xr], 3.0 * xr + 2.0)
     assert cf.degenerate is True
     assert cf.b == pytest.approx([0.0, 3.0, 2.0], rel=1e-12, abs=1e-12)
-    assert cf.b[1:] == pytest.approx(costfit.fit_cost_function("C3", xr[:, None], 3.0 * xr + 2.0).b, rel=1e-12)
+    assert cf.b[1:] == pytest.approx(costfit.fit_cost_functions("C3", xr[:, None], 3.0 * xr + 2.0).b, rel=1e-12)
 
 
 def test_fit_insufficient_points():
     with pytest.raises(costfit.FitError):
-        costfit.fit_cost_function("C4", np.empty((0, 1)), [])
+        costfit.fit_cost_functions("C4", np.empty((0, 1)), [])
     with pytest.raises(costfit.FitError):
-        costfit.fit_cost_function("C4", [(0.1,), (0.2,), (0.3,)], [1.0, 2.0])
+        costfit.fit_cost_functions("C4", [(0.1,), (0.2,), (0.3,)], [1.0, 2.0])
 
 
 def test_cost_function_validation():

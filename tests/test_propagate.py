@@ -489,6 +489,52 @@ def test_fit_makes_one_oracle_call_per_term():
     assert fitted[1]["c_s"].b == (0.0, inner((1, "c_s"), np.ones((1, 1)))[0])
 
 
+def test_fit_builds_one_grid_per_family_and_inputs(monkeypatch):
+    # A three-way join: several units of one operator read the same inputs
+    # through the same family, so they share one grid and one fit call.
+    relations, world, _, pool = _world_fixture()
+    doc = {
+        "nodes": [
+            {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
+             "predicate": [{"col": "r1_val", "op": "<", "value": 5000}]},
+            {"id": 2, "kind": "SeqScan", "relation": "r2", "children": [],
+             "predicate": [{"col": "r2_val", "op": "<", "value": 7000}]},
+            {"id": 3, "kind": "SeqScan", "relation": "r3", "children": [],
+             "predicate": [{"col": "r3_val", "op": "<", "value": 6000}]},
+            {"id": 4, "kind": "HashJoin", "children": [1, 2],
+             "predicate": [{"left": "r1_key", "right": "r2_key"}]},
+            {"id": 5, "kind": "NestLoopJoin", "children": [4, 3],
+             "predicate": [{"left": "r2_key2", "right": "r3_key2"}]},
+        ],
+        "root": 5,
+    }
+    plan = planmod.parse_plan(json.dumps(doc))
+    est = selest.estimate_all(plan, pool, relations)
+    inner_oracle = world.cost_oracle(plan, relations)
+    oracle_calls, grid_calls, fit_calls = [], [], []
+
+    def oracle(key, coords):
+        oracle_calls.append(key)
+        return inner_oracle(key, coords)
+
+    def counted(wrapped, calls):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return wrapped(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(costfit, "grid_points", counted(costfit.grid_points, grid_calls))
+    monkeypatch.setattr(costfit, "fit_cost_functions", counted(costfit.fit_cost_functions, fit_calls))
+    fitted = propagate.fit_all_cost_functions(plan, est, oracle)
+    varying = {term: fv for term, fv in plan.index.terms.items() if any(v is not None for v in fv[1])}
+    groups = set(varying.values())
+    assert len(groups) < len(varying)  # some grids are shared
+    assert len(grid_calls) == len(fit_calls) == len(groups)
+    assert sorted(oracle_calls) == sorted(plan.index.terms)
+    for nid, per in fitted.items():
+        assert list(per) == [unit for n, unit in plan.index.terms if n == nid]
+
+
 # ---------------------------------------------------------------------------
 # Property: the variance and its breakdown on generated plans
 
