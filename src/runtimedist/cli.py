@@ -143,9 +143,14 @@ def load_units(cfg) -> calib.CostUnitModel:
     return calib.CostUnitModel(units=units, metadata=doc.get("metadata", {}))
 
 
-def load_plan(path) -> planmod.Plan:
+def load_plan(path, relations) -> planmod.Plan:
+    """Parse a plan file; every scan must name a loaded relation."""
     with open(path, encoding="utf-8") as fh:
-        return planmod.parse_plan(fh.read())
+        p = planmod.parse_plan(fh.read())
+    for nid, (rel, _) in p.index.appearance.items():
+        if rel not in relations:
+            raise planmod.PlanError(f"node {nid}: relation {rel!r} is not in the data directory")
+    return p
 
 
 def _write_json(path, doc):
@@ -292,7 +297,7 @@ def cmd_fitcost(args):
     relations = load_relations(cfg)
     pool = build_pool(cfg, relations)
     world = load_world(cfg)
-    p = load_plan(args.plan)
+    p = load_plan(args.plan, relations)
     estimates = selest.estimate_all(p, pool, relations)
     fitted = propagate.fit_all_cost_functions(p, estimates, world.cost_oracle(p, relations), W=int(cfg["grid_w"]))
     doc = {
@@ -315,7 +320,7 @@ def cmd_predict(args):
     pool = build_pool(cfg, relations)
     world = load_world(cfg)
     units = load_units(cfg)
-    p = load_plan(args.plan)
+    p = load_plan(args.plan, relations)
     oracle = world.cost_oracle(p, relations)
     dist, estimates, fitted, entries = propagate.predict_distribution(
         p, pool, relations, units, oracle=oracle, W=int(cfg["grid_w"]), policy=cfg["policy"]
@@ -333,8 +338,8 @@ def cmd_predict(args):
         "policy": cfg["policy"],
         "oracle": "simulator-true-cost-model",
         "estimates": {
-            str(e.op_id): {"rho_n": e.rho_n, "s2_n": e.s2_n, "n": e.n, "K": e.K}
-            for e in estimates.values()
+            str(nid): {"rho_n": e.rho_n, "s2_n": e.s2_n, "n": e.n, "K": len(p.index.leaves[nid])}
+            for nid, e in estimates.items()
         },
     }
     os.makedirs(cfg["out_dir"], exist_ok=True)
@@ -363,7 +368,12 @@ def cmd_evaluate(args):
     )
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    plans = [(rec["label"], load_plan(rec["path"])) for rec in manifest["plans"]]
+    recs = manifest.get("plans") if isinstance(manifest, dict) else None
+    if not isinstance(recs, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("label"), str) and isinstance(r.get("path"), str) for r in recs
+    ):
+        raise ConfigError(f"{manifest_path}: not a workload manifest of 'plans' with string 'label' and 'path'")
+    plans = [(rec["label"], load_plan(rec["path"], relations)) for rec in recs]
     records, summary = simeval.evaluate_workload(
         plans, relations, pool, units, world,
         policy=cfg["policy"], W=int(cfg["grid_w"]), runs=int(cfg["runs"]),
@@ -390,7 +400,7 @@ def cmd_evaluate(args):
 def cmd_oracle(args):
     cfg = load_config(args)
     relations = load_relations(cfg)
-    p = load_plan(args.plan)
+    p = load_plan(args.plan, relations)
     n = int(args.n or sample_n_for(cfg, relations))
     exact = simeval.var_rho_enumeration(p, relations, n)
     doc = {"plan": args.plan, "n": n, "var_rho_exact": exact}

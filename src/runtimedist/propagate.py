@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import costfit
+from . import costfit, selest
 from .costfit import CostFunction
 from .plan import Plan
 
@@ -150,25 +150,24 @@ def _h(rho: float) -> float:
     return math.sqrt(max(rho * (1.0 - rho) * (rho - rho * rho + 1.0), 0.0))
 
 
-def bound_pair(estimates, a: int, pa: int, b: int, pb: int) -> tuple[float, str]:
+def bound_pair(leaves, estimates, a: int, pa: int, b: int, pb: int) -> tuple[float, str]:
     """Upper bound on |Cov(X_a^pa, X_b^pb)| for nested variables a and b,
-    from their selectivity estimates."""
+    from their selectivity estimates and leaf sets (`PlanIndex.leaves`).
+    B1 reads the ancestor's S2 restricted to the descendant's positions."""
     ea, eb = estimates[a], estimates[b]
-    desc, anc = (ea, eb) if set(ea.leaf_set) <= set(eb.leaf_set) else (eb, ea)
+    la, lb = leaves[a], leaves[b]
+    desc, anc, l_desc, l_anc = (ea, eb, la, lb) if set(la) <= set(lb) else (eb, ea, lb, la)
     n = desc.n
-    m = desc.K
+    m = len(l_desc)
     inv = 1.0 - 1.0 / n
     rho_a, rho_b = ea.rho_n, eb.rho_n
     if pa == 1 and pb == 1:
-        from .selest import estimate_for_subset
-
-        positions = [anc.leaf_set.index(app) for app in desc.leaf_set]
-        s_anc = estimate_for_subset(anc, positions)
+        s_anc = selest.estimate_for_subset(anc, [l_anc.index(app) for app in l_desc])
         s_desc = desc.s2_n
         b1 = math.sqrt(max(s_desc / n, 0.0) * max(s_anc / n, 0.0))
         b3 = (1.0 - inv**m) * _g(rho_a) * _g(rho_b)
         return (b1, "bound-B1") if b1 <= b3 else (b3, "bound-B3")
-    ka, kb = ea.K, eb.K
+    ka, kb = len(la), len(lb)
     tail = math.sqrt(max(1.0 - inv**ka, 0.0)) * math.sqrt(max(1.0 - inv**kb, 0.0))
     if pa == 2 and pb == 2:
         bracket = 1.0 - inv ** (ka + kb - m) * (1.0 - 2.0 / n) ** m * (1.0 - 3.0 / n) ** m
@@ -181,19 +180,20 @@ def bound_pair(estimates, a: int, pa: int, b: int, pb: int) -> tuple[float, str]
     return max(bracket, 0.0) * tail * _h(rho_sq) * _g(rho_lin), "bound-B3"
 
 
-def covariance_table(estimates, dists):
+def covariance_table(leaves, estimates, dists):
     """A plan's covariance table: a cached function (m1, m2) -> (value,
-    kind) of two monomials ((variable, power), ...), `dists` giving each
-    variable's (mu, sigma2). A variable of each monomial, both of nonzero
-    variance, covary when they are the same or nested (one leaf set
-    inside the other). If every such pair is one variable, the value is
+    kind) of two monomials ((variable, power), ...), `leaves` giving each
+    variable's leaf set (`PlanIndex.leaves`), `estimates` its selectivity
+    estimate and `dists` its (mu, sigma2). A variable of each monomial,
+    both of nonzero variance, covary when they are the same or nested (one
+    leaf set inside the other). If every such pair is one variable, the value is
     exact: "direct" (`cov_product`), or "zero" with no pair. One nested
     pair gives its `bound_pair`, computed once per distinct pair, times
     the other factors' means; more give "bound-gm", the geometric mean of
     the monomials' variances. A bound is a nonnegative magnitude."""
     tables = {v: (moments(d), covariances(d)) for v, d in dists.items()}
-    leaves = {v: frozenset(e.leaf_set) for v, e in estimates.items()}
-    bound = functools.lru_cache(maxsize=None)(lambda *key: bound_pair(estimates, *key))
+    sets = {v: frozenset(apps) for v, apps in leaves.items()}
+    bound = functools.lru_cache(maxsize=None)(lambda *key: bound_pair(leaves, estimates, *key))
 
     @functools.lru_cache(maxsize=None)
     def cov(m1, m2) -> tuple[float, str]:
@@ -202,9 +202,9 @@ def covariance_table(estimates, dists):
             for b, pb in m2:
                 if dists[a][1] == 0.0 or dists[b][1] == 0.0:
                     continue
-                if a == b or leaves[a] <= leaves[b] or leaves[b] <= leaves[a]:
+                if a == b or sets[a] <= sets[b] or sets[b] <= sets[a]:
                     links.append((a, pa, b, pb))
-                elif leaves[a] & leaves[b]:
+                elif sets[a] & sets[b]:
                     raise PropagationError(f"variables {a} and {b} overlap without nesting; not a tree plan")
         if not links:
             return 0.0, "zero"
@@ -276,7 +276,7 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
     """
     dists, unit_means, unit_vars = _apply_policy(estimates, units, policy)
-    cov = covariance_table(estimates, dists)
+    cov = covariance_table(plan.index.leaves, estimates, dists)
 
     def within(m1, m2):  # a term's inputs are one variable or two independent ones: exact
         return cov(m1, m2)[0]
@@ -370,29 +370,13 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     return fitted
 
 
-def predict_distribution(
-    plan: Plan,
-    pool,
-    relations,
-    units,
-    oracle=None,
-    costfuncs=None,
-    W: int = 10,
-    policy: str = "all",
-    estimates=None,
-):
+def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10, policy: str = "all"):
     """End-to-end prediction: estimate selectivities, fit cost functions
-    against the reference oracle (unless prefitted), and propagate to the
-    output normal distribution. Its flags are `variance_time`'s, and
-    "degenerate-fit" when any cost function is `degenerate`."""
-    from .selest import estimate_all
-
-    if estimates is None:
-        estimates = estimate_all(plan, pool, relations)
-    if costfuncs is None:
-        if oracle is None:
-            raise PropagationError("need either fitted cost functions or a probe oracle")
-        costfuncs = fit_all_cost_functions(plan, estimates, oracle, W=W)
+    against the reference probe oracle, and propagate to the output normal
+    distribution. Its flags are `variance_time`'s, and "degenerate-fit"
+    when any cost function is `degenerate`."""
+    estimates = selest.estimate_all(plan, pool, relations)
+    costfuncs = fit_all_cost_functions(plan, estimates, oracle, W=W)
     mean = expected_time(plan, costfuncs, estimates, units)
     variance, breakdown, entries, flags = variance_time(
         plan, costfuncs, estimates, units, policy=policy

@@ -2,10 +2,12 @@
 
 One provenance-tracked execution of the plan over sample tables yields, for
 every operator, the selectivity estimate rho_n, its variance-scale estimate
-S2_n, and the shared-position restrictions S2_{n,m} used by covariance
-bounds. Join statistics are accumulated streaming, tuple at a time, through
+S2_n, and the per-position counters from which `estimate_for_subset`
+computes the shared-position restriction S2_{n,m} a covariance bound asks
+for. Join statistics are accumulated streaming, tuple at a time, through
 per-position hash maps keyed by sample index; no sample result set is
-buffered for estimation.
+buffered for estimation. An estimate holds statistics only: an operator's
+leaf positions are its `PlanIndex.leaves` entry.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ class EstimationError(RuntimeError):
 
 @dataclass(slots=True)
 class SelEstimate:
-    op_id: int
     rho_n: float
     s2_n: float
     n: int
-    K: int
-    leaf_set: tuple[tuple[str, int], ...]
-    snm: dict[int, float]
-    # Per-position accumulators (sample_index -> count), aligned with
-    # leaf_set, kept so shared-position variances for arbitrary subsets can
-    # be computed without re-execution. None for aggregate-derived estimates.
+    # Per-position accumulators (sample_index -> count), one per leaf
+    # position of the operator (`PlanIndex.leaves`), kept so shared-position
+    # variances for any subset can be computed without re-execution. None
+    # for aggregate-derived estimates.
     q: list[dict[int, int]] | None = None
     count: int = 0
     source: str = "q-scan"
@@ -49,40 +48,31 @@ def scan_variance(rho_n: float) -> float:
     return rho_n * (1.0 - rho_n)
 
 
-def _position_terms(q: list[dict[int, int]], n: int, K: int, rho_n: float) -> list[float]:
-    """Per-position contributions to S2_n: for each position r,
-    (1/(n-1)) * sum_j (Q[r][j]/n^(K-1) - rho_n)^2, zero-count indexes
-    contributing rho_n^2 each. Empty list convention when n == 1."""
+def _restricted_s2(q: list[dict[int, int]], n: int, rho_n: float, positions) -> float:
+    """S2 over a subset of leaf positions, K = len(q): the sum over the
+    positions r of (1/(n-1)) * sum_j (Q[r][j]/n^(K-1) - rho_n)^2, a
+    zero-count index contributing rho_n^2. S2_n over all positions,
+    S2_{n,m} over m of them; 0 when n == 1."""
     if n <= 1:
-        return [0.0] * len(q)
-    scale = float(n) ** (K - 1)
-    terms = []
-    for qk in q:
+        return 0.0
+    scale = float(n) ** (len(q) - 1)
+    s2 = 0.0
+    for r in positions:
+        qk = q[r]
         acc = (n - len(qk)) * rho_n * rho_n
         for c in qk.values():
             d = c / scale - rho_n
             acc += d * d
-        terms.append(acc / (n - 1))
-    return terms
+        s2 += acc / (n - 1)
+    return s2
 
 
-def shared_variance(q_sub: list[dict[int, int]], n: int, K: int, rho_n: float) -> float:
-    """S2_{n,m} over a subset of m leaf positions.
-
-    `q_sub` holds the operator's per-position counters restricted to the m
-    shared positions; K and rho_n are the operator's own. Equals S2_n when
-    the subset is the full position list.
-    """
-    if not 1 <= len(q_sub) <= K:
-        raise ValueError(f"shared position count {len(q_sub)} out of range for K={K}")
-    return sum(_position_terms(q_sub, n, K, rho_n))
-
-
-def estimate_for_subset(est: SelEstimate, positions: list[int]) -> float:
-    """S2_{n,m} of an estimate restricted to the given leaf position indexes."""
+def estimate_for_subset(est: SelEstimate, positions) -> float:
+    """S2_{n,m} of an estimate restricted to the given leaf position
+    indexes; 0 for an aggregate-derived estimate, which has no counters."""
     if est.q is None:
         return 0.0
-    return shared_variance([est.q[p] for p in positions], est.n, est.K, est.rho_n)
+    return _restricted_s2(est.q, est.n, est.rho_n, positions)
 
 
 def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
@@ -114,30 +104,21 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
     estimates: dict[int, SelEstimate] = {}
     for nid in index.order:
         node = plan.nodes[nid]
-        leaf_set = index.leaves[nid]
-        K = len(leaf_set)
         if nid in index.agg_above:
             count, q, source = node.estimate_M, None, "aggregate"
             rho, s2 = count / planmod.leaf_product(plan, relations, nid), 0.0
-            snm = {m: 0.0 for m in range(1, K + 1)}
         elif node.kind in ("Sort", "Materialize"):
             child = estimates[node.children[0]]
             count, q, source = child.count, child.q, "inherit"
-            rho, s2, K, leaf_set = child.rho_n, child.s2_n, child.K, child.leaf_set
-            snm = dict(child.snm)
+            rho, s2 = child.rho_n, child.s2_n
         elif node.kind in SCAN_KINDS:
             count, q, source = results[nid].count, qs[nid], "scan-closed-form"
             rho = count / n
             s2 = scan_variance(rho)
-            snm = {1: s2}
         else:
             count, q, source = results[nid].count, qs[nid], "q-scan"
-            rho = count / float(n) ** K
-            snm = {}
-            s2 = 0.0
-            for m, term in enumerate(_position_terms(q, n, K, rho), start=1):
-                s2 += term
-                snm[m] = s2
+            rho = count / float(n) ** len(q)
+            s2 = _restricted_s2(q, n, rho, range(len(q)))
         # Positional: keyword matching would be a tenth of the estimate's time at small n.
-        estimates[nid] = SelEstimate(nid, rho, s2, n, K, leaf_set, snm, q, count, source)
+        estimates[nid] = SelEstimate(rho, s2, n, q, count, source)
     return estimates

@@ -92,27 +92,25 @@ class EvalRecord:
         return self.error / self.predicted_stddev
 
 
-def default_alpha_grid(step: float = 0.01, upper: float = 6.0) -> np.ndarray:
-    """Uniform alpha grid over (0, upper], 600 points at the defaults."""
-    count = int(round(upper / step))
-    return np.arange(1, count + 1) * step
+def default_alpha_grid() -> np.ndarray:
+    """The alpha grid 0.01, 0.02, ..., 6.0: 600 points."""
+    return np.arange(1, 601) * 0.01
 
 
-def error_distribution_distance(records, alphas=None):
-    """Per-alpha D_n(alpha) = |Pr_n(alpha) - (2 Phi(alpha) - 1)| and its mean.
+def error_distribution_distance(records):
+    """Per-alpha D_n(alpha) = |Pr_n(alpha) - (2 Phi(alpha) - 1)| over
+    `default_alpha_grid`, and its mean.
 
     Pr_n is the empirical fraction of normalized errors <= alpha. Records
     with zero predicted stddev are excluded and counted.
     """
-    if alphas is None:
-        alphas = default_alpha_grid()
     usable = [r for r in records if r.predicted_stddev > 0.0]
     excluded = len(records) - len(usable)
     if not usable:
         raise ValueError("no usable records (all have zero predicted stddev)")
     e = np.array([r.norm_error for r in usable])
     d = []
-    for a in alphas:
+    for a in default_alpha_grid():
         pr_n = float(np.mean(e <= a))
         pr = 2.0 * normal_cdf(float(a)) - 1.0
         d.append(abs(pr_n - pr))
@@ -122,6 +120,8 @@ def error_distribution_distance(records, alphas=None):
 
 # ---------------------------------------------------------------------------
 # The synthetic world.
+
+_UNIT_NOISE_CV = 0.12  # a hidden unit's standard deviation over its mean
 
 _DEFAULT_UNIT_MEANS = {
     "c_s": 2.0e-5,
@@ -140,14 +140,14 @@ class TrueCostWorld:
     seed: int
 
     @classmethod
-    def generate(cls, seed: int, noise_cv: float = 0.12) -> "TrueCostWorld":
+    def generate(cls, seed: int) -> "TrueCostWorld":
         """Random world: hidden unit normals plus true a-coefficients for
         every (operator kind, cost unit) slot of the default profiles."""
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC057]))
         unit_means = {
             u: m * float(rng.uniform(0.8, 1.25)) for u, m in _DEFAULT_UNIT_MEANS.items()
         }
-        unit_vars = {u: (noise_cv * m) ** 2 for u, m in unit_means.items()}
+        unit_vars = {u: (_UNIT_NOISE_CV * m) ** 2 for u, m in unit_means.items()}
         coefs: dict[str, dict[str, tuple[float, ...]]] = {}
         for kind, profile in DEFAULT_COST_PROFILES.items():
             coefs[kind] = {}
@@ -286,8 +286,7 @@ def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1
     for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
         for v in vars_:
             if v is not None:
-                est = estimates[v]
-                var_dist[v] = (est.rho_n, est.sigma2, set(est.leaf_set))
+                var_dist[v] = (estimates[v].rho_n, estimates[v].sigma2, set(plan.index.leaves[v]))
         per_term.append((unit, cf.tag, cf.b, vars_))
     ids = sorted(var_dist)
     for i, a in enumerate(ids):
@@ -363,7 +362,10 @@ def var_rho_enumeration(plan: Plan, relations, n: int) -> float:
     return total
 
 
-def resample_rho(plan: Plan, relations, n: int, pools: int, seed: int, chunk: int = 20000) -> np.ndarray:
+_RESAMPLE_CHUNK = 20000  # pools per vectorized step of `resample_rho`, bounding its index arrays
+
+
+def resample_rho(plan: Plan, relations, n: int, pools: int, seed: int) -> np.ndarray:
     """rho_n over many independently drawn sample pools, vectorized.
 
     Follows the estimator's probability model: every sampling step picks a
@@ -377,7 +379,7 @@ def resample_rho(plan: Plan, relations, n: int, pools: int, seed: int, chunk: in
     out = np.empty(pools)
     done = 0
     while done < pools:
-        p = min(chunk, pools - done)
+        p = min(_RESAMPLE_CHUNK, pools - done)
         # position k's picks on axis k + 1 of a (p, n, ..., n) index grid
         idx = tuple(
             rng.integers(0, sizes[k], size=(p, n)).reshape((p,) + (1,) * k + (n,) + (1,) * (K - 1 - k))
@@ -392,7 +394,10 @@ def resample_rho(plan: Plan, relations, n: int, pools: int, seed: int, chunk: in
 # Synthetic database and workload generation.
 
 
-def generate_database(seed: int, sizes=(2000, 2000, 2000), key_domain: int = 200, val_domain: int = 10000):
+_VAL_DOMAIN = 10000  # selection-column values are drawn from [0, _VAL_DOMAIN)
+
+
+def generate_database(seed: int, sizes=(2000, 2000, 2000), key_domain: int = 200):
     """Three-relation synthetic database with join keys and a selection
     column per relation."""
     from .store import Relation
@@ -404,7 +409,7 @@ def generate_database(seed: int, sizes=(2000, 2000, 2000), key_domain: int = 200
         ids = rng.permutation(size)
         keys = rng.integers(0, key_domain, size=size)
         keys2 = rng.integers(0, key_domain, size=size)
-        vals = rng.integers(0, val_domain, size=size)
+        vals = rng.integers(0, _VAL_DOMAIN, size=size)
         schema = (
             (f"{name}_id", "int64"),
             (f"{name}_key", "int64"),
@@ -450,9 +455,12 @@ def _join_node(nid, kind, children, left, right):
     return {"id": nid, "kind": kind, "children": children, "predicate": [{"left": left, "right": right}]}
 
 
-def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
-    """Plans whose true selectivities land within the tolerance of their
-    targets, verified against the ground-truth data; unrealizable targets
+_TARGET_TOLERANCE = 0.10  # a generated plan's largest relative selectivity error
+
+
+def generate_workload(spec: WorkloadSpec, relations):
+    """Plans whose true selectivities land within `_TARGET_TOLERANCE` of
+    their targets, verified against the ground-truth data; unrealizable targets
     are skipped with a warning string returned alongside."""
     import warnings
 
@@ -467,7 +475,7 @@ def generate_workload(spec: WorkloadSpec, relations, tolerance: float = 0.10):
         for nid, target in checks:
             if target <= 0:
                 return None
-            if abs(truth[nid] - target) > tolerance * target:
+            if abs(truth[nid] - target) > _TARGET_TOLERANCE * target:
                 return None
         return p
 

@@ -246,6 +246,18 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
         err = json.loads(capsys.readouterr().err)["error"]
         assert f"{tag} coefficients for (SeqScan, {unit})" in err
         assert "default cost profiles" in err
+    # a scan of a relation the data directory does not hold
+    unknown = _plan_file(tmp_path, "unknown-relation", [_scan(1, "r9")], 1)
+    for command in ("predict", "fitcost", "oracle"):
+        assert _run(workdir, command, "--plan", unknown) == 1
+        assert "node 1: relation 'r9'" in json.loads(capsys.readouterr().err)["error"]
+    # workload manifests without a plans list, or a record without a path
+    # string (an integer path would open that file descriptor)
+    for doc in ({}, {"plans": [{"label": "scan-0"}]}, {"plans": [{"label": "scan-0", "path": 0}]}):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert _run(workdir, "evaluate", "--workload", str(manifest)) == 1
+        assert "workload manifest" in json.loads(capsys.readouterr().err)["error"]
     # estimation and propagation errors, which no CLI input reaches today
     plan = str(workdir / "out" / "workload" / "scan-0.plan")
     for owner, attr, error in [

@@ -117,5 +117,6 @@ def test_seventh_family_parse_true_b_and_fit(seventh_family):
     fitted = propagate.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations))
     assert fitted[3]["c_t"].b == pytest.approx(b, rel=1e-6)
     units = calib.fit_cost_units(world.calibration_records(10, seed=3))
-    dist, *_ = propagate.predict_distribution(plan, pool, relations, units, costfuncs=fitted, estimates=est)
+    dist, *_ = propagate.predict_distribution(plan, pool, relations, units,
+                                              oracle=world.cost_oracle(plan, relations))
     assert dist.mean > 0.0 and dist.variance > 0.0

@@ -563,4 +563,4 @@ def test_count_only_execution_matches_materialized(v):
         reference = selest.estimate_all(p, pool, relations)
     for nid, est in streamed.items():
         ref = reference[nid]
-        assert (est.rho_n, est.s2_n, est.snm, est.q) == (ref.rho_n, ref.s2_n, ref.snm, ref.q)
+        assert (est.rho_n, est.s2_n, est.q, est.count) == (ref.rho_n, ref.s2_n, ref.q, ref.count)

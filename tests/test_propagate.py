@@ -22,10 +22,14 @@ def _units(means, variances):
     )
 
 
-def _scan_estimate(nid, rho, n=100, rel="R", app=0):
-    s2 = rho * (1.0 - rho)
-    return SelEstimate(op_id=nid, rho_n=rho, s2_n=s2, n=n, K=1,
-                       leaf_set=((rel, app),), snm={1: s2})
+def _scan_estimate(rho, n=100):
+    return SelEstimate(rho_n=rho, s2_n=rho * (1.0 - rho), n=n)
+
+
+# Leaf sets of scans 1, 2, 3 over A, B, C, a join 10 of A and B, and a
+# join 11 of 10 and C.
+_LEAVES = {1: (("A", 0),), 2: (("B", 0),), 3: (("C", 0),),
+           10: (("A", 0), ("B", 0)), 11: (("A", 0), ("B", 0), ("C", 0))}
 
 
 def _single_scan_plan(profile=None):
@@ -78,8 +82,8 @@ def test_term_variance_pinned():
 
 
 def _table_single(mu, s2):
-    est = {1: _scan_estimate(1, 0.5)}
-    return propagate.covariance_table(est, {1: (mu, s2)})
+    est = {1: _scan_estimate(0.5)}
+    return propagate.covariance_table(_LEAVES, est, {1: (mu, s2)})
 
 
 def test_cov_square_linear_pinned():
@@ -98,18 +102,18 @@ def test_cov_basic_identities():
 
 def test_cov_product_decomposition():
     # Cov(Xl*Xr, Xl) = mu_r * sigma_l^2 for independent Xl, Xr.
-    est = {1: _scan_estimate(1, 0.5, rel="A"), 2: _scan_estimate(2, 0.5, rel="B")}
+    est = {1: _scan_estimate(0.5), 2: _scan_estimate(0.5)}
     dists = {1: (0.4, 0.02), 2: (0.6, 0.03)}
-    cov = propagate.covariance_table(est, dists)
+    cov = propagate.covariance_table(_LEAVES, est, dists)
     assert cov(((1, 1), (2, 1)), ((1, 1),)) == (pytest.approx(0.6 * 0.02), "direct")
     # mu_l = 0 zeroes the symmetric case
-    cov0 = propagate.covariance_table(est, {1: (0.0, 0.02), 2: (0.6, 0.03)})
+    cov0 = propagate.covariance_table(_LEAVES, est, {1: (0.0, 0.02), 2: (0.6, 0.03)})
     assert cov0(((1, 1), (2, 1)), ((2, 1),)) == (pytest.approx(0.0), "direct")
 
 
 def test_cov_independent_is_zero():
-    est = {1: _scan_estimate(1, 0.5, rel="A"), 2: _scan_estimate(2, 0.5, rel="B")}
-    cov = propagate.covariance_table(est, {1: (0.5, 0.01), 2: (0.5, 0.01)})
+    est = {1: _scan_estimate(0.5), 2: _scan_estimate(0.5)}
+    cov = propagate.covariance_table(_LEAVES, est, {1: (0.5, 0.01), 2: (0.5, 0.01)})
     value, kind = cov(((1, 1),), ((2, 1),))
     assert (value, kind) == (0.0, "zero")
 
@@ -117,25 +121,16 @@ def test_cov_independent_is_zero():
 def _nested_pair(s2_desc, anc_count=5000):
     """Manual ancestor/descendant estimates: join over (A,B) below a
     three-way join over (A,B,C), n=100."""
-    desc = SelEstimate(op_id=10, rho_n=0.5, s2_n=s2_desc, n=100, K=2,
-                       leaf_set=(("A", 0), ("B", 0)),
-                       snm={1: s2_desc, 2: s2_desc},
-                       q=[{0: anc_count}, {0: anc_count}])
-    anc = SelEstimate(op_id=11, rho_n=0.5, s2_n=1.0, n=100, K=3,
-                      leaf_set=(("A", 0), ("B", 0), ("C", 0)),
-                      snm={1: 0.5, 2: 0.5, 3: 1.0},
-                      q=[{0: anc_count}, {0: anc_count}, {0: anc_count}])
-    return {10: desc, 11: anc,
-            1: _scan_estimate(1, 0.5, rel="A"),
-            2: _scan_estimate(2, 0.5, rel="B"),
-            3: _scan_estimate(3, 0.5, rel="C")}
+    desc = SelEstimate(rho_n=0.5, s2_n=s2_desc, n=100, q=[{0: anc_count}, {0: anc_count}])
+    anc = SelEstimate(rho_n=0.5, s2_n=1.0, n=100, q=[{0: anc_count}, {0: anc_count}, {0: anc_count}])
+    return {10: desc, 11: anc, 1: _scan_estimate(0.5), 2: _scan_estimate(0.5), 3: _scan_estimate(0.5)}
 
 
 def _bound_both_ways(est, a, pa, b, pb):
     """`bound_pair`, checked equal to the covariance table's entry for the
     two single-variable monomials."""
-    value, kind = propagate.bound_pair(est, a, pa, b, pb)
-    cov = propagate.covariance_table(est, {k: (e.rho_n, e.sigma2) for k, e in est.items()})
+    value, kind = propagate.bound_pair(_LEAVES, est, a, pa, b, pb)
+    cov = propagate.covariance_table(_LEAVES, est, {k: (e.rho_n, e.sigma2) for k, e in est.items()})
     if value != 0.0:
         assert cov(((a, pa),), ((b, pb),)) == (value, kind)
     return value, kind
@@ -199,7 +194,7 @@ def _scan_only_costfuncs():
 
 def test_single_scan_matches_term_variance():
     plan = _single_scan_plan()
-    est = {1: _scan_estimate(1, 0.5)}
+    est = {1: _scan_estimate(0.5)}
     units = _units({"c_t": 2.0}, {"c_t": 0.04})
     cfs = _scan_only_costfuncs()
     # E[f]=5, Var[f]=0 for the C3 term (leaf input is the constant 1).
@@ -218,7 +213,7 @@ def test_function_of_another_family_refused():
     # A C1 function in a SeqScan's C3 c_s slot would be read against the
     # C3 input.
     plan = _single_scan_plan()
-    est = {1: _scan_estimate(1, 0.5)}
+    est = {1: _scan_estimate(0.5)}
     units = _units({"c_t": 2.0}, {"c_t": 0.04})
     cfs = _scan_only_costfuncs()
     cfs[1]["c_s"] = CostFunction("C1", (0.0,))
@@ -240,11 +235,9 @@ def test_disjoint_scans_sum_exactly():
     }
     plan = planmod.parse_plan(json.dumps(doc))
     est = {
-        1: _scan_estimate(1, 0.3, rel="A"),
-        2: _scan_estimate(2, 0.6, rel="B"),
-        3: SelEstimate(op_id=3, rho_n=0.1, s2_n=0.2, n=100, K=2,
-                       leaf_set=(("A", 0), ("B", 0)), snm={1: 0.1, 2: 0.2},
-                       q=[{0: 10}, {0: 10}]),
+        1: _scan_estimate(0.3),
+        2: _scan_estimate(0.6),
+        3: SelEstimate(rho_n=0.1, s2_n=0.2, n=100, q=[{0: 10}, {0: 10}]),
     }
     units = _units({u: 1.0 for u in planmod.COST_UNITS},
                    {u: 0.01 for u in planmod.COST_UNITS})
@@ -325,11 +318,10 @@ def test_scale_equivariance():
                            observations=m.observations)
         for u, m in units.units.items()
     })
-    dist2, *_ = propagate.predict_distribution(
-        plan, pool, relations, scaled, costfuncs=cfs, estimates=est
-    )
-    assert dist2.mean == pytest.approx(s * dist.mean, rel=1e-12)
-    assert dist2.variance == pytest.approx(s * s * dist.variance, rel=1e-12)
+    mean2 = propagate.expected_time(plan, cfs, est, scaled)
+    var2, *_ = propagate.variance_time(plan, cfs, est, scaled)
+    assert mean2 == pytest.approx(s * dist.mean, rel=1e-12)
+    assert var2 == pytest.approx(s * s * dist.variance, rel=1e-12)
 
 
 def test_policies():
@@ -421,9 +413,9 @@ def test_variance_time_computes_each_bound_once(monkeypatch):
     inner = propagate.bound_pair
     calls = []
 
-    def counting(estimates, *key):
+    def counting(leaves, estimates, *key):
         calls.append(key)
-        return inner(estimates, *key)
+        return inner(leaves, estimates, *key)
 
     monkeypatch.setattr(propagate, "bound_pair", counting)
     _, _, entries, _ = propagate.variance_time(plan, cfs, est, units)

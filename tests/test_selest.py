@@ -1,10 +1,12 @@
 """Selectivity estimates, variance formulas, shared-position variances."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from runtimedist import plan as planmod, selest, store
 from conftest import (
@@ -59,7 +61,6 @@ def test_scan_estimate_closed_form():
     est = selest.estimate_all(p, pool, {"R": rel})[1]
     assert est.rho_n == pytest.approx(0.30)
     assert est.s2_n == pytest.approx(0.21)
-    assert est.snm == {1: pytest.approx(0.21)}
 
 
 def test_two_way_join_hand_example():
@@ -71,9 +72,8 @@ def test_two_way_join_hand_example():
     q1, q2 = est.q
     assert sorted(q1.values()) == [2]
     assert sorted(q2.values()) == [1, 1]
+    assert selest.estimate_for_subset(est, [0, 1]) == pytest.approx(0.5)
     # Restricting to shared position 1 keeps only the first position's term.
-    assert est.snm[1] == pytest.approx(0.5)
-    assert est.snm[2] == pytest.approx(0.5)
     assert selest.estimate_for_subset(est, [0]) == pytest.approx(0.5)
     assert selest.estimate_for_subset(est, [1]) == pytest.approx(0.0)
 
@@ -81,35 +81,34 @@ def test_two_way_join_hand_example():
 def test_three_way_single_match():
     # One match (0, 0, 0) among n^K = 8 combinations: rho = 1/8, and each
     # position's counter holds that one match.
-    q = [{0: 1}, {0: 1}, {0: 1}]
-    assert selest.shared_variance(q, n=2, K=3, rho_n=1 / 8) == pytest.approx(3 / 32)
+    est = selest.SelEstimate(rho_n=1 / 8, s2_n=0.0, n=2, q=[{0: 1}, {0: 1}, {0: 1}])
+    assert selest.estimate_for_subset(est, range(3)) == pytest.approx(3 / 32)
 
 
 def test_join_variance_zero_matches():
-    assert selest.shared_variance([{}, {}], n=4, K=2, rho_n=0.0) == 0.0
+    est = selest.SelEstimate(rho_n=0.0, s2_n=0.0, n=4, q=[{}, {}])
+    assert selest.estimate_for_subset(est, range(2)) == 0.0
 
 
 def test_join_variance_n1_convention():
-    assert selest.shared_variance([{0: 1}, {0: 1}], n=1, K=2, rho_n=1.0) == 0.0
+    est = selest.SelEstimate(rho_n=1.0, s2_n=0.0, n=1, q=[{0: 1}, {0: 1}])
+    assert selest.estimate_for_subset(est, range(2)) == 0.0
 
 
 def test_shared_variance_contract():
-    # Over the full position list it is the estimate's own S2_n.
+    # Over the full position list it is the estimate's own S2_n; an
+    # aggregate-derived estimate, which has no counters, restricts to 0.
     p, relations, pool = _join2_fixture([1, 2], [1, 1])
     est = selest.estimate_all(p, pool, relations)[3]
-    q, rho = est.q, est.rho_n
-    assert selest.shared_variance(q, est.n, est.K, rho) == pytest.approx(est.s2_n)
+    assert selest.estimate_for_subset(est, range(2)) == est.s2_n
     assert est.s2_n == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        selest.shared_variance([], 2, 2, rho)
-    with pytest.raises(ValueError):
-        selest.shared_variance(q + q, 2, 2, rho)
+    assert selest.estimate_for_subset(selest.SelEstimate(0.5, 0.0, 2), [0]) == 0.0
 
 
 def test_shared_variance_zero_rho():
-    q = [dict(), dict()]
+    est = selest.SelEstimate(rho_n=0.0, s2_n=0.0, n=4, q=[{}, {}])
     for m in (1, 2):
-        assert selest.shared_variance(q[:m], 4, 2, 0.0) == 0.0
+        assert selest.estimate_for_subset(est, range(m)) == 0.0
 
 
 def test_aggregate_estimate():
@@ -197,12 +196,13 @@ def test_streaming_matches_enumeration(seed):
     tables = [sample_rows_in_index_order(pool.table(rel, 0)) for rel, _ in leaf_order]
     z = brute_membership(desc, tables)
     root = est[p.root]
+    K = len(p.index.leaves[p.root])
     assert root.rho_n == pytest.approx(float(z.mean()), abs=1e-12)
-    if root.K >= 2:
+    if K >= 2:
         expect = s2_enumeration(z, n)
         assert root.s2_n == pytest.approx(expect, rel=1e-12, abs=1e-15)
-        for m in range(1, root.K + 1):
-            assert root.snm[m] == pytest.approx(
+        for m in range(1, K + 1):
+            assert selest.estimate_for_subset(root, range(m)) == pytest.approx(
                 snm_enumeration(z, n, range(m)), rel=1e-12, abs=1e-15
             )
     else:
@@ -223,3 +223,24 @@ def test_q_counts_sum_to_output():
         est = selest.estimate_all(p, pool, relations)[p.root]
         for qk in est.q:
             assert sum(qk.values()) == est.count
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), shape=st.integers(1, 3), data=st.data())
+def test_every_position_subset_matches_enumeration(seed, shape, data):
+    # Every non-empty subset of the root's leaf positions, not only the
+    # prefixes a covariance bound reads.
+    relations, p, desc = tiny_instance(seed, shape=shape)
+    n = data.draw(st.integers(1, min(r.row_count for r in relations.values())), label="n")
+    pool = store.build_pool(relations, n=n, pool_size=1, seed=seed)
+    root = selest.estimate_all(p, pool, relations)[p.root]
+    tables = [sample_rows_in_index_order(pool.table(rel, 0)) for rel, _ in planmod.leaf_tables(p, None)]
+    z = brute_membership(desc, tables)
+    K = len(p.index.leaves[p.root])
+    for m in range(1, K + 1):
+        for subset in itertools.combinations(range(K), m):
+            assert selest.estimate_for_subset(root, subset) == pytest.approx(
+                snm_enumeration(z, n, subset), rel=1e-12, abs=1e-15
+            )
+    if root.source == "q-scan":
+        assert selest.estimate_for_subset(root, range(K)) == root.s2_n
