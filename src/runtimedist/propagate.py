@@ -23,7 +23,7 @@ import numpy as np
 
 from . import costfit, selest
 from .costfit import CostFunction
-from .plan import Plan
+from .plan import JOIN_KINDS, Plan
 
 POLICIES = ("all", "no-var-c", "no-var-x", "no-cov")
 
@@ -373,8 +373,10 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
 def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10, policy: str = "all"):
     """End-to-end prediction: estimate selectivities, fit cost functions
     against the reference probe oracle, and propagate to the output normal
-    distribution. Its flags are `variance_time`'s, and "degenerate-fit"
-    when any cost function is `degenerate`."""
+    distribution. Its flags are `variance_time`'s, "degenerate-fit" when
+    any cost function is `degenerate`, and "zero-count" when a streamed
+    join kept no sample rows: its rho_n and s2_n are 0, so the prediction
+    treats that selectivity as known."""
     estimates = selest.estimate_all(plan, pool, relations)
     costfuncs = fit_all_cost_functions(plan, estimates, oracle, W=W)
     mean = expected_time(plan, costfuncs, estimates, units)
@@ -383,5 +385,7 @@ def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10
     )
     if any(cf.degenerate for per in costfuncs.values() for cf in per.values()):
         flags.append("degenerate-fit")
+    if any(estimates[nid].count == 0 for nid in plan.index.streamed if plan.nodes[nid].kind in JOIN_KINDS):
+        flags.append("zero-count")
     dist = RunningTimeDistribution(mean=mean, variance=variance, breakdown=breakdown, flags=flags)
     return dist, estimates, costfuncs, entries

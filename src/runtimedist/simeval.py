@@ -211,10 +211,10 @@ class TrueCostWorld:
         kind = plan.node(node_id).kind
         tag, vars_ = plan.index.terms[node_id, unit]
         a = self.coefs.get(kind, {}).get(unit, ())
-        if len(a) < len(FAMILIES[tag][1]):
+        if len(a) != len(FAMILIES[tag][1]):
             raise ValueError(
-                f"the world has no {tag} coefficients for ({kind}, {unit}); "
-                "it covers only the default cost profiles"
+                f"the world has no {tag} coefficients for ({kind}, {unit}): it holds {len(a)}, "
+                f"{tag} reads {len(FAMILIES[tag][1])}; it covers only the default cost profiles"
             )
         scale = [planmod.leaf_product(plan, relations, node_id if v is None else v) for v in vars_]
         return tag, tuple(ak * v for ak, v in zip(a, monomial_values(tag, scale)))
@@ -423,10 +423,13 @@ def generate_database(seed: int, sizes=(2000, 2000, 2000), key_domain: int = 200
     return relations
 
 
-def _threshold_for(relation, column: str, target: float):
+def _threshold_for(relation, column: str, target: float, sorted_columns: dict):
     """Value v such that the fraction of rows with column < v is close to
-    the target selectivity."""
-    vals = sorted(relation.column(column))
+    the target selectivity. `sorted_columns` holds each (relation, column)
+    value list sorted once, filled on first use."""
+    vals = sorted_columns.get((relation.name, column))
+    if vals is None:
+        vals = sorted_columns[relation.name, column] = sorted(relation.column(column))
     idx = int(round(target * len(vals)))
     idx = min(max(idx, 0), len(vals) - 1)
     return vals[idx]
@@ -440,11 +443,11 @@ class WorkloadSpec:
     seed: int = 0
 
 
-def _scan_node(nid, rel, target, relations, kind="SeqScan"):
-    thr = _threshold_for(relations[rel], f"{rel}_val", target)
+def _scan_node(nid, rel, target, relations, sorted_columns):
+    thr = _threshold_for(relations[rel], f"{rel}_val", target, sorted_columns)
     return {
         "id": nid,
-        "kind": kind,
+        "kind": "SeqScan",
         "relation": rel,
         "children": [],
         "predicate": [{"col": f"{rel}_val", "op": "<", "value": int(thr)}],
@@ -459,29 +462,60 @@ _TARGET_TOLERANCE = 0.10  # a generated plan's largest relative selectivity erro
 
 
 def generate_workload(spec: WorkloadSpec, relations):
-    """Plans whose true selectivities land within `_TARGET_TOLERANCE` of
-    their targets, verified against the ground-truth data; unrealizable targets
-    are skipped with a warning string returned alongside."""
+    """Plans whose checked scans' true selectivities land within
+    `_TARGET_TOLERANCE` of their targets; unrealizable targets are skipped
+    with a warning string returned alongside.
+
+    A scan's threshold is read from its relation's selection column,
+    sorted once per call. A candidate is verified without executing it:
+    every column its joins name is resolved against the scans' schemas, as
+    execution would (a missing one raises `plan.ExecutionError`), and each
+    checked scan's selectivity is the executor's count-only scan over the
+    full relation divided by its row count, the value
+    `plan.selectivity_truth` gives a scan. Each distinct (relation,
+    selection atoms) is counted once per call. Joins' selectivities are
+    not checked, so no join is executed.
+    """
     import warnings
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x3141]))
     rels = sorted(relations)
     plans = []
     skipped = []
+    sorted_columns: dict = {}  # (relation, column) -> its values, sorted
+    scan_sel: dict = {}  # (relation, selection atoms) -> the scan's true selectivity
 
     def verify(doc, checks):
         p = planmod.parse_plan(json.dumps(doc))
-        truth = planmod.selectivity_truth(p, relations)
+        index = p.index
+        schemas = {}
+        for nid in index.order:  # a generated plan: scans and joins
+            node = p.nodes[nid]
+            if node.kind in planmod.SCAN_KINDS:
+                schemas[nid] = planmod._scan_schema(index.appearance[nid], relations[node.relation].column_names)
+                continue
+            (lcols, rcols), (left, right) = node.join_columns, node.children
+            planmod._key(schemas[left], lcols, nid)
+            planmod._key(schemas[right], rcols, nid)
+            schemas[nid] = schemas[left] + schemas[right]
+            for col, _, _ in node.selections:
+                planmod._resolve(schemas[nid], col, nid)
         for nid, target in checks:
             if target <= 0:
                 return None
-            if abs(truth[nid] - target) > _TARGET_TOLERANCE * target:
+            node = p.nodes[nid]
+            key = node.relation, node.selections
+            if key not in scan_sel:
+                app, rel = index.appearance[nid], relations[node.relation]
+                res = planmod._run_scan(node, app, {app: rel}, False, None, False)
+                scan_sel[key] = res.count / rel.row_count
+            if abs(scan_sel[key] - target) > _TARGET_TOLERANCE * target:
                 return None
         return p
 
     for i, s in enumerate(spec.scan_targets):
         rel = rels[int(rng.integers(0, len(rels)))]
-        doc = {"nodes": [_scan_node(1, rel, s, relations)], "root": 1}
+        doc = {"nodes": [_scan_node(1, rel, s, relations, sorted_columns)], "root": 1}
         p = verify(doc, [(1, s)])
         if p is None:
             skipped.append(f"scan target {s} unrealizable")
@@ -492,8 +526,8 @@ def generate_workload(spec: WorkloadSpec, relations):
     for i, (s1, s2) in enumerate(spec.join_targets):
         doc = {
             "nodes": [
-                _scan_node(1, "r1", s1, relations),
-                _scan_node(2, "r2", s2, relations),
+                _scan_node(1, "r1", s1, relations, sorted_columns),
+                _scan_node(2, "r2", s2, relations, sorted_columns),
                 _join_node(3, join_kinds[i % len(join_kinds)], [1, 2], "r1_key", "r2_key"),
             ],
             "root": 3,
@@ -507,9 +541,9 @@ def generate_workload(spec: WorkloadSpec, relations):
     for i, (s1, s2, s3) in enumerate(spec.three_way_targets):
         doc = {
             "nodes": [
-                _scan_node(1, "r1", s1, relations),
-                _scan_node(2, "r2", s2, relations),
-                _scan_node(3, "r3", s3, relations),
+                _scan_node(1, "r1", s1, relations, sorted_columns),
+                _scan_node(2, "r2", s2, relations, sorted_columns),
+                _scan_node(3, "r3", s3, relations, sorted_columns),
                 _join_node(4, "HashJoin", [1, 2], "r1_key", "r2_key"),
                 _join_node(5, "HashJoin", [4, 3], "r2_key2", "r3_key2"),
             ],

@@ -166,6 +166,24 @@ def test_step9b_evaluate_keeps_prediction_flags(workdir):
     assert summary["flags"] == counts
 
 
+def test_evaluate_counts_zero_count_joins(tmp_path):
+    # A key domain twice the relation size and 4 sampling steps: sample
+    # joins keep no rows, and summary.json counts the plans so flagged.
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        f"data_dir = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\nseed = 3\n"
+        "relation_size = 100\nkey_domain = 200\nscan_count = 0\njoin_count = 4\n"
+        "join3_count = 1\ncalib_reps = 10\nruns = 2\nsample_n = 4\n"
+    )
+    for sub in ("gen-world", "gen-workload", "calibrate", "evaluate"):
+        assert cli.dispatch([sub, "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "evaluation.csv", encoding="utf-8") as fh:
+        flagged = [row["plan_id"] for row in csv.DictReader(fh) if "zero-count" in row["flags"].split(";")]
+    assert "join3-0" in flagged
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["flags"]["zero-count"] == len(flagged)
+
+
 def test_step10_oracle_on_tiny_relation(workdir, tmp_path):
     data = tmp_path / "tinydata"
     data.mkdir()

@@ -339,6 +339,7 @@ def test_policies():
         "root": 3,
     }
     plan = planmod.parse_plan(json.dumps(doc))
+    world.coefs["HashJoin"]["c_t"] = (1.5, 4.0)  # a C2 slot: own selectivity, constant
     oracle = world.cost_oracle(plan, relations)
     results = {}
     for policy in propagate.POLICIES:
@@ -381,6 +382,7 @@ def test_three_level_breakdown_pattern():
     plan = planmod.parse_plan(json.dumps(doc))
     plan.node(4).cost_profile = dict(join_profile)
     plan.node(5).cost_profile = dict(join_profile)
+    world.coefs["HashJoin"].update(c_t=(1.5, 4.0), c_o=(0.75, 2.0))  # C2 slots
     dist, est, cfs, entries = propagate.predict_distribution(
         plan, pool, relations, units, oracle=world.cost_oracle(plan, relations)
     )

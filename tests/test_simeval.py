@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -271,6 +273,34 @@ def test_true_b_matches_written_out_scaling():
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), (node.id, unit, tag)
 
 
+def test_true_b_refuses_a_slot_of_another_length():
+    # A HashJoin's c_t read as C2 on a generated world, whose slot holds
+    # C5's three coefficients: without the check C2 would take Xl's
+    # coefficient as its constant. A slot with too few is refused too.
+    relations = _small_db()
+    world = TrueCostWorld.generate(5)
+    doc = {
+        "nodes": [
+            {"id": 1, "kind": "SeqScan", "relation": "r1", "children": []},
+            {"id": 2, "kind": "SeqScan", "relation": "r2", "children": []},
+            {"id": 3, "kind": "HashJoin", "children": [1, 2],
+             "predicate": [{"left": "r1_key", "right": "r2_key"}],
+             "cost_profile": {"c_t": "C2", "c_o": "C6"}},
+        ],
+        "root": 3,
+    }
+    plan = planmod.parse_plan(json.dumps(doc))
+    oracle = world.cost_oracle(plan, relations)
+    with pytest.raises(ValueError, match=r"C2 coefficients for \(HashJoin, c_t\): it holds 3, C2 reads 2"):
+        world.true_b(plan, relations, 3, "c_t")
+    with pytest.raises(ValueError, match="it holds 3, C2 reads 2"):
+        oracle((3, "c_t"), np.ones((1, 1)))
+    with pytest.raises(ValueError, match=r"C6 coefficients for \(HashJoin, c_o\): it holds 3, C6 reads 4"):
+        world.true_b(plan, relations, 3, "c_o")
+    world.coefs["HashJoin"]["c_t"] = (1.5, 4.0)
+    assert world.true_b(plan, relations, 3, "c_t") == ("C2", (1.5 * 300 * 300, 4.0))
+
+
 def test_actual_runtime_is_mean_of_runs():
     relations = _small_db()
     world = TrueCostWorld.generate(3)
@@ -332,6 +362,7 @@ def test_monte_carlo_refuses_correlated_variables():
         "root": 3,
     }
     plan = planmod.parse_plan(json.dumps(doc))
+    world.coefs["HashJoin"]["c_o"] = (0.75, 2.0)  # a C2 slot: own selectivity, constant
     est = selest.estimate_all(plan, pool, relations)
     cfs = propagate.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations))
     with pytest.raises(ValueError, match="independent"):
@@ -445,6 +476,110 @@ def test_generate_workload_skips_unrealizable():
     assert len(skipped) == 1 and "1e-06" in skipped[0]
 
 
+def _reference_workload(spec, relations):
+    """`generate_workload` as first written, kept as the reference: each
+    scan re-sorts its column for its threshold, and each candidate is
+    verified by `selectivity_truth` over the whole plan, joins included."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x3141]))
+    rels = sorted(relations)
+
+    def scan(nid, rel, target):
+        vals = sorted(relations[rel].column(f"{rel}_val"))
+        thr = vals[min(max(int(round(target * len(vals))), 0), len(vals) - 1)]
+        return {"id": nid, "kind": "SeqScan", "relation": rel, "children": [],
+                "predicate": [{"col": f"{rel}_val", "op": "<", "value": int(thr)}]}
+
+    def join(nid, kind, children, left, right):
+        return {"id": nid, "kind": kind, "children": children, "predicate": [{"left": left, "right": right}]}
+
+    candidates = []  # (label, nodes with the root last, checks, message when skipped)
+    for i, s in enumerate(spec.scan_targets):
+        rel = rels[int(rng.integers(0, len(rels)))]
+        candidates.append((f"scan-{i}", [scan(1, rel, s)], [(1, s)], f"scan target {s} unrealizable"))
+    for i, (s1, s2) in enumerate(spec.join_targets):
+        kind = ("HashJoin", "NestLoopJoin", "MergeJoin")[i % 3]
+        nodes = [scan(1, "r1", s1), scan(2, "r2", s2), join(3, kind, [1, 2], "r1_key", "r2_key")]
+        candidates.append((f"join-{i}", nodes, [(1, s1), (2, s2)], f"join targets ({s1},{s2}) unrealizable"))
+    for i, (s1, s2, s3) in enumerate(spec.three_way_targets):
+        nodes = [scan(1, "r1", s1), scan(2, "r2", s2), scan(3, "r3", s3),
+                 join(4, "HashJoin", [1, 2], "r1_key", "r2_key"),
+                 join(5, "HashJoin", [4, 3], "r2_key2", "r3_key2")]
+        candidates.append((f"join3-{i}", nodes, [(1, s1), (2, s2), (3, s3)],
+                           f"3-way targets ({s1},{s2},{s3}) unrealizable"))
+    plans, skipped = [], []
+    for label, nodes, checks, msg in candidates:
+        p = planmod.parse_plan(json.dumps({"nodes": nodes, "root": nodes[-1]["id"]}))
+        truth = planmod.selectivity_truth(p, relations)
+        if any(t <= 0 or abs(truth[nid] - t) > 0.1 * t for nid, t in checks):
+            skipped.append(msg)
+        else:
+            plans.append((label, p))
+    return plans, skipped
+
+
+# Realizable targets, and unrealizable ones: nonpositive, too small for any
+# threshold, above 1, or between two attainable selectivities.
+_targets = st.one_of(
+    st.floats(min_value=0.0, max_value=1.2, allow_subnormal=False),
+    st.sampled_from([1e-6, 0.0, -0.25, 0.013, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db_seed=st.integers(0, 10**6),
+    sizes=st.tuples(*[st.integers(1, 40)] * 3),
+    key_domain=st.integers(1, 12),
+    spec_seed=st.integers(0, 10**6),
+    scans=st.lists(_targets, max_size=5),
+    joins=st.lists(st.tuples(_targets, _targets), max_size=3),
+    joins3=st.lists(st.tuples(_targets, _targets, _targets), max_size=2),
+)
+def test_generate_workload_matches_whole_plan_truth(db_seed, sizes, key_domain, spec_seed, scans, joins, joins3):
+    relations = simeval.generate_database(db_seed, sizes=sizes, key_domain=key_domain)
+    spec = WorkloadSpec(scan_targets=scans, join_targets=joins, three_way_targets=joins3, seed=spec_seed)
+    want_plans, want_skipped = _reference_workload(spec, relations)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plans, skipped = simeval.generate_workload(spec, relations)
+    assert [label for label, _ in plans] == [label for label, _ in want_plans]
+    assert [planmod.serialize_plan(p) for _, p in plans] == [planmod.serialize_plan(p) for _, p in want_plans]
+    assert skipped == want_skipped
+    assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, m) for m in want_skipped]
+
+
+def test_generate_workload_executes_no_plan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_workload executed a plan")
+
+    monkeypatch.setattr(planmod, "selectivity_truth", refuse)
+    monkeypatch.setattr(planmod, "execute", refuse)
+    spec = WorkloadSpec(
+        scan_targets=[0.2, 0.5, 0.8, 1e-6],
+        join_targets=[(0.5, 0.5), (0.3, 0.7)],
+        three_way_targets=[(0.5, 0.5, 0.5), (0.5, 0.5, 1e-6)],
+        seed=1,
+    )
+    with pytest.warns(UserWarning, match="unrealizable"):
+        plans, skipped = simeval.generate_workload(spec, _small_db())
+    assert [label for label, _ in plans] == ["scan-0", "scan-1", "scan-2", "join-0", "join-1", "join3-0"]
+    assert skipped == ["scan target 1e-06 unrealizable", "3-way targets (0.5,0.5,1e-06) unrealizable"]
+
+
+@pytest.mark.parametrize("targets", [(0.5, 0.5, 0.5), (0.5, 0.5, 1e-6)])
+def test_generate_workload_missing_join_column_raises(targets):
+    # r3 without r3_key2: the three-way plan's top join cannot resolve its
+    # right column, whether or not its scans' targets are realizable.
+    relations = _small_db()
+    r3 = relations["r3"]
+    keep = [i for i, c in enumerate(r3.column_names) if c != "r3_key2"]
+    relations["r3"] = store.Relation(
+        "r3", tuple(r3.schema[i] for i in keep), tuple(tuple(row[i] for i in keep) for row in r3.rows)
+    )
+    with pytest.raises(planmod.ExecutionError, match="r3_key2"):
+        simeval.generate_workload(WorkloadSpec(three_way_targets=[targets]), relations)
+
+
 def test_evaluate_workload_summary():
     relations = _small_db()
     world = TrueCostWorld.generate(8)
@@ -460,3 +595,20 @@ def test_evaluate_workload_summary():
     assert 0.0 <= summary["d_bar"] <= 1.0
     for r in records:
         assert r.predicted_mean > 0.0 and r.actual > 0.0
+
+
+def test_zero_count_flag_on_study(study):
+    # At n = 25 the seed-42 study's sample join keeps no rows in 63 of its
+    # 80 two-way plans, and its inner join in all 40 three-way plans.
+    records, summary = simeval.evaluate_workload(
+        study["plans"], study["relations"], study["pool"], study["units"], study["world"], runs=1
+    )
+    flagged = {r.plan_id for r in records if "zero-count" in r.flags}
+    assert Counter(label.split("-")[0] for label in flagged) == {"join": 63, "join3": 40}
+    assert summary["flags"]["zero-count"] == 103
+    for label, p in study["plans"]:  # flagged exactly where a join's rho_n = s2_n = 0 from no rows
+        est = selest.estimate_all(p, study["pool"], study["relations"])
+        joins = [est[nid] for nid in p.index.streamed if p.nodes[nid].kind in planmod.JOIN_KINDS]
+        zero = [e for e in joins if e.count == 0]
+        assert all(e.rho_n == 0.0 and e.s2_n == 0.0 for e in zero)
+        assert (label in flagged) == bool(zero)
