@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from . import calib, costfit, plan as planmod, propagate, selest, simeval, store
+from . import calib, plan as planmod, propagate, selest, simeval, store
 
 DEFAULTS = {
     "data_dir": "data",
@@ -196,7 +196,9 @@ def cmd_gen_workload(args):
         with open(os.path.join(cfg["data_dir"], f"{name}.schema"), "w", encoding="utf-8") as fh:
             for col, typ in rel.schema:
                 fh.write(f"{col},{typ}\n")
-    spec = default_workload_spec(cfg)
+    spec = simeval.WorkloadSpec.grid(
+        int(cfg["scan_count"]), int(cfg["join_count"]), int(cfg["join3_count"]), int(cfg["seed"])
+    )
     plans, skipped = simeval.generate_workload(spec, relations)
     wl_dir = os.path.join(cfg["out_dir"], "workload")
     os.makedirs(wl_dir, exist_ok=True)
@@ -210,33 +212,6 @@ def cmd_gen_workload(args):
     _write_json(os.path.join(wl_dir, "manifest.json"), {"plans": manifest, "skipped": skipped})
     print(f"wrote {len(manifest)} plans to {wl_dir} ({len(skipped)} targets skipped)")
     return 0
-
-
-def default_workload_spec(cfg) -> simeval.WorkloadSpec:
-    import numpy as np
-
-    scan_count = int(cfg["scan_count"])
-    join_count = int(cfg["join_count"])
-    join3_count = int(cfg["join3_count"])
-    scan_targets = list(np.linspace(0.05, 0.95, scan_count)) if scan_count else []
-    join_targets = []
-    if join_count:
-        side = max(int(round(math.sqrt(join_count))), 1)
-        grid = np.linspace(0.1, 0.9, side)
-        join_targets = [(float(a), float(b)) for a in grid for b in grid][:join_count]
-    three = []
-    if join3_count:
-        side = max(int(round(join3_count ** (1.0 / 3.0))), 1)
-        grid = np.linspace(0.2, 0.8, side + 1)
-        three = [
-            (float(a), float(b), float(c)) for a in grid for b in grid for c in grid
-        ][:join3_count]
-    return simeval.WorkloadSpec(
-        scan_targets=scan_targets,
-        join_targets=join_targets,
-        three_way_targets=three,
-        seed=int(cfg["seed"]),
-    )
 
 
 def cmd_ingest(args):
@@ -259,12 +234,12 @@ def cmd_sample(args):
     out = os.path.join(cfg["out_dir"], "samples")
     os.makedirs(out, exist_ok=True)
     for name, tables in sorted(pool.tables.items()):
-        for table in tables:
-            path = os.path.join(out, f"{name}.{table.table_index}.csv")
+        for t, table in enumerate(tables):
+            path = os.path.join(out, f"{name}.{t}.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(("sample_index",) + relations[name].column_names)
-                for j, row in table.rows:
+                writer.writerow(("sample_index",) + table.column_names)
+                for j, row in enumerate(table.rows):
                     writer.writerow((j,) + row)
     print(f"pool: n={pool.n}, J={pool.pool_size}, {len(pool.tables)} relations -> {out}")
     return 0

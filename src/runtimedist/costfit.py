@@ -45,7 +45,6 @@ FAMILIES = {
     "C5": (("left", "right"), ((1, 0), (0, 1), (0, 0))),  # b0*Xl + b1*Xr + b2
     "C6": (("left", "right"), ((1, 1), (1, 0), (0, 1), (0, 0))),  # b0*Xl*Xr + b1*Xl + b2*Xr + b3
 }
-ARITY = {tag: len(inputs) for tag, (inputs, _) in FAMILIES.items()}
 NUM_COEFS = {tag: len(monomials) for tag, (_, monomials) in FAMILIES.items()}
 
 

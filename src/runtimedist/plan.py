@@ -1,12 +1,12 @@
 """Query plans: rooted binary operator trees, execution, provenance.
 
-Plans are parsed from a JSON document, validated, and evaluated over either
-base relations or sample tables. When executed over sample tables with
-provenance tracking, every scan/join output row carries the sample indexes
-of the contributing sample tuples, one per leaf table of the operator's
-subtree, in left-to-right leaf order. An operator's rows are built only
-where a parent (or the caller, for the root) reads them; any other
-operator only counts its output.
+Plans are parsed from a JSON document, validated, and evaluated over
+relations: base relations or sample tables. Given a provenance sink, every
+scan/join output row is delivered to it with the positions of its
+contributing rows, one per leaf table of the operator's subtree, in
+left-to-right leaf order; a sample row's position is its sample index. An
+operator's rows are built only where a parent (or the caller, for the
+root) reads them; any other operator only counts its output.
 """
 
 from __future__ import annotations
@@ -357,31 +357,30 @@ def _scan_schema(appearance: tuple[str, int], column_names: tuple[str, ...]) -> 
     return tuple(f"{alias}.{c}" for c in column_names)
 
 
-def _run_scan(node, appearance, bindings, track_provenance, sink, read) -> AnnotatedResult:
+def _run_scan(node, appearance, bindings, sink, read) -> AnnotatedResult:
     table = bindings.get(appearance)
     if table is None:
         raise ExecutionError(f"leaf {appearance} is not bound to a table")
     schema = _scan_schema(appearance, table.column_names)
     tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
-    if not hasattr(table, "table_index"):  # a Relation: plain rows, no provenance
-        rows = table.rows
+    rows = table.rows
+    if sink is None:  # no provenance: plain rows
         for idx, op, val in tests:  # atom by atom over the rows still kept
             rows = [r for r in rows if op(r[idx], val)]
         return AnnotatedResult(len(rows), schema, list(rows) if read else None)
-    pairs = table.rows  # a SampleTable: (sample_index, tuple) pairs
+    kept = range(len(rows))  # positions of the rows still kept
     for idx, op, val in tests:
-        pairs = [pr for pr in pairs if op(pr[1][idx], val)]
-    prov = [(j,) for j, _ in pairs] if track_provenance else None
-    if sink is not None and prov is not None:
-        nid = node.id
-        for p in prov:
-            sink(nid, p)
+        kept = [j for j in kept if op(rows[j][idx], val)]
+    prov = [(j,) for j in kept]
+    nid = node.id
+    for p in prov:
+        sink(nid, p)
     if not read:
-        return AnnotatedResult(len(pairs), schema, None)
-    return AnnotatedResult(len(pairs), schema, [r for _, r in pairs], prov)
+        return AnnotatedResult(len(prov), schema, None)
+    return AnnotatedResult(len(prov), schema, [rows[j] for j in kept], prov)
 
 
-def _run_join(node, left, right, track_provenance, sink, read) -> AnnotatedResult:
+def _run_join(node, left, right, sink, read) -> AnnotatedResult:
     lcols, rcols = node.join_columns
     if not lcols:
         raise ExecutionError(f"join node {node.id} has no equi-join atom")
@@ -389,8 +388,7 @@ def _run_join(node, left, right, track_provenance, sink, read) -> AnnotatedResul
     rkey = _key(right.schema, rcols, node.id)
     schema = left.schema + right.schema
     tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
-    track = track_provenance and left.provenance is not None and right.provenance is not None
-    if not (read or tests or (track and sink is not None)):
+    if not (read or tests or sink is not None):
         # Nothing looks at a pair: count the matches per key.
         matches = Counter(map(lkey, left.rows))
         count = sum(map(matches.get, map(rkey, right.rows), itertools.repeat(0)))
@@ -400,7 +398,7 @@ def _run_join(node, left, right, track_provenance, sink, read) -> AnnotatedResul
         ht.setdefault(lkey(row), []).append(i)
     count = 0
     rows: list[tuple] | None = [] if read else None
-    prov: list | None = [] if read and track else None
+    prov: list | None = [] if read and sink is not None else None
     lrows = left.rows
     for j, rrow in enumerate(right.rows):
         for i in ht.get(rkey(rrow), ()):
@@ -411,23 +409,19 @@ def _run_join(node, left, right, track_provenance, sink, read) -> AnnotatedResul
                 if read:
                     rows.append(out)
             count += 1
-            if track:
+            if sink is not None:  # a join's children carry provenance whenever a sink is given
                 p = left.provenance[i] + right.provenance[j]
-                if sink is not None:
-                    sink(node.id, p)
+                sink(node.id, p)
                 if prov is not None:
                     prov.append(p)
     return AnnotatedResult(count=count, schema=schema, rows=rows, provenance=prov)
 
 
-def execute(
-    plan: Plan, bindings: dict, *, read_root: bool, track_provenance: bool = False, sink=None,
-) -> dict[int, AnnotatedResult]:
+def execute(plan: Plan, bindings: dict, *, read_root: bool, sink=None) -> dict[int, AnnotatedResult]:
     """Evaluate a plan bottom-up and return per-operator results.
 
-    `bindings` maps (relation, appearance) to either a Relation or a
-    SampleTable; every leaf appearance must be bound, and a table's
-    `column_names` name its columns. Every operator reports its count;
+    `bindings` maps (relation, appearance) to a Relation, base or sample;
+    every leaf appearance must be bound. Every operator reports its count;
     only an operator whose rows are read keeps them: a join's children, the
     child of a read Sort/Materialize, and the root when `read_root` is set
     (`PlanIndex.read`). Any other scan or join only counts its output: a
@@ -437,11 +431,12 @@ def execute(
     Sort/Materialize pass their child's result on; Aggregates, and any
     operator above one, report their own `estimate_M` and no rows.
 
-    With provenance tracking, bound tables must be SampleTables and each
-    kept scan/join row is paired with a vector of sample indexes, one per
-    leaf table of the subtree. `sink(node_id, provenance)` is invoked once
-    per produced scan/join row, read or not, so a consumer can accumulate
-    statistics on the fly without the rows being buffered.
+    Provenance is tracked only when a `sink` is given: `sink(node_id,
+    provenance)` is invoked once per produced scan/join row, read or not,
+    with the positions of its rows in their bound tables, one per leaf
+    table of the subtree, so a consumer can accumulate statistics on the
+    fly without the rows being buffered. A kept row is also paired with
+    its provenance.
     """
     index = plan.index
     reads = index.read_with_root if read_root else index.read
@@ -451,12 +446,12 @@ def execute(
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif node.kind in SCAN_KINDS:
-            res = _run_scan(node, index.appearance[nid], bindings, track_provenance, sink, nid in reads)
+            res = _run_scan(node, index.appearance[nid], bindings, sink, nid in reads)
         elif node.kind in ("Sort", "Materialize"):
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children
-            res = _run_join(node, results[left], results[right], track_provenance, sink, nid in reads)
+            res = _run_join(node, results[left], results[right], sink, nid in reads)
         results[nid] = res
     return results
 

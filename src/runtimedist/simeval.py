@@ -8,9 +8,8 @@ coordinate array in, m true costs out); "actual" running times are
 simulated by evaluating the true cost model at the true selectivities with
 fresh cost-unit draws per run.
 
-Also here: the exact enumeration oracle for Var[rho_n], a Monte Carlo
-variance oracle for covariance-free plans, workload generation, and the
-correlation / error-distribution metrics.
+Also here: the exact enumeration oracle for Var[rho_n], workload
+generation, and the correlation / error-distribution metrics.
 """
 
 from __future__ import annotations
@@ -18,16 +17,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import plan as planmod
+from . import plan as planmod, propagate
 from .calib import CalibrationRecord, COST_UNITS
 from .costfit import FAMILIES, design_matrix, monomial_values
 from .plan import Plan, DEFAULT_COST_PROFILES
-from .propagate import fitted_terms
+from .store import Relation
 
 
 def normal_cdf(x: float) -> float:
@@ -54,17 +54,9 @@ def pearson(xs, ys) -> float:
 
 def _ranks(xs) -> np.ndarray:
     """Ranks starting at 1; tied values share the average of their ranks."""
-    xs = np.asarray(xs, dtype=float)
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(xs.size, dtype=float)
-    i = 0
-    while i < xs.size:
-        j = i
-        while j + 1 < xs.size and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(xs, dtype=float), return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # each distinct value's last rank
+    return (ends - (counts - 1) / 2)[inverse]
 
 
 def spearman(xs, ys) -> float:
@@ -270,72 +262,28 @@ def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo variance oracle (covariance-free plans only).
-
-
-def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1_000_000, seed: int = 0):
-    """Empirical (mean, variance) of t_q under independent normal draws of
-    every cost unit and every selectivity variable.
-
-    Only valid when all selectivity variables in the plan are pairwise
-    independent; correlated variables are refused because their joint
-    distribution is not determined by the marginals.
-    """
-    var_dist = {}
-    per_term = []
-    for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
-        for v in vars_:
-            if v is not None:
-                var_dist[v] = (estimates[v].rho_n, estimates[v].sigma2, set(plan.index.leaves[v]))
-        per_term.append((unit, cf.tag, cf.b, vars_))
-    ids = sorted(var_dist)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if var_dist[a][2] & var_dist[b][2]:
-                raise ValueError(
-                    "monte_carlo_variance requires pairwise-independent selectivities "
-                    f"(variables {a} and {b} share leaf tables)"
-                )
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3C0]))
-    xs = {
-        v: rng.normal(var_dist[v][0], math.sqrt(var_dist[v][1]), size=draws) for v in ids
-    }
-    total = np.zeros(draws)
-    for unit, tag, b, vars_ in per_term:
-        coords = [1.0 if v is None else xs[v] for v in vars_]
-        cs = rng.normal(units.mean(unit), math.sqrt(units.variance(unit)), size=draws)
-        f = sum(bk * col for bk, col in zip(b, monomial_values(tag, coords)))
-        total += f * cs
-    return float(total.mean()), float(total.var(ddof=1))
-
-
-# ---------------------------------------------------------------------------
 # Exact Var[rho_n] enumeration and pool resampling oracles.
 
 
 def membership_tensor(plan: Plan, relations) -> tuple[np.ndarray, list]:
     """Boolean tensor over base tuple index combinations: True where the
     combination appears in the plan's root output. Axes follow the plan's
-    leaf order. Computed by executing the plan with every base relation
-    wrapped as an exhaustive sample table."""
-    from .store import SampleTable
-
-    leaf_order = planmod.leaf_tables(plan, None)
-    bindings = {}
-    for app in plan.index.appearance.values():
-        rel = relations[app[0]]
-        rows = tuple((i, r) for i, r in enumerate(rel.rows))
-        bindings[app] = SampleTable(
-            relation=rel.name, table_index=app[1], n=rel.row_count, rows=rows, column_names=rel.column_names,
-        )
-    results = planmod.execute(plan, bindings, read_root=True, track_provenance=True)
-    shape = tuple(relations[rel].row_count for rel, _ in leaf_order)
-    z = np.zeros(shape, dtype=bool)
-    root = results[plan.root]
-    if root.provenance is None:
+    leaf order. Computed by executing the plan over the base relations
+    with a provenance sink on the root's selectivity variable, whose
+    provenance is the rows' positions in their relations."""
+    index = plan.index
+    if plan.root in index.agg_above:
         raise ValueError("root operator does not carry provenance (aggregate above?)")
-    for prov in root.provenance:
-        z[prov] = True
+    leaf_order = planmod.leaf_tables(plan, None)
+    z = np.zeros(tuple(relations[rel].row_count for rel, _ in leaf_order), dtype=bool)
+    root_var = index.var[plan.root]
+
+    def sink(node_id, prov):
+        if node_id == root_var:
+            z[prov] = True
+
+    bindings = {app: relations[app[0]] for app in index.appearance.values()}
+    planmod.execute(plan, bindings, read_root=False, sink=sink)
     return z, leaf_order
 
 
@@ -400,8 +348,6 @@ _VAL_DOMAIN = 10000  # selection-column values are drawn from [0, _VAL_DOMAIN)
 def generate_database(seed: int, sizes=(2000, 2000, 2000), key_domain: int = 200):
     """Three-relation synthetic database with join keys and a selection
     column per relation."""
-    from .store import Relation
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDB]))
     relations = {}
     for i, size in enumerate(sizes, start=1):
@@ -442,6 +388,26 @@ class WorkloadSpec:
     three_way_targets: list[tuple[float, float, float]] = field(default_factory=list)
     seed: int = 0
 
+    @classmethod
+    def grid(cls, scan_count: int, join_count: int, join3_count: int, seed: int) -> "WorkloadSpec":
+        """Evenly spaced targets: `scan_count` scan selectivities over
+        [0.05, 0.95]; at most `join_count` pairs, the first of a square
+        grid over [0.1, 0.9] with round(sqrt(join_count)) points a side;
+        at most `join3_count` triples, the first of a cubic grid over
+        [0.2, 0.8] with round(cbrt(join3_count)) + 1 points a side."""
+        scan_targets = list(np.linspace(0.05, 0.95, scan_count)) if scan_count else []
+        join_targets = []
+        if join_count:
+            side = max(int(round(math.sqrt(join_count))), 1)
+            grid = np.linspace(0.1, 0.9, side)
+            join_targets = [(float(a), float(b)) for a in grid for b in grid][:join_count]
+        three = []
+        if join3_count:
+            side = max(int(round(join3_count ** (1.0 / 3.0))), 1)
+            grid = np.linspace(0.2, 0.8, side + 1)
+            three = [(float(a), float(b), float(c)) for a in grid for b in grid for c in grid][:join3_count]
+        return cls(scan_targets=scan_targets, join_targets=join_targets, three_way_targets=three, seed=seed)
+
 
 def _scan_node(nid, rel, target, relations, sorted_columns):
     thr = _threshold_for(relations[rel], f"{rel}_val", target, sorted_columns)
@@ -452,10 +418,6 @@ def _scan_node(nid, rel, target, relations, sorted_columns):
         "children": [],
         "predicate": [{"col": f"{rel}_val", "op": "<", "value": int(thr)}],
     }
-
-
-def _join_node(nid, kind, children, left, right):
-    return {"id": nid, "kind": kind, "children": children, "predicate": [{"left": left, "right": right}]}
 
 
 _TARGET_TOLERANCE = 0.10  # a generated plan's largest relative selectivity error
@@ -476,8 +438,6 @@ def generate_workload(spec: WorkloadSpec, relations):
     selection atoms) is counted once per call. Joins' selectivities are
     not checked, so no join is executed.
     """
-    import warnings
-
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x3141]))
     rels = sorted(relations)
     plans = []
@@ -507,53 +467,40 @@ def generate_workload(spec: WorkloadSpec, relations):
             key = node.relation, node.selections
             if key not in scan_sel:
                 app, rel = index.appearance[nid], relations[node.relation]
-                res = planmod._run_scan(node, app, {app: rel}, False, None, False)
+                res = planmod._run_scan(node, app, {app: rel}, None, False)
                 scan_sel[key] = res.count / rel.row_count
             if abs(scan_sel[key] - target) > _TARGET_TOLERANCE * target:
                 return None
         return p
 
-    for i, s in enumerate(spec.scan_targets):
-        rel = rels[int(rng.integers(0, len(rels)))]
-        doc = {"nodes": [_scan_node(1, rel, s, relations, sorted_columns)], "root": 1}
-        p = verify(doc, [(1, s)])
-        if p is None:
-            skipped.append(f"scan target {s} unrealizable")
-            continue
-        plans.append((f"scan-{i}", p))
-
-    join_kinds = ["HashJoin", "NestLoopJoin", "MergeJoin"]
-    for i, (s1, s2) in enumerate(spec.join_targets):
-        doc = {
-            "nodes": [
-                _scan_node(1, "r1", s1, relations, sorted_columns),
-                _scan_node(2, "r2", s2, relations, sorted_columns),
-                _join_node(3, join_kinds[i % len(join_kinds)], [1, 2], "r1_key", "r2_key"),
-            ],
-            "root": 3,
-        }
-        p = verify(doc, [(1, s1), (2, s2)])
-        if p is None:
-            skipped.append(f"join targets ({s1},{s2}) unrealizable")
-            continue
-        plans.append((f"join-{i}", p))
-
-    for i, (s1, s2, s3) in enumerate(spec.three_way_targets):
-        doc = {
-            "nodes": [
-                _scan_node(1, "r1", s1, relations, sorted_columns),
-                _scan_node(2, "r2", s2, relations, sorted_columns),
-                _scan_node(3, "r3", s3, relations, sorted_columns),
-                _join_node(4, "HashJoin", [1, 2], "r1_key", "r2_key"),
-                _join_node(5, "HashJoin", [4, 3], "r2_key2", "r3_key2"),
-            ],
-            "root": 5,
-        }
-        p = verify(doc, [(1, s1), (2, s2), (3, s3)])
-        if p is None:
-            skipped.append(f"3-way targets ({s1},{s2},{s3}) unrealizable")
-            continue
-        plans.append((f"join3-{i}", p))
+    join_kinds = ("HashJoin", "NestLoopJoin", "MergeJoin")
+    # Per plan shape, in generation order: its label, its targets, one per
+    # scan, its skipped message, and, for its i-th targets, its scans'
+    # relations and its left-deep joins as (kind, left column, right column).
+    shapes = (
+        ("scan", [(s,) for s in spec.scan_targets], "scan target {}",
+         lambda i: [rels[int(rng.integers(0, len(rels)))]], lambda i: []),
+        ("join", spec.join_targets, "join targets ({},{})",
+         lambda i: ["r1", "r2"], lambda i: [(join_kinds[i % len(join_kinds)], "r1_key", "r2_key")]),
+        ("join3", spec.three_way_targets, "3-way targets ({},{},{})",
+         lambda i: ["r1", "r2", "r3"], lambda i: [("HashJoin", "r1_key", "r2_key"), ("HashJoin", "r2_key2", "r3_key2")]),
+    )
+    for label, all_targets, message, scan_rels, joins in shapes:
+        for i, targets in enumerate(all_targets):
+            nodes = [
+                _scan_node(k, rel, t, relations, sorted_columns)
+                for k, (rel, t) in enumerate(zip(scan_rels(i), targets), start=1)
+            ]
+            root = 1
+            for right, (kind, lcol, rcol) in enumerate(joins(i), start=2):
+                nodes.append({"id": len(nodes) + 1, "kind": kind, "children": [root, right],
+                              "predicate": [{"left": lcol, "right": rcol}]})
+                root = len(nodes)
+            p = verify({"nodes": nodes, "root": root}, list(enumerate(targets, start=1)))
+            if p is None:
+                skipped.append(message.format(*targets) + " unrealizable")
+                continue
+            plans.append((f"{label}-{i}", p))
 
     for msg in skipped:
         warnings.warn(msg)
@@ -564,12 +511,10 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     """Predict every plan, simulate its actual runtime, and compute the
     correlation and error-distribution metrics. The summary's "flags"
     counts the plans whose prediction carries each flag."""
-    from .propagate import predict_distribution
-
     records = []
     for idx, (label, p) in enumerate(plans):
         oracle = world.cost_oracle(p, relations)
-        dist, _, _, _ = predict_distribution(
+        dist, _, _, _ = propagate.predict_distribution(
             p, pool, relations, units, oracle=oracle, W=W, policy=policy
         )
         act = actual_runtime(p, relations, world, seed=idx, runs=runs)

@@ -1,15 +1,17 @@
 """Base relations and seeded pools of sample tables.
 
 A relation is an immutable in-memory table loaded from CSV. A sample pool
-holds, per relation, J independent sample tables of a common size n. Each
-sampled row carries a sample index (its draw order), which downstream
-provenance tracking uses to attribute join results to individual draws,
-and each sample table carries its relation's column names.
+holds, per relation, J independent sample tables of a common size n. A
+sample table is itself a Relation, with its relation's name and schema,
+that keeps its rows in draw order: a row's position is its sample index,
+which downstream provenance tracking uses to attribute join results to
+individual draws.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -47,23 +49,14 @@ class Relation:
         return [row[i] for row in self.rows]
 
 
-@dataclass(frozen=True)
-class SampleTable:
-    relation: str
-    table_index: int
-    n: int
-    rows: tuple[tuple[int, tuple], ...]  # (sample_index, tuple)
-    column_names: tuple[str, ...]  # the relation's, so a table resolves columns alone
-
-
 @dataclass
 class SamplePool:
     n: int
     pool_size: int
     seed: int
-    tables: dict[str, list[SampleTable]] = field(default_factory=dict)
+    tables: dict[str, list[Relation]] = field(default_factory=dict)
 
-    def table(self, relation: str, index: int) -> SampleTable:
+    def table(self, relation: str, index: int) -> Relation:
         try:
             per_rel = self.tables[relation]
         except KeyError:
@@ -92,8 +85,6 @@ def ingest_csv(path, schema) -> Relation:
     row must have the schema's arity and every cell must parse as the
     declared type; violations raise IngestError naming the line number.
     """
-    import os
-
     schema = validate_schema(schema)
     names = [c for c, _ in schema]
     casters = [_CASTERS[t] for _, t in schema]
@@ -143,11 +134,11 @@ def _table_rng(seed: int, relation: str, table_index: int) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence([seed, key, table_index]))
 
 
-def draw_samples(relation: Relation, n: int, pool_size: int, seed: int) -> list[SampleTable]:
-    """Draw J sample tables of n distinct tuples each, without replacement.
+def draw_samples(relation: Relation, n: int, pool_size: int, seed: int) -> list[Relation]:
+    """Draw J sample tables of n distinct tuples each, without replacement,
+    each a Relation whose rows are in draw order.
 
-    Deterministic for a given (seed, relation name, table index). Sample
-    indexes record draw order, 0..n-1.
+    Deterministic for a given (seed, relation name, table index).
     """
     if n < 1:
         raise ValueError("sample size n must be positive")
@@ -160,10 +151,8 @@ def draw_samples(relation: Relation, n: int, pool_size: int, seed: int) -> list[
     for t in range(pool_size):
         rng = _table_rng(seed, relation.name, t)
         picks = rng.permutation(relation.row_count)[:n]
-        rows = tuple((j, relation.rows[int(i)]) for j, i in enumerate(picks))
-        tables.append(SampleTable(
-            relation=relation.name, table_index=t, n=n, rows=rows, column_names=relation.column_names,
-        ))
+        rows = tuple(relation.rows[int(i)] for i in picks)
+        tables.append(Relation(name=relation.name, schema=relation.schema, rows=rows))
     return tables
 
 

@@ -3,6 +3,8 @@
 The oracles here recompute estimator quantities by brute force, without
 going through the package's executor or streaming accumulators, so the
 package paths can be checked against genuinely independent arithmetic.
+The Monte Carlo oracle for a plan's running-time moments, and the family
+arities it and other tests read, live here too: only tests use them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 import pytest
 
 from runtimedist import plan as planmod, selest, simeval, store
+from runtimedist.costfit import FAMILIES, monomial_values
+from runtimedist.plan import Plan
+from runtimedist.propagate import fitted_terms
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -136,11 +141,6 @@ def brute_membership(desc, tables) -> np.ndarray:
     return z
 
 
-def sample_rows_in_index_order(table: store.SampleTable):
-    """Sample tuples ordered by sample index, so tensor axis j == index j."""
-    return [row for _, row in sorted(table.rows)]
-
-
 # ---------------------------------------------------------------------------
 # Independent evaluation of the variance formulas from a membership tensor.
 
@@ -174,6 +174,48 @@ def snm_enumeration(z: np.ndarray, n: int, positions) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo variance oracle (covariance-free plans only).
+
+ARITY = {tag: len(inputs) for tag, (inputs, _) in FAMILIES.items()}
+
+
+def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1_000_000, seed: int = 0):
+    """Empirical (mean, variance) of t_q under independent normal draws of
+    every cost unit and every selectivity variable.
+
+    Only valid when all selectivity variables in the plan are pairwise
+    independent; correlated variables are refused because their joint
+    distribution is not determined by the marginals.
+    """
+    var_dist = {}
+    per_term = []
+    for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
+        for v in vars_:
+            if v is not None:
+                var_dist[v] = (estimates[v].rho_n, estimates[v].sigma2, set(plan.index.leaves[v]))
+        per_term.append((unit, cf.tag, cf.b, vars_))
+    ids = sorted(var_dist)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if var_dist[a][2] & var_dist[b][2]:
+                raise ValueError(
+                    "monte_carlo_variance requires pairwise-independent selectivities "
+                    f"(variables {a} and {b} share leaf tables)"
+                )
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3C0]))
+    xs = {
+        v: rng.normal(var_dist[v][0], math.sqrt(var_dist[v][1]), size=draws) for v in ids
+    }
+    total = np.zeros(draws)
+    for unit, tag, b, vars_ in per_term:
+        coords = [1.0 if v is None else xs[v] for v in vars_]
+        cs = rng.normal(units.mean(unit), math.sqrt(units.variance(unit)), size=draws)
+        f = sum(bk * col for bk, col in zip(b, monomial_values(tag, coords)))
+        total += f * cs
+    return float(total.mean()), float(total.var(ddof=1))
+
+
+# ---------------------------------------------------------------------------
 # The end-to-end synthetic study shared by the workload-level criteria.
 
 
@@ -191,17 +233,7 @@ def study():
     units = calib.fit_cost_units(world.calibration_records(50, seed=42))
     pool = store.build_pool(relations, n=25, pool_size=2, seed=42)
 
-    scan_targets = list(np.linspace(0.05, 0.95, 80))
-    side = int(round(math.sqrt(80)))
-    grid = np.linspace(0.1, 0.9, side)
-    join_targets = [(float(a), float(b)) for a in grid for b in grid][:80]
-    side3 = round(40 ** (1.0 / 3.0))
-    grid3 = np.linspace(0.2, 0.8, side3 + 1)
-    three = [(float(a), float(b), float(c)) for a in grid3 for b in grid3 for c in grid3][:40]
-    spec = simeval.WorkloadSpec(
-        scan_targets=scan_targets, join_targets=join_targets,
-        three_way_targets=three, seed=42,
-    )
+    spec = simeval.WorkloadSpec.grid(80, 80, 40, seed=42)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         plans, skipped = simeval.generate_workload(spec, relations)

@@ -16,7 +16,6 @@ import conftest
 from conftest import (
     brute_membership,
     s2_enumeration,
-    sample_rows_in_index_order,
     snm_enumeration,
     tiny_instance,
 )
@@ -35,7 +34,7 @@ def _estimates_and_tensor(seed, shape=None):
     pool = store.build_pool(relations, n=n, pool_size=1, seed=seed)
     est = selest.estimate_all(plan, pool, relations)
     leaf_order = planmod.leaf_tables(plan, None)
-    tables = [sample_rows_in_index_order(pool.table(rel, 0)) for rel, _ in leaf_order]
+    tables = [list(pool.table(rel, 0).rows) for rel, _ in leaf_order]
     z = brute_membership(desc, tables)
     return relations, plan, est, z, n
 
@@ -148,9 +147,9 @@ def test_criterion_4_nnls_correctness():
     for tag in ("C1", "C2", "C3", "C4", "C5", "C6"):
         p = costfit.NUM_COEFS[tag]
         b_true = list(rng.uniform(0.3, 4.0, size=p))
-        if costfit.ARITY[tag] == 0:
+        if conftest.ARITY[tag] == 0:
             coords = [()] * 3
-        elif costfit.ARITY[tag] == 1:
+        elif conftest.ARITY[tag] == 1:
             coords = [(x,) for x in np.linspace(0, 1, 9)]
         else:
             axis = np.linspace(0, 1, 5)
@@ -268,7 +267,7 @@ def test_criterion_6_propagation_vs_joint_oracle():
         dist, est, cfs, _ = propagate.predict_distribution(
             plan, pool, relations, units, oracle=world.cost_oracle(plan, relations)
         )
-        _, mc_var = simeval.monte_carlo_variance(
+        _, mc_var = conftest.monte_carlo_variance(
             plan, est, cfs, units, draws=1_000_000, seed=i
         )
         err = abs(dist.variance - mc_var) / mc_var

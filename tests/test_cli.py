@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline."""
 
+import argparse
 import csv
 import json
 import os
@@ -83,6 +84,15 @@ def test_step4_sample(workdir):
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("sample_index,")
         assert len(lines) == 26  # header + n rows
+    # Each table's file numbers its rows 0..n-1 in draw order.
+    cfg = cli.load_config(argparse.Namespace(config=str(workdir / "run.cfg")))
+    pool = cli.build_pool(cfg, cli.load_relations(cfg))
+    for rel, tables in pool.tables.items():
+        for t, table in enumerate(tables):
+            with open(samples / f"{rel}.{t}.csv", newline="", encoding="utf-8") as fh:
+                body = list(csv.reader(fh))[1:]
+            assert [int(rec[0]) for rec in body] == list(range(pool.n))
+            assert [rec[1:] for rec in body] == [[str(v) for v in table.rows[j]] for j in range(pool.n)]
 
 
 def test_step5_calibrate(workdir):

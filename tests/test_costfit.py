@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import costfit
 from runtimedist.costfit import CostFunction
+from conftest import ARITY
 
 
 def _fit(tag, coords, fn):
@@ -261,7 +262,7 @@ def test_noiseless_recovery_all_types(tag):
         p = costfit.NUM_COEFS[tag]
         b_true = list(rng.uniform(0.2, 5.0, size=p))
         b_true[-1] = float(rng.uniform(-3.0, 5.0))  # constant term may be negative
-        if costfit.ARITY[tag] == 1:
+        if ARITY[tag] == 1:
             coords = [(x,) for x in np.linspace(0, 1, 9)]
         else:
             axis = np.linspace(0, 1, 5)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import CostFunction
+from conftest import ARITY
 
 # E[f] and Var[f] of each family, written out, for independent normal
 # inputs (mu, s2) per input.
@@ -46,7 +47,7 @@ def test_moments_match_closed_forms(data):
     b = [data.draw(st.floats(0.0, 1e3)) for _ in range(p - 1)]
     b.append(data.draw(st.floats(-1e3, 1e3)))  # the constant is unconstrained
     dists = [(data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 0.25)))
-             for _ in range(costfit.ARITY[tag])]
+             for _ in range(ARITY[tag])]
     got = propagate.cost_function_moments(CostFunction(tag, tuple(b)), dists)
     want = CLOSED_FORMS[tag](b, dists)
     for g, w in zip(got, want):

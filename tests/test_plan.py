@@ -260,8 +260,8 @@ def test_scan_filter_count():
 
 
 def test_hash_join_hand_example():
-    left = store.SampleTable("L", 0, 2, ((0, (1,)), (1, (2,))), ("k",))
-    right = store.SampleTable("R", 0, 2, ((0, (1,)), (1, (1,))), ("k",))
+    left = _rel("L", ["k"], [(1,), (2,)])
+    right = _rel("R", ["k"], [(1,), (1,)])
     doc = {
         "nodes": [
             _scan(1, "L"),
@@ -272,7 +272,7 @@ def test_hash_join_hand_example():
         "root": 3,
     }
     p = _parse(doc)
-    res = planmod.execute(p, {("L", 0): left, ("R", 0): right}, read_root=True, track_provenance=True)
+    res = planmod.execute(p, {("L", 0): left, ("R", 0): right}, read_root=True, sink=lambda nid, prov: None)
     assert res[3].count == 2
     assert sorted(res[3].provenance) == [(0, 0), (0, 1)]
 
@@ -295,8 +295,8 @@ def test_cross_product_sanity():
 
 
 def test_provenance_reconstructs_rows():
-    l = store.SampleTable("L", 0, 3, ((0, (1, 10)), (1, (2, 20)), (2, (1, 30))), ("k", "v"))
-    r = store.SampleTable("R", 0, 2, ((0, (1, 5)), (1, (3, 6))), ("k", "w"))
+    l = _rel("L", ["k", "v"], [(1, 10), (2, 20), (1, 30)])
+    r = _rel("R", ["k", "w"], [(1, 5), (3, 6)])
     doc = {
         "nodes": [
             _scan(1, "L"),
@@ -306,8 +306,8 @@ def test_provenance_reconstructs_rows():
         ],
         "root": 3,
     }
-    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=True, track_provenance=True)
-    by_index = {"L": dict(l.rows), "R": dict(r.rows)}
+    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=True, sink=lambda nid, prov: None)
+    by_index = {"L": dict(enumerate(l.rows)), "R": dict(enumerate(r.rows))}
     for row, prov in zip(res[3].rows, res[3].provenance):
         assert row == by_index["L"][prov[0]] + by_index["R"][prov[1]]
 
@@ -318,7 +318,7 @@ def test_sink_streams_rows():
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": ">", "value": 1}])], "root": 1})
     seen = []
     planmod.execute(
-        p, {("R", 0): table}, read_root=False, track_provenance=True, sink=lambda nid, prov: seen.append((nid, prov)),
+        p, {("R", 0): table}, read_root=False, sink=lambda nid, prov: seen.append((nid, prov)),
     )
     assert len(seen) == 2
     assert all(nid == 1 for nid, _ in seen)
@@ -564,3 +564,21 @@ def test_count_only_execution_matches_materialized(v):
     for nid, est in streamed.items():
         ref = reference[nid]
         assert (est.rho_n, est.s2_n, est.q, est.count) == (ref.rho_n, ref.s2_n, ref.q, ref.count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_variants())
+def test_sink_gives_join_children_provenance(v):
+    # With a sink, the children of a join not above an aggregate carry
+    # provenance: one vector per row, as long as the child's leaf count.
+    relations, p, _, _ = _variant_plan(v)
+    pool = store.build_pool(relations, n=3, pool_size=2, seed=v["seed"])
+    bindings = {app: pool.table(*app) for app in p.index.appearance.values()}
+    results = planmod.execute(p, bindings, read_root=False, sink=lambda nid, prov: None)
+    for nid in p.index.order:
+        node = p.nodes[nid]
+        if node.kind in planmod.JOIN_KINDS and nid not in p.index.agg_above:
+            for c in node.children:
+                res = results[c]
+                assert res.provenance is not None and len(res.provenance) == len(res.rows) == res.count
+                assert all(len(prov) == len(p.index.leaves[c]) for prov in res.provenance)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
-from runtimedist.costfit import ARITY, CostFunction
+from runtimedist.costfit import CostFunction
 from runtimedist.selest import SelEstimate
+from conftest import ARITY
 
 
 def _units(means, variances):

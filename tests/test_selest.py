@@ -12,7 +12,6 @@ from runtimedist import plan as planmod, selest, store
 from conftest import (
     brute_membership,
     s2_enumeration,
-    sample_rows_in_index_order,
     snm_enumeration,
     tiny_instance,
 )
@@ -193,7 +192,7 @@ def test_streaming_matches_enumeration(seed):
     pool = store.build_pool(relations, n=n, pool_size=1, seed=seed)
     est = selest.estimate_all(p, pool, relations)
     leaf_order = planmod.leaf_tables(p, None)
-    tables = [sample_rows_in_index_order(pool.table(rel, 0)) for rel, _ in leaf_order]
+    tables = [list(pool.table(rel, 0).rows) for rel, _ in leaf_order]
     z = brute_membership(desc, tables)
     root = est[p.root]
     K = len(p.index.leaves[p.root])
@@ -234,7 +233,7 @@ def test_every_position_subset_matches_enumeration(seed, shape, data):
     n = data.draw(st.integers(1, min(r.row_count for r in relations.values())), label="n")
     pool = store.build_pool(relations, n=n, pool_size=1, seed=seed)
     root = selest.estimate_all(p, pool, relations)[p.root]
-    tables = [sample_rows_in_index_order(pool.table(rel, 0)) for rel, _ in planmod.leaf_tables(p, None)]
+    tables = [list(pool.table(rel, 0).rows) for rel, _ in planmod.leaf_tables(p, None)]
     z = brute_membership(desc, tables)
     K = len(p.index.leaves[p.root])
     for m in range(1, K + 1):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.simeval import EvalRecord, TrueCostWorld, WorkloadSpec
-from conftest import brute_membership, sample_rows_in_index_order, tiny_instance
+from conftest import ARITY, brute_membership, monte_carlo_variance, tiny_instance
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,15 @@ def test_pearson_examples():
 def test_ranks():
     assert list(simeval._ranks([4.0, 7.0, 5.0])) == [1.0, 3.0, 2.0]
     assert list(simeval._ranks([2.0, 1.0, 2.0])) == [2.5, 1.0, 2.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3), max_size=40))
+def test_ranks_are_average_ranks(xs):
+    # A value's average rank is #less + (#equal + 1) / 2; the small integer
+    # domain makes ties common.
+    expect = [sum(y < x for y in xs) + (sum(y == x for y in xs) + 1) / 2 for x in xs]
+    assert simeval._ranks(xs).tolist() == expect
 
 
 def test_spearman_examples():
@@ -230,15 +239,15 @@ def test_array_oracle_matches_scalar_evaluation(data):
         for unit, tag in node.cost_profile.items():
             families.add(tag)
             m = data.draw(st.integers(1, 6))
-            coords = [tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(costfit.ARITY[tag]))
+            coords = [tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(ARITY[tag]))
                       for _ in range(m)]
-            got = oracle((node.id, unit), np.array(coords).reshape(m, costfit.ARITY[tag]))
+            got = oracle((node.id, unit), np.array(coords).reshape(m, ARITY[tag]))
             _, b = world.true_b(plan, relations, node.id, unit)
             assert got.shape == (m,)
             for value, c in zip(got, coords):
                 want = sum(bi * ri for bi, ri in zip(b, _scalar_row(tag, c)))
                 assert value == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert families == set(costfit.ARITY)
+    assert families == set(ARITY)
 
 
 def test_true_b_matches_written_out_scaling():
@@ -340,7 +349,7 @@ def test_monte_carlo_matches_analytic_on_join():
         plan, pool, relations, units, oracle=world.cost_oracle(plan, relations)
     )
     assert all(e.kind == "direct" for e in entries)
-    mc_mean, mc_var = simeval.monte_carlo_variance(plan, est, cfs, units, draws=200_000, seed=1)
+    mc_mean, mc_var = monte_carlo_variance(plan, est, cfs, units, draws=200_000, seed=1)
     assert dist.mean == pytest.approx(mc_mean, rel=1e-3)
     assert dist.variance == pytest.approx(mc_var, rel=0.03)
 
@@ -366,21 +375,44 @@ def test_monte_carlo_refuses_correlated_variables():
     est = selest.estimate_all(plan, pool, relations)
     cfs = propagate.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations))
     with pytest.raises(ValueError, match="independent"):
-        simeval.monte_carlo_variance(plan, est, cfs, units, draws=100)
+        monte_carlo_variance(plan, est, cfs, units, draws=100)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration and resampling oracles
 
 
+def _with_root(plan, kind):
+    """The plan under one more operator of the given kind, its new root."""
+    doc = json.loads(planmod.serialize_plan(plan))
+    root = max(rec["id"] for rec in doc["nodes"]) + 1
+    doc["nodes"].append({"id": root, "kind": kind, "children": [doc["root"]]})
+    doc["root"] = root
+    return planmod.parse_plan(json.dumps(doc))
+
+
 def test_membership_tensor_matches_brute_force():
     for seed in (0, 1, 2):
         for shape in (2, 3):
             relations, plan, desc = tiny_instance(seed, shape=shape)
-            z, leaf_order = simeval.membership_tensor(plan, relations)
-            tables = [list(relations[rel].rows) for rel, _ in leaf_order]
+            tables = [list(relations[rel].rows) for rel, _ in planmod.leaf_tables(plan)]
             expect = brute_membership(desc, tables)
-            assert np.array_equal(z, expect)
+            # A root Sort or Materialize outputs its child's rows.
+            for p in (plan, _with_root(plan, "Sort"), _with_root(_with_root(plan, "Materialize"), "Sort")):
+                z, leaf_order = simeval.membership_tensor(p, relations)
+                assert leaf_order == planmod.leaf_tables(plan)
+                assert np.array_equal(z, expect)
+        # A self-join: the second scan reads t1 again, as its second appearance.
+        relations, plan, desc = tiny_instance(seed, shape=2)
+        doc = json.loads(planmod.serialize_plan(plan))
+        nodes = {rec["id"]: rec for rec in doc["nodes"]}
+        nodes[2].update(relation="t1", predicate=[dict(nodes[2]["predicate"][0], col="t1_x")])
+        nodes[10]["predicate"] = [{"left": "t1_y", "right": "t1_y"}]
+        plan = planmod.parse_plan(json.dumps(doc))
+        desc["leaves"][1] = ("t1",) + desc["leaves"][1][1:]
+        z, leaf_order = simeval.membership_tensor(plan, relations)
+        assert leaf_order == [("t1", 0), ("t1", 1)]
+        assert np.array_equal(z, brute_membership(desc, [list(relations["t1"].rows)] * 2))
 
 
 def test_membership_tensor_requires_provenance():
@@ -439,6 +471,32 @@ def test_resampling_agrees_with_enumeration():
 
 # ---------------------------------------------------------------------------
 # Workload generation and evaluation
+
+
+def _reference_grid(scan_count, join_count, join3_count, seed):
+    """The command line's target grid as first written, kept as the
+    reference for `WorkloadSpec.grid`."""
+    scan_targets = list(np.linspace(0.05, 0.95, scan_count)) if scan_count else []
+    join_targets = []
+    if join_count:
+        side = max(int(round(math.sqrt(join_count))), 1)
+        grid = np.linspace(0.1, 0.9, side)
+        join_targets = [(float(a), float(b)) for a in grid for b in grid][:join_count]
+    three = []
+    if join3_count:
+        side = max(int(round(join3_count ** (1.0 / 3.0))), 1)
+        grid = np.linspace(0.2, 0.8, side + 1)
+        three = [
+            (float(a), float(b), float(c)) for a in grid for b in grid for c in grid
+        ][:join3_count]
+    return WorkloadSpec(scan_targets=scan_targets, join_targets=join_targets, three_way_targets=three, seed=seed)
+
+
+def test_workload_spec_grid_matches_reference():
+    counts = [(a, b, c) for a in (0, 1, 7, 10) for b in (0, 1, 7, 10) for c in (0, 1, 7, 10)]
+    for scan_count, join_count, join3_count in counts + [(80, 80, 40)]:
+        spec = WorkloadSpec.grid(scan_count, join_count, join3_count, seed=5)
+        assert spec == _reference_grid(scan_count, join_count, join3_count, 5)
 
 
 def test_generate_workload_empty():
