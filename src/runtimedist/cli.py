@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Errors reported as one JSON line on stderr, with exit code 1.
 REPORTED_ERRORS = (
-    ConfigError, FileNotFoundError, ValueError, store.PoolError,
+    ConfigError, OSError, ValueError, store.PoolError,
     planmod.ExecutionError, selest.EstimationError, propagate.PropagationError,
 )
 

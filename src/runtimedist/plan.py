@@ -5,8 +5,8 @@ relations: base relations or sample tables. Given a provenance sink, every
 scan/join output row is delivered to it with the positions of its
 contributing rows, one per leaf table of the operator's subtree, in
 left-to-right leaf order; a sample row's position is its sample index. An
-operator's rows are built only where a parent (or the caller, for the
-root) reads them; any other operator only counts its output.
+operator's rows are built only where a parent reads them; any other
+operator, the root included, only counts its output.
 """
 
 from __future__ import annotations
@@ -109,13 +109,12 @@ class PlanIndex:
     `read` holds the operators whose rows a parent reads: the children of
     a join not above an aggregate, and the child of a read Sort or
     Materialize. An Aggregate never reads its child, and a join at or
-    above one outputs its `estimate_M`. `read_with_root` adds the root
-    and the pass-through operators it reads in turn, for a caller that
-    reads the root's rows. `streamed` holds the operators that produce
-    rows, and hand each to a sink: the scans, and the joins not above an
-    aggregate. `var` maps every node to its selectivity variable, a node
-    id: a Sort or Materialize not above an aggregate passes its child's
-    rows on and shares its child's variable; any other node is its own.
+    above one outputs its `estimate_M`. The root has no parent, so it is
+    never read. `streamed` holds the operators that produce rows, and hand
+    each to a sink: the scans, and the joins not above an aggregate. `var`
+    maps every node to its selectivity variable, a node id: a Sort or
+    Materialize not above an aggregate passes its child's rows on and
+    shares its child's variable; any other node is its own.
     `terms` maps each cost term (node id, cost unit), in post-order and
     cost-profile order, to its family and the variables of the family's
     inputs: "own" is the operator's, "left" and "right" its children's,
@@ -128,7 +127,6 @@ class PlanIndex:
     appearance: dict[int, tuple[str, int]]  # scan node id -> (relation, ordinal)
     agg_above: frozenset[int]
     read: frozenset[int]
-    read_with_root: frozenset[int]
     streamed: tuple[int, ...]  # post-order
     var: dict[int, int]
     terms: dict[tuple[int, str], tuple[str, tuple]]
@@ -169,22 +167,17 @@ def _index_plan(plan: "Plan") -> PlanIndex:
                 raise PlanError(f"node {nid}: {tag} needs two children") from None
         order.append(nid)
     read: set[int] = set()
-    read_with_root = {plan.root}
     for nid in reversed(order):  # every parent before its children
         node = plan.nodes[nid]
-        for reads in (read, read_with_root):
-            if (node.kind in JOIN_KINDS and nid not in agg_above) or (
-                node.kind in ("Sort", "Materialize") and nid in reads
-            ):
-                reads.update(node.children)
+        if (node.kind in JOIN_KINDS and nid not in agg_above) or (
+            node.kind in ("Sort", "Materialize") and nid in read
+        ):
+            read.update(node.children)
     streamed = tuple(
         nid for nid in order
         if plan.nodes[nid].kind in SCAN_KINDS or (plan.nodes[nid].kind in JOIN_KINDS and nid not in agg_above)
     )
-    return PlanIndex(
-        tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), frozenset(read_with_root),
-        streamed, var, terms,
-    )
+    return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), streamed, var, terms)
 
 
 @dataclass
@@ -192,16 +185,10 @@ class Plan:
     nodes: dict[int, OperatorNode]
     root: int
 
-    def node(self, node_id: int) -> OperatorNode:
-        return self.nodes[node_id]
-
     @functools.cached_property
     def index(self) -> PlanIndex:
         """Derived structure, built on first use; plans are not mutated."""
         return _index_plan(self)
-
-    def postorder(self):
-        return (self.nodes[nid] for nid in self.index.order)
 
 
 @dataclass
@@ -302,7 +289,7 @@ def _validate_tree(plan: Plan) -> None:
 def serialize_plan(plan: Plan) -> str:
     """Serialize a plan back to its JSON document form."""
     recs = []
-    for node in plan.postorder():
+    for node in map(plan.nodes.__getitem__, plan.index.order):
         rec: dict = {"id": node.id, "kind": node.kind, "children": node.children}
         if node.relation is not None:
             rec["relation"] = node.relation
@@ -417,17 +404,18 @@ def _run_join(node, left, right, sink, read) -> AnnotatedResult:
     return AnnotatedResult(count=count, schema=schema, rows=rows, provenance=prov)
 
 
-def execute(plan: Plan, bindings: dict, *, read_root: bool, sink=None) -> dict[int, AnnotatedResult]:
+def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResult]:
     """Evaluate a plan bottom-up and return per-operator results.
 
     `bindings` maps (relation, appearance) to a Relation, base or sample;
     every leaf appearance must be bound. Every operator reports its count;
-    only an operator whose rows are read keeps them: a join's children, the
-    child of a read Sort/Materialize, and the root when `read_root` is set
-    (`PlanIndex.read`). Any other scan or join only counts its output: a
+    only an operator whose rows a parent reads keeps them: a join's
+    children and the child of a read Sort/Materialize (`PlanIndex.read`).
+    Any other scan or join, the root included, only counts its output: a
     scan its matches, a join its matches per key (so a root join over full
     relations is never built), or, with residual selection atoms or a
-    provenance sink, each pair, unbuffered.
+    provenance sink, each pair, unbuffered. Bound to empty tables, an
+    execution counts nothing but resolves the columns a full one does.
     Sort/Materialize pass their child's result on; Aggregates, and any
     operator above one, report their own `estimate_M` and no rows.
 
@@ -439,19 +427,18 @@ def execute(plan: Plan, bindings: dict, *, read_root: bool, sink=None) -> dict[i
     its provenance.
     """
     index = plan.index
-    reads = index.read_with_root if read_root else index.read
     results: dict[int, AnnotatedResult] = {}
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif node.kind in SCAN_KINDS:
-            res = _run_scan(node, index.appearance[nid], bindings, sink, nid in reads)
+            res = _run_scan(node, index.appearance[nid], bindings, sink, nid in index.read)
         elif node.kind in ("Sort", "Materialize"):
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children
-            res = _run_join(node, results[left], results[right], sink, nid in reads)
+            res = _run_join(node, results[left], results[right], sink, nid in index.read)
         results[nid] = res
     return results
 
@@ -469,5 +456,5 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
         if relations[rel].row_count == 0:
             raise ZeroDivisionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
-    results = execute(plan, bindings, read_root=False)
+    results = execute(plan, bindings)
     return {nid: results[nid].count / leaf_product(plan, relations, nid) for nid in index.order}

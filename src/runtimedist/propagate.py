@@ -269,17 +269,16 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     Var[t_q] = sum_i Var[f_i c_i] + 2 sum_{i<j} mu_i mu_j Cov(f_i, f_j):
     units are independent of each other and of the selectivities. A pair's
     covariance is exact where reducible and otherwise an upper-bound
-    magnitude added positively; every term variance and pair covariance
-    reads one `covariance_table`. Terms and same-operator pairs make up the
+    magnitude added positively; every pair covariance reads one
+    `covariance_table`. A term's own (E[f], Var[f]) is exact, from
+    `cost_function_moments`: its inputs are one variable or two
+    independent ones. Terms and same-operator pairs make up the
     operator's `op:<id>` component, its bounds a second `op:<id>`
     component of their bound kind; a cross-operator pair goes to
     `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
     """
     dists, unit_means, unit_vars = _apply_policy(estimates, units, policy)
     cov = covariance_table(plan.index.leaves, estimates, dists)
-
-    def within(m1, m2):  # a term's inputs are one variable or two independent ones: exact
-        return cov(m1, m2)[0]
 
     # (a, b) -> [exact share, bound share, bound kinds] of the variance, for
     # operators a <= b in post-order; an operator's own starts from its
@@ -288,8 +287,8 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     terms = []  # (operator, mu_c, monomials) of each term that can covary
     for nid, unit, vars_, cf in fitted_terms(plan, costfuncs):
         mono = _monomials(cf, vars_)
-        e_f = cost_function_mean(cf, [dists[v] for v in vars_])
-        parts[nid, nid][0] += term_variance(e_f, _variance(mono, within), unit_means[unit], unit_vars[unit])
+        e_f, var_f = cost_function_moments(cf, [dists[v] for v in vars_])
+        parts[nid, nid][0] += term_variance(e_f, var_f, unit_means[unit], unit_vars[unit])
         if mono:  # a constant term covaries with nothing
             terms.append((nid, unit_means[unit], mono))
 

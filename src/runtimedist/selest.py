@@ -99,7 +99,7 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
         for qk, j in zip(qs[node_id], prov):
             qk[j] = qk.get(j, 0) + 1
 
-    results = planmod.execute(plan, bindings, read_root=False, sink=sink)
+    results = planmod.execute(plan, bindings, sink=sink)
 
     estimates: dict[int, SelEstimate] = {}
     for nid in index.order:

@@ -19,7 +19,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,7 +200,7 @@ class TrueCostWorld:
         """True selectivity-space coefficients for one operator term: each
         true a-coefficient times its monomial at the inputs' leaf products
         (a scan's left input: its relation's row count)."""
-        kind = plan.node(node_id).kind
+        kind = plan.nodes[node_id].kind
         tag, vars_ = plan.index.terms[node_id, unit]
         a = self.coefs.get(kind, {}).get(unit, ())
         if len(a) != len(FAMILIES[tag][1]):
@@ -256,6 +256,8 @@ def simulate_actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: i
 def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs: int = 5) -> float:
     """Reported actual running time: the mean of `runs` simulated runs,
     which share the term costs and differ in their unit-cost draws."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     truth = planmod.selectivity_truth(plan, relations)
     costs = _true_term_costs(plan, relations, world, truth)
     return float(np.mean([_simulate(costs, world, seed * 1000 + r) for r in range(runs)]))
@@ -283,7 +285,7 @@ def membership_tensor(plan: Plan, relations) -> tuple[np.ndarray, list]:
             z[prov] = True
 
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
-    planmod.execute(plan, bindings, read_root=False, sink=sink)
+    planmod.execute(plan, bindings, sink=sink)
     return z, leaf_order
 
 
@@ -429,14 +431,14 @@ def generate_workload(spec: WorkloadSpec, relations):
     with a warning string returned alongside.
 
     A scan's threshold is read from its relation's selection column,
-    sorted once per call. A candidate is verified without executing it:
-    every column its joins name is resolved against the scans' schemas, as
-    execution would (a missing one raises `plan.ExecutionError`), and each
-    checked scan's selectivity is the executor's count-only scan over the
-    full relation divided by its row count, the value
-    `plan.selectivity_truth` gives a scan. Each distinct (relation,
-    selection atoms) is counted once per call. Joins' selectivities are
-    not checked, so no join is executed.
+    sorted once per call. A candidate is first executed with every
+    appearance bound to an empty copy of its relation: that resolves every
+    column it names as a real run does (a missing one raises
+    `plan.ExecutionError`) and counts nothing. Each checked scan's
+    selectivity is `plan.selectivity_truth` of the scan as a plan of its
+    own, computed once per call for each distinct (relation, selection
+    atoms). Joins' selectivities are not checked, so no join runs over a
+    non-empty table.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x3141]))
     rels = sorted(relations)
@@ -444,31 +446,18 @@ def generate_workload(spec: WorkloadSpec, relations):
     skipped = []
     sorted_columns: dict = {}  # (relation, column) -> its values, sorted
     scan_sel: dict = {}  # (relation, selection atoms) -> the scan's true selectivity
+    empty = {name: replace(rel, rows=()) for name, rel in relations.items()}
 
     def verify(doc, checks):
         p = planmod.parse_plan(json.dumps(doc))
-        index = p.index
-        schemas = {}
-        for nid in index.order:  # a generated plan: scans and joins
-            node = p.nodes[nid]
-            if node.kind in planmod.SCAN_KINDS:
-                schemas[nid] = planmod._scan_schema(index.appearance[nid], relations[node.relation].column_names)
-                continue
-            (lcols, rcols), (left, right) = node.join_columns, node.children
-            planmod._key(schemas[left], lcols, nid)
-            planmod._key(schemas[right], rcols, nid)
-            schemas[nid] = schemas[left] + schemas[right]
-            for col, _, _ in node.selections:
-                planmod._resolve(schemas[nid], col, nid)
+        planmod.execute(p, {app: empty[app[0]] for app in p.index.appearance.values()})
         for nid, target in checks:
             if target <= 0:
                 return None
             node = p.nodes[nid]
             key = node.relation, node.selections
             if key not in scan_sel:
-                app, rel = index.appearance[nid], relations[node.relation]
-                res = planmod._run_scan(node, app, {app: rel}, None, False)
-                scan_sel[key] = res.count / rel.row_count
+                scan_sel[key] = planmod.selectivity_truth(planmod.Plan(p.nodes, nid), relations)[nid]
             if abs(scan_sel[key] - target) > _TARGET_TOLERANCE * target:
                 return None
         return p

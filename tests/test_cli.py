@@ -286,6 +286,15 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
         manifest.write_text(json.dumps(doc))
         assert _run(workdir, "evaluate", "--workload", str(manifest)) == 1
         assert "workload manifest" in json.loads(capsys.readouterr().err)["error"]
+    # a directory where a file is expected
+    for command, option in [("predict", "--plan"), ("evaluate", "--workload")]:
+        assert _run(workdir, command, option, str(tmp_path)) == 1
+        assert "Is a directory" in json.loads(capsys.readouterr().err)["error"]
+    # no simulated runs to average
+    no_runs = tmp_path / "no-runs.cfg"
+    no_runs.write_text((workdir / "run.cfg").read_text().replace("runs = 3", "runs = 0"))
+    assert cli.dispatch(["evaluate", "--config", str(no_runs)]) == 1
+    assert "runs must be at least 1" in json.loads(capsys.readouterr().err)["error"]
     # estimation and propagation errors, which no CLI input reaches today
     plan = str(workdir / "out" / "workload" / "scan-0.plan")
     for owner, attr, error in [

@@ -3,13 +3,13 @@
 import gc
 import json
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from runtimedist import plan as planmod, selest, store
+from runtimedist import plan as planmod, store
+from runtimedist.calib import COST_UNITS
 from runtimedist.costfit import FAMILIES
 from conftest import brute_membership, tiny_instance
 
@@ -21,6 +21,20 @@ def _rel(name, cols, rows):
 
 def _parse(doc):
     return planmod.parse_plan(json.dumps(doc))
+
+
+def _root_rows(plan, bindings):
+    """Execute a plan with a sink and rebuild its root's rows from the
+    positions delivered for the root's selectivity variable: (results,
+    rows, positions), in delivery order."""
+    root_var = plan.index.var[plan.root]
+    positions = []
+    results = planmod.execute(
+        plan, bindings, sink=lambda nid, prov: positions.append(prov) if nid == root_var else None
+    )
+    tables = [bindings[app].rows for app in plan.index.leaves[root_var]]
+    rows = [sum((t[j] for t, j in zip(tables, prov)), ()) for prov in positions]
+    return results, rows, positions
 
 
 def _scan(nid, rel, pred=None):
@@ -51,7 +65,7 @@ FIG1 = {
 def test_parse_single_scan():
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": "<", "value": 5}])], "root": 1})
     assert len(p.nodes) == 1
-    assert p.node(1).predicate[0].value == 5
+    assert p.nodes[1].predicate[0].value == 5
 
 
 def test_parse_five_node_tree():
@@ -178,24 +192,56 @@ def test_plan_and_results_leave_no_reference_cycle():
     gc.disable()
     try:
         p = _parse(doc)
-        results = planmod.execute(p, {("L", 0): l, ("R", 0): r}, read_root=True)
-        assert results[4].count == results[3].count > 0
+        results, rows, _ = _root_rows(p, {("L", 0): l, ("R", 0): r})
+        assert results[4].count == results[3].count == len(rows) > 0
         refs = [weakref.ref(obj) for obj in (p, results[4], results[1])]
-        del p, results
+        del p, results, rows
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 
 
-def test_roundtrip_serialization():
-    p = _parse(FIG1)
-    again = planmod.parse_plan(planmod.serialize_plan(p))
+_columns = st.text("abk.#1", min_size=1, max_size=4)
+
+
+@st.composite
+def _plan_docs(draw):
+    """A generated tree's document with selection atoms under every
+    comparator, join atoms on its joins, estimate_M wherever it is
+    required and on some other nodes, and cost-profile overrides."""
+    doc, by_id = _tree_doc(draw(_trees))
+    selection = st.fixed_dictionaries({
+        "col": _columns, "op": st.sampled_from(sorted(planmod.CMP_OPS)),
+        "value": st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    })
+    join = st.fixed_dictionaries({"left": _columns, "right": _columns})
+    for rec in doc["nodes"]:
+        is_join = rec["kind"] in planmod.JOIN_KINDS
+        atoms = draw(st.lists(selection, max_size=3))
+        if is_join:
+            atoms += draw(st.lists(join, min_size=1, max_size=2))
+        rec["predicate"] = draw(st.permutations(atoms))
+        required = _brute_has_aggregate(by_id[rec["id"]])
+        m = draw(st.integers(0, 10**6) | (st.nothing() if required else st.none()))
+        if m is None:
+            del rec["estimate_M"]
+        else:
+            rec["estimate_M"] = m
+        tags = sorted(t for t, (inputs, _) in FAMILIES.items() if is_join or len(inputs) < 2)
+        rec["cost_profile"] = draw(st.dictionaries(st.sampled_from(COST_UNITS), st.sampled_from(tags), max_size=3))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_plan_docs())
+@example(FIG1)
+def test_roundtrip_serialization(doc):
+    p = _parse(doc)
+    text = planmod.serialize_plan(p)
+    again = planmod.parse_plan(text)
     assert again.root == p.root
-    assert set(again.nodes) == set(p.nodes)
-    for nid in p.nodes:
-        assert again.node(nid).kind == p.node(nid).kind
-        assert again.node(nid).predicate == p.node(nid).predicate
-        assert again.node(nid).cost_profile == p.node(nid).cost_profile
+    assert again.nodes == p.nodes
+    assert planmod.serialize_plan(again) == text
 
 
 @pytest.mark.parametrize(
@@ -234,14 +280,14 @@ def test_estimate_m_required_above_aggregate():
     with pytest.raises(planmod.PlanError, match="estimate_M"):
         _parse(doc)
     doc["nodes"][2]["estimate_M"] = 5
-    assert _parse(doc).node(3).estimate_M == 5
+    assert _parse(doc).nodes[3].estimate_M == 5
 
 
 def test_cost_profile_defaults_and_override():
     p = _parse({"nodes": [_scan(1, "R")], "root": 1})
-    assert p.node(1).cost_profile == {"c_s": "C3", "c_r": "C1", "c_t": "C3", "c_o": "C2"}
+    assert p.nodes[1].cost_profile == {"c_s": "C3", "c_r": "C1", "c_t": "C3", "c_o": "C2"}
     doc = {"nodes": [dict(_scan(1, "R"), cost_profile={"c_o": "C4"})], "root": 1}
-    assert _parse(doc).node(1).cost_profile["c_o"] == "C4"
+    assert _parse(doc).nodes[1].cost_profile["c_o"] == "C4"
     bad = {"nodes": [dict(_scan(1, "R"), cost_profile={"c_q": "C2"})], "root": 1}
     with pytest.raises(planmod.PlanError, match="cost unit"):
         _parse(bad)
@@ -254,9 +300,9 @@ def test_cost_profile_defaults_and_override():
 def test_scan_filter_count():
     rel = _rel("R", ["a"], [(1,), (9,), (3,)])
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": "<", "value": 5}])], "root": 1})
-    res = planmod.execute(p, {("R", 0): rel}, read_root=True)
+    res, rows, _ = _root_rows(p, {("R", 0): rel})
     assert res[1].count == 2
-    assert res[1].rows == [(1,), (3,)]
+    assert rows == [(1,), (3,)]
 
 
 def test_hash_join_hand_example():
@@ -272,9 +318,9 @@ def test_hash_join_hand_example():
         "root": 3,
     }
     p = _parse(doc)
-    res = planmod.execute(p, {("L", 0): left, ("R", 0): right}, read_root=True, sink=lambda nid, prov: None)
+    res, _, positions = _root_rows(p, {("L", 0): left, ("R", 0): right})
     assert res[3].count == 2
-    assert sorted(res[3].provenance) == [(0, 0), (0, 1)]
+    assert sorted(positions) == [(0, 0), (0, 1)]
 
 
 def test_cross_product_sanity():
@@ -290,7 +336,7 @@ def test_cross_product_sanity():
         ],
         "root": 3,
     }
-    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=False)
+    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r})
     assert res[3].count == 3 * 2
 
 
@@ -306,10 +352,10 @@ def test_provenance_reconstructs_rows():
         ],
         "root": 3,
     }
-    res = planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=True, sink=lambda nid, prov: None)
-    by_index = {"L": dict(enumerate(l.rows)), "R": dict(enumerate(r.rows))}
-    for row, prov in zip(res[3].rows, res[3].provenance):
-        assert row == by_index["L"][prov[0]] + by_index["R"][prov[1]]
+    res, rows, positions = _root_rows(_parse(doc), {("L", 0): l, ("R", 0): r})
+    assert res[3].count == 2
+    assert sorted(positions) == [(0, 0), (2, 0)]
+    assert sorted(rows) == [(1, 10, 1, 5), (1, 30, 1, 5)]
 
 
 def test_sink_streams_rows():
@@ -318,7 +364,7 @@ def test_sink_streams_rows():
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": ">", "value": 1}])], "root": 1})
     seen = []
     planmod.execute(
-        p, {("R", 0): table}, read_root=False, sink=lambda nid, prov: seen.append((nid, prov)),
+        p, {("R", 0): table}, sink=lambda nid, prov: seen.append((nid, prov)),
     )
     assert len(seen) == 2
     assert all(nid == 1 for nid, _ in seen)
@@ -333,7 +379,7 @@ def test_aggregate_defers_to_estimate():
         ],
         "root": 2,
     }
-    res = planmod.execute(_parse(doc), {("R", 0): rel}, read_root=True)
+    res = planmod.execute(_parse(doc), {("R", 0): rel})
     assert res[2].count == 7
     assert res[2].rows is None and res[2].provenance is None
 
@@ -348,9 +394,10 @@ def test_sort_materialize_pass_through():
         ],
         "root": 3,
     }
-    res = planmod.execute(_parse(doc), {("R", 0): rel}, read_root=True)
-    assert res[3].count == res[1].count == 2
-    assert res[3].rows == res[1].rows
+    res, rows, _ = _root_rows(_parse(doc), {("R", 0): rel})
+    assert res[3] is res[2] is res[1]  # pass-through: the child's result itself
+    assert res[3].count == 2
+    assert rows == [(1,), (3,)]
 
 
 def test_executor_is_table_agnostic():
@@ -358,9 +405,9 @@ def test_executor_is_table_agnostic():
     # the base relation itself.
     rel = _rel("R", ["a"], [(1,), (9,), (3,), (4,)])
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": "<", "value": 5}])], "root": 1})
-    base = planmod.execute(p, {("R", 0): rel}, read_root=False)
+    base = planmod.execute(p, {("R", 0): rel})
     (table,) = store.draw_samples(rel, n=4, pool_size=1, seed=0)
-    sampled = planmod.execute(p, {("R", 0): table}, read_root=False)
+    sampled = planmod.execute(p, {("R", 0): table})
     assert base[1].count == sampled[1].count
 
 
@@ -375,14 +422,14 @@ def test_join_without_equi_atom_rejected():
         "root": 3,
     }
     with pytest.raises(planmod.ExecutionError, match="equi-join"):
-        planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r}, read_root=False)
+        planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r})
 
 
 def test_unknown_column_rejected():
     rel = _rel("R", ["a"], [(1,)])
     p = _parse({"nodes": [_scan(1, "R", [{"col": "zz", "op": "<", "value": 5}])], "root": 1})
     with pytest.raises(planmod.ExecutionError, match="zz"):
-        planmod.execute(p, {("R", 0): rel}, read_root=False)
+        planmod.execute(p, {("R", 0): rel})
 
 
 def test_count_only_join_rejects_unknown_column():
@@ -539,31 +586,17 @@ def _variant_plan(v):
 @given(_variants())
 def test_count_only_execution_matches_materialized(v):
     relations, p, z, full = _variant_plan(v)
-    counted = planmod.execute(p, {app: relations[app[0]] for app in p.index.appearance.values()},
-                              read_root=False)
-    for nid in p.index.order:
-        # Each operator materialized as the root of its own subplan.
-        sub = planmod.Plan(nodes=p.nodes, root=nid)
-        res = planmod.execute(sub, {app: relations[app[0]] for app in sub.index.appearance.values()},
-                              read_root=True)[nid]
-        assert counted[nid].count == res.count
-        if res.rows is not None:
-            assert len(res.rows) == res.count
+    bindings = {app: relations[app[0]] for app in p.index.appearance.values()}
+    counted = planmod.execute(p, bindings)
+    # With a sink, every streamed operator enumerates its pairs.
+    delivered = {nid: [] for nid in p.index.streamed}
+    sinked = planmod.execute(p, bindings, sink=lambda nid, prov: delivered[nid].append(prov))
+    assert all(sinked[nid].count == counted[nid].count for nid in p.index.order)
+    for nid, positions in delivered.items():
+        assert counted[nid].count == len(positions)
     if full is not None:
         assert counted[full].count == int(z.sum())
-    # The estimator streams the root unbuffered; buffering it changes nothing.
-    pool = store.build_pool(relations, n=3, pool_size=2, seed=v["seed"])
-    streamed = selest.estimate_all(p, pool, relations)
-    execute = planmod.execute
-
-    def buffered(plan, bindings, *, read_root, **kwargs):
-        return execute(plan, bindings, read_root=True, **kwargs)
-
-    with mock.patch.object(planmod, "execute", buffered):
-        reference = selest.estimate_all(p, pool, relations)
-    for nid, est in streamed.items():
-        ref = reference[nid]
-        assert (est.rho_n, est.s2_n, est.q, est.count) == (ref.rho_n, ref.s2_n, ref.q, ref.count)
+        assert sorted(delivered[p.index.var[full]]) == sorted(map(tuple, np.argwhere(z).tolist()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,7 +607,7 @@ def test_sink_gives_join_children_provenance(v):
     relations, p, _, _ = _variant_plan(v)
     pool = store.build_pool(relations, n=3, pool_size=2, seed=v["seed"])
     bindings = {app: pool.table(*app) for app in p.index.appearance.values()}
-    results = planmod.execute(p, bindings, read_root=False, sink=lambda nid, prov: None)
+    results = planmod.execute(p, bindings, sink=lambda nid, prov: None)
     for nid in p.index.order:
         node = p.nodes[nid]
         if node.kind in planmod.JOIN_KINDS and nid not in p.index.agg_above:

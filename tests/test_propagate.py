@@ -381,8 +381,8 @@ def test_three_level_breakdown_pattern():
         "root": 5,
     }
     plan = planmod.parse_plan(json.dumps(doc))
-    plan.node(4).cost_profile = dict(join_profile)
-    plan.node(5).cost_profile = dict(join_profile)
+    plan.nodes[4].cost_profile = dict(join_profile)
+    plan.nodes[5].cost_profile = dict(join_profile)
     world.coefs["HashJoin"].update(c_t=(1.5, 4.0), c_o=(0.75, 2.0))  # C2 slots
     dist, est, cfs, entries = propagate.predict_distribution(
         plan, pool, relations, units, oracle=world.cost_oracle(plan, relations)
@@ -584,7 +584,7 @@ def test_variance_breakdown_properties(world_inputs, plan, data):
     cfs = {
         node.id: {unit: CostFunction(tag, data.draw(st.tuples(*[_coef] * len(costfit.FAMILIES[tag][1]))))
                   for unit, tag in node.cost_profile.items()}
-        for node in plan.postorder()
+        for node in plan.nodes.values()
     }
     units = _units({u: data.draw(st.floats(0.0, 2.0)) for u in planmod.COST_UNITS},
                    {u: data.draw(st.floats(0.0, 0.1)) for u in planmod.COST_UNITS})

@@ -228,14 +228,14 @@ def test_array_oracle_matches_scalar_evaluation(data):
     plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
     coef = st.floats(0.5, 2.0)
     coefs: dict = {}
-    for node in plan.postorder():
+    for node in plan.nodes.values():
         for unit, tag in node.cost_profile.items():
             coefs.setdefault(node.kind, {})[unit] = tuple(
                 data.draw(coef) for _ in range(costfit.NUM_COEFS[tag]))
     world = TrueCostWorld(unit_means={}, unit_vars={}, coefs=coefs, seed=0)
     oracle = world.cost_oracle(plan, relations)
     families = set()
-    for node in plan.postorder():
+    for node in plan.nodes.values():
         for unit, tag in node.cost_profile.items():
             families.add(tag)
             m = data.draw(st.integers(1, 6))
@@ -257,13 +257,13 @@ def test_true_b_matches_written_out_scaling():
     plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
     world = TrueCostWorld.generate(2)
     world.coefs["HashJoin"].update({u: (1.5, 0.75, 3.0)[: costfit.NUM_COEFS[tag]]
-                                    for u, tag in plan.node(4).cost_profile.items()})
+                                    for u, tag in plan.nodes[4].cost_profile.items()})
     world.coefs["IndexScan"]["c_s"] = (1.25, 0.5, 2.0)
 
     def leaf_product(nid):
         return math.prod(relations[r].row_count for r, _ in plan.index.leaves[nid])
 
-    for node in plan.postorder():
+    for node in plan.nodes.values():
         own = leaf_product(node.id)
         p_l = leaf_product(node.children[0]) if node.children else relations[node.relation].row_count
         p_r = leaf_product(node.children[1]) if len(node.children) == 2 else None
@@ -322,6 +322,14 @@ def test_actual_runtime_is_mean_of_runs():
     # deterministic given the seed
     a = simeval.actual_runtime(plan, relations, world, seed=4)
     assert simeval.actual_runtime(plan, relations, world, seed=4) == a
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_actual_runtime_rejects_no_runs(runs):
+    plan = planmod.parse_plan(json.dumps(
+        {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": []}], "root": 1}))
+    with pytest.raises(ValueError, match="runs must be at least 1"):
+        simeval.actual_runtime(plan, _small_db(), TrueCostWorld.generate(3), seed=4, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +524,11 @@ def test_generate_workload_counts_and_verification():
     plans, skipped = simeval.generate_workload(spec, relations)
     assert skipped == []
     assert len(plans) == 6
-    kinds = [p.node(3).kind for label, p in plans if label.startswith("join-")]
+    kinds = [p.nodes[3].kind for label, p in plans if label.startswith("join-")]
     assert kinds == ["HashJoin", "NestLoopJoin"]
     for label, p in plans:
         truth = planmod.selectivity_truth(p, relations)
-        for node in p.postorder():
+        for node in p.nodes.values():
             if node.kind == "SeqScan" and node.predicate:
                 assert 0.0 < truth[node.id] < 1.0
 
@@ -606,12 +614,19 @@ def test_generate_workload_matches_whole_plan_truth(db_seed, sizes, key_domain, 
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, m) for m in want_skipped]
 
 
-def test_generate_workload_executes_no_plan(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("generate_workload executed a plan")
+def test_generate_workload_runs_no_join_over_data(monkeypatch):
+    # Each candidate is executed over empty tables, to resolve its columns,
+    # and only its checked scans over the relations.
+    execute = planmod.execute
+    join_plans = []
 
-    monkeypatch.setattr(planmod, "selectivity_truth", refuse)
-    monkeypatch.setattr(planmod, "execute", refuse)
+    def checked(plan, bindings, **kwargs):
+        if any(plan.nodes[nid].kind in planmod.JOIN_KINDS for nid in plan.index.order):
+            assert all(t.row_count == 0 for t in bindings.values()), "a join ran over a non-empty table"
+            join_plans.append(plan)
+        return execute(plan, bindings, **kwargs)
+
+    monkeypatch.setattr(planmod, "execute", checked)
     spec = WorkloadSpec(
         scan_targets=[0.2, 0.5, 0.8, 1e-6],
         join_targets=[(0.5, 0.5), (0.3, 0.7)],
@@ -622,6 +637,7 @@ def test_generate_workload_executes_no_plan(monkeypatch):
         plans, skipped = simeval.generate_workload(spec, _small_db())
     assert [label for label, _ in plans] == ["scan-0", "scan-1", "scan-2", "join-0", "join-1", "join3-0"]
     assert skipped == ["scan target 1e-06 unrealizable", "3-way targets (0.5,0.5,1e-06) unrealizable"]
+    assert len(join_plans) == 4  # every join candidate, realizable or not
 
 
 @pytest.mark.parametrize("targets", [(0.5, 0.5, 0.5), (0.5, 0.5, 1e-6)])
