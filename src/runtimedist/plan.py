@@ -6,7 +6,9 @@ scan/join output row is delivered to it with the positions of its
 contributing rows, one per leaf table of the operator's subtree, in
 left-to-right leaf order; a sample row's position is its sample index. An
 operator's rows are built only where a parent reads them; any other
-operator, the root included, only counts its output.
+operator, the root included, only counts its output. Without a sink, a
+read join whose consumers read one input's columns alone hands on that
+input's rows, each with a multiplicity, instead of its pairs.
 """
 
 from __future__ import annotations
@@ -193,12 +195,19 @@ class Plan:
 
 @dataclass
 class AnnotatedResult:
-    """Per-operator output: cardinality, rows, optional provenance."""
+    """Per-operator output: its count and full schema and, where a parent
+    reads them, its rows. A row holds the schema positions `held`, in
+    order, or all of them when None: one input's where a join hands that
+    input on. It stands for `multiplicity` output rows (one each when
+    None), so `count` is their sum. With a sink, each row is one output
+    row, paired with its `provenance`."""
 
     count: int
     schema: tuple[str, ...] | None
     rows: list[tuple] | None
     provenance: list[tuple[int, ...]] | None = None
+    held: tuple[int, ...] | None = None
+    multiplicity: list[int] | None = None
 
 
 def _parse_atom(obj) -> SelAtom | JoinAtom:
@@ -247,6 +256,7 @@ def parse_plan(text: str) -> Plan:
             if tag not in FAMILIES:
                 raise PlanError(f"node {nid}: unknown cost type {tag!r}")
             profile[unit] = tag
+        profile = {unit: profile[unit] for unit in COST_UNITS if unit in profile}  # the order terms follow
         est = rec.get("estimate_M")
         nodes[nid] = OperatorNode(
             id=nid,
@@ -329,12 +339,6 @@ def _resolve(schema: tuple[str, ...], column: str, node_id: int) -> int:
     raise ExecutionError(f"node {node_id}: column {column!r} is ambiguous in {schema}")
 
 
-@functools.lru_cache(maxsize=4096)
-def _key(schema: tuple[str, ...], columns: tuple[str, ...], node_id: int):
-    """Join key of a row: the value of one column, the tuple of several."""
-    return operator.itemgetter(*[_resolve(schema, c, node_id) for c in columns])
-
-
 @functools.lru_cache(maxsize=1024)
 def _scan_schema(appearance: tuple[str, int], column_names: tuple[str, ...]) -> tuple[str, ...]:
     """A scan's columns as `alias.column`; a relation's second appearance
@@ -344,12 +348,94 @@ def _scan_schema(appearance: tuple[str, int], column_names: tuple[str, ...]) -> 
     return tuple(f"{alias}.{c}" for c in column_names)
 
 
-def _run_scan(node, appearance, bindings, sink, read) -> AnnotatedResult:
+def _scan_input(node, appearance, bindings):
+    """A scan's bound table, schema and selection tests (column position,
+    comparison, constant)."""
     table = bindings.get(appearance)
     if table is None:
         raise ExecutionError(f"leaf {appearance} is not bound to a table")
     schema = _scan_schema(appearance, table.column_names)
-    tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
+    return table, schema, _tests(node, schema)
+
+
+def _tests(node, schema) -> list:
+    return [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
+
+
+@functools.lru_cache(maxsize=4096)
+def _positions(schema: tuple[str, ...], columns: tuple[str, ...], node_id: int) -> tuple[int, ...]:
+    """The schema positions of several columns (`_resolve`)."""
+    return tuple(_resolve(schema, c, node_id) for c in columns)
+
+
+def _join_keys(node, lschema, rschema) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The schema positions of a join's left and right key columns."""
+    lcols, rcols = node.join_columns
+    if not lcols:
+        raise ExecutionError(f"join node {node.id} has no equi-join atom")
+    return _positions(lschema, lcols, node.id), _positions(rschema, rcols, node.id)
+
+
+def _handed_on(plan: Plan, bindings) -> dict[int, int]:
+    """The input, 0 for left or 1 for right, that each read join without
+    selection atoms hands on, where every column its consumers read, up to
+    the root, is of that input. Any other read join hands on pairs. Every
+    column is resolved first, as execution resolves it, against the full
+    schema of the operator that names it."""
+    index = plan.index
+    if not any(plan.nodes[nid].kind in JOIN_KINDS for nid in index.read):
+        return {}  # no join to decide for; execution resolves every column itself
+    schemas: dict[int, tuple[str, ...]] = {}
+    refs: dict[int, tuple] = {}  # join -> (left key, right key, selection positions)
+    for nid in index.order:
+        node = plan.nodes[nid]
+        if nid in index.agg_above:
+            continue
+        if node.kind in SCAN_KINDS:
+            schemas[nid] = _scan_input(node, index.appearance[nid], bindings)[1]
+        elif node.kind in UNARY_KINDS:
+            schemas[nid] = schemas[node.children[0]]
+        else:
+            lschema, rschema = (schemas[c] for c in node.children)
+            keys = _join_keys(node, lschema, rschema)
+            schemas[nid] = lschema + rschema
+            refs[nid] = *keys, [idx for idx, _, _ in _tests(node, schemas[nid])]
+    wanted: dict[int, set[int]] = {}  # schema positions an operator's consumers read
+    side: dict[int, int] = {}
+    for nid in reversed(index.order):  # every parent before its children
+        node = plan.nodes[nid]
+        reads = wanted.get(nid, set())
+        if node.kind in ("Sort", "Materialize"):
+            wanted[node.children[0]] = reads
+        if nid not in refs:
+            continue
+        lkeys, rkeys, tests = refs[nid]
+        left, right = node.children
+        width = len(schemas[left])
+        if reads and not tests:  # consumers read a join only if it is read
+            if max(reads) < width:
+                side[nid] = 0
+            elif min(reads) >= width:
+                side[nid] = 1
+        reads = reads.union(tests)
+        wanted[left] = {i for i in reads if i < width}.union(lkeys)
+        wanted[right] = {i - width for i in reads if i >= width}.union(rkeys)
+    return side
+
+
+def _held(res: AnnotatedResult, offset: int = 0) -> tuple[int, ...]:
+    """The schema positions a result's rows hold, shifted by `offset`."""
+    return tuple(offset + i for i in (range(len(res.schema)) if res.held is None else res.held))
+
+
+def _getter(held: tuple[int, ...] | None, positions: tuple[int, ...]):
+    """Join key of a row holding the schema positions `held` (all when
+    None): the value at one schema position, the tuple of several."""
+    return operator.itemgetter(*(positions if held is None else map(held.index, positions)))
+
+
+def _run_scan(node, appearance, bindings, sink, read) -> AnnotatedResult:
+    table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
     if sink is None:  # no provenance: plain rows
         for idx, op, val in tests:  # atom by atom over the rows still kept
@@ -367,24 +453,51 @@ def _run_scan(node, appearance, bindings, sink, read) -> AnnotatedResult:
     return AnnotatedResult(len(prov), schema, [rows[j] for j in kept], prov)
 
 
-def _run_join(node, left, right, sink, read) -> AnnotatedResult:
-    lcols, rcols = node.join_columns
-    if not lcols:
-        raise ExecutionError(f"join node {node.id} has no equi-join atom")
-    lkey = _key(left.schema, lcols, node.id)
-    rkey = _key(right.schema, rcols, node.id)
+def _tally(keys, multiplicity) -> Counter:
+    """Rows per join key, each row counted by its multiplicity."""
+    if multiplicity is None:
+        return Counter(keys)
+    tally: Counter = Counter()
+    for key, m in zip(keys, multiplicity):
+        tally[key] += m
+    return tally
+
+
+def _run_join(node, left, right, sink, read, side) -> AnnotatedResult:
+    lpos, rpos = _join_keys(node, left.schema, right.schema)
+    lkey, rkey = _getter(left.held, lpos), _getter(right.held, rpos)
     schema = left.schema + right.schema
-    tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
-    if not (read or tests or sink is not None):
-        # Nothing looks at a pair: count the matches per key.
-        matches = Counter(map(lkey, left.rows))
-        count = sum(map(matches.get, map(rkey, right.rows), itertools.repeat(0)))
-        return AnnotatedResult(count=count, schema=schema, rows=None)
+    tests = _tests(node, schema)
+    if not tests and sink is None and (side is not None or not read):
+        # No pair is looked at: weight the rows of one input, the handed-on
+        # one or else the right, by their matches on the other.
+        keep, kkey, other, okey = (left, lkey, right, rkey) if side == 0 else (right, rkey, left, lkey)
+        tally = _tally(map(okey, other.rows), other.multiplicity)
+        matches = map(tally.get, map(kkey, keep.rows), itertools.repeat(0))
+        if keep.multiplicity is not None:
+            matches = map(operator.mul, matches, keep.multiplicity)
+        if not read:
+            return AnnotatedResult(count=sum(matches), schema=schema, rows=None)
+        matches = list(matches)
+        multiplicity = list(filter(None, matches))
+        rows = list(itertools.compress(keep.rows, matches))
+        held = _held(left) if side == 0 else _held(right, len(left.schema))
+        return AnnotatedResult(sum(multiplicity), schema, rows, held=held, multiplicity=multiplicity)
+    held = None
+    if left.held is not None or right.held is not None:
+        held = _held(left) + _held(right, len(left.schema))
+        tests = [(held.index(idx), op, val) for idx, op, val in tests]
+    lmult, rmult = left.multiplicity, right.multiplicity
+    weighted = lmult is not None or rmult is not None
+    if weighted:
+        lmult = lmult or [1] * len(left.rows)
+        rmult = rmult or [1] * len(right.rows)
     ht: dict = {}
     for i, row in enumerate(left.rows):
         ht.setdefault(lkey(row), []).append(i)
     count = 0
     rows: list[tuple] | None = [] if read else None
+    multiplicity: list[int] | None = [] if read and weighted else None
     prov: list | None = [] if read and sink is not None else None
     lrows = left.rows
     for j, rrow in enumerate(right.rows):
@@ -395,13 +508,19 @@ def _run_join(node, left, right, sink, read) -> AnnotatedResult:
                     continue
                 if read:
                     rows.append(out)
-            count += 1
+            if weighted:  # never with a sink: only a run without one hands on one input
+                m = lmult[i] * rmult[j]
+                count += m
+                if multiplicity is not None:
+                    multiplicity.append(m)
+            else:
+                count += 1
             if sink is not None:  # a join's children carry provenance whenever a sink is given
                 p = left.provenance[i] + right.provenance[j]
                 sink(node.id, p)
                 if prov is not None:
                     prov.append(p)
-    return AnnotatedResult(count=count, schema=schema, rows=rows, provenance=prov)
+    return AnnotatedResult(count, schema, rows, prov, held, multiplicity)
 
 
 def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResult]:
@@ -411,22 +530,33 @@ def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResu
     every leaf appearance must be bound. Every operator reports its count;
     only an operator whose rows a parent reads keeps them: a join's
     children and the child of a read Sort/Materialize (`PlanIndex.read`).
-    Any other scan or join, the root included, only counts its output: a
-    scan its matches, a join its matches per key (so a root join over full
-    relations is never built), or, with residual selection atoms or a
-    provenance sink, each pair, unbuffered. Bound to empty tables, an
-    execution counts nothing but resolves the columns a full one does.
     Sort/Materialize pass their child's result on; Aggregates, and any
-    operator above one, report their own `estimate_M` and no rows.
+    operator above one, report their own `estimate_M` and no rows. Bound
+    to empty tables, an execution counts nothing but resolves the columns
+    a full one does.
+
+    Without a sink, a join builds no pair it need not look at. A read join
+    without selection atoms whose consumers, up to the root, read columns
+    of one input alone hands on that input's matching rows, each with a
+    multiplicity: its matches on the other input times both rows' own
+    multiplicities. Which input that is is decided before any row is read,
+    from the columns named above the join, each resolved against the full
+    schema of the operator that names it, so a column that does not
+    resolve fails as it does with a sink. A join that is not read sums the
+    products of its inputs' multiplicities per key. Only a join with
+    residual selection atoms, or one whose consumers read both inputs,
+    builds its pairs, each with the product of its rows' multiplicities.
+    Counts are exact integers either way.
 
     Provenance is tracked only when a `sink` is given: `sink(node_id,
     provenance)` is invoked once per produced scan/join row, read or not,
     with the positions of its rows in their bound tables, one per leaf
     table of the subtree, so a consumer can accumulate statistics on the
-    fly without the rows being buffered. A kept row is also paired with
-    its provenance.
+    fly without the rows being buffered. With a sink every streamed join
+    enumerates its pairs, and a kept row is paired with its provenance.
     """
     index = plan.index
+    side = _handed_on(plan, bindings) if sink is None else {}
     results: dict[int, AnnotatedResult] = {}
     for nid in index.order:
         node = plan.nodes[nid]
@@ -438,7 +568,7 @@ def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResu
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children
-            res = _run_join(node, results[left], results[right], sink, nid in index.read)
+            res = _run_join(node, results[left], results[right], sink, nid in index.read, side.get(nid))
         results[nid] = res
     return results
 
@@ -450,7 +580,10 @@ def leaf_product(plan: Plan, relations, node_id: int) -> int:
 
 def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, float]:
     """True selectivity of every operator: output count over the product of
-    its base leaf-table sizes, from one execution over the full relations."""
+    its base leaf-table sizes, from one execution over the full relations
+    without a sink. Its counts are exact integers: a join is counted
+    through per-key multiplicities, and builds pairs only where it has
+    residual selection atoms or its consumers read both inputs."""
     index = plan.index
     for rel, _ in index.appearance.values():
         if relations[rel].row_count == 0:

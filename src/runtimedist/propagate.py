@@ -270,10 +270,10 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     units are independent of each other and of the selectivities. A pair's
     covariance is exact where reducible and otherwise an upper-bound
     magnitude added positively; every pair covariance reads one
-    `covariance_table`. A term's own (E[f], Var[f]) is exact, from
-    `cost_function_moments`: its inputs are one variable or two
-    independent ones. Terms and same-operator pairs make up the
-    operator's `op:<id>` component, its bounds a second `op:<id>`
+    `covariance_table`. So does each term's own Var[f], which is exact:
+    its inputs are one variable or two independent ones, so each of its
+    monomial pairs is "direct" or "zero". Terms and same-operator pairs
+    make up the operator's `op:<id>` component, its bounds a second `op:<id>`
     component of their bound kind; a cross-operator pair goes to
     `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
     """
@@ -287,7 +287,8 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     terms = []  # (operator, mu_c, monomials) of each term that can covary
     for nid, unit, vars_, cf in fitted_terms(plan, costfuncs):
         mono = _monomials(cf, vars_)
-        e_f, var_f = cost_function_moments(cf, [dists[v] for v in vars_])
+        e_f = cost_function_mean(cf, [dists[v] for v in vars_])
+        var_f = _variance(mono, lambda m1, m2: cov(m1, m2)[0])
         parts[nid, nid][0] += term_variance(e_f, var_f, unit_means[unit], unit_vars[unit])
         if mono:  # a constant term covaries with nothing
             terms.append((nid, unit_means[unit], mono))

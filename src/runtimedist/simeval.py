@@ -237,11 +237,10 @@ def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list
 def _simulate(costs, world: TrueCostWorld, seed: int) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([world.seed, seed, 0x5EED]))
     total = 0.0
-    for unit, cost in costs:
-        draw = max(
-            float(rng.normal(world.unit_means[unit], math.sqrt(world.unit_vars[unit]))), 0.0
-        )
-        total += cost * draw
+    # One call draws every term's standard normal, in term order; a unit's
+    # draw is mean + sd * z, as `rng.normal(mean, sd)` computes it.
+    for (unit, cost), z in zip(costs, rng.standard_normal(len(costs)).tolist()):
+        total += cost * max(world.unit_means[unit] + math.sqrt(world.unit_vars[unit]) * z, 0.0)
     return total
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from runtimedist import plan as planmod, store
 from runtimedist.calib import COST_UNITS
 from runtimedist.costfit import FAMILIES
-from conftest import brute_membership, tiny_instance
+from conftest import brute_membership, make_tiny_relations, tiny_instance
 
 
 def _rel(name, cols, rows):
@@ -235,12 +235,15 @@ def _plan_docs(draw):
 @settings(max_examples=100, deadline=None)
 @given(_plan_docs())
 @example(FIG1)
+@example({"nodes": [_scan(1, "R"), {"id": 2, "kind": "Sort", "children": [1],
+                                   "cost_profile": {"c_s": "C3", "c_i": "C2"}}], "root": 2})
 def test_roundtrip_serialization(doc):
     p = _parse(doc)
     text = planmod.serialize_plan(p)
     again = planmod.parse_plan(text)
     assert again.root == p.root
     assert again.nodes == p.nodes
+    assert list(again.index.terms) == list(p.index.terms)  # the order predictions sum in
     assert planmod.serialize_plan(again) == text
 
 
@@ -448,6 +451,23 @@ def test_count_only_join_rejects_unknown_column():
         planmod.selectivity_truth(_parse(doc), {"L": l, "R": r})
 
 
+@pytest.mark.parametrize("bad", [("k1", "nope"), ("nope", "k3")])
+def test_three_way_unknown_column_fails_alike_with_and_without_sink(bad):
+    # Without a sink the inner join's output form is decided from the top
+    # join's columns before any row is read; a column that does not
+    # resolve fails there with the error a sink run gives.
+    doc = json.loads(json.dumps(FIG1))
+    doc["nodes"][4]["predicate"] = [{"left": bad[0], "right": bad[1]}]
+    p = _parse(doc)
+    bindings = {(f"R{i}", 0): _rel(f"R{i}", [f"k{i}"], [(1,)]) for i in (1, 2, 3)}
+    errors = []
+    for sink in (None, lambda *a: None):
+        with pytest.raises(planmod.ExecutionError, match="nope") as exc:
+            planmod.execute(p, bindings, sink=sink)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
 # ---------------------------------------------------------------------------
 # True selectivities
 
@@ -504,20 +524,33 @@ _JOIN_KINDS = ["HashJoin", "MergeJoin", "NestLoopJoin"]
 
 @st.composite
 def _variants(draw):
-    """A tiny_instance plan with changes: join kinds, a self-join, a
-    residual selection atom on the top join, Sort/Materialize wrappers and
-    an Aggregate."""
-    shape = draw(st.integers(1, 3))
+    """A tiny_instance plan with changes: join kinds, a self-join, a fourth
+    leaf, residual selection atoms on the top and the inner join,
+    Sort/Materialize wrappers and an Aggregate."""
+    shape = draw(st.integers(1, 4))
     joins = shape - 1
+    # (leaf position, column index, comparator, constant)
+    residual = lambda positions: st.tuples(
+        st.sampled_from(positions), st.integers(0, 2), st.sampled_from(sorted(planmod.CMP_OPS)), st.integers(0, 2))
+    fourth = None
+    if shape == 4:
+        # "above": a join of the three-way join and t4, on 1-2 atoms; a
+        # read join then gets weighted input. "bushy": a join of two joins,
+        # (t1 t2) and (t3 t4), on its three-way atom and up to one more; an
+        # atom on each leaf of a child makes that child build pairs.
+        # Atoms: (left leaf position, column index, right leaf position, column index).
+        layout = draw(st.sampled_from(["above", "bushy"]))
+        lefts, rights = ([0, 1, 2], [3]) if layout == "above" else ([0, 1], [2, 3])
+        atom = st.tuples(st.sampled_from(lefts), st.integers(0, 2), st.sampled_from(rights), st.integers(0, 2))
+        fourth = layout, draw(st.lists(atom, min_size=int(layout == "above"), max_size=2))
     return {
         "seed": draw(st.integers(0, 10_000)),
         "shape": shape,
         "kinds": draw(st.lists(st.sampled_from(_JOIN_KINDS), min_size=joins, max_size=joins)),
         "self_join": shape >= 2 and draw(st.booleans()),
-        # (leaf position, column index, comparator, constant)
-        "residual": None if shape < 2 else draw(st.none() | st.tuples(
-            st.integers(0, shape - 1), st.integers(0, 2),
-            st.sampled_from(sorted(planmod.CMP_OPS)), st.integers(0, 2))),
+        "fourth": fourth,
+        "residual": None if shape < 2 else draw(st.none() | residual(range(shape))),
+        "inner_residual": None if shape < 3 else draw(st.none() | residual([0, 1])),
         # (index into the current node list, kind), applied in turn
         "wraps": draw(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(["Sort", "Materialize"])),
                                max_size=2)),
@@ -529,29 +562,49 @@ def _variant_plan(v):
     """(relations, plan, leaf relations, brute-force membership of the
     plan's full join, id of the topmost node that outputs it outside any
     aggregate or None)."""
-    relations, plan, desc = tiny_instance(v["seed"], shape=v["shape"])
+    relations, plan, desc = tiny_instance(v["seed"], shape=min(v["shape"], 3))
     doc = json.loads(planmod.serialize_plan(plan))
     nodes = {rec["id"]: rec for rec in doc["nodes"]}
     leaf_rels = [f"t{pos + 1}" for pos in range(v["shape"])]
-    for jid, kind in zip((10, 11), v["kinds"]):
-        nodes[jid]["kind"] = kind
     if v["self_join"]:  # leaf 2 reads t1 again, as its second appearance
         leaf_rels[1] = "t1"
         nodes[2].update(relation="t1", predicate=[dict(nodes[2]["predicate"][0], col="t1_x")])
         nodes[10]["predicate"] = [{"left": "t1_y", "right": "t1_y"}]
-        if v["shape"] == 3:
+        if v["shape"] >= 3:
             nodes[11]["predicate"] = [{"left": "t1#1.t1_z", "right": "t3_z"}]
+
+    def column(pos, col):
+        rel = leaf_rels[pos]
+        return f"{'t1#1' if pos == 1 and v['self_join'] else rel}.{rel}_{'xyz'[col]}"
+
+    if v["fourth"] is not None:
+        layout, atoms = v["fourth"]
+        relations = dict(relations, t4=make_tiny_relations(np.random.default_rng(v["seed"]), count=4)["t4"])
+        thr = v["seed"] % 3
+        nodes[4] = _scan(4, "t4", [{"col": "t4_x", "op": "!=", "value": thr}])
+        desc["leaves"].append(("t4", 0, "!=", thr))
+        if layout == "above":
+            nodes[12] = {"id": 12, "kind": "HashJoin", "children": [11, 4], "predicate": []}
+            doc["root"], meets = 12, 12
+        else:
+            nodes[12] = {"id": 12, "kind": "HashJoin", "children": [3, 4],
+                         "predicate": [{"left": "t3_y", "right": "t4_y"}]}
+            desc["joins"].append((2, 1, 3, 1))
+            nodes[11]["children"], meets = [10, 12], 11
+        for lpos, lcol, rpos, rcol in atoms:
+            nodes[meets]["predicate"].append({"left": column(lpos, lcol), "right": column(rpos, rcol)})
+        desc["joins"] += atoms
+    for jid, kind in zip((10, 11, 12), v["kinds"]):
+        nodes[jid]["kind"] = kind
     tables = [list(relations[rel].rows) for rel in leaf_rels]
     z = brute_membership(desc, tables)
-    if v["residual"] is not None:
-        pos, col, op, thr = v["residual"]
-        rel = leaf_rels[pos]
-        alias = rel if pos == 0 or rel != "t1" else "t1#1"
-        top = 10 + v["shape"] - 2
-        nodes[top]["predicate"].append({"col": f"{alias}.{rel}_{'xyz'[col]}", "op": op, "value": thr})
-        keep = np.array([planmod.CMP_OPS[op](row[col], thr) for row in tables[pos]])
-        z = z & keep.reshape([-1 if axis == pos else 1 for axis in range(z.ndim)])
-    parent = {c: rec["id"] for rec in doc["nodes"] for c in rec["children"]}
+    for jid, atom in ((doc["root"], v["residual"]), (10, v["inner_residual"])):
+        if atom is not None:
+            pos, col, op, thr = atom
+            nodes[jid]["predicate"].append({"col": column(pos, col), "op": op, "value": thr})
+            keep = np.array([planmod.CMP_OPS[op](row[col], thr) for row in tables[pos]])
+            z = z & keep.reshape([-1 if axis == pos else 1 for axis in range(z.ndim)])
+    parent = {c: rec["id"] for rec in nodes.values() for c in rec["children"]}
 
     def wrap(target, kind, **extra):
         nid = 100 + len(nodes)
@@ -582,8 +635,24 @@ def _variant_plan(v):
     return relations, p, z, full
 
 
+def _variant(seed, shape, **changes):
+    return {"seed": seed, "shape": shape, "kinds": ["HashJoin"] * (shape - 1), "self_join": False,
+            "fourth": None, "residual": None, "inner_residual": None, "wraps": [], "aggregate": None, **changes}
+
+
 @settings(max_examples=120, deadline=None)
 @given(_variants())
+# A read join over a weighted input, handing on t3's rows; over a weighted
+# input, building pairs; joins of two joins whose inputs hand on one input
+# each (with a residual atom, the top builds pairs of weighted rows) or
+# build pairs; a residual atom on the inner join. Each leaves rows in every
+# operator, some with multiplicities above 1.
+@example(_variant(5, 4, fourth=("above", [(2, 1, 3, 1)])))
+@example(_variant(35, 4, fourth=("above", [(1, 1, 3, 1), (2, 2, 3, 2)])))
+@example(_variant(10, 4, fourth=("bushy", [])))
+@example(_variant(52, 4, fourth=("bushy", []), residual=(2, 1, "<=", 1)))
+@example(_variant(10, 4, fourth=("bushy", [(0, 2, 3, 2)])))
+@example(_variant(11, 3, inner_residual=(0, 2, "<=", 1)))
 def test_count_only_execution_matches_materialized(v):
     relations, p, z, full = _variant_plan(v)
     bindings = {app: relations[app[0]] for app in p.index.appearance.values()}
@@ -594,9 +663,39 @@ def test_count_only_execution_matches_materialized(v):
     assert all(sinked[nid].count == counted[nid].count for nid in p.index.order)
     for nid, positions in delivered.items():
         assert counted[nid].count == len(positions)
+    for res in counted.values():  # a kept row stands for its multiplicity's worth of output rows
+        if res.rows is not None:
+            assert len(res.multiplicity or res.rows) == len(res.rows)
+            assert sum(res.multiplicity or [1] * len(res.rows)) == res.count
+            assert all(len(row) == len(res.held or res.schema) for row in res.rows)
     if full is not None:
         assert counted[full].count == int(z.sum())
         assert sorted(delivered[p.index.var[full]]) == sorted(map(tuple, np.argwhere(z).tolist()))
+
+
+def test_count_only_inner_join_hands_on_weighted_right_rows():
+    # (t1 join t2) join t3, the top join reading only t2's column: the
+    # inner join has 7 pairs over t2's 4 rows (fan-out 7/4), and hands on
+    # the 3 that match, each weighted by its matches in t1, not the pairs.
+    t1 = _rel("t1", ["k"], [(1,), (1,), (1,), (2,)])
+    t2 = _rel("t2", ["k", "k2"], [(1, 5), (1, 6), (2, 5), (3, 6)])
+    t3 = _rel("t3", ["k2"], [(5,), (5,), (6,)])
+    doc = {
+        "nodes": [
+            _scan(1, "t1"), _scan(2, "t2"), _scan(3, "t3"),
+            {"id": 4, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "k", "right": "t2.k"}]},
+            {"id": 5, "kind": "HashJoin", "children": [4, 3], "predicate": [{"left": "k2", "right": "k2"}]},
+        ],
+        "root": 5,
+    }
+    p = _parse(doc)
+    bindings = {("t1", 0): t1, ("t2", 0): t2, ("t3", 0): t3}
+    counted = planmod.execute(p, bindings)
+    inner = counted[4]
+    assert inner.count == 7 and len(inner.rows) <= len(t2.rows)
+    assert inner.rows == [(1, 5), (1, 6), (2, 5)] and inner.multiplicity == [3, 3, 1]
+    assert inner.held == (1, 2)  # t2's columns in the schema t1.k, t2.k, t2.k2
+    assert counted[5].count == (3 + 1) * 2 + 3 * 1 == planmod.execute(p, bindings, sink=lambda *a: None)[5].count
 
 
 @settings(max_examples=60, deadline=None)
