@@ -122,25 +122,35 @@ def world_path(cfg) -> str:
     return cfg["world"] or os.path.join(cfg["out_dir"], "world.json")
 
 
-def load_world(cfg) -> simeval.TrueCostWorld:
-    path = world_path(cfg)
+def _load_json(path, what: str, hint: str, parse):
+    """`parse` of a JSON file's text; a file that is missing or malformed
+    is a ConfigError that names it."""
     if not os.path.exists(path):
-        raise ConfigError(f"world file {path!r} not found; run gen-world first")
+        raise ConfigError(f"{what} {path!r} not found; {hint}")
     with open(path, encoding="utf-8") as fh:
-        return simeval.TrueCostWorld.from_json(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"{what} {path!r} is malformed: {detail}") from None
+
+
+def load_world(cfg) -> simeval.TrueCostWorld:
+    return _load_json(world_path(cfg), "world file", "run gen-world first", simeval.TrueCostWorld.from_json)
+
+
+def _parse_units(text: str) -> calib.CostUnitModel:
+    doc = json.loads(text)
+    entries = {u: doc["units"][u] for u in calib.COST_UNITS}  # every unit, or a KeyError
+    units = {u: calib.UnitModel(mean=v["mean"], variance=v["variance"], observations=v["observations"])
+             for u, v in entries.items()}
+    return calib.CostUnitModel(units=units, metadata=doc.get("metadata", {}))
 
 
 def load_units(cfg) -> calib.CostUnitModel:
     path = os.path.join(cfg["out_dir"], "units.json")
-    if not os.path.exists(path):
-        raise ConfigError(f"unit model {path!r} not found; run calibrate first")
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    units = {
-        u: calib.UnitModel(mean=v["mean"], variance=v["variance"], observations=v["observations"])
-        for u, v in doc["units"].items()
-    }
-    return calib.CostUnitModel(units=units, metadata=doc.get("metadata", {}))
+    return _load_json(path, "unit model", "run calibrate first", _parse_units)
 
 
 def load_plan(path, relations) -> planmod.Plan:

@@ -7,8 +7,8 @@ contributing rows, one per leaf table of the operator's subtree, in
 left-to-right leaf order; a sample row's position is its sample index. An
 operator's rows are built only where a parent reads them; any other
 operator, the root included, only counts its output. Without a sink, a
-read join whose consumers read one input's columns alone hands on that
-input's rows, each with a multiplicity, instead of its pairs.
+read join whose reader counts per key hands on one input's rows, each
+with a multiplicity, instead of its pairs.
 """
 
 from __future__ import annotations
@@ -195,30 +195,29 @@ class Plan:
 
 @dataclass
 class AnnotatedResult:
-    """Per-operator output: its count and full schema and, where a parent
-    reads them, its rows. A row holds the schema positions `held`, in
-    order, or all of them when None: one input's where a join hands that
-    input on. It stands for `multiplicity` output rows (one each when
-    None), so `count` is their sum. With a sink, each row is one output
-    row, paired with its `provenance`."""
+    """Per-operator output: its count, its schema and, where a parent reads
+    them, its rows. A join's schema is its inputs' schemas concatenated,
+    or the kept input's where it hands that input on; its rows are then
+    that input's, and each stands for `multiplicity` output rows, so
+    `count` is their sum. Any other kept row is one whole output row,
+    paired, with a sink, with its `provenance`."""
 
     count: int
     schema: tuple[str, ...] | None
     rows: list[tuple] | None
     provenance: list[tuple[int, ...]] | None = None
-    held: tuple[int, ...] | None = None
     multiplicity: list[int] | None = None
 
 
 def _parse_atom(obj) -> SelAtom | JoinAtom:
-    if isinstance(obj, dict) and "left" in obj:
+    if isinstance(obj, dict) and {"left", "right"} <= obj.keys():
         return JoinAtom(left=str(obj["left"]), right=str(obj["right"]))
-    if isinstance(obj, dict) and "col" in obj:
+    if isinstance(obj, dict) and {"col", "value"} <= obj.keys():
         op = obj.get("op", "=")
         if op not in CMP_OPS:
             raise PlanError(f"unknown comparator {op!r}")
         return SelAtom(column=str(obj["col"]), op=op, value=obj["value"])
-    raise PlanError(f"unrecognized predicate atom: {obj!r}")
+    raise PlanError(f"predicate atom {obj!r} is neither a join atom (left, right) nor a selection atom (col, value)")
 
 
 def parse_plan(text: str) -> Plan:
@@ -227,16 +226,23 @@ def parse_plan(text: str) -> Plan:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanError(f"plan document is not valid JSON: {exc}") from None
-    if "nodes" not in doc or "root" not in doc:
-        raise PlanError("plan document requires 'nodes' and 'root'")
+    if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:
+        raise PlanError("plan document must be an object with 'nodes' and 'root'")
+    if not isinstance(doc["nodes"], list):
+        raise PlanError("plan document's 'nodes' must be a list")
     nodes: dict[int, OperatorNode] = {}
     for rec in doc["nodes"]:
+        if not isinstance(rec, dict) or "id" not in rec:
+            raise PlanError(f"node record {rec!r} is not an object with an 'id'")
         nid = int(rec["id"])
         if nid in nodes:
             raise PlanError(f"duplicate node id {nid}")
         kind = rec.get("kind")
         if kind not in KINDS:
             raise PlanError(f"node {nid}: unknown kind {kind!r}")
+        for key, typ in (("children", list), ("predicate", list), ("cost_profile", dict)):
+            if not isinstance(rec.get(key, typ()), typ):
+                raise PlanError(f"node {nid}: {key!r} must be {'a list' if typ is list else 'an object'}")
         children = [int(c) for c in rec.get("children", [])]
         expected = 0 if kind in SCAN_KINDS else 1 if kind in UNARY_KINDS else 2
         if len(children) != expected:
@@ -244,7 +250,7 @@ def parse_plan(text: str) -> Plan:
                 f"node {nid}: kind {kind} requires {expected} children, got {len(children)}"
             )
         relation = rec.get("relation")
-        if kind in SCAN_KINDS and not relation:
+        if kind in SCAN_KINDS and not (relation and isinstance(relation, str)):
             raise PlanError(f"node {nid}: scans require a relation name")
         if kind not in SCAN_KINDS and relation:
             raise PlanError(f"node {nid}: only scans may name a relation")
@@ -253,7 +259,7 @@ def parse_plan(text: str) -> Plan:
         for unit, tag in rec.get("cost_profile", {}).items():
             if unit not in COST_UNITS:
                 raise PlanError(f"node {nid}: unknown cost unit {unit!r}")
-            if tag not in FAMILIES:
+            if not isinstance(tag, str) or tag not in FAMILIES:
                 raise PlanError(f"node {nid}: unknown cost type {tag!r}")
             profile[unit] = tag
         profile = {unit: profile[unit] for unit in COST_UNITS if unit in profile}  # the order terms follow
@@ -349,17 +355,28 @@ def _scan_schema(appearance: tuple[str, int], column_names: tuple[str, ...]) -> 
 
 
 def _scan_input(node, appearance, bindings):
-    """A scan's bound table, schema and selection tests (column position,
-    comparison, constant)."""
+    """A scan's bound table, schema and selection tests (`_tests`)."""
     table = bindings.get(appearance)
     if table is None:
         raise ExecutionError(f"leaf {appearance} is not bound to a table")
     schema = _scan_schema(appearance, table.column_names)
-    return table, schema, _tests(node, schema)
+    return table, schema, _tests(node, schema, table.rows[:1])
 
 
-def _tests(node, schema) -> list:
-    return [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
+def _tests(node, schema, rows=()) -> list:
+    """A node's selection tests (column position, comparison, constant).
+    Each is tried on `rows`, one row or none: a column holds values of one
+    type, so a constant its column cannot be compared with fails here."""
+    tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
+    for row in rows:
+        for idx, op, val in tests:
+            try:
+                op(row[idx], val)
+            except TypeError:
+                raise ExecutionError(
+                    f"node {node.id}: constant {val!r} cannot be compared with column {schema[idx]!r}"
+                ) from None
+    return tests
 
 
 @functools.lru_cache(maxsize=4096)
@@ -378,15 +395,18 @@ def _join_keys(node, lschema, rschema) -> tuple[tuple[int, ...], tuple[int, ...]
 
 def _handed_on(plan: Plan, bindings) -> dict[int, int]:
     """The input, 0 for left or 1 for right, that each read join without
-    selection atoms hands on, where every column its consumers read, up to
-    the root, is of that input. Any other read join hands on pairs. Every
-    column is resolved first, as execution resolves it, against the full
-    schema of the operator that names it."""
+    selection atoms hands on. A join hands on only into a join that counts
+    per key, one without selection atoms that is not read or hands on too,
+    and only an input that holds every column read above it: that join's
+    keys and, where that join hands it on in turn, what its reader reads.
+    Any other read join builds plain pairs. Every column is resolved
+    first, as execution resolves it, against the full schema of the
+    operator that names it, so errors are the same with a sink."""
     index = plan.index
     if not any(plan.nodes[nid].kind in JOIN_KINDS for nid in index.read):
         return {}  # no join to decide for; execution resolves every column itself
     schemas: dict[int, tuple[str, ...]] = {}
-    refs: dict[int, tuple] = {}  # join -> (left key, right key, selection positions)
+    keys: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:
@@ -397,41 +417,31 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
             schemas[nid] = schemas[node.children[0]]
         else:
             lschema, rschema = (schemas[c] for c in node.children)
-            keys = _join_keys(node, lschema, rschema)
+            keys[nid] = _join_keys(node, lschema, rschema)
             schemas[nid] = lschema + rschema
-            refs[nid] = *keys, [idx for idx, _, _ in _tests(node, schemas[nid])]
-    wanted: dict[int, set[int]] = {}  # schema positions an operator's consumers read
+            _tests(node, schemas[nid])
+    # The schema positions an operator's reader reads where that reader
+    # counts per key, None where it builds pairs; empty where none reads it.
+    wanted: dict[int, set[int] | None] = {}
     side: dict[int, int] = {}
     for nid in reversed(index.order):  # every parent before its children
         node = plan.nodes[nid]
         reads = wanted.get(nid, set())
         if node.kind in ("Sort", "Materialize"):
             wanted[node.children[0]] = reads
-        if nid not in refs:
+        if nid not in keys:
             continue
-        lkeys, rkeys, tests = refs[nid]
         left, right = node.children
         width = len(schemas[left])
-        if reads and not tests:  # consumers read a join only if it is read
-            if max(reads) < width:
-                side[nid] = 0
-            elif min(reads) >= width:
-                side[nid] = 1
-        reads = reads.union(tests)
-        wanted[left] = {i for i in reads if i < width}.union(lkeys)
-        wanted[right] = {i - width for i in reads if i >= width}.union(rkeys)
+        if reads and not node.selections and (max(reads) < width or min(reads) >= width):
+            side[nid] = int(min(reads) >= width)
+        if node.selections or (nid in index.read and nid not in side):  # builds pairs
+            wanted[left] = wanted[right] = None
+        else:
+            lkeys, rkeys = keys[nid]
+            wanted[left] = {i for i in reads if i < width}.union(lkeys)
+            wanted[right] = {i - width for i in reads if i >= width}.union(rkeys)
     return side
-
-
-def _held(res: AnnotatedResult, offset: int = 0) -> tuple[int, ...]:
-    """The schema positions a result's rows hold, shifted by `offset`."""
-    return tuple(offset + i for i in (range(len(res.schema)) if res.held is None else res.held))
-
-
-def _getter(held: tuple[int, ...] | None, positions: tuple[int, ...]):
-    """Join key of a row holding the schema positions `held` (all when
-    None): the value at one schema position, the tuple of several."""
-    return operator.itemgetter(*(positions if held is None else map(held.index, positions)))
 
 
 def _run_scan(node, appearance, bindings, sink, read) -> AnnotatedResult:
@@ -465,39 +475,29 @@ def _tally(keys, multiplicity) -> Counter:
 
 def _run_join(node, left, right, sink, read, side) -> AnnotatedResult:
     lpos, rpos = _join_keys(node, left.schema, right.schema)
-    lkey, rkey = _getter(left.held, lpos), _getter(right.held, rpos)
-    schema = left.schema + right.schema
-    tests = _tests(node, schema)
-    if not tests and sink is None and (side is not None or not read):
-        # No pair is looked at: weight the rows of one input, the handed-on
-        # one or else the right, by their matches on the other.
+    lkey, rkey = operator.itemgetter(*lpos), operator.itemgetter(*rpos)
+    if sink is None and not node.selections and (side is not None or not read):
+        # Count per key: weight the rows of one input, the handed-on one or
+        # else the right, by their matches on the other.
         keep, kkey, other, okey = (left, lkey, right, rkey) if side == 0 else (right, rkey, left, lkey)
         tally = _tally(map(okey, other.rows), other.multiplicity)
         matches = map(tally.get, map(kkey, keep.rows), itertools.repeat(0))
         if keep.multiplicity is not None:
             matches = map(operator.mul, matches, keep.multiplicity)
         if not read:
-            return AnnotatedResult(count=sum(matches), schema=schema, rows=None)
+            return AnnotatedResult(count=sum(matches), schema=left.schema + right.schema, rows=None)
         matches = list(matches)
         multiplicity = list(filter(None, matches))
         rows = list(itertools.compress(keep.rows, matches))
-        held = _held(left) if side == 0 else _held(right, len(left.schema))
-        return AnnotatedResult(sum(multiplicity), schema, rows, held=held, multiplicity=multiplicity)
-    held = None
-    if left.held is not None or right.held is not None:
-        held = _held(left) + _held(right, len(left.schema))
-        tests = [(held.index(idx), op, val) for idx, op, val in tests]
-    lmult, rmult = left.multiplicity, right.multiplicity
-    weighted = lmult is not None or rmult is not None
-    if weighted:
-        lmult = lmult or [1] * len(left.rows)
-        rmult = rmult or [1] * len(right.rows)
+        return AnnotatedResult(sum(multiplicity), keep.schema, rows, multiplicity=multiplicity)
+    # Pairs of whole rows: only a join that counts per key reads a handed-on input.
+    schema = left.schema + right.schema
+    tests = _tests(node, schema, [left.rows[0] + right.rows[0]] if left.rows and right.rows else ())
     ht: dict = {}
     for i, row in enumerate(left.rows):
         ht.setdefault(lkey(row), []).append(i)
     count = 0
     rows: list[tuple] | None = [] if read else None
-    multiplicity: list[int] | None = [] if read and weighted else None
     prov: list | None = [] if read and sink is not None else None
     lrows = left.rows
     for j, rrow in enumerate(right.rows):
@@ -508,19 +508,13 @@ def _run_join(node, left, right, sink, read, side) -> AnnotatedResult:
                     continue
                 if read:
                     rows.append(out)
-            if weighted:  # never with a sink: only a run without one hands on one input
-                m = lmult[i] * rmult[j]
-                count += m
-                if multiplicity is not None:
-                    multiplicity.append(m)
-            else:
-                count += 1
+            count += 1
             if sink is not None:  # a join's children carry provenance whenever a sink is given
                 p = left.provenance[i] + right.provenance[j]
                 sink(node.id, p)
                 if prov is not None:
                     prov.append(p)
-    return AnnotatedResult(count, schema, rows, prov, held, multiplicity)
+    return AnnotatedResult(count, schema, rows, prov)
 
 
 def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResult]:
@@ -535,18 +529,12 @@ def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResu
     to empty tables, an execution counts nothing but resolves the columns
     a full one does.
 
-    Without a sink, a join builds no pair it need not look at. A read join
-    without selection atoms whose consumers, up to the root, read columns
-    of one input alone hands on that input's matching rows, each with a
-    multiplicity: its matches on the other input times both rows' own
-    multiplicities. Which input that is is decided before any row is read,
-    from the columns named above the join, each resolved against the full
-    schema of the operator that names it, so a column that does not
-    resolve fails as it does with a sink. A join that is not read sums the
-    products of its inputs' multiplicities per key. Only a join with
-    residual selection atoms, or one whose consumers read both inputs,
-    builds its pairs, each with the product of its rows' multiplicities.
-    Counts are exact integers either way.
+    Without a sink, a join without selection atoms that is not read counts
+    per key: it sums, over one input's rows, their matches on the other
+    times the rows' multiplicities. A read join whose reader counts per
+    key does too (`_handed_on`), and hands on the matching rows of one
+    input, each with a multiplicity, under that input's schema. Any other
+    join builds pairs of whole rows. Counts are exact integers either way.
 
     Provenance is tracked only when a `sink` is given: `sink(node_id,
     provenance)` is invoked once per produced scan/join row, read or not,
@@ -582,8 +570,8 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
     """True selectivity of every operator: output count over the product of
     its base leaf-table sizes, from one execution over the full relations
     without a sink. Its counts are exact integers: a join is counted
-    through per-key multiplicities, and builds pairs only where it has
-    residual selection atoms or its consumers read both inputs."""
+    through per-key multiplicities where `execute` can, and builds pairs
+    of whole rows elsewhere."""
     index = plan.index
     for rel, _ in index.appearance.values():
         if relations[rel].row_count == 0:

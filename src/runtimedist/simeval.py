@@ -172,8 +172,8 @@ class TrueCostWorld:
     def from_json(cls, text: str) -> "TrueCostWorld":
         doc = json.loads(text)
         return cls(
-            unit_means=doc["unit_means"],
-            unit_vars=doc["unit_vars"],
+            unit_means={u: doc["unit_means"][u] for u in COST_UNITS},
+            unit_vars={u: doc["unit_vars"][u] for u in COST_UNITS},
             coefs={k: {u: tuple(a) for u, a in per.items()} for k, per in doc["coefs"].items()},
             seed=int(doc["seed"]),
         )

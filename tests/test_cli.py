@@ -310,6 +310,48 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
         assert json.loads(capsys.readouterr().err) == {"error": f"injected {error.__name__}"}
 
 
+@pytest.mark.parametrize("doc, match", [
+    (7, "must be an object"),
+    ({"nodes": {"1": _scan(1, "r1")}, "root": 1}, "'nodes' must be a list"),
+    ({"nodes": [{"kind": "SeqScan", "relation": "r1", "children": []}], "root": 1}, "with an 'id'"),
+    ({"nodes": [dict(_scan(1, "r1"), children=None)], "root": 1}, "node 1: 'children' must be a list"),
+    ({"nodes": [dict(_scan(1, "r1"), cost_profile="c_s")], "root": 1}, "node 1: 'cost_profile' must be an object"),
+    ({"nodes": [_scan(1, "r1"), _scan(2, "r2"),
+                {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "r1_key"}]}], "root": 3},
+     "neither a join atom"),
+    ({"nodes": [dict(_scan(1, "r1"), predicate=[{"col": "r1_val", "op": "<"}])], "root": 1}, "neither a join atom"),
+    ({"nodes": [dict(_scan(1, "r1"), predicate=[{"col": "r1_val", "op": "<", "value": "abc"}])], "root": 1},
+     "node 1: constant 'abc' cannot be compared with column 'r1.r1_val'"),
+], ids=["top-level-not-object", "nodes-not-list", "node-without-id", "children-not-list",
+        "cost-profile-not-object", "join-atom-without-right", "selection-atom-without-value",
+        "constant-not-comparable"])
+def test_malformed_plan_reported_as_json(workdir, tmp_path, capsys, doc, match):
+    path = tmp_path / "bad.plan"
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, "predict", "--plan", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and match in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("name, change, match", [
+    ("world", lambda doc: doc.pop("unit_means"), "missing key 'unit_means'"),
+    ("world", lambda doc: doc["unit_vars"].pop("c_t"), "missing key 'c_t'"),
+    ("units", lambda doc: doc["units"]["c_t"].pop("variance"), "missing key 'variance'"),
+    ("units", lambda doc: doc["units"].pop("c_i"), "missing key 'c_i'"),
+], ids=["world-without-unit-means", "world-without-c_t-variance", "unit-without-variance", "units-without-c_i"])
+def test_malformed_world_and_units_reported_as_json(workdir, tmp_path, capsys, name, change, match):
+    for fname in ("world.json", "units.json"):
+        (tmp_path / fname).write_text((workdir / "out" / fname).read_text())
+    doc = json.loads((tmp_path / f"{name}.json").read_text())
+    change(doc)
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    plan = workdir / "out" / "workload" / "scan-0.plan"
+    assert _run(workdir, "predict", "--plan", str(plan), "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{tmp_path / name}.json" in json.loads(err)["error"] and match in json.loads(err)["error"]
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         cli.dispatch(["frobnicate"])

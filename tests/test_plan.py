@@ -264,6 +264,8 @@ def test_roundtrip_serialization(doc):
         ({"nodes": [_scan(1, "R"), {"id": 2, "kind": "Sort", "children": [1],
                                     "cost_profile": {"c_o": "C6"}}], "root": 2},
          "C6 needs two children"),
+        ({"nodes": [_scan(1, ["R"])], "root": 1}, "relation name"),
+        ({"nodes": [dict(_scan(1, "R"), cost_profile={"c_o": ["C2"]})], "root": 1}, "unknown cost type"),
     ],
 )
 def test_validation_errors(doc, match):
@@ -468,6 +470,22 @@ def test_three_way_unknown_column_fails_alike_with_and_without_sink(bad):
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("on_join", [False, True])
+def test_constant_that_cannot_be_compared_is_an_execution_error(on_join):
+    # A string constant ordered against an integer column, on a scan or as
+    # a residual atom of a read join, fails with and without a sink alike.
+    atom = {"col": "k2", "op": "<", "value": "abc"}
+    doc = json.loads(json.dumps(FIG1))
+    node = doc["nodes"][3 if on_join else 1]  # join 4 or scan 2
+    node["predicate"] = node.get("predicate", []) + [atom]
+    p = _parse(doc)
+    bindings = {(f"R{i}", 0): _rel(f"R{i}", [f"k{i}"], [(1,)]) for i in (1, 2, 3)}
+    for sink in (None, lambda *a: None):
+        with pytest.raises(planmod.ExecutionError) as exc:
+            planmod.execute(p, bindings, sink=sink)
+        assert str(exc.value) == f"node {4 if on_join else 2}: constant 'abc' cannot be compared with column 'R2.k2'"
+
+
 # ---------------------------------------------------------------------------
 # True selectivities
 
@@ -534,8 +552,8 @@ def _variants(draw):
         st.sampled_from(positions), st.integers(0, 2), st.sampled_from(sorted(planmod.CMP_OPS)), st.integers(0, 2))
     fourth = None
     if shape == 4:
-        # "above": a join of the three-way join and t4, on 1-2 atoms; a
-        # read join then gets weighted input. "bushy": a join of two joins,
+        # "above": a join of the three-way join and t4, on 1-2 atoms; hand-ons
+        # then chain through two read joins. "bushy": a join of two joins,
         # (t1 t2) and (t3 t4), on its three-way atom and up to one more; an
         # atom on each leaf of a child makes that child build pairs.
         # Atoms: (left leaf position, column index, right leaf position, column index).
@@ -642,11 +660,13 @@ def _variant(seed, shape, **changes):
 
 @settings(max_examples=120, deadline=None)
 @given(_variants())
-# A read join over a weighted input, handing on t3's rows; over a weighted
-# input, building pairs; joins of two joins whose inputs hand on one input
-# each (with a residual atom, the top builds pairs of weighted rows) or
-# build pairs; a residual atom on the inner join. Each leaves rows in every
-# operator, some with multiplicities above 1.
+# A chain of hand-ons: the inner join hands t2's rows on to the middle
+# one, which hands on t3's; a top join whose atoms read both inputs of the
+# join below, so both joins under it build pairs; joins of two joins whose
+# inputs hand on one input each, or build pairs of whole rows under a
+# residual atom on the top join or under a third atom that reads both
+# inputs of each; a residual atom on the inner join. Each leaves rows in
+# every operator, some with multiplicities above 1.
 @example(_variant(5, 4, fourth=("above", [(2, 1, 3, 1)])))
 @example(_variant(35, 4, fourth=("above", [(1, 1, 3, 1), (2, 2, 3, 2)])))
 @example(_variant(10, 4, fourth=("bushy", [])))
@@ -667,16 +687,16 @@ def test_count_only_execution_matches_materialized(v):
         if res.rows is not None:
             assert len(res.multiplicity or res.rows) == len(res.rows)
             assert sum(res.multiplicity or [1] * len(res.rows)) == res.count
-            assert all(len(row) == len(res.held or res.schema) for row in res.rows)
+            assert all(len(row) == len(res.schema) for row in res.rows)
     if full is not None:
         assert counted[full].count == int(z.sum())
         assert sorted(delivered[p.index.var[full]]) == sorted(map(tuple, np.argwhere(z).tolist()))
 
 
-def test_count_only_inner_join_hands_on_weighted_right_rows():
-    # (t1 join t2) join t3, the top join reading only t2's column: the
-    # inner join has 7 pairs over t2's 4 rows (fan-out 7/4), and hands on
-    # the 3 that match, each weighted by its matches in t1, not the pairs.
+def _three_way(*residual):
+    """(t1 join t2) join t3 on t1.k = t2.k, then t2.k2 = t3.k2: 7 inner
+    pairs over t2's 4 rows (fan-out 7/4). Returns the plan, its bindings
+    and its results without and with a sink."""
     t1 = _rel("t1", ["k"], [(1,), (1,), (1,), (2,)])
     t2 = _rel("t2", ["k", "k2"], [(1, 5), (1, 6), (2, 5), (3, 6)])
     t3 = _rel("t3", ["k2"], [(5,), (5,), (6,)])
@@ -684,18 +704,36 @@ def test_count_only_inner_join_hands_on_weighted_right_rows():
         "nodes": [
             _scan(1, "t1"), _scan(2, "t2"), _scan(3, "t3"),
             {"id": 4, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "k", "right": "t2.k"}]},
-            {"id": 5, "kind": "HashJoin", "children": [4, 3], "predicate": [{"left": "k2", "right": "k2"}]},
+            {"id": 5, "kind": "HashJoin", "children": [4, 3],
+             "predicate": [{"left": "k2", "right": "k2"}, *residual]},
         ],
         "root": 5,
     }
     p = _parse(doc)
     bindings = {("t1", 0): t1, ("t2", 0): t2, ("t3", 0): t3}
-    counted = planmod.execute(p, bindings)
+    return p, planmod.execute(p, bindings), planmod.execute(p, bindings, sink=lambda *a: None)
+
+
+def test_count_only_inner_join_hands_on_weighted_right_rows():
+    # The top join reads only t2's column: the inner join hands on t2's 3
+    # matching rows, each weighted by its matches in t1, not the pairs.
+    p, counted, sinked = _three_way()
     inner = counted[4]
-    assert inner.count == 7 and len(inner.rows) <= len(t2.rows)
+    assert inner.count == 7 and inner.schema == ("t2.k", "t2.k2")
     assert inner.rows == [(1, 5), (1, 6), (2, 5)] and inner.multiplicity == [3, 3, 1]
-    assert inner.held == (1, 2)  # t2's columns in the schema t1.k, t2.k, t2.k2
-    assert counted[5].count == (3 + 1) * 2 + 3 * 1 == planmod.execute(p, bindings, sink=lambda *a: None)[5].count
+    assert counted[5].count == (3 + 1) * 2 + 3 * 1 == sinked[5].count
+
+
+def test_count_only_join_under_a_residual_atom_keeps_whole_rows():
+    # The top join's residual atom reads t2's column too, so it builds
+    # pairs, and the inner join hands it its 7 pairs as whole rows.
+    p, counted, sinked = _three_way({"col": "t2.k", "op": "<", "value": 2})
+    inner = counted[4]
+    assert inner.schema == ("t1.k", "t2.k", "t2.k2")
+    assert inner.multiplicity is None and sorted(inner.rows) == sorted(sinked[4].rows)
+    assert len(inner.rows) == 7 and all(len(row) == 3 for row in inner.rows)
+    assert all(counted[nid].count == sinked[nid].count for nid in p.index.order)
+    assert counted[5].count == 3 * 2 + 3 * 1
 
 
 @settings(max_examples=60, deadline=None)
