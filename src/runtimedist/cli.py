@@ -191,12 +191,19 @@ def cmd_gen_world(args):
     return 0
 
 
+def _size_setting(cfg, key: str, minimum: int) -> int:
+    """An integer setting of at least `minimum`, or a ConfigError naming it."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def cmd_gen_workload(args):
     cfg = load_config(args)
-    size = int(cfg["relation_size"])
-    relations = simeval.generate_database(
-        int(cfg["seed"]), sizes=(size, size, size), key_domain=int(cfg["key_domain"])
-    )
+    size, key_domain = (_size_setting(cfg, key, 1) for key in ("relation_size", "key_domain"))
+    counts = [_size_setting(cfg, key, 0) for key in ("scan_count", "join_count", "join3_count")]
+    relations = simeval.generate_database(int(cfg["seed"]), sizes=(size, size, size), key_domain=key_domain)
     os.makedirs(cfg["data_dir"], exist_ok=True)
     for name, rel in relations.items():
         with open(os.path.join(cfg["data_dir"], f"{name}.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -206,9 +213,7 @@ def cmd_gen_workload(args):
         with open(os.path.join(cfg["data_dir"], f"{name}.schema"), "w", encoding="utf-8") as fh:
             for col, typ in rel.schema:
                 fh.write(f"{col},{typ}\n")
-    spec = simeval.WorkloadSpec.grid(
-        int(cfg["scan_count"]), int(cfg["join_count"]), int(cfg["join3_count"]), int(cfg["seed"])
-    )
+    spec = simeval.WorkloadSpec.grid(*counts, int(cfg["seed"]))
     plans, skipped = simeval.generate_workload(spec, relations)
     wl_dir = os.path.join(cfg["out_dir"], "workload")
     os.makedirs(wl_dir, exist_ok=True)

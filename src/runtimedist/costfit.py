@@ -71,6 +71,11 @@ def monomial_values(tag: str, inputs) -> list:
     return values
 
 
+def family_value(tag: str, b, coord) -> float:
+    """The family's value at one coordinate, summed in monomial order."""
+    return sum(bk * v for bk, v in zip(b, monomial_values(tag, coord)))
+
+
 def design_matrix(tag: str, coords) -> np.ndarray:
     """Term values at each probe coordinate: one row per row of the
     (m, arity) coordinate array, constant term last."""
@@ -105,7 +110,7 @@ class CostFunction:
     def evaluate(self, *coord: float) -> float:
         if len(coord) != self.arity:
             raise FitError(f"{self.tag} takes {self.arity} coordinates, got {len(coord)}")
-        return sum(b * v for b, v in zip(self.b, monomial_values(self.tag, coord)))
+        return family_value(self.tag, self.b, coord)
 
 
 def grid_points(distributions, W: int = 10) -> np.ndarray:

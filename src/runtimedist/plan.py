@@ -1,14 +1,14 @@
 """Query plans: rooted binary operator trees, execution, provenance.
 
 Plans are parsed from a JSON document, validated, and evaluated over
-relations: base relations or sample tables. Given a provenance sink, every
-scan/join output row is delivered to it with the positions of its
-contributing rows, one per leaf table of the operator's subtree, in
-left-to-right leaf order; a sample row's position is its sample index. An
-operator's rows are built only where a parent reads them; any other
-operator, the root included, only counts its output. Without a sink, a
-read join whose reader counts per key hands on one input's rows, each
-with a multiplicity, instead of its pairs.
+relations: base relations or sample tables. With provenance, every
+scan/join result lists, per output row, the positions of its contributing
+rows, one per leaf table of the operator's subtree, in left-to-right leaf
+order; a sample row's position is its sample index. An operator's rows
+are built only where a parent reads them; any other operator, the root
+included, only counts its output (and lists its provenance). Without
+provenance, a read join whose reader counts per key hands on one input's
+rows, each with a multiplicity, instead of its pairs.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class PlanIndex:
     a join not above an aggregate, and the child of a read Sort or
     Materialize. An Aggregate never reads its child, and a join at or
     above one outputs its `estimate_M`. The root has no parent, so it is
-    never read. `streamed` holds the operators that produce rows, and hand
-    each to a sink: the scans, and the joins not above an aggregate. `var`
-    maps every node to its selectivity variable, a node id: a Sort or
-    Materialize not above an aggregate passes its child's rows on and
-    shares its child's variable; any other node is its own.
+    never read. `streamed` holds the operators that produce rows, and list
+    their provenance when asked: the scans, and the joins not above an
+    aggregate. `var` maps every node to its selectivity variable, a node
+    id: a Sort or Materialize not above an aggregate passes its child's
+    rows on and shares its child's variable; any other node is its own.
     `terms` maps each cost term (node id, cost unit), in post-order and
     cost-profile order, to its family and the variables of the family's
     inputs: "own" is the operator's, "left" and "right" its children's,
@@ -199,8 +199,10 @@ class AnnotatedResult:
     them, its rows. A join's schema is its inputs' schemas concatenated,
     or the kept input's where it hands that input on; its rows are then
     that input's, and each stands for `multiplicity` output rows, so
-    `count` is their sum. Any other kept row is one whole output row,
-    paired, with a sink, with its `provenance`."""
+    `count` is their sum. Any other kept row is one whole output row.
+    Executed with provenance, a streamed operator's `provenance` holds one
+    position vector per output row, read or not, in the order the rows
+    are produced, and its kept rows follow that order."""
 
     count: int
     schema: tuple[str, ...] | None
@@ -220,6 +222,15 @@ def _parse_atom(obj) -> SelAtom | JoinAtom:
     raise PlanError(f"predicate atom {obj!r} is neither a join atom (left, right) nor a selection atom (col, value)")
 
 
+def _integer(value, field: str, minimum: int | None = None) -> int:
+    """A plan document's integer field: a JSON integer, not a bool, of at
+    least `minimum` when given; `field` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise PlanError(f"{field} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def parse_plan(text: str) -> Plan:
     """Parse and validate a JSON plan document."""
     try:
@@ -234,7 +245,7 @@ def parse_plan(text: str) -> Plan:
     for rec in doc["nodes"]:
         if not isinstance(rec, dict) or "id" not in rec:
             raise PlanError(f"node record {rec!r} is not an object with an 'id'")
-        nid = int(rec["id"])
+        nid = _integer(rec["id"], "a node record's 'id'")
         if nid in nodes:
             raise PlanError(f"duplicate node id {nid}")
         kind = rec.get("kind")
@@ -243,7 +254,7 @@ def parse_plan(text: str) -> Plan:
         for key, typ in (("children", list), ("predicate", list), ("cost_profile", dict)):
             if not isinstance(rec.get(key, typ()), typ):
                 raise PlanError(f"node {nid}: {key!r} must be {'a list' if typ is list else 'an object'}")
-        children = [int(c) for c in rec.get("children", [])]
+        children = [_integer(c, f"node {nid}: a 'children' entry") for c in rec.get("children", [])]
         expected = 0 if kind in SCAN_KINDS else 1 if kind in UNARY_KINDS else 2
         if len(children) != expected:
             raise PlanError(
@@ -270,10 +281,10 @@ def parse_plan(text: str) -> Plan:
             children=children,
             relation=relation,
             predicate=predicate,
-            estimate_M=None if est is None else int(est),
+            estimate_M=None if est is None else _integer(est, f"node {nid}: 'estimate_M'", 0),
             cost_profile=profile,
         )
-    root = int(doc["root"])
+    root = _integer(doc["root"], "plan document's 'root'")
     if root not in nodes:
         raise PlanError(f"root {root} is not a node")
     plan = Plan(nodes=nodes, root=root)
@@ -401,7 +412,7 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
     keys and, where that join hands it on in turn, what its reader reads.
     Any other read join builds plain pairs. Every column is resolved
     first, as execution resolves it, against the full schema of the
-    operator that names it, so errors are the same with a sink."""
+    operator that names it, so errors are the same with provenance."""
     index = plan.index
     if not any(plan.nodes[nid].kind in JOIN_KINDS for nid in index.read):
         return {}  # no join to decide for; execution resolves every column itself
@@ -444,23 +455,18 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
     return side
 
 
-def _run_scan(node, appearance, bindings, sink, read) -> AnnotatedResult:
+def _run_scan(node, appearance, bindings, provenance, read) -> AnnotatedResult:
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
-    if sink is None:  # no provenance: plain rows
+    if not provenance:  # plain rows
         for idx, op, val in tests:  # atom by atom over the rows still kept
             rows = [r for r in rows if op(r[idx], val)]
         return AnnotatedResult(len(rows), schema, list(rows) if read else None)
     kept = range(len(rows))  # positions of the rows still kept
     for idx, op, val in tests:
         kept = [j for j in kept if op(rows[j][idx], val)]
-    prov = [(j,) for j in kept]
-    nid = node.id
-    for p in prov:
-        sink(nid, p)
-    if not read:
-        return AnnotatedResult(len(prov), schema, None)
-    return AnnotatedResult(len(prov), schema, [rows[j] for j in kept], prov)
+    kept_rows = [rows[j] for j in kept] if read else None
+    return AnnotatedResult(len(kept), schema, kept_rows, [(j,) for j in kept])
 
 
 def _tally(keys, multiplicity) -> Counter:
@@ -473,10 +479,10 @@ def _tally(keys, multiplicity) -> Counter:
     return tally
 
 
-def _run_join(node, left, right, sink, read, side) -> AnnotatedResult:
+def _run_join(node, left, right, provenance, read, side) -> AnnotatedResult:
     lpos, rpos = _join_keys(node, left.schema, right.schema)
     lkey, rkey = operator.itemgetter(*lpos), operator.itemgetter(*rpos)
-    if sink is None and not node.selections and (side is not None or not read):
+    if not provenance and not node.selections and (side is not None or not read):
         # Count per key: weight the rows of one input, the handed-on one or
         # else the right, by their matches on the other.
         keep, kkey, other, okey = (left, lkey, right, rkey) if side == 0 else (right, rkey, left, lkey)
@@ -498,7 +504,7 @@ def _run_join(node, left, right, sink, read, side) -> AnnotatedResult:
         ht.setdefault(lkey(row), []).append(i)
     count = 0
     rows: list[tuple] | None = [] if read else None
-    prov: list | None = [] if read and sink is not None else None
+    prov: list | None = [] if provenance else None
     lrows = left.rows
     for j, rrow in enumerate(right.rows):
         for i in ht.get(rkey(rrow), ()):
@@ -509,15 +515,12 @@ def _run_join(node, left, right, sink, read, side) -> AnnotatedResult:
                 if read:
                     rows.append(out)
             count += 1
-            if sink is not None:  # a join's children carry provenance whenever a sink is given
-                p = left.provenance[i] + right.provenance[j]
-                sink(node.id, p)
-                if prov is not None:
-                    prov.append(p)
+            if provenance:  # the children, streamed too, list theirs
+                prov.append(left.provenance[i] + right.provenance[j])
     return AnnotatedResult(count, schema, rows, prov)
 
 
-def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResult]:
+def execute(plan: Plan, bindings: dict, *, provenance: bool = False) -> dict[int, AnnotatedResult]:
     """Evaluate a plan bottom-up and return per-operator results.
 
     `bindings` maps (relation, appearance) to a Relation, base or sample;
@@ -529,34 +532,33 @@ def execute(plan: Plan, bindings: dict, *, sink=None) -> dict[int, AnnotatedResu
     to empty tables, an execution counts nothing but resolves the columns
     a full one does.
 
-    Without a sink, a join without selection atoms that is not read counts
-    per key: it sums, over one input's rows, their matches on the other
-    times the rows' multiplicities. A read join whose reader counts per
-    key does too (`_handed_on`), and hands on the matching rows of one
+    Without provenance, a join without selection atoms that is not read
+    counts per key: it sums, over one input's rows, their matches on the
+    other times the rows' multiplicities. A read join whose reader counts
+    per key does too (`_handed_on`), and hands on the matching rows of one
     input, each with a multiplicity, under that input's schema. Any other
     join builds pairs of whole rows. Counts are exact integers either way.
 
-    Provenance is tracked only when a `sink` is given: `sink(node_id,
-    provenance)` is invoked once per produced scan/join row, read or not,
-    with the positions of its rows in their bound tables, one per leaf
-    table of the subtree, so a consumer can accumulate statistics on the
-    fly without the rows being buffered. With a sink every streamed join
-    enumerates its pairs, and a kept row is paired with its provenance.
+    With `provenance`, every streamed operator (`PlanIndex.streamed`)
+    enumerates its output and lists, per row, read or not, the positions
+    of its rows in their bound tables, one per leaf table of the subtree,
+    in the order the rows are produced; a kept row is at the same index
+    as its provenance. Without it, no provenance is built.
     """
     index = plan.index
-    side = _handed_on(plan, bindings) if sink is None else {}
+    side = {} if provenance else _handed_on(plan, bindings)
     results: dict[int, AnnotatedResult] = {}
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif node.kind in SCAN_KINDS:
-            res = _run_scan(node, index.appearance[nid], bindings, sink, nid in index.read)
+            res = _run_scan(node, index.appearance[nid], bindings, provenance, nid in index.read)
         elif node.kind in ("Sort", "Materialize"):
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children
-            res = _run_join(node, results[left], results[right], sink, nid in index.read, side.get(nid))
+            res = _run_join(node, results[left], results[right], provenance, nid in index.read, side.get(nid))
         results[nid] = res
     return results
 
@@ -569,7 +571,7 @@ def leaf_product(plan: Plan, relations, node_id: int) -> int:
 def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, float]:
     """True selectivity of every operator: output count over the product of
     its base leaf-table sizes, from one execution over the full relations
-    without a sink. Its counts are exact integers: a join is counted
+    without provenance. Its counts are exact integers: a join is counted
     through per-key multiplicities where `execute` can, and builds pairs
     of whole rows elsewhere."""
     index = plan.index

@@ -1,13 +1,13 @@
 """Per-operator selectivity estimates with variance, from one sampled run.
 
-One provenance-tracked execution of the plan over sample tables yields, for
+One execution of the plan over sample tables, with provenance, yields, for
 every operator, the selectivity estimate rho_n, its variance-scale estimate
 S2_n, and the per-position counters from which `estimate_for_subset`
 computes the shared-position restriction S2_{n,m} a covariance bound asks
-for. Join statistics are accumulated streaming, tuple at a time, through
-per-position hash maps keyed by sample index; no sample result set is
-buffered for estimation. An estimate holds statistics only: an operator's
-leaf positions are its `PlanIndex.leaves` entry.
+for. A streamed operator's counters are counted from its provenance list,
+one per leaf position over that position's sample indexes. An estimate
+holds statistics only: an operator's leaf positions are its
+`PlanIndex.leaves` entry.
 """
 
 from __future__ import annotations
@@ -78,28 +78,21 @@ def estimate_for_subset(est: SelEstimate, positions) -> float:
 def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
     """Post-order selectivity estimation for every operator of a plan.
 
-    Scans use the closed-form variance, joins the streaming Q-scan,
-    Sort/Materialize inherit the child's estimate, and aggregates (plus any
-    operator above one) take rho from the supplied cardinality estimate
-    with zero variance. A leaf appearance reads the pool's sample table
-    numbered by its appearance ordinal, so repeated relations draw from
-    distinct, independent sample tables.
+    Scans use the closed-form variance, joins the Q-scan over their
+    provenance lists, Sort/Materialize inherit the child's estimate, and
+    aggregates (plus any operator above one) take rho from the supplied
+    cardinality estimate with zero variance. A leaf appearance reads the
+    pool's sample table numbered by its appearance ordinal, so repeated
+    relations draw from distinct, independent sample tables. A counter's
+    keys are in first-seen order along the provenance list, so S2 sums
+    in a fixed order.
     """
     index = plan.index
     n = pool.n
     if n < 1:
         raise EstimationError("pool has no sampling steps")
     bindings = {app: pool.table(*app) for app in index.appearance.values()}
-
-    # Q counters, one dict per leaf position, for every operator the
-    # executor streams rows from; its output count comes with the results.
-    qs = {nid: [{} for _ in index.leaves[nid]] for nid in index.streamed}
-
-    def sink(node_id, prov):
-        for qk, j in zip(qs[node_id], prov):
-            qk[j] = qk.get(j, 0) + 1
-
-    results = planmod.execute(plan, bindings, sink=sink)
+    results = planmod.execute(plan, bindings, provenance=True)
 
     estimates: dict[int, SelEstimate] = {}
     for nid in index.order:
@@ -111,14 +104,19 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
             child = estimates[node.children[0]]
             count, q, source = child.count, child.q, "inherit"
             rho, s2 = child.rho_n, child.s2_n
-        elif node.kind in SCAN_KINDS:
-            count, q, source = results[nid].count, qs[nid], "scan-closed-form"
-            rho = count / n
-            s2 = scan_variance(rho)
         else:
-            count, q, source = results[nid].count, qs[nid], "q-scan"
-            rho = count / float(n) ** len(q)
-            s2 = _restricted_s2(q, n, rho, range(len(q)))
+            count = results[nid].count
+            # Q: each leaf position's column counted (a Counter costs more to build than a short column)
+            q = [{} for _ in index.leaves[nid]]
+            for qk, column in zip(q, zip(*results[nid].provenance)):
+                for j in column:
+                    qk[j] = qk.get(j, 0) + 1
+            if node.kind in SCAN_KINDS:
+                rho, source = count / n, "scan-closed-form"
+                s2 = scan_variance(rho)
+            else:
+                rho, source = count / float(n) ** len(q), "q-scan"
+                s2 = _restricted_s2(q, n, rho, range(len(q)))
         # Positional: keyword matching would be a tenth of the estimate's time at small n.
         estimates[nid] = SelEstimate(rho, s2, n, q, count, source)
     return estimates

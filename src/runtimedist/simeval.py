@@ -25,7 +25,7 @@ import numpy as np
 
 from . import plan as planmod, propagate
 from .calib import CalibrationRecord, COST_UNITS
-from .costfit import FAMILIES, design_matrix, monomial_values
+from .costfit import FAMILIES, design_matrix, family_value, monomial_values
 from .plan import Plan, DEFAULT_COST_PROFILES
 from .store import Relation
 
@@ -229,8 +229,7 @@ def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list
     costs = []
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
         _, b = world.true_b(plan, relations, nid, unit)
-        coord = [1.0 if v is None else truth[v] for v in vars_]
-        costs.append((unit, sum(bk * v for bk, v in zip(b, monomial_values(tag, coord)))))
+        costs.append((unit, family_value(tag, b, [1.0 if v is None else truth[v] for v in vars_])))
     return costs
 
 
@@ -270,21 +269,16 @@ def membership_tensor(plan: Plan, relations) -> tuple[np.ndarray, list]:
     """Boolean tensor over base tuple index combinations: True where the
     combination appears in the plan's root output. Axes follow the plan's
     leaf order. Computed by executing the plan over the base relations
-    with a provenance sink on the root's selectivity variable, whose
-    provenance is the rows' positions in their relations."""
+    with provenance: the root's list holds its rows' positions in their
+    relations."""
     index = plan.index
     if plan.root in index.agg_above:
         raise ValueError("root operator does not carry provenance (aggregate above?)")
     leaf_order = planmod.leaf_tables(plan, None)
     z = np.zeros(tuple(relations[rel].row_count for rel, _ in leaf_order), dtype=bool)
-    root_var = index.var[plan.root]
-
-    def sink(node_id, prov):
-        if node_id == root_var:
-            z[prov] = True
-
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
-    planmod.execute(plan, bindings, sink=sink)
+    for prov in planmod.execute(plan, bindings, provenance=True)[index.var[plan.root]].provenance:
+        z[prov] = True
     return z, leaf_order
 
 

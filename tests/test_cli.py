@@ -322,9 +322,22 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
     ({"nodes": [dict(_scan(1, "r1"), predicate=[{"col": "r1_val", "op": "<"}])], "root": 1}, "neither a join atom"),
     ({"nodes": [dict(_scan(1, "r1"), predicate=[{"col": "r1_val", "op": "<", "value": "abc"}])], "root": 1},
      "node 1: constant 'abc' cannot be compared with column 'r1.r1_val'"),
+    # integer fields: only a JSON integer, not a bool, and no negative estimate_M
+    ({"nodes": [dict(_scan(1, "r1"), id=None)], "root": 1}, "a node record's 'id' must be an integer, got None"),
+    ({"nodes": [dict(_scan(1, "r1"), id="x")], "root": 1}, "a node record's 'id' must be an integer, got 'x'"),
+    ({"nodes": [dict(_scan(1, "r1"), id=1.7)], "root": 1}, "a node record's 'id' must be an integer, got 1.7"),
+    ({"nodes": [dict(_scan(1, "r1"), id=True)], "root": 1}, "a node record's 'id' must be an integer, got True"),
+    ({"nodes": [_scan(1, "r1")], "root": None}, "plan document's 'root' must be an integer, got None"),
+    ({"nodes": [_scan(1, "r1"), {"id": 2, "kind": "Sort", "children": [[1]]}], "root": 2},
+     "node 2: a 'children' entry must be an integer, got [1]"),
+    ({"nodes": [_scan(1, "r1"), {"id": 2, "kind": "Aggregate", "children": [1], "estimate_M": "many"}], "root": 2},
+     "node 2: 'estimate_M' must be an integer >= 0, got 'many'"),
+    ({"nodes": [_scan(1, "r1"), {"id": 2, "kind": "Aggregate", "children": [1], "estimate_M": -5}], "root": 2},
+     "node 2: 'estimate_M' must be an integer >= 0, got -5"),
 ], ids=["top-level-not-object", "nodes-not-list", "node-without-id", "children-not-list",
         "cost-profile-not-object", "join-atom-without-right", "selection-atom-without-value",
-        "constant-not-comparable"])
+        "constant-not-comparable", "id-null", "id-string", "id-float", "id-bool", "root-null",
+        "children-entry-list", "estimate-m-string", "estimate-m-negative"])
 def test_malformed_plan_reported_as_json(workdir, tmp_path, capsys, doc, match):
     path = tmp_path / "bad.plan"
     path.write_text(json.dumps(doc))
@@ -356,3 +369,18 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         cli.dispatch(["frobnicate"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("key, value, minimum", [
+    ("relation_size", 0, 1), ("relation_size", -3, 1), ("relation_size", 2.5, 1), ("key_domain", 0, 1),
+    ("scan_count", -1, 0), ("join_count", -1, 0), ("join3_count", -1, 0), ("join3_count", "many", 0),
+])
+def test_bad_size_setting_reported_as_json(tmp_path, capsys, key, value, minimum):
+    # Checked before any data is written.
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\n{key} = {value}\n")
+    assert cli.dispatch(["gen-workload", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{key} must be an integer >= {minimum}, got {value!r}"
+    assert not (tmp_path / "data").exists()

@@ -1,6 +1,7 @@
 """Plan parsing, validation, execution, and provenance."""
 
 import gc
+import itertools
 import json
 import weakref
 
@@ -8,10 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from runtimedist import plan as planmod, store
+from runtimedist import plan as planmod, selest, store
 from runtimedist.calib import COST_UNITS
 from runtimedist.costfit import FAMILIES
-from conftest import brute_membership, make_tiny_relations, tiny_instance
+from conftest import (
+    brute_membership,
+    make_tiny_relations,
+    s2_enumeration,
+    snm_enumeration,
+    tiny_instance,
+)
 
 
 def _rel(name, cols, rows):
@@ -24,14 +31,12 @@ def _parse(doc):
 
 
 def _root_rows(plan, bindings):
-    """Execute a plan with a sink and rebuild its root's rows from the
-    positions delivered for the root's selectivity variable: (results,
-    rows, positions), in delivery order."""
+    """Execute a plan with provenance and rebuild its root's rows from the
+    provenance list of the root's selectivity variable: (results, rows,
+    positions), in the order the rows are produced."""
     root_var = plan.index.var[plan.root]
-    positions = []
-    results = planmod.execute(
-        plan, bindings, sink=lambda nid, prov: positions.append(prov) if nid == root_var else None
-    )
+    results = planmod.execute(plan, bindings, provenance=True)
+    positions = results[root_var].provenance
     tables = [bindings[app].rows for app in plan.index.leaves[root_var]]
     rows = [sum((t[j] for t, j in zip(tables, prov)), ()) for prov in positions]
     return results, rows, positions
@@ -364,16 +369,16 @@ def test_provenance_reconstructs_rows():
 
 
 def test_sink_streams_rows():
+    # Named for the row callback `execute` once took: with provenance, an
+    # unread filtered scan root lists one position per row it keeps, and
+    # is the only streamed operator.
     rel = _rel("R", ["a"], [(1,), (2,), (3,)])
     (table,) = store.draw_samples(rel, n=3, pool_size=1, seed=0)
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": ">", "value": 1}])], "root": 1})
-    seen = []
-    planmod.execute(
-        p, {("R", 0): table}, sink=lambda nid, prov: seen.append((nid, prov)),
-    )
-    assert len(seen) == 2
-    assert all(nid == 1 for nid, _ in seen)
-
+    results = planmod.execute(p, {("R", 0): table}, provenance=True)
+    assert list(p.index.streamed) == [1]
+    assert len(results[1].provenance) == results[1].count == 2
+    assert sorted(table.rows[j] for (j,) in results[1].provenance) == [(2,), (3,)]
 
 def test_aggregate_defers_to_estimate():
     rel = _rel("R", ["a"], [(1,), (2,)])
@@ -455,17 +460,17 @@ def test_count_only_join_rejects_unknown_column():
 
 @pytest.mark.parametrize("bad", [("k1", "nope"), ("nope", "k3")])
 def test_three_way_unknown_column_fails_alike_with_and_without_sink(bad):
-    # Without a sink the inner join's output form is decided from the top
-    # join's columns before any row is read; a column that does not
-    # resolve fails there with the error a sink run gives.
+    # Without provenance the inner join's output form is decided from the
+    # top join's columns before any row is read; a column that does not
+    # resolve fails there with the error a run with provenance gives.
     doc = json.loads(json.dumps(FIG1))
     doc["nodes"][4]["predicate"] = [{"left": bad[0], "right": bad[1]}]
     p = _parse(doc)
     bindings = {(f"R{i}", 0): _rel(f"R{i}", [f"k{i}"], [(1,)]) for i in (1, 2, 3)}
     errors = []
-    for sink in (None, lambda *a: None):
+    for provenance in (False, True):
         with pytest.raises(planmod.ExecutionError, match="nope") as exc:
-            planmod.execute(p, bindings, sink=sink)
+            planmod.execute(p, bindings, provenance=provenance)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
 
@@ -473,16 +478,16 @@ def test_three_way_unknown_column_fails_alike_with_and_without_sink(bad):
 @pytest.mark.parametrize("on_join", [False, True])
 def test_constant_that_cannot_be_compared_is_an_execution_error(on_join):
     # A string constant ordered against an integer column, on a scan or as
-    # a residual atom of a read join, fails with and without a sink alike.
+    # a residual atom of a read join, fails with and without provenance alike.
     atom = {"col": "k2", "op": "<", "value": "abc"}
     doc = json.loads(json.dumps(FIG1))
     node = doc["nodes"][3 if on_join else 1]  # join 4 or scan 2
     node["predicate"] = node.get("predicate", []) + [atom]
     p = _parse(doc)
     bindings = {(f"R{i}", 0): _rel(f"R{i}", [f"k{i}"], [(1,)]) for i in (1, 2, 3)}
-    for sink in (None, lambda *a: None):
+    for provenance in (False, True):
         with pytest.raises(planmod.ExecutionError) as exc:
-            planmod.execute(p, bindings, sink=sink)
+            planmod.execute(p, bindings, provenance=provenance)
         assert str(exc.value) == f"node {4 if on_join else 2}: constant 'abc' cannot be compared with column 'R2.k2'"
 
 
@@ -577,9 +582,10 @@ def _variants(draw):
 
 
 def _variant_plan(v):
-    """(relations, plan, leaf relations, brute-force membership of the
-    plan's full join, id of the topmost node that outputs it outside any
-    aggregate or None)."""
+    """(relations, plan, brute-force membership of the plan's full join
+    over the tables of a binding, id of the topmost node that outputs it
+    outside any aggregate or None). The membership tensor's axes follow
+    the plan's leaf order."""
     relations, plan, desc = tiny_instance(v["seed"], shape=min(v["shape"], 3))
     doc = json.loads(planmod.serialize_plan(plan))
     nodes = {rec["id"]: rec for rec in doc["nodes"]}
@@ -614,14 +620,18 @@ def _variant_plan(v):
         desc["joins"] += atoms
     for jid, kind in zip((10, 11, 12), v["kinds"]):
         nodes[jid]["kind"] = kind
-    tables = [list(relations[rel].rows) for rel in leaf_rels]
-    z = brute_membership(desc, tables)
-    for jid, atom in ((doc["root"], v["residual"]), (10, v["inner_residual"])):
-        if atom is not None:
-            pos, col, op, thr = atom
-            nodes[jid]["predicate"].append({"col": column(pos, col), "op": op, "value": thr})
+    residuals = [(jid, atom) for jid, atom in ((doc["root"], v["residual"]), (10, v["inner_residual"])) if atom]
+    for jid, (pos, col, op, thr) in residuals:
+        nodes[jid]["predicate"].append({"col": column(pos, col), "op": op, "value": thr})
+
+    def membership(bindings):
+        tables = [list(bindings[app].rows) for app in p.index.leaves[p.root]]
+        z = brute_membership(desc, tables)
+        for _, (pos, col, op, thr) in residuals:
             keep = np.array([planmod.CMP_OPS[op](row[col], thr) for row in tables[pos]])
             z = z & keep.reshape([-1 if axis == pos else 1 for axis in range(z.ndim)])
+        return z
+
     parent = {c: rec["id"] for rec in nodes.values() for c in rec["children"]}
 
     def wrap(target, kind, **extra):
@@ -650,7 +660,7 @@ def _variant_plan(v):
         full = node.children[0] if node.kind in planmod.UNARY_KINDS else None
         if full is None:
             break
-    return relations, p, z, full
+    return relations, p, membership, full
 
 
 def _variant(seed, shape, **changes):
@@ -674,29 +684,30 @@ def _variant(seed, shape, **changes):
 @example(_variant(10, 4, fourth=("bushy", [(0, 2, 3, 2)])))
 @example(_variant(11, 3, inner_residual=(0, 2, "<=", 1)))
 def test_count_only_execution_matches_materialized(v):
-    relations, p, z, full = _variant_plan(v)
+    relations, p, membership, full = _variant_plan(v)
     bindings = {app: relations[app[0]] for app in p.index.appearance.values()}
     counted = planmod.execute(p, bindings)
-    # With a sink, every streamed operator enumerates its pairs.
-    delivered = {nid: [] for nid in p.index.streamed}
-    sinked = planmod.execute(p, bindings, sink=lambda nid, prov: delivered[nid].append(prov))
-    assert all(sinked[nid].count == counted[nid].count for nid in p.index.order)
-    for nid, positions in delivered.items():
-        assert counted[nid].count == len(positions)
+    assert all(res.provenance is None for res in counted.values())
+    # With provenance, every streamed operator enumerates its pairs.
+    listed = planmod.execute(p, bindings, provenance=True)
+    assert all(listed[nid].count == counted[nid].count for nid in p.index.order)
+    for nid in p.index.streamed:
+        assert counted[nid].count == len(listed[nid].provenance)
     for res in counted.values():  # a kept row stands for its multiplicity's worth of output rows
         if res.rows is not None:
             assert len(res.multiplicity or res.rows) == len(res.rows)
             assert sum(res.multiplicity or [1] * len(res.rows)) == res.count
             assert all(len(row) == len(res.schema) for row in res.rows)
     if full is not None:
+        z = membership(bindings)
         assert counted[full].count == int(z.sum())
-        assert sorted(delivered[p.index.var[full]]) == sorted(map(tuple, np.argwhere(z).tolist()))
+        assert sorted(listed[full].provenance) == sorted(map(tuple, np.argwhere(z).tolist()))
 
 
 def _three_way(*residual):
     """(t1 join t2) join t3 on t1.k = t2.k, then t2.k2 = t3.k2: 7 inner
     pairs over t2's 4 rows (fan-out 7/4). Returns the plan, its bindings
-    and its results without and with a sink."""
+    and its results without and with provenance."""
     t1 = _rel("t1", ["k"], [(1,), (1,), (1,), (2,)])
     t2 = _rel("t2", ["k", "k2"], [(1, 5), (1, 6), (2, 5), (3, 6)])
     t3 = _rel("t3", ["k2"], [(5,), (5,), (6,)])
@@ -711,40 +722,41 @@ def _three_way(*residual):
     }
     p = _parse(doc)
     bindings = {("t1", 0): t1, ("t2", 0): t2, ("t3", 0): t3}
-    return p, planmod.execute(p, bindings), planmod.execute(p, bindings, sink=lambda *a: None)
+    return p, planmod.execute(p, bindings), planmod.execute(p, bindings, provenance=True)
 
 
 def test_count_only_inner_join_hands_on_weighted_right_rows():
     # The top join reads only t2's column: the inner join hands on t2's 3
     # matching rows, each weighted by its matches in t1, not the pairs.
-    p, counted, sinked = _three_way()
+    p, counted, listed = _three_way()
     inner = counted[4]
     assert inner.count == 7 and inner.schema == ("t2.k", "t2.k2")
     assert inner.rows == [(1, 5), (1, 6), (2, 5)] and inner.multiplicity == [3, 3, 1]
-    assert counted[5].count == (3 + 1) * 2 + 3 * 1 == sinked[5].count
+    assert counted[5].count == (3 + 1) * 2 + 3 * 1 == listed[5].count
 
 
 def test_count_only_join_under_a_residual_atom_keeps_whole_rows():
     # The top join's residual atom reads t2's column too, so it builds
     # pairs, and the inner join hands it its 7 pairs as whole rows.
-    p, counted, sinked = _three_way({"col": "t2.k", "op": "<", "value": 2})
+    p, counted, listed = _three_way({"col": "t2.k", "op": "<", "value": 2})
     inner = counted[4]
     assert inner.schema == ("t1.k", "t2.k", "t2.k2")
-    assert inner.multiplicity is None and sorted(inner.rows) == sorted(sinked[4].rows)
+    assert inner.multiplicity is None and sorted(inner.rows) == sorted(listed[4].rows)
     assert len(inner.rows) == 7 and all(len(row) == 3 for row in inner.rows)
-    assert all(counted[nid].count == sinked[nid].count for nid in p.index.order)
+    assert all(counted[nid].count == listed[nid].count for nid in p.index.order)
     assert counted[5].count == 3 * 2 + 3 * 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(_variants())
 def test_sink_gives_join_children_provenance(v):
-    # With a sink, the children of a join not above an aggregate carry
-    # provenance: one vector per row, as long as the child's leaf count.
+    # Named for the row callback `execute` once took: with provenance, the
+    # children of a join not above an aggregate carry provenance, one
+    # vector per row, as long as the child's leaf count.
     relations, p, _, _ = _variant_plan(v)
     pool = store.build_pool(relations, n=3, pool_size=2, seed=v["seed"])
     bindings = {app: pool.table(*app) for app in p.index.appearance.values()}
-    results = planmod.execute(p, bindings, sink=lambda nid, prov: None)
+    results = planmod.execute(p, bindings, provenance=True)
     for nid in p.index.order:
         node = p.nodes[nid]
         if node.kind in planmod.JOIN_KINDS and nid not in p.index.agg_above:
@@ -752,3 +764,40 @@ def test_sink_gives_join_children_provenance(v):
                 res = results[c]
                 assert res.provenance is not None and len(res.provenance) == len(res.rows) == res.count
                 assert all(len(prov) == len(p.index.leaves[c]) for prov in res.provenance)
+
+@settings(max_examples=60, deadline=None)
+@given(_variants())
+@example(_variant(0, 1))  # an unread scan root: its list holds the rows its selection keeps
+def test_provenance_and_estimates_on_generated_plans(v):
+    # Over sample tables, a self-join reading two of them: every streamed
+    # operator lists one position vector per output row, read or not, each
+    # as long as its leaf count, and its Q sums to its count at every
+    # position. The full join's Q, S2_n and S2_{n,m} over every position
+    # subset match brute-force enumeration over the sample tables.
+    relations, p, membership, full = _variant_plan(v)
+    n = 3
+    pool = store.build_pool(relations, n=n, pool_size=2, seed=v["seed"])
+    bindings = {app: pool.table(*app) for app in p.index.appearance.values()}
+    results = planmod.execute(p, bindings, provenance=True)
+    est = selest.estimate_all(p, pool, relations)
+    for nid in p.index.streamed:
+        res = results[nid]
+        assert len(res.provenance) == res.count == est[nid].count
+        assert all(len(prov) == len(p.index.leaves[nid]) for prov in res.provenance)
+        assert [sum(qk.values()) for qk in est[nid].q] == [res.count] * len(p.index.leaves[nid])
+    if full is None:
+        return
+    z = membership(bindings)
+    root = est[full]
+    K = z.ndim
+    assert root.rho_n == pytest.approx(float(z.mean()), rel=1e-12, abs=1e-15)
+    for k, qk in enumerate(root.q):
+        counts = z.sum(axis=tuple(a for a in range(K) if a != k))
+        assert qk == {j: int(c) for j, c in enumerate(counts) if c}
+    if K >= 2:  # a scan's S2_n is the closed form instead
+        assert root.s2_n == pytest.approx(s2_enumeration(z, n), rel=1e-12, abs=1e-15)
+    for m in range(1, K + 1):
+        for subset in itertools.combinations(range(K), m):
+            assert selest.estimate_for_subset(root, subset) == pytest.approx(
+                snm_enumeration(z, n, subset), rel=1e-12, abs=1e-15
+            )
