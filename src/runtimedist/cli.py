@@ -105,8 +105,18 @@ def load_relations(cfg) -> dict:
     return relations
 
 
+def _size_setting(cfg, key: str, minimum: int | None) -> int:
+    """An integer setting, of at least `minimum` unless that is None, or a
+    ConfigError naming it."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def sample_n_for(cfg, relations) -> int:
-    n = int(cfg["sample_n"])
+    n = _size_setting(cfg, "sample_n", None)
     if n <= 0:
         n = math.ceil(float(cfg["sample_ratio"]) * min(r.row_count for r in relations.values()))
     return max(n, 2)
@@ -114,7 +124,8 @@ def sample_n_for(cfg, relations) -> int:
 
 def build_pool(cfg, relations) -> store.SamplePool:
     return store.build_pool(
-        relations, sample_n_for(cfg, relations), int(cfg["pool_size"]), int(cfg["seed"])
+        relations, sample_n_for(cfg, relations), _size_setting(cfg, "pool_size", 1),
+        _size_setting(cfg, "seed", 0),
     )
 
 
@@ -181,7 +192,7 @@ def _stamp(doc: dict) -> dict:
 
 def cmd_gen_world(args):
     cfg = load_config(args)
-    world = simeval.TrueCostWorld.generate(int(cfg["seed"]))
+    world = simeval.TrueCostWorld.generate(_size_setting(cfg, "seed", 0))
     path = world_path(cfg)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -191,19 +202,12 @@ def cmd_gen_world(args):
     return 0
 
 
-def _size_setting(cfg, key: str, minimum: int) -> int:
-    """An integer setting of at least `minimum`, or a ConfigError naming it."""
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def cmd_gen_workload(args):
     cfg = load_config(args)
     size, key_domain = (_size_setting(cfg, key, 1) for key in ("relation_size", "key_domain"))
     counts = [_size_setting(cfg, key, 0) for key in ("scan_count", "join_count", "join3_count")]
-    relations = simeval.generate_database(int(cfg["seed"]), sizes=(size, size, size), key_domain=key_domain)
+    seed = _size_setting(cfg, "seed", 0)
+    relations = simeval.generate_database(seed, sizes=(size, size, size), key_domain=key_domain)
     os.makedirs(cfg["data_dir"], exist_ok=True)
     for name, rel in relations.items():
         with open(os.path.join(cfg["data_dir"], f"{name}.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -213,7 +217,7 @@ def cmd_gen_workload(args):
         with open(os.path.join(cfg["data_dir"], f"{name}.schema"), "w", encoding="utf-8") as fh:
             for col, typ in rel.schema:
                 fh.write(f"{col},{typ}\n")
-    spec = simeval.WorkloadSpec.grid(*counts, int(cfg["seed"]))
+    spec = simeval.WorkloadSpec.grid(*counts, seed)
     plans, skipped = simeval.generate_workload(spec, relations)
     wl_dir = os.path.join(cfg["out_dir"], "workload")
     os.makedirs(wl_dir, exist_ok=True)
@@ -266,7 +270,7 @@ def cmd_calibrate(args):
         records = calib.read_calibration_csv(args.records)
     else:
         world = load_world(cfg)
-        records = world.calibration_records(int(cfg["calib_reps"]), int(cfg["seed"]))
+        records = world.calibration_records(_size_setting(cfg, "calib_reps", 2), _size_setting(cfg, "seed", 0))
         calib.write_calibration_csv(os.path.join(cfg["out_dir"], "calibration.csv"), records)
     model = calib.fit_cost_units(records)
     doc = {
@@ -289,7 +293,9 @@ def cmd_fitcost(args):
     world = load_world(cfg)
     p = load_plan(args.plan, relations)
     estimates = selest.estimate_all(p, pool, relations)
-    fitted = propagate.fit_all_cost_functions(p, estimates, world.cost_oracle(p, relations), W=int(cfg["grid_w"]))
+    fitted = propagate.fit_all_cost_functions(
+        p, estimates, world.cost_oracle(p, relations), W=_size_setting(cfg, "grid_w", 1)
+    )
     doc = {
         "oracle": "simulator-true-cost-model",
         "functions": {
@@ -313,7 +319,7 @@ def cmd_predict(args):
     p = load_plan(args.plan, relations)
     oracle = world.cost_oracle(p, relations)
     dist, estimates, fitted, entries = propagate.predict_distribution(
-        p, pool, relations, units, oracle=oracle, W=int(cfg["grid_w"]), policy=cfg["policy"]
+        p, pool, relations, units, oracle=oracle, W=_size_setting(cfg, "grid_w", 1), policy=cfg["policy"]
     )
     plan_id = os.path.splitext(os.path.basename(args.plan))[0]
     record = {
@@ -364,9 +370,9 @@ def cmd_evaluate(args):
     ):
         raise ConfigError(f"{manifest_path}: not a workload manifest of 'plans' with string 'label' and 'path'")
     plans = [(rec["label"], load_plan(rec["path"], relations)) for rec in recs]
-    records, summary = simeval.evaluate_workload(
+    records, summary = simeval.evaluate_workload(  # runs < 1 is actual_runtime's error
         plans, relations, pool, units, world,
-        policy=cfg["policy"], W=int(cfg["grid_w"]), runs=int(cfg["runs"]),
+        policy=cfg["policy"], W=_size_setting(cfg, "grid_w", 1), runs=_size_setting(cfg, "runs", None),
     )
     os.makedirs(cfg["out_dir"], exist_ok=True)
     csv_path = os.path.join(cfg["out_dir"], "evaluation.csv")
@@ -396,7 +402,7 @@ def cmd_oracle(args):
     doc = {"plan": args.plan, "n": n, "var_rho_exact": exact}
     pools = int(args.pools or 0)
     if pools:
-        rho = simeval.resample_rho(p, relations, n, pools, int(cfg["seed"]))
+        rho = simeval.resample_rho(p, relations, n, pools, _size_setting(cfg, "seed", 0))
         doc["var_rho_empirical"] = float(rho.var(ddof=1))
         doc["mean_rho_empirical"] = float(rho.mean())
         doc["pools"] = pools

@@ -8,15 +8,19 @@ harness's true coefficients and Monte Carlo evaluation (`simeval`).
 Coefficients are fitted from reference cost-model probes on a grid spanning
 mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
 with every structural coefficient constrained nonnegative and the constant
-term left free. Terms of one family on one grid are fitted in one call:
-one design matrix, one distinct-point check, one column scaling and one
-least-squares solve for every term's probe vector. A term whose
-unconstrained solution is infeasible then gets the exact passive-set
-enumeration after a QR factorization; its KKT optimality conditions are
-checkable for every fit. A fit is flagged `degenerate` when the data
-cannot determine its coefficients: its grid collapsed to fewer distinct
-points than coefficients, or its design matrix is rank deficient (e.g. an
-input selectivity estimated as exactly 0 gives an all-zero column).
+term left free. Terms of one family on one grid are fitted in one call at
+a fixed cost, whatever the grid's size or number of terms: one design
+matrix, one sort of the points (the distinct-point check), one column
+scaling and one `np.linalg.lstsq` solve for every term's probe vector,
+about 35 numpy calls in all, of which the solve takes about half the time.
+Two slower paths run only where the data call for them: a collapsed grid
+(fewer distinct points than coefficients, e.g. a zero-variance input) is
+fitted by the probe mean, and a term whose unconstrained solution has a
+negative structural coefficient gets the exact passive-set enumeration
+after a QR factorization. A fit is flagged `degenerate` when the data
+cannot determine its coefficients: its grid collapsed, or its design
+matrix is rank deficient (e.g. an input selectivity estimated as exactly
+0 gives an all-zero column). A non-finite probe value is a `FitError`.
 
 Probe oracle protocol: `oracle((node_id, unit), coords) -> values`, where
 `coords` is an (m, arity) array of selectivity coordinates (shape (1, 0)
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +84,15 @@ def family_value(tag: str, b, coord) -> float:
 def design_matrix(tag: str, coords) -> np.ndarray:
     """Term values at each probe coordinate: one row per row of the
     (m, arity) coordinate array, constant term last."""
-    if tag not in FAMILIES:
+    family = FAMILIES.get(tag)
+    if family is None:
         raise FitError(f"unknown cost-function type {tag!r}")
     X = np.asarray(coords, dtype=float)
-    arity = len(FAMILIES[tag][0])
+    arity = len(family[0])
     if X.ndim != 2 or X.shape[1] != arity:
         raise FitError(f"{tag} takes (m, {arity}) coordinates, got shape {X.shape}")
-    values = monomial_values(tag, [X[:, i] for i in range(arity)])
-    A = np.empty((X.shape[0], len(values)))
-    for k, v in enumerate(values):
+    A = np.empty((len(X), len(family[1])))
+    for k, v in enumerate(monomial_values(tag, X.T)):
         A[:, k] = v
     return A
 
@@ -121,19 +126,31 @@ def grid_points(distributions, W: int = 10) -> np.ndarray:
     the binary case takes the (W+1)^2 cross product, first axis outer. A
     zero-sigma axis repeats mu W+1 times. Returns an
     (m, len(distributions)) coordinate array; with no distribution, the
-    single empty coordinate of a C1 term, shape (1, 0).
+    single empty coordinate of a C1 term, shape (1, 0). Each axis is
+    `np.clip(np.linspace(mu - 3 sigma, mu + 3 sigma, W + 1), 0, 1)` bit for
+    bit, in linspace's own float operations: k * step + lo, then hi. (Its
+    other form, for a step that underflows to 0, is never needed: a
+    nonzero sigma is at least 1e-162, so hi - lo is 0 or far from 0.)
     """
     if W < 1:
         raise ValueError("W must be >= 1")
     if len(distributions) > 2:
         raise ValueError("grid_points takes at most two distributions")
+    if not distributions:
+        return np.empty((1, 0))
     axes = []
     for mu, sigma2 in distributions:
-        sigma = float(np.sqrt(max(sigma2, 0.0)))
-        axes.append(np.clip(np.linspace(mu - 3.0 * sigma, mu + 3.0 * sigma, W + 1), 0.0, 1.0))
-    if len(axes) < 2:
-        return axes[0][:, None] if axes else np.empty((1, 0))
-    return np.column_stack((np.repeat(axes[0], W + 1), np.tile(axes[1], W + 1)))
+        sigma = math.sqrt(max(sigma2, 0.0))
+        lo, hi = mu - 3.0 * sigma, mu + 3.0 * sigma
+        step = (hi - lo) / W
+        axis = [k * step + lo for k in range(W)] + [hi]
+        axes.append([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in axis])  # np.clip: NaN and -0.0 stay
+    if len(axes) == 1:
+        return np.array(axes[0])[:, None]
+    grid = np.empty((W + 1, W + 1, 2))
+    grid[:, :, 0] = np.array(axes[0])[:, None]
+    grid[:, :, 1] = axes[1]
+    return grid.reshape(-1, 2)
 
 
 def nnls_solve(A, Y, constrained):
@@ -163,17 +180,24 @@ def nnls_solve(A, Y, constrained):
     m, p = A.shape
     if m < p:
         raise FitError(f"need at least as many probe points ({m}) as terms ({p})")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(Y)):
+    if not (np.isfinite(A).all() and np.isfinite(Y).all()):
         raise FitError("non-finite values in the fit inputs")
-    constrained = np.asarray(constrained, dtype=bool)
     Y2 = Y.reshape(m, -1)
+    X, rank = _solve(A, Y2, np.asarray(constrained, dtype=bool))
+    if Y.ndim == 1:
+        return X[:, 0], bool(rank < p)
+    return X, np.full(Y2.shape[1], rank < p)
 
-    scale = np.linalg.norm(A, axis=0)
+
+def _solve(A, Y2, constrained):
+    """`nnls_solve` on checked inputs: (the (p, u) solution, the rank of
+    the scaled design)."""
+    scale = np.sqrt(np.add.reduce(A * A, axis=0))  # np.linalg.norm(A, axis=0)'s own arithmetic
     scale[scale == 0.0] = 1.0
     As = A / scale
     X, _, rank, _ = np.linalg.lstsq(As, Y2, rcond=None)
-    bad = np.flatnonzero(np.any(X[constrained] < 0.0, axis=0))
-    if bad.size:
+    if np.count_nonzero(X[constrained] < 0.0):
+        bad = np.flatnonzero(np.any(X[constrained] < 0.0, axis=0))
         Q, R = np.linalg.qr(As)
         Z = Q.T @ Y2[:, bad]
         best = np.full(bad.size, np.inf)
@@ -190,35 +214,16 @@ def nnls_solve(A, Y, constrained):
             X[:, bad[take]] = 0.0
             X[np.ix_(idx, bad[take])] = sol[:, take]
     X /= scale[:, None]
-    if Y.ndim == 1:
-        return X[:, 0], bool(rank < p)
-    return X, np.full(Y2.shape[1], rank < p)
-
-
-def kkt_residual(A, y, b, constrained) -> float:
-    """Worst violation of the fit's optimality conditions.
-
-    For active constrained coefficients (b_i = 0) the gradient component
-    must be >= 0; for all other coefficients it must vanish, relative to
-    max(1, ||A^T y||_inf).
-    """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b = np.asarray(b, dtype=float)
-    active = np.asarray(constrained, dtype=bool) & (b == 0.0)
-    g = A.T @ (A @ b - y)
-    scale = max(1.0, float(np.max(np.abs(A.T @ y)))) if y.size else 1.0
-    return float(np.max(np.where(active, -g, np.abs(g)), initial=0.0)) / scale
+    return X, rank
 
 
 def _distinct_at_least(coords, p: int) -> bool:
-    """Whether the (m, arity) coordinates hold at least p distinct points."""
-    seen = set()
-    for point in map(tuple, np.asarray(coords, dtype=float).tolist()):
-        seen.add(point)
-        if len(seen) >= p:
-            return True
-    return False
+    """Whether the (m, arity) coordinates hold at least p distinct points.
+    A point is one float, or a pair read as one complex number; sorted,
+    equal points are neighbours, and a point with a NaN equals none."""
+    X = np.ascontiguousarray(coords, dtype=float)
+    keys = np.sort(X.view(np.complex128) if X.shape[1] == 2 else X, axis=None)
+    return 1 + np.count_nonzero(keys[1:] != keys[:-1]) >= p
 
 
 def fit_cost_functions(tag: str, coords, values):
@@ -230,7 +235,8 @@ def fit_cost_functions(tag: str, coords, values):
     nonnegative (`nnls_solve`). A C1 term is the mean of its probes; a
     collapsed grid (fewer distinct coordinates than terms, e.g. a
     zero-variance selectivity) degrades to a constant fit through the
-    probe mean, flagged degenerate.
+    probe mean, flagged degenerate. A non-finite probe value is a
+    `FitError` on every path.
     """
     A = design_matrix(tag, coords)
     Y = np.asarray(values, dtype=float)
@@ -240,14 +246,16 @@ def fit_cost_functions(tag: str, coords, values):
     if Y.ndim not in (1, 2) or Y.shape[0] != m:
         raise FitError(f"{m} probe coordinates but values of shape {Y.shape}")
     Y2 = Y.reshape(m, -1)
+    if not np.isfinite(Y2).all():
+        raise FitError(f"non-finite probe values for a {tag} fit")
     if p == 1 or m < p or not _distinct_at_least(coords, p):  # the probe mean
         B = np.zeros((p, Y2.shape[1]))
         B[-1] = Y2.mean(axis=0)
-        degenerate = np.full(Y2.shape[1], p > 1)
+        degenerate = p > 1
     else:
-        B, degenerate = nnls_solve(A, Y2, [True] * (p - 1) + [False])
-    fits = [
-        CostFunction(tag=tag, b=tuple(float(v) for v in B[:, j]), degenerate=bool(degenerate[j]))
-        for j in range(Y2.shape[1])
-    ]
+        if not np.isfinite(A).all():
+            raise FitError(f"non-finite probe coordinates for a {tag} fit")
+        B, rank = _solve(A, Y2, np.arange(p) < p - 1)
+        degenerate = bool(rank < p)
+    fits = [CostFunction(tag, tuple(b), degenerate) for b in B.T.tolist()]
     return fits[0] if Y.ndim == 1 else fits

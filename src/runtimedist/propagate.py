@@ -122,17 +122,6 @@ def cost_function_mean(cf: CostFunction, dists) -> float:
     return e
 
 
-def cost_function_moments(cf: CostFunction, dists) -> tuple[float, float]:
-    """(E[f], Var[f]) of a cost function under normal selectivity inputs.
-
-    `dists` holds one (mu, sigma2) pair per input variable; two inputs are
-    independent (left and right subtrees share no sample table).
-    """
-    e = cost_function_mean(cf, dists)
-    tables = list(zip(map(moments, dists), map(covariances, dists)))
-    return e, _variance(_monomials(cf, range(len(dists))), functools.partial(cov_product, tables))
-
-
 def term_variance(e_f: float, var_f: float, mu_c: float, s2_c: float) -> float:
     """Variance of f*c for independent f and c."""
     return e_f * e_f * s2_c + mu_c * mu_c * var_f + s2_c * var_f
@@ -347,26 +336,28 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     grid of its input selectivity distribution(s). Terms of one family on
     the same input variables share one grid, built once, and are fitted
     together in one `costfit.fit_cost_functions` call. Each operator's
-    functions are keyed by unit in `PlanIndex.terms` order.
+    functions are keyed by unit in `PlanIndex.terms` order. A non-finite
+    probe value is a `costfit.FitError`.
     """
     dists = {nid: (e.rho_n, e.sigma2) for nid, e in estimates.items()}
-    fits: dict[tuple[int, str], CostFunction] = {}
-    grids: dict[tuple, tuple] = {}  # (family, variables) -> (coords, terms, probe values)
-    for term, (tag, vars_) in plan.index.terms.items():
-        if all(v is None for v in vars_):
-            value = float(oracle(term, np.ones((1, len(vars_))))[0])
-            fits[term] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
-            continue
-        if (tag, vars_) not in grids:
-            grids[tag, vars_] = costfit.grid_points([dists[v] for v in vars_], W=W), [], []
-        coords, terms, values = grids[tag, vars_]
-        terms.append(term)
-        values.append(oracle(term, coords))
-    for (tag, _), (coords, terms, values) in grids.items():
-        fits.update(zip(terms, costfit.fit_cost_functions(tag, coords, np.column_stack(values))))
     fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
-    for nid, unit in plan.index.terms:
-        fitted[nid][unit] = fits[nid, unit]
+    grids: dict[tuple, list] = {}  # (family, variables) -> the terms probed on its grid
+    ones = [np.ones((1, k)) for k in range(3)]  # the all-ones coordinate, by arity
+    for term, (tag, vars_) in plan.index.terms.items():
+        nid, unit = term
+        if vars_.count(None) < len(vars_):
+            fitted[nid][unit] = None  # keeps the unit's place; its grid's fit fills it below
+            grids.setdefault((tag, vars_), []).append(term)
+            continue
+        value = float(oracle(term, ones[len(vars_)])[0])
+        if not math.isfinite(value):
+            raise costfit.FitError(f"node {nid}, unit {unit}: non-finite probe value {value}")
+        fitted[nid][unit] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
+    for (tag, vars_), terms in grids.items():
+        coords = costfit.grid_points([dists[v] for v in vars_], W=W)
+        values = np.column_stack([oracle(term, coords) for term in terms])
+        for (nid, unit), cf in zip(terms, costfit.fit_cost_functions(tag, coords, values)):
+            fitted[nid][unit] = cf
     return fitted
 
 

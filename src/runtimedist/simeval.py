@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -209,7 +210,7 @@ class TrueCostWorld:
                 f"{tag} reads {len(FAMILIES[tag][1])}; it covers only the default cost profiles"
             )
         scale = [planmod.leaf_product(plan, relations, node_id if v is None else v) for v in vars_]
-        return tag, tuple(ak * v for ak, v in zip(a, monomial_values(tag, scale)))
+        return tag, tuple(map(operator.mul, a, monomial_values(tag, scale)))
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
@@ -218,7 +219,7 @@ class TrueCostWorld:
 
         def oracle(key, coords):
             tag, b = self.true_b(plan, relations, *key)
-            return design_matrix(tag, coords) @ np.asarray(b)
+            return design_matrix(tag, coords) @ b
 
         return oracle
 

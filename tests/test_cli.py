@@ -384,3 +384,25 @@ def test_bad_size_setting_reported_as_json(tmp_path, capsys, key, value, minimum
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == f"{key} must be an integer >= {minimum}, got {value!r}"
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command, key, value, bound", [
+    ("sample", "pool_size", 2.7, " >= 1"), ("sample", "sample_n", "many", ""), ("sample", "seed", -1, " >= 0"),
+    ("calibrate", "calib_reps", 1, " >= 2"), ("evaluate", "grid_w", 0, " >= 1"), ("evaluate", "runs", 1.5, ""),
+])
+def test_bad_integer_setting_reported_as_json(workdir, tmp_path, capsys, command, key, value, bound):
+    # Read through the one integer check: 2.7 is not truncated to 2.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text() + f"{key} = {value}\n")
+    assert cli.dispatch([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{key} must be an integer{bound}, got {value!r}"
+
+
+def test_nonpositive_sample_n_selects_sample_ratio(workdir, tmp_path):
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text() + f"out_dir = {tmp_path}\nsample_n = -3\nsample_ratio = 0.1\n")
+    assert cli.dispatch(["sample", "--config", str(cfg)]) == 0
+    with open(tmp_path / "samples" / "r1.0.csv", newline="", encoding="utf-8") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 20  # header, then ceil(0.1 * 200) rows

@@ -1,12 +1,14 @@
 """Cost-function families, probe grids, and the constrained solver."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from runtimedist import costfit
 from runtimedist.costfit import CostFunction
-from conftest import ARITY
+from conftest import ARITY, kkt_residual
 
 
 def _fit(tag, coords, fn):
@@ -37,6 +39,27 @@ def test_grid_binary_cross_product():
     pts = costfit.grid_points([(0.5, 0.01), (0.5, 0.01)], W=10)
     assert len(pts) == 121
     assert len({p[0] for p in pts}) == 11
+
+
+def _grid_by_definition(distributions, W):
+    """Each axis np.clip(np.linspace(mu - 3 sigma, mu + 3 sigma, W + 1), 0, 1),
+    the cross product first axis outer."""
+    axes = [np.clip(np.linspace(mu - 3.0 * s, mu + 3.0 * s, W + 1), 0.0, 1.0)
+            for mu, s in ((mu, float(np.sqrt(max(s2, 0.0)))) for mu, s2 in distributions)]
+    return np.array(list(itertools.product(*axes))) if axes else np.empty((1, 0))
+
+
+_SIGMA2 = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1.0, 1.0),
+                    st.floats(5e-324, 2.2250738585072014e-308))  # zero, negative, subnormal
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 2.0), _SIGMA2), max_size=2), st.integers(1, 12))
+@example([(0.3, 1e-320)], 1)
+@example([(-0.0, -0.0), (1.0, 0.0)], 1)
+def test_grid_points_bitwise_equal_to_definition(distributions, W):
+    got, want = costfit.grid_points(distributions, W), _grid_by_definition(distributions, W)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_design_matrix_linear():
@@ -95,7 +118,7 @@ def test_kkt_on_random_problems():
         y = rng.normal(size=m)
         constrained = rng.random(p) < 0.7
         b, _ = costfit.nnls_solve(A, y, constrained)
-        assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+        assert kkt_residual(A, y, b, constrained) <= 1e-8
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,7 +130,7 @@ def test_kkt_property(seed, p, extra):
     y = rng.normal(size=m)
     constrained = np.array([True] * (p - 1) + [bool(extra)]) if p > 1 else np.array([True])
     b, _ = costfit.nnls_solve(A, y, constrained)
-    assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+    assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert all(b[i] >= 0 for i in range(p) if constrained[i])
 
 
@@ -141,7 +164,7 @@ def test_nnls_chain_fit_recovers_tiny_column(monkeypatch):
     calls = _lstsq_calls(monkeypatch)
     b, degenerate = costfit.nnls_solve(A, y, constrained)
     assert np.all(np.isfinite(b))
-    assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+    assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert calls[0] <= 10  # at most 8 passive sets
     assert b[:2] == pytest.approx(b_true[:2], rel=1e-6)
     assert degenerate is False
@@ -159,7 +182,7 @@ def test_nnls_narrow_tiny_column_finite(monkeypatch):
     calls = _lstsq_calls(monkeypatch)
     b, _ = costfit.nnls_solve(A, y, constrained)
     assert np.all(np.isfinite(b))
-    assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+    assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert calls[0] <= 10
 
 
@@ -176,7 +199,7 @@ def test_nnls_recovers_planted_coefficients_across_column_scales(seed, p, expone
     y = A @ (planted / scale)
     constrained = np.array([True] * (p - 1) + [False])
     b, _ = costfit.nnls_solve(A, y, constrained)
-    assert costfit.kkt_residual(A, y, b, constrained) <= 1e-8
+    assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert b * scale == pytest.approx(planted, rel=1e-8, abs=1e-8)
 
 
@@ -207,7 +230,7 @@ def test_nnls_columns_solved_together_as_alone(seed, p, zero_column, more):
         b, flag = costfit.nnls_solve(A, y, constrained)
         assert np.max(np.abs(B[:, j] - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
         assert flag is bool(flags[j]) is zero_column
-        assert costfit.kkt_residual(A, y, B[:, j], constrained) <= 1e-8
+        assert kkt_residual(A, y, B[:, j], constrained) <= 1e-8
     assert np.linalg.lstsq(A, Y[:, 1], rcond=None)[0][p - 2] < 0.0  # infeasible on the full set
 
 
@@ -286,6 +309,54 @@ def test_fit_zero_column_flagged_degenerate():
     assert cf.degenerate is True
     assert cf.b == pytest.approx([0.0, 3.0, 2.0], rel=1e-12, abs=1e-12)
     assert cf.b[1:] == pytest.approx(costfit.fit_cost_functions("C3", xr[:, None], 3.0 * xr + 2.0).b, rel=1e-12)
+
+
+@st.composite
+def _fit_cases(draw):
+    """(family, grid, probe values): axes that are clipped, collapsed (sigma
+    0) or zero (mu 0, sigma 0), and true coefficients that may be negative,
+    so the unconstrained solution is infeasible; distinct values on an
+    axis lie at least about 6e-4 apart."""
+    tag = draw(st.sampled_from(["C2", "C3", "C4", "C5", "C6"]))
+    dists = [(draw(st.sampled_from([0.0, 1.0]) | st.floats(-0.2, 1.2)),
+              draw(st.sampled_from([0.0]) | st.floats(1e-6, 0.3))) for _ in range(ARITY[tag])]
+    coords = costfit.grid_points(dists, W=draw(st.integers(1, 10)))
+    b = [draw(st.floats(-2.0, 2.0)) for _ in range(costfit.NUM_COEFS[tag])]
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=len(coords))
+    return tag, coords, costfit.design_matrix(tag, coords) @ b + draw(st.sampled_from([0.0, 0.1])) * noise
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_cases())
+def test_fit_contract_on_generated_grids(case):
+    # Collapsed: fewer distinct points than coefficients, fitted by the
+    # probe mean. Otherwise optimal, and degenerate exactly when the design
+    # is rank deficient: per axis, d distinct values span min(d, 2)
+    # dimensions of {1, x}, and C4 needs 3 distinct values for x^2.
+    tag, coords, y = case
+    cf = costfit.fit_cost_functions(tag, coords, y)
+    p = costfit.NUM_COEFS[tag]
+    distinct = [len(set(coords[:, i].tolist())) for i in range(coords.shape[1])]
+    if int(np.prod(distinct)) < p:
+        assert cf.degenerate and cf.b == (0.0,) * (p - 1) + (float(np.mean(y)),)
+        return
+    rank = {"C4": min(distinct[0], 3), "C5": 1 + sum(d > 1 for d in distinct)}.get(
+        tag, int(np.prod([min(d, 2) for d in distinct])))
+    A = costfit.design_matrix(tag, coords)
+    assert kkt_residual(A, y, cf.b, [True] * (p - 1) + [False]) <= 1e-9
+    assert all(v >= 0.0 for v in cf.b[:-1])
+    assert cf.degenerate is (rank < p)
+
+
+def test_non_finite_probe_values_raise_on_every_path():
+    nan = float("nan")
+    collapsed, grid = costfit.grid_points([(0.3, 0.0)], 4), costfit.grid_points([(0.3, 0.01)], 4)
+    for tag, coords, values in [("C2", collapsed, [1.0, nan, 2.0, 3.0, 4.0]),
+                                ("C2", grid, [1.0, nan, 2.0, 3.0, 4.0]),
+                                ("C2", grid, np.column_stack(([1.0] * 5, [1.0, 2.0, float("inf"), 3.0, 4.0]))),
+                                ("C1", np.empty((1, 0)), [nan])]:
+        with pytest.raises(costfit.FitError, match="non-finite probe values"):
+            costfit.fit_cost_functions(tag, coords, values)
 
 
 def test_fit_insufficient_points():

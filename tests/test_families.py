@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import CostFunction
-from conftest import ARITY
+from conftest import ARITY, cost_function_moments
 
 # E[f] and Var[f] of each family, written out, for independent normal
 # inputs (mu, s2) per input.
@@ -48,7 +48,7 @@ def test_moments_match_closed_forms(data):
     b.append(data.draw(st.floats(-1e3, 1e3)))  # the constant is unconstrained
     dists = [(data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 0.25)))
              for _ in range(ARITY[tag])]
-    got = propagate.cost_function_moments(CostFunction(tag, tuple(b)), dists)
+    got = cost_function_moments(CostFunction(tag, tuple(b)), dists)
     want = CLOSED_FORMS[tag](b, dists)
     for g, w in zip(got, want):
         assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-300), (tag, b, dists, got, want)
@@ -93,7 +93,7 @@ def test_seventh_family_moments_vs_monte_carlo(seventh_family):
     xl = rng.normal(ml, math.sqrt(sl), size=draws)
     xr = rng.normal(mr, math.sqrt(sr), size=draws)
     f = b[0] * xl * xl * xr + b[1] * xl + b[2]
-    e, v = propagate.cost_function_moments(CostFunction("C7", b), dists)
+    e, v = cost_function_moments(CostFunction("C7", b), dists)
     assert e == pytest.approx(float(f.mean()), rel=1e-3)
     assert v == pytest.approx(float(f.var(ddof=1)), rel=0.03)
     # the mean is exact: E[Xl^2 Xr] = (ml^2 + sl) mr

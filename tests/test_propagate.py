@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import CostFunction
 from runtimedist.selest import SelEstimate
-from conftest import ARITY
+from conftest import ARITY, cost_function_moments
 
 
 def _units(means, variances):
@@ -46,30 +46,30 @@ def _single_scan_plan(profile=None):
 
 
 def test_moments_c1():
-    assert propagate.cost_function_moments(CostFunction("C1", (4.0,)), []) == (4.0, 0.0)
+    assert cost_function_moments(CostFunction("C1", (4.0,)), []) == (4.0, 0.0)
 
 
 def test_moments_c2_linear():
-    e, v = propagate.cost_function_moments(CostFunction("C2", (10.0, 0.0)), [(0.5, 0.01)])
+    e, v = cost_function_moments(CostFunction("C2", (10.0, 0.0)), [(0.5, 0.01)])
     assert (e, v) == pytest.approx((5.0, 1.0))
 
 
 def test_moments_c4_pinned():
-    e, v = propagate.cost_function_moments(CostFunction("C4", (2.0, 1.0, 0.0)), [(0.5, 0.01)])
+    e, v = cost_function_moments(CostFunction("C4", (2.0, 1.0, 0.0)), [(0.5, 0.01)])
     assert v == pytest.approx(0.0908)
     assert e == pytest.approx(2.0 * (0.25 + 0.01) + 0.5)
 
 
 def test_moments_c6_degenerate():
     cf = CostFunction("C6", (2.0, 3.0, 4.0, 5.0))
-    e, v = propagate.cost_function_moments(cf, [(0.3, 0.0), (0.7, 0.0)])
+    e, v = cost_function_moments(cf, [(0.3, 0.0), (0.7, 0.0)])
     assert v == 0.0
     assert e == pytest.approx(cf.evaluate(0.3, 0.7))
 
 
 def test_moments_missing_distribution():
     with pytest.raises(Exception):
-        propagate.cost_function_moments(CostFunction("C5", (1.0, 1.0, 1.0)), [(0.5, 0.01)])
+        cost_function_moments(CostFunction("C5", (1.0, 1.0, 1.0)), [(0.5, 0.01)])
 
 
 def test_term_variance_pinned():
@@ -482,6 +482,23 @@ def test_fit_makes_one_oracle_call_per_term():
     assert ((1, "c_r"), (1, 0)) in calls  # a SeqScan's C1 term is probed too
     assert ((1, "c_s"), (1, 1)) in calls  # and its C3 terms on the constant left input
     assert fitted[1]["c_s"].b == (0.0, inner((1, "c_s"), np.ones((1, 1)))[0])
+
+
+def test_non_finite_constant_probe_raises():
+    # A constant term is probed once and stored as its value: a NaN there
+    # is a FitError naming the term, not a NaN coefficient.
+    relations, world, _, pool = _world_fixture()
+    plan = planmod.parse_plan(json.dumps({"nodes": [
+        {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
+         "predicate": [{"col": "r1_val", "op": "<", "value": 5000}]}], "root": 1}))
+    est = selest.estimate_all(plan, pool, relations)
+    inner = world.cost_oracle(plan, relations)
+
+    def oracle(key, coords):
+        return np.full(len(coords), np.nan) if key == (1, "c_r") else inner(key, coords)
+
+    with pytest.raises(costfit.FitError, match="node 1, unit c_r: non-finite probe value nan"):
+        propagate.fit_all_cost_functions(plan, est, oracle)
 
 
 def test_fit_builds_one_grid_per_family_and_inputs(monkeypatch):
