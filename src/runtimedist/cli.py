@@ -115,10 +115,18 @@ def _size_setting(cfg, key: str, minimum: int | None) -> int:
     return value
 
 
+def _ratio_setting(cfg, key: str) -> float:
+    """A number in (0, 1], or a ConfigError naming the setting."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+        raise ConfigError(f"{key} must be a number in (0, 1], got {value!r}")
+    return float(value)
+
+
 def sample_n_for(cfg, relations) -> int:
     n = _size_setting(cfg, "sample_n", None)
     if n <= 0:
-        n = math.ceil(float(cfg["sample_ratio"]) * min(r.row_count for r in relations.values()))
+        n = math.ceil(_ratio_setting(cfg, "sample_ratio") * min(r.row_count for r in relations.values()))
     return max(n, 2)
 
 

@@ -166,9 +166,11 @@ def nnls_solve(A, Y, constrained):
     the full set covers every column of Y, and is taken where feasible.
     Only the other columns get the QR factorization A = QR and the other
     passive sets, each solved on R against Z = Q^T Y for all of them at
-    once; there are 2^k sets for k constrained coefficients, at most 8 for
-    the cost families. As with `np.linalg.lstsq`, a 1-D y gives a (p,)
-    solution and one `bool`, an (m, u) Y a (p, u) solution and u bools.
+    once, with the full solve's rank tolerance (eps * m, not R's eps * p:
+    R has the design's singular values); there are 2^k sets for k
+    constrained coefficients, at most 8 for the cost families. As with
+    `np.linalg.lstsq`, a 1-D y gives a (p,) solution and one `bool`, an
+    (m, u) Y a (p, u) solution and u bools.
     The flag marks a rank-deficient A (e.g. an all-zero column): the data
     cannot determine every coefficient, and a passive set's minimum-norm
     solution is the one returned.
@@ -199,6 +201,7 @@ def _solve(A, Y2, constrained):
     if np.count_nonzero(X[constrained] < 0.0):
         bad = np.flatnonzero(np.any(X[constrained] < 0.0, axis=0))
         Q, R = np.linalg.qr(As)
+        tol = np.finfo(float).eps * max(As.shape)
         Z = Q.T @ Y2[:, bad]
         best = np.full(bad.size, np.inf)
         cons = np.flatnonzero(constrained)
@@ -207,7 +210,7 @@ def _solve(A, Y2, constrained):
             passive = ~constrained
             passive[cons] = kept
             idx = np.flatnonzero(passive)
-            sol = np.linalg.lstsq(R[:, idx], Z, rcond=None)[0]
+            sol = np.linalg.lstsq(R[:, idx], Z, rcond=tol)[0]
             res = np.linalg.norm(R[:, idx] @ sol - Z, axis=0)
             take = (res < best) & ~np.any(sol[constrained[idx]] < 0.0, axis=0)
             best[take] = res[take]

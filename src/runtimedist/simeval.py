@@ -14,6 +14,7 @@ generation, and the correlation / error-distribution metrics.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -358,23 +359,22 @@ def generate_database(seed: int, sizes=(2000, 2000, 2000), key_domain: int = 200
             (f"{name}_key2", "int64"),
             (f"{name}_val", "int64"),
         )
-        rows = tuple(
-            (int(ids[j]), int(keys[j]), int(keys2[j]), int(vals[j])) for j in range(size)
-        )
+        rows = tuple(zip(ids.tolist(), keys.tolist(), keys2.tolist(), vals.tolist()))
         relations[name] = Relation(name=name, schema=schema, rows=rows)
     return relations
 
 
 def _threshold_for(relation, column: str, target: float, sorted_columns: dict):
-    """Value v such that the fraction of rows with column < v is close to
-    the target selectivity. `sorted_columns` holds each (relation, column)
+    """(v, the fraction of rows with column < v): an integer threshold
+    whose fraction is close to the target selectivity, and that fraction
+    exactly as `plan.selectivity_truth` computes it for the scan (a count
+    over the row count). `sorted_columns` holds each (relation, column)
     value list sorted once, filled on first use."""
     vals = sorted_columns.get((relation.name, column))
     if vals is None:
         vals = sorted_columns[relation.name, column] = sorted(relation.column(column))
-    idx = int(round(target * len(vals)))
-    idx = min(max(idx, 0), len(vals) - 1)
-    return vals[idx]
+    thr = int(vals[min(max(int(round(target * len(vals))), 0), len(vals) - 1)])
+    return thr, bisect.bisect_left(vals, thr) / len(vals)
 
 
 @dataclass
@@ -406,14 +406,15 @@ class WorkloadSpec:
 
 
 def _scan_node(nid, rel, target, relations, sorted_columns):
-    thr = _threshold_for(relations[rel], f"{rel}_val", target, sorted_columns)
+    """(the scan's node, its true selectivity)."""
+    thr, sel = _threshold_for(relations[rel], f"{rel}_val", target, sorted_columns)
     return {
         "id": nid,
         "kind": "SeqScan",
         "relation": rel,
         "children": [],
-        "predicate": [{"col": f"{rel}_val", "op": "<", "value": int(thr)}],
-    }
+        "predicate": [{"col": f"{rel}_val", "op": "<", "value": thr}],
+    }, sel
 
 
 _TARGET_TOLERANCE = 0.10  # a generated plan's largest relative selectivity error
@@ -425,13 +426,13 @@ def generate_workload(spec: WorkloadSpec, relations):
     with a warning string returned alongside.
 
     A scan's threshold is read from its relation's selection column,
-    sorted once per call. A candidate is first executed with every
-    appearance bound to an empty copy of its relation: that resolves every
-    column it names as a real run does (a missing one raises
-    `plan.ExecutionError`) and counts nothing. Each checked scan's
-    selectivity is `plan.selectivity_truth` of the scan as a plan of its
-    own, computed once per call for each distinct (relation, selection
-    atoms). Joins' selectivities are not checked, so no join runs over a
+    sorted once per call, and so is its true selectivity: the count of
+    values below the threshold (a bisection of the sorted column) over the
+    row count, bitwise what `plan.selectivity_truth` gives, ties included.
+    A candidate is executed once, with every appearance bound to an empty
+    copy of its relation: that resolves every column it names as a real
+    run does (a missing one raises `plan.ExecutionError`) and counts
+    nothing. Joins' selectivities are not checked, so no plan runs over a
     non-empty table.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x3141]))
@@ -439,20 +440,14 @@ def generate_workload(spec: WorkloadSpec, relations):
     plans = []
     skipped = []
     sorted_columns: dict = {}  # (relation, column) -> its values, sorted
-    scan_sel: dict = {}  # (relation, selection atoms) -> the scan's true selectivity
     empty = {name: replace(rel, rows=()) for name, rel in relations.items()}
 
     def verify(doc, checks):
+        """The parsed plan, or None if a (target, true selectivity) check fails."""
         p = planmod.parse_plan(json.dumps(doc))
         planmod.execute(p, {app: empty[app[0]] for app in p.index.appearance.values()})
-        for nid, target in checks:
-            if target <= 0:
-                return None
-            node = p.nodes[nid]
-            key = node.relation, node.selections
-            if key not in scan_sel:
-                scan_sel[key] = planmod.selectivity_truth(planmod.Plan(p.nodes, nid), relations)[nid]
-            if abs(scan_sel[key] - target) > _TARGET_TOLERANCE * target:
+        for target, sel in checks:
+            if target <= 0 or abs(sel - target) > _TARGET_TOLERANCE * target:
                 return None
         return p
 
@@ -470,16 +465,16 @@ def generate_workload(spec: WorkloadSpec, relations):
     )
     for label, all_targets, message, scan_rels, joins in shapes:
         for i, targets in enumerate(all_targets):
-            nodes = [
+            nodes, sels = map(list, zip(*[
                 _scan_node(k, rel, t, relations, sorted_columns)
                 for k, (rel, t) in enumerate(zip(scan_rels(i), targets), start=1)
-            ]
+            ]))
             root = 1
             for right, (kind, lcol, rcol) in enumerate(joins(i), start=2):
                 nodes.append({"id": len(nodes) + 1, "kind": kind, "children": [root, right],
                               "predicate": [{"left": lcol, "right": rcol}]})
                 root = len(nodes)
-            p = verify({"nodes": nodes, "root": root}, list(enumerate(targets, start=1)))
+            p = verify({"nodes": nodes, "root": root}, zip(targets, sels))
             if p is None:
                 skipped.append(message.format(*targets) + " unrealizable")
                 continue

@@ -400,6 +400,26 @@ def test_bad_integer_setting_reported_as_json(workdir, tmp_path, capsys, command
     assert json.loads(err)["error"] == f"{key} must be an integer{bound}, got {value!r}"
 
 
+@pytest.mark.parametrize("value", ["many", -0.5, 0, 1.5])
+def test_bad_sample_ratio_reported_as_json(workdir, tmp_path, capsys, value):
+    # Read where sample_n <= 0 selects it: a number in (0, 1].
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text() + f"sample_n = 0\nsample_ratio = {value}\n")
+    assert cli.dispatch(["sample", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"sample_ratio must be a number in (0, 1], got {value!r}"
+
+
+@pytest.mark.parametrize("value, rows", [(1, 200), (0.05, 10)])
+def test_sample_ratio_in_range_sizes_the_pool(workdir, tmp_path, value, rows):
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text() + f"out_dir = {tmp_path}\nsample_n = 0\nsample_ratio = {value}\n")
+    assert cli.dispatch(["sample", "--config", str(cfg)]) == 0
+    with open(tmp_path / "samples" / "r1.0.csv", newline="", encoding="utf-8") as fh:
+        assert len(list(csv.reader(fh))) == 1 + rows  # header, then ceil(ratio * 200) rows
+
+
 def test_nonpositive_sample_n_selects_sample_ratio(workdir, tmp_path):
     cfg = tmp_path / "ratio.cfg"
     cfg.write_text((workdir / "run.cfg").read_text() + f"out_dir = {tmp_path}\nsample_n = -3\nsample_ratio = 0.1\n")

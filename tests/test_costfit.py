@@ -326,8 +326,15 @@ def _fit_cases(draw):
     return tag, coords, costfit.design_matrix(tag, coords) @ b + draw(st.sampled_from([0.0, 0.1])) * noise
 
 
+# A collapsed Xr axis (sigma 0, mu != 0) makes the Xr and constant columns
+# collinear: a passive set holding both must be solved as rank deficient,
+# at the full design's tolerance, not with cancelling ~1e13 coefficients.
+_COLLINEAR = costfit.grid_points([(1.0, 0.18940949239117252), (0.3285060835319746, 0.0)], W=9)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_fit_cases())
+@example(("C5", _COLLINEAR, np.random.default_rng(18).normal(scale=0.1, size=100)))
 def test_fit_contract_on_generated_grids(case):
     # Collapsed: fewer distinct points than coefficients, fitted by the
     # probe mean. Otherwise optimal, and degenerate exactly when the design

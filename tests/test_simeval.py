@@ -163,6 +163,21 @@ def test_generate_database_shape_and_determinism():
     assert _small_db()["r1"].rows == rels["r1"].rows
 
 
+@pytest.mark.parametrize("seed, sizes, key_domain", [(3, (1, 1, 1), 1), (40, (1, 17, 300), 30), (7, (2000,) * 3, 200)])
+def test_generate_database_rows_match_per_cell_definition(seed, sizes, key_domain):
+    # The same draws in the same order, each cell a plain Python int.
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDB]))
+    relations = simeval.generate_database(seed, sizes=sizes, key_domain=key_domain)
+    for i, size in enumerate(sizes, start=1):
+        ids = rng.permutation(size)
+        keys = rng.integers(0, key_domain, size=size)
+        keys2 = rng.integers(0, key_domain, size=size)
+        vals = rng.integers(0, simeval._VAL_DOMAIN, size=size)
+        rows = relations[f"r{i}"].rows
+        assert rows == tuple((int(ids[j]), int(keys[j]), int(keys2[j]), int(vals[j])) for j in range(size))
+        assert all(type(v) is int for row in rows for v in row)
+
+
 def test_noise_free_runtime_matches_oracle_total():
     relations = _small_db()
     world = TrueCostWorld.generate(3)
@@ -603,6 +618,35 @@ _targets = st.one_of(
 )
 def test_generate_workload_matches_whole_plan_truth(db_seed, sizes, key_domain, spec_seed, scans, joins, joins3):
     relations = simeval.generate_database(db_seed, sizes=sizes, key_domain=key_domain)
+    spec = WorkloadSpec(scan_targets=scans, join_targets=joins, three_way_targets=joins3, seed=spec_seed)
+    want_plans, want_skipped = _reference_workload(spec, relations)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plans, skipped = simeval.generate_workload(spec, relations)
+    assert [label for label, _ in plans] == [label for label, _ in want_plans]
+    assert [planmod.serialize_plan(p) for _, p in plans] == [planmod.serialize_plan(p) for _, p in want_plans]
+    assert skipped == want_skipped
+    assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, m) for m in want_skipped]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db_seed=st.integers(0, 10**6),
+    sizes=st.tuples(*[st.integers(1, 60)] * 3),
+    key_domain=st.integers(1, 12),
+    spec_seed=st.integers(0, 10**6),
+    scans=st.lists(_targets, max_size=5),
+    joins=st.lists(st.tuples(_targets, _targets), max_size=3),
+    joins3=st.lists(st.tuples(_targets, _targets, _targets), max_size=2),
+)
+def test_generate_workload_matches_whole_plan_truth_on_ties(db_seed, sizes, key_domain, spec_seed, scans, joins, joins3):
+    # Selection values from a domain of 5: most thresholds have ties below
+    # and at them, so a scan's count is exact only if ties are counted.
+    vals = np.random.default_rng(db_seed).integers(0, 5, size=sum(sizes)).tolist()
+    relations = {}
+    for name, rel in simeval.generate_database(db_seed, sizes=sizes, key_domain=key_domain).items():
+        rows = tuple(row[:-1] + (vals.pop(),) for row in rel.rows)
+        relations[name] = store.Relation(rel.name, rel.schema, rows)
     spec = WorkloadSpec(scan_targets=scans, join_targets=joins, three_way_targets=joins3, seed=spec_seed)
     want_plans, want_skipped = _reference_workload(spec, relations)
     with warnings.catch_warnings(record=True) as caught:
