@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,17 +59,17 @@ class FitError(ValueError):
 
 
 @functools.lru_cache(maxsize=None)
-def _factors(monomials) -> tuple:
-    """Per monomial, the positions of its inputs, each repeated by its
-    exponent: C6 gives ((0, 1), (0,), (1,), ())."""
-    return tuple(tuple(i for i, e in enumerate(exps) for _ in range(e)) for exps in monomials)
+def _factors(tag: str) -> tuple:
+    """Per monomial of the family, the positions of its inputs, each
+    repeated by its exponent: C6 gives ((0, 1), (0,), (1,), ())."""
+    return tuple(tuple(i for i, e in enumerate(exps) for _ in range(e)) for exps in FAMILIES[tag][1])
 
 
 def monomial_values(tag: str, inputs) -> list:
     """The family's monomials at one value per input (floats, or arrays
     of one length), constant last."""
     values = []
-    for idx in _factors(FAMILIES[tag][1]):
+    for idx in _factors(tag):
         v = inputs[idx[0]] if idx else 1.0
         for i in idx[1:]:
             v = v * inputs[i]
@@ -78,7 +79,7 @@ def monomial_values(tag: str, inputs) -> list:
 
 def family_value(tag: str, b, coord) -> float:
     """The family's value at one coordinate, summed in monomial order."""
-    return sum(bk * v for bk, v in zip(b, monomial_values(tag, coord)))
+    return sum(map(operator.mul, b, monomial_values(tag, coord)))
 
 
 def design_matrix(tag: str, coords) -> np.ndarray:

@@ -6,7 +6,7 @@ predictor sees the world only through calibration records and cost-model
 probe oracles (`oracle((node_id, unit), coords) -> values`, an (m, arity)
 coordinate array in, m true costs out); "actual" running times are
 simulated by evaluating the true cost model at the true selectivities with
-fresh cost-unit draws per run.
+fresh cost-unit draws per run: one pass over the terms, then seeded draws.
 
 Also here: the exact enumeration oracle for Var[rho_n], workload
 generation, and the correlation / error-distribution metrics.
@@ -91,24 +91,22 @@ def default_alpha_grid() -> np.ndarray:
     return np.arange(1, 601) * 0.01
 
 
+_NORMAL_SIDE = np.array([2.0 * normal_cdf(float(a)) - 1.0 for a in default_alpha_grid()])  # 2 Phi(alpha) - 1
+
+
 def error_distribution_distance(records):
     """Per-alpha D_n(alpha) = |Pr_n(alpha) - (2 Phi(alpha) - 1)| over
     `default_alpha_grid`, and its mean.
 
-    Pr_n is the empirical fraction of normalized errors <= alpha. Records
-    with zero predicted stddev are excluded and counted.
+    Pr_n is the fraction of normalized errors <= alpha (a NaN counts for
+    no alpha). Records with zero predicted stddev are excluded and counted.
     """
     usable = [r for r in records if r.predicted_stddev > 0.0]
     excluded = len(records) - len(usable)
     if not usable:
         raise ValueError("no usable records (all have zero predicted stddev)")
-    e = np.array([r.norm_error for r in usable])
-    d = []
-    for a in default_alpha_grid():
-        pr_n = float(np.mean(e <= a))
-        pr = 2.0 * normal_cdf(float(a)) - 1.0
-        d.append(abs(pr_n - pr))
-    d = np.asarray(d)
+    e = np.sort([r.norm_error for r in usable])
+    d = np.abs(np.searchsorted(e, default_alpha_grid(), side="right") / len(e) - _NORMAL_SIDE)
     return d, float(d.mean()), excluded
 
 
@@ -198,10 +196,9 @@ class TrueCostWorld:
                 )
         return records
 
-    def true_b(self, plan: Plan, relations, node_id: int, unit: str) -> tuple[str, tuple[float, ...]]:
-        """True selectivity-space coefficients for one operator term: each
-        true a-coefficient times its monomial at the inputs' leaf products
-        (a scan's left input: its relation's row count)."""
+    def _true_b(self, plan: Plan, relations, node_id: int, unit: str, products: dict):
+        """(tag, input variables, `true_b`'s coefficients as an iterator);
+        `products` memoizes each node's leaf product for the caller."""
         kind = plan.nodes[node_id].kind
         tag, vars_ = plan.index.terms[node_id, unit]
         a = self.coefs.get(kind, {}).get(unit, ())
@@ -210,8 +207,18 @@ class TrueCostWorld:
                 f"the world has no {tag} coefficients for ({kind}, {unit}): it holds {len(a)}, "
                 f"{tag} reads {len(FAMILIES[tag][1])}; it covers only the default cost profiles"
             )
-        scale = [planmod.leaf_product(plan, relations, node_id if v is None else v) for v in vars_]
-        return tag, tuple(map(operator.mul, a, monomial_values(tag, scale)))
+        scale = []
+        for v in vars_:
+            k = node_id if v is None else v
+            scale.append(products[k] if k in products else products.setdefault(k, planmod.leaf_product(plan, relations, k)))
+        return tag, vars_, map(operator.mul, a, monomial_values(tag, scale))
+
+    def true_b(self, plan: Plan, relations, node_id: int, unit: str) -> tuple[str, tuple[float, ...]]:
+        """True selectivity-space coefficients for one operator term: each
+        true a-coefficient times its monomial at the inputs' leaf products
+        (a scan's left input: its relation's row count)."""
+        tag, _, b = self._true_b(plan, relations, node_id, unit, {})
+        return tag, tuple(b)
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
@@ -226,22 +233,24 @@ class TrueCostWorld:
 
 
 def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
-    """(unit, true logical cost) of every cost term at the true
-    selectivities, in post-order; a run only draws the unit costs."""
+    """(unit, true logical cost) of every cost term at the true selectivities,
+    in post-order, each leaf product computed once; a run only draws the unit costs."""
+    products: dict = {}
     costs = []
-    for (nid, unit), (tag, vars_) in plan.index.terms.items():
-        _, b = world.true_b(plan, relations, nid, unit)
+    for nid, unit in plan.index.terms:
+        tag, vars_, b = world._true_b(plan, relations, nid, unit, products)
         costs.append((unit, family_value(tag, b, [1.0 if v is None else truth[v] for v in vars_])))
     return costs
 
 
 def _simulate(costs, world: TrueCostWorld, seed: int) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([world.seed, seed, 0x5EED]))
+    means, sds = world.unit_means, {u: math.sqrt(v) for u, v in world.unit_vars.items()}
     total = 0.0
     # One call draws every term's standard normal, in term order; a unit's
     # draw is mean + sd * z, as `rng.normal(mean, sd)` computes it.
     for (unit, cost), z in zip(costs, rng.standard_normal(len(costs)).tolist()):
-        total += cost * max(world.unit_means[unit] + math.sqrt(world.unit_vars[unit]) * z, 0.0)
+        total += cost * max(means[unit] + sds[unit] * z, 0.0)
     return total
 
 
@@ -258,8 +267,7 @@ def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs:
     which share the term costs and differ in their unit-cost draws."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    truth = planmod.selectivity_truth(plan, relations)
-    costs = _true_term_costs(plan, relations, world, truth)
+    costs = _true_term_costs(plan, relations, world, planmod.selectivity_truth(plan, relations))
     return float(np.mean([_simulate(costs, world, seed * 1000 + r) for r in range(runs)]))
 
 

@@ -11,6 +11,7 @@ individual draws.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ class Relation:
     def row_count(self) -> int:
         return len(self.rows)
 
-    @property
+    @functools.cached_property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c for c, _ in self.schema)
 

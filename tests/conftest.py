@@ -5,7 +5,8 @@ going through the package's executor or streaming accumulators, so the
 package paths can be checked against genuinely independent arithmetic.
 The Monte Carlo oracle for a plan's running-time moments, the family
 arities it and other tests read, a fit's KKT residual and one cost
-function's moments live here too: only tests use them.
+function's moments live here too, with a simulated run written out term
+by term: only tests use them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from runtimedist import plan as planmod, propagate, selest, simeval, store
-from runtimedist.costfit import FAMILIES, monomial_values
+from runtimedist.costfit import FAMILIES, family_value, monomial_values
 from runtimedist.plan import Plan
 from runtimedist.propagate import fitted_terms
 
@@ -209,6 +210,25 @@ def cost_function_moments(cf, dists) -> tuple[float, float]:
     tables = list(zip(map(propagate.moments, dists), map(propagate.covariances, dists)))
     monomials = propagate._monomials(cf, range(len(dists)))
     return e, propagate._variance(monomials, functools.partial(propagate.cov_product, tables))
+
+
+def reference_run(plan: Plan, relations, world: simeval.TrueCostWorld, seed: int, truth=None) -> float:
+    """One simulated run written out: per cost term, `true_b` then
+    `family_value` at the true selectivities (a leaf's left input: 1.0);
+    then one standard normal per term, in term order, from the run's
+    seeded generator, each unit cost drawn as mean + sd * z and clamped at
+    0, and the run's time the sum of cost times unit cost."""
+    if truth is None:
+        truth = planmod.selectivity_truth(plan, relations)
+    costs = []
+    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+        _, b = world.true_b(plan, relations, nid, unit)
+        costs.append((unit, family_value(tag, b, [1.0 if v is None else truth[v] for v in vars_])))
+    rng = np.random.default_rng(np.random.SeedSequence([world.seed, seed, 0x5EED]))
+    total = 0.0
+    for (unit, cost), z in zip(costs, rng.standard_normal(len(costs)).tolist()):
+        total += cost * max(world.unit_means[unit] + math.sqrt(world.unit_vars[unit]) * z, 0.0)
+    return total
 
 
 def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1_000_000, seed: int = 0):

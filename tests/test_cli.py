@@ -32,6 +32,11 @@ def workdir(tmp_path_factory):
         )
         + "\n"
     )
+    # Every test reads a complete pipeline, whichever run first: the world,
+    # the data and workload, and the calibrated units. The step tests run
+    # each step again and check its output, which is deterministic.
+    for step in ("gen-world", "gen-workload", "calibrate"):
+        assert cli.dispatch([step, "--config", str(cfg)]) == 0
     return root
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.simeval import EvalRecord, TrueCostWorld, WorkloadSpec
-from conftest import ARITY, brute_membership, monte_carlo_variance, tiny_instance
+from conftest import ARITY, brute_membership, monte_carlo_variance, reference_run, tiny_instance
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +119,33 @@ def test_distance_excludes_zero_sigma():
     assert excluded == 1
     with pytest.raises(ValueError):
         simeval.error_distribution_distance([EvalRecord("z", 1.0, 0.0, 0.5)])
+
+
+_GRID = simeval.default_alpha_grid().tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(_GRID[:5] + _GRID[-3:] + [0.0, -0.0, 0.5, 7.0, math.inf, -math.inf, math.nan])
+    | st.floats(-10.0, 10.0) | st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1.0, 1.0, 1.0, 0.0]),
+), min_size=1, max_size=30))
+def test_distance_matches_per_alpha_loop(cases):
+    # Grid-point values and repeats make ties with alpha and with each
+    # other; +-0, inf and NaN errors are counted as `e <= alpha` counts them.
+    records = [EvalRecord(str(i), mean, sd, 0.0) for i, (mean, sd) in enumerate(cases)]
+    usable = [r for r in records if r.predicted_stddev > 0.0]
+    if not usable:
+        with pytest.raises(ValueError, match="no usable records"):
+            simeval.error_distribution_distance(records)
+        return
+    e = np.array([r.norm_error for r in usable])
+    want = [abs(float(np.mean(e <= a)) - (2.0 * simeval.normal_cdf(float(a)) - 1.0))
+            for a in simeval.default_alpha_grid()]
+    d, dbar, excluded = simeval.error_distribution_distance(records)
+    assert list(map(float.hex, d.tolist())) == list(map(float.hex, want))
+    assert dbar.hex() == float(np.asarray(want).mean()).hex()
+    assert excluded == len(records) - len(usable)
 
 
 def test_eval_record_errors():
@@ -345,6 +372,61 @@ def test_actual_runtime_rejects_no_runs(runs):
         {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": []}], "root": 1}))
     with pytest.raises(ValueError, match="runs must be at least 1"):
         simeval.actual_runtime(plan, _small_db(), TrueCostWorld.generate(3), seed=4, runs=runs)
+
+
+def _filled_world(plan, world_seed, cv, data):
+    """A generated world whose unit noise is `cv` times each mean, with
+    coefficients drawn for every (kind, unit) slot the plan reads."""
+    world = TrueCostWorld.generate(world_seed)
+    world.unit_vars = {u: (cv * m) ** 2 for u, m in world.unit_means.items()}
+    for node in plan.nodes.values():
+        for unit, tag in node.cost_profile.items():
+            world.coefs.setdefault(node.kind, {})[unit] = tuple(
+                data.draw(st.floats(0.0, 20.0)) for _ in range(costfit.NUM_COEFS[tag]))
+    return world
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_simulated_runs_match_written_out_reference(data):
+    # Bitwise, with and without `truth=`, and as `actual_runtime`'s mean of
+    # runs. A noise of twice the mean clamps many unit draws at 0.
+    if data.draw(st.booleans(), label="all families"):
+        relations = simeval.generate_database(data.draw(st.integers(0, 99)), sizes=(9, 12, 15), key_domain=4)
+        plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
+    else:
+        relations, plan, _ = tiny_instance(data.draw(st.integers(0, 10_000)))
+    world = _filled_world(plan, data.draw(st.integers(0, 99)), data.draw(st.sampled_from([0.0, 0.12, 2.0])), data)
+    truth = planmod.selectivity_truth(plan, relations)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    want = reference_run(plan, relations, world, seed)
+    assert simeval.simulate_actual_runtime(plan, relations, world, seed).hex() == want.hex()
+    assert simeval.simulate_actual_runtime(plan, relations, world, seed, truth=truth).hex() == want.hex()
+    seed, runs = data.draw(st.integers(0, 10**6)), data.draw(st.integers(1, 5))
+    want = float(np.mean([reference_run(plan, relations, world, seed * 1000 + r, truth) for r in range(runs)]))
+    assert simeval.actual_runtime(plan, relations, world, seed, runs=runs).hex() == want.hex()
+
+
+def test_simulated_run_refuses_a_slot_of_another_length():
+    # The run checks each term's slot as `true_b` does, with its message.
+    relations = _small_db()
+    world = TrueCostWorld.generate(5)
+    doc = {
+        "nodes": [
+            {"id": 1, "kind": "SeqScan", "relation": "r1", "children": []},
+            {"id": 2, "kind": "SeqScan", "relation": "r2", "children": []},
+            {"id": 3, "kind": "HashJoin", "children": [1, 2],
+             "predicate": [{"left": "r1_key", "right": "r2_key"}],
+             "cost_profile": {"c_t": "C2"}},
+        ],
+        "root": 3,
+    }
+    plan = planmod.parse_plan(json.dumps(doc))
+    match = r"the world has no C2 coefficients for \(HashJoin, c_t\): it holds 3, C2 reads 2"
+    with pytest.raises(ValueError, match=match):
+        simeval.simulate_actual_runtime(plan, relations, world, seed=0)
+    with pytest.raises(ValueError, match=match):
+        simeval.actual_runtime(plan, relations, world, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Relation ingestion and sample pool behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,20 @@ def test_ingest_basic(tmp_path):
     assert rel.row_count == 2
     assert rel.rows == ((1, "x"), (2, "y"))
     assert rel.column_names == ("a", "b")
+
+
+def test_column_names_computed_once():
+    rel = store.Relation("r", (("a", "int64"), ("b", "string")), ((1, "x"), (2, "y")))
+    names = rel.column_names
+    assert names == ("a", "b") and rel.column_names is names
+    assert rel.column("b") == ["x", "y"]
+    # The cached names take no part in equality, and a copy reads its own.
+    assert rel == store.Relation("r", rel.schema, rel.rows)
+    empty = dataclasses.replace(rel, rows=())
+    assert empty.column_names == names and empty.column("a") == [] and empty.row_count == 0
+    assert empty == store.Relation("r", rel.schema, ()) and empty != rel
+    renamed = dataclasses.replace(rel, schema=(("c", "int64"), ("d", "string")))
+    assert renamed.column_names == ("c", "d") and renamed.column("d") == ["x", "y"]
 
 
 def test_ingest_empty_data(tmp_path):
