@@ -2,9 +2,10 @@
 
 Subcommands: ingest, sample, calibrate, fitcost, predict, evaluate, oracle,
 gen-workload, gen-world. All take a flat key-value configuration file
-(`key = value` per line); command-line flags override config values. Runs
-are deterministic for a fixed config and seed; reports differ only in
-their timestamp field.
+(`key = value` per line, each key one of `SETTINGS`); command-line flags
+override config values, and every setting is checked before any
+subcommand runs. Runs are deterministic for a fixed config and seed;
+reports differ only in their timestamp field.
 """
 
 from __future__ import annotations
@@ -19,23 +20,25 @@ import time
 
 from . import calib, plan as planmod, propagate, selest, simeval, store
 
-DEFAULTS = {
-    "data_dir": "data",
-    "out_dir": "out",
-    "seed": 42,
-    "sample_n": 0,          # 0: derive from sample_ratio
-    "sample_ratio": 0.05,
-    "pool_size": 2,
-    "grid_w": 10,
-    "policy": "all",
-    "calib_reps": 50,
-    "runs": 5,
-    "world": "",            # path to world.json; default <out_dir>/world.json
-    "scan_count": 80,
-    "join_count": 80,
-    "join3_count": 40,
-    "relation_size": 2000,
-    "key_domain": 200,
+# key: (default, whether a flag sets it, least value of an integer setting
+# or None for any integer). A setting takes its default's type.
+SETTINGS = {
+    "data_dir": ("data", True, None),
+    "out_dir": ("out", True, None),
+    "seed": (42, True, 0),
+    "sample_n": (0, True, None),            # at most 0: derive from sample_ratio
+    "sample_ratio": (0.05, True, None),     # a number in (0, 1]
+    "pool_size": (2, True, 1),
+    "grid_w": (10, True, 1),
+    "policy": ("all", False, None),         # one of propagate.POLICIES; --ablation sets it
+    "calib_reps": (50, False, 2),
+    "runs": (5, False, None),               # below 1 is simeval.actual_runtime's error
+    "world": ("", True, None),              # path to world.json; default <out_dir>/world.json
+    "scan_count": (80, False, 0),
+    "join_count": (80, False, 0),
+    "join3_count": (40, False, 0),
+    "relation_size": (2000, False, 1),
+    "key_domain": (200, False, 1),
 }
 
 
@@ -67,18 +70,40 @@ def _coerce(raw: str):
     return raw
 
 
+def _checked_int(name: str, value, least: int | None) -> int:
+    """`value` if it is an integer of at least `least` (unless that is
+    None), or a ConfigError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def load_config(args) -> dict:
-    cfg = dict(DEFAULTS)
+    """Every setting: its default, then the config file's value, then the
+    flag's; a ConfigError names the first unknown or out-of-range one."""
+    cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
     if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
-    for key in cfg:
-        flag = key.replace("-", "_")
-        if getattr(args, flag, None) not in (None, ""):
-            cfg[key] = getattr(args, flag)
+        for key, value in parse_config_file(args.config).items():
+            if key not in SETTINGS:
+                raise ConfigError(f"{args.config}: unknown setting {key!r}")
+            cfg[key] = value
+    for key in SETTINGS:
+        if getattr(args, key, None) not in (None, ""):
+            cfg[key] = getattr(args, key)
     if getattr(args, "ablation", None):
         cfg["policy"] = args.ablation
     if cfg["policy"] not in propagate.POLICIES:
         raise ConfigError(f"unknown policy {cfg['policy']!r}; one of {propagate.POLICIES}")
+    for key, (default, _, least) in SETTINGS.items():
+        value = cfg[key]
+        if isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
+        elif isinstance(default, int):
+            _checked_int(key, value, least)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+            raise ConfigError(f"{key} must be a number in (0, 1], got {value!r}")
     return cfg
 
 
@@ -105,36 +130,15 @@ def load_relations(cfg) -> dict:
     return relations
 
 
-def _size_setting(cfg, key: str, minimum: int | None) -> int:
-    """An integer setting, of at least `minimum` unless that is None, or a
-    ConfigError naming it."""
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
-    return value
-
-
-def _ratio_setting(cfg, key: str) -> float:
-    """A number in (0, 1], or a ConfigError naming the setting."""
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
-        raise ConfigError(f"{key} must be a number in (0, 1], got {value!r}")
-    return float(value)
-
-
 def sample_n_for(cfg, relations) -> int:
-    n = _size_setting(cfg, "sample_n", None)
+    n = cfg["sample_n"]
     if n <= 0:
-        n = math.ceil(_ratio_setting(cfg, "sample_ratio") * min(r.row_count for r in relations.values()))
+        n = math.ceil(cfg["sample_ratio"] * min(r.row_count for r in relations.values()))
     return max(n, 2)
 
 
 def build_pool(cfg, relations) -> store.SamplePool:
-    return store.build_pool(
-        relations, sample_n_for(cfg, relations), _size_setting(cfg, "pool_size", 1),
-        _size_setting(cfg, "seed", 0),
-    )
+    return store.build_pool(relations, sample_n_for(cfg, relations), cfg["pool_size"], cfg["seed"])
 
 
 def world_path(cfg) -> str:
@@ -198,9 +202,8 @@ def _stamp(doc: dict) -> dict:
 # Subcommands.
 
 
-def cmd_gen_world(args):
-    cfg = load_config(args)
-    world = simeval.TrueCostWorld.generate(_size_setting(cfg, "seed", 0))
+def cmd_gen_world(cfg, args):
+    world = simeval.TrueCostWorld.generate(cfg["seed"])
     path = world_path(cfg)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -210,12 +213,9 @@ def cmd_gen_world(args):
     return 0
 
 
-def cmd_gen_workload(args):
-    cfg = load_config(args)
-    size, key_domain = (_size_setting(cfg, key, 1) for key in ("relation_size", "key_domain"))
-    counts = [_size_setting(cfg, key, 0) for key in ("scan_count", "join_count", "join3_count")]
-    seed = _size_setting(cfg, "seed", 0)
-    relations = simeval.generate_database(seed, sizes=(size, size, size), key_domain=key_domain)
+def cmd_gen_workload(cfg, args):
+    size, seed = cfg["relation_size"], cfg["seed"]
+    relations = simeval.generate_database(seed, sizes=(size, size, size), key_domain=cfg["key_domain"])
     os.makedirs(cfg["data_dir"], exist_ok=True)
     for name, rel in relations.items():
         with open(os.path.join(cfg["data_dir"], f"{name}.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -225,7 +225,7 @@ def cmd_gen_workload(args):
         with open(os.path.join(cfg["data_dir"], f"{name}.schema"), "w", encoding="utf-8") as fh:
             for col, typ in rel.schema:
                 fh.write(f"{col},{typ}\n")
-    spec = simeval.WorkloadSpec.grid(*counts, seed)
+    spec = simeval.WorkloadSpec.grid(cfg["scan_count"], cfg["join_count"], cfg["join3_count"], seed)
     plans, skipped = simeval.generate_workload(spec, relations)
     wl_dir = os.path.join(cfg["out_dir"], "workload")
     os.makedirs(wl_dir, exist_ok=True)
@@ -241,8 +241,7 @@ def cmd_gen_workload(args):
     return 0
 
 
-def cmd_ingest(args):
-    cfg = load_config(args)
+def cmd_ingest(cfg, args):
     relations = load_relations(cfg)
     doc = {
         name: {"rows": rel.row_count, "columns": list(rel.column_names)}
@@ -254,8 +253,7 @@ def cmd_ingest(args):
     return 0
 
 
-def cmd_sample(args):
-    cfg = load_config(args)
+def cmd_sample(cfg, args):
     relations = load_relations(cfg)
     pool = build_pool(cfg, relations)
     out = os.path.join(cfg["out_dir"], "samples")
@@ -272,13 +270,12 @@ def cmd_sample(args):
     return 0
 
 
-def cmd_calibrate(args):
-    cfg = load_config(args)
-    if getattr(args, "records", None):
+def cmd_calibrate(cfg, args):
+    if args.records:
         records = calib.read_calibration_csv(args.records)
     else:
         world = load_world(cfg)
-        records = world.calibration_records(_size_setting(cfg, "calib_reps", 2), _size_setting(cfg, "seed", 0))
+        records = world.calibration_records(cfg["calib_reps"], cfg["seed"])
         calib.write_calibration_csv(os.path.join(cfg["out_dir"], "calibration.csv"), records)
     model = calib.fit_cost_units(records)
     doc = {
@@ -294,16 +291,13 @@ def cmd_calibrate(args):
     return 0
 
 
-def cmd_fitcost(args):
-    cfg = load_config(args)
+def cmd_fitcost(cfg, args):
     relations = load_relations(cfg)
     pool = build_pool(cfg, relations)
     world = load_world(cfg)
     p = load_plan(args.plan, relations)
     estimates = selest.estimate_all(p, pool, relations)
-    fitted = propagate.fit_all_cost_functions(
-        p, estimates, world.cost_oracle(p, relations), W=_size_setting(cfg, "grid_w", 1)
-    )
+    fitted = propagate.fit_all_cost_functions(p, estimates, world.cost_oracle(p, relations), W=cfg["grid_w"])
     doc = {
         "oracle": "simulator-true-cost-model",
         "functions": {
@@ -318,8 +312,7 @@ def cmd_fitcost(args):
     return 0
 
 
-def cmd_predict(args):
-    cfg = load_config(args)
+def cmd_predict(cfg, args):
     relations = load_relations(cfg)
     pool = build_pool(cfg, relations)
     world = load_world(cfg)
@@ -327,7 +320,7 @@ def cmd_predict(args):
     p = load_plan(args.plan, relations)
     oracle = world.cost_oracle(p, relations)
     dist, estimates, fitted, entries = propagate.predict_distribution(
-        p, pool, relations, units, oracle=oracle, W=_size_setting(cfg, "grid_w", 1), policy=cfg["policy"]
+        p, pool, relations, units, oracle=oracle, W=cfg["grid_w"], policy=cfg["policy"]
     )
     plan_id = os.path.splitext(os.path.basename(args.plan))[0]
     record = {
@@ -361,15 +354,12 @@ def cmd_predict(args):
     return 0
 
 
-def cmd_evaluate(args):
-    cfg = load_config(args)
+def cmd_evaluate(cfg, args):
     relations = load_relations(cfg)
     pool = build_pool(cfg, relations)
     world = load_world(cfg)
     units = load_units(cfg)
-    manifest_path = getattr(args, "workload", None) or os.path.join(
-        cfg["out_dir"], "workload", "manifest.json"
-    )
+    manifest_path = args.workload or os.path.join(cfg["out_dir"], "workload", "manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     recs = manifest.get("plans") if isinstance(manifest, dict) else None
@@ -380,7 +370,7 @@ def cmd_evaluate(args):
     plans = [(rec["label"], load_plan(rec["path"], relations)) for rec in recs]
     records, summary = simeval.evaluate_workload(  # runs < 1 is actual_runtime's error
         plans, relations, pool, units, world,
-        policy=cfg["policy"], W=_size_setting(cfg, "grid_w", 1), runs=_size_setting(cfg, "runs", None),
+        policy=cfg["policy"], W=cfg["grid_w"], runs=cfg["runs"],
     )
     os.makedirs(cfg["out_dir"], exist_ok=True)
     csv_path = os.path.join(cfg["out_dir"], "evaluation.csv")
@@ -401,16 +391,15 @@ def cmd_evaluate(args):
     return 0
 
 
-def cmd_oracle(args):
-    cfg = load_config(args)
+def cmd_oracle(cfg, args):
+    pools = _checked_int("--pools", args.pools or 0, 0)
     relations = load_relations(cfg)
     p = load_plan(args.plan, relations)
-    n = int(args.n or sample_n_for(cfg, relations))
+    n = sample_n_for(cfg, relations) if args.n is None else _checked_int("--n", args.n, 1)
     exact = simeval.var_rho_enumeration(p, relations, n)
     doc = {"plan": args.plan, "n": n, "var_rho_exact": exact}
-    pools = int(args.pools or 0)
     if pools:
-        rho = simeval.resample_rho(p, relations, n, pools, _size_setting(cfg, "seed", 0))
+        rho = simeval.resample_rho(p, relations, n, pools, cfg["seed"])
         doc["var_rho_empirical"] = float(rho.var(ddof=1))
         doc["mean_rho_empirical"] = float(rho.mean())
         doc["pools"] = pools
@@ -422,66 +411,52 @@ def cmd_oracle(args):
 # ---------------------------------------------------------------------------
 
 
+# name, function, and the options it takes besides the settings' flags
+COMMANDS = [
+    ("gen-world", cmd_gen_world, {}),
+    ("gen-workload", cmd_gen_workload, {}),
+    ("ingest", cmd_ingest, {}),
+    ("sample", cmd_sample, {}),
+    ("calibrate", cmd_calibrate, {"--records": {}}),
+    ("fitcost", cmd_fitcost, {"--plan": {"required": True}}),
+    ("predict", cmd_predict, {"--plan": {"required": True}}),
+    ("evaluate", cmd_evaluate, {"--workload": {}}),
+    ("oracle", cmd_oracle, {"--plan": {"required": True}, "--n": {"type": int}, "--pools": {"type": int}}),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="runtimedist",
         description="Predict running-time distributions of relational query plans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, fn, options in COMMANDS:
+        sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat key=value configuration file")
-        sp.add_argument("--data-dir", dest="data_dir")
-        sp.add_argument("--out-dir", dest="out_dir")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--sample-n", dest="sample_n", type=int)
-        sp.add_argument("--sample-ratio", dest="sample_ratio", type=float)
-        sp.add_argument("--pool-size", dest="pool_size", type=int)
-        sp.add_argument("--grid-w", dest="grid_w", type=int)
-        sp.add_argument("--world")
+        for key, (default, flag, _) in SETTINGS.items():
+            if flag:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
         sp.add_argument(
             "--ablation", choices=propagate.POLICIES,
             help="covariance policy: all (V1), no-var-c (V2), no-var-x (V3), no-cov (V4)",
         )
-
-    for name, fn in [
-        ("gen-world", cmd_gen_world),
-        ("gen-workload", cmd_gen_workload),
-        ("ingest", cmd_ingest),
-        ("sample", cmd_sample),
-        ("calibrate", cmd_calibrate),
-        ("fitcost", cmd_fitcost),
-        ("predict", cmd_predict),
-        ("evaluate", cmd_evaluate),
-        ("oracle", cmd_oracle),
-    ]:
-        sp = sub.add_parser(name)
-        common(sp)
-        if name in ("fitcost", "predict", "oracle"):
-            sp.add_argument("--plan", required=True)
-        if name == "oracle":
-            sp.add_argument("--n", type=int)
-            sp.add_argument("--pools", type=int)
-        if name == "calibrate":
-            sp.add_argument("--records")
-        if name == "evaluate":
-            sp.add_argument("--workload")
+        for option, kwargs in options.items():
+            sp.add_argument(option, **kwargs)
         sp.set_defaults(func=fn)
     return parser
 
 
-# Errors reported as one JSON line on stderr, with exit code 1.
-REPORTED_ERRORS = (
-    ConfigError, OSError, ValueError, store.PoolError,
-    planmod.ExecutionError, selest.EstimationError, propagate.PropagationError,
-)
+# Errors reported as one JSON line on stderr, with exit code 1. Every
+# package error class derives from ValueError.
+REPORTED_ERRORS = (ValueError, OSError)
 
 
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(load_config(args), args)
     except REPORTED_ERRORS as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

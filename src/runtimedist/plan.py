@@ -57,7 +57,7 @@ class PlanError(ValueError):
     """Raised for malformed plan documents or invalid trees."""
 
 
-class ExecutionError(RuntimeError):
+class ExecutionError(ValueError):
     """Raised when a plan cannot be evaluated over its bound tables."""
 
 

@@ -28,7 +28,7 @@ from .plan import JOIN_KINDS, Plan
 POLICIES = ("all", "no-var-c", "no-var-x", "no-cov")
 
 
-class PropagationError(RuntimeError):
+class PropagationError(ValueError):
     pass
 
 

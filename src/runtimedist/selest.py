@@ -18,7 +18,7 @@ from . import plan as planmod
 from .plan import Plan, SCAN_KINDS
 
 
-class EstimationError(RuntimeError):
+class EstimationError(ValueError):
     pass
 
 

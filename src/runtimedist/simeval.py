@@ -171,9 +171,15 @@ class TrueCostWorld:
     @classmethod
     def from_json(cls, text: str) -> "TrueCostWorld":
         doc = json.loads(text)
+        means = {u: doc["unit_means"][u] for u in COST_UNITS}
+        variances = {u: doc["unit_vars"][u] for u in COST_UNITS}
+        for u in COST_UNITS:
+            if not all(math.isfinite(x) and x >= 0 for x in (means[u], variances[u])):
+                raise ValueError(f"unit {u}: mean and variance must be finite and >= 0, "
+                                 f"got {means[u]!r} and {variances[u]!r}")
         return cls(
-            unit_means={u: doc["unit_means"][u] for u in COST_UNITS},
-            unit_vars={u: doc["unit_vars"][u] for u in COST_UNITS},
+            unit_means=means,
+            unit_vars=variances,
             coefs={k: {u: tuple(a) for u, a in per.items()} for k, per in doc["coefs"].items()},
             seed=int(doc["seed"]),
         )

@@ -27,7 +27,7 @@ class IngestError(ValueError):
     """Raised when a CSV file does not match its declared schema."""
 
 
-class PoolError(IndexError):
+class PoolError(IndexError, ValueError):
     """Raised when a plan asks a pool for more sample tables than it holds."""
 
 

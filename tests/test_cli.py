@@ -356,7 +356,12 @@ def test_malformed_plan_reported_as_json(workdir, tmp_path, capsys, doc, match):
     ("world", lambda doc: doc["unit_vars"].pop("c_t"), "missing key 'c_t'"),
     ("units", lambda doc: doc["units"]["c_t"].pop("variance"), "missing key 'variance'"),
     ("units", lambda doc: doc["units"].pop("c_i"), "missing key 'c_i'"),
-], ids=["world-without-unit-means", "world-without-c_t-variance", "unit-without-variance", "units-without-c_i"])
+    ("world", lambda doc: doc["unit_vars"].update(c_t=-1e-12),
+     "unit c_t: mean and variance must be finite and >= 0, got "),
+    ("world", lambda doc: doc["unit_means"].update(c_s=float("inf")),
+     "unit c_s: mean and variance must be finite and >= 0, got inf"),
+], ids=["world-without-unit-means", "world-without-c_t-variance", "unit-without-variance", "units-without-c_i",
+        "world-negative-c_t-variance", "world-infinite-c_s-mean"])
 def test_malformed_world_and_units_reported_as_json(workdir, tmp_path, capsys, name, change, match):
     for fname in ("world.json", "units.json"):
         (tmp_path / fname).write_text((workdir / "out" / fname).read_text())
@@ -389,6 +394,57 @@ def test_bad_size_setting_reported_as_json(tmp_path, capsys, key, value, minimum
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == f"{key} must be an integer >= {minimum}, got {value!r}"
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("key, value, least", [
+    (key, value, least)
+    for key, (default, _, least) in cli.SETTINGS.items() if type(default) is int
+    for value in ([] if least is None else [least - 1]) + [2.5]
+])
+def test_every_integer_setting_checked_by_every_subcommand(tmp_path, capsys, key, value, least):
+    # gen-world reads none of these but seed, and still refuses each one
+    # before it writes its world.
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"out_dir = {tmp_path / 'out'}\n{key} = {value}\n")
+    assert cli.dispatch(["gen-world", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    bound = "" if least is None else f" >= {least}"
+    assert json.loads(err)["error"] == f"{key} must be an integer{bound}, got {value!r}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_setting_reported_as_json(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"out_dir = {tmp_path / 'out'}\npool_sise = 9\n")
+    assert cli.dispatch(["gen-world", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{cfg}: unknown setting 'pool_sise'"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["data_dir", "out_dir", "world"])
+def test_numeric_path_setting_reported_as_json(tmp_path, capsys, monkeypatch, key):
+    # A config value that reads as a number is not a path: a numeric world
+    # would open that file descriptor.
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "num.cfg"
+    cfg.write_text(f"{key} = 2024\n")
+    assert cli.dispatch(["gen-world", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{key} must be a string, got 2024"
+    assert os.listdir(tmp_path) == ["num.cfg"]
+
+
+@pytest.mark.parametrize("option, value, least", [("--n", 0, 1), ("--n", -3, 1), ("--pools", -1, 0)])
+def test_bad_oracle_count_reported_as_json(workdir, capsys, option, value, least):
+    plan = workdir / "out" / "workload" / "scan-0.plan"
+    assert _run(workdir, "oracle", "--plan", str(plan), option, str(value)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{option} must be an integer >= {least}, got {value}"
 
 
 @pytest.mark.parametrize("command, key, value, bound", [
