@@ -10,9 +10,9 @@ mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
 with every structural coefficient constrained nonnegative and the constant
 term left free. Terms of one family on one grid are fitted in one call at
 a fixed cost, whatever the grid's size or number of terms: one design
-matrix, one sort of the points (the distinct-point check), one column
-scaling and one `np.linalg.lstsq` solve for every term's probe vector,
-about 35 numpy calls in all, of which the solve takes about half the time.
+matrix, one column scaling and one `np.linalg.lstsq` solve for every
+term's probe vector, about 25 numpy calls in all, about half of the time
+in the solve; the grid's distinct points are counted on its axes.
 Two slower paths run only where the data call for them: a collapsed grid
 (fewer distinct points than coefficients, e.g. a zero-variance input) is
 fitted by the probe mean, and a term whose unconstrained solution has a
@@ -52,6 +52,9 @@ FAMILIES = {
     "C6": (("left", "right"), ((1, 1), (1, 0), (0, 1), (0, 0))),  # b0*Xl*Xr + b1*Xl + b2*Xr + b3
 }
 NUM_COEFS = {tag: len(monomials) for tag, (_, monomials) in FAMILIES.items()}
+# By number of coefficients p <= 9 (monomials of degree <= 2 in each of at
+# most two inputs), which are constrained nonnegative: all but the constant.
+_CONSTRAINED = [np.arange(p) < p - 1 for p in range(10)]
 
 
 class FitError(ValueError):
@@ -119,8 +122,9 @@ class CostFunction:
         return family_value(self.tag, self.b, coord)
 
 
-def grid_points(distributions, W: int = 10) -> np.ndarray:
-    """Probe coordinates spanning mu +/- 3 sigma, clamped to [0, 1].
+def grid_points(distributions, W: int = 10) -> tuple[np.ndarray, int]:
+    """Probe coordinates spanning mu +/- 3 sigma, clamped to [0, 1], and
+    their number of distinct points.
 
     `distributions` is zero, one or two (mu, sigma2) pairs. The interval is
     split into W equal subintervals, giving W+1 boundary points per axis;
@@ -132,13 +136,15 @@ def grid_points(distributions, W: int = 10) -> np.ndarray:
     bit, in linspace's own float operations: k * step + lo, then hi. (Its
     other form, for a step that underflows to 0, is never needed: a
     nonzero sigma is at least 1e-162, so hi - lo is 0 or far from 0.)
+    The distinct count is the product of each axis's number of distinct
+    values (a NaN equals none): the axes are counted, not the points.
     """
     if W < 1:
         raise ValueError("W must be >= 1")
     if len(distributions) > 2:
         raise ValueError("grid_points takes at most two distributions")
     if not distributions:
-        return np.empty((1, 0))
+        return np.empty((1, 0)), 1
     axes = []
     for mu, sigma2 in distributions:
         sigma = math.sqrt(max(sigma2, 0.0))
@@ -146,12 +152,13 @@ def grid_points(distributions, W: int = 10) -> np.ndarray:
         step = (hi - lo) / W
         axis = [k * step + lo for k in range(W)] + [hi]
         axes.append([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in axis])  # np.clip: NaN and -0.0 stay
+    distinct = math.prod(len(set(axis)) for axis in axes)
     if len(axes) == 1:
-        return np.array(axes[0])[:, None]
+        return np.array(axes[0])[:, None], distinct
     grid = np.empty((W + 1, W + 1, 2))
     grid[:, :, 0] = np.array(axes[0])[:, None]
     grid[:, :, 1] = axes[1]
-    return grid.reshape(-1, 2)
+    return grid.reshape(-1, 2), distinct
 
 
 def nnls_solve(A, Y, constrained):
@@ -221,15 +228,6 @@ def _solve(A, Y2, constrained):
     return X, rank
 
 
-def _distinct_at_least(coords, p: int) -> bool:
-    """Whether the (m, arity) coordinates hold at least p distinct points.
-    A point is one float, or a pair read as one complex number; sorted,
-    equal points are neighbours, and a point with a NaN equals none."""
-    X = np.ascontiguousarray(coords, dtype=float)
-    keys = np.sort(X.view(np.complex128) if X.shape[1] == 2 else X, axis=None)
-    return 1 + np.count_nonzero(keys[1:] != keys[:-1]) >= p
-
-
 def fit_cost_functions(tag: str, coords, values):
     """Fit cost functions of the given type from probe coordinates (an
     (m, arity) array) and the reference costs there: one function for m
@@ -244,22 +242,33 @@ def fit_cost_functions(tag: str, coords, values):
     """
     A = design_matrix(tag, coords)
     Y = np.asarray(values, dtype=float)
-    m, p = A.shape
+    m = len(A)
     if not Y.size:
         raise FitError("no probe points")
     if Y.ndim not in (1, 2) or Y.shape[0] != m:
         raise FitError(f"{m} probe coordinates but values of shape {Y.shape}")
-    Y2 = Y.reshape(m, -1)
-    if not np.isfinite(Y2).all():
+    # Distinct points: a point is one float, or a pair read as one complex
+    # number; sorted, equal points are neighbours, one with a NaN equals none.
+    X = np.ascontiguousarray(coords, dtype=float)
+    keys = np.sort(X.view(np.complex128) if X.shape[1] == 2 else X, axis=None)
+    fits = fit_grid(tag, A, 1 + np.count_nonzero(keys[1:] != keys[:-1]), Y.reshape(m, -1))
+    return fits[0] if Y.ndim == 1 else fits
+
+
+def fit_grid(tag: str, A: np.ndarray, distinct: int, Y: np.ndarray) -> list:
+    """`fit_cost_functions` from the family's (m, p) design matrix, the
+    number of distinct points (`grid_points`) and an (m, u) float array of
+    probe values: u functions."""
+    m, p = A.shape
+    if not np.isfinite(Y).all():
         raise FitError(f"non-finite probe values for a {tag} fit")
-    if p == 1 or m < p or not _distinct_at_least(coords, p):  # the probe mean
-        B = np.zeros((p, Y2.shape[1]))
-        B[-1] = Y2.mean(axis=0)
+    if p == 1 or m < p or distinct < p:  # the probe mean
+        B = np.zeros((p, Y.shape[1]))
+        B[-1] = Y.mean(axis=0)
         degenerate = p > 1
     else:
         if not np.isfinite(A).all():
             raise FitError(f"non-finite probe coordinates for a {tag} fit")
-        B, rank = _solve(A, Y2, np.arange(p) < p - 1)
+        B, rank = _solve(A, Y, _CONSTRAINED[p])
         degenerate = bool(rank < p)
-    fits = [CostFunction(tag, tuple(b), degenerate) for b in B.T.tolist()]
-    return fits[0] if Y.ndim == 1 else fits
+    return [CostFunction(tag, tuple(b), degenerate) for b in B.T.tolist()]

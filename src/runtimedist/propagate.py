@@ -325,6 +325,21 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     return total, breakdown, entries, flags
 
 
+# A constant term's probe coordinate, by arity (read-only: every plan
+# shares it), and the structural coefficients it is stored with, by family.
+_ONES = tuple(np.broadcast_to(1.0, (1, k)) for k in range(3))
+_ZEROS = {tag: (0.0,) * (p - 1) for tag, p in costfit.NUM_COEFS.items()}
+
+
+def _probe(oracle, term, coords):
+    """The oracle's reply for one term: m numbers, or a `costfit.FitError`."""
+    values = oracle(term, coords)
+    if np.shape(values) != (len(coords),):
+        raise costfit.FitError(f"node {term[0]}, unit {term[1]}: {len(coords)} probe coordinates "
+                               f"but values of shape {np.shape(values)}")
+    return values
+
+
 def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     """Fit every operator's per-unit cost function from reference probes.
 
@@ -334,29 +349,30 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10):
     constant: it is probed once, at the all-ones coordinate, and stored as
     (0, ..., 0, value). Any other term is probed over the mu +/- 3 sigma
     grid of its input selectivity distribution(s). Terms of one family on
-    the same input variables share one grid, built once, and are fitted
-    together in one `costfit.fit_cost_functions` call. Each operator's
-    functions are keyed by unit in `PlanIndex.terms` order. A non-finite
-    probe value is a `costfit.FitError`.
+    the same input variables share one grid and design matrix, built once,
+    and are fitted together in one `costfit.fit_grid` call. Each
+    operator's functions are keyed by unit in `PlanIndex.terms` order. A
+    reply that is not m values, or a non-finite one, is a `costfit.FitError`.
     """
-    dists = {nid: (e.rho_n, e.sigma2) for nid, e in estimates.items()}
     fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
     grids: dict[tuple, list] = {}  # (family, variables) -> the terms probed on its grid
-    ones = [np.ones((1, k)) for k in range(3)]  # the all-ones coordinate, by arity
     for term, (tag, vars_) in plan.index.terms.items():
         nid, unit = term
         if vars_.count(None) < len(vars_):
             fitted[nid][unit] = None  # keeps the unit's place; its grid's fit fills it below
             grids.setdefault((tag, vars_), []).append(term)
             continue
-        value = float(oracle(term, ones[len(vars_)])[0])
+        value = float(_probe(oracle, term, _ONES[len(vars_)])[0])
         if not math.isfinite(value):
             raise costfit.FitError(f"node {nid}, unit {unit}: non-finite probe value {value}")
-        fitted[nid][unit] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
+        fitted[nid][unit] = CostFunction(tag, _ZEROS[tag] + (value,))
     for (tag, vars_), terms in grids.items():
-        coords = costfit.grid_points([dists[v] for v in vars_], W=W)
-        values = np.column_stack([oracle(term, coords) for term in terms])
-        for (nid, unit), cf in zip(terms, costfit.fit_cost_functions(tag, coords, values)):
+        coords, distinct = costfit.grid_points([(estimates[v].rho_n, estimates[v].sigma2) for v in vars_], W)
+        values = np.empty((len(coords), len(terms)))
+        for j, term in enumerate(terms):
+            values[:, j] = _probe(oracle, term, coords)
+        fits = costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values)
+        for (nid, unit), cf in zip(terms, fits):
             fitted[nid][unit] = cf
     return fitted
 

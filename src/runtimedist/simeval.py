@@ -229,11 +229,13 @@ class TrueCostWorld:
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
         an (m, arity) selectivity coordinate array, as an m-vector. This is
-        all the predictor learns of the cost model."""
+        all the predictor learns of the cost model. The oracle computes each
+        leaf product once for the plan, however many terms read it."""
+        products: dict = {}
 
         def oracle(key, coords):
-            tag, b = self.true_b(plan, relations, *key)
-            return design_matrix(tag, coords) @ b
+            tag, _, b = self._true_b(plan, relations, *key, products)
+            return design_matrix(tag, coords) @ tuple(b)
 
         return oracle
 

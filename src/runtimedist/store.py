@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -84,7 +85,10 @@ def ingest_csv(path, schema) -> Relation:
 
     The header row must match the schema's column names exactly. Every data
     row must have the schema's arity and every cell must parse as the
-    declared type; violations raise IngestError naming the line number.
+    declared type; violations raise IngestError naming the line number
+    (counted in records, blank ones too). Records are read in chunks and
+    cast one column at a time; a chunk with a bad record is read again
+    record by record, to name its first bad line.
     """
     schema = validate_schema(schema)
     names = [c for c, _ in schema]
@@ -100,17 +104,23 @@ def ingest_csv(path, schema) -> Relation:
             raise IngestError(
                 f"{path}: header {header!r} does not match declared columns {names!r}"
             )
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(schema):
-                raise IngestError(
-                    f"{path}: line {lineno}: expected {len(schema)} fields, got {len(raw)}"
-                )
+        start = 2  # the line of the chunk's first record
+        while chunk := list(itertools.islice(reader, 256)):
+            records = [raw for raw in chunk if raw]
             try:
-                rows.append(tuple(cast(cell) for cast, cell in zip(casters, raw)))
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from None
+                columns = zip(casters, zip(*records, strict=True), strict=True)  # a wrong width: ValueError
+                rows.extend(zip(*[list(map(cast, column)) for cast, column in columns]))
+            except ValueError:
+                for lineno, raw in enumerate(chunk, start=start):
+                    if raw and len(raw) != len(schema):
+                        raise IngestError(
+                            f"{path}: line {lineno}: expected {len(schema)} fields, got {len(raw)}"
+                        ) from None
+                    try:
+                        [cast(cell) for cast, cell in zip(casters, raw)]
+                    except ValueError as exc:
+                        raise IngestError(f"{path}: line {lineno}: {exc}") from None
+            start += len(chunk)
     name = os.path.splitext(os.path.basename(path))[0]
     return Relation(name=name, schema=schema, rows=tuple(rows))
 

@@ -6,22 +6,25 @@ package paths can be checked against genuinely independent arithmetic.
 The Monte Carlo oracle for a plan's running-time moments, the family
 arities it and other tests read, a fit's KKT residual and one cost
 function's moments live here too, with a simulated run written out term
-by term: only tests use them.
+by term, a plan's cost-function fit written out grid by grid and CSV
+ingest written out record by record: only tests use them.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import json
 import math
 import operator
+import os
 
 import numpy as np
 import pytest
 
-from runtimedist import plan as planmod, propagate, selest, simeval, store
-from runtimedist.costfit import FAMILIES, family_value, monomial_values
+from runtimedist import costfit, plan as planmod, propagate, selest, simeval, store
+from runtimedist.costfit import FAMILIES, CostFunction, family_value, monomial_values
 from runtimedist.plan import Plan
 from runtimedist.propagate import fitted_terms
 
@@ -229,6 +232,61 @@ def reference_run(plan: Plan, relations, world: simeval.TrueCostWorld, seed: int
     for (unit, cost), z in zip(costs, rng.standard_normal(len(costs)).tolist()):
         total += cost * max(world.unit_means[unit] + math.sqrt(world.unit_vars[unit]) * z, 0.0)
     return total
+
+
+def reference_fit(plan: Plan, estimates, oracle, W: int = 10) -> dict:
+    """`propagate.fit_all_cost_functions` written out: the plan's terms
+    grouped by (family, input variables); a group of constant terms (every
+    input None) probed term by term at the all-ones coordinate and stored
+    as (0, ..., 0, value); any other group's grid built with
+    `costfit.grid_points`, then one oracle call per term, then one
+    `costfit.fit_cost_functions` over the stacked values. Keyed by node,
+    then unit in `PlanIndex.terms` order."""
+    groups: dict = {}
+    for term, key in plan.index.terms.items():
+        groups.setdefault(key, []).append(term)
+    fits = {}
+    for (tag, vars_), terms in groups.items():
+        if all(v is None for v in vars_):
+            for term in terms:
+                value = float(oracle(term, np.ones((1, len(vars_))))[0])
+                fits[term] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
+            continue
+        coords, _ = costfit.grid_points([(estimates[v].rho_n, estimates[v].sigma2) for v in vars_], W)
+        values = np.column_stack([oracle(term, coords) for term in terms])
+        fits.update(zip(terms, costfit.fit_cost_functions(tag, coords, values)))
+    fitted: dict = {nid: {} for nid in plan.index.order}
+    for nid, unit in plan.index.terms:
+        fitted[nid][unit] = fits[nid, unit]
+    return fitted
+
+
+def reference_ingest(path, schema) -> store.Relation:
+    """`store.ingest_csv` written out record by record: the header must
+    equal the column names, a blank record is skipped, and a record of the
+    wrong width or with a cell its type cannot parse is an IngestError
+    naming its line, counted in records from the header's 1."""
+    casters = {"int64": int, "float64": float, "string": str}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise store.IngestError(f"{path}: empty file, header row required")
+        names = [c for c, _ in schema]
+        if header != names:
+            raise store.IngestError(f"{path}: header {header!r} does not match declared columns {names!r}")
+        rows = []
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(schema):
+                raise store.IngestError(f"{path}: line {lineno}: expected {len(schema)} fields, got {len(raw)}")
+            try:
+                rows.append(tuple(casters[t](cell) for (_, t), cell in zip(schema, raw)))
+            except ValueError as exc:
+                raise store.IngestError(f"{path}: line {lineno}: {exc}") from None
+    name = os.path.splitext(os.path.basename(path))[0]
+    return store.Relation(name=name, schema=tuple(schema), rows=tuple(rows))
 
 
 def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1_000_000, seed: int = 0):

@@ -21,23 +21,23 @@ def _fit(tag, coords, fn):
 
 
 def test_grid_equal_width():
-    pts = costfit.grid_points([(0.5, 0.1**2)], W=2)
+    pts, _ = costfit.grid_points([(0.5, 0.1**2)], W=2)
     assert [round(x[0], 10) for x in pts] == [0.2, 0.5, 0.8]
 
 
 def test_grid_clamped_at_zero():
-    pts = costfit.grid_points([(0.05, 0.1**2)], W=2)
+    pts, _ = costfit.grid_points([(0.05, 0.1**2)], W=2)
     assert [round(x[0], 10) for x in pts] == [0.0, 0.05, 0.35]
 
 
 def test_grid_sigma_zero_collapses():
-    pts = costfit.grid_points([(0.4, 0.0)], W=4)
-    assert all(x == (0.4,) for x in pts)
+    pts, distinct = costfit.grid_points([(0.4, 0.0)], W=4)
+    assert all(x == (0.4,) for x in pts) and distinct == 1
 
 
 def test_grid_binary_cross_product():
-    pts = costfit.grid_points([(0.5, 0.01), (0.5, 0.01)], W=10)
-    assert len(pts) == 121
+    pts, distinct = costfit.grid_points([(0.5, 0.01), (0.5, 0.01)], W=10)
+    assert len(pts) == distinct == 121
     assert len({p[0] for p in pts}) == 11
 
 
@@ -58,8 +58,9 @@ _SIGMA2 = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1.
 @example([(0.3, 1e-320)], 1)
 @example([(-0.0, -0.0), (1.0, 0.0)], 1)
 def test_grid_points_bitwise_equal_to_definition(distributions, W):
-    got, want = costfit.grid_points(distributions, W), _grid_by_definition(distributions, W)
+    (got, distinct), want = costfit.grid_points(distributions, W), _grid_by_definition(distributions, W)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert distinct == len(set(map(tuple, want.tolist())))  # counted on the axes, not the points
 
 
 def test_design_matrix_linear():
@@ -271,7 +272,7 @@ def test_fit_c6_coefficient_mapping():
     # True cost a0*Nl*Nr + a1*Nl with |Rl| = |Rr| = 100 maps to
     # b = (a0*1e4, a1*100, 0, 0) in selectivity space.
     a0, a1 = 0.3, 1.7
-    grid = costfit.grid_points([(0.5, 0.02), (0.5, 0.02)], W=10)
+    grid, _ = costfit.grid_points([(0.5, 0.02), (0.5, 0.02)], W=10)
     cf = _fit("C6", grid, lambda xl, xr: a0 * (100 * xl) * (100 * xr) + a1 * (100 * xl))
     assert cf.b[0] == pytest.approx(a0 * 1e4, rel=1e-6)
     assert cf.b[1] == pytest.approx(a1 * 100, rel=1e-6)
@@ -320,7 +321,7 @@ def _fit_cases(draw):
     tag = draw(st.sampled_from(["C2", "C3", "C4", "C5", "C6"]))
     dists = [(draw(st.sampled_from([0.0, 1.0]) | st.floats(-0.2, 1.2)),
               draw(st.sampled_from([0.0]) | st.floats(1e-6, 0.3))) for _ in range(ARITY[tag])]
-    coords = costfit.grid_points(dists, W=draw(st.integers(1, 10)))
+    coords, _ = costfit.grid_points(dists, W=draw(st.integers(1, 10)))
     b = [draw(st.floats(-2.0, 2.0)) for _ in range(costfit.NUM_COEFS[tag])]
     noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=len(coords))
     return tag, coords, costfit.design_matrix(tag, coords) @ b + draw(st.sampled_from([0.0, 0.1])) * noise
@@ -329,27 +330,40 @@ def _fit_cases(draw):
 # A collapsed Xr axis (sigma 0, mu != 0) makes the Xr and constant columns
 # collinear: a passive set holding both must be solved as rank deficient,
 # at the full design's tolerance, not with cancelling ~1e13 coefficients.
-_COLLINEAR = costfit.grid_points([(1.0, 0.18940949239117252), (0.3285060835319746, 0.0)], W=9)
+_COLLINEAR, _ = costfit.grid_points([(1.0, 0.18940949239117252), (0.3285060835319746, 0.0)], W=9)
+# Clipping can put a grid value an ulp from 0 or 1: here 1 - 2**-53 next to
+# 1.0, distinct but numerically one value, so the C4 design has rank 2.
+_ULP_APART, _ = costfit.grid_points([(1 - 2**-53, 0.3)], W=2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_fit_cases())
 @example(("C5", _COLLINEAR, np.random.default_rng(18).normal(scale=0.1, size=100)))
+@example(("C4", _ULP_APART, np.zeros(3)))
 def test_fit_contract_on_generated_grids(case):
     # Collapsed: fewer distinct points than coefficients, fitted by the
     # probe mean. Otherwise optimal, and degenerate exactly when the design
     # is rank deficient: per axis, d distinct values span min(d, 2)
-    # dimensions of {1, x}, and C4 needs 3 distinct values for x^2.
+    # dimensions of {1, x}, and C4 needs 3 distinct values for x^2. Where
+    # two distinct values on an axis lie within 2**-30 of each other (far
+    # closer than a grid's spacing: one was clipped to 0 or 1, the other
+    # lies an ulp or so away), the rank is the scaled design's numerical
+    # rank at the solve's tolerance, eps * max(m, p), instead.
     tag, coords, y = case
     cf = costfit.fit_cost_functions(tag, coords, y)
     p = costfit.NUM_COEFS[tag]
-    distinct = [len(set(coords[:, i].tolist())) for i in range(coords.shape[1])]
+    axes = [np.unique(coords[:, i]) for i in range(coords.shape[1])]
+    distinct = [len(axis) for axis in axes]
     if int(np.prod(distinct)) < p:
         assert cf.degenerate and cf.b == (0.0,) * (p - 1) + (float(np.mean(y)),)
         return
-    rank = {"C4": min(distinct[0], 3), "C5": 1 + sum(d > 1 for d in distinct)}.get(
-        tag, int(np.prod([min(d, 2) for d in distinct])))
     A = costfit.design_matrix(tag, coords)
+    if any(np.any(np.diff(axis) < 2.0**-30) for axis in axes):
+        scale = np.linalg.norm(A, axis=0)
+        rank = int(np.linalg.lstsq(A / np.where(scale == 0.0, 1.0, scale), y, rcond=None)[2])
+    else:
+        rank = {"C4": min(distinct[0], 3), "C5": 1 + sum(d > 1 for d in distinct)}.get(
+            tag, int(np.prod([min(d, 2) for d in distinct])))
     assert kkt_residual(A, y, cf.b, [True] * (p - 1) + [False]) <= 1e-9
     assert all(v >= 0.0 for v in cf.b[:-1])
     assert cf.degenerate is (rank < p)
@@ -357,7 +371,7 @@ def test_fit_contract_on_generated_grids(case):
 
 def test_non_finite_probe_values_raise_on_every_path():
     nan = float("nan")
-    collapsed, grid = costfit.grid_points([(0.3, 0.0)], 4), costfit.grid_points([(0.3, 0.01)], 4)
+    (collapsed, _), (grid, _) = costfit.grid_points([(0.3, 0.0)], 4), costfit.grid_points([(0.3, 0.01)], 4)
     for tag, coords, values in [("C2", collapsed, [1.0, nan, 2.0, 3.0, 4.0]),
                                 ("C2", grid, [1.0, nan, 2.0, 3.0, 4.0]),
                                 ("C2", grid, np.column_stack(([1.0] * 5, [1.0, 2.0, float("inf"), 3.0, 4.0]))),

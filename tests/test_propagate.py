@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import CostFunction
 from runtimedist.selest import SelEstimate
-from conftest import ARITY, cost_function_moments
+from conftest import ARITY, cost_function_moments, reference_fit
 
 
 def _units(means, variances):
@@ -501,6 +503,32 @@ def test_non_finite_constant_probe_raises():
         propagate.fit_all_cost_functions(plan, est, oracle)
 
 
+@pytest.mark.parametrize("reply, shape", [
+    (lambda values: values[0], "()"),  # a bare float
+    (lambda values: np.append(values, values), None),  # twice as many values
+    (lambda values: values[:, None], None),  # a column
+])
+@pytest.mark.parametrize("term", [(1, "c_r"), (1, "c_o")])  # a constant term, then a grid's
+def test_oracle_reply_checked_against_its_term(reply, shape, term):
+    relations, world, _, pool = _world_fixture()
+    plan = planmod.parse_plan(json.dumps({"nodes": [
+        {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
+         "predicate": [{"col": "r1_val", "op": "<", "value": 5000}]}], "root": 1}))
+    est = selest.estimate_all(plan, pool, relations)
+    inner = world.cost_oracle(plan, relations)
+    m = 1 if term == (1, "c_r") else 11
+    got = reply(inner(term, np.ones((m, 1 if m > 1 else 0))))
+    shape = shape or str(np.shape(got))
+
+    def oracle(key, coords):
+        values = inner(key, coords)
+        return reply(values) if key == term else values
+
+    with pytest.raises(costfit.FitError, match=rf"^node 1, unit {term[1]}: {m} probe coordinates but values "
+                                               rf"of shape {re.escape(shape)}$"):
+        propagate.fit_all_cost_functions(plan, est, oracle)
+
+
 def test_fit_builds_one_grid_per_family_and_inputs(monkeypatch):
     # A three-way join: several units of one operator read the same inputs
     # through the same family, so they share one grid and one fit call.
@@ -536,7 +564,7 @@ def test_fit_builds_one_grid_per_family_and_inputs(monkeypatch):
         return call
 
     monkeypatch.setattr(costfit, "grid_points", counted(costfit.grid_points, grid_calls))
-    monkeypatch.setattr(costfit, "fit_cost_functions", counted(costfit.fit_cost_functions, fit_calls))
+    monkeypatch.setattr(costfit, "fit_grid", counted(costfit.fit_grid, fit_calls))
     fitted = propagate.fit_all_cost_functions(plan, est, oracle)
     varying = {term: fv for term, fv in plan.index.terms.items() if any(v is not None for v in fv[1])}
     groups = set(varying.values())
@@ -614,3 +642,57 @@ def test_variance_breakdown_properties(world_inputs, plan, data):
         rest = sum(v for _, v, kind in breakdown if not kind.startswith("bound"))
         assert ("bound-dominated" in flags) == (bound > 0.0 and bound >= rest)
         assert all(e.pair[0] != e.pair[1] for e in entries)
+
+
+# ---------------------------------------------------------------------------
+# Property: the fit against its written-out reference, and the memoized
+# probe oracle against `true_b`
+
+
+def _synthetic_oracle(key, coords):
+    """Probe values for a term of any family: a seeded function of the
+    term and the coordinates, the same on every call. A negative slope
+    sends a fit down the passive-set path."""
+    rng = np.random.default_rng(zlib.crc32(repr(key).encode()))
+    slope, level = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 5.0)
+    return level + slope * coords.sum(axis=1) + 0.1 * rng.normal(size=len(coords))
+
+
+def _fit_hex(fitted):
+    return [(nid, unit, cf.tag, [b.hex() for b in cf.b], cf.degenerate)
+            for nid, per in fitted.items() for unit, cf in per.items()]
+
+
+_rho = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+_s2 = st.sampled_from([0.0]) | st.floats(0.0, 0.25)  # 0: a collapsed grid; near 0 or 1: a clipped one
+
+
+@pytest.fixture(scope="module")
+def world_and_relations():
+    relations, world, _, _ = _world_fixture()
+    return world, relations
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=_costed_plans(), data=st.data())
+def test_fit_matches_reference_and_oracle_memo(world_and_relations, plan, data):
+    world, relations = world_and_relations
+    est = {nid: SelEstimate(rho_n=data.draw(_rho), s2_n=data.draw(_s2), n=data.draw(st.integers(1, 50)))
+           for nid in plan.nodes}
+    W = data.draw(st.integers(1, 10))
+    got = propagate.fit_all_cost_functions(plan, est, _synthetic_oracle, W=W)
+    assert _fit_hex(got) == _fit_hex(reference_fit(plan, est, _synthetic_oracle, W))
+    # The same plan on the default cost profiles, probed through the world's
+    # oracle, whose closure memoizes the plan's leaf products.
+    doc = json.loads(planmod.serialize_plan(plan))
+    for node in doc["nodes"]:
+        node.pop("cost_profile")
+    plan = planmod.parse_plan(json.dumps(doc))
+    got = propagate.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations), W=W)
+    assert _fit_hex(got) == _fit_hex(reference_fit(plan, est, world.cost_oracle(plan, relations), W))
+    oracle = world.cost_oracle(plan, relations)
+    for key in data.draw(st.permutations(list(plan.index.terms) * 2)):  # shuffled, each key twice
+        tag, _ = plan.index.terms[key]
+        coords, _ = costfit.grid_points([(0.4, 0.01)] * ARITY[tag], W)
+        want = costfit.design_matrix(tag, coords) @ world.true_b(plan, relations, *key)[1]
+        assert oracle(key, coords).tobytes() == want.tobytes()

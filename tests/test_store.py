@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from runtimedist import store
+from conftest import reference_ingest
 
 
 def _relation(n=10):
@@ -25,6 +26,35 @@ def test_ingest_basic(tmp_path):
     assert rel.row_count == 2
     assert rel.rows == ((1, "x"), (2, "y"))
     assert rel.column_names == ("a", "b")
+
+
+_SCHEMA = [("a", "int64"), ("x", "float64"), ("s", "string")]
+
+
+@pytest.mark.parametrize("text", [
+    "a,x,s\n" + "".join(f"{i},{i / 7!r},w{i}\n" for i in range(9000)),  # three chunks
+    "a,x,s\n" + "".join(f"{i},0.5,w\n" for i in range(5000)) + "7,1.5,v\n\n\n8,2.5,\"two\nlines\"\n9,-0.0,z\n",
+    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(6000)) + "12x,1.0,w\n" + "5,1.0\n",  # a bad int at 6002
+    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(4100)) + "5,1.0\n" + "12x,1.0,w\n",  # a short record first
+    "a,x,s\n1,2.0,w\n2,two,w\n",  # a bad float
+    "a,x,s\n1,2.0,w,extra\n",
+    "a,x,s\n\n\n" + "\n" * 5000 + "3,4.0,w\n3\n",  # blank records count as lines
+    "a,x,s\n",  # a header alone
+    "",  # an empty file
+])
+def test_ingest_matches_record_by_record_reference(tmp_path, text):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    try:
+        want = reference_ingest(path, _SCHEMA)
+    except store.IngestError as exc:
+        with pytest.raises(store.IngestError) as got:
+            store.ingest_csv(path, _SCHEMA)
+        assert str(got.value) == str(exc)
+        return
+    got = store.ingest_csv(path, _SCHEMA)
+    assert got == want
+    assert [tuple(map(type, row)) for row in got.rows] == [tuple(map(type, row)) for row in want.rows]
 
 
 def test_column_names_computed_once():
