@@ -32,7 +32,7 @@ SETTINGS = {
     "grid_w": (10, True, 1),
     "policy": ("all", False, None),         # one of propagate.POLICIES; --ablation sets it
     "calib_reps": (50, False, 2),
-    "runs": (5, False, None),               # below 1 is simeval.actual_runtime's error
+    "runs": (5, False, 1),
     "world": ("", True, None),              # path to world.json; default <out_dir>/world.json
     "scan_count": (80, False, 0),
     "join_count": (80, False, 0),
@@ -368,7 +368,7 @@ def cmd_evaluate(cfg, args):
     ):
         raise ConfigError(f"{manifest_path}: not a workload manifest of 'plans' with string 'label' and 'path'")
     plans = [(rec["label"], load_plan(rec["path"], relations)) for rec in recs]
-    records, summary = simeval.evaluate_workload(  # runs < 1 is actual_runtime's error
+    records, summary = simeval.evaluate_workload(
         plans, relations, pool, units, world,
         policy=cfg["policy"], W=cfg["grid_w"], runs=cfg["runs"],
     )

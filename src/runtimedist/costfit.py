@@ -112,15 +112,6 @@ class CostFunction:
         if len(self.b) != p:
             raise FitError(f"{self.tag} needs {p} coefficients, got {len(self.b)}")
 
-    @property
-    def arity(self) -> int:
-        return len(FAMILIES[self.tag][0])
-
-    def evaluate(self, *coord: float) -> float:
-        if len(coord) != self.arity:
-            raise FitError(f"{self.tag} takes {self.arity} coordinates, got {len(coord)}")
-        return family_value(self.tag, self.b, coord)
-
 
 def grid_points(distributions, W: int = 10) -> tuple[np.ndarray, int]:
     """Probe coordinates spanning mu +/- 3 sigma, clamped to [0, 1], and

@@ -563,9 +563,10 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False) -> dict[int
     return results
 
 
-def leaf_product(plan: Plan, relations, node_id: int) -> int:
-    """The product of the row counts of a node's leaf relations, exact."""
-    return math.prod(relations[rel].row_count for rel, _ in plan.index.leaves[node_id])
+def leaf_products(plan: Plan, relations) -> dict[int, int]:
+    """Every node's product of the row counts of its leaf relations, exact."""
+    return {nid: math.prod(relations[rel].row_count for rel, _ in leaves)
+            for nid, leaves in plan.index.leaves.items()}
 
 
 def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, float]:
@@ -580,4 +581,5 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
             raise ZeroDivisionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
     results = execute(plan, bindings)
-    return {nid: results[nid].count / leaf_product(plan, relations, nid) for nid in index.order}
+    products = leaf_products(plan, relations)
+    return {nid: results[nid].count / products[nid] for nid in index.order}

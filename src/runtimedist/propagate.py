@@ -7,10 +7,10 @@ moment-matched normal approximations for each cost-function family, exact
 normal-moment covariances where variable pairs share or are independent of
 each other, and conservative upper bounds (added positively) where
 ancestor/descendant selectivities correlate in ways that admit no direct
-computation. The selectivity variables are the plan's (`PlanIndex.var`),
-and one covariance table per plan (`covariance_table`) holds the
-covariance of every pair of monomials the cost terms read, each computed
-once.
+computation. The selectivity variables are the plan's (`PlanIndex.var`).
+Mean and variance read each fitted term once, from one term table, and
+one covariance table per plan (`covariance_table`) holds the covariance
+of every pair of monomials the cost terms read, each computed once.
 """
 
 from __future__ import annotations
@@ -105,21 +105,6 @@ def _variance(monomials, cov) -> float:
         for b2, m2 in monomials[k + 1 :]:
             v += 2.0 * b1 * b2 * cov(m1, m2)
     return v
-
-
-def cost_function_mean(cf: CostFunction, dists) -> float:
-    """E[f] of a cost function under independent normal selectivity inputs,
-    one (mu, sigma2) pair per input."""
-    inputs, monomials = costfit.FAMILIES[cf.tag]
-    if len(dists) < len(inputs):
-        raise PropagationError(f"{cf.tag} needs {len(inputs)} input distributions, got {len(dists)}")
-    moms = list(map(moments, dists))
-    e = 0.0
-    for b, exps in zip(cf.b, monomials):
-        for mom, p in zip(moms, exps):
-            b *= mom[p]
-        e += b
-    return e
 
 
 def term_variance(e_f: float, var_f: float, mu_c: float, s2_c: float) -> float:
@@ -218,36 +203,40 @@ def covariance_table(leaves, estimates, dists):
 # ---------------------------------------------------------------------------
 
 
-def _apply_policy(estimates, units, policy: str):
+def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
+    """A plan's term table under a policy: each selectivity variable's
+    (mu, sigma2), None the constant 1 (a scan's left input), and per cost
+    term, in `PlanIndex.terms` order, (operator, unit mean, unit variance,
+    E[f], monomials). E[f] is each monomial's coefficient times its
+    variables' E[X^p], summed in order, plus the constant. A fitted
+    function must be of its term's family, whose inputs its exponents read."""
     if policy not in POLICIES:
         raise PropagationError(f"unknown covariance policy {policy!r}; one of {POLICIES}")
-    dists = {None: (1.0, 0.0)}  # a scan's left input, the constant 1
+    dists = {None: (1.0, 0.0)}
     for nid, est in estimates.items():
         dists[nid] = (est.rho_n, 0.0 if policy == "no-var-x" else est.sigma2)
-    unit_means = {u: units.mean(u) for u in units.units}
-    unit_vars = {
-        u: (0.0 if policy == "no-var-c" else units.variance(u)) for u in units.units
-    }
-    return dists, unit_means, unit_vars
-
-
-def fitted_terms(plan: Plan, costfuncs):
-    """(node id, unit, input variables, fitted function) of every cost term
-    of the plan, in `PlanIndex.terms` order. A function must be of its
-    term's family: its exponents are read against the family's inputs."""
+    moms = {v: moments(d) for v, d in dists.items()}
+    table = []
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
         cf = costfuncs[nid][unit]
         if cf.tag != tag:
             raise PropagationError(f"node {nid}, unit {unit}: fitted {cf.tag} function for a {tag} term")
-        yield nid, unit, vars_, cf
+        mono = _monomials(cf, vars_)
+        e_f = 0.0
+        for b, m in mono:
+            for v, p in m:
+                b *= moms[v][p]
+            e_f += b
+        s2_c = 0.0 if policy == "no-var-c" else units.variance(unit)
+        table.append((nid, units.mean(unit), s2_c, e_f + cf.b[-1], mono))
+    return dists, table
 
 
 def expected_time(plan: Plan, costfuncs, estimates, units) -> float:
     """E[t_q] = sum_k sum_c E[f_kc] * mu_c."""
-    dists, unit_means, _ = _apply_policy(estimates, units, "all")
     total = 0.0
-    for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
-        total += cost_function_mean(cf, [dists[v] for v in vars_]) * unit_means[unit]
+    for _, mu_c, _, e_f, _ in _term_table(plan, costfuncs, estimates, units, "all")[1]:
+        total += e_f * mu_c
     return total
 
 
@@ -266,7 +255,7 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     component of their bound kind; a cross-operator pair goes to
     `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
     """
-    dists, unit_means, unit_vars = _apply_policy(estimates, units, policy)
+    dists, table = _term_table(plan, costfuncs, estimates, units, policy)
     cov = covariance_table(plan.index.leaves, estimates, dists)
 
     # (a, b) -> [exact share, bound share, bound kinds] of the variance, for
@@ -274,13 +263,11 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     # term variances.
     parts = {(nid, nid): [0.0, 0.0, set()] for nid in plan.index.order}
     terms = []  # (operator, mu_c, monomials) of each term that can covary
-    for nid, unit, vars_, cf in fitted_terms(plan, costfuncs):
-        mono = _monomials(cf, vars_)
-        e_f = cost_function_mean(cf, [dists[v] for v in vars_])
+    for nid, mu_c, s2_c, e_f, mono in table:
         var_f = _variance(mono, lambda m1, m2: cov(m1, m2)[0])
-        parts[nid, nid][0] += term_variance(e_f, var_f, unit_means[unit], unit_vars[unit])
+        parts[nid, nid][0] += term_variance(e_f, var_f, mu_c, s2_c)
         if mono:  # a constant term covaries with nothing
-            terms.append((nid, unit_means[unit], mono))
+            terms.append((nid, mu_c, mono))
 
     for i, (a, mu_a, mono_a) in enumerate(terms):
         for b, mu_b, mono_b in terms[i + 1 :]:

