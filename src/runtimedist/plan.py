@@ -216,7 +216,7 @@ def _parse_atom(obj) -> SelAtom | JoinAtom:
         return JoinAtom(left=str(obj["left"]), right=str(obj["right"]))
     if isinstance(obj, dict) and {"col", "value"} <= obj.keys():
         op = obj.get("op", "=")
-        if op not in CMP_OPS:
+        if not isinstance(op, str) or op not in CMP_OPS:  # a list or an object is not hashable
             raise PlanError(f"unknown comparator {op!r}")
         return SelAtom(column=str(obj["col"]), op=op, value=obj["value"])
     raise PlanError(f"predicate atom {obj!r} is neither a join atom (left, right) nor a selection atom (col, value)")
@@ -232,11 +232,22 @@ def _integer(value, field: str, minimum: int | None = None) -> int:
 
 
 def parse_plan(text: str) -> Plan:
-    """Parse and validate a JSON plan document."""
+    """Parse and validate a JSON plan document: decode it, then build the
+    plan with `plan_from_document`. Text that is not JSON is a PlanError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanError(f"plan document is not valid JSON: {exc}") from None
+    return plan_from_document(doc)
+
+
+def plan_from_document(doc) -> Plan:
+    """Validate a decoded plan document and build its plan.
+
+    `doc` holds what `json.loads` gives: dicts with string keys, lists,
+    strings, numbers, booleans and None. Every check and its PlanError are
+    those `parse_plan` makes after decoding, in the same order. Selection
+    constants are taken over as they are, not copied."""
     if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:
         raise PlanError("plan document must be an object with 'nodes' and 'root'")
     if not isinstance(doc["nodes"], list):
@@ -313,8 +324,22 @@ def _validate_tree(plan: Plan) -> None:
             )
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # no indent: json's C encoder
+
+
 def serialize_plan(plan: Plan) -> str:
-    """Serialize a plan back to its JSON document form."""
+    """Serialize a plan to its JSON document form, keys sorted, one node
+    record per line in post-order:
+
+        {"nodes": [
+          {"children": [], "cost_profile": {...}, "id": 1, ...},
+          ...
+        ], "root": N}
+
+    Each record is encoded without `indent`, so `json` uses its C encoder;
+    with `indent` it falls back to its pure-Python one, several times
+    slower. The text is deterministic, and `parse_plan` reads it back to an
+    equal plan."""
     recs = []
     for node in map(plan.nodes.__getitem__, plan.index.order):
         rec: dict = {"id": node.id, "kind": node.kind, "children": node.children}
@@ -331,8 +356,8 @@ def serialize_plan(plan: Plan) -> str:
         if node.estimate_M is not None:
             rec["estimate_M"] = node.estimate_M
         rec["cost_profile"] = node.cost_profile
-        recs.append(rec)
-    return json.dumps({"nodes": recs, "root": plan.root}, indent=2, sort_keys=True)
+        recs.append(_ENCODER.encode(rec))
+    return '{"nodes": [\n  ' + ",\n  ".join(recs) + f'\n], "root": {plan.root}}}'
 
 
 def leaf_tables(plan: Plan, node_id: int | None = None) -> list[tuple[str, int]]:

@@ -443,11 +443,12 @@ def generate_workload(spec: WorkloadSpec, relations):
     sorted once per call, and so is its true selectivity: the count of
     values below the threshold (a bisection of the sorted column) over the
     row count, bitwise what `plan.selectivity_truth` gives, ties included.
-    A candidate is executed once, with every appearance bound to an empty
-    copy of its relation: that resolves every column it names as a real
-    run does (a missing one raises `plan.ExecutionError`) and counts
-    nothing. Joins' selectivities are not checked, so no plan runs over a
-    non-empty table.
+    A candidate's document is built as a dict and validated by
+    `plan.plan_from_document`, with no JSON text in between. The plan is
+    executed once, with every appearance bound to an empty copy of its
+    relation: that resolves every column it names as a real run does (a
+    missing one raises `plan.ExecutionError`) and counts nothing. Joins'
+    selectivities are not checked, so no plan runs over a non-empty table.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x3141]))
     rels = sorted(relations)
@@ -458,7 +459,7 @@ def generate_workload(spec: WorkloadSpec, relations):
 
     def verify(doc, checks):
         """The parsed plan, or None if a (target, true selectivity) check fails."""
-        p = planmod.parse_plan(json.dumps(doc))
+        p = planmod.plan_from_document(doc)
         planmod.execute(p, {app: empty[app[0]] for app in p.index.appearance.values()})
         for target, sel in checks:
             if target <= 0 or abs(sel - target) > _TARGET_TOLERANCE * target:

@@ -229,6 +229,16 @@ def _scan(nid, rel):
     return {"id": nid, "kind": "SeqScan", "relation": rel, "children": []}
 
 
+def test_comparator_that_is_a_list_reported_as_one_json_line(workdir, tmp_path, capsys):
+    bad = _plan_file(tmp_path, "list-op", [
+        dict(_scan(1, "r1"), predicate=[{"col": "r1_val", "op": ["<"], "value": 1}]),
+    ], 1)
+    assert _run(workdir, "predict", "--plan", bad) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "unknown comparator ['<']"
+
+
 def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
     # missing data directory
     rc = cli.dispatch(["ingest", "--data-dir", str(tmp_path / "nope"),

@@ -250,6 +250,69 @@ def test_roundtrip_serialization(doc):
     assert again.nodes == p.nodes
     assert list(again.index.terms) == list(p.index.terms)  # the order predictions sum in
     assert planmod.serialize_plan(again) == text
+    # One node record per line, in post-order, between the opening and closing lines.
+    lines = text.split("\n")
+    assert len(lines) == len(p.nodes) + 2
+    assert lines[0] == '{"nodes": [' and lines[-1] == f'], "root": {p.root}}}'
+    records = [json.loads(line.removeprefix("  ").removesuffix(",")) for line in lines[1:-1]]
+    assert [rec["id"] for rec in records] == list(p.index.order)
+    assert records == json.loads(text)["nodes"]
+
+
+# JSON values of every type, the comparator as a list included.
+_json_values = st.sampled_from([None, True, False, 0, -1, 7, 1.5, "", "x", [], {}, ["<"]])
+
+
+def _paths(obj, path=()):
+    """Every key path into a JSON value, its own empty path first."""
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _replaced_docs(draw):
+    """A generated plan document with the value at one key path, at any
+    depth, replaced by a JSON value of any type."""
+    doc = draw(_plan_docs())
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = draw(_json_values)
+    return doc
+
+
+_LIST_COMPARATOR = {"nodes": [_scan(1, "r1", [{"col": "r1_val", "op": ["<"], "value": 1}])], "root": 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_replaced_docs())
+@example(_LIST_COMPARATOR)
+def test_replaced_field_gives_a_plan_or_a_plan_error(doc):
+    try:
+        planmod.parse_plan(json.dumps(doc))
+    except planmod.PlanError:
+        pass  # any other exception fails the test
+
+
+def _outcome(build):
+    """A built plan's nodes, root and terms, or its PlanError's message."""
+    try:
+        p = build()
+    except planmod.PlanError as exc:
+        return str(exc)
+    return p.nodes, p.root, list(p.index.terms.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plan_docs() | _replaced_docs())
+@example(FIG1)
+@example(_LIST_COMPARATOR)
+def test_document_and_its_text_give_the_same_plan_or_error(doc):
+    by_document = _outcome(lambda: planmod.plan_from_document(doc))
+    assert by_document == _outcome(lambda: planmod.parse_plan(json.dumps(doc)))
 
 
 @pytest.mark.parametrize(
@@ -271,6 +334,9 @@ def test_roundtrip_serialization(doc):
          "C6 needs two children"),
         ({"nodes": [_scan(1, ["R"])], "root": 1}, "relation name"),
         ({"nodes": [dict(_scan(1, "R"), cost_profile={"c_o": ["C2"]})], "root": 1}, "unknown cost type"),
+        ({"nodes": [_scan(1, "R", [{"col": "a", "op": ["<"], "value": 1}])], "root": 1},
+         r"unknown comparator \['<'\]"),
+        ({"nodes": [_scan(1, "R", [{"col": "a", "op": {}, "value": 1}])], "root": 1}, "unknown comparator {}"),
     ],
 )
 def test_validation_errors(doc, match):
