@@ -62,9 +62,13 @@ class FitError(ValueError):
 
 
 @functools.lru_cache(maxsize=None)
-def _factors(tag: str) -> tuple:
-    """Per monomial of the family, the positions of its inputs, each
-    repeated by its exponent: C6 gives ((0, 1), (0,), (1,), ())."""
+def monomial_factors(tag: str) -> tuple:
+    """Per monomial of the family, in order, the positions of its inputs,
+    each repeated by its exponent: C6 gives ((0, 1), (0,), (1,), ()). A
+    monomial's value is the product of those inputs taken left to right,
+    and 1.0 for the constant's empty tuple. `monomial_values` starts the
+    product from the first input; the harness's true costs (`simeval`)
+    start it from an exact 1, which gives the same bits."""
     return tuple(tuple(i for i, e in enumerate(exps) for _ in range(e)) for exps in FAMILIES[tag][1])
 
 
@@ -72,7 +76,7 @@ def monomial_values(tag: str, inputs) -> list:
     """The family's monomials at one value per input (floats, or arrays
     of one length), constant last."""
     values = []
-    for idx in _factors(tag):
+    for idx in monomial_factors(tag):
         v = inputs[idx[0]] if idx else 1.0
         for i in idx[1:]:
             v = v * inputs[i]

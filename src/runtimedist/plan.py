@@ -274,7 +274,7 @@ def plan_from_document(doc) -> Plan:
         relation = rec.get("relation")
         if kind in SCAN_KINDS and not (relation and isinstance(relation, str)):
             raise PlanError(f"node {nid}: scans require a relation name")
-        if kind not in SCAN_KINDS and relation:
+        if kind not in SCAN_KINDS and relation is not None:
             raise PlanError(f"node {nid}: only scans may name a relation")
         predicate = [_parse_atom(a) for a in rec.get("predicate", [])]
         profile = dict(DEFAULT_COST_PROFILES[kind])

@@ -7,7 +7,8 @@ probe oracles (`oracle((node_id, unit), coords) -> values`, an (m, arity)
 coordinate array in, m true costs out); "actual" running times are
 simulated by evaluating the true cost model at the true selectivities with
 fresh cost-unit draws per run: one pass over the terms, reading one
-`plan.leaf_products` table as the oracle and `true_b` do, then seeded draws.
+`plan.leaf_products` table as the oracle and `true_b` do, each term's cost
+one walk over its family's monomial factors, then seeded draws.
 
 Also here: the exact enumeration oracle for Var[rho_n], workload
 generation, and the correlation / error-distribution metrics.
@@ -20,6 +21,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import plan as planmod, propagate
 from .calib import CalibrationRecord, COST_UNITS
-from .costfit import FAMILIES, design_matrix, family_value, monomial_values
+from .costfit import FAMILIES, design_matrix, monomial_factors, monomial_values
 from .plan import Plan, DEFAULT_COST_PROFILES
 from .store import Relation
 
@@ -125,6 +127,12 @@ _DEFAULT_UNIT_MEANS = {
 }
 
 
+def _finite_number(x) -> bool:
+    """A JSON number, not a bool, that a float holds finitely: not NaN, not
+    infinite, and no int beyond the largest float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 @dataclass
 class TrueCostWorld:
     unit_means: dict[str, float]
@@ -171,19 +179,30 @@ class TrueCostWorld:
 
     @classmethod
     def from_json(cls, text: str) -> "TrueCostWorld":
+        """The world `to_json` wrote. Every unit's mean and variance must
+        be a finite number >= 0, every coefficient slot a list of finite
+        numbers and the seed a JSON integer >= 0, where a JSON bool is no
+        number; anything else is a ValueError naming the unit, the
+        (kind, unit) slot or the seed."""
         doc = json.loads(text)
         means = {u: doc["unit_means"][u] for u in COST_UNITS}
         variances = {u: doc["unit_vars"][u] for u in COST_UNITS}
         for u in COST_UNITS:
-            if not all(math.isfinite(x) and x >= 0 for x in (means[u], variances[u])):
+            if not all(_finite_number(x) and x >= 0 for x in (means[u], variances[u])):
                 raise ValueError(f"unit {u}: mean and variance must be finite and >= 0, "
                                  f"got {means[u]!r} and {variances[u]!r}")
-        return cls(
-            unit_means=means,
-            unit_vars=variances,
-            coefs={k: {u: tuple(a) for u, a in per.items()} for k, per in doc["coefs"].items()},
-            seed=int(doc["seed"]),
-        )
+        coefs = {}
+        for kind, per in doc["coefs"].items():
+            coefs[kind] = {}
+            for unit, a in per.items():
+                if not (type(a) is list and all(map(_finite_number, a))):
+                    raise ValueError(f"coefficients for ({kind}, {unit}) must be a list of finite "
+                                     f"numbers, got {a!r}")
+                coefs[kind][unit] = tuple(a)
+        seed = doc["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        return cls(unit_means=means, unit_vars=variances, coefs=coefs, seed=seed)
 
     # -- what the predictor may see ----------------------------------------
 
@@ -203,26 +222,35 @@ class TrueCostWorld:
                 )
         return records
 
-    def _true_b(self, plan: Plan, products, node_id: int, unit: str):
-        """(tag, input variables, `true_b`'s coefficients as an iterator),
-        `products` the plan's `plan.leaf_products`."""
-        kind = plan.nodes[node_id].kind
-        tag, vars_ = plan.index.terms[node_id, unit]
+    def _slot(self, kind: str, unit: str, tag: str):
+        """The (kind, unit) slot's true a-coefficients, which a `tag` term
+        reads: one per monomial of the family, or a ValueError."""
         a = self.coefs.get(kind, {}).get(unit, ())
         if len(a) != len(FAMILIES[tag][1]):
             raise ValueError(
                 f"the world has no {tag} coefficients for ({kind}, {unit}): it holds {len(a)}, "
                 f"{tag} reads {len(FAMILIES[tag][1])}; it covers only the default cost profiles"
             )
+        return a
+
+    def _true_b(self, plan: Plan, products, node_id: int, unit: str):
+        """(tag, `true_b`'s coefficients), `products` the plan's
+        `plan.leaf_products`. Each is a_k * m_k, m_k the monomial's product
+        of its inputs' leaf products in `monomial_factors` order (integers,
+        so exact; 1.0 for the constant), as `monomial_values` gives it. A
+        tuple built from `map` is ready for the oracle's product as it is,
+        and builds faster than a list comprehension."""
+        kind = plan.nodes[node_id].kind
+        tag, vars_ = plan.index.terms[node_id, unit]
+        a = self._slot(kind, unit, tag)
         scale = [products[node_id if v is None else v] for v in vars_]
-        return tag, vars_, map(operator.mul, a, monomial_values(tag, scale))
+        return tag, tuple(map(operator.mul, a, monomial_values(tag, scale)))
 
     def true_b(self, plan: Plan, relations, node_id: int, unit: str) -> tuple[str, tuple[float, ...]]:
         """True selectivity-space coefficients for one operator term: each
         true a-coefficient times its monomial at the inputs' leaf products
         (a scan's left input: its relation's row count)."""
-        tag, _, b = self._true_b(plan, planmod.leaf_products(plan, relations), node_id, unit)
-        return tag, tuple(b)
+        return self._true_b(plan, planmod.leaf_products(plan, relations), node_id, unit)
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
@@ -232,20 +260,39 @@ class TrueCostWorld:
         products = planmod.leaf_products(plan, relations)
 
         def oracle(key, coords):
-            tag, _, b = self._true_b(plan, products, *key)
-            return design_matrix(tag, coords) @ tuple(b)
+            tag, b = self._true_b(plan, products, *key)
+            return design_matrix(tag, coords) @ b
 
         return oracle
 
 
 def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
     """(unit, true logical cost) of every cost term at the true selectivities,
-    in post-order, from one `plan.leaf_products` table; a run only draws the unit costs."""
+    in post-order, from one `plan.leaf_products` table; a run only draws the
+    unit costs. A term's cost is one walk over its family's
+    `monomial_factors`: per monomial k, (a_k * m_k(leaf products)) *
+    m_k(true selectivities), summed from 0 in monomial order by `sum`, as
+    `family_value` sums (Python 3.12's `sum` of floats is compensated).
+    m_k multiplies its inputs in factor order onto 1 on the leaf-product
+    side (integers, exact) and onto 1.0 on the selectivity side, where a
+    leaf's left input is 1.0 and is skipped: both are exact, so each cost is
+    bitwise `family_value` of `true_b`'s coefficients there."""
     products = planmod.leaf_products(plan, relations)
+    nodes = plan.nodes
     costs = []
-    for nid, unit in plan.index.terms:
-        tag, vars_, b = world._true_b(plan, products, nid, unit)
-        costs.append((unit, family_value(tag, b, [1.0 if v is None else truth[v] for v in vars_])))
+    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+        terms = []
+        for a_k, idx in zip(world._slot(nodes[nid].kind, unit, tag), monomial_factors(tag)):
+            m, x = 1, 1.0
+            for i in idx:
+                v = vars_[i]
+                if v is None:
+                    m *= products[nid]
+                else:
+                    m *= products[v]
+                    x *= truth[v]
+            terms.append(a_k * m * x)
+        costs.append((unit, sum(terms)))
     return costs
 
 

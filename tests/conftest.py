@@ -222,18 +222,24 @@ def cost_function_moments(cf, dists) -> tuple[float, float]:
     return e, propagate._variance(monomials, functools.partial(propagate.cov_product, tables))
 
 
-def reference_run(plan: Plan, relations, world: simeval.TrueCostWorld, seed: int, truth=None) -> float:
-    """One simulated run written out: per cost term, `true_b` then
-    `family_value` at the true selectivities (a leaf's left input: 1.0);
-    then one standard normal per term, in term order, from the run's
-    seeded generator, each unit cost drawn as mean + sd * z and clamped at
-    0, and the run's time the sum of cost times unit cost."""
-    if truth is None:
-        truth = planmod.selectivity_truth(plan, relations)
+def reference_costs(plan: Plan, relations, world: simeval.TrueCostWorld, truth) -> list:
+    """(unit, true cost) per cost term, in term order, written out: `true_b`
+    then `family_value` at the true selectivities (a leaf's left input: 1.0)."""
     costs = []
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
         _, b = world.true_b(plan, relations, nid, unit)
         costs.append((unit, family_value(tag, b, [1.0 if v is None else truth[v] for v in vars_])))
+    return costs
+
+
+def reference_run(plan: Plan, relations, world: simeval.TrueCostWorld, seed: int, truth=None) -> float:
+    """One simulated run written out: the `reference_costs`; then one
+    standard normal per term, in term order, from the run's seeded
+    generator, each unit cost drawn as mean + sd * z and clamped at 0, and
+    the run's time the sum of cost times unit cost."""
+    if truth is None:
+        truth = planmod.selectivity_truth(plan, relations)
+    costs = reference_costs(plan, relations, world, truth)
     rng = np.random.default_rng(np.random.SeedSequence([world.seed, seed, 0x5EED]))
     total = 0.0
     for (unit, cost), z in zip(costs, rng.standard_normal(len(costs)).tolist()):

@@ -370,8 +370,14 @@ def test_malformed_plan_reported_as_json(workdir, tmp_path, capsys, doc, match):
      "unit c_t: mean and variance must be finite and >= 0, got "),
     ("world", lambda doc: doc["unit_means"].update(c_s=float("inf")),
      "unit c_s: mean and variance must be finite and >= 0, got inf"),
+    ("world", lambda doc: doc["coefs"]["SeqScan"]["c_s"].__setitem__(0, "x"),
+     "coefficients for (SeqScan, c_s) must be a list of finite numbers, got ['x'"),
+    ("world", lambda doc: doc["coefs"]["SeqScan"]["c_s"].__setitem__(0, True),
+     "coefficients for (SeqScan, c_s) must be a list of finite numbers, got [True"),
+    ("world", lambda doc: doc.update(seed=42.9), "seed must be an integer >= 0, got 42.9"),
 ], ids=["world-without-unit-means", "world-without-c_t-variance", "unit-without-variance", "units-without-c_i",
-        "world-negative-c_t-variance", "world-infinite-c_s-mean"])
+        "world-negative-c_t-variance", "world-infinite-c_s-mean", "world-string-coefficient",
+        "world-bool-coefficient", "world-float-seed"])
 def test_malformed_world_and_units_reported_as_json(workdir, tmp_path, capsys, name, change, match):
     for fname in ("world.json", "units.json"):
         (tmp_path / fname).write_text((workdir / "out" / fname).read_text())

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import CostFunction, family_value
-from conftest import ARITY, cost_function_moments
+from conftest import ARITY, cost_function_moments, reference_run
 
 # E[f] and Var[f] of each family, written out, for independent normal
 # inputs (mu, s2) per input.
@@ -120,3 +120,18 @@ def test_seventh_family_parse_true_b_and_fit(seventh_family):
     dist, *_ = propagate.predict_distribution(plan, pool, relations, units,
                                               oracle=world.cost_oracle(plan, relations))
     assert dist.mean > 0.0 and dist.variance > 0.0
+
+
+def test_seventh_family_simulated_runs_match_written_out_reference(seventh_family):
+    # Bitwise: a C7 term's true cost walks Xl twice and Xr once per run.
+    plan = planmod.parse_plan(json.dumps(_JOIN))
+    relations = simeval.generate_database(3, sizes=(40, 50, 60), key_domain=10)
+    world = simeval.TrueCostWorld.generate(3)
+    world.coefs["HashJoin"]["c_t"] = (1.25, -0.5, 7.0)
+    truth = planmod.selectivity_truth(plan, relations)
+    for seed in (0, 1, 2**32 - 1):
+        want = reference_run(plan, relations, world, seed)
+        assert simeval.simulate_actual_runtime(plan, relations, world, seed).hex() == want.hex()
+        assert simeval.simulate_actual_runtime(plan, relations, world, seed, truth=truth).hex() == want.hex()
+    want = float(np.mean([reference_run(plan, relations, world, 4000 + r, truth) for r in range(3)]))
+    assert simeval.actual_runtime(plan, relations, world, seed=4, runs=3).hex() == want.hex()

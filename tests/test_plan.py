@@ -337,6 +337,8 @@ def test_document_and_its_text_give_the_same_plan_or_error(doc):
         ({"nodes": [_scan(1, "R", [{"col": "a", "op": ["<"], "value": 1}])], "root": 1},
          r"unknown comparator \['<'\]"),
         ({"nodes": [_scan(1, "R", [{"col": "a", "op": {}, "value": 1}])], "root": 1}, "unknown comparator {}"),
+        *[({"nodes": [_scan(1, "R"), {"id": 2, "kind": "Sort", "children": [1], "relation": falsy}], "root": 2},
+           "node 2: only scans may name a relation") for falsy in ([], 0, False, "")],
     ],
 )
 def test_validation_errors(doc, match):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.simeval import EvalRecord, TrueCostWorld, WorkloadSpec
-from conftest import ARITY, brute_membership, monte_carlo_variance, reference_run, tiny_instance
+from conftest import ARITY, brute_membership, monte_carlo_variance, reference_costs, reference_run, tiny_instance
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,46 @@ def test_world_determinism_and_roundtrip():
     assert TrueCostWorld.generate(10) != a
     again = TrueCostWorld.from_json(a.to_json())
     assert again == a
+
+
+def _set_slot(value):
+    return lambda doc: doc["coefs"]["HashJoin"]["c_t"].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("change, match", [
+    (_set_slot("x"), r"coefficients for \(HashJoin, c_t\) must be a list of finite numbers, got \['x', "),
+    (_set_slot(None), r"\(HashJoin, c_t\) must be a list of finite numbers, got \[None, "),
+    (_set_slot([1.0]), r"\(HashJoin, c_t\) must be a list of finite numbers, got \[\[1.0\], "),
+    (_set_slot(True), r"\(HashJoin, c_t\) must be a list of finite numbers, got \[True, "),
+    (_set_slot(float("nan")), r"\(HashJoin, c_t\) must be a list of finite numbers, got \[nan, "),
+    (_set_slot(float("-inf")), r"\(HashJoin, c_t\) must be a list of finite numbers, got \[-inf, "),
+    (_set_slot(10**400), r"\(HashJoin, c_t\) must be a list of finite numbers, got \[1000"),
+    (lambda doc: doc["coefs"]["HashJoin"].update(c_t=1.5), r"\(HashJoin, c_t\) must be a list of finite numbers, got 1.5"),
+    (lambda doc: doc["coefs"]["HashJoin"].update(c_t="1.5"), r"\(HashJoin, c_t\) must be a list .* got '1.5'"),
+    (lambda doc: doc["unit_means"].update(c_s=True), "unit c_s: mean and variance must be finite and >= 0, got True"),
+    (lambda doc: doc["unit_vars"].update(c_o=10**400), "unit c_o: mean and variance must be finite and >= 0, got "),
+    (lambda doc: doc["unit_means"].update(c_r="1e-4"), "unit c_r: mean and variance must be finite and >= 0, got '1e-4'"),
+    (lambda doc: doc.update(seed=42.9), "seed must be an integer >= 0, got 42.9"),
+    (lambda doc: doc.update(seed="42"), "seed must be an integer >= 0, got '42'"),
+    (lambda doc: doc.update(seed=True), "seed must be an integer >= 0, got True"),
+    (lambda doc: doc.update(seed=-1), "seed must be an integer >= 0, got -1"),
+], ids=["string", "null", "list", "bool", "nan", "infinite", "int-beyond-float", "slot-number", "slot-string",
+        "mean-bool", "variance-int-beyond-float", "mean-string", "seed-float", "seed-string", "seed-bool",
+        "seed-negative"])
+def test_world_from_json_refuses_a_bad_number(change, match):
+    doc = json.loads(TrueCostWorld.generate(9).to_json())
+    change(doc)
+    with pytest.raises(ValueError, match=match):
+        TrueCostWorld.from_json(json.dumps(doc))
+
+
+def test_world_from_json_keeps_integer_coefficients_and_seed():
+    doc = json.loads(TrueCostWorld.generate(9).to_json())
+    doc["coefs"]["HashJoin"]["c_t"] = [2, -3, 0]
+    doc["seed"] = 0
+    world = TrueCostWorld.from_json(json.dumps(doc))
+    assert world.coefs["HashJoin"]["c_t"] == (2, -3, 0) and world.seed == 0
+    assert all(type(x) is int for x in world.coefs["HashJoin"]["c_t"])
 
 
 def test_calibration_records_recover_units():
@@ -374,16 +414,44 @@ def test_actual_runtime_rejects_no_runs(runs):
         simeval.actual_runtime(plan, _small_db(), TrueCostWorld.generate(3), seed=4, runs=runs)
 
 
+# Zeros of both signs and signed values, so that the order of a term's sum
+# shows in a bitwise comparison, and the sign of a zero cost in one of the
+# term costs themselves.
+_coef = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 20.0) | st.floats(-1e6, 1e6)
+
+
 def _filled_world(plan, world_seed, cv, data):
     """A generated world whose unit noise is `cv` times each mean, with
-    coefficients drawn for every (kind, unit) slot the plan reads."""
+    coefficients (`_coef`) drawn for every (kind, unit) slot the plan reads."""
     world = TrueCostWorld.generate(world_seed)
     world.unit_vars = {u: (cv * m) ** 2 for u, m in world.unit_means.items()}
     for node in plan.nodes.values():
         for unit, tag in node.cost_profile.items():
             world.coefs.setdefault(node.kind, {})[unit] = tuple(
-                data.draw(st.floats(0.0, 20.0)) for _ in range(costfit.NUM_COEFS[tag]))
+                data.draw(_coef) for _ in range(costfit.NUM_COEFS[tag]))
     return world
+
+
+def _costed_instance(data):
+    """(relations, plan) of every family or of a tiny instance."""
+    if data.draw(st.booleans(), label="all families"):
+        relations = simeval.generate_database(data.draw(st.integers(0, 99)), sizes=(9, 12, 15), key_domain=4)
+        return relations, planmod.parse_plan(json.dumps(_ALL_FAMILIES))
+    relations, plan, _ = tiny_instance(data.draw(st.integers(0, 10_000)))
+    return relations, plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_term_costs_match_written_out_reference(data):
+    # Bitwise per term, so a zero cost's sign shows too: a run's total,
+    # which starts at 0.0, would turn -0.0 into 0.0.
+    relations, plan = _costed_instance(data)
+    world = _filled_world(plan, data.draw(st.integers(0, 99)), 0.12, data)
+    truth = planmod.selectivity_truth(plan, relations)
+    got = simeval._true_term_costs(plan, relations, world, truth)
+    want = reference_costs(plan, relations, world, truth)
+    assert [(unit, cost.hex()) for unit, cost in got] == [(unit, cost.hex()) for unit, cost in want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,11 +459,7 @@ def _filled_world(plan, world_seed, cv, data):
 def test_simulated_runs_match_written_out_reference(data):
     # Bitwise, with and without `truth=`, and as `actual_runtime`'s mean of
     # runs. A noise of twice the mean clamps many unit draws at 0.
-    if data.draw(st.booleans(), label="all families"):
-        relations = simeval.generate_database(data.draw(st.integers(0, 99)), sizes=(9, 12, 15), key_domain=4)
-        plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
-    else:
-        relations, plan, _ = tiny_instance(data.draw(st.integers(0, 10_000)))
+    relations, plan = _costed_instance(data)
     world = _filled_world(plan, data.draw(st.integers(0, 99)), data.draw(st.sampled_from([0.0, 0.12, 2.0])), data)
     truth = planmod.selectivity_truth(plan, relations)
     seed = data.draw(st.integers(0, 2**32 - 1))
