@@ -6,14 +6,25 @@ CPU (c_o). Each calibration record divides an observed elapsed time by a
 known primitive count; the per-unit sample mean and unbiased sample
 variance define the unit's normal model. Units are treated as mutually
 independent; that assumption is recorded in the model metadata.
+Calibration records travel as CSV text with the columns `CSV_COLUMNS`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import math
+import sys
 from dataclasses import dataclass, field
 
 COST_UNITS = ("c_s", "c_r", "c_t", "c_i", "c_o")
+CSV_COLUMNS = ("unit", "count", "elapsed_seconds")  # a record's fields, in order
+
+
+def finite_number(x) -> bool:
+    """A JSON number, not a bool, that a float holds finitely: not NaN, not
+    infinite, and no int beyond the largest float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 class CalibrationError(ValueError):
@@ -31,9 +42,10 @@ class CalibrationRecord:
             raise CalibrationError(f"unknown cost unit {self.unit!r}")
         if self.count <= 0:
             raise CalibrationError("primitive count must be positive")
-        if self.elapsed_seconds < 0:
+        if not math.isfinite(self.elapsed_seconds) or self.elapsed_seconds < 0:
             raise CalibrationError(
-                "negative elapsed time: calibration file is broken, refusing to clamp"
+                f"negative or non-finite elapsed time {self.elapsed_seconds!r}: "
+                "calibration file is broken, refusing to clamp"
             )
 
 
@@ -85,29 +97,15 @@ def fit_cost_units(records) -> CostUnitModel:
     return CostUnitModel(units=units)
 
 
-def read_calibration_csv(path) -> list[CalibrationRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"unit", "count", "elapsed_seconds"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise CalibrationError(
-                f"{path}: calibration CSV needs columns unit,count,elapsed_seconds"
-            )
-        for row in reader:
-            records.append(
-                CalibrationRecord(
-                    unit=row["unit"],
-                    count=int(row["count"]),
-                    elapsed_seconds=float(row["elapsed_seconds"]),
-                )
-            )
-    return records
-
-
-def write_calibration_csv(path, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "count", "elapsed_seconds"])
-        for rec in records:
-            writer.writerow([rec.unit, rec.count, repr(rec.elapsed_seconds)])
+def parse_calibration_csv(text: str) -> list[CalibrationRecord]:
+    """The records of a calibration CSV's text, whose header holds
+    `CSV_COLUMNS`; a bad record is a CalibrationError naming its line."""
+    reader = csv.DictReader(io.StringIO(text))
+    try:
+        if not set(CSV_COLUMNS).issubset(reader.fieldnames or ()):
+            raise CalibrationError(f"header needs columns {','.join(CSV_COLUMNS)}")
+        return [CalibrationRecord(row["unit"], int(row["count"]), float(row["elapsed_seconds"]))
+                for row in reader]
+    except (csv.Error, ValueError, TypeError) as exc:
+        # the csv reader's count: the DictReader's lags a record the csv module refused
+        raise CalibrationError(f"line {reader.reader.line_num}: {exc}") from None

@@ -6,6 +6,11 @@ gen-workload, gen-world. All take a flat key-value configuration file
 override config values, and every setting is checked before any
 subcommand runs. Runs are deterministic for a fixed config and seed;
 reports differ only in their timestamp field.
+
+Every input file is read through `_read`, whose errors name the file (the
+config file and the relation CSVs, which `store.ingest_csv` streams, name
+file and line themselves); every output file is opened through `_out`,
+which makes its directory first.
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ def load_relations(cfg) -> dict:
         csv_path = os.path.join(data_dir, name + ".csv")
         if not os.path.exists(csv_path):
             raise ConfigError(f"schema sidecar {entry} has no CSV {name}.csv")
-        schema = store.read_schema_sidecar(os.path.join(data_dir, entry))
+        schema = _read(os.path.join(data_dir, entry), "schema sidecar", "run gen-workload first",
+                       store.parse_schema_sidecar)
         relations[name] = store.ingest_csv(csv_path, schema)
     if not relations:
         raise ConfigError(f"no .schema sidecars found in {data_dir!r}")
@@ -145,50 +151,80 @@ def world_path(cfg) -> str:
     return cfg["world"] or os.path.join(cfg["out_dir"], "world.json")
 
 
-def _load_json(path, what: str, hint: str, parse):
-    """`parse` of a JSON file's text; a file that is missing or malformed
-    is a ConfigError that names it."""
+def _read(path, what: str, hint: str, parse):
+    """`parse` of a file's text; a file that is missing, is not utf-8 or
+    whose text `parse` refuses is a ConfigError that names it."""
     if not os.path.exists(path):
         raise ConfigError(f"{what} {path!r} not found; {hint}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return parse(text)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"{what} {path!r} is malformed: {detail}") from None
 
 
 def load_world(cfg) -> simeval.TrueCostWorld:
-    return _load_json(world_path(cfg), "world file", "run gen-world first", simeval.TrueCostWorld.from_json)
+    return _read(world_path(cfg), "world file", "run gen-world first", simeval.TrueCostWorld.from_json)
 
 
 def _parse_units(text: str) -> calib.CostUnitModel:
+    """Every unit's model; each mean and variance a finite number >= 0."""
     doc = json.loads(text)
-    entries = {u: doc["units"][u] for u in calib.COST_UNITS}  # every unit, or a KeyError
-    units = {u: calib.UnitModel(mean=v["mean"], variance=v["variance"], observations=v["observations"])
-             for u, v in entries.items()}
+    units = {}
+    for u in calib.COST_UNITS:
+        v = doc["units"][u]
+        if not all(calib.finite_number(x) and x >= 0 for x in (v["mean"], v["variance"])):
+            raise ValueError(f"unit {u}: mean and variance must be finite and >= 0, "
+                             f"got {v['mean']!r} and {v['variance']!r}")
+        units[u] = calib.UnitModel(mean=v["mean"], variance=v["variance"], observations=v["observations"])
     return calib.CostUnitModel(units=units, metadata=doc.get("metadata", {}))
 
 
 def load_units(cfg) -> calib.CostUnitModel:
     path = os.path.join(cfg["out_dir"], "units.json")
-    return _load_json(path, "unit model", "run calibrate first", _parse_units)
+    return _read(path, "unit model", "run calibrate first", _parse_units)
 
 
 def load_plan(path, relations) -> planmod.Plan:
     """Parse a plan file; every scan must name a loaded relation."""
-    with open(path, encoding="utf-8") as fh:
-        p = planmod.parse_plan(fh.read())
-    for nid, (rel, _) in p.index.appearance.items():
-        if rel not in relations:
-            raise planmod.PlanError(f"node {nid}: relation {rel!r} is not in the data directory")
-    return p
+    def parse(text):
+        p = planmod.parse_plan(text)
+        for nid, (rel, _) in p.index.appearance.items():
+            if rel not in relations:
+                raise planmod.PlanError(f"node {nid}: relation {rel!r} is not in the data directory")
+        return p
+    return _read(path, "plan file", "check the plan's path", parse)
+
+
+def _parse_manifest(text: str) -> list[dict]:
+    """A workload manifest's plan records."""
+    doc = json.loads(text)
+    recs = doc.get("plans") if isinstance(doc, dict) else None
+    if not isinstance(recs, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("label"), str) and isinstance(r.get("path"), str) for r in recs
+    ):
+        raise ValueError("need 'plans', a list of records with string 'label' and 'path'")
+    return recs
+
+
+def _out(path, mode="w"):
+    """`path` opened to write (mode "w") or append ("a") text, its directory made first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, mode, newline="", encoding="utf-8")
+
+
+def _write_csv(path, header, rows, mode="w"):
+    """`rows` as CSV records, after `header` unless that is None."""
+    with _out(path, mode) as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path, doc):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _out(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -205,10 +241,8 @@ def _stamp(doc: dict) -> dict:
 def cmd_gen_world(cfg, args):
     world = simeval.TrueCostWorld.generate(cfg["seed"])
     path = world_path(cfg)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(world.to_json())
-        fh.write("\n")
+    with _out(path) as fh:
+        fh.write(world.to_json() + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -216,25 +250,19 @@ def cmd_gen_world(cfg, args):
 def cmd_gen_workload(cfg, args):
     size, seed = cfg["relation_size"], cfg["seed"]
     relations = simeval.generate_database(seed, sizes=(size, size, size), key_domain=cfg["key_domain"])
-    os.makedirs(cfg["data_dir"], exist_ok=True)
     for name, rel in relations.items():
-        with open(os.path.join(cfg["data_dir"], f"{name}.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rel.column_names)
-            writer.writerows(rel.rows)
-        with open(os.path.join(cfg["data_dir"], f"{name}.schema"), "w", encoding="utf-8") as fh:
-            for col, typ in rel.schema:
-                fh.write(f"{col},{typ}\n")
+        base = os.path.join(cfg["data_dir"], name)
+        _write_csv(base + ".csv", rel.column_names, rel.rows)
+        with _out(base + ".schema") as fh:
+            fh.writelines(f"{col},{typ}\n" for col, typ in rel.schema)
     spec = simeval.WorkloadSpec.grid(cfg["scan_count"], cfg["join_count"], cfg["join3_count"], seed)
     plans, skipped = simeval.generate_workload(spec, relations)
     wl_dir = os.path.join(cfg["out_dir"], "workload")
-    os.makedirs(wl_dir, exist_ok=True)
     manifest = []
     for label, p in plans:
         path = os.path.join(wl_dir, f"{label}.plan")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(planmod.serialize_plan(p))
-            fh.write("\n")
+        with _out(path) as fh:
+            fh.write(planmod.serialize_plan(p) + "\n")
         manifest.append({"label": label, "path": path})
     _write_json(os.path.join(wl_dir, "manifest.json"), {"plans": manifest, "skipped": skipped})
     print(f"wrote {len(manifest)} plans to {wl_dir} ({len(skipped)} targets skipped)")
@@ -257,26 +285,22 @@ def cmd_sample(cfg, args):
     relations = load_relations(cfg)
     pool = build_pool(cfg, relations)
     out = os.path.join(cfg["out_dir"], "samples")
-    os.makedirs(out, exist_ok=True)
     for name, tables in sorted(pool.tables.items()):
         for t, table in enumerate(tables):
-            path = os.path.join(out, f"{name}.{t}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("sample_index",) + table.column_names)
-                for j, row in enumerate(table.rows):
-                    writer.writerow((j,) + row)
+            _write_csv(os.path.join(out, f"{name}.{t}.csv"), ("sample_index",) + table.column_names,
+                       ((j,) + row for j, row in enumerate(table.rows)))
     print(f"pool: n={pool.n}, J={pool.pool_size}, {len(pool.tables)} relations -> {out}")
     return 0
 
 
 def cmd_calibrate(cfg, args):
     if args.records:
-        records = calib.read_calibration_csv(args.records)
+        records = _read(args.records, "calibration CSV", "check --records", calib.parse_calibration_csv)
     else:
         world = load_world(cfg)
         records = world.calibration_records(cfg["calib_reps"], cfg["seed"])
-        calib.write_calibration_csv(os.path.join(cfg["out_dir"], "calibration.csv"), records)
+        _write_csv(os.path.join(cfg["out_dir"], "calibration.csv"), calib.CSV_COLUMNS,
+                   ((r.unit, r.count, repr(r.elapsed_seconds)) for r in records))
     model = calib.fit_cost_units(records)
     doc = {
         "units": {
@@ -339,17 +363,12 @@ def cmd_predict(cfg, args):
             for nid, e in estimates.items()
         },
     }
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    jsonl = os.path.join(cfg["out_dir"], "predictions.jsonl")
-    with open(jsonl, "a", encoding="utf-8") as fh:
+    with _out(os.path.join(cfg["out_dir"], "predictions.jsonl"), "a") as fh:
         fh.write(json.dumps(_stamp(record), sort_keys=True) + "\n")
     csv_path = os.path.join(cfg["out_dir"], "predictions.csv")
-    new = not os.path.exists(csv_path)
-    with open(csv_path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(["plan_id", "mean_s", "var_s2", "stddev_s", "flags"])
-        writer.writerow([plan_id, repr(dist.mean), repr(dist.variance), repr(dist.stddev), ";".join(dist.flags)])
+    header = None if os.path.exists(csv_path) else ("plan_id", "mean_s", "var_s2", "stddev_s", "flags")
+    _write_csv(csv_path, header,
+               [(plan_id, repr(dist.mean), repr(dist.variance), repr(dist.stddev), ";".join(dist.flags))], "a")
     print(f"{plan_id}: mean={dist.mean:.6g}s stddev={dist.stddev:.6g}s flags={dist.flags}")
     return 0
 
@@ -360,28 +379,17 @@ def cmd_evaluate(cfg, args):
     world = load_world(cfg)
     units = load_units(cfg)
     manifest_path = args.workload or os.path.join(cfg["out_dir"], "workload", "manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    recs = manifest.get("plans") if isinstance(manifest, dict) else None
-    if not isinstance(recs, list) or not all(
-        isinstance(r, dict) and isinstance(r.get("label"), str) and isinstance(r.get("path"), str) for r in recs
-    ):
-        raise ConfigError(f"{manifest_path}: not a workload manifest of 'plans' with string 'label' and 'path'")
+    recs = _read(manifest_path, "workload manifest", "run gen-workload first", _parse_manifest)
     plans = [(rec["label"], load_plan(rec["path"], relations)) for rec in recs]
     records, summary = simeval.evaluate_workload(
         plans, relations, pool, units, world,
         policy=cfg["policy"], W=cfg["grid_w"], runs=cfg["runs"],
     )
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    csv_path = os.path.join(cfg["out_dir"], "evaluation.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plan_id", "mean", "stddev", "actual", "error", "norm_error", "flags"])
-        for r in records:
-            writer.writerow([
-                r.plan_id, repr(r.predicted_mean), repr(r.predicted_stddev), repr(r.actual),
-                repr(r.error), repr(r.norm_error) if r.predicted_stddev > 0 else "", ";".join(r.flags),
-            ])
+    _write_csv(os.path.join(cfg["out_dir"], "evaluation.csv"),
+               ("plan_id", "mean", "stddev", "actual", "error", "norm_error", "flags"),
+               ((r.plan_id, repr(r.predicted_mean), repr(r.predicted_stddev), repr(r.actual),
+                 repr(r.error), repr(r.norm_error) if r.predicted_stddev > 0 else "", ";".join(r.flags))
+                for r in records))
     summary["policy"] = cfg["policy"]
     _write_json(os.path.join(cfg["out_dir"], "summary.json"), _stamp(dict(summary)))
     print(

@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import operator
-import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import plan as planmod, propagate
-from .calib import CalibrationRecord, COST_UNITS
+from .calib import CalibrationRecord, COST_UNITS, finite_number
 from .costfit import FAMILIES, design_matrix, monomial_factors, monomial_values
 from .plan import Plan, DEFAULT_COST_PROFILES
 from .store import Relation
@@ -127,12 +126,6 @@ _DEFAULT_UNIT_MEANS = {
 }
 
 
-def _finite_number(x) -> bool:
-    """A JSON number, not a bool, that a float holds finitely: not NaN, not
-    infinite, and no int beyond the largest float."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-
 @dataclass
 class TrueCostWorld:
     unit_means: dict[str, float]
@@ -188,14 +181,14 @@ class TrueCostWorld:
         means = {u: doc["unit_means"][u] for u in COST_UNITS}
         variances = {u: doc["unit_vars"][u] for u in COST_UNITS}
         for u in COST_UNITS:
-            if not all(_finite_number(x) and x >= 0 for x in (means[u], variances[u])):
+            if not all(finite_number(x) and x >= 0 for x in (means[u], variances[u])):
                 raise ValueError(f"unit {u}: mean and variance must be finite and >= 0, "
                                  f"got {means[u]!r} and {variances[u]!r}")
         coefs = {}
         for kind, per in doc["coefs"].items():
             coefs[kind] = {}
             for unit, a in per.items():
-                if not (type(a) is list and all(map(_finite_number, a))):
+                if not (type(a) is list and all(map(finite_number, a))):
                     raise ValueError(f"coefficients for ({kind}, {unit}) must be a list of finite "
                                      f"numbers, got {a!r}")
                 coefs[kind][unit] = tuple(a)

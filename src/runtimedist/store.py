@@ -139,17 +139,16 @@ def ingest_csv(path, schema) -> Relation:
     return Relation(name=name, schema=schema, rows=tuple(rows))
 
 
-def read_schema_sidecar(path) -> list[tuple[str, str]]:
-    """Read a schema sidecar file: one `column,type` line per column."""
+def parse_schema_sidecar(text: str) -> tuple[tuple[str, str], ...]:
+    """The checked schema of a sidecar's text: one `column,type` line per
+    column; blank lines and `#` comments are skipped."""
     schema = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for line in text.split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
             col, _, typ = line.partition(",")
             schema.append((col.strip(), typ.strip()))
-    return schema
+    return validate_schema(schema)
 
 
 def _table_rng(seed: int, relation: str, table_index: int) -> np.random.Generator:

@@ -1,9 +1,11 @@
 """Cost-unit calibration models."""
 
+import re
+
 import numpy as np
 import pytest
 
-from runtimedist import calib
+from runtimedist import calib, cli, simeval
 
 
 def _records(per_unit_values):
@@ -33,8 +35,9 @@ def test_record_validation():
         calib.CalibrationRecord("c_x", 1, 0.1)
     with pytest.raises(calib.CalibrationError, match="count"):
         calib.CalibrationRecord("c_t", 0, 0.1)
-    with pytest.raises(calib.CalibrationError, match="negative"):
-        calib.CalibrationRecord("c_t", 1, -0.1)
+    for elapsed in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(calib.CalibrationError, match="negative or non-finite"):
+            calib.CalibrationRecord("c_t", 1, elapsed)
 
 
 def test_two_point_mean_variance():
@@ -103,15 +106,28 @@ def test_metadata_records_independence():
 
 
 def test_csv_roundtrip(tmp_path):
-    records = _records(_full((1.5e-6, 2.5e-6)))
-    path = tmp_path / "calibration.csv"
-    calib.write_calibration_csv(path, records)
-    again = calib.read_calibration_csv(path)
-    assert again == records
+    # `calibrate` writes the world's records; its `--records` parser reads
+    # back the same records, every float bit for bit.
+    world = simeval.TrueCostWorld.generate(3)
+    (tmp_path / "world.json").write_text(world.to_json())
+    assert cli.dispatch(["calibrate", "--out-dir", str(tmp_path), "--seed", "5"]) == 0
+    again = calib.parse_calibration_csv((tmp_path / "calibration.csv").read_text())
+    assert again == world.calibration_records(50, 5)
 
 
-def test_csv_missing_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("unit,count\nc_t,5\n")
+def test_csv_missing_columns():
     with pytest.raises(calib.CalibrationError, match="columns"):
-        calib.read_calibration_csv(path)
+        calib.parse_calibration_csv("unit,count\nc_t,5\n")
+
+
+@pytest.mark.parametrize("record, match", [
+    ("c_t,1.5,0.1", "line 3: invalid literal for int"),
+    ("c_t,5,nan", "line 3: negative or non-finite elapsed time nan"),
+    ("c_t,5,-inf", "line 3: negative or non-finite elapsed time -inf"),
+    ("c_t,5", "line 3: float() argument must be"),
+    ("c_x,5,0.1", "line 3: unknown cost unit 'c_x'"),
+    ("c_t,5," + "1" * 200_000, "line 3: field larger than field limit"),
+], ids=["float-count", "nan-elapsed", "infinite-elapsed", "short-record", "unknown-unit", "huge-field"])
+def test_csv_bad_record_names_its_line(record, match):
+    with pytest.raises(calib.CalibrationError, match=re.escape(match)):
+        calib.parse_calibration_csv(f"unit,count,elapsed_seconds\nc_t,5,0.1\n{record}\n")

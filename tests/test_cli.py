@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 
 import pytest
 
@@ -236,7 +237,7 @@ def test_comparator_that_is_a_list_reported_as_one_json_line(workdir, tmp_path, 
     assert _run(workdir, "predict", "--plan", bad) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "unknown comparator ['<']"
+    assert json.loads(lines[0])["error"] == f"plan file {bad!r} is malformed: unknown comparator ['<']"
 
 
 def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
@@ -375,9 +376,16 @@ def test_malformed_plan_reported_as_json(workdir, tmp_path, capsys, doc, match):
     ("world", lambda doc: doc["coefs"]["SeqScan"]["c_s"].__setitem__(0, True),
      "coefficients for (SeqScan, c_s) must be a list of finite numbers, got [True"),
     ("world", lambda doc: doc.update(seed=42.9), "seed must be an integer >= 0, got 42.9"),
+    ("units", lambda doc: doc["units"]["c_t"].update(mean="1e-6"),
+     "unit c_t: mean and variance must be finite and >= 0, got '1e-6' and "),
+    ("units", lambda doc: doc["units"]["c_t"].update(mean=float("nan")),
+     "unit c_t: mean and variance must be finite and >= 0, got nan and "),
+    ("units", lambda doc: doc["units"]["c_o"].update(variance=-1e-12),
+     "unit c_o: mean and variance must be finite and >= 0, got "),
 ], ids=["world-without-unit-means", "world-without-c_t-variance", "unit-without-variance", "units-without-c_i",
         "world-negative-c_t-variance", "world-infinite-c_s-mean", "world-string-coefficient",
-        "world-bool-coefficient", "world-float-seed"])
+        "world-bool-coefficient", "world-float-seed", "units-string-c_t-mean", "units-nan-c_t-mean",
+        "units-negative-c_o-variance"])
 def test_malformed_world_and_units_reported_as_json(workdir, tmp_path, capsys, name, change, match):
     for fname in ("world.json", "units.json"):
         (tmp_path / fname).write_text((workdir / "out" / fname).read_text())
@@ -389,6 +397,44 @@ def test_malformed_world_and_units_reported_as_json(workdir, tmp_path, capsys, n
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{tmp_path / name}.json" in json.loads(err)["error"] and match in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("name", ["world", "units", "plan", "manifest", "calibration", "sidecar"])
+def test_every_input_file_error_names_the_file(workdir, tmp_path, capsys, name):
+    # Each input file in turn holds text that is not its format; the
+    # others are the pipeline's own.
+    for fname in ("world.json", "units.json"):
+        shutil.copy(workdir / "out" / fname, tmp_path / fname)
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(workdir / "data" / "r1.csv", data)
+    plan = str(workdir / "out" / "workload" / "scan-0.plan")
+    path, argv = {
+        "world": (tmp_path / "world.json", ["calibrate"]),
+        "units": (tmp_path / "units.json", ["predict", "--plan", plan]),
+        "plan": (tmp_path / "bad.plan", ["predict", "--plan", str(tmp_path / "bad.plan")]),
+        "manifest": (tmp_path / "manifest.json", ["evaluate", "--workload", str(tmp_path / "manifest.json")]),
+        "calibration": (tmp_path / "records.csv", ["calibrate", "--records", str(tmp_path / "records.csv")]),
+        "sidecar": (data / "r1.schema", ["ingest", "--data-dir", str(data)]),
+    }[name]
+    path.write_text("not {a} format\n")
+    assert _run(workdir, *argv, "--out-dir", str(tmp_path)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and f"{str(path)!r} is malformed: " in json.loads(lines[0])["error"]
+
+
+def test_bad_calibration_record_names_file_and_line(workdir, tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("unit,count,elapsed_seconds\nc_t,1.5,0.1\n")
+    assert _run(workdir, "calibrate", "--records", str(records), "--out-dir", str(tmp_path)) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"calibration CSV {str(records)!r} is malformed: line 2: invalid literal for int() with base 10: '1.5'")
+
+
+def test_calibrate_makes_its_out_dir(workdir, tmp_path):
+    fresh = tmp_path / "a" / "b"
+    assert _run(workdir, "calibrate", "--world", str(workdir / "out" / "world.json"), "--out-dir", str(fresh)) == 0
+    assert (fresh / "calibration.csv").is_file() and (fresh / "units.json").is_file()
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -120,10 +120,10 @@ def test_ingest_unknown_type():
         store.validate_schema([("a", "int32")])
 
 
-def test_schema_sidecar_roundtrip(tmp_path):
-    path = tmp_path / "r.schema"
-    path.write_text("# comment\na,int64\nb,string\n")
-    assert store.read_schema_sidecar(path) == [("a", "int64"), ("b", "string")]
+def test_schema_sidecar_roundtrip():
+    assert store.parse_schema_sidecar("# comment\na,int64\r\n\nb , string\n") == (("a", "int64"), ("b", "string"))
+    with pytest.raises(store.IngestError, match="unknown column type 'int32' for column 'a'"):
+        store.parse_schema_sidecar("a,int32\n")
 
 
 # ---------------------------------------------------------------------------
