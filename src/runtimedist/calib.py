@@ -77,7 +77,8 @@ def fit_cost_units(records) -> CostUnitModel:
     """Sample mean and unbiased variance per unit over observed values.
 
     Every unit needs at least two observations (the variance uses the
-    count-1 denominator); missing units are reported together.
+    count-1 denominator); missing units are reported together. A mean or
+    variance beyond the largest float is a CalibrationError naming the unit.
     """
     values: dict[str, list[float]] = {u: [] for u in COST_UNITS}
     for rec in records:
@@ -92,7 +93,12 @@ def fit_cost_units(records) -> CostUnitModel:
         obs = values[u]
         k = len(obs)
         mean = sum(obs) / k
-        var = sum((v - mean) ** 2 for v in obs) / (k - 1)
+        try:
+            var = sum((v - mean) ** 2 for v in obs) / (k - 1)
+        except OverflowError:  # a square beyond the largest float
+            var = math.inf
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise CalibrationError(f"unit {u}: mean and variance must be finite and >= 0, got {mean!r} and {var!r}")
         units[u] = UnitModel(mean=mean, variance=var, observations=k)
     return CostUnitModel(units=units)
 

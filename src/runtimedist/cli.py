@@ -401,6 +401,8 @@ def cmd_evaluate(cfg, args):
 
 def cmd_oracle(cfg, args):
     pools = _checked_int("--pools", args.pools or 0, 0)
+    if pools == 1:  # the unbiased variance needs two pools
+        raise ConfigError("--pools must be 0 or an integer >= 2, got 1")
     relations = load_relations(cfg)
     p = load_plan(args.plan, relations)
     n = sample_n_for(cfg, relations) if args.n is None else _checked_int("--n", args.n, 1)

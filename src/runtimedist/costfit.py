@@ -8,11 +8,12 @@ harness's true coefficients and Monte Carlo evaluation (`simeval`).
 Coefficients are fitted from reference cost-model probes on a grid spanning
 mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
 with every structural coefficient constrained nonnegative and the constant
-term left free. Terms of one family on one grid are fitted in one call at
-a fixed cost, whatever the grid's size or number of terms: one design
-matrix, one column scaling and one `np.linalg.lstsq` solve for every
-term's probe vector, about 25 numpy calls in all, about half of the time
-in the solve; the grid's distinct points are counted on its axes.
+term left free. Terms of one family on one grid are fitted in one
+`fit_grid` call at a fixed cost, whatever the grid's size or number of
+terms: one design matrix, one column scaling and one `np.linalg.lstsq`
+solve for every term's probe vector, about 25 numpy calls in all, about
+half of the time in the solve; the grid's distinct points are counted on
+its axes.
 Two slower paths run only where the data call for them: a collapsed grid
 (fewer distinct points than coefficients, e.g. a zero-variance input) is
 fitted by the probe mean, and a term whose unconstrained solution has a
@@ -35,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +82,6 @@ def monomial_values(tag: str, inputs) -> list:
             v = v * inputs[i]
         values.append(v)
     return values
-
-
-def family_value(tag: str, b, coord) -> float:
-    """The family's value at one coordinate, summed in monomial order."""
-    return sum(map(operator.mul, b, monomial_values(tag, coord)))
 
 
 def design_matrix(tag: str, coords) -> np.ndarray:
@@ -158,8 +153,11 @@ def grid_points(distributions, W: int = 10) -> tuple[np.ndarray, int]:
 
 def nnls_solve(A, Y, constrained):
     """Least squares min ||Ab - y|| with b_i >= 0 for constrained i, for
-    each column y of Y.
+    each column y of Y: (the (p, u) solution, the rank of the scaled
+    design).
 
+    Takes a float (m, p) design A with m >= p, a finite (m, u) array Y and
+    a boolean (p,) mask, unchecked: `fit_grid` checks what it passes.
     Exact and finite. The problem is convex, so its optimum is the
     smallest-residual feasible one among the least-squares solutions on
     each passive set: the unconstrained coefficients plus a subset of the
@@ -171,41 +169,20 @@ def nnls_solve(A, Y, constrained):
     passive sets, each solved on R against Z = Q^T Y for all of them at
     once, with the full solve's rank tolerance (eps * m, not R's eps * p:
     R has the design's singular values); there are 2^k sets for k
-    constrained coefficients, at most 8 for the cost families. As with
-    `np.linalg.lstsq`, a 1-D y gives a (p,) solution and one `bool`, an
-    (m, u) Y a (p, u) solution and u bools.
-    The flag marks a rank-deficient A (e.g. an all-zero column): the data
-    cannot determine every coefficient, and a passive set's minimum-norm
-    solution is the one returned.
+    constrained coefficients, at most 8 for the cost families.
+    A rank below p marks a rank-deficient A (e.g. an all-zero column): the
+    data cannot determine every coefficient, and a passive set's
+    minimum-norm solution is the one returned.
     """
-    A = np.asarray(A, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if A.ndim != 2 or Y.ndim not in (1, 2) or A.shape[0] != Y.shape[0]:
-        raise FitError("design matrix and observations are incompatible")
-    m, p = A.shape
-    if m < p:
-        raise FitError(f"need at least as many probe points ({m}) as terms ({p})")
-    if not (np.isfinite(A).all() and np.isfinite(Y).all()):
-        raise FitError("non-finite values in the fit inputs")
-    Y2 = Y.reshape(m, -1)
-    X, rank = _solve(A, Y2, np.asarray(constrained, dtype=bool))
-    if Y.ndim == 1:
-        return X[:, 0], bool(rank < p)
-    return X, np.full(Y2.shape[1], rank < p)
-
-
-def _solve(A, Y2, constrained):
-    """`nnls_solve` on checked inputs: (the (p, u) solution, the rank of
-    the scaled design)."""
     scale = np.sqrt(np.add.reduce(A * A, axis=0))  # np.linalg.norm(A, axis=0)'s own arithmetic
     scale[scale == 0.0] = 1.0
     As = A / scale
-    X, _, rank, _ = np.linalg.lstsq(As, Y2, rcond=None)
+    X, _, rank, _ = np.linalg.lstsq(As, Y, rcond=None)
     if np.count_nonzero(X[constrained] < 0.0):
         bad = np.flatnonzero(np.any(X[constrained] < 0.0, axis=0))
         Q, R = np.linalg.qr(As)
         tol = np.finfo(float).eps * max(As.shape)
-        Z = Q.T @ Y2[:, bad]
+        Z = Q.T @ Y[:, bad]
         best = np.full(bad.size, np.inf)
         cons = np.flatnonzero(constrained)
         sets = itertools.product((True, False), repeat=cons.size)
@@ -223,37 +200,19 @@ def _solve(A, Y2, constrained):
     return X, rank
 
 
-def fit_cost_functions(tag: str, coords, values):
-    """Fit cost functions of the given type from probe coordinates (an
-    (m, arity) array) and the reference costs there: one function for m
-    values, a list of u for an (m, u) array, each column fitted alone.
+def fit_grid(tag: str, A: np.ndarray, distinct: int, Y: np.ndarray) -> list:
+    """Cost functions of the given type from the family's (m, p) design
+    matrix (`design_matrix`), the number of distinct probe points
+    (`grid_points`) and an (m, u) float array of probe values: u
+    functions, each column fitted alone.
 
     The constant term (last coefficient) is free and the structural terms
     nonnegative (`nnls_solve`). A C1 term is the mean of its probes; a
-    collapsed grid (fewer distinct coordinates than terms, e.g. a
-    zero-variance selectivity) degrades to a constant fit through the
-    probe mean, flagged degenerate. A non-finite probe value is a
-    `FitError` on every path.
+    collapsed grid (fewer distinct points than terms, e.g. a zero-variance
+    selectivity) degrades to a constant fit through the probe mean,
+    flagged degenerate. A non-finite probe value is a `FitError` on every
+    path, and so is a non-finite coordinate where the solver runs.
     """
-    A = design_matrix(tag, coords)
-    Y = np.asarray(values, dtype=float)
-    m = len(A)
-    if not Y.size:
-        raise FitError("no probe points")
-    if Y.ndim not in (1, 2) or Y.shape[0] != m:
-        raise FitError(f"{m} probe coordinates but values of shape {Y.shape}")
-    # Distinct points: a point is one float, or a pair read as one complex
-    # number; sorted, equal points are neighbours, one with a NaN equals none.
-    X = np.ascontiguousarray(coords, dtype=float)
-    keys = np.sort(X.view(np.complex128) if X.shape[1] == 2 else X, axis=None)
-    fits = fit_grid(tag, A, 1 + np.count_nonzero(keys[1:] != keys[:-1]), Y.reshape(m, -1))
-    return fits[0] if Y.ndim == 1 else fits
-
-
-def fit_grid(tag: str, A: np.ndarray, distinct: int, Y: np.ndarray) -> list:
-    """`fit_cost_functions` from the family's (m, p) design matrix, the
-    number of distinct points (`grid_points`) and an (m, u) float array of
-    probe values: u functions."""
     m, p = A.shape
     if not np.isfinite(Y).all():
         raise FitError(f"non-finite probe values for a {tag} fit")
@@ -264,6 +223,6 @@ def fit_grid(tag: str, A: np.ndarray, distinct: int, Y: np.ndarray) -> list:
     else:
         if not np.isfinite(A).all():
             raise FitError(f"non-finite probe coordinates for a {tag} fit")
-        B, rank = _solve(A, Y, _CONSTRAINED[p])
+        B, rank = nnls_solve(A, Y, _CONSTRAINED[p])
         degenerate = bool(rank < p)
     return [CostFunction(tag, tuple(b), degenerate) for b in B.T.tolist()]

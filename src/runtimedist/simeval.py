@@ -265,11 +265,12 @@ def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list
     unit costs. A term's cost is one walk over its family's
     `monomial_factors`: per monomial k, (a_k * m_k(leaf products)) *
     m_k(true selectivities), summed from 0 in monomial order by `sum`, as
-    `family_value` sums (Python 3.12's `sum` of floats is compensated).
-    m_k multiplies its inputs in factor order onto 1 on the leaf-product
-    side (integers, exact) and onto 1.0 on the selectivity side, where a
-    leaf's left input is 1.0 and is skipped: both are exact, so each cost is
-    bitwise `family_value` of `true_b`'s coefficients there."""
+    the family sum `sum(map(mul, b, monomial_values(tag, x)))` is (Python
+    3.12's `sum` of floats is compensated). m_k multiplies its inputs in
+    factor order onto 1 on the leaf-product side (integers, exact) and onto
+    1.0 on the selectivity side, where a leaf's left input is 1.0 and is
+    skipped: both are exact, so each cost is bitwise that family sum of
+    `true_b`'s coefficients there (the tests' `reference_costs`)."""
     products = planmod.leaf_products(plan, relations)
     nodes = plan.nodes
     costs = []

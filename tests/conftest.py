@@ -6,7 +6,8 @@ package paths can be checked against genuinely independent arithmetic.
 The Monte Carlo oracle for a plan's running-time moments, the family
 arities it and other tests read, a fit's KKT residual and one cost
 function's moments live here too, with a simulated run written out term
-by term, a plan's cost-function fit written out grid by grid and CSV
+by term, a plan's cost-function fit written out grid by grid, the solver
+and the fitter called with one vector and at arbitrary points, and CSV
 ingest written out record by record: only tests use them.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from runtimedist import costfit, plan as planmod, propagate, selest, simeval, store
-from runtimedist.costfit import FAMILIES, CostFunction, family_value, monomial_values
+from runtimedist.costfit import FAMILIES, CostFunction, monomial_values
 from runtimedist.plan import Plan
 
 ACCEPTANCE_LINES: list[str] = []
@@ -224,11 +225,13 @@ def cost_function_moments(cf, dists) -> tuple[float, float]:
 
 def reference_costs(plan: Plan, relations, world: simeval.TrueCostWorld, truth) -> list:
     """(unit, true cost) per cost term, in term order, written out: `true_b`
-    then `family_value` at the true selectivities (a leaf's left input: 1.0)."""
+    then the family's monomials at the true selectivities (a leaf's left
+    input: 1.0) times the coefficients, summed in monomial order."""
     costs = []
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
         _, b = world.true_b(plan, relations, nid, unit)
-        costs.append((unit, family_value(tag, b, [1.0 if v is None else truth[v] for v in vars_])))
+        x = [1.0 if v is None else truth[v] for v in vars_]
+        costs.append((unit, sum(map(operator.mul, b, monomial_values(tag, x)))))
     return costs
 
 
@@ -253,8 +256,8 @@ def reference_fit(plan: Plan, estimates, oracle, W: int = 10) -> dict:
     input None) probed term by term at the all-ones coordinate and stored
     as (0, ..., 0, value); any other group's grid built with
     `costfit.grid_points`, then one oracle call per term, then one
-    `costfit.fit_cost_functions` over the stacked values. Keyed by node,
-    then unit in `PlanIndex.terms` order."""
+    `costfit.fit_grid` over the stacked values with the grid's distinct
+    count. Keyed by node, then unit in `PlanIndex.terms` order."""
     groups: dict = {}
     for term, key in plan.index.terms.items():
         groups.setdefault(key, []).append(term)
@@ -265,13 +268,29 @@ def reference_fit(plan: Plan, estimates, oracle, W: int = 10) -> dict:
                 value = float(oracle(term, np.ones((1, len(vars_))))[0])
                 fits[term] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
             continue
-        coords, _ = costfit.grid_points([(estimates[v].rho_n, estimates[v].sigma2) for v in vars_], W)
+        coords, distinct = costfit.grid_points([(estimates[v].rho_n, estimates[v].sigma2) for v in vars_], W)
         values = np.column_stack([oracle(term, coords) for term in terms])
-        fits.update(zip(terms, costfit.fit_cost_functions(tag, coords, values)))
+        fits.update(zip(terms, costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values)))
     fitted: dict = {nid: {} for nid in plan.index.order}
     for nid, unit in plan.index.terms:
         fitted[nid][unit] = fits[nid, unit]
     return fitted
+
+
+def solve_vector(A, y, constrained):
+    """`costfit.nnls_solve` for one probe vector: (b, whether the scaled
+    design's rank is below p)."""
+    X, rank = costfit.nnls_solve(A, np.asarray(y, dtype=float)[:, None], np.asarray(constrained, dtype=bool))
+    return X[:, 0], bool(rank < A.shape[1])
+
+
+def fit_points(tag, points, values):
+    """`costfit.fit_grid` at arbitrary points, distinct ones `len(set(points))`:
+    one function for m values, a list of u for an (m, u) array."""
+    points = [tuple(point) for point in np.asarray(points, dtype=float).tolist()]
+    Y = np.asarray(values, dtype=float)
+    fits = costfit.fit_grid(tag, costfit.design_matrix(tag, points), len(set(points)), Y.reshape(len(points), -1))
+    return fits[0] if Y.ndim == 1 else fits
 
 
 def reference_ingest(path, schema) -> store.Relation:

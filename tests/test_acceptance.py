@@ -16,9 +16,11 @@ import conftest
 from conftest import (
     brute_membership,
     cost_function_moments,
+    fit_points,
     kkt_residual,
     s2_enumeration,
     snm_enumeration,
+    solve_vector,
     tiny_instance,
 )
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
@@ -142,7 +144,7 @@ def test_criterion_4_nnls_correctness():
         A = rng.normal(size=(m, p))
         y = rng.normal(size=m)
         constrained = rng.random(p) < 0.7
-        b, _ = costfit.nnls_solve(A, y, constrained)
+        b, _ = solve_vector(A, y, constrained)
         worst_kkt = max(worst_kkt, kkt_residual(A, y, b, constrained))
     assert worst_kkt <= 1e-8
     worst_rec = 0.0
@@ -156,7 +158,7 @@ def test_criterion_4_nnls_correctness():
         else:
             axis = np.linspace(0, 1, 5)
             coords = [(x, y) for x in axis for y in axis]
-        cf = costfit.fit_cost_functions(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
+        cf = fit_points(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
         err = max(abs(g - t) / abs(t) for g, t in zip(cf.b, b_true))
         worst_rec = max(worst_rec, err)
         assert err <= 1e-6, (tag, cf.b, b_true)

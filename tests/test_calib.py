@@ -1,9 +1,15 @@
 """Cost-unit calibration models."""
 
+import contextlib
+import io
+import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, cli, simeval
 
@@ -60,6 +66,49 @@ def test_missing_units_listed():
     with pytest.raises(calib.CalibrationError) as exc:
         calib.fit_cost_units(_records(values))
     assert "c_i" in str(exc.value) and "c_o" in str(exc.value)
+
+
+@pytest.mark.parametrize("values, got", [((1.7e308, 1.7e308), "inf and inf"),
+                                         ((1e160, 1e150), "5.0000000005e+159 and inf")],
+                         ids=["mean-overflows", "square-overflows"])
+def test_overflowing_unit_refused(values, got):
+    # The sum of the observations, or one square in the variance, passes
+    # the largest float: refused, naming the first such unit.
+    with pytest.raises(calib.CalibrationError) as exc:
+        calib.fit_cost_units(_records(_full(values)))
+    assert str(exc.value) == f"unit c_s: mean and variance must be finite and >= 0, got {got}"
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+_ELAPSED = st.one_of(st.floats(0.0, 100.0), st.just(0.0), st.floats(1e154, 1.7e308))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_ELAPSED, min_size=2, max_size=4), min_size=len(calib.COST_UNITS),
+                max_size=len(calib.COST_UNITS)))
+def test_calibrate_records_json_or_one_error_line(per_unit):
+    # `calibrate --records` either writes a units.json that is JSON, every
+    # mean and variance finite and >= 0, or exits 1 with one JSON line.
+    rows = [f"{u},1,{v!r}\n" for u, values in zip(calib.COST_UNITS, per_unit) for v in values]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "records.csv"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(["unit,count,elapsed_seconds\n"] + rows)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.dispatch(["calibrate", "--records", path, "--out-dir", out])
+        if code == 0:
+            with open(os.path.join(out, "units.json"), encoding="utf-8") as fh:
+                doc = json.loads(fh.read(), parse_constant=_refuse)
+            for u in calib.COST_UNITS:
+                model = doc["units"][u]
+                assert all(calib.finite_number(x) and x >= 0 for x in (model["mean"], model["variance"]))
+        else:
+            assert code == 1 and err.getvalue().count("\n") == 1
+            assert json.loads(err.getvalue())["error"].startswith("unit c_")
 
 
 def test_recovers_generator_parameters():

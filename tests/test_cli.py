@@ -513,13 +513,16 @@ def test_numeric_path_setting_reported_as_json(tmp_path, capsys, monkeypatch, ke
     assert os.listdir(tmp_path) == ["num.cfg"]
 
 
-@pytest.mark.parametrize("option, value, least", [("--n", 0, 1), ("--n", -3, 1), ("--pools", -1, 0)])
-def test_bad_oracle_count_reported_as_json(workdir, capsys, option, value, least):
+@pytest.mark.parametrize("option, value, bound", [
+    ("--n", 0, "an integer >= 1"), ("--n", -3, "an integer >= 1"), ("--pools", -1, "an integer >= 0"),
+    ("--pools", 1, "0 or an integer >= 2"),  # one pool has no unbiased variance
+], ids=["--n-0-1", "--n--3-1", "--pools--1-0", "--pools-1-2"])
+def test_bad_oracle_count_reported_as_json(workdir, capsys, option, value, bound):
     plan = workdir / "out" / "workload" / "scan-0.plan"
     assert _run(workdir, "oracle", "--plan", str(plan), option, str(value)) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == f"{option} must be an integer >= {least}, got {value}"
+    assert json.loads(err)["error"] == f"{option} must be {bound}, got {value}"
 
 
 @pytest.mark.parametrize("command, key, value, bound", [

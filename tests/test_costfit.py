@@ -1,19 +1,20 @@
 """Cost-function families, probe grids, and the constrained solver."""
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from runtimedist import costfit
-from runtimedist.costfit import CostFunction, family_value
-from conftest import ARITY, kkt_residual
+from runtimedist.costfit import CostFunction, monomial_values
+from conftest import ARITY, fit_points, kkt_residual, solve_vector
 
 
 def _fit(tag, coords, fn):
     coords = np.asarray(coords, dtype=float)
-    return costfit.fit_cost_functions(tag, coords, [fn(*c) for c in coords])
+    return fit_points(tag, coords, [fn(*c) for c in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def test_design_matrix_rows_and_shape_errors():
 
 
 def test_nnls_projection_example():
-    b, degenerate = costfit.nnls_solve(np.eye(2), np.array([1.0, -1.0]), [True, True])
+    b, degenerate = solve_vector(np.eye(2), np.array([1.0, -1.0]), [True, True])
     assert b == pytest.approx([1.0, 0.0])
     assert not degenerate
     residual = np.linalg.norm(np.eye(2) @ b - np.array([1.0, -1.0]))
@@ -91,23 +92,16 @@ def test_nnls_projection_example():
 
 
 def test_nnls_zero_rhs():
-    b, _ = costfit.nnls_solve(np.random.default_rng(0).normal(size=(6, 3)),
+    b, _ = solve_vector(np.random.default_rng(0).normal(size=(6, 3)),
                               np.zeros(6), [True, True, False])
     assert b == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_nnls_rank_deficient_flagged():
     A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    b, degenerate = costfit.nnls_solve(A, np.array([1.0, 2.0, 3.0]), [False, False])
+    b, degenerate = solve_vector(A, np.array([1.0, 2.0, 3.0]), [False, False])
     assert degenerate
     assert np.allclose(A @ b, [1.0, 2.0, 3.0])
-
-
-def test_nnls_shape_errors():
-    with pytest.raises(costfit.FitError):
-        costfit.nnls_solve(np.eye(2), np.zeros(3), [True, True])
-    with pytest.raises(costfit.FitError):
-        costfit.nnls_solve(np.zeros((2, 3)), np.zeros(2), [True, True, True])
 
 
 def test_kkt_on_random_problems():
@@ -118,7 +112,7 @@ def test_kkt_on_random_problems():
         A = rng.normal(size=(m, p))
         y = rng.normal(size=m)
         constrained = rng.random(p) < 0.7
-        b, _ = costfit.nnls_solve(A, y, constrained)
+        b, _ = solve_vector(A, y, constrained)
         assert kkt_residual(A, y, b, constrained) <= 1e-8
 
 
@@ -130,7 +124,7 @@ def test_kkt_property(seed, p, extra):
     A = rng.normal(size=(m, p))
     y = rng.normal(size=m)
     constrained = np.array([True] * (p - 1) + [bool(extra)]) if p > 1 else np.array([True])
-    b, _ = costfit.nnls_solve(A, y, constrained)
+    b, _ = solve_vector(A, y, constrained)
     assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert all(b[i] >= 0 for i in range(p) if constrained[i])
 
@@ -163,7 +157,7 @@ def test_nnls_chain_fit_recovers_tiny_column(monkeypatch):
     y = A @ np.array(b_true)
     constrained = [True, True, True, False]
     calls = _lstsq_calls(monkeypatch)
-    b, degenerate = costfit.nnls_solve(A, y, constrained)
+    b, degenerate = solve_vector(A, y, constrained)
     assert np.all(np.isfinite(b))
     assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert calls[0] <= 10  # at most 8 passive sets
@@ -181,7 +175,7 @@ def test_nnls_narrow_tiny_column_finite(monkeypatch):
     y = A @ np.array([1.5e26, 1e23, 2000.0, 15.0])
     constrained = [True, True, True, False]
     calls = _lstsq_calls(monkeypatch)
-    b, _ = costfit.nnls_solve(A, y, constrained)
+    b, _ = solve_vector(A, y, constrained)
     assert np.all(np.isfinite(b))
     assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert calls[0] <= 10
@@ -199,7 +193,7 @@ def test_nnls_recovers_planted_coefficients_across_column_scales(seed, p, expone
     planted[-1] = rng.uniform(-1.0, 1.0)
     y = A @ (planted / scale)
     constrained = np.array([True] * (p - 1) + [False])
-    b, _ = costfit.nnls_solve(A, y, constrained)
+    b, _ = solve_vector(A, y, constrained)
     assert kkt_residual(A, y, b, constrained) <= 1e-8
     assert b * scale == pytest.approx(planted, rel=1e-8, abs=1e-8)
 
@@ -225,12 +219,12 @@ def test_nnls_columns_solved_together_as_alone(seed, p, zero_column, more):
             b[p - 2] = -1.0
         columns.append(A @ b + 0.01 * rng.normal(size=m))
     Y = np.column_stack(columns)
-    B, flags = costfit.nnls_solve(A, Y, constrained)
-    assert B.shape == (p, Y.shape[1]) and flags.shape == (Y.shape[1],)
+    B, rank = costfit.nnls_solve(A, Y, constrained)
+    assert B.shape == (p, Y.shape[1])
     for j, y in enumerate(Y.T):
-        b, flag = costfit.nnls_solve(A, y, constrained)
+        b, flag = solve_vector(A, y, constrained)
         assert np.max(np.abs(B[:, j] - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-        assert flag is bool(flags[j]) is zero_column
+        assert flag is bool(rank < p) is zero_column
         assert kkt_residual(A, y, B[:, j], constrained) <= 1e-8
     assert np.linalg.lstsq(A, Y[:, 1], rcond=None)[0][p - 2] < 0.0  # infeasible on the full set
 
@@ -243,7 +237,7 @@ def test_residual_dominance():
         A = rng.normal(size=(12, 4))
         y = rng.normal(size=12)
         constrained = [True, True, True, False]
-        b, _ = costfit.nnls_solve(A, y, constrained)
+        b, _ = solve_vector(A, y, constrained)
         ls, *_ = np.linalg.lstsq(A, y, rcond=None)
         clipped = np.where([True, True, True, False], np.maximum(ls, 0.0), ls)
         r = np.linalg.norm(A @ b - y)
@@ -256,9 +250,9 @@ def test_residual_dominance():
 
 
 def test_fit_c1_constant():
-    cf = costfit.fit_cost_functions("C1", np.empty((3, 0)), [7.0] * 3)
+    cf = fit_points("C1", np.empty((3, 0)), [7.0] * 3)
     assert cf.b == (7.0,)
-    assert family_value("C1", cf.b, ()) == 7.0
+    assert sum(map(operator.mul, cf.b, monomial_values("C1", ()))) == 7.0
 
 
 def test_fit_c4_recovery():
@@ -291,12 +285,12 @@ def test_noiseless_recovery_all_types(tag):
         else:
             axis = np.linspace(0, 1, 5)
             coords = [(x, y) for x in axis for y in axis]
-        cf = costfit.fit_cost_functions(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
+        cf = fit_points(tag, coords, costfit.design_matrix(tag, coords) @ b_true)
         assert cf.b == pytest.approx(b_true, rel=1e-6, abs=1e-8)
 
 
 def test_fit_collapsed_grid_degenerates():
-    cf = costfit.fit_cost_functions("C4", [(0.4,)] * 5, [9.0] * 5)
+    cf = fit_points("C4", [(0.4,)] * 5, [9.0] * 5)
     assert cf.degenerate
     assert cf.b == (0.0, 0.0, 9.0)
 
@@ -306,10 +300,10 @@ def test_fit_zero_column_flagged_degenerate():
     # so nothing determines its coefficient. The fit is the Xr-and-constant
     # fit with b[0] = 0, flagged degenerate.
     xr = np.linspace(0.2, 0.8, 11)
-    cf = costfit.fit_cost_functions("C5", [(0.0, x) for x in xr], 3.0 * xr + 2.0)
+    cf = fit_points("C5", [(0.0, x) for x in xr], 3.0 * xr + 2.0)
     assert cf.degenerate is True
     assert cf.b == pytest.approx([0.0, 3.0, 2.0], rel=1e-12, abs=1e-12)
-    assert cf.b[1:] == pytest.approx(costfit.fit_cost_functions("C3", xr[:, None], 3.0 * xr + 2.0).b, rel=1e-12)
+    assert cf.b[1:] == pytest.approx(fit_points("C3", xr[:, None], 3.0 * xr + 2.0).b, rel=1e-12)
 
 
 @st.composite
@@ -350,7 +344,7 @@ def test_fit_contract_on_generated_grids(case):
     # lies an ulp or so away), the rank is the scaled design's numerical
     # rank at the solve's tolerance, eps * max(m, p), instead.
     tag, coords, y = case
-    cf = costfit.fit_cost_functions(tag, coords, y)
+    cf = fit_points(tag, coords, y)
     p = costfit.NUM_COEFS[tag]
     axes = [np.unique(coords[:, i]) for i in range(coords.shape[1])]
     distinct = [len(axis) for axis in axes]
@@ -377,18 +371,11 @@ def test_non_finite_probe_values_raise_on_every_path():
                                 ("C2", grid, np.column_stack(([1.0] * 5, [1.0, 2.0, float("inf"), 3.0, 4.0]))),
                                 ("C1", np.empty((1, 0)), [nan])]:
         with pytest.raises(costfit.FitError, match="non-finite probe values"):
-            costfit.fit_cost_functions(tag, coords, values)
-
-
-def test_fit_insufficient_points():
-    with pytest.raises(costfit.FitError):
-        costfit.fit_cost_functions("C4", np.empty((0, 1)), [])
-    with pytest.raises(costfit.FitError):
-        costfit.fit_cost_functions("C4", [(0.1,), (0.2,), (0.3,)], [1.0, 2.0])
+            fit_points(tag, coords, values)
 
 
 def test_cost_function_validation():
     with pytest.raises(costfit.FitError):
         CostFunction(tag="C4", b=(1.0, 2.0))
     cf = CostFunction(tag="C5", b=(1.0, 2.0, 3.0))
-    assert family_value(cf.tag, cf.b, (0.5, 0.25)) == pytest.approx(0.5 + 0.5 + 3.0)
+    assert sum(map(operator.mul, cf.b, monomial_values(cf.tag, (0.5, 0.25)))) == pytest.approx(0.5 + 0.5 + 3.0)
