@@ -7,6 +7,7 @@ known primitive count; the per-unit sample mean and unbiased sample
 variance define the unit's normal model. Units are treated as mutually
 independent; that assumption is recorded in the model metadata.
 Calibration records travel as CSV text with the columns `CSV_COLUMNS`.
+The package's shared input checks are `finite_number`, `checked_int` and `check_unit`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,24 @@ CSV_COLUMNS = ("unit", "count", "elapsed_seconds")  # a record's fields, in orde
 
 
 def finite_number(x) -> bool:
-    """A JSON number, not a bool, that a float holds finitely: not NaN, not
-    infinite, and no int beyond the largest float."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    """An int or a float (numpy's float64 too), not a bool, that a float
+    holds finitely: not NaN, not infinite, no int beyond the largest float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def checked_int(value, what: str, least: int | None = None, error=ValueError) -> int:
+    """`value` if it is an integer, not a bool, of at least `least` (unless
+    that is None); else `error` naming it as `what`."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def check_unit(unit: str, mean, variance, error=ValueError) -> None:
+    """`error` naming the unit unless its mean and variance are finite numbers >= 0."""
+    if not all(finite_number(x) and x >= 0 for x in (mean, variance)):
+        raise error(f"unit {unit}: mean and variance must be finite and >= 0, got {mean!r} and {variance!r}")
 
 
 class CalibrationError(ValueError):
@@ -42,7 +58,7 @@ class CalibrationRecord:
             raise CalibrationError(f"unknown cost unit {self.unit!r}")
         if self.count <= 0:
             raise CalibrationError("primitive count must be positive")
-        if not math.isfinite(self.elapsed_seconds) or self.elapsed_seconds < 0:
+        if not finite_number(self.elapsed_seconds) or self.elapsed_seconds < 0:
             raise CalibrationError(
                 f"negative or non-finite elapsed time {self.elapsed_seconds!r}: "
                 "calibration file is broken, refusing to clamp"
@@ -97,8 +113,7 @@ def fit_cost_units(records) -> CostUnitModel:
             var = sum((v - mean) ** 2 for v in obs) / (k - 1)
         except OverflowError:  # a square beyond the largest float
             var = math.inf
-        if not (math.isfinite(mean) and math.isfinite(var)):
-            raise CalibrationError(f"unit {u}: mean and variance must be finite and >= 0, got {mean!r} and {var!r}")
+        check_unit(u, mean, var, error=CalibrationError)
         units[u] = UnitModel(mean=mean, variance=var, observations=k)
     return CostUnitModel(units=units)
 

@@ -75,15 +75,6 @@ def _coerce(raw: str):
     return raw
 
 
-def _checked_int(name: str, value, least: int | None) -> int:
-    """`value` if it is an integer of at least `least` (unless that is
-    None), or a ConfigError naming it."""
-    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
-    return value
-
-
 def load_config(args) -> dict:
     """Every setting: its default, then the config file's value, then the
     flag's; a ConfigError names the first unknown or out-of-range one."""
@@ -106,7 +97,7 @@ def load_config(args) -> dict:
             if not isinstance(value, str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")
         elif isinstance(default, int):
-            _checked_int(key, value, least)
+            calib.checked_int(value, key, least, error=ConfigError)
         elif isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
             raise ConfigError(f"{key} must be a number in (0, 1], got {value!r}")
     return cfg
@@ -174,9 +165,7 @@ def _parse_units(text: str) -> calib.CostUnitModel:
     units = {}
     for u in calib.COST_UNITS:
         v = doc["units"][u]
-        if not all(calib.finite_number(x) and x >= 0 for x in (v["mean"], v["variance"])):
-            raise ValueError(f"unit {u}: mean and variance must be finite and >= 0, "
-                             f"got {v['mean']!r} and {v['variance']!r}")
+        calib.check_unit(u, v["mean"], v["variance"])
         units[u] = calib.UnitModel(mean=v["mean"], variance=v["variance"], observations=v["observations"])
     return calib.CostUnitModel(units=units, metadata=doc.get("metadata", {}))
 
@@ -400,12 +389,12 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_oracle(cfg, args):
-    pools = _checked_int("--pools", args.pools or 0, 0)
+    pools = calib.checked_int(args.pools or 0, "--pools", 0, error=ConfigError)
     if pools == 1:  # the unbiased variance needs two pools
         raise ConfigError("--pools must be 0 or an integer >= 2, got 1")
     relations = load_relations(cfg)
     p = load_plan(args.plan, relations)
-    n = sample_n_for(cfg, relations) if args.n is None else _checked_int("--n", args.n, 1)
+    n = sample_n_for(cfg, relations) if args.n is None else calib.checked_int(args.n, "--n", 1, error=ConfigError)
     exact = simeval.var_rho_enumeration(p, relations, n)
     doc = {"plan": args.plan, "n": n, "var_rho_exact": exact}
     if pools:

@@ -21,7 +21,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .calib import COST_UNITS
+from .calib import COST_UNITS, checked_int
 from .costfit import FAMILIES
 
 SCAN_KINDS = ("SeqScan", "IndexScan")
@@ -117,6 +117,9 @@ class PlanIndex:
     aggregate. `var` maps every node to its selectivity variable, a node
     id: a Sort or Materialize not above an aggregate passes its child's
     rows on and shares its child's variable; any other node is its own.
+    So a node's role reads off the index: a scan is in `appearance`, a
+    pass-through has `var[nid] != nid`, an aggregate-derived node is in
+    `agg_above`, and any other node is a join.
     `terms` maps each cost term (node id, cost unit), in post-order and
     cost-profile order, to its family and the variables of the family's
     inputs: "own" is the operator's, "left" and "right" its children's,
@@ -168,17 +171,11 @@ def _index_plan(plan: "Plan") -> PlanIndex:
             except KeyError:
                 raise PlanError(f"node {nid}: {tag} needs two children") from None
         order.append(nid)
+    streamed = tuple(nid for nid in order if nid not in agg_above and var[nid] == nid)
     read: set[int] = set()
     for nid in reversed(order):  # every parent before its children
-        node = plan.nodes[nid]
-        if (node.kind in JOIN_KINDS and nid not in agg_above) or (
-            node.kind in ("Sort", "Materialize") and nid in read
-        ):
-            read.update(node.children)
-    streamed = tuple(
-        nid for nid in order
-        if plan.nodes[nid].kind in SCAN_KINDS or (plan.nodes[nid].kind in JOIN_KINDS and nid not in agg_above)
-    )
+        if nid not in agg_above and (var[nid] == nid or nid in read):  # a scan has no children
+            read.update(plan.nodes[nid].children)
     return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), streamed, var, terms)
 
 
@@ -222,15 +219,6 @@ def _parse_atom(obj) -> SelAtom | JoinAtom:
     raise PlanError(f"predicate atom {obj!r} is neither a join atom (left, right) nor a selection atom (col, value)")
 
 
-def _integer(value, field: str, minimum: int | None = None) -> int:
-    """A plan document's integer field: a JSON integer, not a bool, of at
-    least `minimum` when given; `field` names it in the error."""
-    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise PlanError(f"{field} must be an integer{bound}, got {value!r}")
-    return value
-
-
 def parse_plan(text: str) -> Plan:
     """Parse and validate a JSON plan document: decode it, then build the
     plan with `plan_from_document`. Text that is not JSON is a PlanError."""
@@ -256,7 +244,7 @@ def plan_from_document(doc) -> Plan:
     for rec in doc["nodes"]:
         if not isinstance(rec, dict) or "id" not in rec:
             raise PlanError(f"node record {rec!r} is not an object with an 'id'")
-        nid = _integer(rec["id"], "a node record's 'id'")
+        nid = checked_int(rec["id"], "a node record's 'id'", error=PlanError)
         if nid in nodes:
             raise PlanError(f"duplicate node id {nid}")
         kind = rec.get("kind")
@@ -265,7 +253,7 @@ def plan_from_document(doc) -> Plan:
         for key, typ in (("children", list), ("predicate", list), ("cost_profile", dict)):
             if not isinstance(rec.get(key, typ()), typ):
                 raise PlanError(f"node {nid}: {key!r} must be {'a list' if typ is list else 'an object'}")
-        children = [_integer(c, f"node {nid}: a 'children' entry") for c in rec.get("children", [])]
+        children = [checked_int(c, f"node {nid}: a 'children' entry", error=PlanError) for c in rec.get("children", [])]
         expected = 0 if kind in SCAN_KINDS else 1 if kind in UNARY_KINDS else 2
         if len(children) != expected:
             raise PlanError(
@@ -292,10 +280,10 @@ def plan_from_document(doc) -> Plan:
             children=children,
             relation=relation,
             predicate=predicate,
-            estimate_M=None if est is None else _integer(est, f"node {nid}: 'estimate_M'", 0),
+            estimate_M=None if est is None else checked_int(est, f"node {nid}: 'estimate_M'", 0, error=PlanError),
             cost_profile=profile,
         )
-    root = _integer(doc["root"], "plan document's 'root'")
+    root = checked_int(doc["root"], "plan document's 'root'", error=PlanError)
     if root not in nodes:
         raise PlanError(f"root {root} is not a node")
     plan = Plan(nodes=nodes, root=root)
@@ -439,7 +427,7 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
     first, as execution resolves it, against the full schema of the
     operator that names it, so errors are the same with provenance."""
     index = plan.index
-    if not any(plan.nodes[nid].kind in JOIN_KINDS for nid in index.read):
+    if all(nid in index.appearance or index.var[nid] != nid for nid in index.read):
         return {}  # no join to decide for; execution resolves every column itself
     schemas: dict[int, tuple[str, ...]] = {}
     keys: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -447,9 +435,9 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
         node = plan.nodes[nid]
         if nid in index.agg_above:
             continue
-        if node.kind in SCAN_KINDS:
+        if nid in index.appearance:
             schemas[nid] = _scan_input(node, index.appearance[nid], bindings)[1]
-        elif node.kind in UNARY_KINDS:
+        elif index.var[nid] != nid:  # a pass-through
             schemas[nid] = schemas[node.children[0]]
         else:
             lschema, rschema = (schemas[c] for c in node.children)
@@ -463,7 +451,7 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
     for nid in reversed(index.order):  # every parent before its children
         node = plan.nodes[nid]
         reads = wanted.get(nid, set())
-        if node.kind in ("Sort", "Materialize"):
+        if index.var[nid] != nid:
             wanted[node.children[0]] = reads
         if nid not in keys:
             continue
@@ -577,9 +565,9 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False) -> dict[int
         node = plan.nodes[nid]
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
-        elif node.kind in SCAN_KINDS:
+        elif nid in index.appearance:
             res = _run_scan(node, index.appearance[nid], bindings, provenance, nid in index.read)
-        elif node.kind in ("Sort", "Materialize"):
+        elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children

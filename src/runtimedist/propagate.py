@@ -23,7 +23,7 @@ import numpy as np
 
 from . import costfit, selest
 from .costfit import CostFunction
-from .plan import JOIN_KINDS, Plan
+from .plan import Plan
 
 POLICIES = ("all", "no-var-c", "no-var-x", "no-cov")
 
@@ -379,7 +379,7 @@ def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10
     )
     if any(cf.degenerate for per in costfuncs.values() for cf in per.values()):
         flags.append("degenerate-fit")
-    if any(estimates[nid].count == 0 for nid in plan.index.streamed if plan.nodes[nid].kind in JOIN_KINDS):
+    if any(estimates[nid].count == 0 for nid in plan.index.streamed if nid not in plan.index.appearance):
         flags.append("zero-count")
     dist = RunningTimeDistribution(mean=mean, variance=variance, breakdown=breakdown, flags=flags)
     return dist, estimates, costfuncs, entries

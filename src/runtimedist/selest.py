@@ -1,13 +1,13 @@
 """Per-operator selectivity estimates with variance, from one sampled run.
 
 One execution of the plan over sample tables, with provenance, yields, for
-every operator, the selectivity estimate rho_n, its variance-scale estimate
-S2_n, and the per-position counters from which `estimate_for_subset`
-computes the shared-position restriction S2_{n,m} a covariance bound asks
-for. A streamed operator's counters are counted from its provenance list,
-one per leaf position over that position's sample indexes. An estimate
-holds statistics only: an operator's leaf positions are its
-`PlanIndex.leaves` entry.
+every operator, rho_n, its variance-scale estimate S2_n, and per-position
+counters. From them `estimate_for_subset` computes a join's S2_n (a
+scan's is closed-form) and the shared-position restriction S2_{n,m} a
+covariance bound asks for. A streamed operator's counters are counted
+from its provenance list, one per leaf position over that position's
+sample indexes. An estimate holds statistics only: an operator's leaf
+positions are its `PlanIndex.leaves` entry, its role read from `PlanIndex`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import plan as planmod
-from .plan import Plan, SCAN_KINDS
+from .plan import Plan
 
 
 class EstimationError(ValueError):
@@ -48,12 +48,15 @@ def scan_variance(rho_n: float) -> float:
     return rho_n * (1.0 - rho_n)
 
 
-def _restricted_s2(q: list[dict[int, int]], n: int, rho_n: float, positions) -> float:
-    """S2 over a subset of leaf positions, K = len(q): the sum over the
-    positions r of (1/(n-1)) * sum_j (Q[r][j]/n^(K-1) - rho_n)^2, a
-    zero-count index contributing rho_n^2. S2_n over all positions,
-    S2_{n,m} over m of them; 0 when n == 1."""
-    if n <= 1:
+def estimate_for_subset(est: SelEstimate, positions) -> float:
+    """S2 of an estimate restricted to the given leaf position indexes,
+    K = len(q): the sum over the positions r of
+    (1/(n-1)) * sum_j (Q[r][j]/n^(K-1) - rho_n)^2, a zero-count index
+    contributing rho_n^2. Over all positions it is S2_n, over m of them
+    S2_{n,m}. 0 when n == 1, and for an aggregate-derived estimate, which
+    has no counters."""
+    q, n, rho_n = est.q, est.n, est.rho_n
+    if q is None or n <= 1:
         return 0.0
     scale = float(n) ** (len(q) - 1)
     s2 = 0.0
@@ -67,21 +70,14 @@ def _restricted_s2(q: list[dict[int, int]], n: int, rho_n: float, positions) -> 
     return s2
 
 
-def estimate_for_subset(est: SelEstimate, positions) -> float:
-    """S2_{n,m} of an estimate restricted to the given leaf position
-    indexes; 0 for an aggregate-derived estimate, which has no counters."""
-    if est.q is None:
-        return 0.0
-    return _restricted_s2(est.q, est.n, est.rho_n, positions)
-
-
 def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
     """Post-order selectivity estimation for every operator of a plan.
 
-    Scans use the closed-form variance, joins the Q-scan over their
-    provenance lists, Sort/Materialize inherit the child's estimate, and
-    aggregates (plus any operator above one) take rho from the supplied
-    cardinality estimate with zero variance. A leaf appearance reads the
+    Each node's role comes from `PlanIndex`. Scans use the closed-form
+    variance, joins `estimate_for_subset` over every leaf position,
+    Sort/Materialize inherit the child's estimate, and aggregates (plus
+    any operator above one) take rho from the supplied cardinality
+    estimate with zero variance. A leaf appearance reads the
     pool's sample table numbered by its appearance ordinal, so repeated
     relations draw from distinct, independent sample tables. A counter's
     keys are in first-seen order along the provenance list, so S2 sums
@@ -96,15 +92,14 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
 
     products = planmod.leaf_products(plan, relations) if index.agg_above else {}  # read by aggregates only
     estimates: dict[int, SelEstimate] = {}
+    # Positional fields: keyword matching would be a tenth of the estimate's time at small n.
     for nid in index.order:
-        node = plan.nodes[nid]
         if nid in index.agg_above:
-            count, q, source = node.estimate_M, None, "aggregate"
-            rho, s2 = count / products[nid], 0.0
-        elif node.kind in ("Sort", "Materialize"):
-            child = estimates[node.children[0]]
-            count, q, source = child.count, child.q, "inherit"
-            rho, s2 = child.rho_n, child.s2_n
+            count = plan.nodes[nid].estimate_M
+            est = SelEstimate(count / products[nid], 0.0, n, None, count, "aggregate")
+        elif index.var[nid] != nid:  # a pass-through: its variable's estimate, the child's
+            v = estimates[index.var[nid]]
+            est = SelEstimate(v.rho_n, v.s2_n, n, v.q, v.count, "inherit")
         else:
             count = results[nid].count
             # Q: each leaf position's column counted (a Counter costs more to build than a short column)
@@ -112,12 +107,11 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
             for qk, column in zip(q, zip(*results[nid].provenance)):
                 for j in column:
                     qk[j] = qk.get(j, 0) + 1
-            if node.kind in SCAN_KINDS:
-                rho, source = count / n, "scan-closed-form"
-                s2 = scan_variance(rho)
+            if nid in index.appearance:
+                rho = count / n
+                est = SelEstimate(rho, scan_variance(rho), n, q, count, "scan-closed-form")
             else:
-                rho, source = count / float(n) ** len(q), "q-scan"
-                s2 = _restricted_s2(q, n, rho, range(len(q)))
-        # Positional: keyword matching would be a tenth of the estimate's time at small n.
-        estimates[nid] = SelEstimate(rho, s2, n, q, count, source)
+                est = SelEstimate(count / float(n) ** len(q), 0.0, n, q, count, "q-scan")
+                est.s2_n = estimate_for_subset(est, range(len(q)))
+        estimates[nid] = est
     return estimates

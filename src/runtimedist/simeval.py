@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import plan as planmod, propagate
-from .calib import CalibrationRecord, COST_UNITS, finite_number
+from .calib import CalibrationRecord, COST_UNITS, check_unit, checked_int, finite_number
 from .costfit import FAMILIES, design_matrix, monomial_factors, monomial_values
 from .plan import Plan, DEFAULT_COST_PROFILES
 from .store import Relation
@@ -172,18 +172,16 @@ class TrueCostWorld:
 
     @classmethod
     def from_json(cls, text: str) -> "TrueCostWorld":
-        """The world `to_json` wrote. Every unit's mean and variance must
-        be a finite number >= 0, every coefficient slot a list of finite
-        numbers and the seed a JSON integer >= 0, where a JSON bool is no
-        number; anything else is a ValueError naming the unit, the
-        (kind, unit) slot or the seed."""
+        """The world `to_json` wrote: every unit's mean and variance a finite
+        number >= 0, every coefficient slot a list of finite numbers, each
+        default cost profile's slot as long as its family, and the seed a
+        JSON integer >= 0 (a JSON bool is no number); else a ValueError
+        naming the unit, the (kind, unit) slot or the seed."""
         doc = json.loads(text)
         means = {u: doc["unit_means"][u] for u in COST_UNITS}
         variances = {u: doc["unit_vars"][u] for u in COST_UNITS}
         for u in COST_UNITS:
-            if not all(finite_number(x) and x >= 0 for x in (means[u], variances[u])):
-                raise ValueError(f"unit {u}: mean and variance must be finite and >= 0, "
-                                 f"got {means[u]!r} and {variances[u]!r}")
+            check_unit(u, means[u], variances[u])
         coefs = {}
         for kind, per in doc["coefs"].items():
             coefs[kind] = {}
@@ -192,10 +190,12 @@ class TrueCostWorld:
                     raise ValueError(f"coefficients for ({kind}, {unit}) must be a list of finite "
                                      f"numbers, got {a!r}")
                 coefs[kind][unit] = tuple(a)
-        seed = doc["seed"]
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        return cls(unit_means=means, unit_vars=variances, coefs=coefs, seed=seed)
+        seed = checked_int(doc["seed"], "seed", 0)
+        world = cls(unit_means=means, unit_vars=variances, coefs=coefs, seed=seed)
+        for kind, profile in DEFAULT_COST_PROFILES.items():
+            for unit, tag in profile.items():
+                world._slot(kind, unit, tag)
+        return world
 
     # -- what the predictor may see ----------------------------------------
 
@@ -327,11 +327,14 @@ def membership_tensor(plan: Plan, relations) -> tuple[np.ndarray, list]:
     combination appears in the plan's root output. Axes follow the plan's
     leaf order. Computed by executing the plan over the base relations
     with provenance: the root's list holds its rows' positions in their
-    relations."""
+    relations. A leaf relation with no rows is a ValueError naming it."""
     index = plan.index
     if plan.root in index.agg_above:
         raise ValueError("root operator does not carry provenance (aggregate above?)")
     leaf_order = planmod.leaf_tables(plan, None)
+    for rel, _ in leaf_order:
+        if relations[rel].row_count == 0:
+            raise ValueError(f"relation {rel!r} is empty; rho_n undefined (degenerate input)")
     z = np.zeros(tuple(relations[rel].row_count for rel, _ in leaf_order), dtype=bool)
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
     for prov in planmod.execute(plan, bindings, provenance=True)[index.var[plan.root]].provenance:

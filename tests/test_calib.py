@@ -41,7 +41,8 @@ def test_record_validation():
         calib.CalibrationRecord("c_x", 1, 0.1)
     with pytest.raises(calib.CalibrationError, match="count"):
         calib.CalibrationRecord("c_t", 0, 0.1)
-    for elapsed in (-0.1, float("nan"), float("inf")):
+    # beyond the largest float, and not a number at all: typed errors too
+    for elapsed in (-0.1, float("nan"), float("inf"), 10**400, None, "1.0"):
         with pytest.raises(calib.CalibrationError, match="negative or non-finite"):
             calib.CalibrationRecord("c_t", 1, elapsed)
 

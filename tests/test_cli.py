@@ -1,14 +1,18 @@
 """End-to-end command-line pipeline."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from runtimedist import cli, propagate, selest
+from runtimedist import calib, cli, propagate, selest, simeval
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +224,27 @@ def test_step10_oracle_on_tiny_relation(workdir, tmp_path):
     assert doc["var_rho_empirical"] == pytest.approx(doc["var_rho_exact"], rel=0.2)
 
 
+@pytest.mark.parametrize("pools", [[], ["--pools", "2"]], ids=["exact", "resampled"])
+def test_oracle_over_empty_relation_reported_as_json(tmp_path, capsys, pools):
+    # b holds a header and no rows: rho_n over a join with it is undefined,
+    # so the oracle refuses it, naming b, instead of writing NaN.
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, rows in (("a", "1\n2\n"), ("b", "")):
+        (data / f"{name}.csv").write_text(f"{name}_k\n{rows}")
+        (data / f"{name}.schema").write_text(f"{name}_k,int64\n")
+    plan = _plan_file(tmp_path, "join", [
+        _scan(1, "a"), _scan(2, "b"),
+        {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "a_k", "right": "b_k"}]},
+    ], 3)
+    argv = ["oracle", "--plan", plan, "--data-dir", str(data), "--out-dir", str(tmp_path / "out"), "--n", "2"]
+    assert cli.dispatch(argv + pools) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("relation 'b' is empty; ")
+    assert not (tmp_path / "out" / "oracle.json").exists()
+
+
 def _plan_file(tmp_path, name, nodes, root):
     path = tmp_path / f"{name}.plan"
     path.write_text(json.dumps({"nodes": nodes, "root": root}))
@@ -397,6 +422,65 @@ def test_malformed_world_and_units_reported_as_json(workdir, tmp_path, capsys, n
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{tmp_path / name}.json" in json.loads(err)["error"] and match in json.loads(err)["error"]
+
+
+def _value_paths(doc, prefix=()):
+    """The key path of every value in a JSON document, a container's
+    before its members'."""
+    members = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    return [path for key, value in members for path in [prefix + (key,), *_value_paths(value, prefix + (key,))]]
+
+
+# Every value of a world file and a units file: their layout does not
+# depend on the seed or on the calibrated numbers.
+_INPUT_VALUES = [("world.json", path) for path in _value_paths(json.loads(simeval.TrueCostWorld.generate(0).to_json()))]
+_INPUT_VALUES += [("units.json", path) for path in _value_paths({
+    "units": {u: {"mean": 1.0, "variance": 1.0, "observations": 2} for u in calib.COST_UNITS},
+    "metadata": {"units_independent": True},
+})]
+_REPLACEMENTS = {"null": None, "bool": True, "string": "1.0", "list": [], "object": {}, "negative": -1.5,
+                 "beyond-float": 10**400}
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=st.sampled_from(_INPUT_VALUES), kind=st.sampled_from([*_REPLACEMENTS, "deleted"]),
+       command=st.sampled_from(["predict", "evaluate"]))
+@example(target=("units.json", ("units", "c_t", "mean")), kind="null", command="predict")
+@example(target=("world.json", ("seed",)), kind="bool", command="evaluate")
+@example(target=("world.json", ("unit_vars", "c_o")), kind="string", command="predict")
+# a world whose coefficient slot is empty, or missing, used to load and
+# fail at its first probe with an error that did not name the file
+@example(target=("world.json", ("coefs", "HashJoin", "c_t")), kind="list", command="predict")
+@example(target=("world.json", ("coefs",)), kind="object", command="predict")
+@example(target=("world.json", ("coefs", "SeqScan", "c_s")), kind="deleted", command="evaluate")
+@example(target=("world.json", ("coefs", "SeqScan", "c_s", 0)), kind="negative", command="evaluate")
+@example(target=("units.json", ("units", "c_s", "variance")), kind="beyond-float", command="predict")
+def test_world_and_units_json_or_one_error_line(workdir, target, kind, command):
+    # One value of world.json or units.json replaced or its key deleted:
+    # `predict` and `evaluate` exit 0, or exit 1 with one JSON line that
+    # names the file.
+    name, path = target
+    docs = {f: json.loads((workdir / "out" / f).read_text()) for f in ("world.json", "units.json")}
+    parent = docs[name]
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "deleted":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _REPLACEMENTS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        for f, doc in docs.items():
+            with open(os.path.join(tmp, f), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        workload = workdir / "out" / "workload"
+        argv = {"predict": ["--plan", str(workload / "join-0.plan")],
+                "evaluate": ["--workload", str(workload / "manifest.json")]}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _run(workdir, command, *argv, "--out-dir", tmp)
+        if code != 0:
+            assert code == 1 and err.getvalue().count("\n") == 1
+            assert repr(os.path.join(tmp, name)) in json.loads(err.getvalue())["error"]
 
 
 @pytest.mark.parametrize("name", ["world", "units", "plan", "manifest", "calibration", "sidecar"])

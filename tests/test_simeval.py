@@ -188,9 +188,12 @@ def _set_slot(value):
     (lambda doc: doc.update(seed="42"), "seed must be an integer >= 0, got '42'"),
     (lambda doc: doc.update(seed=True), "seed must be an integer >= 0, got True"),
     (lambda doc: doc.update(seed=-1), "seed must be an integer >= 0, got -1"),
+    # a default cost profile's slot missing, or not as long as its family
+    (lambda doc: doc["coefs"]["HashJoin"].update(c_t=[]), r"no C5 coefficients for \(HashJoin, c_t\): it holds 0, "),
+    (lambda doc: doc["coefs"].pop("SeqScan"), r"no C3 coefficients for \(SeqScan, c_s\): it holds 0, "),
 ], ids=["string", "null", "list", "bool", "nan", "infinite", "int-beyond-float", "slot-number", "slot-string",
         "mean-bool", "variance-int-beyond-float", "mean-string", "seed-float", "seed-string", "seed-bool",
-        "seed-negative"])
+        "seed-negative", "slot-empty", "slot-missing"])
 def test_world_from_json_refuses_a_bad_number(change, match):
     doc = json.loads(TrueCostWorld.generate(9).to_json())
     change(doc)
