@@ -121,7 +121,7 @@ def fit_cost_units(records) -> CostUnitModel:
 def parse_calibration_csv(text: str) -> list[CalibrationRecord]:
     """The records of a calibration CSV's text, whose header holds
     `CSV_COLUMNS`; a bad record is a CalibrationError naming its line."""
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
         if not set(CSV_COLUMNS).issubset(reader.fieldnames or ()):
             raise CalibrationError(f"header needs columns {','.join(CSV_COLUMNS)}")

@@ -7,10 +7,10 @@ override config values, and every setting is checked before any
 subcommand runs. Runs are deterministic for a fixed config and seed;
 reports differ only in their timestamp field.
 
-Every input file is read through `_read`, whose errors name the file (the
-config file and the relation CSVs, which `store.ingest_csv` streams, name
-file and line themselves); every output file is opened through `_out`,
-which makes its directory first.
+Every input file, the config file and the relation CSVs included, is read
+through `_read`, whose errors name the file; every output file is opened
+through `_out`, which makes its directory first. No other module touches
+the file system.
 """
 
 from __future__ import annotations
@@ -51,18 +51,17 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config_file(path) -> dict:
+def parse_config(text: str) -> dict:
     """Flat `key = value` pairs; quotes optional, ints/floats detected."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            out[key.strip()] = _coerce(raw.strip().strip('"').strip("'"))
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        out[key.strip()] = _coerce(raw.strip().strip('"').strip("'"))
     return out
 
 
@@ -80,7 +79,7 @@ def load_config(args) -> dict:
     flag's; a ConfigError names the first unknown or out-of-range one."""
     cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
     if getattr(args, "config", None):
-        for key, value in parse_config_file(args.config).items():
+        for key, value in _read(args.config, "config file", "check --config", parse_config).items():
             if key not in SETTINGS:
                 raise ConfigError(f"{args.config}: unknown setting {key!r}")
             cfg[key] = value
@@ -116,12 +115,10 @@ def load_relations(cfg) -> dict:
         if not entry.endswith(".schema"):
             continue
         name = entry[: -len(".schema")]
-        csv_path = os.path.join(data_dir, name + ".csv")
-        if not os.path.exists(csv_path):
-            raise ConfigError(f"schema sidecar {entry} has no CSV {name}.csv")
         schema = _read(os.path.join(data_dir, entry), "schema sidecar", "run gen-workload first",
                        store.parse_schema_sidecar)
-        relations[name] = store.ingest_csv(csv_path, schema)
+        relations[name] = _read(os.path.join(data_dir, name + ".csv"), "relation CSV", f"{entry} declares it",
+                                lambda text: store.parse_csv(text, name, schema))
     if not relations:
         raise ConfigError(f"no .schema sidecars found in {data_dir!r}")
     return relations
@@ -143,12 +140,13 @@ def world_path(cfg) -> str:
 
 
 def _read(path, what: str, hint: str, parse):
-    """`parse` of a file's text; a file that is missing, is not utf-8 or
-    whose text `parse` refuses is a ConfigError that names it."""
+    """`parse` of a file's text, its line ends as written (for the csv
+    module); a file that is missing, is not utf-8 or whose text `parse`
+    refuses is a ConfigError that names it."""
     if not os.path.exists(path):
         raise ConfigError(f"{what} {path!r} not found; {hint}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             return parse(fh.read())
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
@@ -160,14 +158,19 @@ def load_world(cfg) -> simeval.TrueCostWorld:
 
 
 def _parse_units(text: str) -> calib.CostUnitModel:
-    """Every unit's model; each mean and variance a finite number >= 0."""
+    """Every unit's model, each mean and variance a finite number >= 0 and
+    each observation count an integer >= 2, and an object of metadata."""
     doc = json.loads(text)
     units = {}
     for u in calib.COST_UNITS:
         v = doc["units"][u]
         calib.check_unit(u, v["mean"], v["variance"])
-        units[u] = calib.UnitModel(mean=v["mean"], variance=v["variance"], observations=v["observations"])
-    return calib.CostUnitModel(units=units, metadata=doc.get("metadata", {}))
+        observations = calib.checked_int(v["observations"], f"unit {u}: observations", 2)
+        units[u] = calib.UnitModel(mean=v["mean"], variance=v["variance"], observations=observations)
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata must be an object, got {metadata!r}")
+    return calib.CostUnitModel(units=units, metadata=metadata)
 
 
 def load_units(cfg) -> calib.CostUnitModel:

@@ -1,10 +1,11 @@
 """Base relations and seeded pools of sample tables.
 
-A relation is an immutable in-memory table loaded from CSV. A sample pool
-holds, per relation, J independent sample tables of a common size n. A
-sample table is itself a Relation, with its relation's name and schema,
-that keeps its rows in draw order: a row's position is its sample index,
-which downstream provenance tracking uses to attribute join results to
+A relation is an immutable in-memory table parsed from CSV text; the CLI
+reads the file, this module reads none. A sample pool holds, per
+relation, J independent sample tables of a common size n. A sample table
+is itself a Relation, with its relation's name and schema, that keeps its
+rows in draw order: a row's position is its sample index, which
+downstream provenance tracking uses to attribute join results to
 individual draws.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
-import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ _CASTERS = {"int64": int, "float64": float, "string": str}
 
 
 class IngestError(ValueError):
-    """Raised when a CSV file does not match its declared schema."""
+    """Raised when a schema is malformed or a CSV text does not match its schema."""
 
 
 class PoolError(IndexError, ValueError):
@@ -72,12 +73,14 @@ class SamplePool:
 
 
 def validate_schema(schema) -> tuple[tuple[str, str], ...]:
-    out = []
+    out = {}
     for col, typ in schema:
         if typ not in COLUMN_TYPES:
             raise IngestError(f"unknown column type {typ!r} for column {col!r}")
-        out.append((str(col), typ))
-    return tuple(out)
+        if str(col) in out:
+            raise IngestError(f"column {str(col)!r} is declared twice")
+        out[str(col)] = typ
+    return tuple(out.items())
 
 
 def _records(reader):
@@ -89,53 +92,47 @@ def _records(reader):
         yield exc
 
 
-def ingest_csv(path, schema) -> Relation:
-    """Load a headered CSV file into a Relation under a declared schema.
+def parse_csv(text: str, name: str, schema) -> Relation:
+    """The relation `name` of a headered CSV text under a declared schema.
 
     The header row must match the schema's column names exactly. Every data
     row must have the schema's arity and every cell must parse as the
-    declared type; violations, and records the csv module cannot read
-    (e.g. a field over its size limit), raise IngestError naming the first
-    bad line (counted in records, blank ones too). Records are read in
-    chunks and cast one column at a time; a chunk with a bad record is
-    read again record by record, to name its first bad line.
+    declared type; violations, and records the csv module cannot read (a
+    field over its size limit), raise IngestError naming the first bad line
+    (counted in records, blank ones too), not the file: the caller does.
+    Records are read in chunks and cast one column at a time; a chunk with
+    a bad record is read again record by record, to name its first bad line.
     """
     schema = validate_schema(schema)
     names = [c for c, _ in schema]
     casters = [_CASTERS[t] for _, t in schema]
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _records(csv.reader(fh))
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file, header row required")
-        if isinstance(header, csv.Error):
-            raise IngestError(f"{path}: line 1: {header}")
-        if header != names:
-            raise IngestError(
-                f"{path}: header {header!r} does not match declared columns {names!r}"
-            )
-        start = 2  # the line of the chunk's first record
-        while chunk := list(itertools.islice(reader, 256)):
-            failed = chunk.pop() if isinstance(chunk[-1], csv.Error) else None
-            records = [raw for raw in chunk if raw]
-            try:
-                columns = zip(casters, zip(*records, strict=True), strict=True)  # a wrong width: ValueError
-                rows.extend(zip(*[list(map(cast, column)) for cast, column in columns]))
-            except ValueError:
-                for lineno, raw in enumerate(chunk, start=start):
-                    if raw and len(raw) != len(schema):
-                        raise IngestError(
-                            f"{path}: line {lineno}: expected {len(schema)} fields, got {len(raw)}"
-                        ) from None
-                    try:
-                        [cast(cell) for cast, cell in zip(casters, raw)]
-                    except ValueError as exc:
-                        raise IngestError(f"{path}: line {lineno}: {exc}") from None
-            start += len(chunk)
-            if failed is not None:
-                raise IngestError(f"{path}: line {start}: {failed}")
-    name = os.path.splitext(os.path.basename(path))[0]
+    reader = _records(csv.reader(io.StringIO(text, newline="")))
+    header = next(reader, None)
+    if header is None:
+        raise IngestError("empty file, header row required")
+    if isinstance(header, csv.Error):
+        raise IngestError(f"line 1: {header}")
+    if header != names:
+        raise IngestError(f"header {header!r} does not match declared columns {names!r}")
+    start = 2  # the line of the chunk's first record
+    while chunk := list(itertools.islice(reader, 256)):
+        failed = chunk.pop() if isinstance(chunk[-1], csv.Error) else None
+        records = [raw for raw in chunk if raw]
+        try:
+            columns = zip(casters, zip(*records, strict=True), strict=True)  # a wrong width: ValueError
+            rows.extend(zip(*[list(map(cast, column)) for cast, column in columns]))
+        except ValueError:
+            for lineno, raw in enumerate(chunk, start=start):
+                if raw and len(raw) != len(schema):
+                    raise IngestError(f"line {lineno}: expected {len(schema)} fields, got {len(raw)}") from None
+                try:
+                    [cast(cell) for cast, cell in zip(casters, raw)]
+                except ValueError as exc:
+                    raise IngestError(f"line {lineno}: {exc}") from None
+        start += len(chunk)
+        if failed is not None:
+            raise IngestError(f"line {start}: {failed}")
     return Relation(name=name, schema=schema, rows=tuple(rows))
 
 
@@ -143,7 +140,7 @@ def parse_schema_sidecar(text: str) -> tuple[tuple[str, str], ...]:
     """The checked schema of a sidecar's text: one `column,type` line per
     column; blank lines and `#` comments are skipped."""
     schema = []
-    for line in text.split("\n"):
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             col, _, typ = line.partition(",")

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import json
 import math
 import operator
-import os
 
 import numpy as np
 import pytest
@@ -293,8 +293,8 @@ def fit_points(tag, points, values):
     return fits[0] if Y.ndim == 1 else fits
 
 
-def reference_ingest(path, schema) -> store.Relation:
-    """`store.ingest_csv` written out record by record: the header must
+def reference_ingest(text, name, schema) -> store.Relation:
+    """`store.parse_csv` written out record by record: the header must
     equal the column names, a blank record is skipped, and a record of the
     wrong width, with a cell its type cannot parse or that the csv module
     cannot read is an IngestError naming its line, counted in records from
@@ -302,28 +302,26 @@ def reference_ingest(path, schema) -> store.Relation:
     casters = {"int64": int, "float64": float, "string": str}
     names = [c for c, _ in schema]
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        lineno = 0  # the line of the last record read
-        try:
-            header = next(reader, None)
-            lineno = 1
-            if header is None:
-                raise store.IngestError(f"{path}: empty file, header row required")
-            if header != names:
-                raise store.IngestError(f"{path}: header {header!r} does not match declared columns {names!r}")
-            for lineno, raw in enumerate(reader, start=2):
-                if not raw:
-                    continue
-                if len(raw) != len(schema):
-                    raise store.IngestError(f"{path}: line {lineno}: expected {len(schema)} fields, got {len(raw)}")
-                try:
-                    rows.append(tuple(casters[t](cell) for (_, t), cell in zip(schema, raw)))
-                except ValueError as exc:
-                    raise store.IngestError(f"{path}: line {lineno}: {exc}") from None
-        except csv.Error as exc:  # raised while reading the next record
-            raise store.IngestError(f"{path}: line {lineno + 1}: {exc}") from None
-    name = os.path.splitext(os.path.basename(path))[0]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    lineno = 0  # the line of the last record read
+    try:
+        header = next(reader, None)
+        lineno = 1
+        if header is None:
+            raise store.IngestError("empty file, header row required")
+        if header != names:
+            raise store.IngestError(f"header {header!r} does not match declared columns {names!r}")
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(schema):
+                raise store.IngestError(f"line {lineno}: expected {len(schema)} fields, got {len(raw)}")
+            try:
+                rows.append(tuple(casters[t](cell) for (_, t), cell in zip(schema, raw)))
+            except ValueError as exc:
+                raise store.IngestError(f"line {lineno}: {exc}") from None
+    except csv.Error as exc:  # raised while reading the next record
+        raise store.IngestError(f"line {lineno + 1}: {exc}") from None
     return store.Relation(name=name, schema=tuple(schema), rows=tuple(rows))
 
 

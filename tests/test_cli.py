@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import shutil
 import tempfile
 
@@ -15,28 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 from runtimedist import calib, cli, propagate, selest, simeval
 
 
+# The test-scale pipeline's settings, after its data_dir and out_dir.
+_SETTINGS = [("seed", "7"), ("relation_size", "200"), ("key_domain", "20"), ("scan_count", "4"),
+             ("join_count", "2"), ("join3_count", "1"), ("calib_reps", "30"), ("runs", "3"), ("sample_n", "25")]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     cfg = root / "run.cfg"
-    cfg.write_text(
-        "\n".join(
-            [
-                f"data_dir = {root / 'data'}",
-                f"out_dir = {root / 'out'}",
-                "seed = 7",
-                "relation_size = 200",
-                "key_domain = 20",
-                "scan_count = 4",
-                "join_count = 2",
-                "join3_count = 1",
-                "calib_reps = 30",
-                "runs = 3",
-                "sample_n = 25",
-            ]
-        )
-        + "\n"
-    )
+    lines = [("data_dir", root / "data"), ("out_dir", root / "out"), *_SETTINGS]
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in lines))
     # Every test reads a complete pipeline, whichever run first: the world,
     # the data and workload, and the calibrated units. The step tests run
     # each step again and check its output, which is deterministic.
@@ -49,15 +39,12 @@ def _run(workdir, *argv):
     return cli.dispatch(list(argv) + ["--config", str(workdir / "run.cfg")])
 
 
-def test_config_parsing(tmp_path):
-    path = tmp_path / "a.cfg"
-    path.write_text("# comment\nseed = 3\nratio = 0.5\nname = 'x'\n\n")
-    cfg = cli.parse_config_file(path)
+def test_config_parsing():
+    cfg = cli.parse_config("# comment\nseed = 3\nratio = 0.5\nname = 'x'\n\n")
     assert cfg == {"seed": 3, "ratio": 0.5, "name": "x"}
-    bad = tmp_path / "b.cfg"
-    bad.write_text("no equals sign\n")
+    assert cli.parse_config("# comment\r\nseed = 3\r\rratio = 0.5\rname = 'x'") == cfg
     with pytest.raises(cli.ConfigError, match="key = value"):
-        cli.parse_config_file(bad)
+        cli.parse_config("no equals sign\n")
 
 
 def test_step1_gen_world(workdir):
@@ -407,10 +394,18 @@ def test_malformed_plan_reported_as_json(workdir, tmp_path, capsys, doc, match):
      "unit c_t: mean and variance must be finite and >= 0, got nan and "),
     ("units", lambda doc: doc["units"]["c_o"].update(variance=-1e-12),
      "unit c_o: mean and variance must be finite and >= 0, got "),
+    ("units", lambda doc: doc["units"]["c_t"].update(observations="many"),
+     "unit c_t: observations must be an integer >= 2, got 'many'"),
+    ("units", lambda doc: doc["units"]["c_i"].update(observations=1),
+     "unit c_i: observations must be an integer >= 2, got 1"),
+    ("units", lambda doc: doc["units"]["c_s"].update(observations=True),
+     "unit c_s: observations must be an integer >= 2, got True"),
+    ("units", lambda doc: doc.update(metadata=[1]), "metadata must be an object, got [1]"),
 ], ids=["world-without-unit-means", "world-without-c_t-variance", "unit-without-variance", "units-without-c_i",
         "world-negative-c_t-variance", "world-infinite-c_s-mean", "world-string-coefficient",
         "world-bool-coefficient", "world-float-seed", "units-string-c_t-mean", "units-nan-c_t-mean",
-        "units-negative-c_o-variance"])
+        "units-negative-c_o-variance", "units-string-observations", "units-one-observation",
+        "units-bool-observations", "units-list-metadata"])
 def test_malformed_world_and_units_reported_as_json(workdir, tmp_path, capsys, name, change, match):
     for fname in ("world.json", "units.json"):
         (tmp_path / fname).write_text((workdir / "out" / fname).read_text())
@@ -580,7 +575,119 @@ def test_unreadable_csv_record_reported_as_json(tmp_path, capsys):
     assert cli.dispatch(["ingest", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err)["error"].startswith(f"{data / 'big.csv'}: line 3: field larger than field limit")
+    assert json.loads(err)["error"].startswith(
+        f"relation CSV {str(data / 'big.csv')!r} is malformed: line 3: field larger than field limit")
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-without-equals", "config-missing", "csv-not-utf8",
+                                  "csv-missing", "column-declared-twice"])
+def test_config_and_relation_csv_errors_name_the_file(tmp_path, capsys, case):
+    # The config file and the relation CSVs are read as every other input
+    # file is: a missing, non-UTF-8 or malformed one is named in the error.
+    data = tmp_path / "data"
+    cfg, schema, rel = tmp_path / "run.cfg", data / "r.schema", data / "r.csv"
+    files = {cfg: f"data_dir = {data}\nout_dir = {tmp_path / 'out'}\n".encode(), schema: b"a,int64\n", rel: b"a\n1\n"}
+    changes, want = {
+        "config-not-utf8": ({cfg: b"seed = \xff\n"}, f"config file {str(cfg)!r} is malformed: 'utf-8' codec can't "
+                            "decode byte 0xff in position 7: invalid start byte"),
+        "config-without-equals": ({cfg: files[cfg] + b"just junk\n"},
+                                  f"config file {str(cfg)!r} is malformed: line 3: expected key = value"),
+        "config-missing": ({cfg: None}, f"config file {str(cfg)!r} not found; check --config"),
+        "csv-not-utf8": ({rel: b"a\n1\xff\n"}, f"relation CSV {str(rel)!r} is malformed: 'utf-8' codec can't "
+                         "decode byte 0xff in position 3: invalid start byte"),
+        "csv-missing": ({rel: None}, f"relation CSV {str(rel)!r} not found; r.schema declares it"),
+        "column-declared-twice": ({schema: b"a,int64\na,int64\n", rel: b"a,a\n1,1\n"},
+                                  f"schema sidecar {str(schema)!r} is malformed: column 'a' is declared twice"),
+    }[case]
+    files.update(changes)
+    data.mkdir()
+    for path, text in files.items():
+        if text is not None:
+            path.write_bytes(text)
+    assert cli.dispatch(["ingest", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == want
+    assert not (tmp_path / "out").exists()
+
+
+# One change to the pipeline's inputs: a config line's key or value, or a
+# relation CSV's record. "\udcff" is written as the byte 0xff.
+_CONFIG_KEYS = [*cli.SETTINGS, "pool_sise", ""]
+_CONFIG_VALUES = ["", "0", "-1", "1", "2.5", "1e400", "nan", "abc", "'7'", "= 1", "\udcff"]
+_CSV_CHANGES = {
+    "not-utf8": lambda record: b"\xff" + record,
+    "field-short": lambda record: record.rpartition(b",")[0],
+    "field-long": lambda record: record + b",0",
+    "no-cast": lambda record: b"x" + record,
+    "unterminated-quote": lambda record: b'"' + record,
+    "field-over-limit": lambda record: record + b"1" * 131073,
+    "header-deleted": None,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(change=st.one_of(
+    st.tuples(st.just("key"), st.integers(0, len(_SETTINGS) + 1), st.sampled_from(_CONFIG_KEYS)),
+    st.tuples(st.just("value"), st.integers(0, len(_SETTINGS) + 1), st.sampled_from(_CONFIG_VALUES)),
+    st.tuples(st.sampled_from(["r1", "r2", "r3"]), st.integers(1, 200), st.sampled_from(list(_CSV_CHANGES))),
+), command=st.sampled_from(["ingest", "predict"]))
+@example(change=("key", 4, "pool_sise"), command="ingest")
+@example(change=("key", 0, "world"), command="predict")  # the data directory as the world file
+@example(change=("key", 1, "data_dir"), command="predict")
+@example(change=("value", 2, "2.5"), command="ingest")
+@example(change=("value", 0, "abc"), command="predict")
+# a config file or relation CSV that is not UTF-8 used to give an error
+# that did not name the file
+@example(change=("value", 3, "\udcff"), command="ingest")
+@example(change=("r2", 17, "not-utf8"), command="predict")
+@example(change=("r1", 200, "field-short"), command="ingest")
+@example(change=("r3", 1, "field-long"), command="predict")
+@example(change=("r1", 90, "no-cast"), command="ingest")
+@example(change=("r2", 199, "unterminated-quote"), command="ingest")
+@example(change=("r3", 5, "field-over-limit"), command="predict")
+@example(change=("r1", 1, "header-deleted"), command="predict")
+def test_config_and_relation_csv_or_one_error_line(workdir, change, command):
+    # `ingest` and `predict` exit 0, or exit 1 with one JSON line that names
+    # the config file, the relation CSV or the setting's key.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        shutil.copytree(workdir / "data", tmp / "data")
+        (tmp / "out").mkdir()
+        for f in ("world.json", "units.json"):
+            shutil.copy(workdir / "out" / f, tmp / "out" / f)
+        lines = [("data_dir", str(tmp / "data")), ("out_dir", str(tmp / "out")), *_SETTINGS]
+        if change[0] in ("key", "value"):
+            what, i, new = change
+            key, value = lines[i]
+            lines[i] = (new, value) if what == "key" else (key, new)
+            named = [key, lines[i][0]]
+            if lines[i][0] in ("data_dir", "out_dir", "world"):
+                named.append(lines[i][1])  # a path setting's error may name the path
+        else:
+            rel, i, kind = change
+            path = tmp / "data" / f"{rel}.csv"
+            records = path.read_bytes().split(b"\n")
+            if kind == "header-deleted":
+                del records[0]
+            else:
+                records[i] = _CSV_CHANGES[kind](records[i])
+            path.write_bytes(b"\n".join(records))
+            named = [str(path)]
+        cfg = tmp / "run.cfg"
+        cfg.write_bytes("".join(f"{key} = {value}\n" for key, value in lines).encode("utf-8", "surrogateescape"))
+        argv = {"ingest": [], "predict": ["--plan", str(workdir / "out" / "workload" / "join-0.plan")]}[command]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a relative path setting stays in the temporary directory
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.dispatch([command, "--config", str(cfg), *argv])
+        finally:
+            os.chdir(cwd)
+        if code != 0:
+            assert code == 1 and err.getvalue().count("\n") == 1
+            error = json.loads(err.getvalue())["error"]
+            assert any(name in error for name in [str(cfg), *named]), error
 
 
 @pytest.mark.parametrize("key", ["data_dir", "out_dir", "world"])

@@ -19,10 +19,9 @@ def _relation(n=10):
 # Ingestion
 
 
-def test_ingest_basic(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("a,b\n1,x\n2,y\n")
-    rel = store.ingest_csv(path, [("a", "int64"), ("b", "string")])
+def test_ingest_basic():
+    rel = store.parse_csv("a,b\n1,x\n2,y\n", "r", [("a", "int64"), ("b", "string")])
+    assert rel.name == "r"
     assert rel.row_count == 2
     assert rel.rows == ((1, "x"), (2, "y"))
     assert rel.column_names == ("a", "b")
@@ -45,32 +44,27 @@ _SCHEMA = [("a", "int64"), ("x", "float64"), ("s", "string")]
     "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(300)) + "1z,1.0,w\n" + "2,1.0," + "y" * 131073 + "\n",
     "y" * 131073 + "\n1,2.0,w\n",  # in the header
 ])
-def test_ingest_matches_record_by_record_reference(tmp_path, text):
-    path = tmp_path / "r.csv"
-    path.write_text(text)
+def test_ingest_matches_record_by_record_reference(text):
     try:
-        want = reference_ingest(path, _SCHEMA)
+        want = reference_ingest(text, "r", _SCHEMA)
     except store.IngestError as exc:
         with pytest.raises(store.IngestError) as got:
-            store.ingest_csv(path, _SCHEMA)
+            store.parse_csv(text, "r", _SCHEMA)
         assert str(got.value) == str(exc)
         return
-    got = store.ingest_csv(path, _SCHEMA)
+    got = store.parse_csv(text, "r", _SCHEMA)
     assert got == want
     assert [tuple(map(type, row)) for row in got.rows] == [tuple(map(type, row)) for row in want.rows]
 
 
-def test_csv_module_error_is_an_ingest_error_at_its_line(tmp_path):
+def test_csv_module_error_is_an_ingest_error_at_its_line():
     # A field over the csv module's limit (131072 characters) is a
     # `csv.Error`, which is not a ValueError.
-    path = tmp_path / "r.csv"
-    path.write_text("a\n" + "y" * 131073 + "\n")
-    with pytest.raises(store.IngestError, match=r"r\.csv: line 2: field larger than field limit"):
-        store.ingest_csv(path, [("a", "string")])
+    with pytest.raises(store.IngestError, match=r"^line 2: field larger than field limit"):
+        store.parse_csv("a\n" + "y" * 131073 + "\n", "r", [("a", "string")])
     # A bad cell on an earlier record of the same chunk is reported first.
-    path.write_text("a,s\n1,w\nzz,w\n2," + "y" * 131073 + "\n")
-    with pytest.raises(store.IngestError, match=r"r\.csv: line 3: invalid literal for int"):
-        store.ingest_csv(path, [("a", "int64"), ("s", "string")])
+    with pytest.raises(store.IngestError, match=r"^line 3: invalid literal for int"):
+        store.parse_csv("a,s\n1,w\nzz,w\n2," + "y" * 131073 + "\n", "r", [("a", "int64"), ("s", "string")])
 
 
 def test_column_names_computed_once():
@@ -87,32 +81,33 @@ def test_column_names_computed_once():
     assert renamed.column_names == ("c", "d") and renamed.column("d") == ["x", "y"]
 
 
-def test_ingest_empty_data(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("a,b\n")
-    rel = store.ingest_csv(path, [("a", "int64"), ("b", "string")])
+def test_ingest_empty_data():
+    rel = store.parse_csv("a,b\n", "r", [("a", "int64"), ("b", "string")])
     assert rel.row_count == 0
 
 
-def test_ingest_arity_error_names_line(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("a,b\n1\n")
+def test_ingest_arity_error_names_line():
     with pytest.raises(store.IngestError, match="line 2"):
-        store.ingest_csv(path, [("a", "int64"), ("b", "string")])
+        store.parse_csv("a,b\n1\n", "r", [("a", "int64"), ("b", "string")])
 
 
-def test_ingest_type_error(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("a\nnot_an_int\n")
+def test_ingest_type_error():
     with pytest.raises(store.IngestError, match="line 2"):
-        store.ingest_csv(path, [("a", "int64")])
+        store.parse_csv("a\nnot_an_int\n", "r", [("a", "int64")])
 
 
-def test_ingest_header_mismatch(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("wrong\n1\n")
+def test_ingest_header_mismatch():
     with pytest.raises(store.IngestError, match="header"):
-        store.ingest_csv(path, [("a", "int64")])
+        store.parse_csv("wrong\n1\n", "r", [("a", "int64")])
+
+
+def test_ingest_line_ends_as_written():
+    # CRLF and CR files read as LF ones; a quoted field keeps its line end.
+    schema = [("a", "int64"), ("s", "string")]
+    want = store.parse_csv('a,s\n1,x\n2,"y\nz"\n', "r", schema)
+    assert store.parse_csv('a,s\r\n1,x\r\n2,"y\nz"\r\n', "r", schema) == want
+    assert store.parse_csv('a,s\r1,x\r2,"y\nz"\r', "r", schema) == want
+    assert store.parse_csv('a,s\n1,x\n2,"y\r\nz"\n', "r", schema).rows[1] == (2, "y\r\nz")
 
 
 def test_ingest_unknown_type():
@@ -120,8 +115,17 @@ def test_ingest_unknown_type():
         store.validate_schema([("a", "int32")])
 
 
+def test_column_declared_twice_refused():
+    # Two columns of one name would make a plan's reference to it ambiguous.
+    with pytest.raises(store.IngestError, match="^column 'a' is declared twice$"):
+        store.validate_schema([("a", "int64"), ("b", "string"), ("a", "int64")])
+    with pytest.raises(store.IngestError, match="^column 'a' is declared twice$"):
+        store.parse_schema_sidecar("a,int64\na,int64\n")
+
+
 def test_schema_sidecar_roundtrip():
     assert store.parse_schema_sidecar("# comment\na,int64\r\n\nb , string\n") == (("a", "int64"), ("b", "string"))
+    assert store.parse_schema_sidecar("a,int64\rb,string\r") == (("a", "int64"), ("b", "string"))
     with pytest.raises(store.IngestError, match="unknown column type 'int32' for column 'a'"):
         store.parse_schema_sidecar("a,int32\n")
 
