@@ -141,13 +141,16 @@ def world_path(cfg) -> str:
 
 def _read(path, what: str, hint: str, parse):
     """`parse` of a file's text, its line ends as written (for the csv
-    module); a file that is missing, is not utf-8 or whose text `parse`
-    refuses is a ConfigError that names it."""
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} {path!r} not found; {hint}")
+    module); a file that is missing or cannot be read (a directory, say),
+    is not utf-8 or whose text `parse` refuses is a ConfigError that names
+    it."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return parse(fh.read())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} {path!r} not found; {hint}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} {path!r} cannot be read: {exc.strerror}") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"{what} {path!r} is malformed: {detail}") from None
@@ -179,7 +182,8 @@ def load_units(cfg) -> calib.CostUnitModel:
 
 
 def load_plan(path, relations) -> planmod.Plan:
-    """Parse a plan file; every scan must name a loaded relation."""
+    """Parse a plan file; every scan must name a loaded relation. Its
+    columns resolve where it runs, under `planmod.naming` of the file."""
     def parse(text):
         p = planmod.parse_plan(text)
         for nid, (rel, _) in p.index.appearance.items():
@@ -312,8 +316,9 @@ def cmd_fitcost(cfg, args):
     pool = build_pool(cfg, relations)
     world = load_world(cfg)
     p = load_plan(args.plan, relations)
-    estimates = selest.estimate_all(p, pool, relations)
-    fitted = propagate.fit_all_cost_functions(p, estimates, world.cost_oracle(p, relations), W=cfg["grid_w"])
+    with planmod.naming(f"plan file {args.plan!r}"):
+        estimates = selest.estimate_all(p, pool, relations)
+        fitted = propagate.fit_all_cost_functions(p, estimates, world.cost_oracle(p, relations), W=cfg["grid_w"])
     doc = {
         "oracle": "simulator-true-cost-model",
         "functions": {
@@ -334,10 +339,11 @@ def cmd_predict(cfg, args):
     world = load_world(cfg)
     units = load_units(cfg)
     p = load_plan(args.plan, relations)
-    oracle = world.cost_oracle(p, relations)
-    dist, estimates, fitted, entries = propagate.predict_distribution(
-        p, pool, relations, units, oracle=oracle, W=cfg["grid_w"], policy=cfg["policy"]
-    )
+    with planmod.naming(f"plan file {args.plan!r}"):
+        oracle = world.cost_oracle(p, relations)
+        dist, estimates, fitted, entries = propagate.predict_distribution(
+            p, pool, relations, units, oracle=oracle, W=cfg["grid_w"], policy=cfg["policy"]
+        )
     plan_id = os.path.splitext(os.path.basename(args.plan))[0]
     record = {
         "plan_id": plan_id,
@@ -398,13 +404,14 @@ def cmd_oracle(cfg, args):
     relations = load_relations(cfg)
     p = load_plan(args.plan, relations)
     n = sample_n_for(cfg, relations) if args.n is None else calib.checked_int(args.n, "--n", 1, error=ConfigError)
-    exact = simeval.var_rho_enumeration(p, relations, n)
-    doc = {"plan": args.plan, "n": n, "var_rho_exact": exact}
-    if pools:
-        rho = simeval.resample_rho(p, relations, n, pools, cfg["seed"])
-        doc["var_rho_empirical"] = float(rho.var(ddof=1))
-        doc["mean_rho_empirical"] = float(rho.mean())
-        doc["pools"] = pools
+    with planmod.naming(f"plan file {args.plan!r}"):
+        exact = simeval.var_rho_enumeration(p, relations, n)
+        doc = {"plan": args.plan, "n": n, "var_rho_exact": exact}
+        if pools:
+            rho = simeval.resample_rho(p, relations, n, pools, cfg["seed"])
+            doc["var_rho_empirical"] = float(rho.var(ddof=1))
+            doc["mean_rho_empirical"] = float(rho.mean())
+            doc["pools"] = pools
     _write_json(os.path.join(cfg["out_dir"], "oracle.json"), _stamp(doc))
     print(json.dumps({k: v for k, v in doc.items() if k != "generated_at"}, indent=2))
     return 0

@@ -1,9 +1,10 @@
 """Query plans: rooted binary operator trees, execution, provenance.
 
 Plans are parsed from a JSON document, validated, and evaluated over
-relations: base relations or sample tables. With provenance, every
-scan/join result lists, per output row, the positions of its contributing
-rows, one per leaf table of the operator's subtree, in left-to-right leaf
+relations: base relations or sample tables. A node holds only the atoms
+it applies, as the executor reads them. With provenance, every scan/join
+result lists, per output row, the positions of its contributing rows,
+one per leaf table of the operator's subtree, in left-to-right leaf
 order; a sample row's position is its sample index. An operator's rows
 are built only where a parent reads them; any other operator, the root
 included, only counts its output (and lists its provenance). Without
@@ -13,6 +14,7 @@ rows, each with a multiplicity, instead of its pairs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -61,43 +63,28 @@ class ExecutionError(ValueError):
     """Raised when a plan cannot be evaluated over its bound tables."""
 
 
-@dataclass(frozen=True)
-class SelAtom:
-    """Selection atom: column <cmp> constant."""
-
-    column: str
-    op: str
-    value: object
-
-
-@dataclass(frozen=True)
-class JoinAtom:
-    """Equi-join atom: left column = right column."""
-
-    left: str
-    right: str
+@contextlib.contextmanager
+def naming(plan_name: str):
+    """Prefix `<plan_name>: ` to an ExecutionError raised in the block."""
+    try:
+        yield
+    except ExecutionError as exc:
+        raise ExecutionError(f"{plan_name}: {exc}") from None
 
 
 @dataclass
 class OperatorNode:
+    """One operator: `selections` holds (column, comparator, constant) and
+    `join_columns` (left columns, right columns), both in document order."""
+
     id: int
     kind: str
     children: list[int]
     relation: str | None = None
-    predicate: list = field(default_factory=list)
+    selections: tuple[tuple[str, str, object], ...] = ()
+    join_columns: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     estimate_M: int | None = None
     cost_profile: dict[str, str] = field(default_factory=dict)
-
-    @functools.cached_property
-    def selections(self) -> tuple[tuple[str, object, object], ...]:
-        """The selection atoms as (column, comparison function, constant)."""
-        return tuple((a.column, CMP_OPS[a.op], a.value) for a in self.predicate if isinstance(a, SelAtom))
-
-    @functools.cached_property
-    def join_columns(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The equi-join atoms' left columns and right columns."""
-        atoms = [a for a in self.predicate if isinstance(a, JoinAtom)]
-        return tuple(a.left for a in atoms), tuple(a.right for a in atoms)
 
 
 @dataclass(frozen=True)
@@ -208,15 +195,22 @@ class AnnotatedResult:
     multiplicity: list[int] | None = None
 
 
-def _parse_atom(obj) -> SelAtom | JoinAtom:
-    if isinstance(obj, dict) and {"left", "right"} <= obj.keys():
-        return JoinAtom(left=str(obj["left"]), right=str(obj["right"]))
-    if isinstance(obj, dict) and {"col", "value"} <= obj.keys():
-        op = obj.get("op", "=")
-        if not isinstance(op, str) or op not in CMP_OPS:  # a list or an object is not hashable
-            raise PlanError(f"unknown comparator {op!r}")
-        return SelAtom(column=str(obj["col"]), op=op, value=obj["value"])
-    raise PlanError(f"predicate atom {obj!r} is neither a join atom (left, right) nor a selection atom (col, value)")
+def _parse_predicate(atoms) -> tuple[tuple, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """A node's selections and join columns, each atom checked in turn."""
+    selections, lcols, rcols = [], [], []
+    for obj in atoms:
+        if isinstance(obj, dict) and {"left", "right"} <= obj.keys():
+            lcols.append(str(obj["left"]))
+            rcols.append(str(obj["right"]))
+        elif isinstance(obj, dict) and {"col", "value"} <= obj.keys():
+            op = obj.get("op", "=")
+            if not isinstance(op, str) or op not in CMP_OPS:  # a list or an object is not hashable
+                raise PlanError(f"unknown comparator {op!r}")
+            selections.append((str(obj["col"]), op, obj["value"]))
+        else:
+            raise PlanError(
+                f"predicate atom {obj!r} is neither a join atom (left, right) nor a selection atom (col, value)")
+    return tuple(selections), (tuple(lcols), tuple(rcols))
 
 
 def parse_plan(text: str) -> Plan:
@@ -234,8 +228,11 @@ def plan_from_document(doc) -> Plan:
 
     `doc` holds what `json.loads` gives: dicts with string keys, lists,
     strings, numbers, booleans and None. Every check and its PlanError are
-    those `parse_plan` makes after decoding, in the same order. Selection
-    constants are taken over as they are, not copied."""
+    those `parse_plan` makes after decoding, in the same order; last, an
+    atom the node never applies is refused: a join atom off a join, or a
+    selection atom on a pass-through Sort or Materialize (an Aggregate's
+    `estimate_M`, and that of any node above one, accounts for its atoms).
+    Selection constants are taken over as they are, not copied."""
     if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:
         raise PlanError("plan document must be an object with 'nodes' and 'root'")
     if not isinstance(doc["nodes"], list):
@@ -256,15 +253,13 @@ def plan_from_document(doc) -> Plan:
         children = [checked_int(c, f"node {nid}: a 'children' entry", error=PlanError) for c in rec.get("children", [])]
         expected = 0 if kind in SCAN_KINDS else 1 if kind in UNARY_KINDS else 2
         if len(children) != expected:
-            raise PlanError(
-                f"node {nid}: kind {kind} requires {expected} children, got {len(children)}"
-            )
+            raise PlanError(f"node {nid}: kind {kind} requires {expected} children, got {len(children)}")
         relation = rec.get("relation")
         if kind in SCAN_KINDS and not (relation and isinstance(relation, str)):
             raise PlanError(f"node {nid}: scans require a relation name")
         if kind not in SCAN_KINDS and relation is not None:
             raise PlanError(f"node {nid}: only scans may name a relation")
-        predicate = [_parse_atom(a) for a in rec.get("predicate", [])]
+        selections, join_columns = _parse_predicate(rec.get("predicate", []))
         profile = dict(DEFAULT_COST_PROFILES[kind])
         for unit, tag in rec.get("cost_profile", {}).items():
             if unit not in COST_UNITS:
@@ -279,7 +274,8 @@ def plan_from_document(doc) -> Plan:
             kind=kind,
             children=children,
             relation=relation,
-            predicate=predicate,
+            selections=selections,
+            join_columns=join_columns,
             estimate_M=None if est is None else checked_int(est, f"node {nid}: 'estimate_M'", 0, error=PlanError),
             cost_profile=profile,
         )
@@ -307,9 +303,13 @@ def _validate_tree(plan: Plan) -> None:
         raise PlanError("plan contains nodes unreachable from the root")
     for nid in index.order:
         if nid in index.agg_above and plan.nodes[nid].estimate_M is None:
-            raise PlanError(
-                f"node {nid}: estimate_M required (aggregate or above an aggregate)"
-            )
+            raise PlanError(f"node {nid}: estimate_M required (aggregate or above an aggregate)")
+    for nid in index.order:  # atoms the node would never apply
+        node = plan.nodes[nid]
+        if node.join_columns[0] and node.kind not in JOIN_KINDS:
+            raise PlanError(f"node {nid}: kind {node.kind} is not a join and applies no join atom")
+        if node.selections and index.var[nid] != nid:
+            raise PlanError(f"node {nid}: kind {node.kind} outputs its child's rows and applies no selection atom")
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True)  # no indent: json's C encoder
@@ -326,20 +326,16 @@ def serialize_plan(plan: Plan) -> str:
 
     Each record is encoded without `indent`, so `json` uses its C encoder;
     with `indent` it falls back to its pure-Python one, several times
-    slower. The text is deterministic, and `parse_plan` reads it back to an
-    equal plan."""
+    slower. A node's join atoms come before its selection atoms. The text
+    is deterministic, and `parse_plan` reads it back to an equal plan."""
     recs = []
     for node in map(plan.nodes.__getitem__, plan.index.order):
         rec: dict = {"id": node.id, "kind": node.kind, "children": node.children}
         if node.relation is not None:
             rec["relation"] = node.relation
-        if node.predicate:
-            atoms = []
-            for a in node.predicate:
-                if isinstance(a, JoinAtom):
-                    atoms.append({"left": a.left, "right": a.right})
-                else:
-                    atoms.append({"col": a.column, "op": a.op, "value": a.value})
+        atoms = [{"left": left, "right": right} for left, right in zip(*node.join_columns)]
+        atoms += [{"col": col, "op": op, "value": value} for col, op, value in node.selections]
+        if atoms:
             rec["predicate"] = atoms
         if node.estimate_M is not None:
             rec["estimate_M"] = node.estimate_M
@@ -391,7 +387,7 @@ def _tests(node, schema, rows=()) -> list:
     """A node's selection tests (column position, comparison, constant).
     Each is tried on `rows`, one row or none: a column holds values of one
     type, so a constant its column cannot be compared with fails here."""
-    tests = [(_resolve(schema, col, node.id), op, val) for col, op, val in node.selections]
+    tests = [(_resolve(schema, col, node.id), CMP_OPS[op], val) for col, op, val in node.selections]
     for row in rows:
         for idx, op, val in tests:
             try:

@@ -547,14 +547,16 @@ def generate_workload(spec: WorkloadSpec, relations):
 def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, policy: str = "all", W: int = 10, runs: int = 5):
     """Predict every plan, simulate its actual runtime, and compute the
     correlation and error-distribution metrics. The summary's "flags"
-    counts the plans whose prediction carries each flag."""
+    counts the plans whose prediction carries each flag. An
+    ExecutionError names its plan's label."""
     records = []
     for idx, (label, p) in enumerate(plans):
-        oracle = world.cost_oracle(p, relations)
-        dist, _, _, _ = propagate.predict_distribution(
-            p, pool, relations, units, oracle=oracle, W=W, policy=policy
-        )
-        act = actual_runtime(p, relations, world, seed=idx, runs=runs)
+        with planmod.naming(f"plan {label!r}"):
+            oracle = world.cost_oracle(p, relations)
+            dist, _, _, _ = propagate.predict_distribution(
+                p, pool, relations, units, oracle=oracle, W=W, policy=policy
+            )
+            act = actual_runtime(p, relations, world, seed=idx, runs=runs)
         records.append(
             EvalRecord(
                 plan_id=label,

@@ -478,6 +478,102 @@ def test_world_and_units_json_or_one_error_line(workdir, target, kind, command):
             assert repr(os.path.join(tmp, name)) in json.loads(err.getvalue())["error"]
 
 
+# The layout of the test-scale pipeline's join-0.plan, whose values differ:
+# two scans with a selection atom each under a join with one join atom.
+_JOIN_PLAN = {"nodes": [
+    *({"children": [], "cost_profile": {"c_o": "C2", "c_r": "C1", "c_s": "C3", "c_t": "C3"}, "id": i, "kind": "SeqScan",
+       "predicate": [{"col": f"r{i}_val", "op": "<", "value": 1}], "relation": f"r{i}"} for i in (1, 2)),
+    {"children": [1, 2], "cost_profile": {"c_o": "C5", "c_t": "C5"}, "id": 3, "kind": "HashJoin",
+     "predicate": [{"left": "r1_key", "right": "r2_key"}]},
+], "root": 3}
+# One change to a plan document: a value replaced or its key deleted, a
+# join child made dangling or the join itself, a column no relation has,
+# or a scan's selection atom replaced by a join atom, which it never applies.
+_PLAN_VALUES = {**_REPLACEMENTS, "dangling": 9, "cycle": 3, "unknown-column": "zzz",
+                "join-atom": {"left": "r1_key", "right": "r2_key"}}
+_PLAN_CHANGES = st.one_of(
+    st.tuples(st.sampled_from(_value_paths(_JOIN_PLAN)), st.sampled_from([*_REPLACEMENTS, "deleted"])),
+    st.tuples(st.sampled_from([("nodes", 2, "children", i) for i in (0, 1)]), st.sampled_from(["dangling", "cycle"])),
+    st.tuples(st.sampled_from([("nodes", 0, "predicate", 0, "col"), ("nodes", 1, "predicate", 0, "col"),
+                               ("nodes", 2, "predicate", 0, "left"), ("nodes", 2, "predicate", 0, "right")]),
+              st.just("unknown-column")),
+    st.tuples(st.sampled_from([("nodes", i, "predicate", 0) for i in (0, 1)]), st.just("join-atom")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(change=_PLAN_CHANGES, command=st.sampled_from(["predict", "fitcost", "evaluate"]))
+# a column no relation has used to load and fail where the plan ran, with
+# an error that named neither the plan file nor its label
+@example(change=(("nodes", 0, "predicate", 0, "col"), "unknown-column"), command="predict")
+@example(change=(("nodes", 2, "predicate", 0, "right"), "unknown-column"), command="evaluate")
+@example(change=(("nodes", 2, "predicate"), "list"), command="evaluate")  # a join without a join atom
+@example(change=(("nodes", 1, "predicate", 0, "value"), "string"), command="fitcost")
+@example(change=(("nodes", 0, "predicate", 0), "join-atom"), command="predict")
+@example(change=(("nodes", 2, "children", 1), "cycle"), command="evaluate")
+def test_plan_document_or_one_error_line(workdir, change, command):
+    # `predict` and `fitcost` exit 0, or exit 1 with one JSON line that
+    # names the plan file; so does `evaluate` over a manifest of the
+    # changed plan and scan-0, naming the file or the label. (A manifest of
+    # one plan gives no correlation to report, whatever the plan.)
+    path, kind = change
+    doc = json.loads((workdir / "out" / "workload" / "join-0.plan").read_text())
+    assert _value_paths(doc) == _value_paths(_JOIN_PLAN)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "deleted":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _PLAN_VALUES[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        for f in ("world.json", "units.json"):
+            shutil.copy(workdir / "out" / f, tmp)
+        plan = os.path.join(tmp, "join-0.plan")
+        with open(plan, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        manifest = os.path.join(tmp, "manifest.json")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            scan = str(workdir / "out" / "workload" / "scan-0.plan")
+            json.dump({"plans": [{"label": "join-0", "path": plan}, {"label": "scan-0", "path": scan}]}, fh)
+        argv = ["--workload", manifest] if command == "evaluate" else ["--plan", plan]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _run(workdir, command, *argv, "--out-dir", tmp)
+        if code != 0:
+            assert code == 1 and err.getvalue().count("\n") == 1
+            error = json.loads(err.getvalue())["error"]
+            names = [repr(plan)] + (["plan 'join-0'"] if command == "evaluate" else [])
+            assert any(name in error for name in names), error
+
+
+@pytest.mark.parametrize("name", ["world", "units", "plan", "manifest", "relation", "config"])
+def test_directory_in_place_of_an_input_file_names_it(workdir, tmp_path, capsys, name):
+    # A directory where an input file belongs cannot be read; the error
+    # says which input it is, not only the operating system's words.
+    for fname in ("world.json", "units.json"):
+        shutil.copy(workdir / "out" / fname, tmp_path / fname)
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(workdir / "data" / "r1.schema", data)
+    cfg = str(workdir / "run.cfg")
+    plan = str(workdir / "out" / "workload" / "scan-0.plan")
+    what, path, argv = {
+        "world": ("world file", tmp_path / "world.json", ["calibrate", "--config", cfg]),
+        "units": ("unit model", tmp_path / "units.json", ["predict", "--plan", plan, "--config", cfg]),
+        "plan": ("plan file", tmp_path / "dir.plan", ["predict", "--plan", str(tmp_path / "dir.plan"), "--config", cfg]),
+        "manifest": ("workload manifest", tmp_path / "manifest.json",
+                     ["evaluate", "--workload", str(tmp_path / "manifest.json"), "--config", cfg]),
+        "relation": ("relation CSV", data / "r1.csv", ["ingest", "--data-dir", str(data), "--config", cfg]),
+        "config": ("config file", tmp_path / "run.cfg", ["gen-world", "--config", str(tmp_path / "run.cfg")]),
+    }[name]
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    assert cli.dispatch([*argv, "--out-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == f"{what} {str(path)!r} cannot be read: Is a directory"
+
+
 @pytest.mark.parametrize("name", ["world", "units", "plan", "manifest", "calibration", "sidecar"])
 def test_every_input_file_error_names_the_file(workdir, tmp_path, capsys, name):
     # Each input file in turn holds text that is not its format; the

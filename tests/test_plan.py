@@ -70,7 +70,8 @@ FIG1 = {
 def test_parse_single_scan():
     p = _parse({"nodes": [_scan(1, "R", [{"col": "a", "op": "<", "value": 5}])], "root": 1})
     assert len(p.nodes) == 1
-    assert p.nodes[1].predicate[0].value == 5
+    assert p.nodes[1].selections == (("a", "<", 5),)
+    assert p.nodes[1].join_columns == ((), ())
 
 
 def test_parse_five_node_tree():
@@ -212,7 +213,8 @@ _columns = st.text("abk.#1", min_size=1, max_size=4)
 @st.composite
 def _plan_docs(draw):
     """A generated tree's document with selection atoms under every
-    comparator, join atoms on its joins, estimate_M wherever it is
+    comparator on every node but a Sort or Materialize that outputs its
+    child's rows, join atoms on its joins, estimate_M wherever it is
     required and on some other nodes, and cost-profile overrides."""
     doc, by_id = _tree_doc(draw(_trees))
     selection = st.fixed_dictionaries({
@@ -222,11 +224,12 @@ def _plan_docs(draw):
     join = st.fixed_dictionaries({"left": _columns, "right": _columns})
     for rec in doc["nodes"]:
         is_join = rec["kind"] in planmod.JOIN_KINDS
-        atoms = draw(st.lists(selection, max_size=3))
+        required = _brute_has_aggregate(by_id[rec["id"]])
+        passes = rec["kind"] in ("Sort", "Materialize") and not required
+        atoms = [] if passes else draw(st.lists(selection, max_size=3))
         if is_join:
             atoms += draw(st.lists(join, min_size=1, max_size=2))
         rec["predicate"] = draw(st.permutations(atoms))
-        required = _brute_has_aggregate(by_id[rec["id"]])
         m = draw(st.integers(0, 10**6) | (st.nothing() if required else st.none()))
         if m is None:
             del rec["estimate_M"]
@@ -359,6 +362,48 @@ def test_estimate_m_required_above_aggregate():
         _parse(doc)
     doc["nodes"][2]["estimate_M"] = 5
     assert _parse(doc).nodes[3].estimate_M == 5
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": [_scan(1, "r1"), {"id": 2, "kind": "Sort", "children": [1],
+                                 "predicate": [{"col": "r1_val", "op": "<", "value": -1}]}], "root": 2},
+     "node 2: kind Sort outputs its child's rows and applies no selection atom"),
+    ({"nodes": [_scan(1, "r1"), {"id": 2, "kind": "Materialize", "children": [1],
+                                 "predicate": [{"col": "r1_val", "value": 3}]}], "root": 2},
+     "node 2: kind Materialize outputs its child's rows and applies no selection atom"),
+    ({"nodes": [_scan(1, "r1", [{"left": "nope", "right": "r1_key"}])], "root": 1},
+     "node 1: kind SeqScan is not a join and applies no join atom"),
+    ({"nodes": [_scan(1, "r1"), {"id": 2, "kind": "Aggregate", "children": [1], "estimate_M": 3,
+                                 "predicate": [{"left": "r1_key", "right": "r1_key"}]}], "root": 2},
+     "node 2: kind Aggregate is not a join and applies no join atom"),
+], ids=["sort-selection", "materialize-selection", "scan-join-atom", "aggregate-join-atom"])
+def test_atom_the_node_never_applies_refused(doc, message):
+    # The executor would drop these atoms without a word: the Sort's plan
+    # would get true selectivity 1.0 whatever its constant.
+    with pytest.raises(planmod.PlanError) as exc:
+        _parse(doc)
+    assert str(exc.value) == message
+    # Refused after every other check: an error the parser gave before comes first.
+    doc = json.loads(json.dumps(doc))
+    doc["nodes"][-1]["cost_profile"] = {"c_q": "C2"}
+    with pytest.raises(planmod.PlanError, match="unknown cost unit 'c_q'"):
+        _parse(doc)
+
+
+def test_selection_atoms_where_estimate_m_accounts_for_them_accepted():
+    # An Aggregate, and a Sort above one, output their estimate_M.
+    atom = {"col": "a", "op": ">", "value": 0}
+    doc = {
+        "nodes": [
+            _scan(1, "R"),
+            {"id": 2, "kind": "Aggregate", "children": [1], "estimate_M": 5, "predicate": [atom]},
+            {"id": 3, "kind": "Sort", "children": [2], "estimate_M": 5, "predicate": [atom]},
+        ],
+        "root": 3,
+    }
+    p = _parse(doc)
+    assert p.nodes[2].selections == p.nodes[3].selections == (("a", ">", 0),)
+    assert planmod.selectivity_truth(p, {"R": _rel("R", ["a"], [(1,), (2,)])}) == {1: 1.0, 2: 2.5, 3: 2.5}
 
 
 def test_cost_profile_defaults_and_override():

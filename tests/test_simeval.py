@@ -693,7 +693,7 @@ def test_generate_workload_counts_and_verification():
     for label, p in plans:
         truth = planmod.selectivity_truth(p, relations)
         for node in p.nodes.values():
-            if node.kind == "SeqScan" and node.predicate:
+            if node.kind == "SeqScan" and node.selections:
                 assert 0.0 < truth[node.id] < 1.0
 
 
