@@ -529,7 +529,7 @@ def _run_join(node, left, right, provenance, read, side) -> AnnotatedResult:
     return AnnotatedResult(count, schema, rows, prov)
 
 
-def execute(plan: Plan, bindings: dict, *, provenance: bool = False) -> dict[int, AnnotatedResult]:
+def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None) -> dict[int, AnnotatedResult]:
     """Evaluate a plan bottom-up and return per-operator results.
 
     `bindings` maps (relation, appearance) to a Relation, base or sample;
@@ -553,22 +553,45 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False) -> dict[int
     of its rows in their bound tables, one per leaf table of the subtree,
     in the order the rows are produced; a kept row is at the same index
     as its provenance. Without it, no provenance is built.
+
+    `shared`, when given, is a dict of scan results that the executions of
+    one evaluation share (`propagate.SharedResults`). A scan's key is its
+    bound table's identity, its appearance, its selections (by `repr`: a
+    JSON constant may be a list, which does not hash), whether its rows
+    are read and `provenance`; the entry holds the table too, so the
+    identity cannot be reused while the entry lives. A scan whose key is
+    stored returns the stored result, the one the same table, schema and
+    tests gave, so every count, row and provenance list is unchanged; no
+    result is mutated after it is built. A scan computed here is stored
+    only when the whole execution succeeds, so a failed one stores nothing.
     """
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
     results: dict[int, AnnotatedResult] = {}
+    new: dict = {}  # scan results computed here, stored in `shared` at the end
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif nid in index.appearance:
-            res = _run_scan(node, index.appearance[nid], bindings, provenance, nid in index.read)
+            appearance, read = index.appearance[nid], nid in index.read
+            if shared is None:
+                res = _run_scan(node, appearance, bindings, provenance, read)
+            else:
+                table = bindings.get(appearance)
+                key = (id(table), appearance, repr(node.selections), read, provenance)
+                entry = shared.get(key)
+                if entry is None:
+                    entry = new[key] = (table, _run_scan(node, appearance, bindings, provenance, read))
+                res = entry[1]
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children
             res = _run_join(node, results[left], results[right], provenance, nid in index.read, side.get(nid))
         results[nid] = res
+    if new:
+        shared.update(new)
     return results
 
 

@@ -70,7 +70,7 @@ def estimate_for_subset(est: SelEstimate, positions) -> float:
     return s2
 
 
-def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
+def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, SelEstimate]:
     """Post-order selectivity estimation for every operator of a plan.
 
     Each node's role comes from `PlanIndex`. Scans use the closed-form
@@ -81,14 +81,17 @@ def estimate_all(plan: Plan, pool, relations: dict) -> dict[int, SelEstimate]:
     pool's sample table numbered by its appearance ordinal, so repeated
     relations draw from distinct, independent sample tables. A counter's
     keys are in first-seen order along the provenance list, so S2 sums
-    in a fixed order.
+    in a fixed order. `shared`, when given, is handed to `plan.execute`:
+    a scan of a sample table that an earlier plan of the same evaluation
+    scanned with the same selections returns that plan's result, so the
+    estimates are bitwise those of a fresh execution.
     """
     index = plan.index
     n = pool.n
     if n < 1:
         raise EstimationError("pool has no sampling steps")
     bindings = {app: pool.table(*app) for app in index.appearance.values()}
-    results = planmod.execute(plan, bindings, provenance=True)
+    results = planmod.execute(plan, bindings, provenance=True, shared=shared)
 
     products = planmod.leaf_products(plan, relations) if index.agg_above else {}  # read by aggregates only
     estimates: dict[int, SelEstimate] = {}

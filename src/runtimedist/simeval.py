@@ -548,13 +548,25 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     """Predict every plan, simulate its actual runtime, and compute the
     correlation and error-distribution metrics. The summary's "flags"
     counts the plans whose prediction carries each flag. An
-    ExecutionError names its plan's label."""
+    ExecutionError names its plan's label.
+
+    The plans read one sample pool and one cost model, so they repeat
+    work: one `propagate.SharedResults` table, made here and dropped on
+    return, lets each scan of a sample table and each grid fit that an
+    earlier plan computed be reused (`plan.execute`,
+    `propagate.fit_all_cost_functions`). A hit returns what the same
+    inputs produced, so every record and the summary are bitwise those of
+    predicting each plan alone; truth and the oracle do not share.
+
+    Fewer than two plans with a nonzero predicted stddev cannot be
+    correlated: a ValueError that gives the counts."""
     records = []
+    shared = propagate.SharedResults()
     for idx, (label, p) in enumerate(plans):
         with planmod.naming(f"plan {label!r}"):
             oracle = world.cost_oracle(p, relations)
             dist, _, _, _ = propagate.predict_distribution(
-                p, pool, relations, units, oracle=oracle, W=W, policy=policy
+                p, pool, relations, units, oracle=oracle, W=W, policy=policy, shared=shared
             )
             act = actual_runtime(p, relations, world, seed=idx, runs=runs)
         records.append(
@@ -567,6 +579,9 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
             )
         )
     usable = [r for r in records if r.predicted_stddev > 0.0]
+    if len(usable) < 2:
+        raise ValueError(f"evaluate needs at least two plans with a nonzero predicted stddev to correlate; "
+                         f"{len(usable)} of {len(records)} has one")
     sigmas = [r.predicted_stddev for r in usable]
     errors = [r.error for r in usable]
     summary = {

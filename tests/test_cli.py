@@ -173,6 +173,22 @@ def test_step9b_evaluate_keeps_prediction_flags(workdir):
     assert summary["flags"] == counts
 
 
+def test_evaluate_over_one_plan_reported_as_json(workdir, tmp_path, capsys):
+    # One plan has no correlation to report: the error says so and gives
+    # the counts, where it used to fail inside `pearson` naming no cause.
+    manifest = tmp_path / "one.json"
+    scan = str(workdir / "out" / "workload" / "scan-0.plan")
+    manifest.write_text(json.dumps({"plans": [{"label": "scan-0", "path": scan}]}))
+    for f in ("world.json", "units.json"):
+        shutil.copy(workdir / "out" / f, tmp_path)
+    assert _run(workdir, "evaluate", "--workload", str(manifest), "--out-dir", str(tmp_path)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        "evaluate needs at least two plans with a nonzero predicted stddev to correlate; 1 of 1 has one")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_evaluate_counts_zero_count_joins(tmp_path):
     # A key domain twice the relation size and 4 sampling steps: sample
     # joins keep no rows, and summary.json counts the plans so flagged.
@@ -515,7 +531,7 @@ def test_plan_document_or_one_error_line(workdir, change, command):
     # `predict` and `fitcost` exit 0, or exit 1 with one JSON line that
     # names the plan file; so does `evaluate` over a manifest of the
     # changed plan and scan-0, naming the file or the label. (A manifest of
-    # one plan gives no correlation to report, whatever the plan.)
+    # one plan is refused whatever the plan: it has no correlation.)
     path, kind = change
     doc = json.loads((workdir / "out" / "workload" / "join-0.plan").read_text())
     assert _value_paths(doc) == _value_paths(_JOIN_PLAN)

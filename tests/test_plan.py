@@ -207,6 +207,40 @@ def test_plan_and_results_leave_no_reference_cycle():
         gc.enable()
 
 
+def test_shared_scans_give_a_fresh_execution_results():
+    # One table bound to both appearances of a self-join: the two scans
+    # read one table with one selection under two schemas, so they are two
+    # entries. A second
+    # execution hits both and returns the stored results themselves; an
+    # execution without provenance is keyed apart.
+    t = _rel("T", ["k", "a"], [(i % 5, i) for i in range(40)])
+    doc = {
+        "nodes": [
+            _scan(1, "T", [{"col": "a", "op": "<", "value": 30}]),
+            _scan(2, "T", [{"col": "a", "op": "<", "value": 30}]),
+            {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "k", "right": "k"}]},
+        ],
+        "root": 3,
+    }
+    p = _parse(doc)
+    bindings = {("T", 0): t, ("T", 1): t}
+    fresh = planmod.execute(p, bindings, provenance=True)
+    shared = {}
+    first = planmod.execute(p, bindings, provenance=True, shared=shared)
+    assert first == fresh and len(shared) == 2
+    again = planmod.execute(p, bindings, provenance=True, shared=shared)
+    assert again == fresh and len(shared) == 2
+    assert again[1] is first[1] and again[2] is first[2] and again[3] is not first[3]
+    assert planmod.execute(p, bindings, shared=shared) == planmod.execute(p, bindings)
+    assert len(shared) == 4
+    # scans that ran before a join failed are not stored
+    doc["nodes"][0]["predicate"][0]["value"] = doc["nodes"][1]["predicate"][0]["value"] = 20
+    doc["nodes"][2]["predicate"][0]["right"] = "zz"
+    with pytest.raises(planmod.ExecutionError, match="'zz'"):
+        planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
+    assert len(shared) == 4
+
+
 _columns = st.text("abk.#1", min_size=1, max_size=4)
 
 

@@ -3,7 +3,9 @@
 import json
 import math
 import operator
+import gc
 import re
+import weakref
 import zlib
 
 import numpy as np
@@ -463,28 +465,101 @@ def test_fit_makes_one_oracle_call_per_term():
         ],
         "root": 4,
     }
-    plan = planmod.parse_plan(json.dumps(doc))
-    est = selest.estimate_all(plan, pool, relations)
-    inner = world.cost_oracle(plan, relations)
-    calls = []
+    # The second plan shares the first's table and its join's inputs, with
+    # a Materialize in place of the Sort: its scans' and join's grids hit.
+    plans = [planmod.parse_plan(json.dumps(doc))]
+    doc["nodes"][3]["kind"] = "Materialize"
+    plans.append(planmod.parse_plan(json.dumps(doc)))
+    shared = propagate.SharedResults()
+    for plan in plans:
+        est = selest.estimate_all(plan, pool, relations)
+        inner = world.cost_oracle(plan, relations)
+        calls = []
+
+        def oracle(key, coords):
+            calls.append((key, np.shape(coords)))
+            return inner(key, coords)
+
+        stored = len(shared)
+        fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=6, shared=shared)
+        terms = [(nid, u) for nid, per in fitted.items() for u in per]
+        assert sorted(key for key, _ in calls) == sorted(terms)
+        for (nid, unit), shape in calls:
+            tag, vars_ = plan.index.terms[nid, unit]
+            if all(v is None for v in vars_):  # a constant: one probe, fitted exactly
+                assert shape == (1, ARITY[tag])
+                assert not fitted[nid][unit].degenerate
+            else:
+                assert shape == (7 ** ARITY[tag], ARITY[tag])
+        assert ((1, "c_r"), (1, 0)) in calls  # a SeqScan's C1 term is probed too
+        assert ((1, "c_s"), (1, 1)) in calls  # and its C3 terms on the constant left input
+        assert fitted[1]["c_s"].b == (0.0, inner((1, "c_s"), np.ones((1, 1)))[0])
+        assert fitted == propagate.fit_all_cost_functions(plan, est, inner, W=6)
+    # the second plan fitted only its Materialize's c_s grid, the others hit
+    assert len(shared) == stored + 1
+
+
+def test_shared_fits_keyed_by_family_coordinates_and_values():
+    # An oracle that answers every term with the same values, whatever the
+    # coordinates: a scan's C2 grid and a Sort's C3 and C4 grids on the
+    # scan's variable then share coordinates and values, and only their family
+    # tells them apart; a second estimate of the scan shares the values,
+    # and only its coordinates tell it apart.
+    doc = {
+        "nodes": [
+            {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
+             "predicate": [{"col": "r1_val", "op": "<", "value": 5000}]},
+            {"id": 2, "kind": "Sort", "children": [1]},
+        ],
+        "root": 2,
+    }
+    sort = planmod.parse_plan(json.dumps(doc))
+    scan = planmod.parse_plan(json.dumps({"nodes": doc["nodes"][:1], "root": 1}))
 
     def oracle(key, coords):
-        calls.append((key, np.shape(coords)))
-        return inner(key, coords)
+        return np.arange(len(coords), dtype=float) ** 1.5
 
-    fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=6)
-    terms = [(nid, u) for nid, per in fitted.items() for u in per]
-    assert sorted(key for key, _ in calls) == sorted(terms)
-    for (nid, unit), shape in calls:
-        tag, vars_ = plan.index.terms[nid, unit]
-        if all(v is None for v in vars_):  # a constant: one probe, fitted exactly
-            assert shape == (1, ARITY[tag])
-            assert not fitted[nid][unit].degenerate
-        else:
-            assert shape == (7 ** ARITY[tag], ARITY[tag])
-    assert ((1, "c_r"), (1, 0)) in calls  # a SeqScan's C1 term is probed too
-    assert ((1, "c_s"), (1, 1)) in calls  # and its C3 terms on the constant left input
-    assert fitted[1]["c_s"].b == (0.0, inner((1, "c_s"), np.ones((1, 1)))[0])
+    shared = propagate.SharedResults()
+    for plan, rho in ((scan, 0.3), (sort, 0.3), (scan, 0.6), (sort, 0.6)):
+        est = {1: _scan_estimate(rho)}
+        fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=4, shared=shared)
+        assert fitted == propagate.fit_all_cost_functions(plan, est, oracle, W=4)
+    assert fitted[2]["c_t"].tag == "C3" and fitted[1]["c_o"].tag == "C2"
+    assert len(shared) == 6  # the scan's C2, the Sort's C3 and C4, at each of the two estimates
+
+    def nan_last(key, coords):  # the Sort's C4 grid, fitted after the other two
+        return oracle(key, coords) * (math.nan if key == (2, "c_o") else 1.0)
+
+    with pytest.raises(costfit.FitError, match="non-finite probe values for a C4 fit"):
+        propagate.fit_all_cost_functions(sort, {1: _scan_estimate(0.45)}, nan_last, W=4, shared=shared)
+    assert len(shared) == 6  # the grids fitted before it are not stored either
+
+
+def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
+    # The table one evaluation shares is freed by reference counting alone
+    # when the evaluation returns, and holds its inputs no longer.
+    relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
+    spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)], seed=1)
+    plans, _ = simeval.generate_workload(spec, relations)
+    predict = propagate.predict_distribution
+    refs = []
+
+    def spying(*args, shared=None, **kwargs):
+        refs.append(weakref.ref(shared))
+        return predict(*args, shared=shared, **kwargs)
+
+    monkeypatch.setattr(propagate, "predict_distribution", spying)
+    gc.collect()
+    gc.disable()
+    try:
+        records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
+        assert len(records) == len(refs) == 4 and summary["count"] == 4
+        assert refs[0]() is None
+        inputs = [weakref.ref(obj) for obj in (pool, plans[0][1], units, world)]
+        del records, summary, relations, world, units, pool, plans
+        assert [ref() for ref in inputs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_non_finite_constant_probe_raises():

@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -879,3 +881,159 @@ def test_zero_count_flag_on_study(study):
         zero = [e for e in joins if e.count == 0]
         assert all(e.rho_n == 0.0 and e.s2_n == 0.0 for e in zero)
         assert (label in flagged) == bool(zero)
+
+
+def test_evaluate_workload_needs_two_plans_with_a_stddev():
+    # Fewer than two plans with a nonzero predicted stddev give no
+    # correlation: the error says so and gives the counts, before any
+    # metric is computed.
+    relations = _small_db()
+    world = TrueCostWorld.generate(8)
+    units = calib.fit_cost_units(world.calibration_records(100, seed=8))
+    pool = store.build_pool(relations, n=30, pool_size=1, seed=8)
+    plans, _ = simeval.generate_workload(WorkloadSpec(scan_targets=[0.4], seed=2), relations)
+    with pytest.raises(ValueError, match=r"^evaluate needs at least two plans with a nonzero predicted stddev "
+                                         r"to correlate; 1 of 1 has one$"):
+        simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
+    known = calib.CostUnitModel({u: calib.UnitModel(units.mean(u), 0.0, 1) for u in calib.COST_UNITS})
+    with pytest.raises(ValueError, match="to correlate; 0 of 1 has one$"):
+        simeval.evaluate_workload(plans, relations, pool, known, world, policy="no-var-x", runs=1)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation's shared scans and fits
+
+
+def _scan_doc(nid, rel, op, threshold):
+    return {"id": nid, "kind": "SeqScan", "relation": rel, "children": [],
+            "predicate": [{"col": f"{rel}_val", "op": op, "value": threshold}]}
+
+
+@st.composite
+def _repeating_plan_docs(draw):
+    """A plan of one to three scans, joined left-deep, maybe under a Sort.
+    Each scan's relation, comparator and threshold come from few choices,
+    so the plans of one workload repeat scans and grids; two scans may
+    read one relation, the second its second sample table."""
+    rels = draw(st.permutations(["r1", "r2", "r3"]))[:draw(st.integers(1, 3))]
+    if len(rels) == 2 and draw(st.booleans()):
+        rels = [rels[0]] * 2
+    nodes = [_scan_doc(i, rel, draw(st.sampled_from(["<", ">="])), draw(st.sampled_from([2500, 5000, 7500])))
+             for i, rel in enumerate(rels, start=1)]
+    root = 1
+    for right in range(2, len(rels) + 1):
+        nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(planmod.JOIN_KINDS)),
+                      "children": [root, right],
+                      "predicate": [{"left": f"{rels[right - 2]}_key", "right": f"{rels[right - 1]}_key"}]})
+        root = len(nodes)
+    if draw(st.booleans()):
+        nodes.append({"id": len(nodes) + 1, "kind": "Sort", "children": [root]})
+        root = len(nodes)
+    return {"nodes": nodes, "root": root}
+
+
+def _summary_or_error(records):
+    """`evaluate_workload`'s summary of the records, or its ValueError's
+    message, computed from the public metric functions."""
+    usable = [r for r in records if r.predicted_stddev > 0.0]
+    if len(usable) < 2:
+        return (f"evaluate needs at least two plans with a nonzero predicted stddev to correlate; "
+                f"{len(usable)} of {len(records)} has one")
+    sigmas, errors = [r.predicted_stddev for r in usable], [r.error for r in usable]
+    try:
+        return {
+            "count": len(records),
+            "excluded_zero_sigma": len(records) - len(usable),
+            "r_p": simeval.pearson(sigmas, errors),
+            "r_s": simeval.spearman(sigmas, errors),
+            "flags": dict(sorted(Counter(f for r in records for f in r.flags).items())),
+            "d_bar": simeval.error_distribution_distance(usable)[1],
+        }
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sharing_changes_no_result(data):
+    # evaluate_workload shares one table of scans and grid fits across its
+    # plans; its records and summary are bitwise those of each plan
+    # predicted alone. A plan that fails stores nothing, and a non-finite
+    # probe on a stored grid is still a FitError.
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    relations = simeval.generate_database(seed, sizes=(40, 40, 40), key_domain=5)
+    world = TrueCostWorld.generate(seed)
+    units = calib.fit_cost_units(world.calibration_records(20, seed=seed))
+    pool = store.build_pool(relations, n=data.draw(st.integers(2, 8), label="n"), pool_size=2, seed=seed)
+    docs = data.draw(st.lists(_repeating_plan_docs(), min_size=2, max_size=6), label="plans")
+    plans = [(f"p{i}", planmod.plan_from_document(doc)) for i, doc in enumerate(docs)]
+    W = data.draw(st.integers(1, 4), label="W")
+    runs = data.draw(st.integers(1, 2), label="runs")
+    policy = data.draw(st.sampled_from(propagate.POLICIES), label="policy")
+
+    want = []
+    for idx, (label, p) in enumerate(plans):
+        dist, _, _, _ = propagate.predict_distribution(
+            p, pool, relations, units, world.cost_oracle(p, relations), W=W, policy=policy)
+        actual = simeval.actual_runtime(p, relations, world, seed=idx, runs=runs)
+        want.append(EvalRecord(label, dist.mean, dist.stddev, actual, tuple(dist.flags)))
+    want_summary = _summary_or_error(want)
+
+    predict = propagate.predict_distribution
+    tables, before = [], []  # per prediction: the table it was given, and its keys then
+
+    def spying(*args, shared=None, **kwargs):
+        tables.append(shared)
+        before.append(set(shared))
+        return predict(*args, shared=shared, **kwargs)
+
+    def evaluate(workload):
+        tables.clear()
+        before.clear()
+        with mock.patch.object(propagate, "predict_distribution", spying):
+            return simeval.evaluate_workload(workload, relations, pool, units, world, policy=policy, W=W, runs=runs)
+
+    if isinstance(want_summary, str):
+        with pytest.raises(ValueError, match=re.escape(want_summary)):
+            evaluate(plans)
+    else:
+        records, summary = evaluate(plans)
+        assert records == want and summary == want_summary
+        assert repr(records) == repr(want)  # bitwise: a float's repr round-trips and tells -0.0 from 0.0
+        assert repr(summary) == repr(want_summary)
+    table = tables[0]
+    assert isinstance(table, propagate.SharedResults) and all(t is table for t in tables)
+    # one scan entry per distinct (appearance, selections, read): repeats hit
+    scans = {(p.index.appearance[nid], p.nodes[nid].selections, nid in p.index.read)
+             for _, p in plans for nid in p.index.appearance}
+    assert sum(not isinstance(key[0], str) for key in table) == len(scans)
+
+    # a plan mid-workload that names a missing column
+    bad = data.draw(_repeating_plan_docs(), label="bad plan")
+    if len(bad["nodes"]) > 2 and data.draw(st.booleans(), label="bad join"):
+        next(n for n in bad["nodes"] if n["kind"] in planmod.JOIN_KINDS)["predicate"][0]["left"] = "zzz"
+    else:
+        bad["nodes"][0]["predicate"][0]["col"] = "zzz"
+    at = data.draw(st.integers(1, len(plans)), label="bad at")
+    with pytest.raises(planmod.ExecutionError, match=r"^plan 'bad': .*'zzz'"):
+        evaluate(plans[:at] + [("bad", planmod.plan_from_document(bad))] + plans[at:])
+    assert len(tables) == at + 1
+    assert set(tables[-1]) == before[-1]
+
+    # non-finite probe values on a grid already in the table
+    p = plans[0][1]
+    shared = propagate.SharedResults()
+    oracle = world.cost_oracle(p, relations)
+    _, est, _, _ = propagate.predict_distribution(p, pool, relations, units, oracle, W=W, shared=shared)
+    term = next(t for t, (_, vars_) in p.index.terms.items() if any(v is not None for v in vars_))
+    stored = set(shared)
+
+    def nan_oracle(key, coords):
+        values = oracle(key, coords)
+        if key == term:
+            values[0] = math.nan
+        return values
+
+    with pytest.raises(costfit.FitError, match="non-finite probe values"):
+        propagate.fit_all_cost_functions(p, est, nan_oracle, W=W, shared=shared)
+    assert set(shared) == stored
