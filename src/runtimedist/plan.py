@@ -554,8 +554,9 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     in the order the rows are produced; a kept row is at the same index
     as its provenance. Without it, no provenance is built.
 
-    `shared`, when given, is a dict of scan results that the executions of
-    one evaluation share (`propagate.SharedResults`). A scan's key is its
+    `shared` is a dict of scan results that the executions of one
+    evaluation share; without it, a new empty one, so every scan is
+    computed. Every scan is looked up in it. A scan's key is its
     bound table's identity, its appearance, its selections (by `repr`: a
     JSON constant may be a list, which does not hash), whether its rows
     are read and `provenance`; the entry holds the table too, so the
@@ -565,6 +566,7 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     result is mutated after it is built. A scan computed here is stored
     only when the whole execution succeeds, so a failed one stores nothing.
     """
+    shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
     results: dict[int, AnnotatedResult] = {}
@@ -575,23 +577,19 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif nid in index.appearance:
             appearance, read = index.appearance[nid], nid in index.read
-            if shared is None:
-                res = _run_scan(node, appearance, bindings, provenance, read)
-            else:
-                table = bindings.get(appearance)
-                key = (id(table), appearance, repr(node.selections), read, provenance)
-                entry = shared.get(key)
-                if entry is None:
-                    entry = new[key] = (table, _run_scan(node, appearance, bindings, provenance, read))
-                res = entry[1]
+            table = bindings.get(appearance)
+            key = (id(table), appearance, repr(node.selections), read, provenance)
+            entry = shared.get(key)
+            if entry is None:
+                entry = new[key] = (table, _run_scan(node, appearance, bindings, provenance, read))
+            res = entry[1]
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children
             res = _run_join(node, results[left], results[right], provenance, nid in index.read, side.get(nid))
         results[nid] = res
-    if new:
-        shared.update(new)
+    shared.update(new)
     return results
 
 

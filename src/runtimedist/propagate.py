@@ -327,16 +327,6 @@ def _probe(oracle, term, coords):
     return values
 
 
-class SharedResults(dict):
-    """The results that the plans of one evaluation share, one table made
-    per `simeval.evaluate_workload` call and dropped when it returns. Its
-    scan entries are `plan.execute`'s, its fit entries
-    `fit_all_cost_functions`'s; each key holds every input of the result
-    it maps to, so a hit returns what a fresh computation would, bit for
-    bit, and only a success is ever stored. A dict subclass, so it can be
-    weakly referenced."""
-
-
 def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=None):
     """Fit every operator's per-unit cost function from reference probes.
 
@@ -351,8 +341,10 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     operator's functions are keyed by unit in `PlanIndex.terms` order. A
     reply that is not m values, or a non-finite one, is a `costfit.FitError`.
 
-    `shared`, when given, is a `SharedResults` table. Every term is still
-    probed, one oracle call each; a grid is then looked up under its
+    `shared` is a dict of the results the plans of one evaluation share
+    (`simeval.evaluate_workload`); without it, a new empty one, so every
+    grid is fitted. Every term is still probed, one oracle call each; a
+    grid is then looked up under its
     family and the bytes of its coordinates and of its probe values (the
     family fixes the arity, so the bytes fix both shapes, and they fix
     the distinct count). A stored grid takes the stored functions, which
@@ -361,6 +353,7 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     non-finite probe value never matches a stored key, so it is still a
     `costfit.FitError`.
     """
+    shared = {} if shared is None else shared
     fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
     new: dict = {}  # grids fitted here, stored in `shared` at the end
     grids: dict[tuple, list] = {}  # (family, variables) -> the terms probed on its grid
@@ -379,16 +372,13 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
         values = np.empty((len(coords), len(terms)))
         for j, term in enumerate(terms):
             values[:, j] = _probe(oracle, term, coords)
-        key = None if shared is None else (tag, coords.tobytes(), values.tobytes())
-        fits = None if key is None else shared.get(key)
+        key = (tag, coords.tobytes(), values.tobytes())
+        fits = shared.get(key)
         if fits is None:
-            fits = costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values)
-            if key is not None:
-                new[key] = fits
+            fits = new[key] = costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values)
         for (nid, unit), cf in zip(terms, fits):
             fitted[nid][unit] = cf
-    if new:
-        shared.update(new)
+    shared.update(new)
     return fitted
 
 
@@ -399,7 +389,7 @@ def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10
     distribution. Its flags are `variance_time`'s, "degenerate-fit" when
     any cost function is `degenerate`, and "zero-count" when a streamed
     join kept no sample rows: its rho_n and s2_n are 0, so the prediction
-    treats that selectivity as known. `shared`, a `SharedResults` table
+    treats that selectivity as known. `shared`, the dict of results
     the plans of one evaluation share, goes to `selest.estimate_all` (its
     scans) and `fit_all_cost_functions` (its grid fits); the prediction is
     bitwise the same with it or without it."""

@@ -551,7 +551,7 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     ExecutionError names its plan's label.
 
     The plans read one sample pool and one cost model, so they repeat
-    work: one `propagate.SharedResults` table, made here and dropped on
+    work: one dict of shared results, made here and dropped on
     return, lets each scan of a sample table and each grid fit that an
     earlier plan computed be reused (`plan.execute`,
     `propagate.fit_all_cost_functions`). A hit returns what the same
@@ -561,7 +561,7 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated: a ValueError that gives the counts."""
     records = []
-    shared = propagate.SharedResults()
+    shared = {}  # scans and grid fits the plans share, keyed by all of their inputs
     for idx, (label, p) in enumerate(plans):
         with planmod.naming(f"plan {label!r}"):
             oracle = world.cost_oracle(p, relations)

@@ -470,7 +470,7 @@ def test_fit_makes_one_oracle_call_per_term():
     plans = [planmod.parse_plan(json.dumps(doc))]
     doc["nodes"][3]["kind"] = "Materialize"
     plans.append(planmod.parse_plan(json.dumps(doc)))
-    shared = propagate.SharedResults()
+    shared = {}
     for plan in plans:
         est = selest.estimate_all(plan, pool, relations)
         inner = world.cost_oracle(plan, relations)
@@ -519,7 +519,7 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
     def oracle(key, coords):
         return np.arange(len(coords), dtype=float) ** 1.5
 
-    shared = propagate.SharedResults()
+    shared = {}
     for plan, rho in ((scan, 0.3), (sort, 0.3), (scan, 0.6), (sort, 0.6)):
         est = {1: _scan_estimate(rho)}
         fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=4, shared=shared)
@@ -537,27 +537,35 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
 
 def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # The table one evaluation shares is freed by reference counting alone
-    # when the evaluation returns, and holds its inputs no longer.
+    # when the evaluation returns, and holds its inputs no longer: a dict
+    # cannot be weakly referenced, so the stored results are watched.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)], seed=1)
     plans, _ = simeval.generate_workload(spec, relations)
     predict = propagate.predict_distribution
-    refs = []
+    tables, kinds, refs = [], set(), {}  # each stored object, by id: a sample table, a scan result or a cost function
 
     def spying(*args, shared=None, **kwargs):
-        refs.append(weakref.ref(shared))
-        return predict(*args, shared=shared, **kwargs)
+        tables.append(id(shared))
+        out = predict(*args, shared=shared, **kwargs)
+        stored = [obj for value in shared.values() for obj in value]
+        kinds.update(map(type, stored))
+        refs.update((id(obj), weakref.ref(obj)) for obj in stored)
+        return out
 
     monkeypatch.setattr(propagate, "predict_distribution", spying)
     gc.collect()
     gc.disable()
     try:
         records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
-        assert len(records) == len(refs) == 4 and summary["count"] == 4
-        assert refs[0]() is None
+        assert len(records) == len(tables) == 4 and summary["count"] == 4 and len(set(tables)) == 1
+        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction}
+        # only the sample tables, which the pool holds, outlive the evaluation
+        assert {type(ref()) for ref in refs.values()} == {store.Relation, type(None)}
         inputs = [weakref.ref(obj) for obj in (pool, plans[0][1], units, world)]
         del records, summary, relations, world, units, pool, plans
         assert [ref() for ref in inputs] == [None] * 4
+        assert [ref() for ref in refs.values()] == [None] * len(refs)
     finally:
         gc.enable()
 

@@ -979,18 +979,25 @@ def test_sharing_changes_no_result(data):
         want.append(EvalRecord(label, dist.mean, dist.stddev, actual, tuple(dist.flags)))
     want_summary = _summary_or_error(want)
 
-    predict = propagate.predict_distribution
-    tables, before = [], []  # per prediction: the table it was given, and its keys then
+    predict, run_scan = propagate.predict_distribution, planmod._run_scan
+    tables, before, scanned = [], [], []  # per prediction: the table it was given, and its keys then; per scan run, its node
 
     def spying(*args, shared=None, **kwargs):
         tables.append(shared)
         before.append(set(shared))
         return predict(*args, shared=shared, **kwargs)
 
+    def counting(node, appearance, bindings, provenance, read):
+        if bindings[appearance] is not relations[appearance[0]]:  # a sample table's scan, not truth's
+            scanned.append((appearance, node.selections, read))
+        return run_scan(node, appearance, bindings, provenance, read)
+
     def evaluate(workload):
         tables.clear()
         before.clear()
-        with mock.patch.object(propagate, "predict_distribution", spying):
+        scanned.clear()
+        with mock.patch.object(propagate, "predict_distribution", spying), \
+                mock.patch.object(planmod, "_run_scan", counting):
             return simeval.evaluate_workload(workload, relations, pool, units, world, policy=policy, W=W, runs=runs)
 
     if isinstance(want_summary, str):
@@ -1001,12 +1008,11 @@ def test_sharing_changes_no_result(data):
         assert records == want and summary == want_summary
         assert repr(records) == repr(want)  # bitwise: a float's repr round-trips and tells -0.0 from 0.0
         assert repr(summary) == repr(want_summary)
-    table = tables[0]
-    assert isinstance(table, propagate.SharedResults) and all(t is table for t in tables)
-    # one scan entry per distinct (appearance, selections, read): repeats hit
+    assert type(tables[0]) is dict and all(t is tables[0] for t in tables)
+    # one sample scan run per distinct (appearance, selections, read): repeats hit
     scans = {(p.index.appearance[nid], p.nodes[nid].selections, nid in p.index.read)
              for _, p in plans for nid in p.index.appearance}
-    assert sum(not isinstance(key[0], str) for key in table) == len(scans)
+    assert sorted(map(repr, scanned)) == sorted(map(repr, scans))
 
     # a plan mid-workload that names a missing column
     bad = data.draw(_repeating_plan_docs(), label="bad plan")
@@ -1022,7 +1028,7 @@ def test_sharing_changes_no_result(data):
 
     # non-finite probe values on a grid already in the table
     p = plans[0][1]
-    shared = propagate.SharedResults()
+    shared = {}
     oracle = world.cost_oracle(p, relations)
     _, est, _, _ = propagate.predict_distribution(p, pool, relations, units, oracle, W=W, shared=shared)
     term = next(t for t, (_, vars_) in p.index.terms.items() if any(v is not None for v in vars_))
