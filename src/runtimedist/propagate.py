@@ -344,10 +344,9 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     `shared` is a dict of the results the plans of one evaluation share
     (`simeval.evaluate_workload`); without it, a new empty one, so every
     grid is fitted. Every term is still probed, one oracle call each; a
-    grid is then looked up under its
-    family and the bytes of its coordinates and of its probe values (the
-    family fixes the arity, so the bytes fix both shapes, and they fix
-    the distinct count). A stored grid takes the stored functions, which
+    grid is then looked up under its family and the bytes of its
+    coordinates and of its probe values (the family fixes the arity, so
+    the bytes fix both shapes, and they fix the distinct count). A stored grid takes the stored functions, which
     `costfit.fit_grid` made from those same inputs; any other is fitted,
     and stored only when every grid of the plan has been fitted. A
     non-finite probe value never matches a stored key, so it is still a
