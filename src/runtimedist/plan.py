@@ -111,7 +111,10 @@ class PlanIndex:
     cost-profile order, to its family and the variables of the family's
     inputs: "own" is the operator's, "left" and "right" its children's,
     and a leaf's left input is None, the constant 1 (a scan reads its
-    whole relation).
+    whole relation). `scan_keys` maps every scan to the part of its key
+    in a table of shared results (`execute`) that the plan fixes: its
+    appearance, its selections by `repr` (a JSON constant may be a list,
+    which does not hash) and whether its rows are read.
     """
 
     order: tuple[int, ...]
@@ -122,6 +125,7 @@ class PlanIndex:
     streamed: tuple[int, ...]  # post-order
     var: dict[int, int]
     terms: dict[tuple[int, str], tuple[str, tuple]]
+    scan_keys: dict[int, tuple[tuple[str, int], str, bool]]
 
 
 def _index_plan(plan: "Plan") -> PlanIndex:
@@ -163,7 +167,9 @@ def _index_plan(plan: "Plan") -> PlanIndex:
     for nid in reversed(order):  # every parent before its children
         if nid not in agg_above and (var[nid] == nid or nid in read):  # a scan has no children
             read.update(plan.nodes[nid].children)
-    return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), streamed, var, terms)
+    scan_keys = {nid: (app, repr(plan.nodes[nid].selections), nid in read) for nid, app in appearance.items()}
+    return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), streamed, var, terms,
+                     scan_keys)
 
 
 @dataclass
@@ -488,7 +494,22 @@ def _tally(keys, multiplicity) -> Counter:
     return tally
 
 
-def _run_join(node, left, right, provenance, read, side) -> AnnotatedResult:
+def _hash_rows(rows, lpos) -> dict:
+    """A hash table over a join's left rows: their indexes per key, the
+    values at `lpos`, each list in row order."""
+    lkey = operator.itemgetter(*lpos)
+    ht: dict = {}
+    for i, row in enumerate(rows):
+        ht.setdefault(lkey(row), []).append(i)
+    return ht
+
+
+def _run_join(node, left, right, provenance, read, side, tables=None) -> AnnotatedResult:
+    """`tables`, given where `left` is a scan result of a table of shared
+    results, is that table and the dict of entries `execute` adds to it
+    on success: a hash table over `left` is looked up in the one and, if
+    built, kept in the other, under `left`'s identity and the key
+    positions, pinning `left`."""
     lpos, rpos = _join_keys(node, left.schema, right.schema)
     lkey, rkey = operator.itemgetter(*lpos), operator.itemgetter(*rpos)
     if not provenance and not node.selections and (side is not None or not read):
@@ -508,9 +529,14 @@ def _run_join(node, left, right, provenance, read, side) -> AnnotatedResult:
     # Pairs of whole rows: only a join that counts per key reads a handed-on input.
     schema = left.schema + right.schema
     tests = _tests(node, schema, [left.rows[0] + right.rows[0]] if left.rows and right.rows else ())
-    ht: dict = {}
-    for i, row in enumerate(left.rows):
-        ht.setdefault(lkey(row), []).append(i)
+    if tables is None:
+        ht = _hash_rows(left.rows, lpos)
+    else:
+        key = ("hash", id(left), lpos)
+        entry = tables[0].get(key)
+        if entry is None:
+            entry = tables[1][key] = (left, _hash_rows(left.rows, lpos))
+        ht = entry[1]
     count = 0
     rows: list[tuple] | None = [] if read else None
     prov: list | None = [] if provenance else None
@@ -554,17 +580,22 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     in the order the rows are produced; a kept row is at the same index
     as its provenance. Without it, no provenance is built.
 
-    `shared` is a dict of scan results that the executions of one
+    `shared` is a dict of the results that the executions of one
     evaluation share; without it, a new empty one, so every scan is
     computed. Every scan is looked up in it. A scan's key is its
-    bound table's identity, its appearance, its selections (by `repr`: a
-    JSON constant may be a list, which does not hash), whether its rows
-    are read and `provenance`; the entry holds the table too, so the
-    identity cannot be reused while the entry lives. A scan whose key is
-    stored returns the stored result, the one the same table, schema and
-    tests gave, so every count, row and provenance list is unchanged; no
-    result is mutated after it is built. A scan computed here is stored
-    only when the whole execution succeeds, so a failed one stores nothing.
+    bound table's identity, its `PlanIndex.scan_keys` entry (appearance,
+    selections, whether its rows are read) and `provenance`; the entry
+    holds the table too, so the identity cannot be reused while the entry
+    lives. A scan whose key is stored returns the stored result, the one
+    the same table, schema and tests gave, so every count, row and
+    provenance list is unchanged; no result is mutated after it is built.
+    A join that builds pairs over a scan's result, passed through or not,
+    as its left input looks its hash table up too, under that result's
+    identity and the join's left key positions; the entry holds the
+    result. A hash table lists each left row's index per key in row
+    order, so a hit matches the same rows in the same order. What is computed here is
+    stored only when the whole execution succeeds, so a failed one
+    stores nothing.
     """
     shared = {} if shared is None else shared
     index = plan.index
@@ -576,18 +607,19 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif nid in index.appearance:
-            appearance, read = index.appearance[nid], nid in index.read
+            appearance = index.appearance[nid]
             table = bindings.get(appearance)
-            key = (id(table), appearance, repr(node.selections), read, provenance)
+            key = (id(table), index.scan_keys[nid], provenance)
             entry = shared.get(key)
             if entry is None:
-                entry = new[key] = (table, _run_scan(node, appearance, bindings, provenance, read))
+                entry = new[key] = (table, _run_scan(node, appearance, bindings, provenance, nid in index.read))
             res = entry[1]
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             left, right = node.children
-            res = _run_join(node, results[left], results[right], provenance, nid in index.read, side.get(nid))
+            tables = (shared, new) if index.var[left] in index.appearance else None  # a scan's result, maybe passed through
+            res = _run_join(node, results[left], results[right], provenance, nid in index.read, side.get(nid), tables)
         results[nid] = res
     shared.update(new)
     return results

@@ -6,8 +6,10 @@ counters. From them `estimate_for_subset` computes a join's S2_n (a
 scan's is closed-form) and the shared-position restriction S2_{n,m} a
 covariance bound asks for. A streamed operator's counters are counted
 from its provenance list, one per leaf position over that position's
-sample indexes. An estimate holds statistics only: an operator's leaf
-positions are its `PlanIndex.leaves` entry, its role read from `PlanIndex`.
+sample indexes; a scan keeps each index at most once, so its counter
+counts each kept index once. An estimate holds statistics only: an
+operator's leaf positions are its `PlanIndex.leaves` entry, its role read
+from `PlanIndex`.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ def estimate_for_subset(est: SelEstimate, positions) -> float:
     return s2
 
 
+def _scan_counters(result) -> list[dict[int, int]]:
+    """A scan's counters Q: one position, each kept sample index counted
+    once. A scan keeps distinct indexes, so this is the counting loop's
+    dict, keys in the same order."""
+    return [dict.fromkeys([j for j, in result.provenance], 1)]
+
+
 def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, SelEstimate]:
     """Post-order selectivity estimation for every operator of a plan.
 
@@ -81,17 +90,24 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
     pool's sample table numbered by its appearance ordinal, so repeated
     relations draw from distinct, independent sample tables. A counter's
     keys are in first-seen order along the provenance list, so S2 sums
-    in a fixed order. `shared`, when given, is handed to `plan.execute`:
-    a scan of a sample table that an earlier plan of the same evaluation
-    scanned with the same selections returns that plan's result, so the
-    estimates are bitwise those of a fresh execution.
+    in a fixed order. `shared`, the dict of results the plans of one
+    evaluation share, is handed to `plan.execute`: a scan of a sample
+    table that an earlier plan of the same evaluation scanned with the
+    same selections returns that plan's result. A scan's counters are
+    looked up there too, under its result's identity, and stored with
+    the result they were counted from once the whole estimate is made.
+    So a shared scan is counted once, and the estimates are bitwise those
+    of a fresh execution. Without `shared`, a new empty one: nothing is
+    shared.
     """
     index = plan.index
     n = pool.n
     if n < 1:
         raise EstimationError("pool has no sampling steps")
+    shared = {} if shared is None else shared
     bindings = {app: pool.table(*app) for app in index.appearance.values()}
     results = planmod.execute(plan, bindings, provenance=True, shared=shared)
+    new: dict = {}  # counters made here, stored in `shared` at the end
 
     products = planmod.leaf_products(plan, relations) if index.agg_above else {}  # read by aggregates only
     estimates: dict[int, SelEstimate] = {}
@@ -103,6 +119,14 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
         elif index.var[nid] != nid:  # a pass-through: its variable's estimate, the child's
             v = estimates[index.var[nid]]
             est = SelEstimate(v.rho_n, v.s2_n, n, v.q, v.count, "inherit")
+        elif nid in index.appearance:
+            res = results[nid]
+            key = ("counters", id(res))
+            entry = shared.get(key)
+            if entry is None:
+                entry = new[key] = (res, _scan_counters(res))
+            rho = res.count / n
+            est = SelEstimate(rho, scan_variance(rho), n, entry[1], res.count, "scan-closed-form")
         else:
             count = results[nid].count
             # Q: each leaf position's column counted (a Counter costs more to build than a short column)
@@ -110,11 +134,8 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
             for qk, column in zip(q, zip(*results[nid].provenance)):
                 for j in column:
                     qk[j] = qk.get(j, 0) + 1
-            if nid in index.appearance:
-                rho = count / n
-                est = SelEstimate(rho, scan_variance(rho), n, q, count, "scan-closed-form")
-            else:
-                est = SelEstimate(count / float(n) ** len(q), 0.0, n, q, count, "q-scan")
-                est.s2_n = estimate_for_subset(est, range(len(q)))
+            est = SelEstimate(count / float(n) ** len(q), 0.0, n, q, count, "q-scan")
+            est.s2_n = estimate_for_subset(est, range(len(q)))
         estimates[nid] = est
+    shared.update(new)
     return estimates

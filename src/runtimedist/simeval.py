@@ -551,17 +551,22 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     ExecutionError names its plan's label.
 
     The plans read one sample pool and one cost model, so they repeat
-    work: one dict of shared results, made here and dropped on
-    return, lets each scan of a sample table and each grid fit that an
-    earlier plan computed be reused (`plan.execute`,
-    `propagate.fit_all_cost_functions`). A hit returns what the same
+    work: one dict of shared results, made here and dropped on return,
+    lets what an earlier plan computed be reused: each scan of a sample
+    table and the hash table a join builds over one (`plan.execute`),
+    each scan's counters (`selest.estimate_all`) and each grid fit
+    (`propagate.fit_all_cost_functions`). A hit returns what the same
     inputs produced, so every record and the summary are bitwise those of
-    predicting each plan alone; truth and the oracle do not share.
+    predicting each plan alone. Truth and the oracle do not share:
+    `selectivity_truth` takes a plan and its relations only, the form in
+    which the benchmark's traced run wraps it, so handing it the table
+    waits until the benchmark drives this loop itself.
 
     Fewer than two plans with a nonzero predicted stddev cannot be
-    correlated: a ValueError that gives the counts."""
+    correlated, nor can such plans that all have one predicted stddev, or
+    one error: a ValueError that names the cause and gives the counts."""
     records = []
-    shared = {}  # scans and grid fits the plans share, keyed by all of their inputs
+    shared = {}  # scans, hash tables, counters and grid fits the plans share, keyed by all of their inputs
     for idx, (label, p) in enumerate(plans):
         with planmod.naming(f"plan {label!r}"):
             oracle = world.cost_oracle(p, relations)
@@ -584,6 +589,10 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
                          f"{len(usable)} of {len(records)} has one")
     sigmas = [r.predicted_stddev for r in usable]
     errors = [r.error for r in usable]
+    for what, values in (("predicted stddev", sigmas), ("error", errors)):
+        if min(values) == max(values):
+            raise ValueError(f"evaluate needs two different {what}s to correlate; all {len(usable)} plans "
+                             f"with a nonzero predicted stddev, of {len(records)}, have one {what}")
     summary = {
         "count": len(records),
         "excluded_zero_sigma": len(records) - len(usable),

@@ -189,6 +189,24 @@ def test_evaluate_over_one_plan_reported_as_json(workdir, tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_evaluate_over_two_copies_of_one_plan_reported_as_json(workdir, tmp_path, capsys):
+    # Two copies of one plan have one predicted stddev, so there is no
+    # correlation to report: one JSON error line names the cause and the
+    # counts, and no summary is written.
+    manifest = tmp_path / "twice.json"
+    scan = str(workdir / "out" / "workload" / "scan-0.plan")
+    manifest.write_text(json.dumps({"plans": [{"label": "a", "path": scan}, {"label": "b", "path": scan}]}))
+    for f in ("world.json", "units.json"):
+        shutil.copy(workdir / "out" / f, tmp_path)
+    assert _run(workdir, "evaluate", "--workload", str(manifest), "--out-dir", str(tmp_path)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        "evaluate needs two different predicted stddevs to correlate; "
+        "all 2 plans with a nonzero predicted stddev, of 2, have one predicted stddev")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_evaluate_counts_zero_count_joins(tmp_path):
     # A key domain twice the relation size and 4 sampling steps: sample
     # joins keep no rows, and summary.json counts the plans so flagged.

@@ -207,12 +207,17 @@ def test_plan_and_results_leave_no_reference_cycle():
         gc.enable()
 
 
-def test_shared_scans_give_a_fresh_execution_results():
+def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     # One table bound to both appearances of a self-join: the two scans
     # read one table with one selection under two schemas, so they are two
-    # entries. A second
-    # execution hits both and returns the stored results themselves; an
-    # execution without provenance is keyed apart.
+    # entries, and the join's hash table over the left scan's result is a
+    # third, pinning that result. A second execution hits all three and
+    # returns the stored results themselves; an execution without
+    # provenance is keyed apart, and its join counts per key, hashing
+    # nothing. A plan that passes the left scan through a Materialize
+    # hits its hash table too.
+    hash_rows, hashed = planmod._hash_rows, []
+    monkeypatch.setattr(planmod, "_hash_rows", lambda rows, lpos: hashed.append(rows) or hash_rows(rows, lpos))
     t = _rel("T", ["k", "a"], [(i % 5, i) for i in range(40)])
     doc = {
         "nodes": [
@@ -227,18 +232,33 @@ def test_shared_scans_give_a_fresh_execution_results():
     fresh = planmod.execute(p, bindings, provenance=True)
     shared = {}
     first = planmod.execute(p, bindings, provenance=True, shared=shared)
-    assert first == fresh and len(shared) == 2
+    assert first == fresh and len(shared) == 3
+    pinned, ht = shared["hash", id(first[1]), (0,)]
+    assert pinned is first[1] and ht == {k: list(range(k, 30, 5)) for k in range(5)}
+    assert len(hashed) == 2
     again = planmod.execute(p, bindings, provenance=True, shared=shared)
-    assert again == fresh and len(shared) == 2
+    assert again == fresh and len(shared) == 3 and len(hashed) == 2
     assert again[1] is first[1] and again[2] is first[2] and again[3] is not first[3]
     assert planmod.execute(p, bindings, shared=shared) == planmod.execute(p, bindings)
-    assert len(shared) == 4
-    # scans that ran before a join failed are not stored
+    assert len(shared) == 5 and len(hashed) == 2
+    through = {"nodes": doc["nodes"][:2] + [
+        {"id": 3, "kind": "Materialize", "children": [1]},
+        {"id": 4, "kind": "HashJoin", "children": [3, 2], "predicate": [{"left": "k", "right": "k"}]},
+    ], "root": 4}
+    assert planmod.execute(_parse(through), bindings, provenance=True, shared=shared)[4] == fresh[3]
+    assert len(shared) == 5 and len(hashed) == 2
+    # scans, and a hash table, that were built before a join failed are not stored
     doc["nodes"][0]["predicate"][0]["value"] = doc["nodes"][1]["predicate"][0]["value"] = 20
+    deeper = {"nodes": doc["nodes"] + [
+        _scan(4, "T"), {"id": 5, "kind": "HashJoin", "children": [3, 4], "predicate": [{"left": "T.k", "right": "zz"}]},
+    ], "root": 5}
+    with pytest.raises(planmod.ExecutionError, match="'zz'"):
+        planmod.execute(_parse(deeper), {**bindings, ("T", 2): t}, provenance=True, shared=shared)
+    assert len(hashed) == 3 and len(shared) == 5
     doc["nodes"][2]["predicate"][0]["right"] = "zz"
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
-    assert len(shared) == 4
+    assert len(shared) == 5
 
 
 _columns = st.text("abk.#1", min_size=1, max_size=4)

@@ -538,7 +538,10 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
 def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # The table one evaluation shares is freed by reference counting alone
     # when the evaluation returns, and holds its inputs no longer: a dict
-    # cannot be weakly referenced, so the stored results are watched.
+    # cannot be weakly referenced, so the stored results are watched. A
+    # scan's counters (a list) and a hash table (a dict) cannot be either;
+    # each entry holds the scan result its key names, so they are watched
+    # through that result.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)], seed=1)
     plans, _ = simeval.generate_workload(spec, relations)
@@ -548,7 +551,14 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     def spying(*args, shared=None, **kwargs):
         tables.append(id(shared))
         out = predict(*args, shared=shared, **kwargs)
-        stored = [obj for value in shared.values() for obj in value]
+        stored = []
+        for key, value in shared.items():
+            if key[0] in ("counters", "hash"):
+                assert key[1] == id(value[0]) and type(value[0]) is planmod.AnnotatedResult
+                kinds.add((key[0], type(value[1])))
+                stored.append(value[0])
+            else:
+                stored.extend(value)
         kinds.update(map(type, stored))
         refs.update((id(obj), weakref.ref(obj)) for obj in stored)
         return out
@@ -559,7 +569,8 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     try:
         records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
         assert len(records) == len(tables) == 4 and summary["count"] == 4 and len(set(tables)) == 1
-        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction}
+        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction,
+                         ("counters", list), ("hash", dict)}
         # only the sample tables, which the pool holds, outlive the evaluation
         assert {type(ref()) for ref in refs.values()} == {store.Relation, type(None)}
         inputs = [weakref.ref(obj) for obj in (pool, plans[0][1], units, world)]

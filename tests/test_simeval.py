@@ -900,6 +900,28 @@ def test_evaluate_workload_needs_two_plans_with_a_stddev():
         simeval.evaluate_workload(plans, relations, pool, known, world, policy="no-var-x", runs=1)
 
 
+def test_evaluate_workload_needs_two_different_stddevs_and_errors():
+    # Plans whose predicted stddevs, or whose errors, are all one value
+    # have no correlation: the error names which, with the counts, where it
+    # used to fail inside `pearson` naming no cause. Two copies of one plan
+    # have one predicted stddev; runtimes that equal the predicted means
+    # give one error.
+    relations = _small_db()
+    world = TrueCostWorld.generate(8)
+    units = calib.fit_cost_units(world.calibration_records(100, seed=8))
+    pool = store.build_pool(relations, n=30, pool_size=1, seed=8)
+    plans, _ = simeval.generate_workload(WorkloadSpec(scan_targets=[0.4, 0.7], seed=2), relations)
+    with pytest.raises(ValueError, match=r"^evaluate needs two different predicted stddevs to correlate; all 2 "
+                                         r"plans with a nonzero predicted stddev, of 2, have one predicted stddev$"):
+        simeval.evaluate_workload([plans[0], plans[0]], relations, pool, units, world, runs=1)
+    means = {id(p): propagate.predict_distribution(p, pool, relations, units, world.cost_oracle(p, relations))[0].mean
+             for _, p in plans}
+    with mock.patch.object(simeval, "actual_runtime", lambda p, *args, **kwargs: means[id(p)]), \
+            pytest.raises(ValueError, match=r"^evaluate needs two different errors to correlate; all 2 plans "
+                                            r"with a nonzero predicted stddev, of 2, have one error$"):
+        simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
+
+
 # ---------------------------------------------------------------------------
 # One evaluation's shared scans and fits
 
@@ -914,7 +936,9 @@ def _repeating_plan_docs(draw):
     """A plan of one to three scans, joined left-deep, maybe under a Sort.
     Each scan's relation, comparator and threshold come from few choices,
     so the plans of one workload repeat scans and grids; two scans may
-    read one relation, the second its second sample table."""
+    read one relation, the second its second sample table. Each join's
+    columns are `_key` or `_key2`, so one shared scan may be hashed on
+    either column."""
     rels = draw(st.permutations(["r1", "r2", "r3"]))[:draw(st.integers(1, 3))]
     if len(rels) == 2 and draw(st.booleans()):
         rels = [rels[0]] * 2
@@ -922,9 +946,10 @@ def _repeating_plan_docs(draw):
              for i, rel in enumerate(rels, start=1)]
     root = 1
     for right in range(2, len(rels) + 1):
+        key = draw(st.sampled_from(["_key", "_key2"]))
         nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(planmod.JOIN_KINDS)),
                       "children": [root, right],
-                      "predicate": [{"left": f"{rels[right - 2]}_key", "right": f"{rels[right - 1]}_key"}]})
+                      "predicate": [{"left": f"{rels[right - 2]}{key}", "right": f"{rels[right - 1]}{key}"}]})
         root = len(nodes)
     if draw(st.booleans()):
         nodes.append({"id": len(nodes) + 1, "kind": "Sort", "children": [root]})
@@ -940,17 +965,18 @@ def _summary_or_error(records):
         return (f"evaluate needs at least two plans with a nonzero predicted stddev to correlate; "
                 f"{len(usable)} of {len(records)} has one")
     sigmas, errors = [r.predicted_stddev for r in usable], [r.error for r in usable]
-    try:
-        return {
-            "count": len(records),
-            "excluded_zero_sigma": len(records) - len(usable),
-            "r_p": simeval.pearson(sigmas, errors),
-            "r_s": simeval.spearman(sigmas, errors),
-            "flags": dict(sorted(Counter(f for r in records for f in r.flags).items())),
-            "d_bar": simeval.error_distribution_distance(usable)[1],
-        }
-    except ValueError as exc:
-        return str(exc)
+    for what, values in (("predicted stddev", sigmas), ("error", errors)):
+        if len(set(values)) == 1:
+            return (f"evaluate needs two different {what}s to correlate; all {len(usable)} plans "
+                    f"with a nonzero predicted stddev, of {len(records)}, have one {what}")
+    return {
+        "count": len(records),
+        "excluded_zero_sigma": len(records) - len(usable),
+        "r_p": simeval.pearson(sigmas, errors),
+        "r_s": simeval.spearman(sigmas, errors),
+        "flags": dict(sorted(Counter(f for r in records for f in r.flags).items())),
+        "d_bar": simeval.error_distribution_distance(usable)[1],
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -980,7 +1006,12 @@ def test_sharing_changes_no_result(data):
     want_summary = _summary_or_error(want)
 
     predict, run_scan = propagate.predict_distribution, planmod._run_scan
-    tables, before, scanned = [], [], []  # per prediction: the table it was given, and its keys then; per scan run, its node
+    scan_counters, hash_rows = selest._scan_counters, planmod._hash_rows
+    tables, before = [], []  # per prediction: the table it was given, and its keys then
+    # per sample scan run, its result (kept, so no id is reused) and its
+    # scan; per counter build, its scan; per hash-table build over a sample
+    # scan's rows, its scan and key positions
+    scanned, counted, hashed = {}, [], []
 
     def spying(*args, shared=None, **kwargs):
         tables.append(shared)
@@ -988,16 +1019,28 @@ def test_sharing_changes_no_result(data):
         return predict(*args, shared=shared, **kwargs)
 
     def counting(node, appearance, bindings, provenance, read):
+        res = run_scan(node, appearance, bindings, provenance, read)
         if bindings[appearance] is not relations[appearance[0]]:  # a sample table's scan, not truth's
-            scanned.append((appearance, node.selections, read))
-        return run_scan(node, appearance, bindings, provenance, read)
+            scanned[id(res)] = res, (appearance, node.selections, read)
+        return res
+
+    def counting_counters(res):
+        counted.append(scanned[id(res)][1])
+        return scan_counters(res)
+
+    def counting_hashes(rows, lpos):
+        scan = next((scan for res, scan in scanned.values() if res.rows is rows), None)
+        if scan is not None:
+            hashed.append((scan, lpos))
+        return hash_rows(rows, lpos)
 
     def evaluate(workload):
-        tables.clear()
-        before.clear()
-        scanned.clear()
+        for spied in (tables, before, scanned, counted, hashed):
+            spied.clear()
         with mock.patch.object(propagate, "predict_distribution", spying), \
-                mock.patch.object(planmod, "_run_scan", counting):
+                mock.patch.object(planmod, "_run_scan", counting), \
+                mock.patch.object(selest, "_scan_counters", counting_counters), \
+                mock.patch.object(planmod, "_hash_rows", counting_hashes):
             return simeval.evaluate_workload(workload, relations, pool, units, world, policy=policy, W=W, runs=runs)
 
     if isinstance(want_summary, str):
@@ -1009,15 +1052,29 @@ def test_sharing_changes_no_result(data):
         assert repr(records) == repr(want)  # bitwise: a float's repr round-trips and tells -0.0 from 0.0
         assert repr(summary) == repr(want_summary)
     assert type(tables[0]) is dict and all(t is tables[0] for t in tables)
-    # one sample scan run per distinct (appearance, selections, read): repeats hit
+    # one sample scan run, and one counter build, per distinct
+    # (appearance, selections, read): repeats hit
     scans = {(p.index.appearance[nid], p.nodes[nid].selections, nid in p.index.read)
              for _, p in plans for nid in p.index.appearance}
-    assert sorted(map(repr, scanned)) == sorted(map(repr, scans))
+    assert sorted(repr(scan) for _, scan in scanned.values()) == sorted(map(repr, scans))
+    assert sorted(map(repr, counted)) == sorted(map(repr, scans))
+    # one hash table per distinct (left scan, left key positions)
+    hashes = set()
+    for _, p in plans:
+        for nid in p.index.order:
+            node = p.nodes[nid]
+            left = p.index.var[node.children[0]] if node.children else None
+            if node.join_columns[0] and left in p.index.appearance:
+                app = p.index.appearance[left]
+                lpos = tuple(map(relations[app[0]].column_names.index, node.join_columns[0]))
+                hashes.add(((app, p.nodes[left].selections, True), lpos))
+    assert sorted(map(repr, hashed)) == sorted(map(repr, hashes))
 
     # a plan mid-workload that names a missing column
     bad = data.draw(_repeating_plan_docs(), label="bad plan")
-    if len(bad["nodes"]) > 2 and data.draw(st.booleans(), label="bad join"):
-        next(n for n in bad["nodes"] if n["kind"] in planmod.JOIN_KINDS)["predicate"][0]["left"] = "zzz"
+    joins = [n for n in bad["nodes"] if n["kind"] in planmod.JOIN_KINDS]
+    if joins and data.draw(st.booleans(), label="bad join"):  # the second may fail after the first hashed a scan
+        joins[data.draw(st.integers(0, len(joins) - 1), label="which join")]["predicate"][0]["left"] = "zzz"
     else:
         bad["nodes"][0]["predicate"][0]["col"] = "zzz"
     at = data.draw(st.integers(1, len(plans)), label="bad at")
