@@ -15,6 +15,7 @@ rows, each with a multiplicity, instead of its pairs.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import itertools
 import json
@@ -581,21 +582,23 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     as its provenance. Without it, no provenance is built.
 
     `shared` is a dict of the results that the executions of one
-    evaluation share; without it, a new empty one, so every scan is
-    computed. Every scan is looked up in it. A scan's key is its
-    bound table's identity, its `PlanIndex.scan_keys` entry (appearance,
-    selections, whether its rows are read) and `provenance`; the entry
-    holds the table too, so the identity cannot be reused while the entry
-    lives. A scan whose key is stored returns the stored result, the one
-    the same table, schema and tests gave, so every count, row and
-    provenance list is unchanged; no result is mutated after it is built.
-    A join that builds pairs over a scan's result, passed through or not,
-    as its left input looks its hash table up too, under that result's
-    identity and the join's left key positions; the entry holds the
-    result. A hash table lists each left row's index per key in row
-    order, so a hit matches the same rows in the same order. What is computed here is
-    stored only when the whole execution succeeds, so a failed one
-    stores nothing.
+    evaluation share, over sample tables (`selest.estimate_all`) and over
+    the full relations (`selectivity_truth`); without it, a new empty
+    one, so every scan is computed. Every scan is looked up in it. A
+    scan's key is its bound table's identity, its `PlanIndex.scan_keys`
+    entry (appearance, selections, whether its rows are read) and
+    `provenance`; the entry holds the table too, so the identity cannot
+    be reused while the entry lives, and a full relation's entries never
+    meet a sample table's. A scan whose key is stored returns the stored
+    result, the one the same table, schema and tests gave, so every
+    count, row and provenance list is unchanged; no result is mutated
+    after it is built. A join that builds pairs over a scan's result,
+    passed through or not, as its left input looks its hash table up
+    too, under that result's identity and the join's left key positions;
+    the entry holds the result. A hash table lists each left row's index
+    per key in row order, so a hit matches the same rows in the same
+    order. What is computed here is stored only when the whole execution
+    succeeds, so a failed one stores nothing.
     """
     shared = {} if shared is None else shared
     index = plan.index
@@ -631,17 +634,37 @@ def leaf_products(plan: Plan, relations) -> dict[int, int]:
             for nid, leaves in plan.index.leaves.items()}
 
 
+# The table of shared results that `selectivity_truth` hands to `execute`,
+# set only inside `sharing`. A scope, not a parameter: every caller of
+# truth, and any wrapper of it, calls it with a plan and its relations.
+_SHARED = contextvars.ContextVar("shared", default=None)
+
+
+@contextlib.contextmanager
+def sharing(table: dict):
+    """Within the block, `selectivity_truth` shares `table` (`execute`'s
+    `shared`); it shares nothing again when the block exits, also on an
+    exception."""
+    token = _SHARED.set(table)
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, float]:
     """True selectivity of every operator: output count over the product of
     its base leaf-table sizes, from one execution over the full relations
     without provenance. Its counts are exact integers: a join is counted
     through per-key multiplicities where `execute` can, and builds pairs
-    of whole rows elsewhere."""
+    of whole rows elsewhere. Inside `sharing(table)` the execution shares
+    `table`, so a full-data scan or hash table an earlier truth of the
+    block computed is reused, bitwise; outside it, nothing is shared."""
     index = plan.index
     for rel, _ in index.appearance.values():
         if relations[rel].row_count == 0:
             raise ZeroDivisionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
-    results = execute(plan, bindings)
+    results = execute(plan, bindings, shared=_SHARED.get())
     products = leaf_products(plan, relations)
     return {nid: results[nid].count / products[nid] for nid in index.order}

@@ -550,39 +550,39 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     counts the plans whose prediction carries each flag. An
     ExecutionError names its plan's label.
 
-    The plans read one sample pool and one cost model, so they repeat
-    work: one dict of shared results, made here and dropped on return,
-    lets what an earlier plan computed be reused: each scan of a sample
-    table and the hash table a join builds over one (`plan.execute`),
-    each scan's counters (`selest.estimate_all`) and each grid fit
-    (`propagate.fit_all_cost_functions`). A hit returns what the same
-    inputs produced, so every record and the summary are bitwise those of
-    predicting each plan alone. Truth and the oracle do not share:
-    `selectivity_truth` takes a plan and its relations only, the form in
-    which the benchmark's traced run wraps it, so handing it the table
-    waits until the benchmark drives this loop itself.
+    The plans read one sample pool, one set of relations and one cost
+    model, so they repeat work: one dict of shared results, made here and
+    dropped on return, lets what an earlier plan computed be reused: each
+    scan of a sample table or of a full relation and the hash table a
+    join builds over one (`plan.execute`), each sample scan's counters
+    (`selest.estimate_all`) and each grid fit
+    (`propagate.fit_all_cost_functions`). Truth reaches the dict through
+    `plan.sharing`, which covers the plan loop only. A hit returns what
+    the same inputs produced, so every record and the summary are bitwise
+    those of predicting each plan alone. The probe oracle shares nothing.
 
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated, nor can such plans that all have one predicted stddev, or
     one error: a ValueError that names the cause and gives the counts."""
     records = []
     shared = {}  # scans, hash tables, counters and grid fits the plans share, keyed by all of their inputs
-    for idx, (label, p) in enumerate(plans):
-        with planmod.naming(f"plan {label!r}"):
-            oracle = world.cost_oracle(p, relations)
-            dist, _, _, _ = propagate.predict_distribution(
-                p, pool, relations, units, oracle=oracle, W=W, policy=policy, shared=shared
+    with planmod.sharing(shared):
+        for idx, (label, p) in enumerate(plans):
+            with planmod.naming(f"plan {label!r}"):
+                oracle = world.cost_oracle(p, relations)
+                dist, _, _, _ = propagate.predict_distribution(
+                    p, pool, relations, units, oracle=oracle, W=W, policy=policy, shared=shared
+                )
+                act = actual_runtime(p, relations, world, seed=idx, runs=runs)
+            records.append(
+                EvalRecord(
+                    plan_id=label,
+                    predicted_mean=dist.mean,
+                    predicted_stddev=dist.stddev,
+                    actual=act,
+                    flags=tuple(dist.flags),
+                )
             )
-            act = actual_runtime(p, relations, world, seed=idx, runs=runs)
-        records.append(
-            EvalRecord(
-                plan_id=label,
-                predicted_mean=dist.mean,
-                predicted_stddev=dist.stddev,
-                actual=act,
-                flags=tuple(dist.flags),
-            )
-        )
     usable = [r for r in records if r.predicted_stddev > 0.0]
     if len(usable) < 2:
         raise ValueError(f"evaluate needs at least two plans with a nonzero predicted stddev to correlate; "

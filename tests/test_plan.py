@@ -871,6 +871,30 @@ def test_count_only_execution_matches_materialized(v):
         assert sorted(listed[full].provenance) == sorted(map(tuple, np.argwhere(z).tolist()))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.lists(_variants(), min_size=1, max_size=4))
+def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
+    # Generated plans over one set of relations, their truths taken twice
+    # in turn inside one `sharing` block: each truth is bitwise the plan's
+    # fresh truth, the second round computes nothing anew, and the table
+    # holds executions without provenance only.
+    relations, plans = {}, []
+    for v in variants:
+        rels, p, _, _ = _variant_plan(dict(v, seed=seed))
+        for name, rel in rels.items():
+            relations.setdefault(name, rel)  # equal tables for one seed; one object each, so scans can be shared
+        plans.append(p)
+    fresh = [planmod.selectivity_truth(p, relations) for p in plans]
+    table = {}
+    with planmod.sharing(table):
+        first = [planmod.selectivity_truth(p, relations) for p in plans]
+        stored = set(table)
+        again = [planmod.selectivity_truth(p, relations) for p in plans]
+    assert first == again == fresh and repr(first) == repr(again) == repr(fresh)
+    assert stored and set(table) == stored  # the second round stored nothing new
+    assert all(key[-1] is False for key in table if key[0] != "hash")
+
+
 def _three_way(*residual):
     """(t1 join t2) join t3 on t1.k = t2.k, then t2.k2 = t3.k2: 7 inner
     pairs over t2's 4 rows (fan-out 7/4). Returns the plan, its bindings

@@ -538,19 +538,19 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
 def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # The table one evaluation shares is freed by reference counting alone
     # when the evaluation returns, and holds its inputs no longer: a dict
-    # cannot be weakly referenced, so the stored results are watched. A
-    # scan's counters (a list) and a hash table (a dict) cannot be either;
-    # each entry holds the scan result its key names, so they are watched
-    # through that result.
+    # cannot be weakly referenced, so the stored results are watched, read
+    # at each prediction and after each truth. A scan's counters (a list)
+    # and a hash table (a dict) cannot be either; each entry holds the scan
+    # result its key names, so they are watched through that result.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)], seed=1)
     plans, _ = simeval.generate_workload(spec, relations)
-    predict = propagate.predict_distribution
-    tables, kinds, refs = [], set(), {}  # each stored object, by id: a sample table, a scan result or a cost function
+    predict, execute = propagate.predict_distribution, planmod.execute
+    # the table each prediction and each truth was given; each stored object,
+    # by id: a sample table or base relation, a scan result or a cost function
+    tables, truths, kinds, refs = [], [], set(), {}
 
-    def spying(*args, shared=None, **kwargs):
-        tables.append(id(shared))
-        out = predict(*args, shared=shared, **kwargs)
+    def watch(shared):
         stored = []
         for key, value in shared.items():
             if key[0] in ("counters", "hash"):
@@ -561,18 +561,37 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                 stored.extend(value)
         kinds.update(map(type, stored))
         refs.update((id(obj), weakref.ref(obj)) for obj in stored)
+
+    def spying(*args, shared=None, **kwargs):
+        tables.append(id(shared))
+        out = predict(*args, shared=shared, **kwargs)
+        watch(shared)
+        return out
+
+    def executing(plan, bindings, *, provenance=False, shared=None):
+        out = execute(plan, bindings, provenance=provenance, shared=shared)
+        if not provenance:  # truth's execution over the full relations
+            truths.append(id(shared))
+            watch(shared)
         return out
 
     monkeypatch.setattr(propagate, "predict_distribution", spying)
+    monkeypatch.setattr(planmod, "execute", executing)
     gc.collect()
     gc.disable()
     try:
         records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
-        assert len(records) == len(tables) == 4 and summary["count"] == 4 and len(set(tables)) == 1
+        assert len(records) == len(tables) == len(truths) == 4 and summary["count"] == 4
+        assert len(set(tables + truths)) == 1
         assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction,
                          ("counters", list), ("hash", dict)}
-        # only the sample tables, which the pool holds, outlive the evaluation
+        read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}
+        assert {id(relations[rel]) for rel in read} <= refs.keys()  # truth's scans were stored
+        # only the sample tables, which the pool holds, and the base
+        # relations outlive the evaluation
         assert {type(ref()) for ref in refs.values()} == {store.Relation, type(None)}
+        held = {id(t) for ts in pool.tables.values() for t in ts} | set(map(id, relations.values()))
+        assert {id(ref()) for ref in refs.values() if ref() is not None} <= held
         inputs = [weakref.ref(obj) for obj in (pool, plans[0][1], units, world)]
         del records, summary, relations, world, units, pool, plans
         assert [ref() for ref in inputs] == [None] * 4

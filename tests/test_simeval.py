@@ -983,9 +983,10 @@ def _summary_or_error(records):
 @given(st.data())
 def test_sharing_changes_no_result(data):
     # evaluate_workload shares one table of scans and grid fits across its
-    # plans; its records and summary are bitwise those of each plan
-    # predicted alone. A plan that fails stores nothing, and a non-finite
-    # probe on a stored grid is still a FitError.
+    # plans, their truths included; its records and summary are bitwise
+    # those of each plan predicted alone. A plan that fails stores nothing,
+    # a truth after an evaluation shares nothing, and a non-finite probe on
+    # a stored grid is still a FitError.
     seed = data.draw(st.integers(0, 2**16), label="seed")
     relations = simeval.generate_database(seed, sizes=(40, 40, 40), key_domain=5)
     world = TrueCostWorld.generate(seed)
@@ -1009,9 +1010,10 @@ def test_sharing_changes_no_result(data):
     scan_counters, hash_rows = selest._scan_counters, planmod._hash_rows
     tables, before = [], []  # per prediction: the table it was given, and its keys then
     # per sample scan run, its result (kept, so no id is reused) and its
-    # scan; per counter build, its scan; per hash-table build over a sample
-    # scan's rows, its scan and key positions
-    scanned, counted, hashed = {}, [], []
+    # scan; per full-data scan run, its scan; per counter build, its scan;
+    # per hash-table build over a sample scan's rows, its scan and key
+    # positions
+    scanned, truth_scanned, counted, hashed = {}, [], [], []
 
     def spying(*args, shared=None, **kwargs):
         tables.append(shared)
@@ -1020,7 +1022,9 @@ def test_sharing_changes_no_result(data):
 
     def counting(node, appearance, bindings, provenance, read):
         res = run_scan(node, appearance, bindings, provenance, read)
-        if bindings[appearance] is not relations[appearance[0]]:  # a sample table's scan, not truth's
+        if bindings[appearance] is relations[appearance[0]]:  # truth's scan of a base relation
+            truth_scanned.append((appearance, node.selections, read))
+        else:
             scanned[id(res)] = res, (appearance, node.selections, read)
         return res
 
@@ -1034,8 +1038,15 @@ def test_sharing_changes_no_result(data):
             hashed.append((scan, lpos))
         return hash_rows(rows, lpos)
 
+    def truth_scans(p):
+        """The full-data scans one truth of `p` runs, outside an evaluation."""
+        truth_scanned.clear()
+        with mock.patch.object(planmod, "_run_scan", counting):
+            planmod.selectivity_truth(p, relations)
+        return len(truth_scanned)
+
     def evaluate(workload):
-        for spied in (tables, before, scanned, counted, hashed):
+        for spied in (tables, before, scanned, truth_scanned, counted, hashed):
             spied.clear()
         with mock.patch.object(propagate, "predict_distribution", spying), \
                 mock.patch.object(planmod, "_run_scan", counting), \
@@ -1058,6 +1069,16 @@ def test_sharing_changes_no_result(data):
              for _, p in plans for nid in p.index.appearance}
     assert sorted(repr(scan) for _, scan in scanned.values()) == sorted(map(repr, scans))
     assert sorted(map(repr, counted)) == sorted(map(repr, scans))
+    # and one full-data scan run per distinct scan over the base relations
+    assert sorted(map(repr, truth_scanned)) == sorted(map(repr, scans))
+    # a scan entry holding a base relation lists no provenance, one holding
+    # a sample table does, and no table identity keys both kinds
+    base = {id(rel) for rel in relations.values()}
+    held = {key: value[0] for key, value in tables[0].items() if isinstance(value[0], store.Relation)}
+    assert all(key[0] == id(table) and key[2] is (key[0] not in base) for key, table in held.items())
+    assert {key[0] for key in held if key[2]}.isdisjoint({key[0] for key in held if not key[2]})
+    # a truth after the evaluation returned shares nothing
+    assert truth_scans(plans[0][1]) == len(plans[0][1].index.appearance)
     # one hash table per distinct (left scan, left key positions)
     hashes = set()
     for _, p in plans:
@@ -1082,6 +1103,7 @@ def test_sharing_changes_no_result(data):
         evaluate(plans[:at] + [("bad", planmod.plan_from_document(bad))] + plans[at:])
     assert len(tables) == at + 1
     assert set(tables[-1]) == before[-1]
+    assert truth_scans(plans[0][1]) == len(plans[0][1].index.appearance)  # nor after one that raised
 
     # non-finite probe values on a grid already in the table
     p = plans[0][1]
