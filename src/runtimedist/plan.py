@@ -485,8 +485,9 @@ def _run_scan(node, appearance, bindings, provenance, read) -> AnnotatedResult:
     return AnnotatedResult(len(kept), schema, kept_rows, [(j,) for j in kept])
 
 
-def _tally(keys, multiplicity) -> Counter:
-    """Rows per join key, each row counted by its multiplicity."""
+def _tally(rows, pos, multiplicity=None) -> Counter:
+    """Rows per join key, the values at `pos`, each row counted by its multiplicity."""
+    keys = map(operator.itemgetter(*pos), rows)
     if multiplicity is None:
         return Counter(keys)
     tally: Counter = Counter()
@@ -505,20 +506,39 @@ def _hash_rows(rows, lpos) -> dict:
     return ht
 
 
-def _run_join(node, left, right, provenance, read, side, tables=None) -> AnnotatedResult:
-    """`tables`, given where `left` is a scan result of a table of shared
-    results, is that table and the dict of entries `execute` adds to it
-    on success: a hash table over `left` is looked up in the one and, if
-    built, kept in the other, under `left`'s identity and the key
-    positions, pinning `left`."""
+def _run_join(node, left, right, provenance, read, side, tables, plain) -> AnnotatedResult:
+    """`tables` is the table of shared results and the dict of the entries
+    `execute` stores in it on success; `plain` says which inputs, left and
+    right, are scan results, whose hash table or tally is looked up in the
+    one and else kept in the other, beside the result it names."""
     lpos, rpos = _join_keys(node, left.schema, right.schema)
-    lkey, rkey = operator.itemgetter(*lpos), operator.itemgetter(*rpos)
     if not provenance and not node.selections and (side is not None or not read):
-        # Count per key: weight the rows of one input, the handed-on one or
-        # else the right, by their matches on the other.
-        keep, kkey, other, okey = (left, lkey, right, rkey) if side == 0 else (right, rkey, left, lkey)
-        tally = _tally(map(okey, other.rows), other.multiplicity)
-        matches = map(tally.get, map(kkey, keep.rows), itertools.repeat(0))
+        # Count per key: a plain input's tally is shared, any other's counts
+        # each row by its multiplicity.
+        inputs = ((left, lpos), (right, rpos))
+
+        def tally(i):
+            res, pos = inputs[i]
+            if not plain[i]:
+                return _tally(res.rows, pos, res.multiplicity)
+            key = ("tally", id(res), pos)
+            entry = tables[0].get(key)
+            if entry is None:
+                entry = tables[1][key] = (res, _tally(res.rows, pos))
+            return entry[1]
+
+        if side is None and all(plain):  # two scans: the sum of T_L[k] * T_R[k]
+            small, large = tally(0), tally(1)
+            if len(small) > len(large):
+                small, large = large, small
+            count = sum(map(operator.mul, small.values(), map(large.get, small, itertools.repeat(0))))
+            return AnnotatedResult(count, left.schema + right.schema, None)
+        # Weight the rows of one input, the handed-on one, else one that is
+        # not a plain scan where the other is, by their matches on the
+        # other's tally.
+        counted = 1 - side if side is not None else int(plain[1])
+        keep, kpos = inputs[1 - counted]
+        matches = map(tally(counted).get, map(operator.itemgetter(*kpos), keep.rows), itertools.repeat(0))
         if keep.multiplicity is not None:
             matches = map(operator.mul, matches, keep.multiplicity)
         if not read:
@@ -530,7 +550,7 @@ def _run_join(node, left, right, provenance, read, side, tables=None) -> Annotat
     # Pairs of whole rows: only a join that counts per key reads a handed-on input.
     schema = left.schema + right.schema
     tests = _tests(node, schema, [left.rows[0] + right.rows[0]] if left.rows and right.rows else ())
-    if tables is None:
+    if not plain[0]:
         ht = _hash_rows(left.rows, lpos)
     else:
         key = ("hash", id(left), lpos)
@@ -538,6 +558,7 @@ def _run_join(node, left, right, provenance, read, side, tables=None) -> Annotat
         if entry is None:
             entry = tables[1][key] = (left, _hash_rows(left.rows, lpos))
         ht = entry[1]
+    rkey = operator.itemgetter(*rpos)
     count = 0
     rows: list[tuple] | None = [] if read else None
     prov: list | None = [] if provenance else None
@@ -569,11 +590,13 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     a full one does.
 
     Without provenance, a join without selection atoms that is not read
-    counts per key: it sums, over one input's rows, their matches on the
-    other times the rows' multiplicities. A read join whose reader counts
-    per key does too (`_handed_on`), and hands on the matching rows of one
-    input, each with a multiplicity, under that input's schema. Any other
-    join builds pairs of whole rows. Counts are exact integers either way.
+    counts per key: over two scan results, the sum of their per-key
+    tallies' products; else the sum, over one input's rows, of their
+    matches in the other's tally times the rows' multiplicities. A read
+    join whose reader counts per key does too (`_handed_on`), and hands
+    on the matching rows of one input, each with a multiplicity, under
+    that input's schema. Any other join builds pairs of whole rows.
+    Counts are exact integers either way.
 
     With `provenance`, every streamed operator (`PlanIndex.streamed`)
     enumerates its output and lists, per row, read or not, the positions
@@ -584,27 +607,28 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     `shared` is a dict of the results that the executions of one
     evaluation share, over sample tables (`selest.estimate_all`) and over
     the full relations (`selectivity_truth`); without it, a new empty
-    one, so every scan is computed. Every scan is looked up in it. A
-    scan's key is its bound table's identity, its `PlanIndex.scan_keys`
-    entry (appearance, selections, whether its rows are read) and
-    `provenance`; the entry holds the table too, so the identity cannot
-    be reused while the entry lives, and a full relation's entries never
-    meet a sample table's. A scan whose key is stored returns the stored
-    result, the one the same table, schema and tests gave, so every
-    count, row and provenance list is unchanged; no result is mutated
-    after it is built. A join that builds pairs over a scan's result,
-    passed through or not, as its left input looks its hash table up
-    too, under that result's identity and the join's left key positions;
-    the entry holds the result. A hash table lists each left row's index
-    per key in row order, so a hit matches the same rows in the same
-    order. What is computed here is stored only when the whole execution
-    succeeds, so a failed one stores nothing.
+    one, so everything is computed. Every scan is looked up in it under
+    its bound table's identity, its `PlanIndex.scan_keys` entry
+    (appearance, selections, whether its rows are read) and `provenance`;
+    the entry holds the table, so the identity cannot be reused while the
+    entry lives, and a full relation's entries never meet a sample
+    table's. A join looks up what it builds over an input that is a scan
+    result, passed through or not, under a tag, that result's identity
+    and the join's key positions on it; the entry holds the result. A
+    join that builds pairs looks up its hash table over its left input
+    ("hash"), one that counts per key its tally of each input it tallies
+    ("tally"). A hit returns what the same inputs built: a scan's result
+    itself, never mutated after it is built, so every count, row and
+    provenance list is unchanged; a hash table listing each left row's
+    index per key in row order, so the same rows match in the same order;
+    a tally's exact counts. What is computed here is stored only when the
+    whole execution succeeds, so a failed one stores nothing.
     """
     shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
     results: dict[int, AnnotatedResult] = {}
-    new: dict = {}  # scan results computed here, stored in `shared` at the end
+    new: dict = {}  # what is computed here, stored in `shared` at the end
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
@@ -620,9 +644,9 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
-            left, right = node.children
-            tables = (shared, new) if index.var[left] in index.appearance else None  # a scan's result, maybe passed through
-            res = _run_join(node, results[left], results[right], provenance, nid in index.read, side.get(nid), tables)
+            (left, right), read = node.children, nid in index.read
+            plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
+            res = _run_join(node, results[left], results[right], provenance, read, side.get(nid), (shared, new), plain)
         results[nid] = res
     shared.update(new)
     return results

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -212,12 +213,16 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     # read one table with one selection under two schemas, so they are two
     # entries, and the join's hash table over the left scan's result is a
     # third, pinning that result. A second execution hits all three and
-    # returns the stored results themselves; an execution without
+    # returns the stored results themselves. An execution without
     # provenance is keyed apart, and its join counts per key, hashing
-    # nothing. A plan that passes the left scan through a Materialize
-    # hits its hash table too.
+    # nothing: the two scans' tallies are two more entries, each pinning
+    # its result, and a second such execution hits them, building none. A
+    # plan that passes the left scan through a Materialize hits its hash
+    # table too.
     hash_rows, hashed = planmod._hash_rows, []
     monkeypatch.setattr(planmod, "_hash_rows", lambda rows, lpos: hashed.append(rows) or hash_rows(rows, lpos))
+    tally, tallied = planmod._tally, []
+    monkeypatch.setattr(planmod, "_tally", lambda rows, *args: tallied.append(rows) or tally(rows, *args))
     t = _rel("T", ["k", "a"], [(i % 5, i) for i in range(40)])
     doc = {
         "nodes": [
@@ -239,14 +244,21 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     again = planmod.execute(p, bindings, provenance=True, shared=shared)
     assert again == fresh and len(shared) == 3 and len(hashed) == 2
     assert again[1] is first[1] and again[2] is first[2] and again[3] is not first[3]
-    assert planmod.execute(p, bindings, shared=shared) == planmod.execute(p, bindings)
-    assert len(shared) == 5 and len(hashed) == 2
+    counted = planmod.execute(p, bindings, shared=shared)
+    assert counted == planmod.execute(p, bindings) and counted[3].count == 5 * 6 * 6
+    assert len(shared) == 7 and len(hashed) == 2 and len(tallied) == 4
+    for scan in (1, 2):
+        pinned, counts = shared["tally", id(counted[scan]), (0,)]
+        assert pinned is counted[scan] and counts == Counter(dict.fromkeys(range(5), 6))
+    tallied.clear()
+    again = planmod.execute(p, bindings, shared=shared)
+    assert again == counted and again[1] is counted[1] and len(shared) == 7 and tallied == []
     through = {"nodes": doc["nodes"][:2] + [
         {"id": 3, "kind": "Materialize", "children": [1]},
         {"id": 4, "kind": "HashJoin", "children": [3, 2], "predicate": [{"left": "k", "right": "k"}]},
     ], "root": 4}
     assert planmod.execute(_parse(through), bindings, provenance=True, shared=shared)[4] == fresh[3]
-    assert len(shared) == 5 and len(hashed) == 2
+    assert len(shared) == 7 and len(hashed) == 2
     # scans, and a hash table, that were built before a join failed are not stored
     doc["nodes"][0]["predicate"][0]["value"] = doc["nodes"][1]["predicate"][0]["value"] = 20
     deeper = {"nodes": doc["nodes"] + [
@@ -254,11 +266,24 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     ], "root": 5}
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(deeper), {**bindings, ("T", 2): t}, provenance=True, shared=shared)
-    assert len(hashed) == 3 and len(shared) == 5
+    assert len(hashed) == 3 and len(shared) == 7
     doc["nodes"][2]["predicate"][0]["right"] = "zz"
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
-    assert len(shared) == 5
+    assert len(shared) == 7
+    # nor are tallies: the left join hands on T#1's rows after tallying
+    # T's, then the right join fails on its residual atom's constant
+    bushy = {"nodes": doc["nodes"][:2] + [
+        {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "T.k", "right": "T#1.k"}]},
+        _scan(4, "T"), _scan(5, "T"),
+        {"id": 6, "kind": "HashJoin", "children": [4, 5],
+         "predicate": [{"left": "T#2.k", "right": "T#3.k"}, {"col": "T#2.a", "op": "<", "value": "x"}]},
+        {"id": 7, "kind": "HashJoin", "children": [3, 6], "predicate": [{"left": "T#1.k", "right": "T#2.k"}]},
+    ], "root": 7}
+    tallied.clear()
+    with pytest.raises(planmod.ExecutionError, match="constant 'x' cannot be compared"):
+        planmod.execute(_parse(bushy), {**bindings, ("T", 2): t, ("T", 3): t}, shared=shared)
+    assert len(tallied) == 1 and len(shared) == 7
 
 
 _columns = st.text("abk.#1", min_size=1, max_size=4)
@@ -850,6 +875,14 @@ def _variant(seed, shape, **changes):
 @example(_variant(52, 4, fourth=("bushy", []), residual=(2, 1, "<=", 1)))
 @example(_variant(10, 4, fourth=("bushy", [(0, 2, 3, 2)])))
 @example(_variant(11, 3, inner_residual=(0, 2, "<=", 1)))
+# A count-only join of two scans, summed over the smaller tally's keys:
+# t1's 2 keys against t2's 3, then 3 against 2, then a self-join's 3 against
+# 2; a count-only join whose left input, handed on, holds multiplicities
+# up to 4, mapped through the right scan's tally.
+@example(_variant(7, 2))
+@example(_variant(118, 2))
+@example(_variant(33, 2, self_join=True))
+@example(_variant(104, 3))
 def test_count_only_execution_matches_materialized(v):
     relations, p, membership, full = _variant_plan(v)
     bindings = {app: relations[app[0]] for app in p.index.appearance.values()}
@@ -877,7 +910,8 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     # Generated plans over one set of relations, their truths taken twice
     # in turn inside one `sharing` block: each truth is bitwise the plan's
     # fresh truth, the second round computes nothing anew, and the table
-    # holds executions without provenance only.
+    # holds executions without provenance only: every scan key says so,
+    # and every hash or tally entry holds the scan result its key names.
     relations, plans = {}, []
     for v in variants:
         rels, p, _, _ = _variant_plan(dict(v, seed=seed))
@@ -892,7 +926,9 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
         again = [planmod.selectivity_truth(p, relations) for p in plans]
     assert first == again == fresh and repr(first) == repr(again) == repr(fresh)
     assert stored and set(table) == stored  # the second round stored nothing new
-    assert all(key[-1] is False for key in table if key[0] != "hash")
+    built = {key for key in table if key[0] in ("hash", "tally")}
+    assert all(key[-1] is False for key in table.keys() - built)
+    assert all(key[1] == id(table[key][0]) and table[key][0].provenance is None for key in built)
 
 
 def _three_way(*residual):

@@ -7,6 +7,7 @@ import gc
 import re
 import weakref
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -541,22 +542,24 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # cannot be weakly referenced, so the stored results are watched, read
     # at each prediction and after each truth. A scan's counters (a list)
     # and a hash table (a dict) cannot be either; each entry holds the scan
-    # result its key names, so they are watched through that result.
+    # result its key names, so they are watched through that result. So
+    # does a tally's entry, and a tally, a Counter, is watched itself.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)], seed=1)
     plans, _ = simeval.generate_workload(spec, relations)
     predict, execute = propagate.predict_distribution, planmod.execute
     # the table each prediction and each truth was given; each stored object,
-    # by id: a sample table or base relation, a scan result or a cost function
+    # by id: a sample table or base relation, a scan result, a tally or a
+    # cost function
     tables, truths, kinds, refs = [], [], set(), {}
 
     def watch(shared):
         stored = []
         for key, value in shared.items():
-            if key[0] in ("counters", "hash"):
+            if key[0] in ("counters", "hash", "tally"):
                 assert key[1] == id(value[0]) and type(value[0]) is planmod.AnnotatedResult
                 kinds.add((key[0], type(value[1])))
-                stored.append(value[0])
+                stored.extend(value if key[0] == "tally" else value[:1])
             else:
                 stored.extend(value)
         kinds.update(map(type, stored))
@@ -583,8 +586,8 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
         assert len(records) == len(tables) == len(truths) == 4 and summary["count"] == 4
         assert len(set(tables + truths)) == 1
-        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction,
-                         ("counters", list), ("hash", dict)}
+        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, Counter,
+                         ("counters", list), ("hash", dict), ("tally", Counter)}
         read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}
         assert {id(relations[rel]) for rel in read} <= refs.keys()  # truth's scans were stored
         # only the sample tables, which the pool holds, and the base

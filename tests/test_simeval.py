@@ -982,11 +982,12 @@ def _summary_or_error(records):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sharing_changes_no_result(data):
-    # evaluate_workload shares one table of scans and grid fits across its
-    # plans, their truths included; its records and summary are bitwise
-    # those of each plan predicted alone. A plan that fails stores nothing,
-    # a truth after an evaluation shares nothing, and a non-finite probe on
-    # a stored grid is still a FitError.
+    # evaluate_workload shares one table of scans, hash tables, counters,
+    # truth's tallies and grid fits across its plans, their truths
+    # included; its records and summary are bitwise those of each plan
+    # predicted alone. A plan that fails stores nothing, a truth after an
+    # evaluation shares nothing, and a non-finite probe on a stored grid is
+    # still a FitError.
     seed = data.draw(st.integers(0, 2**16), label="seed")
     relations = simeval.generate_database(seed, sizes=(40, 40, 40), key_domain=5)
     world = TrueCostWorld.generate(seed)
@@ -1007,13 +1008,16 @@ def test_sharing_changes_no_result(data):
     want_summary = _summary_or_error(want)
 
     predict, run_scan = propagate.predict_distribution, planmod._run_scan
-    scan_counters, hash_rows = selest._scan_counters, planmod._hash_rows
+    scan_counters, hash_rows, tally = selest._scan_counters, planmod._hash_rows, planmod._tally
     tables, before = [], []  # per prediction: the table it was given, and its keys then
     # per sample scan run, its result (kept, so no id is reused) and its
     # scan; per full-data scan run, its scan; per counter build, its scan;
     # per hash-table build over a sample scan's rows, its scan and key
-    # positions
+    # positions; per full-data scan result, that result (kept) and its
+    # scan; per tally build, the scan it counts (None if it counts no
+    # scan's rows) and key positions
     scanned, truth_scanned, counted, hashed = {}, [], [], []
+    truth_results, tallied = {}, []
 
     def spying(*args, shared=None, **kwargs):
         tables.append(shared)
@@ -1024,6 +1028,7 @@ def test_sharing_changes_no_result(data):
         res = run_scan(node, appearance, bindings, provenance, read)
         if bindings[appearance] is relations[appearance[0]]:  # truth's scan of a base relation
             truth_scanned.append((appearance, node.selections, read))
+            truth_results[id(res)] = res, truth_scanned[-1]
         else:
             scanned[id(res)] = res, (appearance, node.selections, read)
         return res
@@ -1038,6 +1043,17 @@ def test_sharing_changes_no_result(data):
             hashed.append((scan, lpos))
         return hash_rows(rows, lpos)
 
+    def counting_tallies(rows, *args):
+        tallied.append((next((scan for res, scan in truth_results.values() if res.rows is rows), None), args[0]))
+        return tally(rows, *args)
+
+    def truth_tallies(p):
+        """The tallies one truth of `p` builds, outside an evaluation."""
+        tallied.clear()
+        with mock.patch.object(planmod, "_run_scan", counting), mock.patch.object(planmod, "_tally", counting_tallies):
+            planmod.selectivity_truth(p, relations)
+        return list(tallied)
+
     def truth_scans(p):
         """The full-data scans one truth of `p` runs, outside an evaluation."""
         truth_scanned.clear()
@@ -1046,12 +1062,13 @@ def test_sharing_changes_no_result(data):
         return len(truth_scanned)
 
     def evaluate(workload):
-        for spied in (tables, before, scanned, truth_scanned, counted, hashed):
+        for spied in (tables, before, scanned, truth_scanned, counted, hashed, tallied):
             spied.clear()
         with mock.patch.object(propagate, "predict_distribution", spying), \
                 mock.patch.object(planmod, "_run_scan", counting), \
                 mock.patch.object(selest, "_scan_counters", counting_counters), \
-                mock.patch.object(planmod, "_hash_rows", counting_hashes):
+                mock.patch.object(planmod, "_hash_rows", counting_hashes), \
+                mock.patch.object(planmod, "_tally", counting_tallies):
             return simeval.evaluate_workload(workload, relations, pool, units, world, policy=policy, W=W, runs=runs)
 
     if isinstance(want_summary, str):
@@ -1077,6 +1094,12 @@ def test_sharing_changes_no_result(data):
     held = {key: value[0] for key, value in tables[0].items() if isinstance(value[0], store.Relation)}
     assert all(key[0] == id(table) and key[2] is (key[0] not in base) for key, table in held.items())
     assert {key[0] for key in held if key[2]}.isdisjoint({key[0] for key in held if not key[2]})
+    # one tally per distinct (full-data scan, key positions): what the
+    # plans' truths build alone, each once, every one over a scan's rows
+    built = sorted(map(repr, tallied))
+    assert built == sorted({repr(t) for _, p in plans for t in truth_tallies(p)})
+    assert all(scan is not None for scan, _ in tallied)
+    assert built or all(len(p.index.appearance) == 1 for _, p in plans)
     # a truth after the evaluation returned shares nothing
     assert truth_scans(plans[0][1]) == len(plans[0][1].index.appearance)
     # one hash table per distinct (left scan, left key positions)
