@@ -24,6 +24,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .calib import COST_UNITS, checked_int
 from .costfit import FAMILIES
 
@@ -471,9 +473,32 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
     return side
 
 
-def _run_scan(node, appearance, bindings, provenance, read) -> AnnotatedResult:
+def _int64_column(rows, idx):
+    """The values at `idx` as an int64 array, or None where they build no
+    exact one: a float, a str or an int beyond int64 gives another dtype."""
+    try:
+        column = np.array(list(map(operator.itemgetter(idx), rows)))
+    except ValueError:
+        return None
+    return column if column.dtype == np.int64 and column.ndim == 1 else None
+
+
+def _run_scan(node, appearance, bindings, provenance, read, tables) -> AnnotatedResult:
+    """`tables` as in `_run_join`; a count-only scan may count over column arrays (`execute`)."""
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
+    if not provenance and not read and rows and all(type(val) is int for _, _, val in tests):
+        keep = np.ones(len(rows), dtype=bool)
+        for idx, op, val in tests:
+            key = ("column", id(table), idx)
+            entry = tables[0].get(key) or tables[1].get(key)
+            if entry is None:
+                entry = tables[1][key] = (table, _int64_column(rows, idx))
+            if entry[1] is None:
+                break
+            keep &= op(entry[1], val)
+        else:
+            return AnnotatedResult(int(np.count_nonzero(keep)), schema, None)
     if not provenance:  # plain rows
         for idx, op, val in tests:  # atom by atom over the rows still kept
             rows = [r for r in rows if op(r[idx], val)]
@@ -617,18 +642,24 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     and the join's key positions on it; the entry holds the result. A
     join that builds pairs looks up its hash table over its left input
     ("hash"), one that counts per key its tally of each input it tallies
-    ("tally"). A hit returns what the same inputs built: a scan's result
-    itself, never mutated after it is built, so every count, row and
-    provenance list is unchanged; a hash table listing each left row's
-    index per key in row order, so the same rows match in the same order;
-    a tally's exact counts. What is computed here is stored only when the
-    whole execution succeeds, so a failed one stores nothing.
+    ("tally"). A count-only scan (no provenance, rows not read) of a
+    non-empty table whose constants are all ints counts over the int64
+    array of each column its atoms read ("column", the table's identity,
+    the position; the entry holds the table, or None where no exact array
+    builds, and the scan filters in Python). A hit returns what the same
+    inputs built: a scan's result itself, never mutated after it is
+    built, so every count, row and provenance list is unchanged; a hash
+    table listing each left row's index per key in row order, so the same
+    rows match in the same order; a tally's exact counts; a column's
+    exact values. What is computed here is stored only when the whole
+    execution succeeds, so a failed one stores nothing.
     """
     shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
     results: dict[int, AnnotatedResult] = {}
     new: dict = {}  # what is computed here, stored in `shared` at the end
+    tables = (shared, new)
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
@@ -639,14 +670,15 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             key = (id(table), index.scan_keys[nid], provenance)
             entry = shared.get(key)
             if entry is None:
-                entry = new[key] = (table, _run_scan(node, appearance, bindings, provenance, nid in index.read))
+                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, tables)
+                entry = new[key] = (table, res)
             res = entry[1]
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             (left, right), read = node.children, nid in index.read
             plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
-            res = _run_join(node, results[left], results[right], provenance, read, side.get(nid), (shared, new), plain)
+            res = _run_join(node, results[left], results[right], provenance, read, side.get(nid), tables, plain)
         results[nid] = res
     shared.update(new)
     return results

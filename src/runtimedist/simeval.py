@@ -554,9 +554,10 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     model, so they repeat work: one dict of shared results, made here and
     dropped on return, lets what an earlier plan computed be reused: each
     scan of a sample table or of a full relation and the hash table or
-    per-key tally a join builds over one (`plan.execute`; on bigrel seed
-    0, truth builds 22 tallies a pass, not 160), each sample scan's
-    counters (`selest.estimate_all`) and each grid fit
+    per-key tally a join builds over one, and each column array that
+    count-only scans count over (`plan.execute`; on bigrel seed 0, truth
+    builds 22 tallies a pass, not 160, and 3 arrays for 80 scans), each
+    sample scan's counters (`selest.estimate_all`) and each grid fit
     (`propagate.fit_all_cost_functions`). Truth reaches the dict through
     `plan.sharing`, which covers the plan loop only. A hit returns what
     the same inputs produced, so every record and the summary are bitwise
@@ -566,7 +567,7 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     correlated, nor can such plans that all have one predicted stddev, or
     one error: a ValueError that names the cause and gives the counts."""
     records = []
-    shared = {}  # scans, hash tables, tallies, counters and grid fits the plans share, keyed by all of their inputs
+    shared = {}  # scans, hash tables, tallies, column arrays, counters and grid fits the plans share
     with planmod.sharing(shared):
         for idx, (label, p) in enumerate(plans):
             with planmod.naming(f"plan {label!r}"):

@@ -92,20 +92,30 @@ def _records(reader):
         yield exc
 
 
+def _cast(typ, cells) -> list:
+    """A column's cells parsed as `typ`; an int64 outside its range is a ValueError."""
+    values = list(map(_CASTERS[typ], cells))
+    if typ == "int64" and values and not -(2**63) <= min(values) <= max(values) < 2**63:
+        bad = min(values) if min(values) < -(2**63) else max(values)
+        raise ValueError(f"int64 value {bad} is outside [-2**63, 2**63)")
+    return values
+
+
 def parse_csv(text: str, name: str, schema) -> Relation:
     """The relation `name` of a headered CSV text under a declared schema.
 
     The header row must match the schema's column names exactly. Every data
     row must have the schema's arity and every cell must parse as the
-    declared type; violations, and records the csv module cannot read (a
-    field over its size limit), raise IngestError naming the first bad line
-    (counted in records, blank ones too), not the file: the caller does.
+    declared type, an int64 one within [-2**63, 2**63); violations, and
+    records the csv module cannot read (a field over its size limit),
+    raise IngestError naming the first bad line (counted in records, blank
+    ones too), not the file: the caller does.
     Records are read in chunks and cast one column at a time; a chunk with
     a bad record is read again record by record, to name its first bad line.
     """
     schema = validate_schema(schema)
     names = [c for c, _ in schema]
-    casters = [_CASTERS[t] for _, t in schema]
+    types = [t for _, t in schema]
     rows = []
     reader = _records(csv.reader(io.StringIO(text, newline="")))
     header = next(reader, None)
@@ -120,14 +130,14 @@ def parse_csv(text: str, name: str, schema) -> Relation:
         failed = chunk.pop() if isinstance(chunk[-1], csv.Error) else None
         records = [raw for raw in chunk if raw]
         try:
-            columns = zip(casters, zip(*records, strict=True), strict=True)  # a wrong width: ValueError
-            rows.extend(zip(*[list(map(cast, column)) for cast, column in columns]))
+            columns = zip(types, zip(*records, strict=True), strict=True)  # a wrong width: ValueError
+            rows.extend(zip(*[_cast(typ, column) for typ, column in columns]))
         except ValueError:
             for lineno, raw in enumerate(chunk, start=start):
                 if raw and len(raw) != len(schema):
                     raise IngestError(f"line {lineno}: expected {len(schema)} fields, got {len(raw)}") from None
                 try:
-                    [cast(cell) for cast, cell in zip(casters, raw)]
+                    [_cast(typ, [cell]) for typ, cell in zip(types, raw)]
                 except ValueError as exc:
                     raise IngestError(f"line {lineno}: {exc}") from None
         start += len(chunk)

@@ -709,6 +709,21 @@ def test_unreadable_csv_record_reported_as_json(tmp_path, capsys):
         f"relation CSV {str(data / 'big.csv')!r} is malformed: line 3: field larger than field limit")
 
 
+def test_int64_cell_out_of_range_reported_as_json(tmp_path, capsys):
+    # An int64 cell outside [-2**63, 2**63) is refused at ingest, so every
+    # int64 column the CLI loads holds int64 values; one JSON line names
+    # the file and the record's line.
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "big.schema").write_text("a,int64\n")
+    (data / "big.csv").write_text(f"a\n{2**63 - 1}\n99999999999999999999999\n")
+    assert cli.dispatch(["ingest", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == (f"relation CSV {str(data / 'big.csv')!r} is malformed: "
+                                        "line 3: int64 value 99999999999999999999999 is outside [-2**63, 2**63)")
+
+
 @pytest.mark.parametrize("case", ["config-not-utf8", "config-without-equals", "config-missing", "csv-not-utf8",
                                   "csv-missing", "column-declared-twice"])
 def test_config_and_relation_csv_errors_name_the_file(tmp_path, capsys, case):

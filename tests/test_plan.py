@@ -683,6 +683,61 @@ def test_constant_that_cannot_be_compared_is_an_execution_error(on_join):
         assert str(exc.value) == f"node {4 if on_join else 2}: constant 'abc' cannot be compared with column 'R2.k2'"
 
 
+# Cells and constants at and beyond int64's bounds, and ones of other types.
+_INT64_CELLS = st.integers(-3, 3) | st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1])
+_OTHER_CELLS = st.booleans() | st.floats() | st.sampled_from([-(2**63) - 1, 2**63, 2**64, 10**30])
+
+
+@st.composite
+def _two_columns(draw):
+    """The rows, maybe none, of a table of two columns: each holds ints in
+    int64's range, near its bounds too, and maybe bools, floats (NaN
+    included) and ints beyond the bounds mixed in."""
+    size = draw(st.integers(0, 6))
+    cells = [_INT64_CELLS | _OTHER_CELLS if draw(st.booleans()) else _INT64_CELLS for _ in range(2)]
+    return list(zip(*[draw(st.lists(c, min_size=size, max_size=size)) for c in cells]))
+
+
+_ATOMS = st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(sorted(planmod.CMP_OPS)),
+                            _INT64_CELLS | _OTHER_CELLS | st.integers(2**64, 2**80)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_columns(), st.lists(_ATOMS, min_size=1, max_size=3))
+@example([(1, 0), (2, 0)], [[]])  # no atom: every row counts
+@example([(0, 0), (1.5, 0)], [[("a", ">", 1)]])  # a float in an int64 column
+@example([(0, 0), (0, 1)], [[("a", "=", 0), ("b", "=", 1)], [("b", "!=", 0)]])  # every atom applies
+def test_count_only_scan_counts_what_a_python_filter_keeps(rows, scans):
+    # Count-only scans of one table, each with 0-3 atoms, count the rows a
+    # plain Python filter keeps, alone and in turn twice within one shared
+    # table, where later scans read the column arrays earlier ones stored.
+    # A stored array is the column itself where its values are ints in
+    # int64's range (bools among them), and None otherwise; a scan of a
+    # non-empty table whose constants are all ints reads its first atom's.
+    rel = _rel("t", ["a", "b"], rows)
+    plans = [_parse({"nodes": [_scan(1, "t", [{"col": c, "op": op, "value": v} for c, op, v in atoms])], "root": 1})
+             for atoms in scans]
+    want = [sum(all(planmod.CMP_OPS[op](row["ab".index(c)], v) for c, op, v in atoms) for row in rows)
+            for atoms in scans]
+    bindings = {("t", 0): rel}
+    table = {}
+    for shared in (None, table, table):
+        counts = [planmod.execute(p, bindings, shared=shared)[1].count for p in plans]
+        assert counts == want and all(type(count) is int for count in counts)
+    arrays = {}
+    for key, (held, array) in table.items():
+        if key[0] == "column":
+            assert key[1] == id(held) and held is rel
+            arrays[key[2]] = array
+    for i, array in arrays.items():
+        column = [row[i] for row in rows]
+        exact = int in map(type, column) and all(type(v) in (int, bool) and -(2**63) <= v < 2**63 for v in column)
+        assert (array is not None) == exact
+        assert array is None or (array.dtype == np.int64 and array.tolist() == column)
+    assert {"ab".index(atoms[0][0]) for atoms in scans
+            if rows and atoms and all(type(v) is int for *_, v in atoms)} <= arrays.keys()
+
+
 # ---------------------------------------------------------------------------
 # True selectivities
 
@@ -912,6 +967,8 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     # fresh truth, the second round computes nothing anew, and the table
     # holds executions without provenance only: every scan key says so,
     # and every hash or tally entry holds the scan result its key names.
+    # Each column array's key names the relation its entry holds, and the
+    # array holds that relation's column at the key's position.
     relations, plans = {}, []
     for v in variants:
         rels, p, _, _ = _variant_plan(dict(v, seed=seed))
@@ -927,8 +984,13 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     assert first == again == fresh and repr(first) == repr(again) == repr(fresh)
     assert stored and set(table) == stored  # the second round stored nothing new
     built = {key for key in table if key[0] in ("hash", "tally")}
-    assert all(key[-1] is False for key in table.keys() - built)
+    columns = {key for key in table if key[0] == "column"}
+    assert all(key[-1] is False for key in table.keys() - built - columns)
     assert all(key[1] == id(table[key][0]) and table[key][0].provenance is None for key in built)
+    for key in columns:
+        rel, column = table[key]
+        assert key[1] == id(rel) and rel is relations[rel.name]
+        assert column.tolist() == [row[key[2]] for row in rel.rows]
 
 
 def _three_way(*residual):

@@ -543,7 +543,8 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # at each prediction and after each truth. A scan's counters (a list)
     # and a hash table (a dict) cannot be either; each entry holds the scan
     # result its key names, so they are watched through that result. So
-    # does a tally's entry, and a tally, a Counter, is watched itself.
+    # does a tally's entry, and a tally, a Counter, is watched itself, as
+    # is a column array, whose entry holds the base relation its key names.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)], seed=1)
     plans, _ = simeval.generate_workload(spec, relations)
@@ -561,6 +562,7 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                 kinds.add((key[0], type(value[1])))
                 stored.extend(value if key[0] == "tally" else value[:1])
             else:
+                assert key[0] != "column" or (key[1] == id(value[0]) and type(value[0]) is store.Relation)
                 stored.extend(value)
         kinds.update(map(type, stored))
         refs.update((id(obj), weakref.ref(obj)) for obj in stored)
@@ -586,7 +588,7 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
         assert len(records) == len(tables) == len(truths) == 4 and summary["count"] == 4
         assert len(set(tables + truths)) == 1
-        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, Counter,
+        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, Counter, np.ndarray,
                          ("counters", list), ("hash", dict), ("tally", Counter)}
         read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}
         assert {id(relations[rel]) for rel in read} <= refs.keys()  # truth's scans were stored

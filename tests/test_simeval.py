@@ -983,9 +983,9 @@ def _summary_or_error(records):
 @given(st.data())
 def test_sharing_changes_no_result(data):
     # evaluate_workload shares one table of scans, hash tables, counters,
-    # truth's tallies and grid fits across its plans, their truths
-    # included; its records and summary are bitwise those of each plan
-    # predicted alone. A plan that fails stores nothing, a truth after an
+    # truth's tallies and column arrays and grid fits across its plans,
+    # their truths included; its records and summary are bitwise those of
+    # each plan predicted alone. A plan that fails stores nothing, a truth after an
     # evaluation shares nothing, and a non-finite probe on a stored grid is
     # still a FitError.
     seed = data.draw(st.integers(0, 2**16), label="seed")
@@ -1009,23 +1009,25 @@ def test_sharing_changes_no_result(data):
 
     predict, run_scan = propagate.predict_distribution, planmod._run_scan
     scan_counters, hash_rows, tally = selest._scan_counters, planmod._hash_rows, planmod._tally
+    int64_column = planmod._int64_column
     tables, before = [], []  # per prediction: the table it was given, and its keys then
     # per sample scan run, its result (kept, so no id is reused) and its
     # scan; per full-data scan run, its scan; per counter build, its scan;
     # per hash-table build over a sample scan's rows, its scan and key
     # positions; per full-data scan result, that result (kept) and its
     # scan; per tally build, the scan it counts (None if it counts no
-    # scan's rows) and key positions
+    # scan's rows) and key positions; per column-array build, the relation
+    # whose rows it reads (None for any other table) and the position
     scanned, truth_scanned, counted, hashed = {}, [], [], []
-    truth_results, tallied = {}, []
+    truth_results, tallied, arrays = {}, [], []
 
     def spying(*args, shared=None, **kwargs):
         tables.append(shared)
         before.append(set(shared))
         return predict(*args, shared=shared, **kwargs)
 
-    def counting(node, appearance, bindings, provenance, read):
-        res = run_scan(node, appearance, bindings, provenance, read)
+    def counting(node, appearance, bindings, provenance, read, shared):
+        res = run_scan(node, appearance, bindings, provenance, read, shared)
         if bindings[appearance] is relations[appearance[0]]:  # truth's scan of a base relation
             truth_scanned.append((appearance, node.selections, read))
             truth_results[id(res)] = res, truth_scanned[-1]
@@ -1047,6 +1049,10 @@ def test_sharing_changes_no_result(data):
         tallied.append((next((scan for res, scan in truth_results.values() if res.rows is rows), None), args[0]))
         return tally(rows, *args)
 
+    def counting_arrays(rows, idx):
+        arrays.append((next((name for name, rel in relations.items() if rel.rows is rows), None), idx))
+        return int64_column(rows, idx)
+
     def truth_tallies(p):
         """The tallies one truth of `p` builds, outside an evaluation."""
         tallied.clear()
@@ -1062,13 +1068,14 @@ def test_sharing_changes_no_result(data):
         return len(truth_scanned)
 
     def evaluate(workload):
-        for spied in (tables, before, scanned, truth_scanned, counted, hashed, tallied):
+        for spied in (tables, before, scanned, truth_scanned, counted, hashed, tallied, arrays):
             spied.clear()
         with mock.patch.object(propagate, "predict_distribution", spying), \
                 mock.patch.object(planmod, "_run_scan", counting), \
                 mock.patch.object(selest, "_scan_counters", counting_counters), \
                 mock.patch.object(planmod, "_hash_rows", counting_hashes), \
-                mock.patch.object(planmod, "_tally", counting_tallies):
+                mock.patch.object(planmod, "_tally", counting_tallies), \
+                mock.patch.object(planmod, "_int64_column", counting_arrays):
             return simeval.evaluate_workload(workload, relations, pool, units, world, policy=policy, W=W, runs=runs)
 
     if isinstance(want_summary, str):
@@ -1091,7 +1098,8 @@ def test_sharing_changes_no_result(data):
     # a scan entry holding a base relation lists no provenance, one holding
     # a sample table does, and no table identity keys both kinds
     base = {id(rel) for rel in relations.values()}
-    held = {key: value[0] for key, value in tables[0].items() if isinstance(value[0], store.Relation)}
+    held = {key: value[0] for key, value in tables[0].items()
+            if isinstance(value[0], store.Relation) and key[0] != "column"}
     assert all(key[0] == id(table) and key[2] is (key[0] not in base) for key, table in held.items())
     assert {key[0] for key in held if key[2]}.isdisjoint({key[0] for key in held if not key[2]})
     # one tally per distinct (full-data scan, key positions): what the
@@ -1100,6 +1108,21 @@ def test_sharing_changes_no_result(data):
     assert built == sorted({repr(t) for _, p in plans for t in truth_tallies(p)})
     assert all(scan is not None for scan, _ in tallied)
     assert built or all(len(p.index.appearance) == 1 for _, p in plans)
+    # one column array per distinct (base relation, position) that a
+    # count-only scan's atoms read, none over a sample table; each key
+    # names the relation its entry holds
+    assert sorted(arrays) == sorted({
+        (app[0], relations[app[0]].column_names.index(col))
+        for _, p in plans for nid, app in p.index.appearance.items() if nid not in p.index.read
+        for col, _, _ in p.nodes[nid].selections})
+    assert all(key[1] == id(value[0]) and value[0] is relations[value[0].name]
+               for key, value in tables[0].items() if key[0] == "column")
+    # generate_workload runs its plans over empty tables only, so it builds no array
+    arrays.clear()
+    with mock.patch.object(planmod, "_int64_column", counting_arrays), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        generated, _ = simeval.generate_workload(WorkloadSpec.grid(4, 4, 2, seed), relations)
+    assert generated and arrays == []
     # a truth after the evaluation returned shares nothing
     assert truth_scans(plans[0][1]) == len(plans[0][1].index.appearance)
     # one hash table per distinct (left scan, left key positions)

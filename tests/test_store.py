@@ -43,6 +43,10 @@ _SCHEMA = [("a", "int64"), ("x", "float64"), ("s", "string")]
     "a,x,s\n1,2.0,w\n\n2,3.0," + "y" * 131073 + "\n3,4.0,w\n",  # a field over the csv module's limit
     "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(300)) + "1z,1.0,w\n" + "2,1.0," + "y" * 131073 + "\n",
     "y" * 131073 + "\n1,2.0,w\n",  # in the header
+    # int64 cells at and beyond the bounds of the type: the first one out is at line 304
+    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(300)) + f"{2**63 - 1},1.0,w\n{-(2**63)},1.0,w\n"
+    + "99999999999999999999999,1.0,w\n" + f"{-(2**63) - 1},1.0,w\n",
+    f"a,x,s\n1,2.0,w\n{-(2**63) - 1},2.0,w\n",
 ])
 def test_ingest_matches_record_by_record_reference(text):
     try:
