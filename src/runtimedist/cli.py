@@ -354,6 +354,7 @@ def cmd_predict(cfg, args):
             {"component": comp, "value": val, "kind": kind} for comp, val, kind in dist.breakdown
         ],
         "flags": dist.flags,
+        "mass_below_zero": dist.mass_below_zero,
         "policy": cfg["policy"],
         "oracle": "simulator-true-cost-model",
         "estimates": {

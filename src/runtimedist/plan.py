@@ -117,7 +117,8 @@ class PlanIndex:
     whole relation). `scan_keys` maps every scan to the part of its key
     in a table of shared results (`execute`) that the plan fixes: its
     appearance, its selections by `repr` (a JSON constant may be a list,
-    which does not hash) and whether its rows are read.
+    which does not hash) and whether its rows are read; `read_join_keys`
+    every read join's: the `repr` of its join columns and selections.
     """
 
     order: tuple[int, ...]
@@ -129,6 +130,7 @@ class PlanIndex:
     var: dict[int, int]
     terms: dict[tuple[int, str], tuple[str, tuple]]
     scan_keys: dict[int, tuple[tuple[str, int], str, bool]]
+    read_join_keys: dict[int, str]
 
 
 def _index_plan(plan: "Plan") -> PlanIndex:
@@ -171,8 +173,10 @@ def _index_plan(plan: "Plan") -> PlanIndex:
         if nid not in agg_above and (var[nid] == nid or nid in read):  # a scan has no children
             read.update(plan.nodes[nid].children)
     scan_keys = {nid: (app, repr(plan.nodes[nid].selections), nid in read) for nid, app in appearance.items()}
+    read_join_keys = {nid: repr((plan.nodes[nid].join_columns, plan.nodes[nid].selections))
+                      for nid in read if nid not in appearance and var[nid] == nid}
     return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), streamed, var, terms,
-                     scan_keys)
+                     scan_keys, read_join_keys)
 
 
 @dataclass
@@ -396,6 +400,8 @@ def _tests(node, schema, rows=()) -> list:
     """A node's selection tests (column position, comparison, constant).
     Each is tried on `rows`, one row or none: a column holds values of one
     type, so a constant its column cannot be compared with fails here."""
+    if not node.selections:  # most joins: no list to build, nothing to try
+        return []
     tests = [(_resolve(schema, col, node.id), CMP_OPS[op], val) for col, op, val in node.selections]
     for row in rows:
         for idx, op, val in tests:
@@ -637,22 +643,27 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     (appearance, selections, whether its rows are read) and `provenance`;
     the entry holds the table, so the identity cannot be reused while the
     entry lives, and a full relation's entries never meet a sample
-    table's. A join looks up what it builds over an input that is a scan
-    result, passed through or not, under a tag, that result's identity
-    and the join's key positions on it; the entry holds the result. A
-    join that builds pairs looks up its hash table over its left input
-    ("hash"), one that counts per key its tally of each input it tallies
-    ("tally"). A count-only scan (no provenance, rows not read) of a
-    non-empty table whose constants are all ints counts over the int64
-    array of each column its atoms read ("column", the table's identity,
-    the position; the entry holds the table, or None where no exact array
-    builds, and the scan filters in Python). A hit returns what the same
-    inputs built: a scan's result itself, never mutated after it is
-    built, so every count, row and provenance list is unchanged; a hash
-    table listing each left row's index per key in row order, so the same
-    rows match in the same order; a tally's exact counts; a column's
-    exact values. What is computed here is stored only when the whole
-    execution succeeds, so a failed one stores nothing.
+    table's. A join a parent reads is looked up under "read-join", its
+    inputs' identities, its `PlanIndex.read_join_keys` entry, the input it
+    hands on (`_handed_on`; None for pairs) and `provenance`; the entry
+    holds both inputs and the result. A root join is never reused, so
+    never stored. A join looks up what it builds over an input that is a
+    scan result, passed through or not, under a tag, that result's
+    identity and the join's key positions on it; the entry holds the
+    result. A join that builds pairs looks up its hash table over its
+    left input ("hash"), one that counts per key its tally of each input
+    it tallies ("tally"). A count-only scan (no provenance, rows not
+    read) of a non-empty table whose constants are all ints counts over
+    the int64 array of each column its atoms read ("column", the table's
+    identity, the position; the entry holds the table, or None where no
+    exact array builds, and the scan filters in Python). A hit returns
+    what the same inputs built: a scan's or a read join's result itself,
+    never mutated after it is built, so every count, row, multiplicity
+    and provenance list is unchanged; a hash table listing each left
+    row's index per key in row order, so the same rows match in the same
+    order; a tally's exact counts; a column's exact values. What is
+    computed here is stored only when the whole execution succeeds, so a
+    failed one stores nothing.
     """
     shared = {} if shared is None else shared
     index = plan.index
@@ -676,9 +687,17 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
-            (left, right), read = node.children, nid in index.read
+            (left, right), read, hand = node.children, nid in index.read, side.get(nid)
+            lres, rres = results[left], results[right]
             plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
-            res = _run_join(node, results[left], results[right], provenance, read, side.get(nid), tables, plain)
+            if not read:  # a root join is never reused: only a join a parent reads is looked up and stored
+                res = _run_join(node, lres, rres, provenance, read, hand, tables, plain)
+            else:
+                key = ("read-join", id(lres), id(rres), index.read_join_keys[nid], hand, provenance)
+                entry = shared.get(key)
+                if entry is None:
+                    entry = new[key] = (lres, rres, _run_join(node, lres, rres, provenance, read, hand, tables, plain))
+                res = entry[2]
         results[nid] = res
     shared.update(new)
     return results

@@ -26,6 +26,7 @@ from .costfit import CostFunction
 from .plan import Plan
 
 POLICIES = ("all", "no-var-c", "no-var-x", "no-cov")
+NEGATIVE_MASS = 0.01  # a prediction with more mass below zero is flagged "negative-mass"
 
 
 class PropagationError(ValueError):
@@ -49,6 +50,11 @@ class RunningTimeDistribution:
     @property
     def stddev(self) -> float:
         return math.sqrt(self.variance)
+
+    @property
+    def mass_below_zero(self) -> float:
+        """Phi(-mean/stddev), the normal's mass below zero; 0 when the stddev is 0."""
+        return 0.5 * math.erfc(self.mean / (self.stddev * math.sqrt(2.0))) if self.variance > 0.0 else 0.0
 
 
 def moments(dist) -> tuple[float, float, float]:
@@ -388,10 +394,12 @@ def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10
     distribution. Its flags are `variance_time`'s, "degenerate-fit" when
     any cost function is `degenerate`, and "zero-count" when a streamed
     join kept no sample rows: its rho_n and s2_n are 0, so the prediction
-    treats that selectivity as known. `shared`, the dict of results
-    the plans of one evaluation share, goes to `selest.estimate_all` (its
-    scans) and `fit_all_cost_functions` (its grid fits); the prediction is
-    bitwise the same with it or without it."""
+    treats that selectivity as known, and "negative-mass" when the normal
+    puts more than `NEGATIVE_MASS` of its mass below zero. `shared`, the
+    dict of results the plans of one evaluation share, goes to
+    `selest.estimate_all` (its scans and read joins) and
+    `fit_all_cost_functions` (its grid fits); the prediction is bitwise
+    the same with it or without it."""
     estimates = selest.estimate_all(plan, pool, relations, shared)
     costfuncs = fit_all_cost_functions(plan, estimates, oracle, W=W, shared=shared)
     mean = expected_time(plan, costfuncs, estimates, units)
@@ -403,4 +411,6 @@ def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10
     if any(estimates[nid].count == 0 for nid in plan.index.streamed if nid not in plan.index.appearance):
         flags.append("zero-count")
     dist = RunningTimeDistribution(mean=mean, variance=variance, breakdown=breakdown, flags=flags)
+    if dist.mass_below_zero > NEGATIVE_MASS:
+        flags.append("negative-mass")
     return dist, estimates, costfuncs, entries

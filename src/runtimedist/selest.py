@@ -93,12 +93,12 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
     in a fixed order. `shared`, the dict of results the plans of one
     evaluation share, is handed to `plan.execute`: a scan of a sample
     table that an earlier plan of the same evaluation scanned with the
-    same selections returns that plan's result. A scan's counters are
-    looked up there too, under its result's identity, and stored with
-    the result they were counted from once the whole estimate is made.
-    So a shared scan is counted once, and the estimates are bitwise those
-    of a fresh execution. Without `shared`, a new empty one: nothing is
-    shared.
+    same selections returns that plan's result, as does a read join over
+    the same inputs. A scan's counters, and a read join's counters and
+    S2, are looked up there too, under the result's identity, and stored
+    with that result once the whole estimate is made. So a shared result
+    is counted once, and the estimates are bitwise those of a fresh
+    execution. Without `shared`, a new empty one: nothing is shared.
     """
     index = plan.index
     n = pool.n
@@ -128,14 +128,22 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
             rho = res.count / n
             est = SelEstimate(rho, scan_variance(rho), n, entry[1], res.count, "scan-closed-form")
         else:
-            count = results[nid].count
-            # Q: each leaf position's column counted (a Counter costs more to build than a short column)
-            q = [{} for _ in index.leaves[nid]]
-            for qk, column in zip(q, zip(*results[nid].provenance)):
-                for j in column:
-                    qk[j] = qk.get(j, 0) + 1
-            est = SelEstimate(count / float(n) ** len(q), 0.0, n, q, count, "q-scan")
-            est.s2_n = estimate_for_subset(est, range(len(q)))
+            res = results[nid]
+            rho = res.count / float(n) ** len(index.leaves[nid])
+            key = ("counters", id(res))
+            entry = shared.get(key)
+            if entry is None:
+                # Q: each leaf position's column counted (a Counter costs more to build than a short column)
+                q = [{} for _ in index.leaves[nid]]
+                for qk, column in zip(q, zip(*res.provenance)):
+                    for j in column:
+                        qk[j] = qk.get(j, 0) + 1
+                est = SelEstimate(rho, 0.0, n, q, res.count, "q-scan")
+                est.s2_n = estimate_for_subset(est, range(len(q)))
+                if nid in index.read:  # a join result `execute` shares
+                    new[key] = (res, q, est.s2_n)
+            else:
+                est = SelEstimate(rho, entry[2], n, entry[1], res.count, "q-scan")
         estimates[nid] = est
     shared.update(new)
     return estimates

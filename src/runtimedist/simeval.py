@@ -553,11 +553,12 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     The plans read one sample pool, one set of relations and one cost
     model, so they repeat work: one dict of shared results, made here and
     dropped on return, lets what an earlier plan computed be reused: each
-    scan of a sample table or of a full relation and the hash table or
-    per-key tally a join builds over one, and each column array that
-    count-only scans count over (`plan.execute`; on bigrel seed 0, truth
-    builds 22 tallies a pass, not 160, and 3 arrays for 80 scans), each
-    sample scan's counters (`selest.estimate_all`) and each grid fit
+    scan of a sample table or of a full relation, each join a parent
+    reads, the hash table or per-key tally a join builds over a scan, and
+    each column array that count-only scans count over (`plan.execute`;
+    on bigrel seed 0 a pass builds 260 joins, not 320, and truth 22
+    tallies, not 160, and 3 arrays for 80 scans), the counters of each
+    sample scan and read join (`selest.estimate_all`) and each grid fit
     (`propagate.fit_all_cost_functions`). Truth reaches the dict through
     `plan.sharing`, which covers the plan loop only. A hit returns what
     the same inputs produced, so every record and the summary are bitwise
@@ -567,7 +568,7 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     correlated, nor can such plans that all have one predicted stddev, or
     one error: a ValueError that names the cause and gives the counts."""
     records = []
-    shared = {}  # scans, hash tables, tallies, column arrays, counters and grid fits the plans share
+    shared = {}  # scans, read joins, hash tables, tallies, column arrays, counters and grid fits the plans share
     with planmod.sharing(shared):
         for idx, (label, p) in enumerate(plans):
             with planmod.naming(f"plan {label!r}"):

@@ -225,6 +225,38 @@ def test_evaluate_counts_zero_count_joins(tmp_path):
     assert summary["flags"]["zero-count"] == len(flagged)
 
 
+def test_evaluate_counts_negative_mass_predictions(tmp_path):
+    # Five sampling steps leave some plans with sigma/mean above 0.43, so
+    # the normal puts more than 1% of its mass below zero: each such plan,
+    # and no other, is flagged in evaluation.csv, summary.json counts them,
+    # and `predict` records a flagged plan's mass beside its flags.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        f"data_dir = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\nseed = 3\n"
+        "relation_size = 200\nkey_domain = 20\nscan_count = 2\njoin_count = 4\n"
+        "join3_count = 4\ncalib_reps = 10\nruns = 2\nsample_n = 5\n"
+    )
+    for sub in ("gen-world", "gen-workload", "calibrate", "evaluate"):
+        assert cli.dispatch([sub, "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "evaluation.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    flagged = []
+    for row in rows:
+        mass = propagate.RunningTimeDistribution(float(row["mean"]), float(row["stddev"]) ** 2).mass_below_zero
+        assert ("negative-mass" in row["flags"].split(";")) is (mass > propagate.NEGATIVE_MASS)
+        if mass > propagate.NEGATIVE_MASS:
+            flagged.append(row["plan_id"])
+    assert flagged
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["flags"]["negative-mass"] == len(flagged)
+    plan = tmp_path / "out" / "workload" / f"{flagged[0]}.plan"
+    assert cli.dispatch(["predict", "--plan", str(plan), "--config", str(cfg)]) == 0
+    record = json.loads((tmp_path / "out" / "predictions.jsonl").read_text().splitlines()[-1])
+    assert "negative-mass" in record["flags"]
+    assert record["mass_below_zero"] == propagate.RunningTimeDistribution(
+        record["mean_s"], record["var_s2"]).mass_below_zero > propagate.NEGATIVE_MASS
+
+
 def test_step10_oracle_on_tiny_relation(workdir, tmp_path):
     data = tmp_path / "tinydata"
     data.mkdir()

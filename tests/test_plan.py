@@ -5,6 +5,7 @@ import itertools
 import json
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -991,6 +992,90 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
         rel, column = table[key]
         assert key[1] == id(rel) and rel is relations[rel.name]
         assert column.tolist() == [row[key[2]] for row in rel.rows]
+
+
+# How a parent reads the shared join below it: it counts per key on a t1
+# column, so the join hands t1's rows on (0); on a t2 column, so it hands
+# t2's on (1); or a selection atom makes it build pairs, and so the join
+# below (None). With provenance every join builds pairs.
+_SIDE_OF = {"left": 0, "right": 1, "pairs": None}
+_parents = st.tuples(st.sampled_from(sorted(_SIDE_OF)), st.booleans(), st.sampled_from(planmod.JOIN_KINDS))
+
+
+def _read_join_doc(parent, inner, through, bad=None):
+    """t1 join t2 on `inner` (ids 1-3), maybe under a Materialize (4),
+    read by a root join (6) with a scan of t3 (5), as `parent` says:
+    (how it reads, whether the shared join is its right input, its kind).
+    `bad` is "column" for a root join column no schema holds, or
+    "constant" for a root selection atom whose constant is a str."""
+    how, on_right, kind = parent
+    nodes = [_scan(1, "t1", [{"col": "t1_x", "op": "<=", "value": 1}]), _scan(2, "t2"),
+             {"id": 3, "kind": "HashJoin", "children": [1, 2],
+              "predicate": [{"left": f"t1_{inner}", "right": f"t2_{inner}"}]}]
+    if through:
+        nodes.append({"id": 4, "kind": "Materialize", "children": [3]})
+    reads = {"left": "t1_z", "right": "t2_z", "pairs": "t1_z"}[how]
+    atom = {"left": "zz" if bad == "column" else reads, "right": "t3_z"}
+    if on_right:
+        atom = {"left": atom["right"], "right": atom["left"]}
+    atoms = [atom]
+    if how == "pairs" or bad == "constant":
+        atoms.append({"col": "t2_x", "op": "<=", "value": "x" if bad == "constant" else 1})
+    children = [nodes[-1]["id"], 5]
+    nodes += [_scan(5, "t3"), {"id": 6, "kind": kind, "children": children[::-1] if on_right else children,
+                               "predicate": atoms}]
+    return {"nodes": nodes, "root": 6}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.lists(_parents, min_size=1, max_size=5), st.sampled_from(["y", "z"]), st.booleans())
+def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, through):
+    # Plans over one set of tiny relations that share the join of t1 and
+    # t2 under different parents, executed without and with provenance
+    # against one shared table: every result equals a fresh execution's,
+    # and the shared join is built once per distinct (inputs, join key,
+    # side, provenance), where each plan's fresh execution builds it again.
+    # Its entry holds the two inputs its key names and the result every
+    # plan then reads. An execution that fails after the join stores no
+    # entry: no join, no scan.
+    relations = make_tiny_relations(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
+    bindings = {(name, 0): rel for name, rel in relations.items()}
+    plans = [_parse(_read_join_doc(parent, inner, through)) for parent in parents]
+    modes = (False, True)
+    fresh = [[planmod.execute(p, bindings, provenance=prov) for p in plans] for prov in modes]
+    run_join, built = planmod._run_join, []
+
+    def spying(node, left, right, provenance, read, side, *rest):
+        if read:
+            built.append((id(left), id(right), node.join_columns, repr(node.selections), side, provenance))
+        return run_join(node, left, right, provenance, read, side, *rest)
+
+    table = {}
+    with mock.patch.object(planmod, "_run_join", spying):
+        shared = [[planmod.execute(p, bindings, provenance=prov, shared=table) for p in plans] for prov in modes]
+    assert shared == fresh  # every count, schema, row list, multiplicity and provenance list
+    sides = [{_SIDE_OF[how] for how, _, _ in parents}, {None}]
+    want = {(side, prov) for prov, per in zip(modes, sides) for side in per}
+    assert len(built) == len(set(built)) == len(want) and {b[4:] for b in built} == want
+    assert all(len({id(results[3]) for results in per_mode}) == len(per) for per_mode, per in zip(shared, sides))
+    entries = {key: value for key, value in table.items() if key[0] == "read-join"}
+    assert len(entries) == len(built)
+    for key, (left, right, res) in entries.items():
+        assert key[1:3] == (id(left), id(right)) and key[-1] is (res.provenance is not None)
+    # an execution that fails after the shared join was built stores nothing
+    counts = fresh[0][0]
+    fails = [(True, "column")] + [(False, "constant")] * (counts[3].count > 0 and counts[5].count > 0)
+    for prov, bad in fails:
+        bad_plan = _parse(_read_join_doc(parents[0], inner, through, bad))
+        built.clear()
+        empty, before = {}, set(table)
+        with mock.patch.object(planmod, "_run_join", spying):
+            with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
+                planmod.execute(bad_plan, bindings, provenance=prov, shared=empty)
+            assert len(built) == 1 and empty == {}
+            with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
+                planmod.execute(bad_plan, bindings, provenance=prov, shared=table)
+        assert set(table) == before
 
 
 def _three_way(*residual):

@@ -545,27 +545,42 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # result its key names, so they are watched through that result. So
     # does a tally's entry, and a tally, a Counter, is watched itself, as
     # is a column array, whose entry holds the base relation its key names.
+    # A read join's entry holds its two inputs and its result, all watched,
+    # and its counters' entry holds that result; no join that no parent
+    # reads is ever stored, nor are its counters.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
-    spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)], seed=1)
+    spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)],
+                                three_way_targets=[(0.5, 0.5, 0.5)], seed=1)
     plans, _ = simeval.generate_workload(spec, relations)
     predict, execute = propagate.predict_distribution, planmod.execute
     # the table each prediction and each truth was given; each stored object,
     # by id: a sample table or base relation, a scan result, a tally or a
     # cost function
     tables, truths, kinds, refs = [], [], set(), {}
+    unread = []  # per join executed, whether no parent reads it
 
     def watch(shared):
         stored = []
+        joins = {id(value[2]) for key, value in shared.items() if key[0] == "read-join"}
         for key, value in shared.items():
             if key[0] in ("counters", "hash", "tally"):
                 assert key[1] == id(value[0]) and type(value[0]) is planmod.AnnotatedResult
                 kinds.add((key[0], type(value[1])))
                 stored.extend(value if key[0] == "tally" else value[:1])
+                if key[0] == "counters" and len(value) == 3:  # a join's counters and S2
+                    assert key[1] in joins and type(value[2]) is float
+                    kinds.add(("join counters", type(value[1])))
+            elif key[0] == "read-join":
+                assert key[1:3] == (id(value[0]), id(value[1]))
+                assert {type(obj) for obj in value} == {planmod.AnnotatedResult}
+                kinds.add(key[0])
+                stored.extend(value)
             else:
                 assert key[0] != "column" or (key[1] == id(value[0]) and type(value[0]) is store.Relation)
                 stored.extend(value)
         kinds.update(map(type, stored))
         refs.update((id(obj), weakref.ref(obj)) for obj in stored)
+        return stored
 
     def spying(*args, shared=None, **kwargs):
         tables.append(id(shared))
@@ -577,7 +592,12 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         out = execute(plan, bindings, provenance=provenance, shared=shared)
         if not provenance:  # truth's execution over the full relations
             truths.append(id(shared))
-            watch(shared)
+        stored = {id(obj) for obj in watch(shared)}
+        index = plan.index
+        for nid in index.streamed:  # every result is alive here, so no id is reused
+            if nid not in index.appearance:
+                assert (id(out[nid]) in stored) is (nid in index.read)
+                unread.append(nid not in index.read)
         return out
 
     monkeypatch.setattr(propagate, "predict_distribution", spying)
@@ -586,10 +606,12 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     gc.disable()
     try:
         records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
-        assert len(records) == len(tables) == len(truths) == 4 and summary["count"] == 4
+        assert len(records) == len(tables) == len(truths) == 5 and summary["count"] == 5
         assert len(set(tables + truths)) == 1
         assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, Counter, np.ndarray,
-                         ("counters", list), ("hash", dict), ("tally", Counter)}
+                         ("counters", list), ("hash", dict), ("tally", Counter), "read-join",
+                         ("join counters", list)}
+        assert True in unread and False in unread  # root joins and read joins both ran
         read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}
         assert {id(relations[rel]) for rel in read} <= refs.keys()  # truth's scans were stored
         # only the sample tables, which the pool holds, and the base
@@ -603,6 +625,34 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         assert [ref() for ref in refs.values()] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_mass_below_zero_and_its_flag(monkeypatch):
+    # The normal's mass below zero is Phi(-mean/stddev), 0 without spread;
+    # a prediction with more than 1% of it there is flagged "negative-mass",
+    # and its mean and variance are what they are without the flag.
+    dist = propagate.RunningTimeDistribution
+    assert dist(1.0, 0.0).mass_below_zero == dist(-1.0, 0.0).mass_below_zero == 0.0
+    assert dist(0.0, 4.0).mass_below_zero == 0.5
+    assert dist(-2.0, 1.0).mass_below_zero == pytest.approx(0.9772498680518208, rel=1e-12)
+    z = 2.3263478740408408  # Phi(-z) = 0.01
+    assert dist(z, 1.0).mass_below_zero == pytest.approx(propagate.NEGATIVE_MASS, rel=1e-9)
+    assert dist(2.32, 1.0).mass_below_zero > propagate.NEGATIVE_MASS > dist(2.33, 1.0).mass_below_zero
+    assert dist(3.0 * 2.32, 9.0).mass_below_zero == pytest.approx(dist(2.32, 1.0).mass_below_zero, rel=1e-12)
+    relations, world, units, pool = _world_fixture()
+    plan = planmod.parse_plan(json.dumps({"nodes": [
+        {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
+         "predicate": [{"col": "r1_val", "op": "<", "value": 5000}]}], "root": 1}))
+    oracle = world.cost_oracle(plan, relations)
+    base, _, _, _ = propagate.predict_distribution(plan, pool, relations, units, oracle)
+    assert base.stddev > 0.0 and base.mass_below_zero <= propagate.NEGATIVE_MASS
+    assert "negative-mass" not in base.flags
+    for ratio, flagged in ((2.32, True), (2.33, False)):  # the mean moved to either side of the threshold
+        monkeypatch.setattr(propagate, "expected_time", lambda *args: ratio * base.stddev)
+        moved, _, _, _ = propagate.predict_distribution(plan, pool, relations, units, oracle)
+        assert moved.variance == base.variance and moved.mean == ratio * base.stddev
+        assert ("negative-mass" in moved.flags) is flagged
+        assert [f for f in moved.flags if f != "negative-mass"] == base.flags
 
 
 def test_non_finite_constant_probe_raises():
