@@ -24,11 +24,15 @@ matrix is rank deficient (e.g. an input selectivity estimated as exactly
 0 gives an all-zero column). A non-finite probe value is a `FitError`.
 
 Probe oracle protocol: `oracle((node_id, unit), coords) -> values`, where
-`coords` is an (m, arity) array of selectivity coordinates (shape (1, 0)
-for a C1 term) and `values` the m reference costs. A term is probed in one
-call over its whole grid, and the terms sharing a grid are fitted from the
-`(coords, values)` arrays together; a term whose inputs are all constants
-is probed once instead (`propagate.fit_all_cost_functions`).
+`coords` is a read-only (m, arity) array of selectivity coordinates (shape
+(1, 0) for a C1 term) and `values` the m reference costs. A term is probed
+in one call over its whole grid, and the terms sharing a grid are fitted
+from the `(coords, values)` arrays together; a term whose inputs are all
+constants is probed once instead (`propagate.fit_all_cost_functions`).
+Many terms are probed at equal coordinates, often at one array: an oracle
+may reuse work done for equal coordinates (the harness's keeps each
+design matrix, `simeval.TrueCostWorld.cost_oracle`), as long as each reply
+is what those coordinates give.
 """
 
 from __future__ import annotations

@@ -480,20 +480,26 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
 
 
 def _int64_column(rows, idx):
-    """The values at `idx` as an int64 array, or None where they build no
-    exact one: a float, a str or an int beyond int64 gives another dtype."""
+    """The values at `idx` as a read-only int64 array, or None where they
+    build no exact one: a float, a str or an int beyond int64 gives
+    another dtype."""
     try:
         column = np.array(list(map(operator.itemgetter(idx), rows)))
     except ValueError:
         return None
-    return column if column.dtype == np.int64 and column.ndim == 1 else None
+    if column.dtype != np.int64 or column.ndim != 1:
+        return None
+    column.flags.writeable = False
+    return column
 
 
 def _run_scan(node, appearance, bindings, provenance, read, tables) -> AnnotatedResult:
-    """`tables` as in `_run_join`; a count-only scan may count over column arrays (`execute`)."""
+    """`tables` as in `_run_join`, or None for an execution given no table
+    of shared results; a count-only scan may count over column arrays
+    (`execute`), and never without a table."""
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
-    if not provenance and not read and rows and all(type(val) is int for _, _, val in tests):
+    if tables and not provenance and not read and rows and all(type(val) is int for _, _, val in tests):
         keep = np.ones(len(rows), dtype=bool)
         for idx, op, val in tests:
             key = ("column", id(table), idx)
@@ -654,9 +660,11 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     left input ("hash"), one that counts per key its tally of each input
     it tallies ("tally"). A count-only scan (no provenance, rows not
     read) of a non-empty table whose constants are all ints counts over
-    the int64 array of each column its atoms read ("column", the table's
-    identity, the position; the entry holds the table, or None where no
-    exact array builds, and the scan filters in Python). A hit returns
+    the read-only int64 array of each column its atoms read ("column",
+    the table's identity, the position; the entry holds the table, or
+    None where no exact array builds, and the scan filters in Python).
+    It does so only in an execution given a table: an array built for
+    one scan alone costs about twice the Python filter. A hit returns
     what the same inputs built: a scan's or a read join's result itself,
     never mutated after it is built, so every count, row, multiplicity
     and provenance list is unchanged; a hash table listing each left
@@ -665,6 +673,7 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     computed here is stored only when the whole execution succeeds, so a
     failed one stores nothing.
     """
+    arrays = shared is not None  # column arrays pay back only when shared
     shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
@@ -681,7 +690,7 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             key = (id(table), index.scan_keys[nid], provenance)
             entry = shared.get(key)
             if entry is None:
-                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, tables)
+                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, tables if arrays else None)
                 entry = new[key] = (table, res)
             res = entry[1]
         elif index.var[nid] != nid:

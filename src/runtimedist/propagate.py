@@ -8,15 +8,18 @@ normal-moment covariances where variable pairs share or are independent of
 each other, and conservative upper bounds (added positively) where
 ancestor/descendant selectivities correlate in ways that admit no direct
 computation. The selectivity variables are the plan's (`PlanIndex.var`).
-Mean and variance read each fitted term once, from one term table, and
-one covariance table per plan (`covariance_table`) holds the covariance
-of every pair of monomials the cost terms read, each computed once.
+Mean and variance read each fitted term once, from one term table, which
+a prediction builds once for both, and one covariance table per plan
+(`covariance_table`) holds the covariance of every pair of monomials the
+cost terms read, each computed once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,15 +241,18 @@ def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
     return dists, table
 
 
-def expected_time(plan: Plan, costfuncs, estimates, units) -> float:
-    """E[t_q] = sum_k sum_c E[f_kc] * mu_c."""
+def expected_time(plan: Plan, costfuncs, estimates, units, terms=None) -> float:
+    """E[t_q] = sum_k sum_c E[f_kc] * mu_c, read from `terms`, the plan's
+    term table under policy "all", built here when not given."""
+    if terms is None:
+        terms = _term_table(plan, costfuncs, estimates, units, "all")
     total = 0.0
-    for _, mu_c, _, e_f, _ in _term_table(plan, costfuncs, estimates, units, "all")[1]:
+    for _, mu_c, _, e_f, _ in terms[1]:
         total += e_f * mu_c
     return total
 
 
-def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
+def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all", terms=None):
     """Var[t_q] with a per-component breakdown that sums to it.
 
     Over the cost terms i = (operator, unit) with fitted f_i and unit c_i,
@@ -260,8 +266,10 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
     make up the operator's `op:<id>` component, its bounds a second `op:<id>`
     component of their bound kind; a cross-operator pair goes to
     `cov:<a>-<b>` and a `CovEntry`, and is left out under "no-cov".
+    `terms` is the plan's term table under `policy`, built here when not
+    given.
     """
-    dists, table = _term_table(plan, costfuncs, estimates, units, policy)
+    dists, table = _term_table(plan, costfuncs, estimates, units, policy) if terms is None else terms
     cov = covariance_table(plan.index.leaves, estimates, dists)
 
     # (a, b) -> [exact share, bound share, bound kinds] of the variance, for
@@ -322,14 +330,17 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all"):
 # shares it), and the structural coefficients it is stored with, by family.
 _ONES = tuple(np.broadcast_to(1.0, (1, k)) for k in range(3))
 _ZEROS = {tag: (0.0,) * (p - 1) for tag, p in costfit.NUM_COEFS.items()}
+# A grid's (mu, sigma2) pairs as its key's bytes, by arity.
+_PAIRS = {k: struct.Struct(f"{2 * k}d").pack for k in (1, 2)}
 
 
 def _probe(oracle, term, coords):
     """The oracle's reply for one term: m numbers, or a `costfit.FitError`."""
     values = oracle(term, coords)
-    if np.shape(values) != (len(coords),):
+    shape = values.shape if isinstance(values, np.ndarray) else np.shape(values)
+    if shape != (len(coords),):
         raise costfit.FitError(f"node {term[0]}, unit {term[1]}: {len(coords)} probe coordinates "
-                               f"but values of shape {np.shape(values)}")
+                               f"but values of shape {shape}")
     return values
 
 
@@ -337,30 +348,34 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     """Fit every operator's per-unit cost function from reference probes.
 
     One oracle call per cost term: oracle((node_id, unit), coords) ->
-    values, with `coords` an (m, arity) array. A term whose inputs are all
-    constants (a C1 term, or one on a scan's constant left input) is a
-    constant: it is probed once, at the all-ones coordinate, and stored as
-    (0, ..., 0, value). Any other term is probed over the mu +/- 3 sigma
-    grid of its input selectivity distribution(s). Terms of one family on
-    the same input variables share one grid and design matrix, built once,
-    and are fitted together in one `costfit.fit_grid` call. Each
+    values, with `coords` a read-only (m, arity) array. A term whose inputs
+    are all constants (a C1 term, or one on a scan's constant left input)
+    is a constant: it is probed once, at the all-ones coordinate, and
+    stored as (0, ..., 0, value). Any other term is probed over the mu +/-
+    3 sigma grid of its input selectivity distribution(s). Terms of one
+    family on the same input variables share one design matrix, built
+    once, and are fitted together in one `costfit.fit_grid` call. Each
     operator's functions are keyed by unit in `PlanIndex.terms` order. A
     reply that is not m values, or a non-finite one, is a `costfit.FitError`.
 
     `shared` is a dict of the results the plans of one evaluation share
-    (`simeval.evaluate_workload`); without it, a new empty one, so every
-    grid is fitted. Every term is still probed, one oracle call each; a
-    grid is then looked up under its family and the bytes of its
-    coordinates and of its probe values (the family fixes the arity, so
-    the bytes fix both shapes, and they fix the distinct count). A stored grid takes the stored functions, which
-    `costfit.fit_grid` made from those same inputs; any other is fitted,
-    and stored only when every grid of the plan has been fitted. A
-    non-finite probe value never matches a stored key, so it is still a
-    `costfit.FitError`.
+    (`simeval.evaluate_workload`); without it, a new empty one, so a grid
+    is shared only by the families of one call. A grid's coordinates and
+    distinct count (`costfit.grid_points`) are looked up under "grid", the
+    bytes of each input's (rho_n, sigma2) and W, which fix them (bytes,
+    since a zero's sign can move a coordinate's), and built once, read-only.
+    Every term is still probed, one oracle call each; a fit is then looked
+    up under its family, its grid's identity and the bytes of its probe
+    values, and its entry holds the grid's coordinates, so the identity
+    cannot be reused while it lives. A stored fit takes the stored
+    functions, which `costfit.fit_grid` made from those same inputs; any
+    other is fitted. Grids and fits are stored only when every grid of the
+    plan has been fitted. A non-finite probe value never matches a stored
+    key, so it is still a `costfit.FitError`.
     """
     shared = {} if shared is None else shared
     fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
-    new: dict = {}  # grids fitted here, stored in `shared` at the end
+    new: dict = {}  # grids and fits made here, stored in `shared` at the end
     grids: dict[tuple, list] = {}  # (family, variables) -> the terms probed on its grid
     for term, (tag, vars_) in plan.index.terms.items():
         nid, unit = term
@@ -373,15 +388,21 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
             raise costfit.FitError(f"node {nid}, unit {unit}: non-finite probe value {value}")
         fitted[nid][unit] = CostFunction(tag, _ZEROS[tag] + (value,))
     for (tag, vars_), terms in grids.items():
-        coords, distinct = costfit.grid_points([(estimates[v].rho_n, estimates[v].sigma2) for v in vars_], W)
+        dists = [(estimates[v].rho_n, estimates[v].sigma2) for v in vars_]
+        key = ("grid", _PAIRS[len(dists)](*itertools.chain(*dists)), W)
+        grid = shared.get(key) or new.get(key)
+        if grid is None:
+            grid = new[key] = costfit.grid_points(dists, W)
+            grid[0].setflags(write=False)
+        coords, distinct = grid
         values = np.empty((len(coords), len(terms)))
         for j, term in enumerate(terms):
             values[:, j] = _probe(oracle, term, coords)
-        key = (tag, coords.tobytes(), values.tobytes())
-        fits = shared.get(key)
-        if fits is None:
-            fits = new[key] = costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values)
-        for (nid, unit), cf in zip(terms, fits):
+        key = (tag, id(coords), values.tobytes())
+        entry = shared.get(key)
+        if entry is None:
+            entry = new[key] = (coords, costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values))
+        for (nid, unit), cf in zip(terms, entry[1]):
             fitted[nid][unit] = cf
     shared.update(new)
     return fitted
@@ -391,20 +412,23 @@ def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10
                          shared=None):
     """End-to-end prediction: estimate selectivities, fit cost functions
     against the reference probe oracle, and propagate to the output normal
-    distribution. Its flags are `variance_time`'s, "degenerate-fit" when
-    any cost function is `degenerate`, and "zero-count" when a streamed
-    join kept no sample rows: its rho_n and s2_n are 0, so the prediction
-    treats that selectivity as known, and "negative-mass" when the normal
-    puts more than `NEGATIVE_MASS` of its mass below zero. `shared`, the
-    dict of results the plans of one evaluation share, goes to
-    `selest.estimate_all` (its scans and read joins) and
-    `fit_all_cost_functions` (its grid fits); the prediction is bitwise
-    the same with it or without it."""
+    distribution. The term table under policy "all" is built once: the
+    mean reads it, and so does the variance under that policy; any other
+    policy builds its own. Its flags are `variance_time`'s,
+    "degenerate-fit" when any cost function is `degenerate`, and
+    "zero-count" when a streamed join kept no sample rows: its rho_n and
+    s2_n are 0, so the prediction treats that selectivity as known, and
+    "negative-mass" when the normal puts more than `NEGATIVE_MASS` of its
+    mass below zero. `shared`, the dict of results the plans of one
+    evaluation share, goes to `selest.estimate_all` (its scans and read
+    joins) and `fit_all_cost_functions` (its grids and fits); the
+    prediction is bitwise the same with it or without it."""
     estimates = selest.estimate_all(plan, pool, relations, shared)
     costfuncs = fit_all_cost_functions(plan, estimates, oracle, W=W, shared=shared)
-    mean = expected_time(plan, costfuncs, estimates, units)
+    terms = _term_table(plan, costfuncs, estimates, units, "all")
+    mean = expected_time(plan, costfuncs, estimates, units, terms)
     variance, breakdown, entries, flags = variance_time(
-        plan, costfuncs, estimates, units, policy=policy
+        plan, costfuncs, estimates, units, policy, terms if policy == "all" else None
     )
     if any(cf.degenerate for per in costfuncs.values() for cf in per.values()):
         flags.append("degenerate-fit")

@@ -247,14 +247,27 @@ class TrueCostWorld:
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
-        an (m, arity) selectivity coordinate array, as an m-vector. This is
-        all the predictor learns of the cost model. The plan's leaf
-        products are computed once, when the oracle is made."""
+        an (m, arity) selectivity coordinate array, as an m-vector,
+        `design_matrix(tag, coords) @ true_b`. This is all the predictor
+        learns of the cost model. The plan's leaf products are computed
+        once, when the oracle is made, and each distinct design matrix
+        once per oracle: it is kept under its family, the coordinates'
+        shape and their bytes, so the terms probed on one grid, and the
+        constant terms probed at one coordinate, share it. The key is the
+        coordinates' content, not their identity, so equal arrays, a list
+        or an array changed in place between calls each get the matrix of
+        what they hold."""
         products = planmod.leaf_products(plan, relations)
+        matrices = {}  # (family, shape, coordinate bytes) -> design matrix
 
         def oracle(key, coords):
             tag, b = self._true_b(plan, products, *key)
-            return design_matrix(tag, coords) @ b
+            X = np.asarray(coords, dtype=float)
+            mkey = (tag, X.shape, X.tobytes())
+            A = matrices.get(mkey)
+            if A is None:
+                A = matrices[mkey] = design_matrix(tag, X)
+            return A @ b
 
         return oracle
 
@@ -558,17 +571,19 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     each column array that count-only scans count over (`plan.execute`;
     on bigrel seed 0 a pass builds 260 joins, not 320, and truth 22
     tallies, not 160, and 3 arrays for 80 scans), the counters of each
-    sample scan and read join (`selest.estimate_all`) and each grid fit
-    (`propagate.fit_all_cost_functions`). Truth reaches the dict through
-    `plan.sharing`, which covers the plan loop only. A hit returns what
-    the same inputs produced, so every record and the summary are bitwise
-    those of predicting each plan alone. The probe oracle shares nothing.
+    sample scan and read join (`selest.estimate_all`), and each grid's
+    coordinates and each grid fit (`propagate.fit_all_cost_functions`; 209
+    grids, not 520). Truth reaches the dict through `plan.sharing`, which
+    covers the plan loop only. A hit returns what the same inputs
+    produced, so every record and the summary are bitwise those of
+    predicting each plan alone. The probe oracle shares nothing across
+    plans: each plan's oracle keeps its own design matrices.
 
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated, nor can such plans that all have one predicted stddev, or
     one error: a ValueError that names the cause and gives the counts."""
     records = []
-    shared = {}  # scans, read joins, hash tables, tallies, column arrays, counters and grid fits the plans share
+    shared = {}  # scans, read joins, hash tables, tallies, column arrays, counters, grids and fits the plans share
     with planmod.sharing(shared):
         for idx, (label, p) in enumerate(plans):
             with planmod.naming(f"plan {label!r}"):

@@ -505,7 +505,9 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
     # coordinates: a scan's C2 grid and a Sort's C3 and C4 grids on the
     # scan's variable then share coordinates and values, and only their family
     # tells them apart; a second estimate of the scan shares the values,
-    # and only its coordinates tell it apart.
+    # and only its coordinates tell it apart. The three families read one
+    # stored grid per estimate, and each fit's entry holds that grid's
+    # coordinates, which its key names by identity.
     doc = {
         "nodes": [
             {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
@@ -526,14 +528,19 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
         fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=4, shared=shared)
         assert fitted == propagate.fit_all_cost_functions(plan, est, oracle, W=4)
     assert fitted[2]["c_t"].tag == "C3" and fitted[1]["c_o"].tag == "C2"
-    assert len(shared) == 6  # the scan's C2, the Sort's C3 and C4, at each of the two estimates
+    grids = {key: coords for key, (coords, _) in shared.items() if key[0] == "grid"}
+    fits = {key: entry for key, entry in shared.items() if key[0] != "grid"}
+    assert len(grids) == 2  # one grid at each of the two estimates
+    assert len(fits) == 6  # the scan's C2, the Sort's C3 and C4, at each of the two estimates
+    assert {id(coords) for coords in grids.values()} == {key[1] for key in fits}
+    assert all(key[1] == id(coords) for key, (coords, _) in fits.items())
 
     def nan_last(key, coords):  # the Sort's C4 grid, fitted after the other two
         return oracle(key, coords) * (math.nan if key == (2, "c_o") else 1.0)
 
     with pytest.raises(costfit.FitError, match="non-finite probe values for a C4 fit"):
         propagate.fit_all_cost_functions(sort, {1: _scan_estimate(0.45)}, nan_last, W=4, shared=shared)
-    assert len(shared) == 6  # the grids fitted before it are not stored either
+    assert shared.keys() == grids.keys() | fits.keys()  # nor are its grid or the fits made before it
 
 
 def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
@@ -547,7 +554,10 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # is a column array, whose entry holds the base relation its key names.
     # A read join's entry holds its two inputs and its result, all watched,
     # and its counters' entry holds that result; no join that no parent
-    # reads is ever stored, nor are its counters.
+    # reads is ever stored, nor are its counters. A grid's entry holds its
+    # coordinates, watched, and its distinct count, an int, which cannot be;
+    # a fit's entry holds the coordinates its key names and its functions,
+    # each watched.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)],
                                 three_way_targets=[(0.5, 0.5, 0.5)], seed=1)
@@ -575,6 +585,14 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                 assert {type(obj) for obj in value} == {planmod.AnnotatedResult}
                 kinds.add(key[0])
                 stored.extend(value)
+            elif key[0] == "grid":
+                assert type(value[0]) is np.ndarray and type(value[1]) is int
+                kinds.add(key[0])
+                stored.append(value[0])
+            elif key[0] in costfit.FAMILIES:
+                assert key[1] == id(value[0]) and type(value[0]) is np.ndarray
+                kinds.add("fits")
+                stored.extend([value[0], *value[1]])
             else:
                 assert key[0] != "column" or (key[1] == id(value[0]) and type(value[0]) is store.Relation)
                 stored.extend(value)
@@ -610,7 +628,7 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         assert len(set(tables + truths)) == 1
         assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, Counter, np.ndarray,
                          ("counters", list), ("hash", dict), ("tally", Counter), "read-join",
-                         ("join counters", list)}
+                         ("join counters", list), "grid", "fits"}
         assert True in unread and False in unread  # root joins and read joins both ran
         read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}
         assert {id(relations[rel]) for rel in read} <= refs.keys()  # truth's scans were stored
@@ -699,8 +717,10 @@ def test_oracle_reply_checked_against_its_term(reply, shape, term):
 
 
 def test_fit_builds_one_grid_per_family_and_inputs(monkeypatch):
-    # A three-way join: several units of one operator read the same inputs
-    # through the same family, so they share one grid and one fit call.
+    # A three-way join under a Sort: several units of one operator read the
+    # same inputs through the same family, so they share one grid and one
+    # fit call; the Sort's C3 and C4 terms read one input through two
+    # families, so they share its grid, built once, and are fitted apart.
     relations, world, _, pool = _world_fixture()
     doc = {
         "nodes": [
@@ -714,8 +734,9 @@ def test_fit_builds_one_grid_per_family_and_inputs(monkeypatch):
              "predicate": [{"left": "r1_key", "right": "r2_key"}]},
             {"id": 5, "kind": "NestLoopJoin", "children": [4, 3],
              "predicate": [{"left": "r2_key2", "right": "r3_key2"}]},
+            {"id": 6, "kind": "Sort", "children": [5]},
         ],
-        "root": 5,
+        "root": 6,
     }
     plan = planmod.parse_plan(json.dumps(doc))
     est = selest.estimate_all(plan, pool, relations)
@@ -738,7 +759,9 @@ def test_fit_builds_one_grid_per_family_and_inputs(monkeypatch):
     varying = {term: fv for term, fv in plan.index.terms.items() if any(v is not None for v in fv[1])}
     groups = set(varying.values())
     assert len(groups) < len(varying)  # some grids are shared
-    assert len(grid_calls) == len(fit_calls) == len(groups)
+    assert len(fit_calls) == len(groups)
+    inputs = {tuple((est[v].rho_n, est[v].sigma2) for v in vars_) for _, vars_ in groups}
+    assert len(grid_calls) == len(inputs) == len(groups) - 1  # the Sort's C3 and C4 fits read one grid
     assert sorted(oracle_calls) == sorted(plan.index.terms)
     for nid, per in fitted.items():
         assert list(per) == [unit for n, unit in plan.index.terms if n == nid]

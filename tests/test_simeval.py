@@ -1,5 +1,6 @@
 """Simulation world, evaluation metrics, and the variance oracles."""
 
+import dataclasses
 import json
 import math
 import re
@@ -335,6 +336,40 @@ def test_array_oracle_matches_scalar_evaluation(data):
                 want = sum(bi * ri for bi, ri in zip(b, _scalar_row(tag, c)))
                 assert value == pytest.approx(want, rel=1e-14, abs=0.0)
     assert families == set(ARITY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oracle_reply_is_the_design_matrix_of_what_it_is_given(data):
+    # The oracle keeps each design matrix it builds for its plan, keyed by
+    # family and the coordinates' shape and bytes. Its reply is bitwise
+    # design_matrix(tag, coords) @ true_b whatever it was asked before: one
+    # array probed by terms of different families in any order, an equal
+    # copy of it, the same coordinates as a list, and the array after an
+    # in-place write between two calls.
+    relations = simeval.generate_database(1, sizes=(30, 40, 50))
+    plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
+    coefs: dict = {}
+    for node in plan.nodes.values():
+        for unit, tag in node.cost_profile.items():
+            coefs.setdefault(node.kind, {})[unit] = tuple(
+                data.draw(st.floats(0.5, 2.0)) for _ in range(costfit.NUM_COEFS[tag]))
+    world = TrueCostWorld(unit_means={}, unit_vars={}, coefs=coefs, seed=0)
+    oracle = world.cost_oracle(plan, relations)
+    by_arity: dict = {}
+    for key, (tag, _) in plan.index.terms.items():
+        by_arity.setdefault(ARITY[tag], []).append(key)
+    arity = data.draw(st.sampled_from(sorted(by_arity)), label="arity")
+    m = data.draw(st.integers(1, 5), label="m")
+    X = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=arity, max_size=arity),
+                                    min_size=m, max_size=m)), dtype=float).reshape(m, arity)
+    for key in data.draw(st.permutations(by_arity[arity] * 2), label="terms"):
+        form = data.draw(st.sampled_from(["array", "copy", "list", "written"]), label="form")
+        if form == "written" and X.size:
+            X[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, arity - 1))] = data.draw(st.floats(0.0, 1.0))
+        coords = X.copy() if form == "copy" else X.tolist() if form == "list" else X
+        tag, b = world.true_b(plan, relations, *key)
+        assert oracle(key, coords).tobytes() == (costfit.design_matrix(tag, coords) @ b).tobytes()
 
 
 def test_true_b_matches_written_out_scaling():
@@ -979,11 +1014,57 @@ def _summary_or_error(records):
     }
 
 
+def test_every_array_an_evaluation_shares_is_read_only():
+    # A later plan reads an array of the table of shared results as an
+    # earlier one built it: the column arrays that count-only full-data
+    # scans count over and each grid's coordinates. So every ndarray
+    # reachable from the table's entries, on a bigrel-shaped workload
+    # (scans, joins and three-way joins over int columns), is read-only,
+    # and an in-place write raises.
+    relations = simeval.generate_database(3, sizes=(300, 300, 300), key_domain=30)
+    world = TrueCostWorld.generate(3)
+    units = calib.fit_cost_units(world.calibration_records(20, seed=3))
+    pool = store.build_pool(relations, n=20, pool_size=2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plans, _ = simeval.generate_workload(WorkloadSpec.grid(6, 4, 2, seed=3), relations)
+    predict, tables = propagate.predict_distribution, []
+
+    def spying(*args, shared=None, **kwargs):
+        tables.append(shared)
+        return predict(*args, shared=shared, **kwargs)
+
+    with mock.patch.object(propagate, "predict_distribution", spying):
+        simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
+    table = tables[0]
+    arrays, seen, stack = {}, set(), list(table.items())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.items())
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    held = [value[1] for key, value in table.items() if key[0] == "column" and value[1] is not None]
+    held += [value[0] for key, value in table.items() if key[0] == "grid"]
+    assert {key[0] for key in table} >= {"column", "grid"} and {id(a) for a in held} <= arrays.keys()
+    for array in arrays.values():
+        assert array.size and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sharing_changes_no_result(data):
     # evaluate_workload shares one table of scans, hash tables, counters,
-    # truth's tallies and column arrays and grid fits across its plans,
+    # truth's tallies and column arrays, grids and grid fits across its plans,
     # their truths included; its records and summary are bitwise those of
     # each plan predicted alone. A plan that fails stores nothing, a truth after an
     # evaluation shares nothing, and a non-finite probe on a stored grid is
@@ -1000,16 +1081,19 @@ def test_sharing_changes_no_result(data):
     policy = data.draw(st.sampled_from(propagate.POLICIES), label="policy")
 
     want = []
+    grids = set()  # the repr of each grid's (input distributions, W) the plans fit on
     for idx, (label, p) in enumerate(plans):
-        dist, _, _, _ = propagate.predict_distribution(
+        dist, est, _, _ = propagate.predict_distribution(
             p, pool, relations, units, world.cost_oracle(p, relations), W=W, policy=policy)
         actual = simeval.actual_runtime(p, relations, world, seed=idx, runs=runs)
         want.append(EvalRecord(label, dist.mean, dist.stddev, actual, tuple(dist.flags)))
+        grids.update(repr((tuple((est[v].rho_n, est[v].sigma2) for v in vars_), W))
+                     for _, vars_ in p.index.terms.values() if None not in vars_ and vars_)
     want_summary = _summary_or_error(want)
 
     predict, run_scan = propagate.predict_distribution, planmod._run_scan
     scan_counters, hash_rows, tally = selest._scan_counters, planmod._hash_rows, planmod._tally
-    int64_column = planmod._int64_column
+    int64_column, grid_points = planmod._int64_column, costfit.grid_points
     tables, before = [], []  # per prediction: the table it was given, and its keys then
     # per sample scan run, its result (kept, so no id is reused) and its
     # scan; per full-data scan run, its scan; per counter build, its scan;
@@ -1017,9 +1101,10 @@ def test_sharing_changes_no_result(data):
     # positions; per full-data scan result, that result (kept) and its
     # scan; per tally build, the scan it counts (None if it counts no
     # scan's rows) and key positions; per column-array build, the relation
-    # whose rows it reads (None for any other table) and the position
+    # whose rows it reads (None for any other table) and the position; per
+    # grid built, its (input distributions, W)
     scanned, truth_scanned, counted, hashed = {}, [], [], []
-    truth_results, tallied, arrays = {}, [], []
+    truth_results, tallied, arrays, gridded = {}, [], [], []
 
     def spying(*args, shared=None, **kwargs):
         tables.append(shared)
@@ -1053,6 +1138,10 @@ def test_sharing_changes_no_result(data):
         arrays.append((next((name for name, rel in relations.items() if rel.rows is rows), None), idx))
         return int64_column(rows, idx)
 
+    def counting_grids(distributions, W):
+        gridded.append((tuple(distributions), W))
+        return grid_points(distributions, W)
+
     def truth_tallies(p):
         """The tallies one truth of `p` builds, outside an evaluation."""
         tallied.clear()
@@ -1068,14 +1157,15 @@ def test_sharing_changes_no_result(data):
         return len(truth_scanned)
 
     def evaluate(workload):
-        for spied in (tables, before, scanned, truth_scanned, counted, hashed, tallied, arrays):
+        for spied in (tables, before, scanned, truth_scanned, counted, hashed, tallied, arrays, gridded):
             spied.clear()
         with mock.patch.object(propagate, "predict_distribution", spying), \
                 mock.patch.object(planmod, "_run_scan", counting), \
                 mock.patch.object(selest, "_scan_counters", counting_counters), \
                 mock.patch.object(planmod, "_hash_rows", counting_hashes), \
                 mock.patch.object(planmod, "_tally", counting_tallies), \
-                mock.patch.object(planmod, "_int64_column", counting_arrays):
+                mock.patch.object(planmod, "_int64_column", counting_arrays), \
+                mock.patch.object(costfit, "grid_points", counting_grids):
             return simeval.evaluate_workload(workload, relations, pool, units, world, policy=policy, W=W, runs=runs)
 
     if isinstance(want_summary, str):
@@ -1087,6 +1177,9 @@ def test_sharing_changes_no_result(data):
         assert repr(records) == repr(want)  # bitwise: a float's repr round-trips and tells -0.0 from 0.0
         assert repr(summary) == repr(want_summary)
     assert type(tables[0]) is dict and all(t is tables[0] for t in tables)
+    # one grid built per distinct (input distributions, W), whatever the
+    # families and plans that fit on it
+    assert sorted(map(repr, gridded)) == sorted(grids)
     # one sample scan run, and one counter build, per distinct
     # (appearance, selections, read): repeats hit
     scans = {(p.index.appearance[nid], p.nodes[nid].selections, nid in p.index.read)
