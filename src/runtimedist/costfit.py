@@ -130,6 +130,8 @@ def grid_points(distributions, W: int = 10) -> tuple[np.ndarray, int]:
     bit, in linspace's own float operations: k * step + lo, then hi. (Its
     other form, for a step that underflows to 0, is never needed: a
     nonzero sigma is at least 1e-162, so hi - lo is 0 or far from 0.)
+    Where [lo, hi] lies in [0, 1] the clip changes nothing and is skipped:
+    each k * step + lo lies in [lo, hi], since rounding is monotone.
     The distinct count is the product of each axis's number of distinct
     values (a NaN equals none): the axes are counted, not the points.
     """
@@ -144,15 +146,18 @@ def grid_points(distributions, W: int = 10) -> tuple[np.ndarray, int]:
         sigma = math.sqrt(max(sigma2, 0.0))
         lo, hi = mu - 3.0 * sigma, mu + 3.0 * sigma
         step = (hi - lo) / W
-        axis = [k * step + lo for k in range(W)] + [hi]
-        axes.append([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in axis])  # np.clip: NaN and -0.0 stay
-    distinct = math.prod(len(set(axis)) for axis in axes)
+        axis = [k * step + lo for k in range(W)]
+        axis.append(hi)
+        if not 0.0 <= lo <= hi <= 1.0:  # else every point is already in [0, 1]
+            axis = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in axis]  # np.clip: NaN and -0.0 stay
+        axes.append(axis)
     if len(axes) == 1:
-        return np.array(axes[0])[:, None], distinct
+        return np.array(axes[0])[:, None], len(set(axes[0]))
+    first, second = axes
     grid = np.empty((W + 1, W + 1, 2))
-    grid[:, :, 0] = np.array(axes[0])[:, None]
-    grid[:, :, 1] = axes[1]
-    return grid.reshape(-1, 2), distinct
+    grid[:, :, 0] = np.array(first)[:, None]
+    grid[:, :, 1] = second
+    return grid.reshape(-1, 2), len(set(first)) * len(set(second))
 
 
 def nnls_solve(A, Y, constrained):
@@ -182,7 +187,7 @@ def nnls_solve(A, Y, constrained):
     scale[scale == 0.0] = 1.0
     As = A / scale
     X, _, rank, _ = np.linalg.lstsq(As, Y, rcond=None)
-    if np.count_nonzero(X[constrained] < 0.0):
+    if (X[constrained] < 0.0).any():
         bad = np.flatnonzero(np.any(X[constrained] < 0.0, axis=0))
         Q, R = np.linalg.qr(As)
         tol = np.finfo(float).eps * max(As.shape)

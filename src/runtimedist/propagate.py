@@ -16,7 +16,6 @@ cost terms read, each computed once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import struct
@@ -94,17 +93,6 @@ def cov_product(tables, m1, m2) -> float:
     return c
 
 
-def _monomials(cf: CostFunction, vars_):
-    """Cost function as [(coefficient, ((var, power), ...))], without its
-    constant and its zero-coefficient monomials, which covary with
-    nothing."""
-    return [
-        (b, tuple((v, p) for v, p in zip(vars_, exps) if p))
-        for b, exps in zip(cf.b, costfit.FAMILIES[cf.tag][1])
-        if b != 0.0 and any(exps)
-    ]
-
-
 def _variance(monomials, cov) -> float:
     """Var[sum_k b_k m_k] for monomials [(b_k, m_k)], from the exact
     covariance cov(m_k, m_l) of each pair k <= l."""
@@ -164,22 +152,27 @@ def bound_pair(leaves, estimates, a: int, pa: int, b: int, pb: int) -> tuple[flo
 
 
 def covariance_table(leaves, estimates, dists):
-    """A plan's covariance table: a cached function (m1, m2) -> (value,
-    kind) of two monomials ((variable, power), ...), `leaves` giving each
-    variable's leaf set (`PlanIndex.leaves`), `estimates` its selectivity
-    estimate and `dists` its (mu, sigma2). A variable of each monomial,
-    both of nonzero variance, covary when they are the same or nested (one
-    leaf set inside the other). If every such pair is one variable, the value is
-    exact: "direct" (`cov_product`), or "zero" with no pair. One nested
-    pair gives its `bound_pair`, computed once per distinct pair, times
-    the other factors' means; more give "bound-gm", the geometric mean of
-    the monomials' variances. A bound is a nonnegative magnitude."""
+    """A plan's covariance table: a function (m1, m2) -> (value, kind) of
+    two monomials ((variable, power), ...) that computes each pair once,
+    `leaves` giving each variable's leaf set (`PlanIndex.leaves`),
+    `estimates` its selectivity estimate and `dists` its (mu, sigma2). A
+    variable of each monomial, both of nonzero variance, covary when they
+    are the same or nested (one leaf set inside the other). If every such
+    pair is one variable, the value is exact: "direct" (`cov_product`), or
+    "zero" with no pair. One nested pair gives its `bound_pair`, computed
+    once per distinct pair, times the other factors' means; more give
+    "bound-gm", the geometric mean of the monomials' variances, read as
+    their own entries. A bound is a nonnegative magnitude. Its memos are two plain dicts, which live as
+    long as the function: one `variance_time` call."""
     tables = {v: (moments(d), covariances(d)) for v, d in dists.items()}
     sets = {v: frozenset(apps) for v, apps in leaves.items()}
-    bound = functools.lru_cache(maxsize=None)(lambda *key: bound_pair(leaves, estimates, *key))
+    bounds: dict = {}  # (a, pa, b, pb) -> bound_pair's (value, kind)
+    entries: dict = {}  # (m1, m2) -> (value, kind)
 
-    @functools.lru_cache(maxsize=None)
     def cov(m1, m2) -> tuple[float, str]:
+        entry = entries.get((m1, m2))
+        if entry is not None:
+            return entry
         links = []
         for a, pa in m1:
             for b, pb in m2:
@@ -190,21 +183,29 @@ def covariance_table(leaves, estimates, dists):
                 elif sets[a] & sets[b]:
                     raise PropagationError(f"variables {a} and {b} overlap without nesting; not a tree plan")
         if not links:
-            return 0.0, "zero"
-        if all(a == b for a, _, b, _ in links):
-            return cov_product(tables, m1, m2), "direct"
-        if len(links) == 1:
-            a, pa, b, pb = links[0]
+            entry = 0.0, "zero"
+        elif all(a == b for a, _, b, _ in links):
+            entry = cov_product(tables, m1, m2), "direct"
+        elif len(links) == 1:
+            a, pa, b, pb = key = links[0]
             factor = 1.0
             for mono, x in ((m1, a), (m2, b)):
                 for v, p in mono:
                     if v != x:
                         factor *= tables[v][0][p]
-            value, kind = bound(a, pa, b, pb)
-            return factor * value, kind
-        # Correlation flows through more than one variable pair; a
-        # monomial's factors are independent (left/right subtrees).
-        return math.sqrt(cov_product(tables, m1, m1) * cov_product(tables, m2, m2)), "bound-gm"
+            bound = bounds.get(key)
+            if bound is None:
+                bound = bounds[key] = bound_pair(leaves, estimates, *key)
+            entry = factor * bound[0], bound[1]
+        elif m1 == m2:  # links between a monomial's own factors: they are not independent
+            raise PropagationError(f"monomial {m1} multiplies nested variables; not a tree plan's")
+        else:
+            # Correlation flows through more than one variable pair; a
+            # monomial's factors are independent (left/right subtrees), so
+            # its own variance is an exact entry of this table.
+            entry = math.sqrt(cov(m1, m1)[0] * cov(m2, m2)[0]), "bound-gm"
+        entries[m1, m2] = entry
+        return entry
 
     return cov
 
@@ -216,28 +217,51 @@ def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
     """A plan's term table under a policy: each selectivity variable's
     (mu, sigma2), None the constant 1 (a scan's left input), and per cost
     term, in `PlanIndex.terms` order, (operator, unit mean, unit variance,
-    E[f], monomials). E[f] is each monomial's coefficient times its
-    variables' E[X^p], summed in order, plus the constant. A fitted
-    function must be of its term's family, whose inputs its exponents read."""
+    E[f], monomials). A term's monomials are [(coefficient, ((variable,
+    power), ...))], without its constant and its zero-coefficient
+    monomials, which covary with nothing; its E[f] is each one's
+    coefficient times its variables' E[X^p], summed in order, plus the
+    constant. A fitted function must be of its term's family, whose inputs
+    its exponents read. Each family's non-constant monomials, as (the
+    coefficient's index, [(input position, power), ...]), are read off
+    `costfit.FAMILIES` once per call, and only for a function with a
+    nonzero coefficient besides the last; each unit's moments are read
+    once per call."""
     if policy not in POLICIES:
         raise PropagationError(f"unknown covariance policy {policy!r}; one of {POLICIES}")
     dists = {None: (1.0, 0.0)}
     for nid, est in estimates.items():
         dists[nid] = (est.rho_n, 0.0 if policy == "no-var-x" else est.sigma2)
     moms = {v: moments(d) for v, d in dists.items()}
+    positions: dict = {}  # family -> its non-constant monomials' positions
+    unit_moments: dict = {}  # unit -> (mean, variance under the policy)
     table = []
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
         cf = costfuncs[nid][unit]
         if cf.tag != tag:
             raise PropagationError(f"node {nid}, unit {unit}: fitted {cf.tag} function for a {tag} term")
-        mono = _monomials(cf, vars_)
+        b = cf.b
+        mono = []
         e_f = 0.0
-        for b, m in mono:
-            for v, p in m:
-                b *= moms[v][p]
-            e_f += b
-        s2_c = 0.0 if policy == "no-var-c" else units.variance(unit)
-        table.append((nid, units.mean(unit), s2_c, e_f + cf.b[-1], mono))
+        if any(b[:-1]):  # else only the constant is nonzero, as a constant term's is
+            pos = positions.get(tag)
+            if pos is None:
+                pos = positions[tag] = [(k, [(i, p) for i, p in enumerate(exps) if p])
+                                        for k, exps in enumerate(costfit.FAMILIES[tag][1]) if any(exps)]
+            for k, factors in pos:
+                c = b[k]
+                if c != 0.0:
+                    m = []
+                    for i, p in factors:
+                        v = vars_[i]
+                        m.append((v, p))
+                        c *= moms[v][p]
+                    mono.append((b[k], tuple(m)))
+                    e_f += c
+        unit_c = unit_moments.get(unit)
+        if unit_c is None:
+            unit_c = unit_moments[unit] = (units.mean(unit), 0.0 if policy == "no-var-c" else units.variance(unit))
+        table.append((nid, *unit_c, e_f + b[-1], mono))
     return dists, table
 
 
@@ -277,17 +301,24 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all", 
     # term variances.
     parts = {(nid, nid): [0.0, 0.0, set()] for nid in plan.index.order}
     terms = []  # (operator, mu_c, monomials) of each term that can covary
+
+    def value(m1, m2):
+        return cov(m1, m2)[0]
+
     for nid, mu_c, s2_c, e_f, mono in table:
-        var_f = _variance(mono, lambda m1, m2: cov(m1, m2)[0])
-        parts[nid, nid][0] += term_variance(e_f, var_f, mu_c, s2_c)
-        if mono:  # a constant term covaries with nothing
+        var_f = 0.0  # a constant term's; it covaries with nothing
+        if mono:
+            var_f = _variance(mono, value)
             terms.append((nid, mu_c, mono))
+        parts[nid, nid][0] += term_variance(e_f, var_f, mu_c, s2_c)
 
     for i, (a, mu_a, mono_a) in enumerate(terms):
         for b, mu_b, mono_b in terms[i + 1 :]:
             if a != b and policy == "no-cov":
                 continue
-            part = parts.setdefault((a, b), [0.0, 0.0, set()])
+            part = parts.get((a, b))
+            if part is None:
+                part = parts[a, b] = [0.0, 0.0, set()]
             scale = 2.0 * mu_a * mu_b
             for coef1, m1 in mono_a:
                 for coef2, m2 in mono_b:
@@ -359,29 +390,32 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     reply that is not m values, or a non-finite one, is a `costfit.FitError`.
 
     `shared` is a dict of the results the plans of one evaluation share
-    (`simeval.evaluate_workload`); without it, a new empty one, so a grid
-    is shared only by the families of one call. A grid's coordinates and
-    distinct count (`costfit.grid_points`) are looked up under "grid", the
-    bytes of each input's (rho_n, sigma2) and W, which fix them (bytes,
-    since a zero's sign can move a coordinate's), and built once, read-only.
-    Every term is still probed, one oracle call each; a fit is then looked
-    up under its family, its grid's identity and the bytes of its probe
-    values, and its entry holds the grid's coordinates, so the identity
-    cannot be reused while it lives. A stored fit takes the stored
-    functions, which `costfit.fit_grid` made from those same inputs; any
-    other is fitted. Grids and fits are stored only when every grid of the
-    plan has been fitted. A non-finite probe value never matches a stored
-    key, so it is still a `costfit.FitError`.
+    (`simeval.evaluate_workload`). A grid's coordinates and distinct count
+    (`costfit.grid_points`) are looked up under "grid", the bytes of each
+    input's (rho_n, sigma2) and W, which fix them (bytes, since a zero's
+    sign can move a coordinate's), and built once, read-only. Every term
+    is still probed, one oracle call each; a fit is then looked up under
+    its family, its grid's identity and the bytes of its probe values, and
+    its entry holds the grid's coordinates, so the identity cannot be
+    reused while it lives. A stored fit takes the stored functions, which
+    `costfit.fit_grid` made from those same inputs; any other is fitted.
+    Grids and fits are stored only when every grid of the plan has been
+    fitted. A non-finite probe value never matches a stored key, so it is
+    still a `costfit.FitError`. Without `shared`, nothing is stored: a
+    grid is shared only by the families of one call, keyed by their
+    variables, and no fit is keyed or looked up, since none could be found.
     """
+    keyed = shared is not None
     shared = {} if shared is None else shared
     fitted: dict[int, dict[str, CostFunction]] = {nid: {} for nid in plan.index.order}
     new: dict = {}  # grids and fits made here, stored in `shared` at the end
     grids: dict[tuple, list] = {}  # (family, variables) -> the terms probed on its grid
-    for term, (tag, vars_) in plan.index.terms.items():
+    for term, spec in plan.index.terms.items():
         nid, unit = term
+        tag, vars_ = spec
         if vars_.count(None) < len(vars_):
             fitted[nid][unit] = None  # keeps the unit's place; its grid's fit fills it below
-            grids.setdefault((tag, vars_), []).append(term)
+            grids.setdefault(spec, []).append(term)
             continue
         value = float(_probe(oracle, term, _ONES[len(vars_)])[0])
         if not math.isfinite(value):
@@ -389,7 +423,7 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
         fitted[nid][unit] = CostFunction(tag, _ZEROS[tag] + (value,))
     for (tag, vars_), terms in grids.items():
         dists = [(estimates[v].rho_n, estimates[v].sigma2) for v in vars_]
-        key = ("grid", _PAIRS[len(dists)](*itertools.chain(*dists)), W)
+        key = ("grid", _PAIRS[len(dists)](*itertools.chain(*dists)), W) if keyed else vars_
         grid = shared.get(key) or new.get(key)
         if grid is None:
             grid = new[key] = costfit.grid_points(dists, W)
@@ -398,11 +432,16 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
         values = np.empty((len(coords), len(terms)))
         for j, term in enumerate(terms):
             values[:, j] = _probe(oracle, term, coords)
-        key = (tag, id(coords), values.tobytes())
-        entry = shared.get(key)
-        if entry is None:
-            entry = new[key] = (coords, costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values))
-        for (nid, unit), cf in zip(terms, entry[1]):
+        if keyed:
+            key = (tag, id(coords), values.tobytes())
+            entry = shared.get(key)
+            if entry is None:
+                fit = costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values)
+                entry = new[key] = (coords, fit)
+            cfs = entry[1]
+        else:
+            cfs = costfit.fit_grid(tag, costfit.design_matrix(tag, coords), distinct, values)
+        for (nid, unit), cf in zip(terms, cfs):
             fitted[nid][unit] = cf
     shared.update(new)
     return fitted

@@ -14,10 +14,13 @@ from `PlanIndex`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import plan as planmod
 from .plan import Plan
+
+_FIRST = operator.itemgetter(0)  # a scan's provenance entry (j,) -> j
 
 
 class EstimationError(ValueError):
@@ -75,8 +78,9 @@ def estimate_for_subset(est: SelEstimate, positions) -> float:
 def _scan_counters(result) -> list[dict[int, int]]:
     """A scan's counters Q: one position, each kept sample index counted
     once. A scan keeps distinct indexes, so this is the counting loop's
-    dict, keys in the same order."""
-    return [dict.fromkeys([j for j, in result.provenance], 1)]
+    dict, keys in the same order. Each index is read out of its 1-tuple
+    by `_FIRST`, in C."""
+    return [dict.fromkeys(map(_FIRST, result.provenance), 1)]
 
 
 def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, SelEstimate]:

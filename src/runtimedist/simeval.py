@@ -226,42 +226,48 @@ class TrueCostWorld:
             )
         return a
 
-    def _true_b(self, plan: Plan, products, node_id: int, unit: str):
-        """(tag, `true_b`'s coefficients), `products` the plan's
-        `plan.leaf_products`. Each is a_k * m_k, m_k the monomial's product
-        of its inputs' leaf products in `monomial_factors` order (integers,
-        so exact; 1.0 for the constant), as `monomial_values` gives it. A
-        tuple built from `map` is ready for the oracle's product as it is,
-        and builds faster than a list comprehension."""
-        kind = plan.nodes[node_id].kind
-        tag, vars_ = plan.index.terms[node_id, unit]
-        a = self._slot(kind, unit, tag)
-        scale = [products[node_id if v is None else v] for v in vars_]
-        return tag, tuple(map(operator.mul, a, monomial_values(tag, scale)))
+    def _true_b(self, plan: Plan, products):
+        """The function of a term's key (node_id, unit) -> (tag, `true_b`'s
+        coefficients) of one plan, `products` its `plan.leaf_products`. Each coefficient
+        is a_k * m_k, m_k the monomial's product of its inputs' leaf
+        products in `monomial_factors` order (integers, so exact; 1.0 for
+        the constant), as `monomial_values` gives it. A tuple built from
+        `map` is ready for the oracle's product as it is, and builds faster
+        than a list comprehension."""
+        nodes, terms, slot = plan.nodes, plan.index.terms, self._slot
+
+        def coefficients(key):
+            node_id, unit = key
+            tag, vars_ = terms[key]
+            scale = [products[node_id] if v is None else products[v] for v in vars_]
+            return tag, tuple(map(operator.mul, slot(nodes[node_id].kind, unit, tag), monomial_values(tag, scale)))
+
+        return coefficients
 
     def true_b(self, plan: Plan, relations, node_id: int, unit: str) -> tuple[str, tuple[float, ...]]:
         """True selectivity-space coefficients for one operator term: each
         true a-coefficient times its monomial at the inputs' leaf products
         (a scan's left input: its relation's row count)."""
-        return self._true_b(plan, planmod.leaf_products(plan, relations), node_id, unit)
+        return self._true_b(plan, planmod.leaf_products(plan, relations))((node_id, unit))
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
         an (m, arity) selectivity coordinate array, as an m-vector,
         `design_matrix(tag, coords) @ true_b`. This is all the predictor
         learns of the cost model. The plan's leaf products are computed
-        once, when the oracle is made, and each distinct design matrix
+        once, when the oracle is made, each term's coefficients where it is
+        probed (`_true_b`), and each distinct design matrix
         once per oracle: it is kept under its family, the coordinates'
         shape and their bytes, so the terms probed on one grid, and the
         constant terms probed at one coordinate, share it. The key is the
         coordinates' content, not their identity, so equal arrays, a list
         or an array changed in place between calls each get the matrix of
         what they hold."""
-        products = planmod.leaf_products(plan, relations)
+        coefficients = self._true_b(plan, planmod.leaf_products(plan, relations))
         matrices = {}  # (family, shape, coordinate bytes) -> design matrix
 
         def oracle(key, coords):
-            tag, b = self._true_b(plan, products, *key)
+            tag, b = coefficients(key)
             X = np.asarray(coords, dtype=float)
             mkey = (tag, X.shape, X.tobytes())
             A = matrices.get(mkey)

@@ -210,7 +210,9 @@ def cost_function_moments(cf, dists) -> tuple[float, float]:
     independent (left and right subtrees share no sample table). E[f] is
     written out over the family's exponents: per monomial, in order, its
     coefficient times each input's E[X^p] (E[X^0] = 1 included), summed
-    from 0.0; a missing input distribution is an IndexError.
+    from 0.0; a missing input distribution is an IndexError. Var[f] is
+    `propagate._variance` with `cov_product` over its monomials with a
+    nonzero coefficient, but the constant, each as ((input, power), ...).
     """
     e = 0.0
     for b, exps in zip(cf.b, FAMILIES[cf.tag][1]):
@@ -219,7 +221,8 @@ def cost_function_moments(cf, dists) -> tuple[float, float]:
             b *= (1.0, mu, mu * mu + s2)[p]
         e += b
     tables = list(zip(map(propagate.moments, dists), map(propagate.covariances, dists)))
-    monomials = propagate._monomials(cf, range(len(dists)))
+    monomials = [(b, tuple((i, p) for i, p in enumerate(exps) if p))
+                 for b, exps in zip(cf.b, FAMILIES[cf.tag][1]) if b != 0.0 and any(exps)]
     return e, propagate._variance(monomials, functools.partial(propagate.cov_product, tables))
 
 

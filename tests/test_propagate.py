@@ -118,6 +118,17 @@ def test_cov_product_decomposition():
     assert cov0(((1, 1), (2, 1)), ((2, 1),)) == (pytest.approx(0.0), "direct")
 
 
+def test_cov_refuses_a_monomial_of_nested_variables():
+    # A tree plan's monomial multiplies independent inputs; one whose own
+    # factors nest has no exact variance for a "bound-gm" entry to read.
+    est = {1: _scan_estimate(0.5), 2: _scan_estimate(0.5), 10: _scan_estimate(0.5)}
+    cov = propagate.covariance_table(_LEAVES, est, {1: (0.5, 0.01), 2: (0.5, 0.01), 10: (0.4, 0.02)})
+    nested = ((1, 1), (10, 1))
+    for pair in [(nested, nested), (nested, ((10, 1), (2, 1)))]:
+        with pytest.raises(propagate.PropagationError, match="nested variables"):
+            cov(*pair)
+
+
 def test_cov_independent_is_zero():
     est = {1: _scan_estimate(0.5), 2: _scan_estimate(0.5)}
     cov = propagate.covariance_table(_LEAVES, est, {1: (0.5, 0.01), 2: (0.5, 0.01)})
@@ -400,11 +411,10 @@ def test_three_level_breakdown_pattern():
     assert dist.variance >= 0.0
 
 
-def test_variance_time_computes_each_bound_once(monkeypatch):
-    # A left-deep chain of five relations: each join's terms read the join
-    # below, nested in the next join's left input. A NestLoopJoin's C6
-    # monomial Xl*Xr meets a nested variable through Xl alone, the same
-    # bound as its Xl monomial does, so bounds recur across monomial pairs.
+def _chain_of_five():
+    """A left-deep chain of five relations, its estimates, fitted cost
+    functions and units: each join's terms read the join below, nested in
+    the next join's left input."""
     relations = simeval.generate_database(3, sizes=(300,) * 5, key_domain=30)
     world = simeval.TrueCostWorld.generate(3)
     units = calib.fit_cost_units(world.calibration_records(100, seed=3))
@@ -419,6 +429,14 @@ def test_variance_time_computes_each_bound_once(monkeypatch):
     plan = planmod.parse_plan(json.dumps({"nodes": nodes, "root": left}))
     est = selest.estimate_all(plan, pool, relations)
     cfs = propagate.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations))
+    return plan, cfs, est, units
+
+
+def test_variance_time_computes_each_bound_once(monkeypatch):
+    # A NestLoopJoin's C6 monomial Xl*Xr meets a nested variable through Xl
+    # alone, the same bound as its Xl monomial does, so bounds recur across
+    # monomial pairs.
+    plan, cfs, est, units = _chain_of_five()
     inner = propagate.bound_pair
     calls = []
 
@@ -430,6 +448,42 @@ def test_variance_time_computes_each_bound_once(monkeypatch):
     _, _, entries, _ = propagate.variance_time(plan, cfs, est, units)
     assert any(e.kind in ("bound-B1", "bound-B3") for e in entries)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_variance_time_computes_each_exact_covariance_once(monkeypatch):
+    # Each term's own variance and every term pair read the covariance
+    # table, so one monomial pair is asked for many times; its exact
+    # covariance is computed once per `variance_time` call.
+    plan, cfs, est, units = _chain_of_five()
+    inner = propagate.cov_product
+    calls = []
+
+    def counting(tables, m1, m2):
+        calls.append((m1, m2))
+        return inner(tables, m1, m2)
+
+    asked = []
+    table = propagate.covariance_table
+
+    def asking(*args):
+        cov = table(*args)
+
+        def entry(m1, m2):
+            asked.append((m1, m2))
+            return cov(m1, m2)
+
+        return entry
+
+    monkeypatch.setattr(propagate, "cov_product", counting)
+    monkeypatch.setattr(propagate, "covariance_table", asking)
+    _, _, entries, _ = propagate.variance_time(plan, cfs, est, units)
+    assert any(e.kind == "direct" for e in entries)
+    assert len(asked) > len(set(asked))  # pairs recur
+    assert calls and len(calls) == len(set(calls))
+    first = list(calls)
+    calls.clear()  # a second call has its own table: it computes each pair again, once
+    propagate.variance_time(plan, cfs, est, units)
+    assert calls == first
 
 
 def test_degenerate_fit_flagged():

@@ -1,0 +1,112 @@
+"""Per-stage prediction time of two source trees, interleaved per plan.
+
+    python tools/ab_stages.py OLD_SRC NEW_SRC [--reps 15]
+
+OLD_SRC and NEW_SRC each hold a `runtimedist` package, e.g. the `src` of a
+`git archive` of the parent commit and this tree's `src`. Both are imported
+into one process under other names. Each builds the test suite's study
+(seed 42: 200 plans, n = 25, W = 10), and every plan is predicted by both
+trees, in alternating order, through the four calls the benchmark's study
+pass times: `estimate_all`, `fit_all_cost_functions`, `expected_time` and
+`variance_time`. The two trees' means and variances must be bitwise equal.
+
+Per stage it prints each tree's microseconds per plan (the median over the
+repetitions) and the median of the per-repetition ratios NEW/OLD, with the
+number of repetitions in which NEW was faster. Timing both trees in one
+process, plan by plan, keeps a shared machine's drift out of the ratio.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import time
+import warnings
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+STAGES = ("estimate", "fit", "mean", "variance")
+MODULES = ("calib", "plan", "propagate", "selest", "simeval", "store")
+
+
+def load(src, name):
+    """The `runtimedist` package under `src`, imported as `name`."""
+    path = os.path.join(src, "runtimedist")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+
+
+def study(pkg, seed=42):
+    """Inputs and parsed plans of the test suite's study fixture."""
+    sim = pkg["simeval"]
+    relations = sim.generate_database(seed, sizes=(500, 2000, 8000))
+    world = sim.TrueCostWorld.generate(seed)
+    units = pkg["calib"].fit_cost_units(world.calibration_records(50, seed=seed))
+    pool = pkg["store"].build_pool(relations, n=25, pool_size=2, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plans, _ = sim.generate_workload(sim.WorkloadSpec.grid(80, 80, 40, seed=seed), relations)
+    return relations, world, units, pool, [p for _, p in plans]
+
+
+def predict(pkg, inputs, i, spent):
+    """Predict plan i, adding each stage's seconds to `spent`."""
+    relations, world, units, pool, plans = inputs
+    plan, prop = plans[i], pkg["propagate"]
+    oracle = world.cost_oracle(plan, relations)
+    t0 = time.perf_counter()
+    est = pkg["selest"].estimate_all(plan, pool, relations)
+    t1 = time.perf_counter()
+    fitted = prop.fit_all_cost_functions(plan, est, oracle, W=10)
+    t2 = time.perf_counter()
+    mean = prop.expected_time(plan, fitted, est, units)
+    t3 = time.perf_counter()
+    var = prop.variance_time(plan, fitted, est, units)[0]
+    t4 = time.perf_counter()
+    for stage, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        spent[stage] += seconds
+    return mean.hex(), var.hex()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("--reps", type=int, default=15)
+    args = ap.parse_args(argv)
+    old, new = load(args.old_src, "rd_old"), load(args.new_src, "rd_new")
+    inputs = {"old": study(old), "new": study(new)}
+    pkgs = {"old": old, "new": new}
+    count = len(inputs["old"][4])
+    spent = {side: dict.fromkeys(STAGES, 0.0) for side in pkgs}
+    for i in range(count):  # untimed: first-use costs, and the bitwise check
+        got = {side: predict(pkgs[side], inputs[side], i, spent[side]) for side in pkgs}
+        if got["old"] != got["new"]:
+            sys.exit(f"plan {i}: (mean, variance) {got['old']} before, {got['new']} after")
+    runs = {side: [] for side in pkgs}
+    for rep in range(args.reps):
+        spent = {side: dict.fromkeys(STAGES, 0.0) for side in pkgs}
+        for i in range(count):
+            for side in (("old", "new") if (i + rep) % 2 else ("new", "old")):
+                predict(pkgs[side], inputs[side], i, spent[side])
+        for side in pkgs:
+            spent[side]["total"] = sum(spent[side][s] for s in STAGES)
+            runs[side].append(spent[side])
+    print(f"{'stage':10s} {'old us/plan':>12s} {'new us/plan':>12s} {'new/old':>8s}  new faster")
+    for stage in STAGES + ("total",):
+        old_s = [r[stage] for r in runs["old"]]
+        new_s = [r[stage] for r in runs["new"]]
+        ratios = [b / a for a, b in zip(old_s, new_s)]
+        print(f"{stage:10s} {statistics.median(old_s) / count * 1e6:12.1f} "
+              f"{statistics.median(new_s) / count * 1e6:12.1f} {statistics.median(ratios):8.3f}  "
+              f"{sum(r < 1.0 for r in ratios)}/{args.reps}")
+
+
+if __name__ == "__main__":
+    main()
