@@ -1,12 +1,15 @@
 """Base relations and seeded pools of sample tables.
 
 A relation is an immutable in-memory table parsed from CSV text; the CLI
-reads the file, this module reads none. A sample pool holds, per
-relation, J independent sample tables of a common size n. A sample table
-is itself a Relation, with its relation's name and schema, that keeps its
-rows in draw order: a row's position is its sample index, which
-downstream provenance tracking uses to attribute join results to
-individual draws.
+reads the file, this module reads none. A text whose columns are all
+int64 and whose data hold only digits, minus signs, commas and line ends
+(every CSV that `gen-workload` writes) is parsed by one numpy call; any
+other text, and any that call refuses, is read by the csv module, which
+names a bad line. A sample pool holds, per relation, J independent
+sample tables of a common size n. A sample table is itself a Relation,
+with its relation's name and schema, that keeps its rows in draw order:
+a row's position is its sample index, which downstream provenance
+tracking uses to attribute join results to individual draws.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import csv
 import functools
 import io
 import itertools
+import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -23,6 +27,14 @@ import numpy as np
 COLUMN_TYPES = ("int64", "float64", "string")
 
 _CASTERS = {"int64": int, "float64": float, "string": str}
+
+# The characters an all-int64 text's data may hold to be parsed by numpy.
+# With no run of 32 zeros, a cell numpy reads as an int64 has at most 51
+# characters (a sign, 31 leading zeros, 19 digits): within `int`'s digit
+# limit, and the csv module's field limit unless a caller set it lower.
+_INT64_BYTES = b"0123456789-,\r\n"
+_ZERO_RUN = "0" * 32
+_INT64_CELL_MAX = 51
 
 
 class IngestError(ValueError):
@@ -101,6 +113,36 @@ def _cast(typ, cells) -> list:
     return values
 
 
+def _int64_rows(text: str, names: list[str]) -> tuple[tuple[int, ...], ...] | None:
+    """The data rows of an all-int64 text, parsed by one `np.loadtxt` call,
+    or None where the csv path must read the text; it reports no error.
+
+    The text must be ASCII, its first line (less a trailing "\\r") the
+    column names joined by commas, as the csv module reads it too, and its
+    data only `_INT64_BYTES` with no `_ZERO_RUN`. numpy and `int` read such
+    cells alike; numpy refuses, with an error or a warning, a bad or
+    out-of-range cell, a lone "\\r" line end and a text without a data
+    line, and records of another width make an array of that width.
+    """
+    head, _, body = text.partition("\n")
+    head = head.removesuffix("\r")
+    if not text.isascii() or head != ",".join(names) or csv.field_size_limit() < _INT64_CELL_MAX:
+        return None
+    if body.encode("ascii").translate(None, _INT64_BYTES) or _ZERO_RUN in body:
+        return None
+    try:
+        if next(csv.reader([head])) != names:  # a quote, a comma or a "\r" in a name
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except (csv.Error, ValueError, Warning):
+        return None
+    if array.shape[1] != len(names):
+        return None
+    return tuple(zip(*(column.tolist() for column in array.T)))
+
+
 def parse_csv(text: str, name: str, schema) -> Relation:
     """The relation `name` of a headered CSV text under a declared schema.
 
@@ -110,12 +152,19 @@ def parse_csv(text: str, name: str, schema) -> Relation:
     records the csv module cannot read (a field over its size limit),
     raise IngestError naming the first bad line (counted in records, blank
     ones too), not the file: the caller does.
-    Records are read in chunks and cast one column at a time; a chunk with
-    a bad record is read again record by record, to name its first bad line.
+    A text whose columns are all int64 is first offered to `_int64_rows`,
+    one numpy parse taken when the text is ASCII, its header line is the
+    names joined by commas and its data hold only digits, minus signs,
+    commas and line ends; it reports no error, and any text it declines
+    goes on to the csv path. That path reads records in chunks and casts
+    them one column at a time; a chunk with a bad record is read again
+    record by record, to name its first bad line.
     """
     schema = validate_schema(schema)
     names = [c for c, _ in schema]
     types = [t for _, t in schema]
+    if set(types) == {"int64"} and (fast := _int64_rows(text, names)) is not None:
+        return Relation(name=name, schema=schema, rows=fast)
     rows = []
     reader = _records(csv.reader(io.StringIO(text, newline="")))
     header = next(reader, None)

@@ -301,7 +301,8 @@ def reference_ingest(text, name, schema) -> store.Relation:
     equal the column names, a blank record is skipped, and a record of the
     wrong width, with a cell its type cannot parse, with an int64 cell
     outside [-2**63, 2**63) or that the csv module cannot read is an
-    IngestError naming its line, counted in records from the header's 1."""
+    IngestError naming its line, counted in records from the header's 1,
+    and the reason of its first bad cell."""
     casters = {"int64": int, "float64": float, "string": str}
     names = [c for c, _ in schema]
     rows = []
@@ -319,14 +320,15 @@ def reference_ingest(text, name, schema) -> store.Relation:
                 continue
             if len(raw) != len(schema):
                 raise store.IngestError(f"line {lineno}: expected {len(schema)} fields, got {len(raw)}")
-            try:
-                row = tuple(casters[t](cell) for (_, t), cell in zip(schema, raw))
-            except ValueError as exc:
-                raise store.IngestError(f"line {lineno}: {exc}") from None
-            for (_, t), value in zip(schema, row):
-                if t == "int64" and not -(2**63) <= value < 2**63:
-                    raise store.IngestError(f"line {lineno}: int64 value {value} is outside [-2**63, 2**63)")
-            rows.append(row)
+            row = []
+            for (_, t), cell in zip(schema, raw):  # the first bad cell is named
+                try:
+                    row.append(casters[t](cell))
+                except ValueError as exc:
+                    raise store.IngestError(f"line {lineno}: {exc}") from None
+                if t == "int64" and not -(2**63) <= row[-1] < 2**63:
+                    raise store.IngestError(f"line {lineno}: int64 value {row[-1]} is outside [-2**63, 2**63)")
+            rows.append(tuple(row))
     except csv.Error as exc:  # raised while reading the next record
         raise store.IngestError(f"line {lineno + 1}: {exc}") from None
     return store.Relation(name=name, schema=tuple(schema), rows=tuple(rows))

@@ -10,9 +10,11 @@ import pathlib
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import reference_ingest
 from runtimedist import calib, cli, propagate, selest, simeval
 
 
@@ -71,6 +73,27 @@ def test_step3_ingest(workdir, capsys):
     doc = json.loads((workdir / "out" / "ingest.json").read_text())
     assert doc["relations"]["r1"]["rows"] == 200
     assert "r1: 200 rows" in capsys.readouterr().out
+
+
+def test_generated_relations_take_the_numpy_parse(workdir, monkeypatch):
+    # gen-workload's CSVs are all int64, of digits, minus signs, commas and
+    # line ends: `load_relations` parses each with one `np.loadtxt` call, to
+    # the rows the record-by-record reference reads.
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    relations = cli.load_relations(cli.load_config(argparse.Namespace(config=str(workdir / "run.cfg"))))
+    assert sorted(relations) == ["r1", "r2", "r3"] and len(calls) == 3
+    for name, rel in relations.items():
+        with open(workdir / "data" / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            want = reference_ingest(fh.read(), name, rel.schema)
+        assert rel == want and rel.row_count == 200
+        assert {type(v) for row in rel.rows for v in row} == {int}
 
 
 def test_step4_sample(workdir):

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from runtimedist import store
 from conftest import reference_ingest
@@ -28,13 +29,38 @@ def test_ingest_basic():
 
 
 _SCHEMA = [("a", "int64"), ("x", "float64"), ("s", "string")]
+# The same column names all int64: the texts it can read take the numpy path.
+_INT64_SCHEMA = [("a", "int64"), ("x", "int64"), ("s", "int64")]
 
 
+def _int_records(count, end="\n"):
+    return "".join(f"{i},{-7 * i},{i % 13}{end}" for i in range(count))
+
+
+def _assert_reads_as_reference(text, schema):
+    """`parse_csv` reads `text` as `reference_ingest` does: the same rows
+    and element types, returned, or an IngestError of the same text."""
+    try:
+        want = reference_ingest(text, "r", schema)
+    except store.IngestError as exc:
+        with pytest.raises(store.IngestError) as got:
+            store.parse_csv(text, "r", schema)
+        assert str(got.value) == str(exc)
+        return None
+    got = store.parse_csv(text, "r", schema)
+    assert got == want
+    assert [tuple(map(type, row)) for row in got.rows] == [tuple(map(type, row)) for row in want.rows]
+    return got
+
+
+# The csv path reads records in chunks of 256: records 1-256 (lines 2-257)
+# are its first chunk.
 @pytest.mark.parametrize("text", [
-    "a,x,s\n" + "".join(f"{i},{i / 7!r},w{i}\n" for i in range(9000)),  # three chunks
+    "a,x,s\n" + "".join(f"{i},{i / 7!r},w{i}\n" for i in range(9000)),  # 36 chunks, the last one short
     "a,x,s\n" + "".join(f"{i},0.5,w\n" for i in range(5000)) + "7,1.5,v\n\n\n8,2.5,\"two\nlines\"\n9,-0.0,z\n",
-    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(6000)) + "12x,1.0,w\n" + "5,1.0\n",  # a bad int at 6002
-    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(4100)) + "5,1.0\n" + "12x,1.0,w\n",  # a short record first
+    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(6000)) + "12x,1.0,w\n" + "5,1.0\n",  # a bad int at line 6002
+    # a short record at line 4102 and a bad int after it: the first is named
+    "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(4100)) + "5,1.0\n" + "12x,1.0,w\n",
     "a,x,s\n1,2.0,w\n2,two,w\n",  # a bad float
     "a,x,s\n1,2.0,w,extra\n",
     "a,x,s\n\n\n" + "\n" * 5000 + "3,4.0,w\n3\n",  # blank records count as lines
@@ -47,18 +73,100 @@ _SCHEMA = [("a", "int64"), ("x", "float64"), ("s", "string")]
     "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(300)) + f"{2**63 - 1},1.0,w\n{-(2**63)},1.0,w\n"
     + "99999999999999999999999,1.0,w\n" + f"{-(2**63) - 1},1.0,w\n",
     f"a,x,s\n1,2.0,w\n{-(2**63) - 1},2.0,w\n",
+    # all-int texts as gen-workload writes them, over several chunks
+    "a,x,s\n" + _int_records(9000),
+    "a,x,s\r\n" + _int_records(700, "\r\n") + f"{2**63 - 1},{-(2**63)},0\r\n",
+    "a,x,s\n" + _int_records(255) + "1z,2,3\n" + _int_records(300),  # a bad record as record 256, line 257
+    "a,x,s\n" + _int_records(256) + "1z,2,3\n" + _int_records(300),  # a bad record as record 257, line 258
+    "a,x,s\n" + _int_records(256) + "1,2\n" + _int_records(300),  # a short record as record 257
+    # a `csv.Error` on the second chunk's first record, line 258, before a bad int
+    "a,x,s\n" + _int_records(256) + "1,2," + "9" * 131073 + "\n" + "1z,2,3\n",
 ])
 def test_ingest_matches_record_by_record_reference(text):
-    try:
-        want = reference_ingest(text, "r", _SCHEMA)
-    except store.IngestError as exc:
-        with pytest.raises(store.IngestError) as got:
-            store.parse_csv(text, "r", _SCHEMA)
-        assert str(got.value) == str(exc)
-        return
-    got = store.parse_csv(text, "r", _SCHEMA)
-    assert got == want
-    assert [tuple(map(type, row)) for row in got.rows] == [tuple(map(type, row)) for row in want.rows]
+    for schema in (_SCHEMA, _INT64_SCHEMA):
+        _assert_reads_as_reference(text, schema)
+
+
+# What a text may mix in that `gen-workload` never writes. A text draws a
+# set of these and applies each to about half the places it can.
+_MESS = ["bounds", "zeros", "signs", "separators", "padding", "quotes", "NUL", "odd cells", "blank lines",
+         "whitespace lines", "trailing commas", "widths", "line ends", "names", "quoted header"]
+# Column names the csv module reads otherwise from a header line, or refuses.
+_ODD_NAMES = ['"c{}"', 'c{}"', "c{},x", "c{}\r", "c{}\x00", " c{}", "c{}" + "y" * 131073]
+_INT64_EDGES = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**30]
+# Padding: `int` strips the first four and not "\x1c", which numpy strips.
+_PADS = [" ", "\t", "\x0b", "\x0c", "\x1c"]
+
+
+@st.composite
+def _int64_texts(draw):
+    """(schema, text, mess): an all-int64 schema of 1-4 columns and a text
+    for it; a text without mess is as `gen-workload` writes it."""
+    width = draw(st.integers(1, 4))
+    mess = draw(st.sets(st.sampled_from(_MESS)))
+
+    def maybe(kind):
+        return kind in mess and draw(st.booleans())
+
+    names = [draw(st.sampled_from(_ODD_NAMES)).format(i) if maybe("names") else f"c{i}" for i in range(width)]
+
+    def cell():
+        value = draw(st.sampled_from(_INT64_EDGES) if maybe("bounds") else st.integers(-(2**63), 2**63 - 1))
+        digits = str(abs(value))
+        if maybe("zeros"):  # 32 zeros and more decline the numpy path; over 4300 digits `int` refuses
+            digits = "0" * draw(st.sampled_from([1, 31, 32, 4300])) + digits
+        if maybe("separators") and len(digits) > 1:  # `int` reads "1_000"
+            cut = draw(st.integers(1, len(digits) - 1))
+            digits = digits[:cut] + "_" + digits[cut:]
+        text = ("-" if value < 0 else "+" if maybe("signs") else "") + digits
+        if maybe("padding"):
+            text = draw(st.sampled_from(["", *_PADS])) + text + draw(st.sampled_from(["", *_PADS]))
+        if maybe("quotes"):
+            text = f'"{text}"'
+        if maybe("NUL"):
+            text = draw(st.sampled_from(["\x00", text + "\x00"]))
+        if maybe("odd cells"):
+            text = draw(st.sampled_from(["", "1.0", "1e3", "0x10", "#1"]))
+        return text
+
+    # "widths" writes some records, or all, one cell short or long
+    shift, every = (draw(st.sampled_from([-1, 1])), draw(st.booleans())) if "widths" in mess else (0, False)
+
+    def line():
+        if maybe("blank lines"):
+            return ""
+        if maybe("whitespace lines"):
+            return draw(st.sampled_from(_PADS))
+        cells = [cell() for _ in range(width)]
+        if shift and (every or draw(st.booleans())):
+            cells = cells[:-1] if shift < 0 else cells + ["7"]
+        return ",".join(cells) + ("," if maybe("trailing commas") else "")
+
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def line_end():
+        return draw(st.sampled_from(["\n", "\r\n", "\r", ""])) if maybe("line ends") else end
+
+    header = [f'"{n}"' if maybe("quoted header") else n for n in names]  # the csv module reads '"c0"' as 'c0'
+    text = ",".join(header) + line_end()
+    for _ in range(draw(st.integers(1, 12))):
+        text += line() + line_end()
+    return [(c, "int64") for c in names], text, mess
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int64_texts())
+@example((_INT64_SCHEMA, "a,x,s\n" + "\x1c1,2,3\n", {"padding"}))  # padding that `int` refuses
+@example((_INT64_SCHEMA, "a,x,s\n" + "0" * 4300 + "1,2,3\n", {"zeros"}))  # over `int`'s digit limit
+@example((_INT64_SCHEMA, "a,x,s\r1,2,3\r", {"line ends"}))  # lone "\r" line ends
+@example((_INT64_SCHEMA, "a,x,s\n1,2,3\r4,5,6\n", {"line ends"}))
+@example((_INT64_SCHEMA, "a,x,s\n1,2\n3,4\n", {"widths"}))  # every record short
+@example(([("c0,x", "int64")], "c0,x\n1\n", {"names"}))  # a header the csv module reads as two names
+def test_int64_ingest_matches_reference(case):
+    schema, text, mess = case
+    got = _assert_reads_as_reference(text, schema)
+    if not mess:  # a text as gen-workload writes it takes the numpy path
+        assert store._int64_rows(text, [c for c, _ in schema]) == got.rows
 
 
 def test_csv_module_error_is_an_ingest_error_at_its_line():
