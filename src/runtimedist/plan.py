@@ -199,13 +199,28 @@ class AnnotatedResult:
     `count` is their sum. Any other kept row is one whole output row.
     Executed with provenance, a streamed operator's `provenance` holds one
     position vector per output row, read or not, in the order the rows
-    are produced, and its kept rows follow that order."""
+    are produced, and its kept rows follow that order. A result is never
+    mutated, so what is built from it alone (a join's tallies and hash
+    tables over it, its `selest` counters) is built once, into `derived`,
+    made on first use, neither compared nor printed, and holding nothing
+    that refers back to the result, so no reference cycle forms."""
 
     count: int
     schema: tuple[str, ...] | None
     rows: list[tuple] | None
     provenance: list[tuple[int, ...]] | None = None
     multiplicity: list[int] | None = None
+    derived: dict | None = field(default=None, compare=False, repr=False)
+
+    def derive(self, key, build, *args):
+        """`build(*args)`, a pure function of this result, built on the
+        first call for `key` and kept in `derived`."""
+        if self.derived is None:
+            self.derived = {}
+        value = self.derived.get(key)
+        if value is None:
+            value = self.derived[key] = build(*args)
+        return value
 
 
 def _parse_predicate(atoms) -> tuple[tuple, tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -494,9 +509,9 @@ def _int64_column(rows, idx):
 
 
 def _run_scan(node, appearance, bindings, provenance, read, tables) -> AnnotatedResult:
-    """`tables` as in `_run_join`, or None for an execution given no table
-    of shared results; a count-only scan may count over column arrays
-    (`execute`), and never without a table."""
+    """`tables` is (the table of shared results, the entries `execute`
+    stores in it on success), or None without a table; only a count-only
+    scan given one may count over column arrays (`execute`)."""
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
     if tables and not provenance and not read and rows and all(type(val) is int for _, _, val in tests):
@@ -543,26 +558,19 @@ def _hash_rows(rows, lpos) -> dict:
     return ht
 
 
-def _run_join(node, left, right, provenance, read, side, tables, plain) -> AnnotatedResult:
-    """`tables` is the table of shared results and the dict of the entries
-    `execute` stores in it on success; `plain` says which inputs, left and
-    right, are scan results, whose hash table or tally is looked up in the
-    one and else kept in the other, beside the result it names."""
+def _run_join(node, left, right, provenance, read, side, plain) -> AnnotatedResult:
+    """`plain` says which inputs, left and right, are scan results, passed
+    through or not: a join that counts per key and hands nothing on weights
+    the rows of an input that is not a plain scan where the other is."""
     lpos, rpos = _join_keys(node, left.schema, right.schema)
     if not provenance and not node.selections and (side is not None or not read):
-        # Count per key: a plain input's tally is shared, any other's counts
-        # each row by its multiplicity.
+        # Count per key, through each counted input's tally, which counts
+        # each row by its multiplicity and is built once per result.
         inputs = ((left, lpos), (right, rpos))
 
         def tally(i):
             res, pos = inputs[i]
-            if not plain[i]:
-                return _tally(res.rows, pos, res.multiplicity)
-            key = ("tally", id(res), pos)
-            entry = tables[0].get(key)
-            if entry is None:
-                entry = tables[1][key] = (res, _tally(res.rows, pos))
-            return entry[1]
+            return res.derive(("tally", pos), _tally, res.rows, pos, res.multiplicity)
 
         if side is None and all(plain):  # two scans: the sum of T_L[k] * T_R[k]
             small, large = tally(0), tally(1)
@@ -587,14 +595,7 @@ def _run_join(node, left, right, provenance, read, side, tables, plain) -> Annot
     # Pairs of whole rows: only a join that counts per key reads a handed-on input.
     schema = left.schema + right.schema
     tests = _tests(node, schema, [left.rows[0] + right.rows[0]] if left.rows and right.rows else ())
-    if not plain[0]:
-        ht = _hash_rows(left.rows, lpos)
-    else:
-        key = ("hash", id(left), lpos)
-        entry = tables[0].get(key)
-        if entry is None:
-            entry = tables[1][key] = (left, _hash_rows(left.rows, lpos))
-        ht = entry[1]
+    ht = left.derive(("hash", lpos), _hash_rows, left.rows, lpos)
     rkey = operator.itemgetter(*rpos)
     count = 0
     rows: list[tuple] | None = [] if read else None
@@ -653,25 +654,24 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     inputs' identities, its `PlanIndex.read_join_keys` entry, the input it
     hands on (`_handed_on`; None for pairs) and `provenance`; the entry
     holds both inputs and the result. A root join is never reused, so
-    never stored. A join looks up what it builds over an input that is a
-    scan result, passed through or not, under a tag, that result's
-    identity and the join's key positions on it; the entry holds the
-    result. A join that builds pairs looks up its hash table over its
-    left input ("hash"), one that counts per key its tally of each input
-    it tallies ("tally"). A count-only scan (no provenance, rows not
-    read) of a non-empty table whose constants are all ints counts over
-    the read-only int64 array of each column its atoms read ("column",
-    the table's identity, the position; the entry holds the table, or
-    None where no exact array builds, and the scan filters in Python).
-    It does so only in an execution given a table: an array built for
-    one scan alone costs about twice the Python filter. A hit returns
-    what the same inputs built: a scan's or a read join's result itself,
-    never mutated after it is built, so every count, row, multiplicity
-    and provenance list is unchanged; a hash table listing each left
-    row's index per key in row order, so the same rows match in the same
-    order; a tally's exact counts; a column's exact values. What is
-    computed here is stored only when the whole execution succeeds, so a
-    failed one stores nothing.
+    never stored. A join builds its hash table over its left input, or its
+    tally of an input it counts per key, on that input's result
+    (`AnnotatedResult.derive`), so each is built once per result and
+    shared wherever the result is. A count-only scan (no provenance, rows
+    not read) of a non-empty table whose constants are all ints counts
+    over the read-only int64 array of each column its atoms read
+    ("column", the table's identity, the position; the entry holds the
+    table, or None where no exact array builds, and the scan filters in
+    Python). It does so only in an execution given a table: an array
+    built for one scan alone costs about twice the Python filter. A hit
+    returns what the same inputs built: a scan's or a read join's result
+    itself, never mutated after it is built, so every count, row,
+    multiplicity and provenance list is unchanged, as is what was derived
+    from it: a hash table listing each left row's index per key in row
+    order, so the same rows match in the same order, and a tally's exact
+    counts; a column's exact values. Entries are stored only when the
+    whole execution succeeds; what a failed one derived from a result
+    the table held stays on that result, a pure function of it.
     """
     arrays = shared is not None  # column arrays pay back only when shared
     shared = {} if shared is None else shared
@@ -700,12 +700,12 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             lres, rres = results[left], results[right]
             plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
             if not read:  # a root join is never reused: only a join a parent reads is looked up and stored
-                res = _run_join(node, lres, rres, provenance, read, hand, tables, plain)
+                res = _run_join(node, lres, rres, provenance, read, hand, plain)
             else:
                 key = ("read-join", id(lres), id(rres), index.read_join_keys[nid], hand, provenance)
                 entry = shared.get(key)
                 if entry is None:
-                    entry = new[key] = (lres, rres, _run_join(node, lres, rres, provenance, read, hand, tables, plain))
+                    entry = new[key] = (lres, rres, _run_join(node, lres, rres, provenance, read, hand, plain))
                 res = entry[2]
         results[nid] = res
     shared.update(new)

@@ -83,6 +83,17 @@ def _scan_counters(result) -> list[dict[int, int]]:
     return [dict.fromkeys(map(_FIRST, result.provenance), 1)]
 
 
+def _join_counters(result, width: int, rho_n: float, n: int) -> tuple[list[dict[int, int]], float]:
+    """A join's counters Q, one for each of its `width` leaf positions,
+    counting that position's column of the provenance list (a Counter
+    costs more to build than a short column), and its S2 over them all."""
+    q = [{} for _ in range(width)]
+    for qk, column in zip(q, zip(*result.provenance)):
+        for j in column:
+            qk[j] = qk.get(j, 0) + 1
+    return q, estimate_for_subset(SelEstimate(rho_n, 0.0, n, q), range(width))
+
+
 def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, SelEstimate]:
     """Post-order selectivity estimation for every operator of a plan.
 
@@ -98,20 +109,17 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
     evaluation share, is handed to `plan.execute`: a scan of a sample
     table that an earlier plan of the same evaluation scanned with the
     same selections returns that plan's result, as does a read join over
-    the same inputs. A scan's counters, and a read join's counters and
-    S2, are looked up there too, under the result's identity, and stored
-    with that result once the whole estimate is made. So a shared result
-    is counted once, and the estimates are bitwise those of a fresh
-    execution. Without `shared`, a new empty one: nothing is shared.
+    the same inputs. A scan's counters, and a join's counters and S2, are
+    built once per result and kept on it (`AnnotatedResult.derive`), so a
+    shared result is counted once, and the estimates are bitwise those of
+    a fresh execution. Without `shared`, nothing is shared.
     """
     index = plan.index
     n = pool.n
     if n < 1:
         raise EstimationError("pool has no sampling steps")
-    shared = {} if shared is None else shared
     bindings = {app: pool.table(*app) for app in index.appearance.values()}
     results = planmod.execute(plan, bindings, provenance=True, shared=shared)
-    new: dict = {}  # counters made here, stored in `shared` at the end
 
     products = planmod.leaf_products(plan, relations) if index.agg_above else {}  # read by aggregates only
     estimates: dict[int, SelEstimate] = {}
@@ -125,29 +133,14 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
             est = SelEstimate(v.rho_n, v.s2_n, n, v.q, v.count, "inherit")
         elif nid in index.appearance:
             res = results[nid]
-            key = ("counters", id(res))
-            entry = shared.get(key)
-            if entry is None:
-                entry = new[key] = (res, _scan_counters(res))
             rho = res.count / n
-            est = SelEstimate(rho, scan_variance(rho), n, entry[1], res.count, "scan-closed-form")
+            q = res.derive("counters", _scan_counters, res)
+            est = SelEstimate(rho, scan_variance(rho), n, q, res.count, "scan-closed-form")
         else:
             res = results[nid]
-            rho = res.count / float(n) ** len(index.leaves[nid])
-            key = ("counters", id(res))
-            entry = shared.get(key)
-            if entry is None:
-                # Q: each leaf position's column counted (a Counter costs more to build than a short column)
-                q = [{} for _ in index.leaves[nid]]
-                for qk, column in zip(q, zip(*res.provenance)):
-                    for j in column:
-                        qk[j] = qk.get(j, 0) + 1
-                est = SelEstimate(rho, 0.0, n, q, res.count, "q-scan")
-                est.s2_n = estimate_for_subset(est, range(len(q)))
-                if nid in index.read:  # a join result `execute` shares
-                    new[key] = (res, q, est.s2_n)
-            else:
-                est = SelEstimate(rho, entry[2], n, entry[1], res.count, "q-scan")
+            width = len(index.leaves[nid])
+            rho = res.count / float(n) ** width
+            q, s2 = res.derive("counters", _join_counters, res, width, rho, n)
+            est = SelEstimate(rho, s2, n, q, res.count, "q-scan")
         estimates[nid] = est
-    shared.update(new)
     return estimates

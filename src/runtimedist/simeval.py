@@ -573,23 +573,24 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     model, so they repeat work: one dict of shared results, made here and
     dropped on return, lets what an earlier plan computed be reused: each
     scan of a sample table or of a full relation, each join a parent
-    reads, the hash table or per-key tally a join builds over a scan, and
-    each column array that count-only scans count over (`plan.execute`;
-    on bigrel seed 0 a pass builds 260 joins, not 320, and truth 22
-    tallies, not 160, and 3 arrays for 80 scans), the counters of each
-    sample scan and read join (`selest.estimate_all`), and each grid's
-    coordinates and each grid fit (`propagate.fit_all_cost_functions`; 209
-    grids, not 520). Truth reaches the dict through `plan.sharing`, which
-    covers the plan loop only. A hit returns what the same inputs
-    produced, so every record and the summary are bitwise those of
-    predicting each plan alone. The probe oracle shares nothing across
-    plans: each plan's oracle keeps its own design matrices.
+    reads and each column array that count-only scans count over
+    (`plan.execute`; on bigrel seed 0 a pass builds 260 joins, not 320,
+    and 3 arrays for 80 scans), and each grid
+    (`propagate.fit_all_cost_functions`; 209 grids, not 520). What is
+    built from one of them alone lives on it, so it is shared with it: a
+    join's hash table or tally over a result (truth's 22 tallies, not
+    160), a result's counters (`selest.estimate_all`) and a grid's fits.
+    Truth reaches the dict through `plan.sharing`, which covers the plan
+    loop only. A hit returns what the same inputs produced, so every
+    record and the summary are bitwise those of predicting each plan
+    alone. The probe oracle shares nothing across plans: each plan's
+    oracle keeps its own design matrices.
 
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated, nor can such plans that all have one predicted stddev, or
     one error: a ValueError that names the cause and gives the counts."""
     records = []
-    shared = {}  # scans, read joins, hash tables, tallies, column arrays, counters, grids and fits the plans share
+    shared = {}  # the scans, read joins, column arrays and grids the plans share
     with planmod.sharing(shared):
         for idx, (label, p) in enumerate(plans):
             with planmod.naming(f"plan {label!r}"):

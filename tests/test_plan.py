@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from runtimedist import plan as planmod, selest, store
 from runtimedist.calib import COST_UNITS
@@ -184,7 +184,9 @@ def test_plan_index_matches_brute_force(tree):
 
 def test_plan_and_results_leave_no_reference_cycle():
     # A plan, its index and an execution's results are freed by reference
-    # counting alone once dropped.
+    # counting alone once dropped, and so is a result that carries a tally
+    # and a hash table: a join that counts per key and one that builds
+    # pairs, sharing one table, build both on one scan result.
     l = _rel("L", ["k", "a"], [(i % 7, i) for i in range(300)])
     r = _rel("R", ["k", "b"], [(i % 7, i) for i in range(300)])
     doc = {
@@ -205,6 +207,16 @@ def test_plan_and_results_leave_no_reference_cycle():
         refs = [weakref.ref(obj) for obj in (p, results[4], results[1])]
         del p, results, rows
         assert [ref() for ref in refs] == [None, None, None]
+        counting = _parse({"nodes": doc["nodes"][:3], "root": 3})
+        doc["nodes"][2]["predicate"].append({"col": "a", "op": ">=", "value": 0})
+        pairing = _parse({"nodes": doc["nodes"][:3], "root": 3})
+        table, bindings = {}, {("L", 0): l, ("R", 0): r}
+        scan = planmod.execute(counting, bindings, shared=table)[1]
+        assert planmod.execute(pairing, bindings, shared=table)[1] is scan
+        assert sorted(tag for tag, _ in scan.derived) == ["hash", "tally"]
+        refs = [weakref.ref(obj) for obj in (scan, scan.derived["tally", (0,)])]
+        del counting, pairing, table, scan
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -212,14 +224,13 @@ def test_plan_and_results_leave_no_reference_cycle():
 def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     # One table bound to both appearances of a self-join: the two scans
     # read one table with one selection under two schemas, so they are two
-    # entries, and the join's hash table over the left scan's result is a
-    # third, pinning that result. A second execution hits all three and
-    # returns the stored results themselves. An execution without
+    # entries, and the join's hash table over the left scan's result lives
+    # on that result. A second execution hits both and returns the stored
+    # results themselves, hash table included. An execution without
     # provenance is keyed apart, and its join counts per key, hashing
-    # nothing: the two scans' tallies are two more entries, each pinning
-    # its result, and a second such execution hits them, building none. A
-    # plan that passes the left scan through a Materialize hits its hash
-    # table too.
+    # nothing: the two scans' tallies live on their results, and a second
+    # such execution builds none. A plan that passes the left scan through
+    # a Materialize hits its hash table too.
     hash_rows, hashed = planmod._hash_rows, []
     monkeypatch.setattr(planmod, "_hash_rows", lambda rows, lpos: hashed.append(rows) or hash_rows(rows, lpos))
     tally, tallied = planmod._tally, []
@@ -238,40 +249,39 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     fresh = planmod.execute(p, bindings, provenance=True)
     shared = {}
     first = planmod.execute(p, bindings, provenance=True, shared=shared)
-    assert first == fresh and len(shared) == 3
-    pinned, ht = shared["hash", id(first[1]), (0,)]
-    assert pinned is first[1] and ht == {k: list(range(k, 30, 5)) for k in range(5)}
-    assert len(hashed) == 2
+    assert first == fresh and len(shared) == 2
+    assert first[1].derived == {("hash", (0,)): {k: list(range(k, 30, 5)) for k in range(5)}}
+    assert first[2].derived is None and len(hashed) == 2
     again = planmod.execute(p, bindings, provenance=True, shared=shared)
-    assert again == fresh and len(shared) == 3 and len(hashed) == 2
+    assert again == fresh and len(shared) == 2 and len(hashed) == 2
     assert again[1] is first[1] and again[2] is first[2] and again[3] is not first[3]
     counted = planmod.execute(p, bindings, shared=shared)
     assert counted == planmod.execute(p, bindings) and counted[3].count == 5 * 6 * 6
-    assert len(shared) == 7 and len(hashed) == 2 and len(tallied) == 4
+    assert len(shared) == 4 and len(hashed) == 2 and len(tallied) == 4
     for scan in (1, 2):
-        pinned, counts = shared["tally", id(counted[scan]), (0,)]
-        assert pinned is counted[scan] and counts == Counter(dict.fromkeys(range(5), 6))
+        assert counted[scan].derived == {("tally", (0,)): Counter(dict.fromkeys(range(5), 6))}
     tallied.clear()
     again = planmod.execute(p, bindings, shared=shared)
-    assert again == counted and again[1] is counted[1] and len(shared) == 7 and tallied == []
+    assert again == counted and again[1] is counted[1] and len(shared) == 4 and tallied == []
     through = {"nodes": doc["nodes"][:2] + [
         {"id": 3, "kind": "Materialize", "children": [1]},
         {"id": 4, "kind": "HashJoin", "children": [3, 2], "predicate": [{"left": "k", "right": "k"}]},
     ], "root": 4}
     assert planmod.execute(_parse(through), bindings, provenance=True, shared=shared)[4] == fresh[3]
-    assert len(shared) == 7 and len(hashed) == 2
-    # scans, and a hash table, that were built before a join failed are not stored
+    assert len(shared) == 4 and len(hashed) == 2
+    # scans that were built before a join failed are not stored, and the
+    # hash table built on one goes with it
     doc["nodes"][0]["predicate"][0]["value"] = doc["nodes"][1]["predicate"][0]["value"] = 20
     deeper = {"nodes": doc["nodes"] + [
         _scan(4, "T"), {"id": 5, "kind": "HashJoin", "children": [3, 4], "predicate": [{"left": "T.k", "right": "zz"}]},
     ], "root": 5}
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(deeper), {**bindings, ("T", 2): t}, provenance=True, shared=shared)
-    assert len(hashed) == 3 and len(shared) == 7
+    assert len(hashed) == 3 and len(shared) == 4
     doc["nodes"][2]["predicate"][0]["right"] = "zz"
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
-    assert len(shared) == 7
+    assert len(shared) == 4
     # nor are tallies: the left join hands on T#1's rows after tallying
     # T's, then the right join fails on its residual atom's constant
     bushy = {"nodes": doc["nodes"][:2] + [
@@ -284,7 +294,7 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     tallied.clear()
     with pytest.raises(planmod.ExecutionError, match="constant 'x' cannot be compared"):
         planmod.execute(_parse(bushy), {**bindings, ("T", 2): t, ("T", 3): t}, shared=shared)
-    assert len(tallied) == 1 and len(shared) == 7
+    assert len(tallied) == 1 and len(shared) == 4
 
 
 _columns = st.text("abk.#1", min_size=1, max_size=4)
@@ -965,11 +975,13 @@ def test_count_only_execution_matches_materialized(v):
 def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     # Generated plans over one set of relations, their truths taken twice
     # in turn inside one `sharing` block: each truth is bitwise the plan's
-    # fresh truth, the second round computes nothing anew, and the table
-    # holds executions without provenance only: every scan key says so,
-    # and every hash or tally entry holds the scan result its key names.
-    # Each column array's key names the relation its entry holds, and the
-    # array holds that relation's column at the key's position.
+    # fresh truth, the second round computes nothing anew, no tally or
+    # hash table either, and the table holds executions without provenance
+    # only: every scan and read-join key says so, and every stored result
+    # lists no provenance. Each tally or hash table on a stored result is
+    # that of the result's own rows. Each column array's key names the
+    # relation its entry holds, and the array holds that relation's column
+    # at the key's position.
     relations, plans = {}, []
     for v in variants:
         rels, p, _, _ = _variant_plan(dict(v, seed=seed))
@@ -977,17 +989,27 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
             relations.setdefault(name, rel)  # equal tables for one seed; one object each, so scans can be shared
         plans.append(p)
     fresh = [planmod.selectivity_truth(p, relations) for p in plans]
-    table = {}
+    table, built = {}, []
+    tally, hash_rows = planmod._tally, planmod._hash_rows
     with planmod.sharing(table):
         first = [planmod.selectivity_truth(p, relations) for p in plans]
         stored = set(table)
-        again = [planmod.selectivity_truth(p, relations) for p in plans]
+        with mock.patch.object(planmod, "_tally", lambda *args: built.append(args) or tally(*args)), \
+                mock.patch.object(planmod, "_hash_rows", lambda *args: built.append(args) or hash_rows(*args)):
+            again = [planmod.selectivity_truth(p, relations) for p in plans]
     assert first == again == fresh and repr(first) == repr(again) == repr(fresh)
-    assert stored and set(table) == stored  # the second round stored nothing new
-    built = {key for key in table if key[0] in ("hash", "tally")}
+    assert stored and set(table) == stored and built == []  # the second round built and stored nothing new
     columns = {key for key in table if key[0] == "column"}
-    assert all(key[-1] is False for key in table.keys() - built - columns)
-    assert all(key[1] == id(table[key][0]) and table[key][0].provenance is None for key in built)
+    assert all(key[-1] is False for key in table.keys() - columns)
+    # a scan's entry holds (table, result), a read join's (left, right, result)
+    results = [res for key in table.keys() - columns for res in table[key][1:]]
+    assert all(res.provenance is None for res in results)
+    derived = [(res, key, value) for res in results for key, value in (res.derived or {}).items()]
+    assert all(value == (tally(res.rows, pos, res.multiplicity) if tag == "tally" else hash_rows(res.rows, pos))
+               for res, (tag, pos), value in derived)
+    joins = [nid for p in plans for nid in p.index.order if nid not in p.index.agg_above | p.index.appearance.keys()
+             and p.index.var[nid] == nid]
+    assert derived or not joins  # every join tallied or hashed a stored input
     for key in columns:
         rel, column = table[key]
         assert key[1] == id(rel) and rel is relations[rel.name]
@@ -1076,6 +1098,40 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
             with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
                 planmod.execute(bad_plan, bindings, provenance=prov, shared=table)
         assert set(table) == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), _parents, st.sampled_from(["y", "z"]), st.booleans(), st.booleans())
+def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, parent, inner, through, prov):
+    # A plan joining t1 and t2 on the other key column stores the scans of
+    # t1, t2 and t3 in a shared table. A plan joining them on `inner` then
+    # fails at its root join, on a column no schema holds with provenance,
+    # or on a str constant without, after its inner join hashed the stored
+    # t1 scan's result on `inner`: it stores no entry, and the hash table
+    # stays on that result, the one its rows give. Every later execution
+    # sharing the table, the failed plan's good twin's included, equals a
+    # fresh execution, bitwise, and hashes the t1 scan's rows no more.
+    relations = make_tiny_relations(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
+    bindings = {(name, 0): rel for name, rel in relations.items()}
+    docs = [_read_join_doc(parent, key, through) for key in ("y", "z") if key != inner] + \
+        [_read_join_doc(parent, inner, through)]
+    fresh = [[planmod.execute(_parse(doc), bindings, provenance=mode) for doc in docs] for mode in (False, True)]
+    bad = "column" if prov else "constant"
+    assume(prov or (fresh[0][1][3].count > 0 and fresh[0][1][5].count > 0))  # else no row shows the bad constant
+    table = {}
+    scan = planmod.execute(_parse(docs[0]), bindings, provenance=prov, shared=table)[1]
+    keys, derived = set(table), dict(scan.derived or {})
+    with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
+        planmod.execute(_parse(_read_join_doc(parent, inner, through, bad)), bindings, provenance=prov, shared=table)
+    lpos = (scan.schema.index(f"t1.t1_{inner}"),)
+    assert set(table) == keys and scan.derived.keys() - derived.keys() == {("hash", lpos)}
+    assert scan.derived["hash", lpos] == planmod._hash_rows(scan.rows, lpos)
+    hash_rows, hashed = planmod._hash_rows, []
+    with mock.patch.object(planmod, "_hash_rows", lambda rows, pos: hashed.append(rows) or hash_rows(rows, pos)):
+        shared = [[planmod.execute(_parse(doc), bindings, provenance=mode, shared=table) for doc in docs]
+                  for mode in (False, True)]
+    assert shared == fresh and repr(shared) == repr(fresh)
+    assert all(rows is not scan.rows for rows in hashed)
 
 
 def _three_way(*residual):

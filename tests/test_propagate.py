@@ -535,7 +535,7 @@ def test_fit_makes_one_oracle_call_per_term():
             calls.append((key, np.shape(coords)))
             return inner(key, coords)
 
-        stored = len(shared)
+        stored = len(shared), sum(len(fits) for _, _, fits in shared.values())
         fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=6, shared=shared)
         terms = [(nid, u) for nid, per in fitted.items() for u in per]
         assert sorted(key for key, _ in calls) == sorted(terms)
@@ -550,8 +550,9 @@ def test_fit_makes_one_oracle_call_per_term():
         assert ((1, "c_s"), (1, 1)) in calls  # and its C3 terms on the constant left input
         assert fitted[1]["c_s"].b == (0.0, inner((1, "c_s"), np.ones((1, 1)))[0])
         assert fitted == propagate.fit_all_cost_functions(plan, est, inner, W=6)
-    # the second plan fitted only its Materialize's c_s grid, the others hit
-    assert len(shared) == stored + 1
+    # the second plan fitted only its Materialize's C3 terms, on a stored
+    # grid, the others hit
+    assert (len(shared), sum(len(fits) for _, _, fits in shared.values())) == (stored[0], stored[1] + 1)
 
 
 def test_shared_fits_keyed_by_family_coordinates_and_values():
@@ -560,8 +561,8 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
     # scan's variable then share coordinates and values, and only their family
     # tells them apart; a second estimate of the scan shares the values,
     # and only its coordinates tell it apart. The three families read one
-    # stored grid per estimate, and each fit's entry holds that grid's
-    # coordinates, which its key names by identity.
+    # stored grid per estimate, and that grid's entry keeps the fits made
+    # on its coordinates, by family and the bytes of their probe values.
     doc = {
         "nodes": [
             {"id": 1, "kind": "SeqScan", "relation": "r1", "children": [],
@@ -582,36 +583,42 @@ def test_shared_fits_keyed_by_family_coordinates_and_values():
         fitted = propagate.fit_all_cost_functions(plan, est, oracle, W=4, shared=shared)
         assert fitted == propagate.fit_all_cost_functions(plan, est, oracle, W=4)
     assert fitted[2]["c_t"].tag == "C3" and fitted[1]["c_o"].tag == "C2"
-    grids = {key: coords for key, (coords, _) in shared.items() if key[0] == "grid"}
-    fits = {key: entry for key, entry in shared.items() if key[0] != "grid"}
-    assert len(grids) == 2  # one grid at each of the two estimates
-    assert len(fits) == 6  # the scan's C2, the Sort's C3 and C4, at each of the two estimates
-    assert {id(coords) for coords in grids.values()} == {key[1] for key in fits}
-    assert all(key[1] == id(coords) for key, (coords, _) in fits.items())
+    assert len(shared) == 2 and all(key[0] == "grid" for key in shared)  # one grid at each of the two estimates
+    for coords, _, fits in shared.values():  # the scan's C2, the Sort's C3 and C4
+        assert fits.keys() == {(tag, oracle(None, coords).tobytes()) for tag in ("C2", "C3", "C4")}
 
     def nan_last(key, coords):  # the Sort's C4 grid, fitted after the other two
         return oracle(key, coords) * (math.nan if key == (2, "c_o") else 1.0)
 
+    before = {key: dict(fits) for key, (_, _, fits) in shared.items()}
+    est = {1: _scan_estimate(0.45)}
     with pytest.raises(costfit.FitError, match="non-finite probe values for a C4 fit"):
-        propagate.fit_all_cost_functions(sort, {1: _scan_estimate(0.45)}, nan_last, W=4, shared=shared)
-    assert shared.keys() == grids.keys() | fits.keys()  # nor are its grid or the fits made before it
+        propagate.fit_all_cost_functions(sort, est, nan_last, W=4, shared=shared)
+    # its grid, and the fits made on it before the failure, are kept, each
+    # a pure function of its key; the failed fit is not
+    assert all(shared[key][2] == fits for key, fits in before.items())
+    (key,) = shared.keys() - before.keys()
+    fits = shared[key][2]
+    assert {tag for tag, _ in fits} == {"C2", "C3"}
+    assert propagate.fit_all_cost_functions(sort, est, oracle, W=4, shared=shared) == \
+        propagate.fit_all_cost_functions(sort, est, oracle, W=4)
+    assert {tag for tag, _ in fits} == {"C2", "C3", "C4"}
 
 
 def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # The table one evaluation shares is freed by reference counting alone
     # when the evaluation returns, and holds its inputs no longer: a dict
     # cannot be weakly referenced, so the stored results are watched, read
-    # at each prediction and after each truth. A scan's counters (a list)
-    # and a hash table (a dict) cannot be either; each entry holds the scan
-    # result its key names, so they are watched through that result. So
-    # does a tally's entry, and a tally, a Counter, is watched itself, as
-    # is a column array, whose entry holds the base relation its key names.
-    # A read join's entry holds its two inputs and its result, all watched,
-    # and its counters' entry holds that result; no join that no parent
-    # reads is ever stored, nor are its counters. A grid's entry holds its
-    # coordinates, watched, and its distinct count, an int, which cannot be;
-    # a fit's entry holds the coordinates its key names and its functions,
-    # each watched.
+    # at each prediction and after each truth. What is derived from a
+    # stored result lives on it: a scan's counters (a list) and a hash
+    # table (a dict) cannot be watched either, so they are watched through
+    # that result; a tally, a Counter, is watched itself. A column array's
+    # entry holds the base relation its key names. A read join's entry
+    # holds its two inputs and its result, all watched, and only a read
+    # join's result carries a join's counters and S2 here; no join that no
+    # parent reads is ever stored. A grid's entry holds its coordinates,
+    # watched, its distinct count, an int, which cannot be, and its fits,
+    # whose functions are watched.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)],
                                 three_way_targets=[(0.5, 0.5, 0.5)], seed=1)
@@ -627,14 +634,7 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         stored = []
         joins = {id(value[2]) for key, value in shared.items() if key[0] == "read-join"}
         for key, value in shared.items():
-            if key[0] in ("counters", "hash", "tally"):
-                assert key[1] == id(value[0]) and type(value[0]) is planmod.AnnotatedResult
-                kinds.add((key[0], type(value[1])))
-                stored.extend(value if key[0] == "tally" else value[:1])
-                if key[0] == "counters" and len(value) == 3:  # a join's counters and S2
-                    assert key[1] in joins and type(value[2]) is float
-                    kinds.add(("join counters", type(value[1])))
-            elif key[0] == "read-join":
+            if key[0] == "read-join":
                 assert key[1:3] == (id(value[0]), id(value[1]))
                 assert {type(obj) for obj in value} == {planmod.AnnotatedResult}
                 kinds.add(key[0])
@@ -643,13 +643,22 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                 assert type(value[0]) is np.ndarray and type(value[1]) is int
                 kinds.add(key[0])
                 stored.append(value[0])
-            elif key[0] in costfit.FAMILIES:
-                assert key[1] == id(value[0]) and type(value[0]) is np.ndarray
-                kinds.add("fits")
-                stored.extend([value[0], *value[1]])
+                for (tag, _), fit in value[2].items():
+                    assert tag in costfit.FAMILIES and {cf.tag for cf in fit} == {tag}
+                    kinds.add("fits")
+                    stored.extend(fit)
             else:
                 assert key[0] != "column" or (key[1] == id(value[0]) and type(value[0]) is store.Relation)
                 stored.extend(value)
+        for res in [obj for obj in stored if type(obj) is planmod.AnnotatedResult and obj.derived]:
+            for key, value in res.derived.items():
+                if key == "counters" and type(value) is tuple:  # a join's counters and S2
+                    assert id(res) in joins and type(value[1]) is float
+                    kinds.add(("join counters", type(value[0])))
+                else:
+                    kinds.add((key if key == "counters" else key[0], type(value)))
+                    if type(value) is Counter:
+                        stored.append(value)
         kinds.update(map(type, stored))
         refs.update((id(obj), weakref.ref(obj)) for obj in stored)
         return stored

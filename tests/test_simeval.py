@@ -1063,12 +1063,12 @@ def test_every_array_an_evaluation_shares_is_read_only():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sharing_changes_no_result(data):
-    # evaluate_workload shares one table of scans, hash tables, counters,
-    # truth's tallies and column arrays, grids and grid fits across its plans,
-    # their truths included; its records and summary are bitwise those of
-    # each plan predicted alone. A plan that fails stores nothing, a truth after an
-    # evaluation shares nothing, and a non-finite probe on a stored grid is
-    # still a FitError.
+    # evaluate_workload shares one table of scans, read joins, column arrays
+    # and grids across its plans, their truths included, and with them the
+    # hash tables, tallies, counters and fits that live on those; its
+    # records and summary are bitwise those of each plan predicted alone.
+    # A plan that fails stores nothing, a truth after an evaluation shares
+    # nothing, and a non-finite probe on a stored grid is still a FitError.
     seed = data.draw(st.integers(0, 2**16), label="seed")
     relations = simeval.generate_database(seed, sizes=(40, 40, 40), key_domain=5)
     world = TrueCostWorld.generate(seed)
@@ -1091,19 +1091,22 @@ def test_sharing_changes_no_result(data):
                      for _, vars_ in p.index.terms.values() if None not in vars_ and vars_)
     want_summary = _summary_or_error(want)
 
-    predict, run_scan = propagate.predict_distribution, planmod._run_scan
+    predict, run_scan, run_join = propagate.predict_distribution, planmod._run_scan, planmod._run_join
     scan_counters, hash_rows, tally = selest._scan_counters, planmod._hash_rows, planmod._tally
     int64_column, grid_points = planmod._int64_column, costfit.grid_points
     tables, before = [], []  # per prediction: the table it was given, and its keys then
     # per sample scan run, its result (kept, so no id is reused) and its
     # scan; per full-data scan run, its scan; per counter build, its scan;
-    # per hash-table build over a sample scan's rows, its scan and key
-    # positions; per full-data scan result, that result (kept) and its
-    # scan; per tally build, the scan it counts (None if it counts no
-    # scan's rows) and key positions; per column-array build, the relation
-    # whose rows it reads (None for any other table) and the position; per
-    # grid built, its (input distributions, W)
-    scanned, truth_scanned, counted, hashed = {}, [], [], []
+    # per sample read join run, its result (kept) and its (left input,
+    # right input, join columns), each input its scan or read join; per
+    # hash-table build, the sample scan or read join whose rows it reads
+    # (None for any other) and its key positions; per full-data scan
+    # result, that result (kept) and its scan; per tally build, the scan
+    # it counts (None if it counts no scan's rows) and key positions; per
+    # column-array build, the relation whose rows it reads (None for any
+    # other table) and the position; per grid built, its (input
+    # distributions, W)
+    scanned, truth_scanned, counted, joined, hashed = {}, [], [], {}, []
     truth_results, tallied, arrays, gridded = {}, [], [], []
 
     def spying(*args, shared=None, **kwargs):
@@ -1124,10 +1127,15 @@ def test_sharing_changes_no_result(data):
         counted.append(scanned[id(res)][1])
         return scan_counters(res)
 
+    def counting_joins(node, left, right, provenance, read, *rest):
+        res = run_join(node, left, right, provenance, read, *rest)
+        if provenance and read:
+            sources = {**scanned, **joined}
+            joined[id(res)] = res, (sources[id(left)][1], sources[id(right)][1], node.join_columns)
+        return res
+
     def counting_hashes(rows, lpos):
-        scan = next((scan for res, scan in scanned.values() if res.rows is rows), None)
-        if scan is not None:
-            hashed.append((scan, lpos))
+        hashed.append((next((src for res, src in [*scanned.values(), *joined.values()] if res.rows is rows), None), lpos))
         return hash_rows(rows, lpos)
 
     def counting_tallies(rows, *args):
@@ -1157,10 +1165,11 @@ def test_sharing_changes_no_result(data):
         return len(truth_scanned)
 
     def evaluate(workload):
-        for spied in (tables, before, scanned, truth_scanned, counted, hashed, tallied, arrays, gridded):
+        for spied in (tables, before, scanned, truth_scanned, counted, joined, hashed, tallied, arrays, gridded):
             spied.clear()
         with mock.patch.object(propagate, "predict_distribution", spying), \
                 mock.patch.object(planmod, "_run_scan", counting), \
+                mock.patch.object(planmod, "_run_join", counting_joins), \
                 mock.patch.object(selest, "_scan_counters", counting_counters), \
                 mock.patch.object(planmod, "_hash_rows", counting_hashes), \
                 mock.patch.object(planmod, "_tally", counting_tallies), \
@@ -1218,16 +1227,24 @@ def test_sharing_changes_no_result(data):
     assert generated and arrays == []
     # a truth after the evaluation returned shares nothing
     assert truth_scans(plans[0][1]) == len(plans[0][1].index.appearance)
-    # one hash table per distinct (left scan, left key positions)
+    # one hash table per distinct (left input, left key positions) of the
+    # joins that build pairs, each with provenance, over a sample scan or
+    # a read join's result, which every plan reading it hashes on its keys
+    def source(p, nid):
+        nid = p.index.var[nid]
+        if nid in p.index.appearance:
+            return p.index.appearance[nid], p.nodes[nid].selections, nid in p.index.read
+        left, right = p.nodes[nid].children
+        return source(p, left), source(p, right), p.nodes[nid].join_columns
+
     hashes = set()
     for _, p in plans:
         for nid in p.index.order:
             node = p.nodes[nid]
-            left = p.index.var[node.children[0]] if node.children else None
-            if node.join_columns[0] and left in p.index.appearance:
-                app = p.index.appearance[left]
-                lpos = tuple(map(relations[app[0]].column_names.index, node.join_columns[0]))
-                hashes.add(((app, p.nodes[left].selections, True), lpos))
+            if node.join_columns[0]:
+                left = node.children[0]
+                columns = [c for rel, _ in p.index.leaves[left] for c in relations[rel].column_names]
+                hashes.add((source(p, left), tuple(map(columns.index, node.join_columns[0]))))
     assert sorted(map(repr, hashed)) == sorted(map(repr, hashes))
 
     # a plan mid-workload that names a missing column
