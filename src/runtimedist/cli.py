@@ -99,6 +99,8 @@ def load_config(args) -> dict:
             calib.checked_int(value, key, least, error=ConfigError)
         elif isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
             raise ConfigError(f"{key} must be a number in (0, 1], got {value!r}")
+    if cfg["sample_n"] == 1:  # the variance estimate divides by n - 1; a derived size is floored at 2
+        raise ConfigError("sample_n must be at most 0 (derive it from sample_ratio) or an integer >= 2, got 1")
     return cfg
 
 
@@ -126,9 +128,9 @@ def load_relations(cfg) -> dict:
 
 def sample_n_for(cfg, relations) -> int:
     n = cfg["sample_n"]
-    if n <= 0:
-        n = math.ceil(cfg["sample_ratio"] * min(r.row_count for r in relations.values()))
-    return max(n, 2)
+    if n <= 0:  # derived from sample_ratio, at least 2
+        n = max(math.ceil(cfg["sample_ratio"] * min(r.row_count for r in relations.values())), 2)
+    return n
 
 
 def build_pool(cfg, relations) -> store.SamplePool:

@@ -508,19 +508,18 @@ def _int64_column(rows, idx):
     return column
 
 
-def _run_scan(node, appearance, bindings, provenance, read, tables) -> AnnotatedResult:
-    """`tables` is (the table of shared results, the entries `execute`
-    stores in it on success), or None without a table; only a count-only
-    scan given one may count over column arrays (`execute`)."""
+def _run_scan(node, appearance, bindings, provenance, read, shared) -> AnnotatedResult:
+    """`shared` is the table of shared results, or None without one; only
+    a count-only scan given one may count over column arrays (`execute`)."""
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
-    if tables and not provenance and not read and rows and all(type(val) is int for _, _, val in tests):
+    if shared is not None and not provenance and not read and rows and all(type(val) is int for _, _, val in tests):
         keep = np.ones(len(rows), dtype=bool)
         for idx, op, val in tests:
             key = ("column", id(table), idx)
-            entry = tables[0].get(key) or tables[1].get(key)
+            entry = shared.get(key)
             if entry is None:
-                entry = tables[1][key] = (table, _int64_column(rows, idx))
+                entry = shared[key] = (table, _int64_column(rows, idx))
             if entry[1] is None:
                 break
             keep &= op(entry[1], val)
@@ -669,17 +668,15 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     multiplicity and provenance list is unchanged, as is what was derived
     from it: a hash table listing each left row's index per key in row
     order, so the same rows match in the same order, and a tally's exact
-    counts; a column's exact values. Entries are stored only when the
-    whole execution succeeds; what a failed one derived from a result
-    the table held stays on that result, a pure function of it.
+    counts; a column's exact values. Each entry is a pure function of its
+    key, stored when it is built, so what a failed execution stored is
+    what a successful one would have.
     """
-    arrays = shared is not None  # column arrays pay back only when shared
+    columns = shared  # column arrays pay back only when shared
     shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
     results: dict[int, AnnotatedResult] = {}
-    new: dict = {}  # what is computed here, stored in `shared` at the end
-    tables = (shared, new)
     for nid in index.order:
         node = plan.nodes[nid]
         if nid in index.agg_above:  # before pass-through: a Sort up here reports its own estimate_M
@@ -690,8 +687,8 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             key = (id(table), index.scan_keys[nid], provenance)
             entry = shared.get(key)
             if entry is None:
-                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, tables if arrays else None)
-                entry = new[key] = (table, res)
+                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, columns)
+                entry = shared[key] = (table, res)
             res = entry[1]
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
@@ -705,10 +702,9 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
                 key = ("read-join", id(lres), id(rres), index.read_join_keys[nid], hand, provenance)
                 entry = shared.get(key)
                 if entry is None:
-                    entry = new[key] = (lres, rres, _run_join(node, lres, rres, provenance, read, hand, plain))
+                    entry = shared[key] = (lres, rres, _run_join(node, lres, rres, provenance, read, hand, plain))
                 res = entry[2]
         results[nid] = res
-    shared.update(new)
     return results
 
 

@@ -397,14 +397,13 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     term is still probed, one oracle call each; the grid's entry keeps its
     fits, by family and the bytes of the probe values, and a stored fit
     takes the stored functions, which `costfit.fit_grid` made from those
-    same inputs; any other is fitted. Each is a pure function of its key,
-    so it is stored as soon as it is built, even where a later grid of the
-    plan fails. A non-finite probe value fails its fit, so it is never
-    stored, and is still a `costfit.FitError`. Without `shared`, nothing
-    is kept past the call: a grid is shared only by the families of one
-    call, keyed by their variables, and no fit is keyed or looked up,
-    since none could be found. Building those keys costs about 2% of a
-    study plan's fit (2-core VM).
+    same inputs; any other is fitted. Each is stored when it is built,
+    the rule `plan.execute` states. A non-finite probe value fails its
+    fit, so it is never stored, and is still a `costfit.FitError`.
+    Without `shared`, nothing is kept past the call: a grid is shared only
+    by the families of one call, keyed by their variables, and no fit is
+    keyed or looked up, since none could be found. Building those keys
+    costs about 2% of a study plan's fit (2-core VM).
     """
     keyed = shared is not None
     shared = {} if shared is None else shared

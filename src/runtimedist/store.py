@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -95,22 +94,12 @@ def validate_schema(schema) -> tuple[tuple[str, str], ...]:
     return tuple(out.items())
 
 
-def _records(reader):
-    """The reader's records, then the `csv.Error` that stopped it, if any:
-    the records read before it are checked first."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        yield exc
-
-
-def _cast(typ, cells) -> list:
-    """A column's cells parsed as `typ`; an int64 outside its range is a ValueError."""
-    values = list(map(_CASTERS[typ], cells))
-    if typ == "int64" and values and not -(2**63) <= min(values) <= max(values) < 2**63:
-        bad = min(values) if min(values) < -(2**63) else max(values)
-        raise ValueError(f"int64 value {bad} is outside [-2**63, 2**63)")
-    return values
+def _cast(typ, cell):
+    """A cell parsed as `typ`; an int64 outside its range is a ValueError."""
+    value = _CASTERS[typ](cell)
+    if typ == "int64" and not -(2**63) <= value < 2**63:
+        raise ValueError(f"int64 value {value} is outside [-2**63, 2**63)")
+    return value
 
 
 def _int64_rows(text: str, names: list[str]) -> tuple[tuple[int, ...], ...] | None:
@@ -156,9 +145,7 @@ def parse_csv(text: str, name: str, schema) -> Relation:
     one numpy parse taken when the text is ASCII, its header line is the
     names joined by commas and its data hold only digits, minus signs,
     commas and line ends; it reports no error, and any text it declines
-    goes on to the csv path. That path reads records in chunks and casts
-    them one column at a time; a chunk with a bad record is read again
-    record by record, to name its first bad line.
+    goes on to the csv path, which reads and casts one record at a time.
     """
     schema = validate_schema(schema)
     names = [c for c, _ in schema]
@@ -166,32 +153,26 @@ def parse_csv(text: str, name: str, schema) -> Relation:
     if set(types) == {"int64"} and (fast := _int64_rows(text, names)) is not None:
         return Relation(name=name, schema=schema, rows=fast)
     rows = []
-    reader = _records(csv.reader(io.StringIO(text, newline="")))
-    header = next(reader, None)
-    if header is None:
-        raise IngestError("empty file, header row required")
-    if isinstance(header, csv.Error):
-        raise IngestError(f"line 1: {header}")
-    if header != names:
-        raise IngestError(f"header {header!r} does not match declared columns {names!r}")
-    start = 2  # the line of the chunk's first record
-    while chunk := list(itertools.islice(reader, 256)):
-        failed = chunk.pop() if isinstance(chunk[-1], csv.Error) else None
-        records = [raw for raw in chunk if raw]
-        try:
-            columns = zip(types, zip(*records, strict=True), strict=True)  # a wrong width: ValueError
-            rows.extend(zip(*[_cast(typ, column) for typ, column in columns]))
-        except ValueError:
-            for lineno, raw in enumerate(chunk, start=start):
-                if raw and len(raw) != len(schema):
-                    raise IngestError(f"line {lineno}: expected {len(schema)} fields, got {len(raw)}") from None
-                try:
-                    [_cast(typ, [cell]) for typ, cell in zip(types, raw)]
-                except ValueError as exc:
-                    raise IngestError(f"line {lineno}: {exc}") from None
-        start += len(chunk)
-        if failed is not None:
-            raise IngestError(f"line {start}: {failed}")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    lineno = 0  # the line of the last record read
+    try:
+        header = next(reader, None)
+        lineno = 1
+        if header is None:
+            raise IngestError("empty file, header row required")
+        if header != names:
+            raise IngestError(f"header {header!r} does not match declared columns {names!r}")
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(schema):
+                raise IngestError(f"line {lineno}: expected {len(schema)} fields, got {len(raw)}")
+            try:
+                rows.append(tuple(map(_cast, types, raw)))
+            except ValueError as exc:
+                raise IngestError(f"line {lineno}: {exc}") from None
+    except csv.Error as exc:  # raised reading the record after `lineno`
+        raise IngestError(f"line {lineno + 1}: {exc}") from None
     return Relation(name=name, schema=schema, rows=tuple(rows))
 
 

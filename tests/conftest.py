@@ -7,8 +7,9 @@ The Monte Carlo oracle for a plan's running-time moments, the family
 arities it and other tests read, a fit's KKT residual and one cost
 function's moments live here too, with a simulated run written out term
 by term, a plan's cost-function fit written out grid by grid, the solver
-and the fitter called with one vector and at arbitrary points, and CSV
-ingest written out record by record: only tests use them.
+and the fitter called with one vector and at arbitrary points, CSV
+ingest written out record by record, and what a failed execution stored
+checked against a fresh one: only tests use them.
 """
 
 from __future__ import annotations
@@ -332,6 +333,33 @@ def reference_ingest(text, name, schema) -> store.Relation:
     except csv.Error as exc:  # raised while reading the next record
         raise store.IngestError(f"line {lineno + 1}: {exc}") from None
     return store.Relation(name=name, schema=tuple(schema), rows=tuple(rows))
+
+
+def assert_stored_as_fresh(table, before, plan: Plan, bindings, provenance: bool) -> int:
+    """Every entry of a shared table `table` not keyed in `before`, stored
+    by a failed execution, holds what a fresh, successful execution of
+    `plan` over `bindings` builds for that operator, by `==` and `repr`: a
+    scan's or a read join's result, found by its key. `plan` is the failed
+    plan's good twin, the same below the failure. Returns how many entries
+    it checked."""
+    fresh = planmod.execute(plan, bindings, provenance=provenance)
+    index = plan.index
+    side = {} if provenance else planmod._handed_on(plan, bindings)
+    new = [key for key in table if key not in before]
+    for key in new:
+        if key[0] == "read-join":
+            left, right, got = table[key]
+            nids = [nid for nid, join_key in index.read_join_keys.items()
+                    if (join_key, side.get(nid)) == key[3:5]
+                    and [fresh[c] for c in plan.nodes[nid].children] == [left, right]]
+        else:
+            rel, got = table[key]
+            nids = [nid for nid, scan_key in index.scan_keys.items()
+                    if scan_key == key[1] and bindings[index.appearance[nid]] is rel]
+        assert nids and key[-1] is provenance
+        for nid in nids:
+            assert got == fresh[nid] and repr(got) == repr(fresh[nid])
+    return len(new)
 
 
 def monte_carlo_variance(plan: Plan, estimates, costfuncs, units, draws: int = 1_000_000, seed: int = 0):

@@ -941,13 +941,30 @@ def test_bad_sample_ratio_reported_as_json(workdir, tmp_path, capsys, value):
     assert json.loads(err)["error"] == f"sample_ratio must be a number in (0, 1], got {value!r}"
 
 
-@pytest.mark.parametrize("value, rows", [(1, 200), (0.05, 10)])
+@pytest.mark.parametrize("value, rows", [(1, 200), (0.05, 10), (0.001, 2)])  # a derived size is at least 2
 def test_sample_ratio_in_range_sizes_the_pool(workdir, tmp_path, value, rows):
     cfg = tmp_path / "ratio.cfg"
     cfg.write_text((workdir / "run.cfg").read_text() + f"out_dir = {tmp_path}\nsample_n = 0\nsample_ratio = {value}\n")
     assert cli.dispatch(["sample", "--config", str(cfg)]) == 0
     with open(tmp_path / "samples" / "r1.0.csv", newline="", encoding="utf-8") as fh:
         assert len(list(csv.reader(fh))) == 1 + rows  # header, then ceil(ratio * 200) rows
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_sample_n_of_one_reported_as_json(workdir, tmp_path, capsys, where):
+    # An explicit sample_n is used as given, so 1 is refused, not raised
+    # to the floor of 2 that a size derived from sample_ratio gets: the
+    # variance estimate divides by n - 1.
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text() + f"out_dir = {tmp_path / 'out'}\n"
+                   + ("sample_n = 1\n" if where == "config" else ""))
+    argv = ["sample", "--config", str(cfg)] + (["--sample-n", "1"] if where == "flag" else [])
+    assert cli.dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == (
+        "sample_n must be at most 0 (derive it from sample_ratio) or an integer >= 2, got 1")
+    assert not (tmp_path / "out").exists()
 
 
 def test_nonpositive_sample_n_selects_sample_ratio(workdir, tmp_path):

@@ -15,6 +15,7 @@ from runtimedist import plan as planmod, selest, store
 from runtimedist.calib import COST_UNITS
 from runtimedist.costfit import FAMILIES
 from conftest import (
+    assert_stored_as_fresh,
     brute_membership,
     make_tiny_relations,
     s2_enumeration,
@@ -269,32 +270,60 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     ], "root": 4}
     assert planmod.execute(_parse(through), bindings, provenance=True, shared=shared)[4] == fresh[3]
     assert len(shared) == 4 and len(hashed) == 2
-    # scans that were built before a join failed are not stored, and the
-    # hash table built on one goes with it
+    # A plan that fails at its root join has stored its scans and the join
+    # its root reads as it built them, each what its good twin's fresh
+    # execution builds there; the scan's hash table lives on its result.
+    # The twin then hits every entry, and hashes only the join's result.
     doc["nodes"][0]["predicate"][0]["value"] = doc["nodes"][1]["predicate"][0]["value"] = 20
-    deeper = {"nodes": doc["nodes"] + [
-        _scan(4, "T"), {"id": 5, "kind": "HashJoin", "children": [3, 4], "predicate": [{"left": "T.k", "right": "zz"}]},
-    ], "root": 5}
+
+    def deeper(right):
+        return _parse({"nodes": doc["nodes"] + [
+            _scan(4, "T"), {"id": 5, "kind": "HashJoin", "children": [3, 4], "predicate": [{"left": "T.k", "right": right}]},
+        ], "root": 5})
+
+    bindings[("T", 2)] = t
+    before = set(shared)
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
-        planmod.execute(_parse(deeper), {**bindings, ("T", 2): t}, provenance=True, shared=shared)
-    assert len(hashed) == 3 and len(shared) == 4
+        planmod.execute(deeper("zz"), bindings, provenance=True, shared=shared)
+    assert len(hashed) == 3 and len(shared) == 8
+    good = deeper("T#2.k")
+    want = planmod.execute(good, bindings, provenance=True)
+    assert assert_stored_as_fresh(shared, before, good, bindings, True) == 4
+    del hashed[3:]
+    got = planmod.execute(good, bindings, provenance=True, shared=shared)
+    assert got == want and repr(got) == repr(want) and len(shared) == 8 and len(hashed) == 4
+    # A root join is never stored: failing there, the plan stores nothing new.
     doc["nodes"][2]["predicate"][0]["right"] = "zz"
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
-    assert len(shared) == 4
-    # nor are tallies: the left join hands on T#1's rows after tallying
-    # T's, then the right join fails on its residual atom's constant
-    bushy = {"nodes": doc["nodes"][:2] + [
-        {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "T.k", "right": "T#1.k"}]},
-        _scan(4, "T"), _scan(5, "T"),
-        {"id": 6, "kind": "HashJoin", "children": [4, 5],
-         "predicate": [{"left": "T#2.k", "right": "T#3.k"}, {"col": "T#2.a", "op": "<", "value": "x"}]},
-        {"id": 7, "kind": "HashJoin", "children": [3, 6], "predicate": [{"left": "T#1.k", "right": "T#2.k"}]},
-    ], "root": 7}
+    assert len(shared) == 8
+    # Without provenance: the left join hands on T#1's rows after tallying
+    # T's, then the right join fails on its residual atom's constant. The
+    # scans and the left join are stored, the tally lives on T's result,
+    # and the good twin hits them all: it tallies only the left join's
+    # result, for its root, and stores the right join.
+    def bushy(constant):
+        return _parse({"nodes": doc["nodes"][:2] + [
+            {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "T.k", "right": "T#1.k"}]},
+            _scan(4, "T"), _scan(5, "T"),
+            {"id": 6, "kind": "HashJoin", "children": [4, 5],
+             "predicate": [{"left": "T#2.k", "right": "T#3.k"}, {"col": "T#2.a", "op": "<", "value": constant}]},
+            {"id": 7, "kind": "HashJoin", "children": [3, 6], "predicate": [{"left": "T#1.k", "right": "T#2.k"}]},
+        ], "root": 7})
+
+    bindings[("T", 3)] = t
     tallied.clear()
+    before = set(shared)
     with pytest.raises(planmod.ExecutionError, match="constant 'x' cannot be compared"):
-        planmod.execute(_parse(bushy), {**bindings, ("T", 2): t, ("T", 3): t}, shared=shared)
-    assert len(tallied) == 1 and len(shared) == 4
+        planmod.execute(bushy("x"), bindings, shared=shared)
+    assert len(tallied) == 1 and len(shared) == 8 + 5
+    good = bushy(10)
+    want = planmod.execute(good, bindings)
+    assert assert_stored_as_fresh(shared, before, good, bindings, False) == 5
+    tallied.clear()
+    got = planmod.execute(good, bindings, shared=shared)
+    assert got == want and repr(got) == repr(want) and len(shared) == 8 + 5 + 1
+    assert len(tallied) == 1 and tallied[0] is got[3].rows
 
 
 _columns = st.text("abk.#1", min_size=1, max_size=4)
@@ -1021,6 +1050,9 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
 # t2's on (1); or a selection atom makes it build pairs, and so the join
 # below (None). With provenance every join builds pairs.
 _SIDE_OF = {"left": 0, "right": 1, "pairs": None}
+# The `bad` of `_read_join_doc` that builds each bad plan's good twin: the
+# same plan below its root, and at its root but for the fault.
+_GOOD_TWIN = {"column": None, "constant": "atom"}
 _parents = st.tuples(st.sampled_from(sorted(_SIDE_OF)), st.booleans(), st.sampled_from(planmod.JOIN_KINDS))
 
 
@@ -1029,7 +1061,8 @@ def _read_join_doc(parent, inner, through, bad=None):
     read by a root join (6) with a scan of t3 (5), as `parent` says:
     (how it reads, whether the shared join is its right input, its kind).
     `bad` is "column" for a root join column no schema holds, or
-    "constant" for a root selection atom whose constant is a str."""
+    "constant" for a root selection atom whose constant is a str; "atom"
+    gives that atom an int constant, the good twin (`_GOOD_TWIN`)."""
     how, on_right, kind = parent
     nodes = [_scan(1, "t1", [{"col": "t1_x", "op": "<=", "value": 1}]), _scan(2, "t2"),
              {"id": 3, "kind": "HashJoin", "children": [1, 2],
@@ -1041,7 +1074,7 @@ def _read_join_doc(parent, inner, through, bad=None):
     if on_right:
         atom = {"left": atom["right"], "right": atom["left"]}
     atoms = [atom]
-    if how == "pairs" or bad == "constant":
+    if how == "pairs" or bad in ("constant", "atom"):
         atoms.append({"col": "t2_x", "op": "<=", "value": "x" if bad == "constant" else 1})
     children = [nodes[-1]["id"], 5]
     nodes += [_scan(5, "t3"), {"id": 6, "kind": kind, "children": children[::-1] if on_right else children,
@@ -1058,8 +1091,8 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
     # and the shared join is built once per distinct (inputs, join key,
     # side, provenance), where each plan's fresh execution builds it again.
     # Its entry holds the two inputs its key names and the result every
-    # plan then reads. An execution that fails after the join stores no
-    # entry: no join, no scan.
+    # plan then reads. An execution that fails after the join has stored
+    # the join and its scans, each as a fresh execution builds it.
     relations = make_tiny_relations(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
     bindings = {(name, 0): rel for name, rel in relations.items()}
     plans = [_parse(_read_join_doc(parent, inner, through)) for parent in parents]
@@ -1084,20 +1117,31 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
     assert len(entries) == len(built)
     for key, (left, right, res) in entries.items():
         assert key[1:3] == (id(left), id(right)) and key[-1] is (res.provenance is not None)
-    # an execution that fails after the shared join was built stores nothing
+    # An execution that fails at its root has stored what it built below as
+    # it built it, each entry what its good twin's fresh execution builds
+    # for that operator: into an empty table, its three scans and the
+    # shared join, built once; into the shared one, what it did not hold.
+    # Either table then gives every plan, the twin's too, a fresh
+    # execution's results, bitwise.
     counts = fresh[0][0]
     fails = [(True, "column")] + [(False, "constant")] * (counts[3].count > 0 and counts[5].count > 0)
     for prov, bad in fails:
         bad_plan = _parse(_read_join_doc(parents[0], inner, through, bad))
+        twin = _parse(_read_join_doc(parents[0], inner, through, _GOOD_TWIN[bad]))
         built.clear()
         empty, before = {}, set(table)
         with mock.patch.object(planmod, "_run_join", spying):
             with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
                 planmod.execute(bad_plan, bindings, provenance=prov, shared=empty)
-            assert len(built) == 1 and empty == {}
+            assert len(built) == 1
             with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
                 planmod.execute(bad_plan, bindings, provenance=prov, shared=table)
-        assert set(table) == before
+        assert assert_stored_as_fresh(empty, set(), twin, bindings, prov) == 4
+        assert_stored_as_fresh(table, before, twin, bindings, prov)
+        for stored in (empty, table):
+            for p in plans + [twin]:
+                got, want = (planmod.execute(p, bindings, provenance=prov, shared=t) for t in (stored, None))
+                assert got == want and repr(got) == repr(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1107,16 +1151,17 @@ def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, par
     # t1, t2 and t3 in a shared table. A plan joining them on `inner` then
     # fails at its root join, on a column no schema holds with provenance,
     # or on a str constant without, after its inner join hashed the stored
-    # t1 scan's result on `inner`: it stores no entry, and the hash table
-    # stays on that result, the one its rows give. Every later execution
-    # sharing the table, the failed plan's good twin's included, equals a
-    # fresh execution, bitwise, and hashes the t1 scan's rows no more.
+    # t1 scan's result on `inner`: it has stored that join, as its good
+    # twin's fresh execution builds it, and the hash table stays on that
+    # result, the one its rows give. Every later execution sharing the
+    # table, the good twin's included, equals a fresh execution, bitwise,
+    # and hashes the t1 scan's rows no more.
     relations = make_tiny_relations(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
     bindings = {(name, 0): rel for name, rel in relations.items()}
-    docs = [_read_join_doc(parent, key, through) for key in ("y", "z") if key != inner] + \
-        [_read_join_doc(parent, inner, through)]
-    fresh = [[planmod.execute(_parse(doc), bindings, provenance=mode) for doc in docs] for mode in (False, True)]
     bad = "column" if prov else "constant"
+    docs = [_read_join_doc(parent, key, through) for key in ("y", "z") if key != inner] + \
+        [_read_join_doc(parent, inner, through, _GOOD_TWIN[bad])]
+    fresh = [[planmod.execute(_parse(doc), bindings, provenance=mode) for doc in docs] for mode in (False, True)]
     assume(prov or (fresh[0][1][3].count > 0 and fresh[0][1][5].count > 0))  # else no row shows the bad constant
     table = {}
     scan = planmod.execute(_parse(docs[0]), bindings, provenance=prov, shared=table)[1]
@@ -1124,7 +1169,8 @@ def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, par
     with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
         planmod.execute(_parse(_read_join_doc(parent, inner, through, bad)), bindings, provenance=prov, shared=table)
     lpos = (scan.schema.index(f"t1.t1_{inner}"),)
-    assert set(table) == keys and scan.derived.keys() - derived.keys() == {("hash", lpos)}
+    assert assert_stored_as_fresh(table, keys, _parse(docs[1]), bindings, prov) == 1
+    assert scan.derived.keys() - derived.keys() == {("hash", lpos)}
     assert scan.derived["hash", lpos] == planmod._hash_rows(scan.rows, lpos)
     hash_rows, hashed = planmod._hash_rows, []
     with mock.patch.object(planmod, "_hash_rows", lambda rows, pos: hashed.append(rows) or hash_rows(rows, pos)):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.simeval import EvalRecord, TrueCostWorld, WorkloadSpec
-from conftest import ARITY, brute_membership, monte_carlo_variance, reference_costs, reference_run, tiny_instance
+from conftest import ARITY, assert_stored_as_fresh, brute_membership, monte_carlo_variance, reference_costs, reference_run, tiny_instance
 
 
 # ---------------------------------------------------------------------------
@@ -1067,8 +1067,11 @@ def test_sharing_changes_no_result(data):
     # and grids across its plans, their truths included, and with them the
     # hash tables, tallies, counters and fits that live on those; its
     # records and summary are bitwise those of each plan predicted alone.
-    # A plan that fails stores nothing, a truth after an evaluation shares
-    # nothing, and a non-finite probe on a stored grid is still a FitError.
+    # A plan that fails has stored only what its good twin's fresh
+    # execution builds, so a prediction sharing the table after it is
+    # still bitwise that of the plan alone; a truth after an evaluation
+    # shares nothing, and a non-finite probe on a stored grid is still a
+    # FitError.
     seed = data.draw(st.integers(0, 2**16), label="seed")
     relations = simeval.generate_database(seed, sizes=(40, 40, 40), key_domain=5)
     world = TrueCostWorld.generate(seed)
@@ -1249,6 +1252,7 @@ def test_sharing_changes_no_result(data):
 
     # a plan mid-workload that names a missing column
     bad = data.draw(_repeating_plan_docs(), label="bad plan")
+    twin = planmod.plan_from_document(json.loads(json.dumps(bad)))  # before the fault goes in
     joins = [n for n in bad["nodes"] if n["kind"] in planmod.JOIN_KINDS]
     if joins and data.draw(st.booleans(), label="bad join"):  # the second may fail after the first hashed a scan
         joins[data.draw(st.integers(0, len(joins) - 1), label="which join")]["predicate"][0]["left"] = "zzz"
@@ -1258,7 +1262,13 @@ def test_sharing_changes_no_result(data):
     with pytest.raises(planmod.ExecutionError, match=r"^plan 'bad': .*'zzz'"):
         evaluate(plans[:at] + [("bad", planmod.plan_from_document(bad))] + plans[at:])
     assert len(tables) == at + 1
-    assert set(tables[-1]) == before[-1]
+    bindings = {app: pool.table(*app) for app in twin.index.appearance.values()}
+    assert_stored_as_fresh(tables[-1], before[-1], twin, bindings, True)
+    for (label, p), record in zip(plans, want):
+        dist, _, _, _ = propagate.predict_distribution(
+            p, pool, relations, units, world.cost_oracle(p, relations), W=W, policy=policy, shared=tables[-1])
+        got = (dist.mean, dist.stddev, tuple(dist.flags))
+        assert repr(got) == repr((record.predicted_mean, record.predicted_stddev, record.flags))
     assert truth_scans(plans[0][1]) == len(plans[0][1].index.appearance)  # nor after one that raised
 
     # non-finite probe values on a grid already in the table

@@ -53,10 +53,11 @@ def _assert_reads_as_reference(text, schema):
     return got
 
 
-# The csv path reads records in chunks of 256: records 1-256 (lines 2-257)
-# are its first chunk.
+# Texts of thousands of records, and bad records around record 256 (line
+# 257), pin the line each error names: record n is line n + 1, blank
+# records counted.
 @pytest.mark.parametrize("text", [
-    "a,x,s\n" + "".join(f"{i},{i / 7!r},w{i}\n" for i in range(9000)),  # 36 chunks, the last one short
+    "a,x,s\n" + "".join(f"{i},{i / 7!r},w{i}\n" for i in range(9000)),  # 9000 records of three types
     "a,x,s\n" + "".join(f"{i},0.5,w\n" for i in range(5000)) + "7,1.5,v\n\n\n8,2.5,\"two\nlines\"\n9,-0.0,z\n",
     "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(6000)) + "12x,1.0,w\n" + "5,1.0\n",  # a bad int at line 6002
     # a short record at line 4102 and a bad int after it: the first is named
@@ -73,13 +74,13 @@ def _assert_reads_as_reference(text, schema):
     "a,x,s\n" + "".join(f"{i},1e3,w\n" for i in range(300)) + f"{2**63 - 1},1.0,w\n{-(2**63)},1.0,w\n"
     + "99999999999999999999999,1.0,w\n" + f"{-(2**63) - 1},1.0,w\n",
     f"a,x,s\n1,2.0,w\n{-(2**63) - 1},2.0,w\n",
-    # all-int texts as gen-workload writes them, over several chunks
+    # all-int texts as gen-workload writes them, of up to 9000 records
     "a,x,s\n" + _int_records(9000),
     "a,x,s\r\n" + _int_records(700, "\r\n") + f"{2**63 - 1},{-(2**63)},0\r\n",
     "a,x,s\n" + _int_records(255) + "1z,2,3\n" + _int_records(300),  # a bad record as record 256, line 257
     "a,x,s\n" + _int_records(256) + "1z,2,3\n" + _int_records(300),  # a bad record as record 257, line 258
     "a,x,s\n" + _int_records(256) + "1,2\n" + _int_records(300),  # a short record as record 257
-    # a `csv.Error` on the second chunk's first record, line 258, before a bad int
+    # a `csv.Error` on record 257, line 258, before a bad int
     "a,x,s\n" + _int_records(256) + "1,2," + "9" * 131073 + "\n" + "1z,2,3\n",
 ])
 def test_ingest_matches_record_by_record_reference(text):
@@ -174,7 +175,7 @@ def test_csv_module_error_is_an_ingest_error_at_its_line():
     # `csv.Error`, which is not a ValueError.
     with pytest.raises(store.IngestError, match=r"^line 2: field larger than field limit"):
         store.parse_csv("a\n" + "y" * 131073 + "\n", "r", [("a", "string")])
-    # A bad cell on an earlier record of the same chunk is reported first.
+    # A bad cell on an earlier record is reported first.
     with pytest.raises(store.IngestError, match=r"^line 3: invalid literal for int"):
         store.parse_csv("a,s\n1,w\nzz,w\n2," + "y" * 131073 + "\n", "r", [("a", "int64"), ("s", "string")])
 
