@@ -30,9 +30,8 @@ in one call over its whole grid, and the terms sharing a grid are fitted
 from the `(coords, values)` arrays together; a term whose inputs are all
 constants is probed once instead (`propagate.fit_all_cost_functions`).
 Many terms are probed at equal coordinates, often at one array: an oracle
-may reuse work done for equal coordinates (the harness's keeps each
-design matrix, `simeval.TrueCostWorld.cost_oracle`), as long as each reply
-is what those coordinates give.
+may reuse work done for equal coordinates, as long as each reply is what
+those coordinates give.
 """
 
 from __future__ import annotations

@@ -641,36 +641,41 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     in the order the rows are produced; a kept row is at the same index
     as its provenance. Without it, no provenance is built.
 
-    `shared` is a dict of the results that the executions of one
-    evaluation share, over sample tables (`selest.estimate_all`) and over
-    the full relations (`selectivity_truth`); without it, a new empty
-    one, so everything is computed. Every scan is looked up in it under
-    its bound table's identity, its `PlanIndex.scan_keys` entry
-    (appearance, selections, whether its rows are read) and `provenance`;
-    the entry holds the table, so the identity cannot be reused while the
-    entry lives, and a full relation's entries never meet a sample
-    table's. A join a parent reads is looked up under "read-join", its
-    inputs' identities, its `PlanIndex.read_join_keys` entry, the input it
-    hands on (`_handed_on`; None for pairs) and `provenance`; the entry
-    holds both inputs and the result. A root join is never reused, so
-    never stored. A join builds its hash table over its left input, or its
-    tally of an input it counts per key, on that input's result
-    (`AnnotatedResult.derive`), so each is built once per result and
-    shared wherever the result is. A count-only scan (no provenance, rows
-    not read) of a non-empty table whose constants are all ints counts
-    over the read-only int64 array of each column its atoms read
+    `shared` is the table of results that the executions and fits of one
+    evaluation share (`simeval.evaluate_workload` makes it and drops it on
+    return); without it, a new empty one, so everything is computed. Its
+    rule, for every module, is this. Each entry is a pure function of its
+    key and holds every object whose identity the key names, so no
+    identity is reused while it lives. A scan is looked up under its bound
+    table's identity, its `PlanIndex.scan_keys` entry (appearance,
+    selections, whether its rows are read) and `provenance`; the entry
+    holds the table and the result, and a full relation's entries never
+    meet a sample table's. A join a parent reads is looked up under
+    "read-join", its inputs' identities, its `PlanIndex.read_join_keys`
+    entry, the input it hands on (`_handed_on`; None for pairs) and
+    `provenance`; the entry holds both inputs and the result. A root join
+    is never reused, so never stored. A count-only scan (no provenance,
+    rows not read) of a non-empty table whose constants are all ints
+    counts over the read-only int64 array of each column its atoms read
     ("column", the table's identity, the position; the entry holds the
-    table, or None where no exact array builds, and the scan filters in
-    Python). It does so only in an execution given a table: an array
-    built for one scan alone costs about twice the Python filter. A hit
-    returns what the same inputs built: a scan's or a read join's result
-    itself, never mutated after it is built, so every count, row,
-    multiplicity and provenance list is unchanged, as is what was derived
-    from it: a hash table listing each left row's index per key in row
-    order, so the same rows match in the same order, and a tally's exact
-    counts; a column's exact values. Each entry is a pure function of its
-    key, stored when it is built, so what a failed execution stored is
-    what a successful one would have.
+    table, and None where no exact array builds, and the scan filters in
+    Python), only in an execution given a table: an array built for one
+    scan alone costs about twice the Python filter. A grid's read-only
+    coordinates and distinct count are stored by
+    `propagate.fit_all_cost_functions`, keyed by what fixes them. What is
+    built from one object alone lives on it, with no key: a join's hash
+    table over its left input or tally of an input it counts per key, and
+    `selest`'s counters, on the result (`AnnotatedResult.derive`); a
+    grid's fits, by family and probe values, in the grid's entry. Every
+    entry and derived structure is stored when it is built, so what a
+    failed execution or fit stored is what a successful one would have.
+    A hit is bitwise a fresh build: a result is never mutated, so every
+    count, row, multiplicity and provenance list is unchanged; a hash
+    table lists each left row's index per key in row order, so the same
+    rows match in the same order; tallies and column arrays are exact; a
+    grid is what `costfit.grid_points` builds from its key, and a stored
+    fit what `costfit.fit_grid` made from the same coordinates and probe
+    values.
     """
     columns = shared  # column arrays pay back only when shared
     shared = {} if shared is None else shared
@@ -738,8 +743,7 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
     without provenance. Its counts are exact integers: a join is counted
     through per-key multiplicities where `execute` can, and builds pairs
     of whole rows elsewhere. Inside `sharing(table)` the execution shares
-    `table`, so a full-data scan or hash table an earlier truth of the
-    block computed is reused, bitwise; outside it, nothing is shared."""
+    `table` (`execute`); outside it, nothing is shared."""
     index = plan.index
     for rel, _ in index.appearance.values():
         if relations[rel].row_count == 0:

@@ -389,21 +389,19 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     operator's functions are keyed by unit in `PlanIndex.terms` order. A
     reply that is not m values, or a non-finite one, is a `costfit.FitError`.
 
-    `shared` is a dict of the results the plans of one evaluation share
-    (`simeval.evaluate_workload`). A grid's read-only coordinates and
-    distinct count (`costfit.grid_points`) are looked up under "grid", the
-    bytes of each input's (rho_n, sigma2) and W, which fix them (bytes,
-    since a zero's sign can move a coordinate's), and built once. Every
+    `shared` is the table of results the plans of one evaluation share,
+    under the rule `plan.execute` states. A grid's read-only coordinates
+    and distinct count (`costfit.grid_points`) are looked up under "grid",
+    the bytes of each input's (rho_n, sigma2) and W, which fix them (bytes,
+    since -0.0 == 0.0 yet a zero's sign can move a coordinate's). Every
     term is still probed, one oracle call each; the grid's entry keeps its
-    fits, by family and the bytes of the probe values, and a stored fit
-    takes the stored functions, which `costfit.fit_grid` made from those
-    same inputs; any other is fitted. Each is stored when it is built,
-    the rule `plan.execute` states. A non-finite probe value fails its
-    fit, so it is never stored, and is still a `costfit.FitError`.
-    Without `shared`, nothing is kept past the call: a grid is shared only
-    by the families of one call, keyed by their variables, and no fit is
-    keyed or looked up, since none could be found. Building those keys
-    costs about 2% of a study plan's fit (2-core VM).
+    fits, keyed by family and the bytes of the probe values. A non-finite
+    probe value fails its fit, so it is never stored, and is still a
+    `costfit.FitError`. Without `shared`, nothing is kept past the call: a
+    grid is shared only by the families of one call, keyed by their
+    variables, and no fit is keyed or looked up, since none could be
+    found. Building those keys costs about 2% of a study plan's fit (2-core
+    VM).
     """
     keyed = shared is not None
     shared = {} if shared is None else shared
@@ -455,10 +453,10 @@ def predict_distribution(plan: Plan, pool, relations, units, oracle, W: int = 10
     "zero-count" when a streamed join kept no sample rows: its rho_n and
     s2_n are 0, so the prediction treats that selectivity as known, and
     "negative-mass" when the normal puts more than `NEGATIVE_MASS` of its
-    mass below zero. `shared`, the dict of results the plans of one
-    evaluation share, goes to `selest.estimate_all` (its scans and read
-    joins) and `fit_all_cost_functions` (its grids, which keep their
-    fits); the prediction is bitwise the same with it or without it."""
+    mass below zero. `shared`, the table of results the plans of one
+    evaluation share (`plan.execute`), goes to `selest.estimate_all` and
+    `fit_all_cost_functions`; the prediction is bitwise the same with it
+    or without it."""
     estimates = selest.estimate_all(plan, pool, relations, shared)
     costfuncs = fit_all_cost_functions(plan, estimates, oracle, W=W, shared=shared)
     terms = _term_table(plan, costfuncs, estimates, units, "all")

@@ -105,14 +105,12 @@ def estimate_all(plan: Plan, pool, relations: dict, shared=None) -> dict[int, Se
     pool's sample table numbered by its appearance ordinal, so repeated
     relations draw from distinct, independent sample tables. A counter's
     keys are in first-seen order along the provenance list, so S2 sums
-    in a fixed order. `shared`, the dict of results the plans of one
-    evaluation share, is handed to `plan.execute`: a scan of a sample
-    table that an earlier plan of the same evaluation scanned with the
-    same selections returns that plan's result, as does a read join over
-    the same inputs. A scan's counters, and a join's counters and S2, are
-    built once per result and kept on it (`AnnotatedResult.derive`), so a
-    shared result is counted once, and the estimates are bitwise those of
-    a fresh execution. Without `shared`, nothing is shared.
+    in a fixed order. `shared`, the table of results the plans of one
+    evaluation share, goes to `plan.execute`, whose scans and read joins
+    are looked up there; a scan's counters, and a join's counters and S2,
+    are kept on its result (`AnnotatedResult.derive`). `plan.execute`
+    states the rule that makes the estimates bitwise those of a fresh
+    execution. Without `shared`, nothing is shared.
     """
     index = plan.index
     n = pool.n

@@ -255,25 +255,13 @@ class TrueCostWorld:
         an (m, arity) selectivity coordinate array, as an m-vector,
         `design_matrix(tag, coords) @ true_b`. This is all the predictor
         learns of the cost model. The plan's leaf products are computed
-        once, when the oracle is made, each term's coefficients where it is
-        probed (`_true_b`), and each distinct design matrix
-        once per oracle: it is kept under its family, the coordinates'
-        shape and their bytes, so the terms probed on one grid, and the
-        constant terms probed at one coordinate, share it. The key is the
-        coordinates' content, not their identity, so equal arrays, a list
-        or an array changed in place between calls each get the matrix of
-        what they hold."""
+        once, when the oracle is made, and each term's coefficients where
+        it is probed (`_true_b`)."""
         coefficients = self._true_b(plan, planmod.leaf_products(plan, relations))
-        matrices = {}  # (family, shape, coordinate bytes) -> design matrix
 
         def oracle(key, coords):
             tag, b = coefficients(key)
-            X = np.asarray(coords, dtype=float)
-            mkey = (tag, X.shape, X.tobytes())
-            A = matrices.get(mkey)
-            if A is None:
-                A = matrices[mkey] = design_matrix(tag, X)
-            return A @ b
+            return design_matrix(tag, coords) @ b
 
         return oracle
 
@@ -333,6 +321,9 @@ def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs:
     which share the term costs and differ in their unit-cost draws."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    if runs > 1000:
+        raise ValueError(f"runs must be at most 1000, got {runs}: run r of plan seed s is seeded "
+                         f"s * 1000 + r, so more runs would repeat the next plan's unit-cost draws")
     costs = _true_term_costs(plan, relations, world, planmod.selectivity_truth(plan, relations))
     return float(np.mean([_simulate(costs, world, seed * 1000 + r) for r in range(runs)]))
 
@@ -364,11 +355,13 @@ def membership_tensor(plan: Plan, relations) -> tuple[np.ndarray, list]:
 def var_rho_enumeration(plan: Plan, relations, n: int) -> float:
     """Exact variance of rho_n by enumeration over all base-tuple
     combinations: sum over subset sizes r of (n-1)^(K-r)/n^K times the mean
-    squared deviation of the fixed-coordinate selectivities."""
-    z, leaf_order = membership_tensor(plan, relations)
-    K = z.ndim
-    if K > 3 or any(s > 8 for s in z.shape) or n > 12:
+    squared deviation of the fixed-coordinate selectivities. The limits
+    are checked before the tensor, one cell per combination, is built."""
+    leaves = planmod.leaf_tables(plan)
+    K = len(leaves)
+    if K > 3 or any(relations[rel].row_count > 8 for rel, _ in leaves) or n > 12:
         raise ValueError("enumeration oracle is desk-scale only (K<=3, |R|<=8, n<=12)")
+    z, _ = membership_tensor(plan, relations)
     zf = z.astype(float)
     rho = float(zf.mean())
     total = 0.0
@@ -570,27 +563,18 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     ExecutionError names its plan's label.
 
     The plans read one sample pool, one set of relations and one cost
-    model, so they repeat work: one dict of shared results, made here and
-    dropped on return, lets what an earlier plan computed be reused: each
-    scan of a sample table or of a full relation, each join a parent
-    reads and each column array that count-only scans count over
-    (`plan.execute`; on bigrel seed 0 a pass builds 260 joins, not 320,
-    and 3 arrays for 80 scans), and each grid
-    (`propagate.fit_all_cost_functions`; 209 grids, not 520). What is
-    built from one of them alone lives on it, so it is shared with it: a
-    join's hash table or tally over a result (truth's 22 tallies, not
-    160), a result's counters (`selest.estimate_all`) and a grid's fits.
-    Truth reaches the dict through `plan.sharing`, which covers the plan
-    loop only. A hit returns what the same inputs produced, so every
-    record and the summary are bitwise those of predicting each plan
-    alone. The probe oracle shares nothing across plans: each plan's
-    oracle keeps its own design matrices.
+    model, so they repeat work: one table of shared results, made here and
+    dropped on return, goes to each prediction and, through
+    `plan.sharing`, which covers the plan loop only, to each truth.
+    `plan.execute` states what the table holds and why a hit is bitwise a
+    fresh build, so every record and the summary are bitwise those of
+    predicting each plan alone. The probe oracle shares nothing.
 
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated, nor can such plans that all have one predicted stddev, or
     one error: a ValueError that names the cause and gives the counts."""
     records = []
-    shared = {}  # the scans, read joins, column arrays and grids the plans share
+    shared = {}
     with planmod.sharing(shared):
         for idx, (label, p) in enumerate(plans):
             with planmod.naming(f"plan {label!r}"):

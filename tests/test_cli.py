@@ -412,6 +412,10 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
     no_runs.write_text((workdir / "run.cfg").read_text().replace("runs = 3", "runs = 0"))
     assert cli.dispatch(["evaluate", "--config", str(no_runs)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "runs must be an integer >= 1, got 0"
+    # more runs than a plan's seeds leave room for
+    no_runs.write_text((workdir / "run.cfg").read_text().replace("runs = 3", "runs = 1001"))
+    assert cli.dispatch(["evaluate", "--config", str(no_runs)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith("runs must be at most 1000, got 1001")
     # estimation and propagation errors, which no CLI input reaches today
     plan = str(workdir / "out" / "workload" / "scan-0.plan")
     for owner, attr, error in [

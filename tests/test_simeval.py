@@ -341,12 +341,10 @@ def test_array_oracle_matches_scalar_evaluation(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_oracle_reply_is_the_design_matrix_of_what_it_is_given(data):
-    # The oracle keeps each design matrix it builds for its plan, keyed by
-    # family and the coordinates' shape and bytes. Its reply is bitwise
-    # design_matrix(tag, coords) @ true_b whatever it was asked before: one
-    # array probed by terms of different families in any order, an equal
-    # copy of it, the same coordinates as a list, and the array after an
-    # in-place write between two calls.
+    # The oracle's reply is bitwise design_matrix(tag, coords) @ true_b
+    # whatever it was asked before: one array probed by terms of different
+    # families in any order, an equal copy of it, the same coordinates as a
+    # list, and the array after an in-place write between two calls.
     relations = simeval.generate_database(1, sizes=(30, 40, 50))
     plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
     coefs: dict = {}
@@ -452,6 +450,17 @@ def test_actual_runtime_rejects_no_runs(runs):
         {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": []}], "root": 1}))
     with pytest.raises(ValueError, match="runs must be at least 1"):
         simeval.actual_runtime(plan, _small_db(), TrueCostWorld.generate(3), seed=4, runs=runs)
+
+
+def test_actual_runtime_refuses_runs_that_would_share_draws():
+    # Run r of plan seed s is seeded s * 1000 + r: a 1001st run of plan 0
+    # would draw the unit costs of plan 1's first run.
+    plan = planmod.parse_plan(json.dumps(
+        {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": []}], "root": 1}))
+    relations, world = _small_db(), TrueCostWorld.generate(3)
+    simeval.actual_runtime(plan, relations, world, seed=0, runs=1000)
+    with pytest.raises(ValueError, match="runs must be at most 1000, got 1001"):
+        simeval.actual_runtime(plan, relations, world, seed=0, runs=1001)
 
 
 # Zeros of both signs and signed values, so that the order of a term's sum
@@ -653,14 +662,34 @@ def test_enumeration_scan_closed_form():
     assert simeval.var_rho_enumeration(planmod.parse_plan(json.dumps(doc)), {"R": rel}, 4) == 0.0
 
 
-def test_enumeration_refuses_large_instances():
-    rows = tuple((i,) for i in range(20))
-    rel = store.Relation("R", (("R_a", "int64"),), rows)
-    doc = {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "R", "children": []}],
-           "root": 1}
-    plan = planmod.parse_plan(json.dumps(doc))
-    with pytest.raises(ValueError, match="desk-scale"):
-        simeval.var_rho_enumeration(plan, {"R": rel}, n=4)
+def test_enumeration_refuses_large_instances(monkeypatch):
+    # The tensor has one cell per base-tuple combination: a three-way plan
+    # over 2000-row relations would ask for 8e9 of them. An input over any
+    # limit (four leaves, a leaf relation over 8 rows, n = 13) is refused
+    # before the tensor is built.
+    def unbuilt(*args):
+        raise AssertionError("membership_tensor built for an input over the limits")
+
+    def chain(rels, column):
+        nodes = [{"id": i, "kind": "SeqScan", "relation": rel, "children": []} for i, rel in enumerate(rels, 1)]
+        root = 1
+        for right in range(2, len(rels) + 1):
+            nodes.append({"id": len(nodes) + 1, "kind": "HashJoin", "children": [root, right],
+                          "predicate": [{"left": rels[right - 2] + column, "right": rels[right - 1] + column}]})
+            root = len(nodes)
+        return planmod.parse_plan(json.dumps({"nodes": nodes, "root": root}))
+
+    tiny = tiny_instance(3, shape=2)[0]
+    big = simeval.generate_database(0, sizes=(2000, 9, 2000))
+    big["R"] = store.Relation("R", (("R_a", "int64"),), tuple((i,) for i in range(20)))
+    monkeypatch.setattr(simeval, "membership_tensor", unbuilt)
+    for p, relations, n in [(chain(["t1", "t2", "t3", "t1"], "_y"), tiny, 4),
+                            (chain(["r1", "r2", "r3"], "_key"), big, 4),
+                            (chain(["r2"], "_key"), big, 4),
+                            (chain(["R"], ""), big, 4),
+                            (chain(["t1", "t2"], "_y"), tiny, 13)]:
+        with pytest.raises(ValueError, match="desk-scale"):
+            simeval.var_rho_enumeration(p, relations, n)
 
 
 def test_resampling_agrees_with_enumeration():
@@ -1250,11 +1279,17 @@ def test_sharing_changes_no_result(data):
                 hashes.add((source(p, left), tuple(map(columns.index, node.join_columns[0]))))
     assert sorted(map(repr, hashed)) == sorted(map(repr, hashes))
 
-    # a plan mid-workload that names a missing column
+    # a plan mid-workload that names a missing column; its scans'
+    # threshold is one no other plan draws, so they are not in the table
+    # and a fault on a join comes after the plan has stored its scans
     bad = data.draw(_repeating_plan_docs(), label="bad plan")
+    for node in bad["nodes"]:
+        if node["kind"] in planmod.SCAN_KINDS:
+            node["predicate"][0]["value"] = 6000
     twin = planmod.plan_from_document(json.loads(json.dumps(bad)))  # before the fault goes in
     joins = [n for n in bad["nodes"] if n["kind"] in planmod.JOIN_KINDS]
-    if joins and data.draw(st.booleans(), label="bad join"):  # the second may fail after the first hashed a scan
+    bad_join = bool(joins) and data.draw(st.booleans(), label="bad join")
+    if bad_join:  # the second may fail after the first hashed a scan
         joins[data.draw(st.integers(0, len(joins) - 1), label="which join")]["predicate"][0]["left"] = "zzz"
     else:
         bad["nodes"][0]["predicate"][0]["col"] = "zzz"
@@ -1263,7 +1298,8 @@ def test_sharing_changes_no_result(data):
         evaluate(plans[:at] + [("bad", planmod.plan_from_document(bad))] + plans[at:])
     assert len(tables) == at + 1
     bindings = {app: pool.table(*app) for app in twin.index.appearance.values()}
-    assert_stored_as_fresh(tables[-1], before[-1], twin, bindings, True)
+    checked = assert_stored_as_fresh(tables[-1], before[-1], twin, bindings, True)
+    assert checked >= 1 or not bad_join
     for (label, p), record in zip(plans, want):
         dist, _, _, _ = propagate.predict_distribution(
             p, pool, relations, units, world.cost_oracle(p, relations), W=W, policy=policy, shared=tables[-1])
