@@ -7,8 +7,9 @@ probe oracles (`oracle((node_id, unit), coords) -> values`, an (m, arity)
 coordinate array in, m true costs out); "actual" running times are
 simulated by evaluating the true cost model at the true selectivities with
 fresh cost-unit draws per run: one pass over the terms, reading one
-`plan.leaf_products` table as the oracle and `true_b` do, each term's cost
-one walk over its family's monomial factors, then seeded draws.
+`plan.leaf_products` table as the oracle does, each term's cost one walk
+over its family's monomial factors with the oracle's coefficients, then
+seeded draws.
 
 Also here: the exact enumeration oracle for Var[rho_n], workload
 generation, and the correlation / error-distribution metrics.
@@ -226,41 +227,24 @@ class TrueCostWorld:
             )
         return a
 
-    def _true_b(self, plan: Plan, products):
-        """The function of a term's key (node_id, unit) -> (tag, `true_b`'s
-        coefficients) of one plan, `products` its `plan.leaf_products`. Each coefficient
-        is a_k * m_k, m_k the monomial's product of its inputs' leaf
-        products in `monomial_factors` order (integers, so exact; 1.0 for
-        the constant), as `monomial_values` gives it. A tuple built from
-        `map` is ready for the oracle's product as it is, and builds faster
-        than a list comprehension."""
-        nodes, terms, slot = plan.nodes, plan.index.terms, self._slot
-
-        def coefficients(key):
-            node_id, unit = key
-            tag, vars_ = terms[key]
-            scale = [products[node_id] if v is None else products[v] for v in vars_]
-            return tag, tuple(map(operator.mul, slot(nodes[node_id].kind, unit, tag), monomial_values(tag, scale)))
-
-        return coefficients
-
-    def true_b(self, plan: Plan, relations, node_id: int, unit: str) -> tuple[str, tuple[float, ...]]:
-        """True selectivity-space coefficients for one operator term: each
-        true a-coefficient times its monomial at the inputs' leaf products
-        (a scan's left input: its relation's row count)."""
-        return self._true_b(plan, planmod.leaf_products(plan, relations))((node_id, unit))
-
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
         an (m, arity) selectivity coordinate array, as an m-vector,
-        `design_matrix(tag, coords) @ true_b`. This is all the predictor
-        learns of the cost model. The plan's leaf products are computed
-        once, when the oracle is made, and each term's coefficients where
-        it is probed (`_true_b`)."""
-        coefficients = self._true_b(plan, planmod.leaf_products(plan, relations))
+        `design_matrix(tag, coords) @ b`. This is all the predictor learns
+        of the cost model. The plan's leaf products are computed when the
+        oracle is made, a term's coefficients b when it is probed: each of
+        its slot's a-coefficients times its monomial (`monomial_values`) at
+        the inputs' leaf products, integers, so exact; a scan's left input
+        is its own row count. A tuple built from `map` builds faster than a
+        list comprehension."""
+        products = planmod.leaf_products(plan, relations)
+        nodes, terms, slot = plan.nodes, plan.index.terms, self._slot
 
         def oracle(key, coords):
-            tag, b = coefficients(key)
+            node_id, unit = key
+            tag, vars_ = terms[key]
+            scale = [products[node_id] if v is None else products[v] for v in vars_]
+            b = tuple(map(operator.mul, slot(nodes[node_id].kind, unit, tag), monomial_values(tag, scale)))
             return design_matrix(tag, coords) @ b
 
         return oracle
@@ -277,7 +261,7 @@ def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list
     factor order onto 1 on the leaf-product side (integers, exact) and onto
     1.0 on the selectivity side, where a leaf's left input is 1.0 and is
     skipped: both are exact, so each cost is bitwise that family sum of
-    `true_b`'s coefficients there (the tests' `reference_costs`)."""
+    the oracle's coefficients there (the tests' `reference_costs`)."""
     products = planmod.leaf_products(plan, relations)
     nodes = plan.nodes
     costs = []
@@ -308,22 +292,26 @@ def _simulate(costs, world: TrueCostWorld, seed: int) -> float:
     return total
 
 
-def simulate_actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, truth=None) -> float:
-    """One simulated run: true cost model at true selectivities, with fresh
-    cost-unit draws. Deterministic for a given seed."""
-    if truth is None:
-        truth = planmod.selectivity_truth(plan, relations)
+def simulate_actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, truth) -> float:
+    """One simulated run: true cost model at `truth`, the plan's
+    `plan.selectivity_truth`, with fresh cost-unit draws. Deterministic for
+    a given seed."""
     return _simulate(_true_term_costs(plan, relations, world, truth), world, seed)
 
 
-def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs: int = 5) -> float:
-    """Reported actual running time: the mean of `runs` simulated runs,
-    which share the term costs and differ in their unit-cost draws."""
+def _check_runs(runs: int) -> None:
+    """The run count's check, 1 to 1000, before any work that reads it."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if runs > 1000:
         raise ValueError(f"runs must be at most 1000, got {runs}: run r of plan seed s is seeded "
                          f"s * 1000 + r, so more runs would repeat the next plan's unit-cost draws")
+
+
+def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs: int = 5) -> float:
+    """Reported actual running time: the mean of `runs` simulated runs,
+    which share the term costs and differ in their unit-cost draws."""
+    _check_runs(runs)
     costs = _true_term_costs(plan, relations, world, planmod.selectivity_truth(plan, relations))
     return float(np.mean([_simulate(costs, world, seed * 1000 + r) for r in range(runs)]))
 
@@ -572,7 +560,10 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
 
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated, nor can such plans that all have one predicted stddev, or
-    one error: a ValueError that names the cause and gives the counts."""
+    one error: a ValueError that names the cause and gives the counts.
+    A `runs` that `actual_runtime` refuses is refused before any plan is
+    predicted."""
+    _check_runs(runs)
     records = []
     shared = {}
     with planmod.sharing(shared):

@@ -227,13 +227,28 @@ def cost_function_moments(cf, dists) -> tuple[float, float]:
     return e, propagate._variance(monomials, functools.partial(propagate.cov_product, tables))
 
 
+def reference_b(plan: Plan, relations, world: simeval.TrueCostWorld, node_id: int, unit: str) -> tuple:
+    """A term's true coefficients written out from `world.coefs` and the
+    plan's leaf sets: per monomial of its family, the slot's a-coefficient
+    times the product of its inputs' leaf row counts, each to its power (a
+    scan's left input: its own relation). The integers are multiplied
+    first, as `monomial_values` does, so the coefficients are bitwise the
+    probe oracle's."""
+    tag, vars_ = plan.index.terms[node_id, unit]
+    rows = [math.prod(relations[rel].row_count for rel, _ in plan.index.leaves[node_id if v is None else v])
+            for v in vars_]
+    a = world.coefs[plan.nodes[node_id].kind][unit]
+    return tuple(a_k * math.prod(r ** p for r, p in zip(rows, exps)) for a_k, exps in zip(a, FAMILIES[tag][1]))
+
+
 def reference_costs(plan: Plan, relations, world: simeval.TrueCostWorld, truth) -> list:
-    """(unit, true cost) per cost term, in term order, written out: `true_b`
-    then the family's monomials at the true selectivities (a leaf's left
-    input: 1.0) times the coefficients, summed in monomial order."""
+    """(unit, true cost) per cost term, in term order, written out:
+    `reference_b` then the family's monomials at the true selectivities (a
+    leaf's left input: 1.0) times the coefficients, summed in monomial
+    order."""
     costs = []
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
-        _, b = world.true_b(plan, relations, nid, unit)
+        b = reference_b(plan, relations, world, nid, unit)
         x = [1.0 if v is None else truth[v] for v in vars_]
         costs.append((unit, sum(map(operator.mul, b, monomial_values(tag, x)))))
     return costs

@@ -100,7 +100,7 @@ def test_seventh_family_moments_vs_monte_carlo(seventh_family):
     assert e == pytest.approx(b[0] * (ml * ml + sl) * mr + b[1] * ml + b[2], rel=1e-14)
 
 
-def test_seventh_family_parse_true_b_and_fit(seventh_family):
+def test_seventh_family_parse_oracle_and_fit(seventh_family):
     plan = planmod.parse_plan(json.dumps(_JOIN))
     with pytest.raises(planmod.PlanError, match="C7 needs two children"):
         doc = json.loads(json.dumps(_JOIN))
@@ -110,9 +110,11 @@ def test_seventh_family_parse_true_b_and_fit(seventh_family):
     world = simeval.TrueCostWorld.generate(3)
     a = (1.25, 0.5, 7.0)
     world.coefs["HashJoin"]["c_t"] = a
-    tag, b = world.true_b(plan, relations, 3, "c_t")
     # each coefficient times the leaf product of each input per power
-    assert (tag, b) == ("C7", (a[0] * 40 * 40 * 50, a[1] * 40, a[2]))
+    b = (a[0] * 40 * 40 * 50, a[1] * 40, a[2])
+    coords = np.array([(0.5, 0.2), (0.1, 0.9), (1.0, 0.0)])
+    got = world.cost_oracle(plan, relations)((3, "c_t"), coords)
+    assert got.tobytes() == (costfit.design_matrix("C7", coords) @ b).tobytes()
     pool = store.build_pool(relations, n=10, pool_size=1, seed=3)
     est = selest.estimate_all(plan, pool, relations)
     fitted = propagate.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations))
@@ -132,7 +134,6 @@ def test_seventh_family_simulated_runs_match_written_out_reference(seventh_famil
     truth = planmod.selectivity_truth(plan, relations)
     for seed in (0, 1, 2**32 - 1):
         want = reference_run(plan, relations, world, seed)
-        assert simeval.simulate_actual_runtime(plan, relations, world, seed).hex() == want.hex()
         assert simeval.simulate_actual_runtime(plan, relations, world, seed, truth=truth).hex() == want.hex()
     want = float(np.mean([reference_run(plan, relations, world, 4000 + r, truth) for r in range(3)]))
     assert simeval.actual_runtime(plan, relations, world, seed=4, runs=3).hex() == want.hex()

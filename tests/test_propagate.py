@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import CostFunction, monomial_values
 from runtimedist.selest import SelEstimate
-from conftest import ARITY, cost_function_moments, reference_fit
+from conftest import ARITY, cost_function_moments, reference_b, reference_fit
 
 
 def _units(means, variances):
@@ -900,8 +900,8 @@ def test_variance_breakdown_properties(world_inputs, plan, data):
 
 
 # ---------------------------------------------------------------------------
-# Property: the fit against its written-out reference, and the memoized
-# probe oracle against `true_b`
+# Property: the fit against its written-out reference, and the probe
+# oracle against `reference_b`
 
 
 def _synthetic_oracle(key, coords):
@@ -938,7 +938,7 @@ def test_fit_matches_reference_and_oracle_memo(world_and_relations, plan, data):
     got = propagate.fit_all_cost_functions(plan, est, _synthetic_oracle, W=W)
     assert _fit_hex(got) == _fit_hex(reference_fit(plan, est, _synthetic_oracle, W))
     # The same plan on the default cost profiles, probed through the world's
-    # oracle, whose closure memoizes the plan's leaf products.
+    # oracle, whose closure keeps the plan's leaf products.
     doc = json.loads(planmod.serialize_plan(plan))
     for node in doc["nodes"]:
         node.pop("cost_profile")
@@ -949,7 +949,7 @@ def test_fit_matches_reference_and_oracle_memo(world_and_relations, plan, data):
     for key in data.draw(st.permutations(list(plan.index.terms) * 2)):  # shuffled, each key twice
         tag, _ = plan.index.terms[key]
         coords, _ = costfit.grid_points([(0.4, 0.01)] * ARITY[tag], W)
-        want = costfit.design_matrix(tag, coords) @ world.true_b(plan, relations, *key)[1]
+        want = costfit.design_matrix(tag, coords) @ reference_b(plan, relations, world, *key)
         assert oracle(key, coords).tobytes() == want.tobytes()
 
 

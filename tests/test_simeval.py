@@ -1,6 +1,7 @@
 """Simulation world, evaluation metrics, and the variance oracles."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.simeval import EvalRecord, TrueCostWorld, WorkloadSpec
-from conftest import ARITY, assert_stored_as_fresh, brute_membership, monte_carlo_variance, reference_costs, reference_run, tiny_instance
+from conftest import (ARITY, assert_stored_as_fresh, brute_membership, monte_carlo_variance, reference_b, reference_costs,
+                      reference_run, tiny_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +274,10 @@ def test_noise_free_runtime_matches_oracle_total():
     for (nid, unit), (tag, vars_) in plan.index.terms.items():
         coord = tuple(1.0 if v is None else truth[v] for v in vars_)
         expect += oracle((nid, unit), [coord])[0] * world.unit_means[unit]
-    got = simeval.simulate_actual_runtime(plan, relations, world, seed=0)
+    got = simeval.simulate_actual_runtime(plan, relations, world, seed=0, truth=truth)
     assert got == pytest.approx(expect, rel=1e-12)
     # with zero noise every seed gives the same runtime
-    assert simeval.simulate_actual_runtime(plan, relations, world, seed=77) == pytest.approx(got)
+    assert simeval.simulate_actual_runtime(plan, relations, world, seed=77, truth=truth) == pytest.approx(got)
     assert simeval.actual_runtime(plan, relations, world, seed=5, runs=3) == pytest.approx(got)
 
 
@@ -330,7 +332,7 @@ def test_array_oracle_matches_scalar_evaluation(data):
             coords = [tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(ARITY[tag]))
                       for _ in range(m)]
             got = oracle((node.id, unit), np.array(coords).reshape(m, ARITY[tag]))
-            _, b = world.true_b(plan, relations, node.id, unit)
+            b = reference_b(plan, relations, world, node.id, unit)
             assert got.shape == (m,)
             for value, c in zip(got, coords):
                 want = sum(bi * ri for bi, ri in zip(b, _scalar_row(tag, c)))
@@ -341,7 +343,7 @@ def test_array_oracle_matches_scalar_evaluation(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_oracle_reply_is_the_design_matrix_of_what_it_is_given(data):
-    # The oracle's reply is bitwise design_matrix(tag, coords) @ true_b
+    # The oracle's reply is bitwise design_matrix(tag, coords) @ reference_b
     # whatever it was asked before: one array probed by terms of different
     # families in any order, an equal copy of it, the same coordinates as a
     # list, and the array after an in-place write between two calls.
@@ -366,19 +368,23 @@ def test_oracle_reply_is_the_design_matrix_of_what_it_is_given(data):
         if form == "written" and X.size:
             X[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, arity - 1))] = data.draw(st.floats(0.0, 1.0))
         coords = X.copy() if form == "copy" else X.tolist() if form == "list" else X
-        tag, b = world.true_b(plan, relations, *key)
+        tag, b = plan.index.terms[key][0], reference_b(plan, relations, world, *key)
         assert oracle(key, coords).tobytes() == (costfit.design_matrix(tag, coords) @ b).tobytes()
 
 
-def test_true_b_matches_written_out_scaling():
+def test_oracle_matches_written_out_scaling():
     # Each family's true coefficients written out: a-coefficients times the
-    # leaf products of the inputs (a scan's left input: its row count).
+    # leaf products of the inputs (a scan's left input: its row count). The
+    # oracle's reply at each coordinate is their sum over the written-out
+    # design row.
     relations = simeval.generate_database(1, sizes=(30, 40, 50))
     plan = planmod.parse_plan(json.dumps(_ALL_FAMILIES))
     world = TrueCostWorld.generate(2)
     world.coefs["HashJoin"].update({u: (1.5, 0.75, 3.0)[: costfit.NUM_COEFS[tag]]
                                     for u, tag in plan.nodes[4].cost_profile.items()})
     world.coefs["IndexScan"]["c_s"] = (1.25, 0.5, 2.0)
+    oracle = world.cost_oracle(plan, relations)
+    points = (0.0, 0.3, 1.0)
 
     def leaf_product(nid):
         return math.prod(relations[r].row_count for r, _ in plan.index.leaves[nid])
@@ -397,15 +403,17 @@ def test_true_b_matches_written_out_scaling():
                 "C5": lambda: (a[0] * p_l, a[1] * p_r, a[2]),
                 "C6": lambda: (a[0] * p_l * p_r, a[1] * p_l, a[2] * p_r, a[3]),
             }[tag]()
-            got_tag, got = world.true_b(plan, relations, node.id, unit)
-            assert got_tag == tag
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (node.id, unit, tag)
+            coords = list(itertools.product(points, repeat=ARITY[tag]))
+            got = oracle((node.id, unit), np.array(coords).reshape(len(coords), ARITY[tag]))
+            expect = [sum(w * r for w, r in zip(want, _scalar_row(tag, c))) for c in coords]
+            assert got.tolist() == pytest.approx(expect, rel=1e-14, abs=0.0), (node.id, unit, tag)
 
 
-def test_true_b_refuses_a_slot_of_another_length():
+def test_oracle_refuses_a_slot_of_another_length():
     # A HashJoin's c_t read as C2 on a generated world, whose slot holds
     # C5's three coefficients: without the check C2 would take Xl's
-    # coefficient as its constant. A slot with too few is refused too.
+    # coefficient as its constant. A slot with too few is refused too. The
+    # oracle reads a slot when its term is probed, not when it is made.
     relations = _small_db()
     world = TrueCostWorld.generate(5)
     doc = {
@@ -421,13 +429,12 @@ def test_true_b_refuses_a_slot_of_another_length():
     plan = planmod.parse_plan(json.dumps(doc))
     oracle = world.cost_oracle(plan, relations)
     with pytest.raises(ValueError, match=r"C2 coefficients for \(HashJoin, c_t\): it holds 3, C2 reads 2"):
-        world.true_b(plan, relations, 3, "c_t")
-    with pytest.raises(ValueError, match="it holds 3, C2 reads 2"):
         oracle((3, "c_t"), np.ones((1, 1)))
     with pytest.raises(ValueError, match=r"C6 coefficients for \(HashJoin, c_o\): it holds 3, C6 reads 4"):
-        world.true_b(plan, relations, 3, "c_o")
+        oracle((3, "c_o"), np.ones((1, 2)))
     world.coefs["HashJoin"]["c_t"] = (1.5, 4.0)
-    assert world.true_b(plan, relations, 3, "c_t") == ("C2", (1.5 * 300 * 300, 4.0))
+    got = oracle((3, "c_t"), np.array([[1.0], [0.5]]))
+    assert got.tolist() == [1.5 * 300 * 300 + 4.0, 1.5 * 300 * 300 * 0.5 + 4.0]
 
 
 def test_actual_runtime_is_mean_of_runs():
@@ -436,7 +443,8 @@ def test_actual_runtime_is_mean_of_runs():
     doc = {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": []}],
            "root": 1}
     plan = planmod.parse_plan(json.dumps(doc))
-    runs = [simeval.simulate_actual_runtime(plan, relations, world, 4000 + r) for r in range(5)]
+    truth = planmod.selectivity_truth(plan, relations)
+    runs = [simeval.simulate_actual_runtime(plan, relations, world, 4000 + r, truth) for r in range(5)]
     # Bitwise: the runs share their term costs and draw the same unit costs.
     assert simeval.actual_runtime(plan, relations, world, seed=4, runs=5) == float(np.mean(runs))
     # deterministic given the seed
@@ -461,6 +469,21 @@ def test_actual_runtime_refuses_runs_that_would_share_draws():
     simeval.actual_runtime(plan, relations, world, seed=0, runs=1000)
     with pytest.raises(ValueError, match="runs must be at most 1000, got 1001"):
         simeval.actual_runtime(plan, relations, world, seed=0, runs=1001)
+
+
+@pytest.mark.parametrize("runs, message", [(0, "runs must be at least 1, got 0"),
+                                           (1001, "runs must be at most 1000, got 1001")])
+def test_evaluate_refuses_runs_before_predicting(runs, message):
+    # The run count is checked before the first plan is predicted, not when
+    # that plan's actual runtime is simulated.
+    relations, world = _small_db(), TrueCostWorld.generate(3)
+    units = calib.fit_cost_units(world.calibration_records(20, seed=3))
+    pool = store.build_pool(relations, n=10, pool_size=1, seed=3)
+    plans, _ = simeval.generate_workload(WorkloadSpec(scan_targets=[0.4, 0.7], seed=2), relations)
+    with mock.patch.object(propagate, "predict_distribution", wraps=propagate.predict_distribution) as spy, \
+            pytest.raises(ValueError, match=message):
+        simeval.evaluate_workload(plans, relations, pool, units, world, runs=runs)
+    assert spy.call_count == 0
 
 
 # Zeros of both signs and signed values, so that the order of a term's sum
@@ -506,14 +529,13 @@ def test_term_costs_match_written_out_reference(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_simulated_runs_match_written_out_reference(data):
-    # Bitwise, with and without `truth=`, and as `actual_runtime`'s mean of
+    # Bitwise, one run given its truth, and as `actual_runtime`'s mean of
     # runs. A noise of twice the mean clamps many unit draws at 0.
     relations, plan = _costed_instance(data)
     world = _filled_world(plan, data.draw(st.integers(0, 99)), data.draw(st.sampled_from([0.0, 0.12, 2.0])), data)
     truth = planmod.selectivity_truth(plan, relations)
     seed = data.draw(st.integers(0, 2**32 - 1))
     want = reference_run(plan, relations, world, seed)
-    assert simeval.simulate_actual_runtime(plan, relations, world, seed).hex() == want.hex()
     assert simeval.simulate_actual_runtime(plan, relations, world, seed, truth=truth).hex() == want.hex()
     seed, runs = data.draw(st.integers(0, 10**6)), data.draw(st.integers(1, 5))
     want = float(np.mean([reference_run(plan, relations, world, seed * 1000 + r, truth) for r in range(runs)]))
@@ -521,7 +543,7 @@ def test_simulated_runs_match_written_out_reference(data):
 
 
 def test_simulated_run_refuses_a_slot_of_another_length():
-    # The run checks each term's slot as `true_b` does, with its message.
+    # The run checks each term's slot as the oracle does, with its message.
     relations = _small_db()
     world = TrueCostWorld.generate(5)
     doc = {
@@ -537,7 +559,7 @@ def test_simulated_run_refuses_a_slot_of_another_length():
     plan = planmod.parse_plan(json.dumps(doc))
     match = r"the world has no C2 coefficients for \(HashJoin, c_t\): it holds 3, C2 reads 2"
     with pytest.raises(ValueError, match=match):
-        simeval.simulate_actual_runtime(plan, relations, world, seed=0)
+        simeval.simulate_actual_runtime(plan, relations, world, seed=0, truth=planmod.selectivity_truth(plan, relations))
     with pytest.raises(ValueError, match=match):
         simeval.actual_runtime(plan, relations, world, seed=0)
 

@@ -1,4 +1,4 @@
-"""Per-stage prediction time of two source trees, interleaved per plan.
+"""Per-stage prediction and harness time of two source trees, interleaved per plan.
 
     python tools/ab_stages.py OLD_SRC NEW_SRC [--reps 15]
 
@@ -8,12 +8,18 @@ into one process under other names. Each builds the test suite's study
 (seed 42: 200 plans, n = 25, W = 10), and every plan is predicted by both
 trees, in alternating order, through the four calls the benchmark's study
 pass times: `estimate_all`, `fit_all_cost_functions`, `expected_time` and
-`variance_time`. The two trees' means and variances must be bitwise equal.
+`variance_time`. Each plan's actual runtime then follows, as that pass
+computes it: ground truth (`selectivity_truth`), and five simulated runs
+through `simulate_actual_runtime(..., truth=...)`, seeded i * 1000 + r for
+plan i, averaged. The two trees' means, variances and actual runtimes must
+be bitwise equal.
 
 Per stage it prints each tree's microseconds per plan (the median over the
 repetitions) and the median of the per-repetition ratios NEW/OLD, with the
-number of repetitions in which NEW was faster. Timing both trees in one
-process, plan by plan, keeps a shared machine's drift out of the ratio.
+number of repetitions in which NEW was faster. "total" is the whole
+prediction, the four prediction stages without the harness's two. Timing
+both trees in one process, plan by plan, keeps a shared machine's drift out
+of the ratio.
 """
 
 import argparse
@@ -27,7 +33,11 @@ import warnings
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402  (after the thread setting)
+
 STAGES = ("estimate", "fit", "mean", "variance")
+HARNESS = ("truth", "simulate")
+RUNS = 5  # simulated runs per plan, as in the benchmark's study pass
 MODULES = ("calib", "plan", "propagate", "selest", "simeval", "store")
 
 
@@ -56,9 +66,10 @@ def study(pkg, seed=42):
 
 
 def predict(pkg, inputs, i, spent):
-    """Predict plan i, adding each stage's seconds to `spent`."""
+    """Predict plan i and simulate its actual runtime, adding each stage's
+    seconds to `spent`."""
     relations, world, units, pool, plans = inputs
-    plan, prop = plans[i], pkg["propagate"]
+    plan, prop, sim = plans[i], pkg["propagate"], pkg["simeval"]
     oracle = world.cost_oracle(plan, relations)
     t0 = time.perf_counter()
     est = pkg["selest"].estimate_all(plan, pool, relations)
@@ -69,9 +80,14 @@ def predict(pkg, inputs, i, spent):
     t3 = time.perf_counter()
     var = prop.variance_time(plan, fitted, est, units)[0]
     t4 = time.perf_counter()
-    for stage, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+    truth = pkg["plan"].selectivity_truth(plan, relations)
+    t5 = time.perf_counter()
+    actual = float(np.mean([sim.simulate_actual_runtime(plan, relations, world, seed=i * 1000 + r, truth=truth)
+                            for r in range(RUNS)]))
+    t6 = time.perf_counter()
+    for stage, seconds in zip(STAGES + HARNESS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)):
         spent[stage] += seconds
-    return mean.hex(), var.hex()
+    return mean.hex(), var.hex(), actual.hex()
 
 
 def main(argv=None):
@@ -84,14 +100,14 @@ def main(argv=None):
     inputs = {"old": study(old), "new": study(new)}
     pkgs = {"old": old, "new": new}
     count = len(inputs["old"][4])
-    spent = {side: dict.fromkeys(STAGES, 0.0) for side in pkgs}
+    spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in pkgs}
     for i in range(count):  # untimed: first-use costs, and the bitwise check
         got = {side: predict(pkgs[side], inputs[side], i, spent[side]) for side in pkgs}
         if got["old"] != got["new"]:
-            sys.exit(f"plan {i}: (mean, variance) {got['old']} before, {got['new']} after")
+            sys.exit(f"plan {i}: (mean, variance, actual runtime) {got['old']} before, {got['new']} after")
     runs = {side: [] for side in pkgs}
     for rep in range(args.reps):
-        spent = {side: dict.fromkeys(STAGES, 0.0) for side in pkgs}
+        spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in pkgs}
         for i in range(count):
             for side in (("old", "new") if (i + rep) % 2 else ("new", "old")):
                 predict(pkgs[side], inputs[side], i, spent[side])
@@ -99,7 +115,7 @@ def main(argv=None):
             spent[side]["total"] = sum(spent[side][s] for s in STAGES)
             runs[side].append(spent[side])
     print(f"{'stage':10s} {'old us/plan':>12s} {'new us/plan':>12s} {'new/old':>8s}  new faster")
-    for stage in STAGES + ("total",):
+    for stage in STAGES + ("total",) + HARNESS:
         old_s = [r[stage] for r in runs["old"]]
         new_s = [r[stage] for r in runs["new"]]
         ratios = [b / a for a, b in zip(old_s, new_s)]
