@@ -9,8 +9,8 @@ reports differ only in their timestamp field.
 
 Every input file, the config file and the relation CSVs included, is read
 through `_read`, whose errors name the file; every output file is opened
-through `_out`, which makes its directory first. No other module touches
-the file system.
+through `_out`, which makes its directory only when that is missing. No
+other module touches the file system.
 """
 
 from __future__ import annotations
@@ -101,6 +101,7 @@ def load_config(args) -> dict:
             raise ConfigError(f"{key} must be a number in (0, 1], got {value!r}")
     if cfg["sample_n"] == 1:  # the variance estimate divides by n - 1; a derived size is floored at 2
         raise ConfigError("sample_n must be at most 0 (derive it from sample_ratio) or an integer >= 2, got 1")
+    simeval.check_runs(cfg["runs"])
     return cfg
 
 
@@ -207,9 +208,15 @@ def _parse_manifest(text: str) -> list[dict]:
 
 
 def _out(path, mode="w"):
-    """`path` opened to write (mode "w") or append ("a") text, its directory made first."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, mode, newline="", encoding="utf-8")
+    """`path` opened to write (mode "w") or append ("a") text; its directory
+    is made only when the open finds it missing, and opened once more."""
+    for made in (False, True):
+        try:
+            return open(path, mode, newline="", encoding="utf-8")
+        except FileNotFoundError:
+            if made:
+                raise
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
 
 def _write_csv(path, header, rows, mode="w"):
@@ -219,6 +226,15 @@ def _write_csv(path, header, rows, mode="w"):
         if header is not None:
             writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_int_csv(path, header, rows):
+    """`_write_csv`'s bytes for a header and rows the csv module would not
+    quote, such as ints: one `%s` template per line, not a call per field,
+    and one write."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    with _out(path) as fh:
+        fh.write("".join([line % tuple(header)] + [line % row for row in rows]))
 
 
 def _write_json(path, doc):
@@ -250,7 +266,7 @@ def cmd_gen_workload(cfg, args):
     relations = simeval.generate_database(seed, sizes=(size, size, size), key_domain=cfg["key_domain"])
     for name, rel in relations.items():
         base = os.path.join(cfg["data_dir"], name)
-        _write_csv(base + ".csv", rel.column_names, rel.rows)
+        _write_int_csv(base + ".csv", rel.column_names, rel.rows)
         with _out(base + ".schema") as fh:
             fh.writelines(f"{col},{typ}\n" for col, typ in rel.schema)
     spec = simeval.WorkloadSpec.grid(cfg["scan_count"], cfg["join_count"], cfg["join3_count"], seed)
@@ -437,14 +453,21 @@ COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """Every subcommand is a choice, but only the one `argv` names, its
+    first word not starting with "-", is given its options: the others'
+    are never read in this dispatch."""
     parser = argparse.ArgumentParser(
         prog="runtimedist",
         description="Predict running-time distributions of relational query plans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((word for word in argv if not word.startswith("-")), None)
     for name, fn, options in COMMANDS:
         sp = sub.add_parser(name)
+        sp.set_defaults(func=fn)
+        if name != named:
+            continue
         sp.add_argument("--config", help="flat key=value configuration file")
         for key, (default, flag, _) in SETTINGS.items():
             if flag:
@@ -455,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for option, kwargs in options.items():
             sp.add_argument(option, **kwargs)
-        sp.set_defaults(func=fn)
     return parser
 
 
@@ -465,7 +487,7 @@ REPORTED_ERRORS = (ValueError, OSError)
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(load_config(args), args)

@@ -299,8 +299,9 @@ def simulate_actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: i
     return _simulate(_true_term_costs(plan, relations, world, truth), world, seed)
 
 
-def _check_runs(runs: int) -> None:
-    """The run count's check, 1 to 1000, before any work that reads it."""
+def check_runs(runs: int) -> None:
+    """The run count's check, 1 to 1000, before any work that reads it; the
+    CLI makes it on every config it loads."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if runs > 1000:
@@ -311,7 +312,7 @@ def _check_runs(runs: int) -> None:
 def actual_runtime(plan: Plan, relations, world: TrueCostWorld, seed: int, runs: int = 5) -> float:
     """Reported actual running time: the mean of `runs` simulated runs,
     which share the term costs and differ in their unit-cost draws."""
-    _check_runs(runs)
+    check_runs(runs)
     costs = _true_term_costs(plan, relations, world, planmod.selectivity_truth(plan, relations))
     return float(np.mean([_simulate(costs, world, seed * 1000 + r) for r in range(runs)]))
 
@@ -563,7 +564,7 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     one error: a ValueError that names the cause and gives the counts.
     A `runs` that `actual_runtime` refuses is refused before any plan is
     predicted."""
-    _check_runs(runs)
+    check_runs(runs)
     records = []
     shared = {}
     with planmod.sharing(shared):

@@ -96,6 +96,27 @@ def test_generated_relations_take_the_numpy_parse(workdir, monkeypatch):
         assert {type(v) for row in rel.rows for v in row} == {int}
 
 
+def test_generated_relations_are_the_csv_modules_rendering(workdir):
+    # gen-workload writes each relation with a row template, not the csv
+    # module, and its bytes are the csv module's rendering of the rows.
+    relations = simeval.generate_database(7, sizes=(200, 200, 200), key_domain=20)
+    for name, rel in relations.items():
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(rel.column_names)
+        writer.writerows(rel.rows)
+        assert (workdir / "data" / f"{name}.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_int_csv_template_matches_the_csv_module(tmp_path):
+    # ints at both int64 limits, negative ones and 0, as the csv module writes them
+    header = ("a_id", "b", "c")
+    rows = [(-2**63, 2**63 - 1, 0), (-1, -7, 12), (0, 0, 0), (2**63 - 1, -2**63 + 1, -100)]
+    cli._write_int_csv(str(tmp_path / "template.csv"), header, rows)
+    cli._write_csv(str(tmp_path / "module.csv"), header, rows)
+    assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
+
+
 def test_step4_sample(workdir):
     assert _run(workdir, "sample") == 0
     samples = workdir / "out" / "samples"
@@ -709,6 +730,77 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         cli.dispatch(["frobnicate"])
     assert exc.value.code != 0
+
+
+def _parser_with_every_option():
+    """The parser as it was before each dispatch built only its own
+    subcommand's options: every subcommand has all of its options."""
+    parser = argparse.ArgumentParser(
+        prog="runtimedist", description="Predict running-time distributions of relational query plans.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, fn, options in cli.COMMANDS:
+        sp = sub.add_parser(name)
+        sp.add_argument("--config", help="flat key=value configuration file")
+        for key, (default, flag, _) in cli.SETTINGS.items():
+            if flag:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
+        sp.add_argument("--ablation", choices=propagate.POLICIES,
+                        help="covariance policy: all (V1), no-var-c (V2), no-var-x (V3), no-cov (V4)")
+        for option, kwargs in options.items():
+            sp.add_argument(option, **kwargs)
+        sp.set_defaults(func=fn)
+    return parser
+
+
+def _exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [name for name, _, _ in cli.COMMANDS])
+def test_subcommand_help_and_usage_errors_match_a_parser_with_every_option(capsys, command):
+    full = _parser_with_every_option().parse_args
+    for argv, code in (([command, "--help"], 0), ([command, "--frobnicate", "x"], 2)):
+        want = _exit_and_output(capsys, full, argv)
+        assert want[0] == code
+        assert _exit_and_output(capsys, cli.dispatch, argv) == want
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    want = _exit_and_output(capsys, _parser_with_every_option().parse_args, ["--help"])
+    code, out = _exit_and_output(capsys, cli.dispatch, ["--help"])
+    assert (code, out) == want and code == 0
+    for name, _, _ in cli.COMMANDS:
+        assert name in out.out
+
+
+@pytest.mark.parametrize("command", [name for name, _, _ in cli.COMMANDS])
+def test_runs_over_1000_refused_by_every_subcommand(tmp_path, capsys, command):
+    # Every subcommand checks the run count with the config, before it
+    # writes anything, not only evaluate.
+    cfg = tmp_path / "runs.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\nruns = 1001\n")
+    extra = ["--plan", "x.plan"] if command in ("fitcost", "predict", "oracle") else []
+    assert cli.dispatch([command, "--config", str(cfg)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("runs must be at most 1000, got 1001")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-world", "gen-workload", "calibrate"])
+def test_out_dir_that_is_a_file_reported_as_json(workdir, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    # The open, not a makedirs, finds the file where a directory should be.
+    argv = [command, "--out-dir", str(blocker), "--data-dir", str(blocker)]
+    world = ["--world", str(workdir / "out" / "world.json")] if command == "calibrate" else []
+    assert _run(workdir, *argv, *world) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(blocker) in json.loads(err)["error"]
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("key, value, minimum", [

@@ -14,20 +14,34 @@ through `simulate_actual_runtime(..., truth=...)`, seeded i * 1000 + r for
 plan i, averaged. The two trees' means, variances and actual runtimes must
 be bitwise equal.
 
+Then each tree runs the CLI set-up of the benchmark's bigrel workload,
+`gen-world`, `gen-workload` and `calibrate` through its `cli.dispatch`, at
+its config (seed 42, `relation_size` 8000, `key_domain` 800), each tree in
+its own temporary directory and in alternating order. Every file the two
+trees write must be byte-identical, the workload manifest's plan paths
+compared without their directory.
+
 Per stage it prints each tree's microseconds per plan (the median over the
 repetitions) and the median of the per-repetition ratios NEW/OLD, with the
-number of repetitions in which NEW was faster. "total" is the whole
-prediction, the four prediction stages without the harness's two. Timing
-both trees in one process, plan by plan, keeps a shared machine's drift out
-of the ratio.
+number of repetitions in which NEW was faster; the set-up stages are printed
+the same way in milliseconds per run. "total" is the whole prediction, the
+four prediction stages without the harness's two, and "set-up" the three
+subcommands. Timing both trees in one process, plan by plan, keeps a shared
+machine's drift out of the ratio. The timed repetitions run with the cyclic
+garbage collector off, so a collection triggered by one tree's allocations
+is not charged to the other's stage.
 """
 
 import argparse
+import contextlib
+import gc
 import importlib
 import importlib.util
+import io
 import os
 import statistics
 import sys
+import tempfile
 import time
 import warnings
 
@@ -38,7 +52,9 @@ import numpy as np  # noqa: E402  (after the thread setting)
 STAGES = ("estimate", "fit", "mean", "variance")
 HARNESS = ("truth", "simulate")
 RUNS = 5  # simulated runs per plan, as in the benchmark's study pass
-MODULES = ("calib", "plan", "propagate", "selest", "simeval", "store")
+SETUP = ("gen-world", "gen-workload", "calibrate")
+SETUP_CONFIG = {"seed": 42, "relation_size": 8000, "key_domain": 800}  # the benchmark's bigrel
+MODULES = ("calib", "cli", "plan", "propagate", "selest", "simeval", "store")
 
 
 def load(src, name):
@@ -90,6 +106,44 @@ def predict(pkg, inputs, i, spent):
     return mean.hex(), var.hex(), actual.hex()
 
 
+def setup(pkg, root, spent):
+    """Run the set-up subcommands through the tree's `cli.dispatch` under
+    `root`, adding each one's seconds to `spent`."""
+    cfg = os.path.join(root, "setup.cfg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in SETUP:
+            t0 = time.perf_counter()
+            code = pkg["cli"].dispatch([command, "--config", cfg])
+            spent[command] += time.perf_counter() - t0
+            if code:
+                sys.exit(f"{command} exited {code} under {root}")
+
+
+def written(root):
+    """Each file the set-up wrote under `root`, by relative path, to its
+    bytes; the manifest's with `root` removed from its plan paths."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            if path == os.path.join(root, "setup.cfg"):
+                continue
+            with open(path, "rb") as fh:
+                text = fh.read()
+            files[os.path.relpath(path, root)] = text.replace(root.encode(), b"") if name == "manifest.json" else text
+    return files
+
+
+def report(header, unit, stages, runs, reps, scale):
+    print(f"{header:12s} {'old ' + unit:>12s} {'new ' + unit:>12s} {'new/old':>8s}  new faster")
+    for stage in stages:
+        old_s = [r[stage] for r in runs["old"]]
+        new_s = [r[stage] for r in runs["new"]]
+        ratios = [b / a for a, b in zip(old_s, new_s)]
+        print(f"{stage:12s} {statistics.median(old_s) * scale:12.1f} {statistics.median(new_s) * scale:12.1f} "
+              f"{statistics.median(ratios):8.3f}  {sum(r < 1.0 for r in ratios)}/{reps}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
@@ -105,23 +159,42 @@ def main(argv=None):
         got = {side: predict(pkgs[side], inputs[side], i, spent[side]) for side in pkgs}
         if got["old"] != got["new"]:
             sys.exit(f"plan {i}: (mean, variance, actual runtime) {got['old']} before, {got['new']} after")
-    runs = {side: [] for side in pkgs}
-    for rep in range(args.reps):
-        spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in pkgs}
-        for i in range(count):
-            for side in (("old", "new") if (i + rep) % 2 else ("new", "old")):
-                predict(pkgs[side], inputs[side], i, spent[side])
-        for side in pkgs:
-            spent[side]["total"] = sum(spent[side][s] for s in STAGES)
-            runs[side].append(spent[side])
-    print(f"{'stage':10s} {'old us/plan':>12s} {'new us/plan':>12s} {'new/old':>8s}  new faster")
-    for stage in STAGES + ("total",) + HARNESS:
-        old_s = [r[stage] for r in runs["old"]]
-        new_s = [r[stage] for r in runs["new"]]
-        ratios = [b / a for a, b in zip(old_s, new_s)]
-        print(f"{stage:10s} {statistics.median(old_s) / count * 1e6:12.1f} "
-              f"{statistics.median(new_s) / count * 1e6:12.1f} {statistics.median(ratios):8.3f}  "
-              f"{sum(r < 1.0 for r in ratios)}/{args.reps}")
+    with tempfile.TemporaryDirectory() as old_root, tempfile.TemporaryDirectory() as new_root:
+        roots = {"old": old_root, "new": new_root}
+        for side, root in roots.items():  # untimed: makes the directories, and the byte check
+            settings = {"data_dir": os.path.join(root, "data"), "out_dir": os.path.join(root, "out"), **SETUP_CONFIG}
+            with open(os.path.join(root, "setup.cfg"), "w", encoding="utf-8") as fh:
+                fh.writelines(f"{k} = {v}\n" for k, v in settings.items())
+            setup(pkgs[side], root, dict.fromkeys(SETUP, 0.0))
+        old_files, new_files = (written(root) for root in roots.values())
+        differ = sorted(p for p in old_files.keys() | new_files.keys() if old_files.get(p) != new_files.get(p))
+        if differ:
+            sys.exit(f"set-up files differ: {differ[:5]} ({len(differ)} in all)")
+        runs = {side: [] for side in pkgs}
+        setup_runs = {side: [] for side in pkgs}
+        gc.collect()
+        gc.disable()
+        try:
+            for rep in range(args.reps):
+                spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in pkgs}
+                for i in range(count):
+                    for side in (("old", "new") if (i + rep) % 2 else ("new", "old")):
+                        predict(pkgs[side], inputs[side], i, spent[side])
+                for side in pkgs:
+                    spent[side]["total"] = sum(spent[side][s] for s in STAGES)
+                    runs[side].append(spent[side])
+            for rep in range(args.reps):
+                spent = {side: dict.fromkeys(SETUP, 0.0) for side in pkgs}
+                for side in (("old", "new") if rep % 2 else ("new", "old")):
+                    setup(pkgs[side], roots[side], spent[side])
+                for side in pkgs:
+                    spent[side]["set-up"] = sum(spent[side].values())
+                    setup_runs[side].append(spent[side])
+        finally:
+            gc.enable()
+    report("stage", "us/plan", STAGES + ("total",) + HARNESS, runs, args.reps, 1e6 / count)
+    print()
+    report("set-up", "ms/run", SETUP + ("set-up",), setup_runs, args.reps, 1e3)
 
 
 if __name__ == "__main__":
