@@ -119,6 +119,8 @@ class PlanIndex:
     appearance, its selections by `repr` (a JSON constant may be a list,
     which does not hash) and whether its rows are read; `read_join_keys`
     every read join's: the `repr` of its join columns and selections.
+    `monomials`, built on first read, says what each term's monomials
+    multiply.
     """
 
     order: tuple[int, ...]
@@ -131,6 +133,41 @@ class PlanIndex:
     terms: dict[tuple[int, str], tuple[str, tuple]]
     scan_keys: dict[int, tuple[tuple[str, int], str, bool]]
     read_join_keys: dict[int, str]
+
+    @functools.cached_property
+    def monomials(self) -> dict[tuple[int, str], tuple[tuple, tuple]]:
+        """Per cost term, in `terms` order, what each monomial of its family
+        multiplies, as (factors, powers), each a tuple with one entry per
+        coefficient, constant last. A monomial's factors are its inputs'
+        variables in input order, each repeated by its exponent, as
+        `costfit.monomial_factors` lists their positions; its powers are
+        its ((variable, exponent), ...) over the inputs it reads. A scan's
+        constant left input is None in both, and the constant is () in
+        both. Terms of one family on the same variables share one entry.
+        Built on first read, not at parse: parsing a plan, or generating a
+        workload, never reads it; the probe oracle, the harness's true
+        costs and the term table (`propagate`) do."""
+        return _monomial_table(self.terms)
+
+
+def _monomial_table(terms) -> dict:
+    entries: dict = {}  # (family, variables) -> their shared (factors, powers)
+    table = {}
+    for term, spec in terms.items():
+        entry = entries.get(spec)
+        if entry is None:
+            factors, powers = [], []
+            for exps in FAMILIES[spec[0]][1]:
+                f, p = (), ()
+                for v, e in zip(spec[1], exps):
+                    if e:
+                        f += (v,) * e
+                        p += ((v, e),)
+                factors.append(f)
+                powers.append(p)
+            entry = entries[spec] = tuple(factors), tuple(powers)
+        table[term] = entry
+    return table
 
 
 def _index_plan(plan: "Plan") -> PlanIndex:

@@ -221,22 +221,22 @@ def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
     power), ...))], without its constant and its zero-coefficient
     monomials, which covary with nothing; its E[f] is each one's
     coefficient times its variables' E[X^p], summed in order, plus the
-    constant. A fitted function must be of its term's family, whose inputs
-    its exponents read. Each family's non-constant monomials, as (the
-    coefficient's index, [(input position, power), ...]), are read off
-    `costfit.FAMILIES` once per call, and only for a function with a
-    nonzero coefficient besides the last; each unit's moments are read
-    once per call."""
+    constant. A fitted function must be of its term's family. Its
+    monomials' ((variable, power), ...) are those of `PlanIndex.monomials`,
+    built once per plan, and are read only for a function with a nonzero
+    coefficient besides the last; each unit's moments are read once per
+    call."""
     if policy not in POLICIES:
         raise PropagationError(f"unknown covariance policy {policy!r}; one of {POLICIES}")
     dists = {None: (1.0, 0.0)}
     for nid, est in estimates.items():
         dists[nid] = (est.rho_n, 0.0 if policy == "no-var-x" else est.sigma2)
     moms = {v: moments(d) for v, d in dists.items()}
-    positions: dict = {}  # family -> its non-constant monomials' positions
+    monomials = plan.index.monomials
     unit_moments: dict = {}  # unit -> (mean, variance under the policy)
     table = []
-    for (nid, unit), (tag, vars_) in plan.index.terms.items():
+    for term, (tag, _) in plan.index.terms.items():
+        nid, unit = term
         cf = costfuncs[nid][unit]
         if cf.tag != tag:
             raise PropagationError(f"node {nid}, unit {unit}: fitted {cf.tag} function for a {tag} term")
@@ -244,19 +244,12 @@ def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
         mono = []
         e_f = 0.0
         if any(b[:-1]):  # else only the constant is nonzero, as a constant term's is
-            pos = positions.get(tag)
-            if pos is None:
-                pos = positions[tag] = [(k, [(i, p) for i, p in enumerate(exps) if p])
-                                        for k, exps in enumerate(costfit.FAMILIES[tag][1]) if any(exps)]
-            for k, factors in pos:
+            for k, powers in enumerate(monomials[term][1]):
                 c = b[k]
-                if c != 0.0:
-                    m = []
-                    for i, p in factors:
-                        v = vars_[i]
-                        m.append((v, p))
+                if c != 0.0 and powers:  # the constant covaries with nothing
+                    for v, p in powers:
                         c *= moms[v][p]
-                    mono.append((b[k], tuple(m)))
+                    mono.append((b[k], powers))
                     e_f += c
         unit_c = unit_moments.get(unit)
         if unit_c is None:

@@ -8,8 +8,8 @@ coordinate array in, m true costs out); "actual" running times are
 simulated by evaluating the true cost model at the true selectivities with
 fresh cost-unit draws per run: one pass over the terms, reading one
 `plan.leaf_products` table as the oracle does, each term's cost one walk
-over its family's monomial factors with the oracle's coefficients, then
-seeded draws.
+over its monomials' factors (`PlanIndex.monomials`) with the oracle's
+coefficients, then seeded draws.
 
 Also here: the exact enumeration oracle for Var[rho_n], workload
 generation, and the correlation / error-distribution metrics.
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import plan as planmod, propagate
 from .calib import CalibrationRecord, COST_UNITS, check_unit, checked_int, finite_number
-from .costfit import FAMILIES, design_matrix, monomial_factors, monomial_values
+from .costfit import FAMILIES, design_matrix
 from .plan import Plan, DEFAULT_COST_PROFILES
 from .store import Relation
 
@@ -231,20 +231,30 @@ class TrueCostWorld:
         """Probe oracle: true logical costs of (node, unit) at each row of
         an (m, arity) selectivity coordinate array, as an m-vector,
         `design_matrix(tag, coords) @ b`. This is all the predictor learns
-        of the cost model. The plan's leaf products are computed when the
-        oracle is made, a term's coefficients b when it is probed: each of
-        its slot's a-coefficients times its monomial (`monomial_values`) at
-        the inputs' leaf products, integers, so exact; a scan's left input
-        is its own row count. A tuple built from `map` builds faster than a
-        list comprehension."""
+        of the cost model. When the oracle is made, each term's monomials
+        (`PlanIndex.monomials`) are taken at the plan's leaf products: per
+        monomial, the product of its factors' leaf products in factor
+        order, integers, so exact (a scan's left input, None, is its own
+        row count; the constant is 1.0). A term's coefficients b are its
+        slot's a-coefficients, read when it is probed, times those
+        products. A tuple built from `map` builds faster than a list
+        comprehension."""
         products = planmod.leaf_products(plan, relations)
         nodes, terms, slot = plan.nodes, plan.index.terms, self._slot
+        scaled = {}  # term -> (operator kind, family, its monomials at the leaf products)
+        for key, (factors, _) in plan.index.monomials.items():
+            own = products[key[0]]
+            scale = []
+            for idx in factors:
+                m = 1 if idx else 1.0
+                for v in idx:
+                    m *= own if v is None else products[v]
+                scale.append(m)
+            scaled[key] = nodes[key[0]].kind, terms[key][0], scale
 
         def oracle(key, coords):
-            node_id, unit = key
-            tag, vars_ = terms[key]
-            scale = [products[node_id] if v is None else products[v] for v in vars_]
-            b = tuple(map(operator.mul, slot(nodes[node_id].kind, unit, tag), monomial_values(tag, scale)))
+            kind, tag, scale = scaled[key]
+            b = tuple(map(operator.mul, slot(kind, key[1], tag), scale))
             return design_matrix(tag, coords) @ b
 
         return oracle
@@ -253,31 +263,31 @@ class TrueCostWorld:
 def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
     """(unit, true logical cost) of every cost term at the true selectivities,
     in post-order, from one `plan.leaf_products` table; a run only draws the
-    unit costs. A term's cost is one walk over its family's
-    `monomial_factors`: per monomial k, (a_k * m_k(leaf products)) *
+    unit costs. A term's cost is one walk over its monomials' factors
+    (`PlanIndex.monomials`): per monomial k, (a_k * m_k(leaf products)) *
     m_k(true selectivities), summed from 0 in monomial order by `sum`, as
-    the family sum `sum(map(mul, b, monomial_values(tag, x)))` is (Python
-    3.12's `sum` of floats is compensated). m_k multiplies its inputs in
-    factor order onto 1 on the leaf-product side (integers, exact) and onto
-    1.0 on the selectivity side, where a leaf's left input is 1.0 and is
-    skipped: both are exact, so each cost is bitwise that family sum of
-    the oracle's coefficients there (the tests' `reference_costs`)."""
+    the family sum of b_k * m_k(x) over the oracle's coefficients b is
+    (Python 3.12's `sum` of floats is compensated). m_k multiplies its
+    factors in order onto 1 on the leaf-product side (integers, exact) and
+    onto 1.0 on the selectivity side, where a leaf's left input, None, is
+    1.0 and is skipped: both are exact, so each cost is bitwise that family
+    sum at the true selectivities (the tests' `reference_costs`)."""
     products = planmod.leaf_products(plan, relations)
-    nodes = plan.nodes
+    nodes, terms = plan.nodes, plan.index.terms
     costs = []
-    for (nid, unit), (tag, vars_) in plan.index.terms.items():
-        terms = []
-        for a_k, idx in zip(world._slot(nodes[nid].kind, unit, tag), monomial_factors(tag)):
+    for key, (factors, _) in plan.index.monomials.items():
+        nid, unit = key
+        parts = []
+        for a_k, idx in zip(world._slot(nodes[nid].kind, unit, terms[key][0]), factors):
             m, x = 1, 1.0
-            for i in idx:
-                v = vars_[i]
+            for v in idx:
                 if v is None:
                     m *= products[nid]
                 else:
                     m *= products[v]
                     x *= truth[v]
-            terms.append(a_k * m * x)
-        costs.append((unit, sum(terms)))
+            parts.append(a_k * m * x)
+        costs.append((unit, sum(parts)))
     return costs
 
 

@@ -7,7 +7,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from runtimedist import calib, costfit, plan as planmod, propagate, selest, simeval, store
 from runtimedist.costfit import CostFunction, monomial_values
@@ -137,3 +137,68 @@ def test_seventh_family_simulated_runs_match_written_out_reference(seventh_famil
         assert simeval.simulate_actual_runtime(plan, relations, world, seed, truth=truth).hex() == want.hex()
     want = float(np.mean([reference_run(plan, relations, world, 4000 + r, truth) for r in range(3)]))
     assert simeval.actual_runtime(plan, relations, world, seed=4, runs=3).hex() == want.hex()
+
+
+_RELATIONS = simeval.generate_database(3, sizes=(40, 50, 60), key_domain=10)
+_POOL = store.build_pool(_RELATIONS, n=10, pool_size=1, seed=3)
+_UNITS = calib.fit_cost_units(simeval.TrueCostWorld.generate(3).calibration_records(10, seed=3))
+_BUILD_TABLE = planmod._monomial_table
+
+
+@st.composite
+def _profiled_plans(draw):
+    """A plan document over r1, r2 and r3: a scan or a left-deep chain of
+    one or two joins, perhaps under a Sort or Materialize, each kind with
+    one drawn cost-profile override that every node of the kind takes, so
+    one (kind, unit) slot serves every term on it; C7 is drawn too where
+    the `seventh_family` fixture has added it."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    nodes = [{"id": i, "kind": draw(st.sampled_from(planmod.SCAN_KINDS)), "relation": f"r{i}", "children": [],
+              "predicate": [{"col": f"r{i}_val", "op": "<", "value": draw(st.integers(0, 10000))}]}
+             for i in range(1, k + 1)]
+    root = 1
+    for right, (lcol, rcol) in zip(range(2, k + 1), [("r1_key", "r2_key"), ("r2_key2", "r3_key2")]):
+        nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(planmod.JOIN_KINDS)),
+                      "children": [root, right], "predicate": [{"left": lcol, "right": rcol}]})
+        root = len(nodes)
+    if draw(st.booleans()):
+        nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(["Sort", "Materialize"])),
+                      "children": [root]})
+        root = len(nodes)
+    overrides: dict = {}
+    for node in nodes:
+        kind = node["kind"]
+        if kind not in overrides:
+            tags = sorted(t for t, (inputs, _) in costfit.FAMILIES.items()
+                          if kind in planmod.JOIN_KINDS or "right" not in inputs)
+            overrides[kind] = draw(st.dictionaries(st.sampled_from(planmod.COST_UNITS), st.sampled_from(tags)))
+        node["cost_profile"] = overrides[kind]
+    return {"nodes": nodes, "root": root}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_profiled_plans())
+def test_monomial_table_is_built_once_and_reads_the_family_rows(seventh_family, monkeypatch, doc):
+    builds = []
+    monkeypatch.setattr(planmod, "_monomial_table", lambda terms: builds.append(terms) or _BUILD_TABLE(terms))
+    plan = planmod.plan_from_document(doc)
+    assert "monomials" not in vars(plan.index) and not builds  # parsing reads no monomial
+    world = simeval.TrueCostWorld.generate(3)
+    for (nid, unit), (tag, _) in plan.index.terms.items():
+        a = tuple(1.0 + k for k in range(len(costfit.FAMILIES[tag][1])))
+        world.coefs.setdefault(plan.nodes[nid].kind, {})[unit] = a
+    oracle = world.cost_oracle(plan, _RELATIONS)
+    propagate.predict_distribution(plan, _POOL, _RELATIONS, _UNITS, oracle=oracle)
+    truth = planmod.selectivity_truth(plan, _RELATIONS)
+    for seed in range(5):
+        simeval.simulate_actual_runtime(plan, _RELATIONS, world, seed, truth=truth)
+    assert len(builds) == 1
+    table = plan.index.monomials
+    assert list(table) == list(plan.index.terms) and len(builds) == 1
+    shared = {}
+    for term, spec in plan.index.terms.items():
+        tag, vars_ = spec
+        factors, powers = table[term]
+        assert factors == tuple(tuple(vars_[i] for i in idx) for idx in costfit.monomial_factors(tag))
+        assert powers == tuple(tuple((v, p) for v, p in zip(vars_, exps) if p) for exps in costfit.FAMILIES[tag][1])
+        assert shared.setdefault(spec, table[term]) is table[term]  # one entry per (family, variables)

@@ -3,12 +3,13 @@
     python tools/ab_stages.py OLD_SRC NEW_SRC [--reps 15]
 
 OLD_SRC and NEW_SRC each hold a `runtimedist` package, e.g. the `src` of a
-`git archive` of the parent commit and this tree's `src`. Both are imported
-into one process under other names. Each builds the test suite's study
-(seed 42: 200 plans, n = 25, W = 10), and every plan is predicted by both
-trees, in alternating order, through the four calls the benchmark's study
-pass times: `estimate_all`, `fit_all_cost_functions`, `expected_time` and
-`variance_time`. Each plan's actual runtime then follows, as that pass
+`git archive` of the parent commit and this tree's `src`. Each repetition
+imports both into one process under other names, in alternating order, and
+each builds the test suite's study (seed 42: 200 plans, n = 25, W = 10) in
+the same order. Every plan is predicted by both trees, once untimed and
+once timed, in alternating order, through the four calls the benchmark's
+study pass times: `estimate_all`, `fit_all_cost_functions`, `expected_time`
+and `variance_time`. Each plan's actual runtime then follows, as that pass
 computes it: ground truth (`selectivity_truth`), and five simulated runs
 through `simulate_actual_runtime(..., truth=...)`, seeded i * 1000 + r for
 plan i, averaged. The two trees' means, variances and actual runtimes must
@@ -17,9 +18,14 @@ be bitwise equal.
 Then each tree runs the CLI set-up of the benchmark's bigrel workload,
 `gen-world`, `gen-workload` and `calibrate` through its `cli.dispatch`, at
 its config (seed 42, `relation_size` 8000, `key_domain` 800), each tree in
-its own temporary directory and in alternating order. Every file the two
-trees write must be byte-identical, the workload manifest's plan paths
-compared without their directory.
+its own temporary directory, once untimed and eight times timed: each
+subcommand runs in both trees, one right after the other, in the
+repetition's order, then in the other order, four times over. A tree that
+runs second runs faster, and a 2 ms subcommand timed once spreads by a
+tenth, so a repetition keeps each subcommand's fastest of the eight runs.
+Every file a tree writes must be byte-identical to what the first
+repetition's first tree wrote, the workload manifest's plan paths compared
+without their directory.
 
 Per stage it prints each tree's microseconds per plan (the median over the
 repetitions) and the median of the per-repetition ratios NEW/OLD, with the
@@ -27,13 +33,23 @@ number of repetitions in which NEW was faster; the set-up stages are printed
 the same way in milliseconds per run. "total" is the whole prediction, the
 four prediction stages without the harness's two, and "set-up" the three
 subcommands. Timing both trees in one process, plan by plan, keeps a shared
-machine's drift out of the ratio. The timed repetitions run with the cyclic
-garbage collector off, so a collection triggered by one tree's allocations
-is not charged to the other's stage.
+machine's drift out of the ratio. The timed part of a repetition runs with
+the cyclic garbage collector off, so a collection triggered by one tree's
+allocations is not charged to the other's stage.
+
+Where objects lie in memory moves a stage's time by a few percent: a tree
+imported once, with its study, ran its estimation about 2% faster than the
+other through a whole run, whichever tree was imported first, and a
+study's rows ran ground truth up to a tenth faster or slower from one
+build to the next. So every study holds the row tuples of one study built
+at the start (`same_rows`), and each repetition imports both trees afresh
+and drops them after: how the two trees' objects lie is drawn anew each
+repetition, and the median over repetitions does not favour either tree.
 """
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -54,7 +70,9 @@ HARNESS = ("truth", "simulate")
 RUNS = 5  # simulated runs per plan, as in the benchmark's study pass
 SETUP = ("gen-world", "gen-workload", "calibrate")
 SETUP_CONFIG = {"seed": 42, "relation_size": 8000, "key_domain": 800}  # the benchmark's bigrel
+SETUP_RUNS = 8  # timed set-up runs per tree and repetition, even: half of them run first
 MODULES = ("calib", "cli", "plan", "propagate", "selest", "simeval", "store")
+ORDERS = (("old", "new"), ("new", "old"))
 
 
 def load(src, name):
@@ -68,13 +86,26 @@ def load(src, name):
     return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
 
 
-def study(pkg, seed=42):
-    """Inputs and parsed plans of the test suite's study fixture."""
+def same_rows(mine, theirs):
+    """Relation or sample table `mine` holding the row tuples of `theirs`,
+    which must equal its own."""
+    if mine.rows != theirs.rows:
+        sys.exit(f"the two trees' studies differ in the rows of {mine.name!r}")
+    return dataclasses.replace(mine, rows=theirs.rows)
+
+
+def study(pkg, seed=42, like=None):
+    """Inputs and parsed plans of the test suite's study fixture. Given
+    `like`, another tree's study, each relation and sample table holds the
+    row tuples of `like`'s (`same_rows`)."""
     sim = pkg["simeval"]
     relations = sim.generate_database(seed, sizes=(500, 2000, 8000))
     world = sim.TrueCostWorld.generate(seed)
     units = pkg["calib"].fit_cost_units(world.calibration_records(50, seed=seed))
     pool = pkg["store"].build_pool(relations, n=25, pool_size=2, seed=seed)
+    if like is not None:
+        relations = {name: same_rows(rel, like[0][name]) for name, rel in relations.items()}
+        pool.tables = {name: list(map(same_rows, tables, like[3].tables[name])) for name, tables in pool.tables.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         plans, _ = sim.generate_workload(sim.WorkloadSpec.grid(80, 80, 40, seed=seed), relations)
@@ -106,17 +137,18 @@ def predict(pkg, inputs, i, spent):
     return mean.hex(), var.hex(), actual.hex()
 
 
-def setup(pkg, root, spent):
-    """Run the set-up subcommands through the tree's `cli.dispatch` under
-    `root`, adding each one's seconds to `spent`."""
-    cfg = os.path.join(root, "setup.cfg")
+def setup(pkgs, roots, spent):
+    """Run each set-up subcommand through each tree's `cli.dispatch` under
+    its root, the trees in the order of `pkgs` one after the other, adding
+    each run's seconds to the tree's list in `spent`."""
     with contextlib.redirect_stdout(io.StringIO()):
         for command in SETUP:
-            t0 = time.perf_counter()
-            code = pkg["cli"].dispatch([command, "--config", cfg])
-            spent[command] += time.perf_counter() - t0
-            if code:
-                sys.exit(f"{command} exited {code} under {root}")
+            for side, pkg in pkgs.items():
+                t0 = time.perf_counter()
+                code = pkg["cli"].dispatch([command, "--config", os.path.join(roots[side], "setup.cfg")])
+                spent[side][command].append(time.perf_counter() - t0)
+                if code:
+                    sys.exit(f"{command} exited {code} under {roots[side]}")
 
 
 def written(root):
@@ -144,54 +176,67 @@ def report(header, unit, stages, runs, reps, scale):
               f"{statistics.median(ratios):8.3f}  {sum(r < 1.0 for r in ratios)}/{reps}")
 
 
+def unload(name):
+    """Drop the package imported as `name`, and its modules, from `sys.modules`."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("--reps", type=int, default=15)
     args = ap.parse_args(argv)
-    old, new = load(args.old_src, "rd_old"), load(args.new_src, "rd_new")
-    inputs = {"old": study(old), "new": study(new)}
-    pkgs = {"old": old, "new": new}
-    count = len(inputs["old"][4])
-    spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in pkgs}
-    for i in range(count):  # untimed: first-use costs, and the bitwise check
-        got = {side: predict(pkgs[side], inputs[side], i, spent[side]) for side in pkgs}
-        if got["old"] != got["new"]:
-            sys.exit(f"plan {i}: (mean, variance, actual runtime) {got['old']} before, {got['new']} after")
-    with tempfile.TemporaryDirectory() as old_root, tempfile.TemporaryDirectory() as new_root:
-        roots = {"old": old_root, "new": new_root}
-        for side, root in roots.items():  # untimed: makes the directories, and the byte check
-            settings = {"data_dir": os.path.join(root, "data"), "out_dir": os.path.join(root, "out"), **SETUP_CONFIG}
-            with open(os.path.join(root, "setup.cfg"), "w", encoding="utf-8") as fh:
-                fh.writelines(f"{k} = {v}\n" for k, v in settings.items())
-            setup(pkgs[side], root, dict.fromkeys(SETUP, 0.0))
-        old_files, new_files = (written(root) for root in roots.values())
-        differ = sorted(p for p in old_files.keys() | new_files.keys() if old_files.get(p) != new_files.get(p))
-        if differ:
-            sys.exit(f"set-up files differ: {differ[:5]} ({len(differ)} in all)")
-        runs = {side: [] for side in pkgs}
-        setup_runs = {side: [] for side in pkgs}
-        gc.collect()
-        gc.disable()
-        try:
-            for rep in range(args.reps):
-                spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in pkgs}
+    srcs = {"old": args.old_src, "new": args.new_src}
+    rows = study(load(srcs["old"], "rd_rows"))  # whose row tuples every study holds
+    runs = {side: [] for side in srcs}
+    setup_runs = {side: [] for side in srcs}
+    files = None  # what the first repetition's first tree wrote
+    for rep in range(args.reps):
+        pkgs = {side: load(srcs[side], f"rd_{side}{rep}") for side in ORDERS[rep % 2]}
+        inputs = {side: study(pkg, like=rows) for side, pkg in pkgs.items()}
+        count = len(inputs["old"][4])
+        for i in range(count):  # untimed: first-use costs, and the bitwise check
+            got = {side: predict(pkg, inputs[side], i, dict.fromkeys(STAGES + HARNESS, 0.0))
+                   for side, pkg in pkgs.items()}
+            if got["old"] != got["new"]:
+                sys.exit(f"plan {i}: (mean, variance, actual runtime) {got['old']} before, {got['new']} after")
+        spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in srcs}
+        setup_spent = {side: {command: [] for command in SETUP} for side in srcs}
+        with contextlib.ExitStack() as stack:
+            roots = {side: stack.enter_context(tempfile.TemporaryDirectory()) for side in pkgs}
+            for root in roots.values():
+                settings = {"data_dir": os.path.join(root, "data"), "out_dir": os.path.join(root, "out"),
+                            **SETUP_CONFIG}
+                with open(os.path.join(root, "setup.cfg"), "w", encoding="utf-8") as fh:
+                    fh.writelines(f"{k} = {v}\n" for k, v in settings.items())
+            setup(pkgs, roots, {side: {command: [] for command in SETUP} for side in pkgs})  # untimed: byte check
+            for root in roots.values():
+                got = written(root)
+                files = files or got
+                differ = sorted(p for p in files.keys() | got.keys() if files.get(p) != got.get(p))
+                if differ:
+                    sys.exit(f"set-up files differ: {differ[:5]} ({len(differ)} in all)")
+            gc.collect()
+            gc.disable()
+            try:
                 for i in range(count):
-                    for side in (("old", "new") if (i + rep) % 2 else ("new", "old")):
+                    for side in ORDERS[(i + rep) % 2]:
                         predict(pkgs[side], inputs[side], i, spent[side])
-                for side in pkgs:
-                    spent[side]["total"] = sum(spent[side][s] for s in STAGES)
-                    runs[side].append(spent[side])
-            for rep in range(args.reps):
-                spent = {side: dict.fromkeys(SETUP, 0.0) for side in pkgs}
-                for side in (("old", "new") if rep % 2 else ("new", "old")):
-                    setup(pkgs[side], roots[side], spent[side])
-                for side in pkgs:
-                    spent[side]["set-up"] = sum(spent[side].values())
-                    setup_runs[side].append(spent[side])
-        finally:
-            gc.enable()
+                for by_side in (pkgs, dict(reversed(pkgs.items()))) * (SETUP_RUNS // 2):  # each tree first in half
+                    setup(by_side, roots, setup_spent)
+            finally:
+                gc.enable()
+        for side in srcs:
+            spent[side]["total"] = sum(spent[side][s] for s in STAGES)
+            runs[side].append(spent[side])
+            fastest = {command: min(times) for command, times in setup_spent[side].items()}
+            fastest["set-up"] = sum(fastest.values())
+            setup_runs[side].append(fastest)
+        del pkgs, inputs
+        for side in srcs:
+            unload(f"rd_{side}{rep}")
     report("stage", "us/plan", STAGES + ("total",) + HARNESS, runs, args.reps, 1e6 / count)
     print()
     report("set-up", "ms/run", SETUP + ("set-up",), setup_runs, args.reps, 1e3)
