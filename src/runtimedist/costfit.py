@@ -137,8 +137,6 @@ def grid_points(distributions, W: int = 10) -> tuple[np.ndarray, int]:
     bit, in linspace's own float operations: k * step + lo, then hi. (Its
     other form, for a step that underflows to 0, is never needed: a
     nonzero sigma is at least 1e-162, so hi - lo is 0 or far from 0.)
-    Where [lo, hi] lies in [0, 1] the clip changes nothing and is skipped:
-    each k * step + lo lies in [lo, hi], since rounding is monotone.
     The distinct count is the product of each axis's number of distinct
     values (a NaN equals none): the axes are counted, not the points.
     """
@@ -155,9 +153,7 @@ def grid_points(distributions, W: int = 10) -> tuple[np.ndarray, int]:
         step = (hi - lo) / W
         axis = [k * step + lo for k in range(W)]
         axis.append(hi)
-        if not 0.0 <= lo <= hi <= 1.0:  # else every point is already in [0, 1]
-            axis = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in axis]  # np.clip: NaN and -0.0 stay
-        axes.append(axis)
+        axes.append([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in axis])  # np.clip: NaN and -0.0 stay
     if len(axes) == 1:
         return np.array(axes[0])[:, None], len(set(axes[0]))
     first, second = axes
@@ -174,25 +170,23 @@ def nnls_solve(A, Y, constrained):
 
     Takes a float (m, p) design A with m >= p, a finite (m, u) array Y and
     a boolean (p,) mask, unchecked: `fit_grid` checks what it passes.
-    Exact and finite. The problem is convex, so its optimum is the
-    smallest-residual feasible one among the least-squares solutions on
-    each passive set: the unconstrained coefficients plus a subset of the
-    constrained ones, the rest held at zero. Columns of A are scaled to
-    unit norm (a zero column keeps scale 1), so that a column of tiny
-    values is not cut off as rank deficient. One least-squares solve on
-    the full set covers every column of Y, and is taken where feasible.
-    Only the other columns get the QR factorization A = QR and the other
-    passive sets, each solved on R against Z = Q^T Y for all of them at
-    once, with the full solve's rank tolerance (eps * m, not R's eps * p:
-    R has the design's singular values); there are 2^k sets for k
-    constrained coefficients, at most 8 for the cost families.
-    A rank below p marks a rank-deficient A (e.g. an all-zero column): the
-    data cannot determine every coefficient, and a passive set's
-    minimum-norm solution is the one returned.
+    The problem is convex, so its optimum is the smallest-residual
+    feasible one among the least-squares solutions on each passive set:
+    the unconstrained coefficients plus a subset of the constrained ones,
+    the rest held at zero. Each column of A is divided by its norm, a zero
+    column by 1, so that a column of tiny values is not cut off as rank
+    deficient. One least-squares solve on the full set covers every column
+    of Y and is kept where feasible; the other columns are solved on every
+    other passive set at once, on R of A = QR against Z = Q^T Y, with the
+    full solve's rank tolerance (eps * m, not R's eps * p: R has the
+    design's singular values). There are 2^k sets for k constrained
+    coefficients, at most 8 for the cost families. A rank below p marks
+    a rank-deficient A (e.g. an all-zero column): the data cannot
+    determine every coefficient, and a passive set's minimum-norm
+    solution is the one returned.
     """
     scale = np.sqrt(np.add.reduce(A * A, axis=0))  # np.linalg.norm(A, axis=0)'s own arithmetic
-    if not scale.all():
-        scale[scale == 0.0] = 1.0
+    scale[scale == 0.0] = 1.0
     As = A / scale
     X, _, rank, _ = np.linalg.lstsq(As, Y, rcond=None)
     if (X[constrained] < 0.0).any():

@@ -452,8 +452,6 @@ def _tests(node, schema, rows=()) -> list:
     """A node's selection tests (column position, comparison, constant).
     Each is tried on `rows`, one row or none: a column holds values of one
     type, so a constant its column cannot be compared with fails here."""
-    if not node.selections:  # most joins: no list to build, nothing to try
-        return []
     tests = [(_resolve(schema, col, node.id), CMP_OPS[op], val) for col, op, val in node.selections]
     for row in rows:
         for idx, op, val in tests:
@@ -784,7 +782,7 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
     index = plan.index
     for rel, _ in index.appearance.values():
         if relations[rel].row_count == 0:
-            raise ZeroDivisionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
+            raise ExecutionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
     results = execute(plan, bindings, shared=_SHARED.get())
     products = leaf_products(plan, relations)

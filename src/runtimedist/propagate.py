@@ -222,10 +222,8 @@ def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
     monomials, which covary with nothing; its E[f] is each one's
     coefficient times its variables' E[X^p], summed in order, plus the
     constant. A fitted function must be of its term's family. Its
-    monomials' ((variable, power), ...) are those of `PlanIndex.monomials`,
-    built once per plan, and are read only for a function with a nonzero
-    coefficient besides the last; each unit's moments are read once per
-    call."""
+    monomials' ((variable, power), ...) are those of
+    `PlanIndex.monomials`."""
     if policy not in POLICIES:
         raise PropagationError(f"unknown covariance policy {policy!r}; one of {POLICIES}")
     dists = {None: (1.0, 0.0)}
@@ -233,7 +231,6 @@ def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
         dists[nid] = (est.rho_n, 0.0 if policy == "no-var-x" else est.sigma2)
     moms = {v: moments(d) for v, d in dists.items()}
     monomials = plan.index.monomials
-    unit_moments: dict = {}  # unit -> (mean, variance under the policy)
     table = []
     for term, (tag, _) in plan.index.terms.items():
         nid, unit = term
@@ -243,18 +240,15 @@ def _term_table(plan: Plan, costfuncs, estimates, units, policy: str):
         b = cf.b
         mono = []
         e_f = 0.0
-        if any(b[:-1]):  # else only the constant is nonzero, as a constant term's is
-            for k, powers in enumerate(monomials[term][1]):
-                c = b[k]
-                if c != 0.0 and powers:  # the constant covaries with nothing
-                    for v, p in powers:
-                        c *= moms[v][p]
-                    mono.append((b[k], powers))
-                    e_f += c
-        unit_c = unit_moments.get(unit)
-        if unit_c is None:
-            unit_c = unit_moments[unit] = (units.mean(unit), 0.0 if policy == "no-var-c" else units.variance(unit))
-        table.append((nid, *unit_c, e_f + b[-1], mono))
+        for k, powers in enumerate(monomials[term][1]):
+            c = b[k]
+            if c != 0.0 and powers:  # the constant covaries with nothing
+                for v, p in powers:
+                    c *= moms[v][p]
+                mono.append((b[k], powers))
+                e_f += c
+        sigma2_c = 0.0 if policy == "no-var-c" else units.variance(unit)
+        table.append((nid, units.mean(unit), sigma2_c, e_f + b[-1], mono))
     return dists, table
 
 
@@ -350,10 +344,8 @@ def variance_time(plan: Plan, costfuncs, estimates, units, policy: str = "all", 
     return total, breakdown, entries, flags
 
 
-# A constant term's probe coordinate, by arity (read-only: every plan
-# shares it), and the structural coefficients it is stored with, by family.
+# A constant term's probe coordinate, by arity (read-only: every plan shares it).
 _ONES = tuple(np.broadcast_to(1.0, (1, k)) for k in range(3))
-_ZEROS = {tag: (0.0,) * (p - 1) for tag, p in costfit.NUM_COEFS.items()}
 # A grid's (mu, sigma2) pairs as its key's bytes, by arity.
 _PAIRS = {k: struct.Struct(f"{2 * k}d").pack for k in (1, 2)}
 
@@ -410,7 +402,7 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
         value = float(_probe(oracle, term, _ONES[len(vars_)])[0])
         if not math.isfinite(value):
             raise costfit.FitError(f"node {nid}, unit {unit}: non-finite probe value {value}")
-        fitted[nid][unit] = CostFunction(tag, _ZEROS[tag] + (value,))
+        fitted[nid][unit] = CostFunction(tag, (0.0,) * (costfit.NUM_COEFS[tag] - 1) + (value,))
     for (tag, vars_), terms in grids.items():
         dists = [(estimates[v].rho_n, estimates[v].sigma2) for v in vars_]
         key = ("grid", _PAIRS[len(dists)](*itertools.chain(*dists)), W) if keyed else vars_

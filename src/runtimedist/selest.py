@@ -14,13 +14,10 @@ from `PlanIndex`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from . import plan as planmod
 from .plan import Plan
-
-_FIRST = operator.itemgetter(0)  # a scan's provenance entry (j,) -> j
 
 
 class EstimationError(ValueError):
@@ -77,10 +74,8 @@ def estimate_for_subset(est: SelEstimate, positions) -> float:
 
 def _scan_counters(result) -> list[dict[int, int]]:
     """A scan's counters Q: one position, each kept sample index counted
-    once. A scan keeps distinct indexes, so this is the counting loop's
-    dict, keys in the same order. Each index is read out of its 1-tuple
-    by `_FIRST`, in C."""
-    return [dict.fromkeys(map(_FIRST, result.provenance), 1)]
+    once (a scan keeps distinct indexes)."""
+    return [{j: 1 for (j,) in result.provenance}]
 
 
 def _join_counters(result, width: int, rho_n: float, n: int) -> tuple[list[dict[int, int]], float]:

@@ -74,7 +74,7 @@ class SamplePool:
         try:
             per_rel = self.tables[relation]
         except KeyError:
-            raise KeyError(f"relation {relation!r} not in pool") from None
+            raise PoolError(f"relation {relation!r} not in pool") from None
         if index >= len(per_rel):
             raise PoolError(
                 f"pool holds {len(per_rel)} tables for {relation!r}, "

@@ -822,7 +822,7 @@ def test_selectivity_truth_join_denominator():
 def test_selectivity_truth_empty_relation():
     rel = _rel("R", ["a"], [])
     p = _parse({"nodes": [_scan(1, "R")], "root": 1})
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(planmod.ExecutionError, match="relation 'R' is empty"):
         planmod.selectivity_truth(p, {"R": rel})
 
 

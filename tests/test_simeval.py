@@ -952,6 +952,20 @@ def test_evaluate_workload_summary():
         assert r.predicted_mean > 0.0 and r.actual > 0.0
 
 
+def test_evaluate_workload_names_the_plan_whose_truth_meets_an_empty_relation():
+    # The pool is drawn from the full relations, so only ground truth meets
+    # the empty one, and its ExecutionError carries the plan's label.
+    relations = _small_db()
+    world = TrueCostWorld.generate(8)
+    units = calib.fit_cost_units(world.calibration_records(100, seed=8))
+    pool = store.build_pool(relations, n=30, pool_size=1, seed=8)
+    plans, _ = simeval.generate_workload(WorkloadSpec(scan_targets=[0.4, 0.7], seed=2), relations)
+    name = plans[0][1].nodes[plans[0][1].root].relation
+    relations[name] = dataclasses.replace(relations[name], rows=())
+    with pytest.raises(planmod.ExecutionError, match=rf"^plan {plans[0][0]!r}: relation {name!r} is empty"):
+        simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
+
+
 def test_zero_count_flag_on_study(study):
     # At n = 25 the seed-42 study's sample join keeps no rows in 63 of its
     # 80 two-way plans, and its inner join in all 40 three-way plans.

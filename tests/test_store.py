@@ -286,7 +286,7 @@ def test_pool_index_out_of_range():
     assert pool.table("r", 1) == store.draw_samples(rel, n=3, pool_size=2, seed=0)[1]
     with pytest.raises(IndexError, match="pool size"):
         pool.table("r", 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(store.PoolError, match="'missing' not in pool"):
         pool.table("missing", 0)
 
 

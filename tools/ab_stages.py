@@ -9,11 +9,14 @@ each builds the test suite's study (seed 42: 200 plans, n = 25, W = 10) in
 the same order. Every plan is predicted by both trees, once untimed and
 once timed, in alternating order, through the four calls the benchmark's
 study pass times: `estimate_all`, `fit_all_cost_functions`, `expected_time`
-and `variance_time`. Each plan's actual runtime then follows, as that pass
-computes it: ground truth (`selectivity_truth`), and five simulated runs
-through `simulate_actual_runtime(..., truth=...)`, seeded i * 1000 + r for
-plan i, averaged. The two trees' means, variances and actual runtimes must
-be bitwise equal.
+and `variance_time`. The fit stage also makes the plan's probe oracle
+(`TrueCostWorld.cost_oracle`), which `evaluate_workload` pays per plan, so
+work moved into the oracle's construction still shows in a stage. Each
+plan's actual runtime then follows, as that pass computes it: ground truth
+(`selectivity_truth`), and five simulated runs through
+`simulate_actual_runtime(..., truth=...)`, seeded i * 1000 + r for plan i,
+averaged. The two trees' means, variances and actual runtimes must be
+bitwise equal.
 
 Then each tree runs the CLI set-up of the benchmark's bigrel workload,
 `gen-world`, `gen-workload` and `calibrate` through its `cli.dispatch`, at
@@ -117,11 +120,10 @@ def predict(pkg, inputs, i, spent):
     seconds to `spent`."""
     relations, world, units, pool, plans = inputs
     plan, prop, sim = plans[i], pkg["propagate"], pkg["simeval"]
-    oracle = world.cost_oracle(plan, relations)
     t0 = time.perf_counter()
     est = pkg["selest"].estimate_all(plan, pool, relations)
     t1 = time.perf_counter()
-    fitted = prop.fit_all_cost_functions(plan, est, oracle, W=10)
+    fitted = prop.fit_all_cost_functions(plan, est, world.cost_oracle(plan, relations), W=10)
     t2 = time.perf_counter()
     mean = prop.expected_time(plan, fitted, est, units)
     t3 = time.perf_counter()
