@@ -77,6 +77,11 @@ class CostUnitModel:
     units: dict[str, UnitModel]
     metadata: dict = field(default_factory=lambda: {"units_independent": True})
 
+    def __post_init__(self):
+        missing = [u for u in COST_UNITS if u not in self.units]
+        if missing:
+            raise CalibrationError(f"a cost-unit model needs every unit; missing: {', '.join(missing)}")
+
     def mean(self, unit: str) -> float:
         return self.units[unit].mean
 

@@ -1,11 +1,12 @@
 """Logical cost functions in selectivity space and their fitting.
 
 Every cost family is one row of `FAMILIES`, and everything per family is
-derived from its row: the design matrix here, and in `plan` the inputs an
-operator must have and, per cost term, what each monomial multiplies
-(`PlanIndex.monomials`, read off the row once per plan). The moments and
-covariance monomials (`propagate`) and the harness's true coefficients and
-costs (`simeval`) read that table, not the row.
+derived from its row: here `monomial_factors` and `monomial_values`, the
+one evaluator of its monomials, which builds the design matrix; in `plan`
+the inputs an operator must have and what each term's monomials multiply
+(`PlanIndex.monomials`, read off `monomial_factors` once per plan). The
+moments and covariance monomials (`propagate`) and the harness's true
+coefficients and costs (`simeval`) read that table, not the row.
 
 Coefficients are fitted from reference cost-model probes on a grid spanning
 mu +/- 3 sigma of the relevant selectivity distribution(s), by least squares
@@ -71,10 +72,9 @@ def monomial_factors(tag: str) -> tuple:
     """Per monomial of the family, in order, the positions of its inputs,
     each repeated by its exponent: C6 gives ((0, 1), (0,), (1,), ()). A
     monomial's value is the product of those inputs taken left to right,
-    and 1.0 for the constant's empty tuple. `monomial_values` and
-    `design_matrix` start the product from the first input; the harness's
-    true costs (`simeval`) start it from an exact 1, which gives the same
-    bits."""
+    and 1.0 for the constant's empty tuple. `monomial_values` starts the
+    product from the first input, the harness's true costs (`simeval`)
+    from an exact 1, which gives the same bits."""
     return tuple(tuple(i for i, e in enumerate(exps) for _ in range(e)) for exps in FAMILIES[tag][1])
 
 
@@ -92,9 +92,8 @@ def monomial_values(tag: str, inputs) -> list:
 
 def design_matrix(tag: str, coords) -> np.ndarray:
     """Term values at each probe coordinate: one row per row of the
-    (m, arity) coordinate array, constant term last. Each column is the
-    product of its monomial's factors (`monomial_factors`), multiplied in
-    place, bitwise `monomial_values` at the coordinates' columns."""
+    (m, arity) coordinate array, constant term last; the columns are
+    `monomial_values` at the coordinates' columns."""
     family = FAMILIES.get(tag)
     if family is None:
         raise FitError(f"unknown cost-function type {tag!r}")
@@ -103,11 +102,8 @@ def design_matrix(tag: str, coords) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != arity:
         raise FitError(f"{tag} takes (m, {arity}) coordinates, got shape {X.shape}")
     A = np.empty((len(X), len(family[1])))
-    for k, idx in enumerate(monomial_factors(tag)):
-        column = A[:, k]
-        column[:] = X[:, idx[0]] if idx else 1.0
-        for i in idx[1:]:
-            column *= X[:, i]
+    for k, column in enumerate(monomial_values(tag, X.T)):
+        A[:, k] = column
     return A
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib import COST_UNITS, checked_int
-from .costfit import FAMILIES
+from .costfit import FAMILIES, monomial_factors
 
 SCAN_KINDS = ("SeqScan", "IndexScan")
 UNARY_KINDS = ("Sort", "Materialize", "Aggregate")
@@ -138,9 +138,8 @@ class PlanIndex:
     def monomials(self) -> dict[tuple[int, str], tuple[tuple, tuple]]:
         """Per cost term, in `terms` order, what each monomial of its family
         multiplies, as (factors, powers), each a tuple with one entry per
-        coefficient, constant last. A monomial's factors are its inputs'
-        variables in input order, each repeated by its exponent, as
-        `costfit.monomial_factors` lists their positions; its powers are
+        coefficient, constant last. A monomial's factors are the variables
+        at the positions `costfit.monomial_factors` lists; its powers are
         its ((variable, exponent), ...) over the inputs it reads. A scan's
         constant left input is None in both, and the constant is () in
         both. Terms of one family on the same variables share one entry.
@@ -156,16 +155,9 @@ def _monomial_table(terms) -> dict:
     for term, spec in terms.items():
         entry = entries.get(spec)
         if entry is None:
-            factors, powers = [], []
-            for exps in FAMILIES[spec[0]][1]:
-                f, p = (), ()
-                for v, e in zip(spec[1], exps):
-                    if e:
-                        f += (v,) * e
-                        p += ((v, e),)
-                factors.append(f)
-                powers.append(p)
-            entry = entries[spec] = tuple(factors), tuple(powers)
+            tag, vars_ = spec
+            entry = entries[spec] = (tuple(tuple(vars_[i] for i in idx) for idx in monomial_factors(tag)),
+                                     tuple(tuple((v, e) for v, e in zip(vars_, exps) if e) for exps in FAMILIES[tag][1]))
         table[term] = entry
     return table
 
@@ -548,7 +540,7 @@ def _run_scan(node, appearance, bindings, provenance, read, shared) -> Annotated
     a count-only scan given one may count over column arrays (`execute`)."""
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
-    if shared is not None and not provenance and not read and rows and all(type(val) is int for _, _, val in tests):
+    if shared is not None and not provenance and not read and all(type(val) is int for _, _, val in tests):
         keep = np.ones(len(rows), dtype=bool)
         for idx, op, val in tests:
             key = ("column", id(table), idx)
@@ -690,10 +682,10 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     entry, the input it hands on (`_handed_on`; None for pairs) and
     `provenance`; the entry holds both inputs and the result. A root join
     is never reused, so never stored. A count-only scan (no provenance,
-    rows not read) of a non-empty table whose constants are all ints
-    counts over the read-only int64 array of each column its atoms read
-    ("column", the table's identity, the position; the entry holds the
-    table, and None where no exact array builds, and the scan filters in
+    rows not read) whose constants are all ints counts over the read-only
+    int64 array of each column its atoms read ("column", the table's
+    identity, the position; the entry holds the table, and None where no
+    exact array builds, as for an empty table, and the scan filters in
     Python), only in an execution given a table: an array built for one
     scan alone costs about twice the Python filter. A grid's read-only
     coordinates and distinct count are stored by

@@ -459,18 +459,15 @@ class WorkloadSpec:
         [0.05, 0.95]; at most `join_count` pairs, the first of a square
         grid over [0.1, 0.9] with round(sqrt(join_count)) points a side;
         at most `join3_count` triples, the first of a cubic grid over
-        [0.2, 0.8] with round(cbrt(join3_count)) + 1 points a side."""
-        scan_targets = list(np.linspace(0.05, 0.95, scan_count)) if scan_count else []
-        join_targets = []
-        if join_count:
-            side = max(int(round(math.sqrt(join_count))), 1)
-            grid = np.linspace(0.1, 0.9, side)
-            join_targets = [(float(a), float(b)) for a in grid for b in grid][:join_count]
-        three = []
-        if join3_count:
-            side = max(int(round(join3_count ** (1.0 / 3.0))), 1)
-            grid = np.linspace(0.2, 0.8, side + 1)
-            three = [(float(a), float(b), float(c)) for a in grid for b in grid for c in grid][:join3_count]
+        [0.2, 0.8] with round(cbrt(join3_count)) + 1 points a side. Each
+        count is an int >= 0, or a ValueError naming it (`checked_int`)."""
+        for name, count in (("scan_count", scan_count), ("join_count", join_count), ("join3_count", join3_count)):
+            checked_int(count, name, 0)
+        scan_targets = list(np.linspace(0.05, 0.95, scan_count))
+        grid = np.linspace(0.1, 0.9, round(math.sqrt(join_count)))
+        join_targets = [(float(a), float(b)) for a in grid for b in grid][:join_count]
+        grid = np.linspace(0.2, 0.8, round(join3_count ** (1.0 / 3.0)) + 1)
+        three = [(float(a), float(b), float(c)) for a in grid for b in grid for c in grid][:join3_count]
         return cls(scan_targets=scan_targets, join_targets=join_targets, three_way_targets=three, seed=seed)
 
 

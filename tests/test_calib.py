@@ -69,6 +69,19 @@ def test_missing_units_listed():
     assert "c_i" in str(exc.value) and "c_o" in str(exc.value)
 
 
+def test_unit_model_without_a_unit_refused_when_made():
+    # Made through the API, a model lacking a unit fails where it is made,
+    # naming every missing unit, not at a prediction's first read of it.
+    units = {u: calib.UnitModel(1.0, 0.0, 1) for u in calib.COST_UNITS if u not in ("c_r", "c_o")}
+    with pytest.raises(calib.CalibrationError, match=r"missing: c_r, c_o$"):
+        calib.CostUnitModel(units)
+    with pytest.raises(calib.CalibrationError, match=r"missing: c_s, c_r, c_t, c_i, c_o$"):
+        calib.CostUnitModel({})
+    units.update(c_r=calib.UnitModel(2.0, 0.5, 1), c_o=calib.UnitModel(3.0, 0.0, 1))
+    model = calib.CostUnitModel(units)  # presence only: one observation is an API model's own choice
+    assert model.mean("c_r") == 2.0 and model.variance("c_o") == 0.0
+
+
 @pytest.mark.parametrize("values, got", [((1.7e308, 1.7e308), "inf and inf"),
                                          ((1e160, 1e150), "5.0000000005e+159 and inf")],
                          ids=["mean-overflows", "square-overflows"])

@@ -69,6 +69,32 @@ def test_design_matrix_linear():
     assert (A @ np.array([100.0, 5.0])).tolist() == [5.0, 55.0, 105.0]
 
 
+# Each family's monomials written out over the coordinate columns,
+# constant (ones) last.
+_WRITTEN_OUT = {
+    "C1": lambda X: [],
+    "C2": lambda X: [X[:, 0]],
+    "C3": lambda X: [X[:, 0]],
+    "C4": lambda X: [X[:, 0] * X[:, 0], X[:, 0]],
+    "C5": lambda X: [X[:, 0], X[:, 1]],
+    "C6": lambda X: [X[:, 0] * X[:, 1], X[:, 0], X[:, 1]],
+}
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.5e-310, -1e-320, float("nan")]), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag=st.sampled_from(sorted(_WRITTEN_OUT)), rows=st.lists(st.tuples(_COORDINATES, _COORDINATES), max_size=8))
+def test_design_matrix_bitwise_written_out_products(tag, rows):
+    assert set(_WRITTEN_OUT) == set(costfit.FAMILIES)
+    X = np.array(rows, dtype=float).reshape(len(rows), 2)[:, :ARITY[tag]]
+    with np.errstate(all="ignore"):  # inf * 0 is NaN on both sides
+        A = costfit.design_matrix(tag, X)
+        want = _WRITTEN_OUT[tag](X) + [np.ones(len(X))]
+    assert A.shape == (len(X), len(want))
+    for k, column in enumerate(want):
+        assert A[:, k].tobytes() == np.ascontiguousarray(column).tobytes(), (tag, k)
+
+
 def test_design_matrix_rows_and_shape_errors():
     assert costfit.design_matrix("C1", [()]).tolist() == [[1.0]]
     assert costfit.design_matrix("C4", [(0.5,)]).tolist() == [[0.25, 0.5, 1.0]]

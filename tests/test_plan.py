@@ -752,8 +752,8 @@ def test_count_only_scan_counts_what_a_python_filter_keeps(rows, scans):
     # plain Python filter keeps, alone and in turn twice within one shared
     # table, where later scans read the column arrays earlier ones stored.
     # A stored array is the column itself where its values are ints in
-    # int64's range (bools among them), and None otherwise; a scan of a
-    # non-empty table whose constants are all ints reads its first atom's.
+    # int64's range (bools among them), and None otherwise, as for an empty
+    # table; a scan whose constants are all ints reads its first atom's.
     rel = _rel("t", ["a", "b"], rows)
     plans = [_parse({"nodes": [_scan(1, "t", [{"col": c, "op": op, "value": v} for c, op, v in atoms])], "root": 1})
              for atoms in scans]
@@ -775,7 +775,23 @@ def test_count_only_scan_counts_what_a_python_filter_keeps(rows, scans):
         assert (array is not None) == exact
         assert array is None or (array.dtype == np.int64 and array.tolist() == column)
     assert {"ab".index(atoms[0][0]) for atoms in scans
-            if rows and atoms and all(type(v) is int for *_, v in atoms)} <= arrays.keys()
+            if atoms and all(type(v) is int for *_, v in atoms)} <= arrays.keys()
+
+
+def test_shared_execution_over_empty_tables_counts_as_a_fresh_one():
+    # Bound to empty tables, an execution given a table of shared results,
+    # fresh or holding what a first one stored, gives what one without a
+    # table gives: a scan with selections, one without, and a join.
+    bindings = {("L", 0): _rel("L", ["k", "a"], []), ("R", 0): _rel("R", ["k", "b"], [])}
+    nodes = [_scan(1, "L", [{"col": "a", "op": "<", "value": 5}]), _scan(2, "R"),
+             {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "k", "right": "k"}]}]
+    for root, kept in ((1, nodes[:1]), (2, nodes[1:2]), (3, nodes)):
+        p = _parse({"nodes": kept, "root": root})
+        fresh = planmod.execute(p, bindings)
+        table = {}
+        for _ in range(2):
+            got = planmod.execute(p, bindings, shared=table)
+            assert got == fresh and got[root].count == 0 and type(got[root].count) is int
 
 
 # ---------------------------------------------------------------------------

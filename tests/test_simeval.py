@@ -759,6 +759,16 @@ def test_workload_spec_grid_matches_reference():
         assert spec == _reference_grid(scan_count, join_count, join3_count, 5)
 
 
+@pytest.mark.parametrize("position, name", [(0, "scan_count"), (1, "join_count"), (2, "join3_count")])
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3"])
+def test_workload_spec_grid_checks_its_counts(position, name, value):
+    # An API caller gets the command line's wording for each count.
+    counts = [4, 4, 8]
+    counts[position] = value
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 0, got {re.escape(repr(value))}$"):
+        WorkloadSpec.grid(*counts, seed=5)
+
+
 def test_generate_workload_empty():
     relations = _small_db()
     plans, skipped = simeval.generate_workload(WorkloadSpec(), relations)
