@@ -689,7 +689,12 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     Python), only in an execution given a table: an array built for one
     scan alone costs about twice the Python filter. A grid's read-only
     coordinates and distinct count are stored by
-    `propagate.fit_all_cost_functions`, keyed by what fixes them. What is
+    `propagate.fit_all_cost_functions`, keyed by what fixes them. A probe
+    reply is stored by the harness's oracle
+    (`simeval.TrueCostWorld.cost_oracle`) under its tag, the world's
+    identity, the term's operator kind, unit, family and leaf-product
+    tuple, and the shape and bytes of its float coordinates; the entry
+    holds the world and the read-only reply. What is
     built from one object alone lives on it, with no key: a join's hash
     table over its left input or tally of an input it counts per key, and
     `selest`'s counters, on the result (`AnnotatedResult.derive`); a
@@ -700,9 +705,11 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     count, row, multiplicity and provenance list is unchanged; a hash
     table lists each left row's index per key in row order, so the same
     rows match in the same order; tallies and column arrays are exact; a
-    grid is what `costfit.grid_points` builds from its key, and a stored
-    fit what `costfit.fit_grid` made from the same coordinates and probe
-    values.
+    grid is what `costfit.grid_points` builds from its key, a stored fit
+    what `costfit.fit_grid` made from the same coordinates and probe
+    values, and a stored reply what the oracle computes afresh: the key
+    fixes the family, the coefficients (the world's slot times the leaf
+    products) and every coordinate's bits.
     """
     columns = shared  # column arrays pay back only when shared
     shared = {} if shared is None else shared
@@ -746,22 +753,29 @@ def leaf_products(plan: Plan, relations) -> dict[int, int]:
             for nid, leaves in plan.index.leaves.items()}
 
 
-# The table of shared results that `selectivity_truth` hands to `execute`,
-# set only inside `sharing`. A scope, not a parameter: every caller of
-# truth, and any wrapper of it, calls it with a plan and its relations.
+# The table of shared results that `selectivity_truth` hands to `execute`
+# and the harness's probe oracle keeps its replies in, set only inside
+# `sharing`. A scope, not a parameter: every caller of truth or of the
+# oracle, and any wrapper of them, calls them with their own arguments.
 _SHARED = contextvars.ContextVar("shared", default=None)
 
 
 @contextlib.contextmanager
 def sharing(table: dict):
     """Within the block, `selectivity_truth` shares `table` (`execute`'s
-    `shared`); it shares nothing again when the block exits, also on an
-    exception."""
+    `shared`) and `shared_table` returns it, so that a harness probe
+    oracle made there keeps its replies in it; truth shares nothing
+    again when the block exits, also on an exception."""
     token = _SHARED.set(table)
     try:
         yield
     finally:
         _SHARED.reset(token)
+
+
+def shared_table():
+    """The table of the enclosing `sharing` block, or None outside one."""
+    return _SHARED.get()
 
 
 def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, float]:
@@ -776,6 +790,6 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
         if relations[rel].row_count == 0:
             raise ExecutionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
-    results = execute(plan, bindings, shared=_SHARED.get())
+    results = execute(plan, bindings, shared=shared_table())
     products = leaf_products(plan, relations)
     return {nid: results[nid].count / products[nid] for nid in index.order}

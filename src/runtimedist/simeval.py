@@ -127,6 +127,12 @@ _DEFAULT_UNIT_MEANS = {
 }
 
 
+class _Drawn(tuple):
+    """A default cost profile slot's a-coefficients as the world drew, or
+    read, them, marked with the family they were drawn for (`family`). A
+    slot given new coefficients holds another object, so no mark."""
+
+
 @dataclass
 class TrueCostWorld:
     unit_means: dict[str, float]
@@ -155,7 +161,7 @@ class TrueCostWorld:
                     # keeps the second: the draw order fixes every world.
                     a = [float(rng.uniform(0.0, 20.0))]
                 coefs[kind][unit] = tuple(a)
-        return cls(unit_means=unit_means, unit_vars=unit_vars, coefs=coefs, seed=seed)
+        return cls(unit_means=unit_means, unit_vars=unit_vars, coefs=coefs, seed=seed)._mark_drawn()
 
     # -- serialization -----------------------------------------------------
 
@@ -196,7 +202,15 @@ class TrueCostWorld:
         for kind, profile in DEFAULT_COST_PROFILES.items():
             for unit, tag in profile.items():
                 world._slot(kind, unit, tag)
-        return world
+        return world._mark_drawn()
+
+    def _mark_drawn(self) -> "TrueCostWorld":
+        """Mark every default cost profile's slot as drawn for its family."""
+        for kind, profile in DEFAULT_COST_PROFILES.items():
+            for unit, tag in profile.items():
+                a = self.coefs[kind][unit] = _Drawn(self.coefs[kind][unit])
+                a.family = tag
+        return self
 
     # -- what the predictor may see ----------------------------------------
 
@@ -218,14 +232,22 @@ class TrueCostWorld:
 
     def _slot(self, kind: str, unit: str, tag: str):
         """The (kind, unit) slot's true a-coefficients, which a `tag` term
-        reads: one per monomial of the family, or a ValueError."""
-        a = self.coefs.get(kind, {}).get(unit, ())
+        reads: one per monomial of the family, or a ValueError. A default
+        cost profile's slot that still holds what the world drew for its
+        family (`_Drawn`) refuses another family of the same length too,
+        as C2 for C3."""
+        try:
+            a = self.coefs[kind][unit]
+        except KeyError:
+            a = ()
         if len(a) != len(FAMILIES[tag][1]):
-            raise ValueError(
-                f"the world has no {tag} coefficients for ({kind}, {unit}): it holds {len(a)}, "
-                f"{tag} reads {len(FAMILIES[tag][1])}; it covers only the default cost profiles"
-            )
-        return a
+            held = f"it holds {len(a)}, {tag} reads {len(FAMILIES[tag][1])}"
+        elif type(a) is _Drawn and a.family != tag:
+            held = f"it holds the {len(a)} drawn for {a.family}"
+        else:
+            return a
+        raise ValueError(f"the world has no {tag} coefficients for ({kind}, {unit}): {held}; "
+                         f"it covers only the default cost profiles")
 
     def cost_oracle(self, plan: Plan, relations):
         """Probe oracle: true logical costs of (node, unit) at each row of
@@ -238,7 +260,18 @@ class TrueCostWorld:
         row count; the constant is 1.0). A term's coefficients b are its
         slot's a-coefficients, read when it is probed, times those
         products. A tuple built from `map` builds faster than a list
-        comprehension."""
+        comprehension.
+
+        An oracle made inside `plan.sharing(table)` keeps each reply in
+        the table under "probe", the world's identity, the term's operator
+        kind, unit and family, its leaf-product tuple and the coordinates'
+        shape and bytes as floats, which fix b and the design matrix; the
+        entry holds the world and the reply, made read-only, and every
+        later equal probe, of any plan, is answered from it (`plan.execute`
+        states the table's rule). Bytes, so a -0.0 coordinate is not taken
+        for 0.0, which it equals. A probe that raises stores nothing. An
+        oracle made outside a block keeps nothing, and each reply is a new
+        writable array."""
         products = planmod.leaf_products(plan, relations)
         nodes, terms, slot = plan.nodes, plan.index.terms, self._slot
         scaled = {}  # term -> (operator kind, family, its monomials at the leaf products)
@@ -257,7 +290,22 @@ class TrueCostWorld:
             b = tuple(map(operator.mul, slot(kind, key[1], tag), scale))
             return design_matrix(tag, coords) @ b
 
-        return oracle
+        table = planmod.shared_table()
+        if table is None:
+            return oracle
+
+        def keeping(key, coords):
+            kind, tag, scale = scaled[key]
+            coords = np.asarray(coords, dtype=float)
+            probe = ("probe", id(self), kind, key[1], tag, tuple(scale), coords.shape, coords.tobytes())
+            entry = table.get(probe)
+            if entry is None:
+                values = oracle(key, coords)
+                values.setflags(write=False)
+                entry = table[probe] = self, values
+            return entry[1]
+
+        return keeping
 
 
 def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
@@ -561,10 +609,12 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     The plans read one sample pool, one set of relations and one cost
     model, so they repeat work: one table of shared results, made here and
     dropped on return, goes to each prediction and, through
-    `plan.sharing`, which covers the plan loop only, to each truth.
-    `plan.execute` states what the table holds and why a hit is bitwise a
-    fresh build, so every record and the summary are bitwise those of
-    predicting each plan alone. The probe oracle shares nothing.
+    `plan.sharing`, which covers the plan loop only, to each truth and to
+    each plan's probe oracle, which keeps its replies there
+    (`TrueCostWorld.cost_oracle`); every term is still probed, one oracle
+    call each. `plan.execute` states what the table holds and why a hit
+    is bitwise a fresh build, so every record and the summary are bitwise
+    those of predicting each plan alone.
 
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated, nor can such plans that all have one predicted stddev, or

@@ -403,8 +403,9 @@ def test_errors_reported_as_json(workdir, tmp_path, capsys, monkeypatch):
     assert _run(workdir, "predict", "--plan", self_join, "--pool-size", "1") == 1
     assert "pool size" in json.loads(capsys.readouterr().err)["error"]
     # custom cost profiles the world holds no coefficients for: a unit the
-    # default SeqScan profile lacks, and C4 where the world drew C3's two
-    for unit, tag in [("c_i", "C2"), ("c_s", "C4")]:
+    # default SeqScan profile lacks, C4 where the world drew C3's two, and
+    # C2, as long as C3, where the world drew those two for C3
+    for unit, tag in [("c_i", "C2"), ("c_s", "C4"), ("c_s", "C2")]:
         custom = _plan_file(tmp_path, f"custom-{unit}", [
             dict(_scan(1, "r1"), cost_profile={unit: tag}),
         ], 1)

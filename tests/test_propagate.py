@@ -618,7 +618,9 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # join's result carries a join's counters and S2 here; no join that no
     # parent reads is ever stored. A grid's entry holds its coordinates,
     # watched, its distinct count, an int, which cannot be, and its fits,
-    # whose functions are watched.
+    # whose functions are watched. A probe reply's entry holds the world its
+    # key names, which outlives the evaluation here, and the reply, a
+    # read-only array, watched.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)],
                                 three_way_targets=[(0.5, 0.5, 0.5)], seed=1)
@@ -639,6 +641,11 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                 assert {type(obj) for obj in value} == {planmod.AnnotatedResult}
                 kinds.add(key[0])
                 stored.extend(value)
+            elif key[0] == "probe":
+                assert key[1] == id(value[0]) and type(value[0]) is simeval.TrueCostWorld
+                assert type(value[1]) is np.ndarray and not value[1].flags.writeable
+                kinds.add(key[0])
+                stored.append(value[1])
             elif key[0] == "grid":
                 assert type(value[0]) is np.ndarray and type(value[1]) is int
                 kinds.add(key[0])
@@ -691,7 +698,7 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         assert len(set(tables + truths)) == 1
         assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, Counter, np.ndarray,
                          ("counters", list), ("hash", dict), ("tally", Counter), "read-join",
-                         ("join counters", list), "grid", "fits"}
+                         ("join counters", list), "grid", "fits", "probe"}
         assert True in unread and False in unread  # root joins and read joins both ran
         read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}
         assert {id(relations[rel]) for rel in read} <= refs.keys()  # truth's scans were stored

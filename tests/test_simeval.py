@@ -1135,6 +1135,73 @@ def test_every_array_an_evaluation_shares_is_read_only():
             array.flat[0] = 0
 
 
+def test_probe_replies_shared_within_an_evaluation_only():
+    # Inside `plan.sharing`, the oracle keeps each reply in the table under
+    # "probe" and answers an equal probe, of any plan, from it: on a
+    # bigrel-shaped workload (scans, joins and three-way joins), every reply
+    # of an evaluation is bitwise that of an oracle made outside any block,
+    # and read-only, and the evaluation still calls the oracle once per
+    # term. Equal coordinates in two arrays share one entry; coordinates
+    # that differ only in a zero's sign do not. An oracle made outside a
+    # block stores nothing, even called inside one, and every reply is a
+    # new writable array.
+    relations = simeval.generate_database(3, sizes=(300, 300, 300), key_domain=30)
+    world = TrueCostWorld.generate(3)
+    units = calib.fit_cost_units(world.calibration_records(20, seed=3))
+    pool = store.build_pool(relations, n=20, pool_size=2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plans, _ = simeval.generate_workload(WorkloadSpec.grid(6, 4, 2, seed=3), relations)
+    make, probes, tables = TrueCostWorld.cost_oracle, [], []
+
+    def making(self, plan, rels):
+        oracle = make(self, plan, rels)
+        calls = []
+        probes.append((plan, calls))
+
+        def spying(key, coords):
+            tables.append(planmod.shared_table())
+            reply = oracle(key, coords)
+            calls.append((key, np.array(coords), reply))
+            return reply
+
+        return spying
+
+    with mock.patch.object(TrueCostWorld, "cost_oracle", making):
+        simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
+    assert len(probes) == len(plans) and len({id(t) for t in tables}) == 1 and tables[0] is not None
+    table = tables[0]
+    entries = {id(value[1]) for key, value in table.items() if key[0] == "probe"}
+    replies = set()
+    for (_, p), (plan, calls) in zip(plans, probes):
+        assert plan is p and sorted(key for key, _, _ in calls) == sorted(p.index.terms)
+        fresh = world.cost_oracle(p, relations)
+        for key, coords, reply in calls:
+            assert not reply.flags.writeable and id(reply) in entries
+            assert reply.tobytes() == fresh(key, coords).tobytes()
+            replies.add(id(reply))
+    assert replies == entries and len(replies) < sum(len(calls) for _, calls in probes)
+
+    _, p = next((label, p) for label, p in plans if label.startswith("join3"))
+    key = next(term for term, (tag, _) in p.index.terms.items() if len(costfit.FAMILIES[tag][0]) == 2)
+    coords = np.array([[0.0, 0.25], [0.5, 1.0]])
+    fresh = world.cost_oracle(p, relations)
+    table = {}
+    with planmod.sharing(table):
+        oracle = world.cost_oracle(p, relations)
+        first = oracle(key, coords)
+        assert oracle(key, coords.copy()) is first and len(table) == 1
+        signed = oracle(key, np.array([[-0.0, 0.25], [0.5, 1.0]]))
+        assert signed is not first and len(table) == 2
+        assert signed.tobytes() == fresh(key, np.array([[-0.0, 0.25], [0.5, 1.0]])).tobytes()
+    assert first.tobytes() == fresh(key, coords).tobytes() and not first.flags.writeable
+    assert planmod.shared_table() is None
+    with planmod.sharing(table):  # made outside, it keeps nothing, even called inside a block
+        outside = fresh(key, coords)
+        assert outside is not first and outside is not fresh(key, coords) and outside.flags.writeable
+    assert len(table) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sharing_changes_no_result(data):

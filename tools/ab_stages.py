@@ -18,6 +18,13 @@ plan's actual runtime then follows, as that pass computes it: ground truth
 averaged. The two trees' means, variances and actual runtimes must be
 bitwise equal.
 
+Those calls share nothing across plans. So each tree then runs
+`evaluate_workload` once over the same study, as `runtimedist evaluate`
+does: one call that predicts every plan with the table of results its
+plans share and averages five simulated runs per plan, the two trees in
+the repetition's order. Its records, every plan's mean, stddev, actual
+runtime and flags, must be bitwise equal between the trees.
+
 Then each tree runs the CLI set-up of the benchmark's bigrel workload,
 `gen-world`, `gen-workload` and `calibrate` through its `cli.dispatch`, at
 its config (seed 42, `relation_size` 8000, `key_domain` 800), each tree in
@@ -34,9 +41,10 @@ Per stage it prints each tree's microseconds per plan (the median over the
 repetitions) and the median of the per-repetition ratios NEW/OLD, with the
 number of repetitions in which NEW was faster; the set-up stages are printed
 the same way in milliseconds per run. "total" is the whole prediction, the
-four prediction stages without the harness's two, and "set-up" the three
-subcommands. Timing both trees in one process, plan by plan, keeps a shared
-machine's drift out of the ratio. The timed part of a repetition runs with
+four prediction stages without the harness's two, "evaluate" the whole
+shared evaluation per plan, and "set-up" the three subcommands. Timing
+both trees in one process, plan by plan, keeps a shared machine's drift
+out of the ratio. The timed part of a repetition runs with
 the cyclic garbage collector off, so a collection triggered by one tree's
 allocations is not charged to the other's stage.
 
@@ -70,6 +78,7 @@ import numpy as np  # noqa: E402  (after the thread setting)
 
 STAGES = ("estimate", "fit", "mean", "variance")
 HARNESS = ("truth", "simulate")
+SHARED = ("evaluate",)
 RUNS = 5  # simulated runs per plan, as in the benchmark's study pass
 SETUP = ("gen-world", "gen-workload", "calibrate")
 SETUP_CONFIG = {"seed": 42, "relation_size": 8000, "key_domain": 800}  # the benchmark's bigrel
@@ -139,6 +148,17 @@ def predict(pkg, inputs, i, spent):
     return mean.hex(), var.hex(), actual.hex()
 
 
+def evaluate(pkg, inputs, spent):
+    """One `evaluate_workload` over the study, its seconds added to
+    `spent`; each record's mean, stddev and actual runtime in hex, and
+    its flags."""
+    relations, world, units, pool, plans = inputs
+    t0 = time.perf_counter()
+    records, _ = pkg["simeval"].evaluate_workload(list(enumerate(plans)), relations, pool, units, world, runs=RUNS)
+    spent["evaluate"] += time.perf_counter() - t0
+    return [(r.predicted_mean.hex(), r.predicted_stddev.hex(), r.actual.hex(), r.flags) for r in records]
+
+
 def setup(pkgs, roots, spent):
     """Run each set-up subcommand through each tree's `cli.dispatch` under
     its root, the trees in the order of `pkgs` one after the other, adding
@@ -204,7 +224,7 @@ def main(argv=None):
                    for side, pkg in pkgs.items()}
             if got["old"] != got["new"]:
                 sys.exit(f"plan {i}: (mean, variance, actual runtime) {got['old']} before, {got['new']} after")
-        spent = {side: dict.fromkeys(STAGES + HARNESS, 0.0) for side in srcs}
+        spent = {side: dict.fromkeys(STAGES + HARNESS + SHARED, 0.0) for side in srcs}
         setup_spent = {side: {command: [] for command in SETUP} for side in srcs}
         with contextlib.ExitStack() as stack:
             roots = {side: stack.enter_context(tempfile.TemporaryDirectory()) for side in pkgs}
@@ -226,10 +246,13 @@ def main(argv=None):
                 for i in range(count):
                     for side in ORDERS[(i + rep) % 2]:
                         predict(pkgs[side], inputs[side], i, spent[side])
+                evaluated = {side: evaluate(pkg, inputs[side], spent[side]) for side, pkg in pkgs.items()}
                 for by_side in (pkgs, dict(reversed(pkgs.items()))) * (SETUP_RUNS // 2):  # each tree first in half
                     setup(by_side, roots, setup_spent)
             finally:
                 gc.enable()
+        if evaluated["old"] != evaluated["new"]:
+            sys.exit("evaluate_workload's records differ between the trees")
         for side in srcs:
             spent[side]["total"] = sum(spent[side][s] for s in STAGES)
             runs[side].append(spent[side])
@@ -239,7 +262,7 @@ def main(argv=None):
         del pkgs, inputs
         for side in srcs:
             unload(f"rd_{side}{rep}")
-    report("stage", "us/plan", STAGES + ("total",) + HARNESS, runs, args.reps, 1e6 / count)
+    report("stage", "us/plan", STAGES + ("total",) + HARNESS + SHARED, runs, args.reps, 1e6 / count)
     print()
     report("set-up", "ms/run", SETUP + ("set-up",), setup_runs, args.reps, 1e3)
 
