@@ -228,7 +228,11 @@ class AnnotatedResult:
     `count` is their sum. Any other kept row is one whole output row.
     Executed with provenance, a streamed operator's `provenance` holds one
     position vector per output row, read or not, in the order the rows
-    are produced, and its kept rows follow that order. A result is never
+    are produced, and its kept rows follow that order. Read by a join that
+    counts over column arrays (`execute`), a result keeps no rows but
+    `kept`: (the bound table they are rows of, their positions in it,
+    their multiplicities or None where each stands for one output row),
+    the two as int64 arrays, the rows in table order. A result is never
     mutated, so what is built from it alone (a join's tallies and hash
     tables over it, its `selest` counters) is built once, into `derived`,
     made on first use, neither compared nor printed, and holding nothing
@@ -239,6 +243,7 @@ class AnnotatedResult:
     rows: list[tuple] | None
     provenance: list[tuple[int, ...]] | None = None
     multiplicity: list[int] | None = None
+    kept: tuple | None = field(default=None, compare=False, repr=False)
     derived: dict | None = field(default=None, compare=False, repr=False)
 
     def derive(self, key, build, *args):
@@ -521,6 +526,14 @@ def _handed_on(plan: Plan, bindings) -> dict[int, int]:
     return side
 
 
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: an array a table of shared results
+    reaches is read by later plans as it was built."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _int64_column(rows, idx):
     """The values at `idx` as a read-only int64 array, or None where they
     build no exact one: a float, a str or an int beyond int64 gives
@@ -531,26 +544,38 @@ def _int64_column(rows, idx):
         return None
     if column.dtype != np.int64 or column.ndim != 1:
         return None
-    column.flags.writeable = False
-    return column
+    return _read_only(column)[0]
 
 
-def _run_scan(node, appearance, bindings, provenance, read, shared) -> AnnotatedResult:
+def _column(shared, table, idx):
+    """`_int64_column` of a table's rows, stored in the table of shared
+    results under ("column", the table's identity, the position) with the
+    table, built on first use."""
+    key = ("column", id(table), idx)
+    entry = shared.get(key)
+    if entry is None:
+        entry = shared[key] = (table, _int64_column(table.rows, idx))
+    return entry[1]
+
+
+def _run_scan(node, appearance, bindings, provenance, read, shared, on_arrays) -> AnnotatedResult:
     """`shared` is the table of shared results, or None without one; only
-    a count-only scan given one may count over column arrays (`execute`)."""
+    a count-only scan given one, or one whose reader counts over column
+    arrays (`on_arrays`), may filter over column arrays (`execute`)."""
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
-    if shared is not None and not provenance and not read and all(type(val) is int for _, _, val in tests):
+    if (shared is not None and not provenance and (on_arrays or not read)
+            and all(type(val) is int for _, _, val in tests)):
         keep = np.ones(len(rows), dtype=bool)
         for idx, op, val in tests:
-            key = ("column", id(table), idx)
-            entry = shared.get(key)
-            if entry is None:
-                entry = shared[key] = (table, _int64_column(rows, idx))
-            if entry[1] is None:
+            column = _column(shared, table, idx)
+            if column is None:
                 break
-            keep &= op(entry[1], val)
+            keep &= op(column, val)
         else:
+            if on_arrays:
+                positions, = _read_only(np.flatnonzero(keep))
+                return AnnotatedResult(len(positions), schema, None, kept=(table, positions, None))
             return AnnotatedResult(int(np.count_nonzero(keep)), schema, None)
     if not provenance:  # plain rows
         for idx, op, val in tests:  # atom by atom over the rows still kept
@@ -561,6 +586,56 @@ def _run_scan(node, appearance, bindings, provenance, read, shared) -> Annotated
         kept = [j for j in kept if op(rows[j][idx], val)]
     kept_rows = [rows[j] for j in kept] if read else None
     return AnnotatedResult(len(kept), schema, kept_rows, [(j,) for j in kept])
+
+
+def _array_nodes(plan: Plan, bindings, side, shared) -> frozenset[int]:
+    """The joins that count over int64 column arrays in an execution given
+    a table of shared results, without provenance, and the operators they
+    read, which keep their rows as `kept` arrays. Such a join counts per
+    key (`_handed_on`: it is not read, or it hands on into such a join) on
+    one key column of each input, has no selection atom, reads two scans
+    or such joins directly, not through a pass-through, and has a leaf
+    product below 2**63, which bounds every count and multiplicity it
+    makes; every selection constant of a scan it reads is an int, and
+    every selection and key column read builds an exact int64 array
+    (`_column`). Empty where a column does not resolve or a constant
+    cannot be compared: execution then raises where it would without."""
+    index = plan.index
+    sources: dict[int, tuple] = {}  # a join that may hand on kept rows -> (their table, their schema)
+
+    def source(nid):
+        if nid not in index.appearance:
+            return sources.get(nid)
+        table, schema, tests = _scan_input(plan.nodes[nid], index.appearance[nid], bindings)
+        for idx, _, val in tests:
+            if type(val) is not int or _column(shared, table, idx) is None:
+                return None
+        return table, schema
+
+    joins = set()
+    try:
+        for nid in index.order:
+            node = plan.nodes[nid]
+            if (nid in index.appearance or nid in index.agg_above or index.var[nid] != nid or node.selections
+                    or len(node.join_columns[0]) != 1 or (nid in index.read and nid not in side)):
+                continue
+            left, right = source(node.children[0]), source(node.children[1])
+            if left is None or right is None:
+                continue
+            (lpos,), (rpos,) = _join_keys(node, left[1], right[1])
+            if (_column(shared, left[0], lpos) is not None and _column(shared, right[0], rpos) is not None
+                    and math.prod(len(bindings[app].rows) for app in index.leaves[nid]) < 2**63):
+                joins.add(nid)
+                if nid in index.read:
+                    sources[nid] = (left, right)[side[nid]]
+    except ExecutionError:
+        return frozenset()
+    arrays: set[int] = set()
+    for nid in reversed(index.order):  # every parent before its children
+        if nid in joins and (nid not in index.read or nid in arrays):
+            arrays.add(nid)
+            arrays.update(plan.nodes[nid].children)
+    return frozenset(arrays)
 
 
 def _tally(rows, pos, multiplicity=None) -> Counter:
@@ -582,6 +657,69 @@ def _hash_rows(rows, lpos) -> dict:
     for i, row in enumerate(rows):
         ht.setdefault(lkey(row), []).append(i)
     return ht
+
+
+def _key_counts(values, multiplicity) -> tuple[np.ndarray, np.ndarray]:
+    """`_tally` over int64 arrays: the distinct keys, ascending, and the
+    rows per key, each row counted by its multiplicity, both int64."""
+    if multiplicity is None:
+        return _read_only(*np.unique(values, return_counts=True))
+    keys, inverse = np.unique(values, return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse, multiplicity)
+    return _read_only(keys, counts)
+
+
+def _matches(tally, values) -> np.ndarray:
+    """Each value's rows in an array tally (`_key_counts`), 0 where it has
+    none: read off a dense table over the keys' span where that span is
+    at most the values' count, else found by bisection."""
+    keys, counts = tally
+    found = np.zeros(len(values), dtype=np.int64)
+    if not len(keys):
+        return found
+    low, high = int(keys[0]), int(keys[-1])
+    if high - low <= len(values):
+        dense = np.zeros(high - low + 1, dtype=np.int64)
+        dense[keys - low] = counts
+        inside = (values >= low) & (values <= high)
+        found[inside] = dense[values[inside] - low]
+        return found
+    at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return np.where(keys[at] == values, counts[at], 0)
+
+
+def _array_join(node, left, right, provenance, read, side, plain, *, shared) -> AnnotatedResult:
+    """`_run_join`'s per-key count over int64 column arrays, for a join
+    `_array_nodes` lists, so `provenance` is False: both inputs keep
+    `kept` rows, whose columns are read from the table of shared results
+    `shared`, and each tally is an array tally (`_key_counts`) of the kept
+    rows' key column, built once per result. Every count is an exact int."""
+    lpos, rpos = _join_keys(node, left.schema, right.schema)
+    inputs = ((left, lpos[0]), (right, rpos[0]))
+
+    def values(i):
+        res, pos = inputs[i]
+        return _column(shared, res.kept[0], pos)[res.kept[1]]
+
+    def tally(i):
+        res, pos = inputs[i]
+        return res.derive(("counts", pos), lambda: _key_counts(values(i), res.kept[2]))
+
+    if side is None and all(plain):  # two scans: the sum of T_L[k] * T_R[k]
+        keys, counts = tally(1)
+        return AnnotatedResult(int(np.dot(_matches(tally(0), keys), counts)), left.schema + right.schema, None)
+    counted = 1 - side if side is not None else int(plain[1])
+    keep = inputs[1 - counted][0]
+    table, positions, multiplicity = keep.kept
+    matches = _matches(tally(counted), values(1 - counted))
+    if multiplicity is not None:
+        matches = matches * multiplicity
+    if not read:
+        return AnnotatedResult(int(matches.sum()), left.schema + right.schema, None)
+    hit = matches != 0
+    positions, matches = _read_only(positions[hit], matches[hit])
+    return AnnotatedResult(int(matches.sum()), keep.schema, None, kept=(table, positions, matches))
 
 
 def _run_join(node, left, right, provenance, read, side, plain) -> AnnotatedResult:
@@ -662,6 +800,22 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     that input's schema. Any other join builds pairs of whole rows.
     Counts are exact integers either way.
 
+    Given a table of shared results and no provenance, such per-key joins
+    count over int64 column arrays where `_array_nodes` lists them: each
+    on one key column pair, directly over scans and over such joins, with
+    int selection constants, exact int64 columns and a leaf product below
+    2**63. A scan one of them reads keeps its rows' positions, filtered
+    over the table's column arrays, instead of its rows; a tally is an
+    int64 (key, count) pair (`_key_counts`); two scans count as the dot
+    product of their tallies over common keys; a read join hands on the
+    positions and multiplicities of one input as arrays, and its reader
+    weights them by a gather on the other input's tally. Each keeps them
+    in `AnnotatedResult.kept`, the same rows, in the same order, with the
+    same multiplicities as the Python path, so every count is equal.
+    Everything else, and every execution with provenance or without a
+    table (truth outside `sharing`, estimation, `generate_workload`'s
+    check), takes the Python path.
+
     With `provenance`, every streamed operator (`PlanIndex.streamed`)
     enumerates its output and lists, per row, read or not, the positions
     of its rows in their bound tables, one per leaf table of the subtree,
@@ -675,19 +829,24 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     key and holds every object whose identity the key names, so no
     identity is reused while it lives. A scan is looked up under its bound
     table's identity, its `PlanIndex.scan_keys` entry (appearance,
-    selections, whether its rows are read) and `provenance`; the entry
-    holds the table and the result, and a full relation's entries never
-    meet a sample table's. A join a parent reads is looked up under
-    "read-join", its inputs' identities, its `PlanIndex.read_join_keys`
-    entry, the input it hands on (`_handed_on`; None for pairs) and
-    `provenance`; the entry holds both inputs and the result. A root join
-    is never reused, so never stored. A count-only scan (no provenance,
-    rows not read) whose constants are all ints counts over the read-only
-    int64 array of each column its atoms read ("column", the table's
-    identity, the position; the entry holds the table, and None where no
-    exact array builds, as for an empty table, and the scan filters in
-    Python), only in an execution given a table: an array built for one
-    scan alone costs about twice the Python filter. A grid's read-only
+    selections, whether its rows are read), whether it keeps its rows as
+    column arrays, and `provenance`; the entry holds the table and the
+    result, so a scan read by a join that builds pairs or counts in Python
+    and the same scan read by one that counts over arrays are two
+    entries, each holding what its reader reads, and a full relation's
+    entries never meet a sample table's. A join a parent reads is looked
+    up under "read-join", its inputs' identities, its
+    `PlanIndex.read_join_keys` entry, the input it hands on (`_handed_on`;
+    None for pairs) and `provenance`; the entry holds both inputs and the
+    result, whose rows or kept arrays are what its reader reads. A root
+    join is never reused, so never stored. A count-only scan (no provenance, rows not read)
+    whose constants are all ints counts over the read-only int64 array of
+    each column its atoms read ("column", the table's identity, the
+    position; the entry holds the table, and None where no exact array
+    builds, as for an empty table, and the scan filters in Python), only
+    in an execution given a table: an array built for one scan alone
+    costs about twice the Python filter; the joins that count over arrays
+    read the same entries, for selection and key columns. A grid's read-only
     coordinates and distinct count are stored by
     `propagate.fit_all_cost_functions`, keyed by what fixes them. A probe
     reply is stored by the harness's oracle
@@ -696,15 +855,17 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     tuple, and the shape and bytes of its float coordinates; the entry
     holds the world and the read-only reply. What is
     built from one object alone lives on it, with no key: a join's hash
-    table over its left input or tally of an input it counts per key, and
-    `selest`'s counters, on the result (`AnnotatedResult.derive`); a
+    table over its left input or tally of an input it counts per key, in
+    Python or over arrays, and `selest`'s counters, on the result
+    (`AnnotatedResult.derive`); a
     grid's fits, by family and probe values, in the grid's entry. Every
     entry and derived structure is stored when it is built, so what a
     failed execution or fit stored is what a successful one would have.
     A hit is bitwise a fresh build: a result is never mutated, so every
     count, row, multiplicity and provenance list is unchanged; a hash
     table lists each left row's index per key in row order, so the same
-    rows match in the same order; tallies and column arrays are exact; a
+    rows match in the same order; tallies, column arrays and kept
+    positions and multiplicities are exact, and every array is read-only; a
     grid is what `costfit.grid_points` builds from its key, a stored fit
     what `costfit.fit_grid` made from the same coordinates and probe
     values, and a stored reply what the oracle computes afresh: the key
@@ -715,6 +876,7 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
+    arrays = () if columns is None or provenance else _array_nodes(plan, bindings, side, columns)
     results: dict[int, AnnotatedResult] = {}
     for nid in index.order:
         node = plan.nodes[nid]
@@ -723,10 +885,10 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
         elif nid in index.appearance:
             appearance = index.appearance[nid]
             table = bindings.get(appearance)
-            key = (id(table), index.scan_keys[nid], provenance)
+            key = (id(table), index.scan_keys[nid], nid in arrays, provenance)
             entry = shared.get(key)
             if entry is None:
-                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, columns)
+                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, columns, nid in arrays)
                 entry = shared[key] = (table, res)
             res = entry[1]
         elif index.var[nid] != nid:
@@ -735,22 +897,29 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             (left, right), read, hand = node.children, nid in index.read, side.get(nid)
             lres, rres = results[left], results[right]
             plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
+            join = functools.partial(_array_join, shared=shared) if nid in arrays else _run_join
             if not read:  # a root join is never reused: only a join a parent reads is looked up and stored
-                res = _run_join(node, lres, rres, provenance, read, hand, plain)
+                res = join(node, lres, rres, provenance, read, hand, plain)
             else:
                 key = ("read-join", id(lres), id(rres), index.read_join_keys[nid], hand, provenance)
                 entry = shared.get(key)
                 if entry is None:
-                    entry = shared[key] = (lres, rres, _run_join(node, lres, rres, provenance, read, hand, plain))
+                    entry = shared[key] = (lres, rres, join(node, lres, rres, provenance, read, hand, plain))
                 res = entry[2]
         results[nid] = res
     return results
 
 
 def leaf_products(plan: Plan, relations) -> dict[int, int]:
-    """Every node's product of the row counts of its leaf relations, exact."""
-    return {nid: math.prod(relations[rel].row_count for rel, _ in leaves)
-            for nid, leaves in plan.index.leaves.items()}
+    """Every node's product of the row counts of its leaf relations, exact.
+    A relation the plan names that `relations` lacks is an ExecutionError
+    naming it: truth, the probe oracle and actual runtimes all read their
+    relations here first."""
+    try:
+        return {nid: math.prod(relations[rel].row_count for rel, _ in leaves)
+                for nid, leaves in plan.index.leaves.items()}
+    except KeyError as exc:
+        raise ExecutionError(f"relation {exc.args[0]!r} is not among the relations {sorted(relations)}") from None
 
 
 # The table of shared results that `selectivity_truth` hands to `execute`
@@ -786,10 +955,10 @@ def selectivity_truth(plan: Plan, relations: dict[str, "object"]) -> dict[int, f
     of whole rows elsewhere. Inside `sharing(table)` the execution shares
     `table` (`execute`); outside it, nothing is shared."""
     index = plan.index
-    for rel, _ in index.appearance.values():
-        if relations[rel].row_count == 0:
+    products = leaf_products(plan, relations)
+    for nid, (rel, _) in index.appearance.items():
+        if products[nid] == 0:
             raise ExecutionError(f"relation {rel!r} is empty; selectivity undefined (degenerate input)")
     bindings = {app: relations[app[0]] for app in index.appearance.values()}
     results = execute(plan, bindings, shared=shared_table())
-    products = leaf_products(plan, relations)
     return {nid: results[nid].count / products[nid] for nid in index.order}

@@ -8,13 +8,15 @@ arities it and other tests read, a fit's KKT residual and one cost
 function's moments live here too, with a simulated run written out term
 by term, a plan's cost-function fit written out grid by grid, the solver
 and the fitter called with one vector and at arbitrary points, CSV
-ingest written out record by record, and what a failed execution stored
-checked against a fresh one: only tests use them.
+ingest written out record by record, what a failed execution stored
+checked against a fresh one, and a result kept as column arrays turned
+back into rows: only tests use them.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -350,30 +352,51 @@ def reference_ingest(text, name, schema) -> store.Relation:
     return store.Relation(name=name, schema=tuple(schema), rows=tuple(rows))
 
 
+def as_rows(res):
+    """`res` as an execution without a table builds it: a result that
+    keeps its rows as `kept` arrays with its rows, in table order, and
+    its multiplicities, as lists of the table's tuples and of ints; any
+    other result itself."""
+    if res.kept is None:
+        return res
+    table, positions, multiplicity = res.kept
+    return dataclasses.replace(res, rows=[table.rows[i] for i in positions.tolist()], kept=None, derived=None,
+                               multiplicity=None if multiplicity is None else multiplicity.tolist())
+
+
+def results_as_rows(results: dict) -> dict:
+    """Every result of an execution through `as_rows`."""
+    return {nid: as_rows(res) for nid, res in results.items()}
+
+
 def assert_stored_as_fresh(table, before, plan: Plan, bindings, provenance: bool) -> int:
     """Every entry of a shared table `table` not keyed in `before`, stored
     by a failed execution, holds what a fresh, successful execution of
     `plan` over `bindings` builds for that operator, by `==` and `repr`: a
-    scan's or a read join's result, found by its key. `plan` is the failed
-    plan's good twin, the same below the failure. Returns how many entries
-    it checked."""
+    scan's or a read join's result, found by its key, a result kept as
+    column arrays through `as_rows`, and a column array the column of the
+    relation its entry holds. `plan` is the failed plan's good twin, the
+    same below the failure. Returns how many results it checked."""
     fresh = planmod.execute(plan, bindings, provenance=provenance)
     index = plan.index
     side = {} if provenance else planmod._handed_on(plan, bindings)
-    new = [key for key in table if key not in before]
+    for key in [key for key in table if key not in before and key[0] == "column"]:
+        rel, column = table[key]
+        assert key[1] == id(rel) and (column is None or column.tolist() == [row[key[2]] for row in rel.rows])
+    new = [key for key in table if key not in before and key[0] != "column"]
     for key in new:
         if key[0] == "read-join":
             left, right, got = table[key]
             nids = [nid for nid, join_key in index.read_join_keys.items()
                     if (join_key, side.get(nid)) == key[3:5]
-                    and [fresh[c] for c in plan.nodes[nid].children] == [left, right]]
+                    and [fresh[c] for c in plan.nodes[nid].children] == [as_rows(left), as_rows(right)]]
         else:
             rel, got = table[key]
             nids = [nid for nid, scan_key in index.scan_keys.items()
                     if scan_key == key[1] and bindings[index.appearance[nid]] is rel]
         assert nids and key[-1] is provenance
         for nid in nids:
-            assert got == fresh[nid] and repr(got) == repr(fresh[nid])
+            assert as_rows(got) == fresh[nid] and repr(as_rows(got)) == repr(fresh[nid])
     return len(new)
 
 

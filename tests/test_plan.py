@@ -1,23 +1,26 @@
 """Plan parsing, validation, execution, and provenance."""
 
+import functools
 import gc
 import itertools
 import json
+import warnings
 import weakref
-from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from runtimedist import plan as planmod, selest, store
+from runtimedist import plan as planmod, selest, simeval, store
 from runtimedist.calib import COST_UNITS
 from runtimedist.costfit import FAMILIES
 from conftest import (
+    as_rows,
     assert_stored_as_fresh,
     brute_membership,
     make_tiny_relations,
+    results_as_rows,
     s2_enumeration,
     snm_enumeration,
     tiny_instance,
@@ -186,8 +189,10 @@ def test_plan_index_matches_brute_force(tree):
 def test_plan_and_results_leave_no_reference_cycle():
     # A plan, its index and an execution's results are freed by reference
     # counting alone once dropped, and so is a result that carries a tally
-    # and a hash table: a join that counts per key and one that builds
-    # pairs, sharing one table, build both on one scan result.
+    # and a hash table: a join that counts per key on two columns and one
+    # that builds pairs, sharing one table, build both on one scan result;
+    # and a scan result kept as column arrays, with its array tally, which
+    # a join that counts per key on one column reads in a shared table.
     l = _rel("L", ["k", "a"], [(i % 7, i) for i in range(300)])
     r = _rel("R", ["k", "b"], [(i % 7, i) for i in range(300)])
     doc = {
@@ -208,16 +213,19 @@ def test_plan_and_results_leave_no_reference_cycle():
         refs = [weakref.ref(obj) for obj in (p, results[4], results[1])]
         del p, results, rows
         assert [ref() for ref in refs] == [None, None, None]
+        on_arrays = _parse({"nodes": doc["nodes"][:3], "root": 3})
+        doc["nodes"][2]["predicate"].append({"left": "a", "right": "b"})
         counting = _parse({"nodes": doc["nodes"][:3], "root": 3})
-        doc["nodes"][2]["predicate"].append({"col": "a", "op": ">=", "value": 0})
+        doc["nodes"][2]["predicate"][1] = {"col": "a", "op": ">=", "value": 0}
         pairing = _parse({"nodes": doc["nodes"][:3], "root": 3})
         table, bindings = {}, {("L", 0): l, ("R", 0): r}
+        kept = planmod.execute(on_arrays, bindings, shared=table)[1]
         scan = planmod.execute(counting, bindings, shared=table)[1]
-        assert planmod.execute(pairing, bindings, shared=table)[1] is scan
-        assert sorted(tag for tag, _ in scan.derived) == ["hash", "tally"]
-        refs = [weakref.ref(obj) for obj in (scan, scan.derived["tally", (0,)])]
-        del counting, pairing, table, scan
-        assert [ref() for ref in refs] == [None, None]
+        assert planmod.execute(pairing, bindings, shared=table)[1] is scan is not kept
+        assert sorted(tag for tag, _ in scan.derived) == ["hash", "tally"] and list(kept.derived) == [("counts", 0)]
+        refs = [weakref.ref(obj) for obj in (scan, scan.derived["tally", (0, 1)], kept, *kept.derived["counts", 0])]
+        del on_arrays, counting, pairing, table, scan, kept
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
 
@@ -228,10 +236,11 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     # entries, and the join's hash table over the left scan's result lives
     # on that result. A second execution hits both and returns the stored
     # results themselves, hash table included. An execution without
-    # provenance is keyed apart, and its join counts per key, hashing
-    # nothing: the two scans' tallies live on their results, and a second
-    # such execution builds none. A plan that passes the left scan through
-    # a Materialize hits its hash table too.
+    # provenance is keyed apart, and its join counts per key over T's two
+    # column arrays, stored beside the scans, hashing and tallying nothing
+    # in Python: each scan keeps its rows' positions, its array tally lives
+    # on its result, and a second such execution builds none. A plan that
+    # passes the left scan through a Materialize hits its hash table too.
     hash_rows, hashed = planmod._hash_rows, []
     monkeypatch.setattr(planmod, "_hash_rows", lambda rows, lpos: hashed.append(rows) or hash_rows(rows, lpos))
     tally, tallied = planmod._tally, []
@@ -256,20 +265,23 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     again = planmod.execute(p, bindings, provenance=True, shared=shared)
     assert again == fresh and len(shared) == 2 and len(hashed) == 2
     assert again[1] is first[1] and again[2] is first[2] and again[3] is not first[3]
-    counted = planmod.execute(p, bindings, shared=shared)
-    assert counted == planmod.execute(p, bindings) and counted[3].count == 5 * 6 * 6
-    assert len(shared) == 4 and len(hashed) == 2 and len(tallied) == 4
-    for scan in (1, 2):
-        assert counted[scan].derived == {("tally", (0,)): Counter(dict.fromkeys(range(5), 6))}
+    want = planmod.execute(p, bindings)
     tallied.clear()
+    counted = planmod.execute(p, bindings, shared=shared)
+    assert results_as_rows(counted) == want and counted[3].count == 5 * 6 * 6
+    assert len(shared) == 6 and len(hashed) == 2 and tallied == []
+    assert sorted(key[2] for key in shared if key[0] == "column") == [0, 1]
+    for scan in (1, 2):
+        assert counted[scan].kept[1].tolist() == list(range(30))
+        assert [array.tolist() for array in counted[scan].derived["counts", 0]] == [list(range(5)), [6] * 5]
     again = planmod.execute(p, bindings, shared=shared)
-    assert again == counted and again[1] is counted[1] and len(shared) == 4 and tallied == []
+    assert again == counted and again[1] is counted[1] and len(shared) == 6 and tallied == []
     through = {"nodes": doc["nodes"][:2] + [
         {"id": 3, "kind": "Materialize", "children": [1]},
         {"id": 4, "kind": "HashJoin", "children": [3, 2], "predicate": [{"left": "k", "right": "k"}]},
     ], "root": 4}
     assert planmod.execute(_parse(through), bindings, provenance=True, shared=shared)[4] == fresh[3]
-    assert len(shared) == 4 and len(hashed) == 2
+    assert len(shared) == 6 and len(hashed) == 2
     # A plan that fails at its root join has stored its scans and the join
     # its root reads as it built them, each what its good twin's fresh
     # execution builds there; the scan's hash table lives on its result.
@@ -285,23 +297,24 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     before = set(shared)
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(deeper("zz"), bindings, provenance=True, shared=shared)
-    assert len(hashed) == 3 and len(shared) == 8
+    assert len(hashed) == 3 and len(shared) == 10
     good = deeper("T#2.k")
     want = planmod.execute(good, bindings, provenance=True)
     assert assert_stored_as_fresh(shared, before, good, bindings, True) == 4
     del hashed[3:]
     got = planmod.execute(good, bindings, provenance=True, shared=shared)
-    assert got == want and repr(got) == repr(want) and len(shared) == 8 and len(hashed) == 4
+    assert got == want and repr(got) == repr(want) and len(shared) == 10 and len(hashed) == 4
     # A root join is never stored: failing there, the plan stores nothing new.
     doc["nodes"][2]["predicate"][0]["right"] = "zz"
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
-    assert len(shared) == 8
+    assert len(shared) == 10
     # Without provenance: the left join hands on T#1's rows after tallying
     # T's, then the right join fails on its residual atom's constant. The
-    # scans and the left join are stored, the tally lives on T's result,
-    # and the good twin hits them all: it tallies only the left join's
-    # result, for its root, and stores the right join.
+    # root, which reads that join, counts per key in Python, so the left
+    # join does too. The scans and the left join are stored, the tally
+    # lives on T's result, and the good twin hits them all: it tallies only
+    # the left join's result, for its root, and stores the right join.
     def bushy(constant):
         return _parse({"nodes": doc["nodes"][:2] + [
             {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "T.k", "right": "T#1.k"}]},
@@ -316,13 +329,13 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     before = set(shared)
     with pytest.raises(planmod.ExecutionError, match="constant 'x' cannot be compared"):
         planmod.execute(bushy("x"), bindings, shared=shared)
-    assert len(tallied) == 1 and len(shared) == 8 + 5
+    assert len(tallied) == 1 and len(shared) == 10 + 5
     good = bushy(10)
     want = planmod.execute(good, bindings)
     assert assert_stored_as_fresh(shared, before, good, bindings, False) == 5
     tallied.clear()
     got = planmod.execute(good, bindings, shared=shared)
-    assert got == want and repr(got) == repr(want) and len(shared) == 8 + 5 + 1
+    assert got == want and repr(got) == repr(want) and len(shared) == 10 + 5 + 1
     assert len(tallied) == 1 and tallied[0] is got[3].rows
 
 
@@ -1024,9 +1037,10 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     # hash table either, and the table holds executions without provenance
     # only: every scan and read-join key says so, and every stored result
     # lists no provenance. Each tally or hash table on a stored result is
-    # that of the result's own rows. Each column array's key names the
-    # relation its entry holds, and the array holds that relation's column
-    # at the key's position.
+    # that of the result's own rows, an array tally that of its kept rows,
+    # ascending. Each column array's key names the relation its entry
+    # holds, and the array holds that relation's column at the key's
+    # position.
     relations, plans = {}, []
     for v in variants:
         rels, p, _, _ = _variant_plan(dict(v, seed=seed))
@@ -1035,12 +1049,13 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
         plans.append(p)
     fresh = [planmod.selectivity_truth(p, relations) for p in plans]
     table, built = {}, []
-    tally, hash_rows = planmod._tally, planmod._hash_rows
+    tally, hash_rows, key_counts = planmod._tally, planmod._hash_rows, planmod._key_counts
     with planmod.sharing(table):
         first = [planmod.selectivity_truth(p, relations) for p in plans]
         stored = set(table)
         with mock.patch.object(planmod, "_tally", lambda *args: built.append(args) or tally(*args)), \
-                mock.patch.object(planmod, "_hash_rows", lambda *args: built.append(args) or hash_rows(*args)):
+                mock.patch.object(planmod, "_hash_rows", lambda *args: built.append(args) or hash_rows(*args)), \
+                mock.patch.object(planmod, "_key_counts", lambda *args: built.append(args) or key_counts(*args)):
             again = [planmod.selectivity_truth(p, relations) for p in plans]
     assert first == again == fresh and repr(first) == repr(again) == repr(fresh)
     assert stored and set(table) == stored and built == []  # the second round built and stored nothing new
@@ -1050,8 +1065,13 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     results = [res for key in table.keys() - columns for res in table[key][1:]]
     assert all(res.provenance is None for res in results)
     derived = [(res, key, value) for res in results for key, value in (res.derived or {}).items()]
-    assert all(value == (tally(res.rows, pos, res.multiplicity) if tag == "tally" else hash_rows(res.rows, pos))
-               for res, (tag, pos), value in derived)
+    for res, (tag, pos), value in derived:
+        if tag == "counts":
+            rows = as_rows(res)
+            keys, counts = (array.tolist() for array in value)
+            assert keys == sorted(keys) and dict(zip(keys, counts)) == tally(rows.rows, (pos,), rows.multiplicity)
+        else:
+            assert value == (tally(res.rows, pos, res.multiplicity) if tag == "tally" else hash_rows(res.rows, pos))
     joins = [nid for p in plans for nid in p.index.order if nid not in p.index.agg_above | p.index.appearance.keys()
              and p.index.var[nid] == nid]
     assert derived or not joins  # every join tallied or hashed a stored input
@@ -1059,6 +1079,175 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
         rel, column = table[key]
         assert key[1] == id(rel) and rel is relations[rel.name]
         assert column.tolist() == [row[key[2]] for row in rel.rows]
+
+
+# Keys with repeats, negatives and values beyond 2**31, up to int64's
+# bounds; the fallbacks that keep a plan's truth in Python inside a
+# sharing block, each placed where it holds back every join of the plan.
+_TRUTH_KEYS = st.integers(-2, 2) | st.sampled_from([2**31, -(2**31) - 1, 2**40 + 1, -(2**62), 2**63 - 1])
+_FALLBACKS = ("two keys", "float constant", "join atom", "pass-through", "float column")
+
+
+@st.composite
+def _int_truth_case(draw, fallback=None):
+    """(relations, a plan's document, its twin's): three all-int relations
+    of one to eight rows (k, j: keys; v: 0-5), and a 2- or 3-way left-deep
+    plan over them, or a bushy join of two 2-way joins, relations maybe
+    repeated (self-joins), every join of any kind on one key column pair,
+    every scan with a selection that may keep nothing. The root of a
+    3-way or bushy plan reads either input of each join below it, which
+    hands that input on; a bushy root weights one such input by a tally
+    of the other. The twin differs only in its root join's kind.
+    `fallback` names one `_FALLBACKS` entry to put in."""
+    names = ("t1", "t2", "t3")
+    rows = {name: draw(st.lists(st.tuples(_TRUTH_KEYS, _TRUTH_KEYS, st.integers(0, 5)), min_size=1, max_size=8))
+            for name in names}
+    shape = draw(st.sampled_from(["2-way", "3-way", "bushy"]))
+    rels = [draw(st.sampled_from(names)) for _ in range({"2-way": 2, "3-way": 3, "bushy": 4}[shape])]
+    aliases = [rel if rels[:i].count(rel) == 0 else f"{rel}#{rels[:i].count(rel)}" for i, rel in enumerate(rels)]
+    nodes = [_scan(i, rel, [{"col": f"{aliases[i - 1]}.v", "op": draw(st.sampled_from(["<", ">=", "!="])),
+                             "value": draw(st.integers(-1, 6))}])
+             for i, rel in enumerate(rels, start=1)]
+
+    def join(left, right, lleaves, rleaves):
+        """Join node ids `left` and `right` on a key of one leaf of each."""
+        columns = [f"{aliases[draw(st.sampled_from(leaves))]}.{draw(st.sampled_from(['k', 'j']))}"
+                   for leaves in (lleaves, rleaves)]
+        nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(planmod.JOIN_KINDS)),
+                      "children": [left, right], "predicate": [dict(zip(("left", "right"), columns))]})
+        return len(nodes)
+
+    if shape == "bushy":
+        root = join(join(1, 2, [0], [1]), join(3, 4, [2], [3]), [0, 1], [2, 3])
+    else:
+        root = 1
+        for right in range(2, len(rels) + 1):
+            root = join(root, right, list(range(right - 1)), [right - 1])
+    join = nodes[len(rels)]  # the innermost join
+    if fallback == "two keys":
+        join["predicate"].append({"left": f"{aliases[0]}.v", "right": f"{aliases[1]}.v"})
+    elif fallback == "float constant":
+        nodes[0]["predicate"][0]["value"] = 2.5
+    elif fallback == "join atom":
+        join["predicate"].append({"col": f"{aliases[0]}.v", "op": "<", "value": 3})
+    elif fallback == "pass-through":
+        nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(["Sort", "Materialize"])), "children": [1]})
+        join["children"][0] = len(nodes)
+    elif fallback == "float column":
+        k, j, v = rows[rels[0]][0]
+        rows[rels[0]][0] = (float(k), float(j), v)
+    relations = {name: _rel(name, ["k", "j", "v"], rows[name]) for name in names}
+    doc = {"nodes": nodes, "root": root}
+    twin = json.loads(json.dumps(doc))
+    top = next(n for n in twin["nodes"] if n["id"] == root)
+    top["kind"] = planmod.JOIN_KINDS[(planmod.JOIN_KINDS.index(top["kind"]) + 1) % len(planmod.JOIN_KINDS)]
+    return relations, doc, twin
+
+
+def _truths_shared_and_alone(relations, doc, twin_doc):
+    """Inside one sharing block, a plan's truth, then its twin's, which
+    hits every scan and read join the plan stored, then the plan's again,
+    each checked bitwise against its truth outside one; returns the calls
+    to `_array_join` they made."""
+    plan, twin = _parse(doc), _parse(twin_doc)
+    want = [planmod.selectivity_truth(p, relations) for p in (plan, twin, plan)]
+    array_join, on_arrays = planmod._array_join, []
+    table = {}
+    with mock.patch.object(planmod, "_array_join", lambda *args, **kw: on_arrays.append(args) or array_join(*args, **kw)), \
+            planmod.sharing(table):
+        got = [planmod.selectivity_truth(plan, relations)]
+        stored = set(table)
+        got += [planmod.selectivity_truth(p, relations) for p in (twin, plan)]
+    assert got == want and repr(got) == repr(want)
+    assert set(table) == stored
+    return on_arrays
+
+
+def _bushy_case():
+    """(t1 join t2 on k) join (t3 join t1 on k), on t1.j = t3.j: each join
+    below hands on rows of multiplicity up to 2, and the root weights t3's by
+    the tally of t1's, whose key 0 counts 4 with multiplicities, 2 without."""
+    rows = {"t1": [(0, 0, 0), (0, 0, 1), (1, 1, 0)], "t2": [(0, 0, 0), (0, 1, 0), (2, 0, 0)],
+            "t3": [(0, 0, 0), (0, 0, 5), (1, 0, 0)]}
+    relations = {name: _rel(name, ["k", "j", "v"], r) for name, r in rows.items()}
+    nodes = [_scan(i, rel, [{"col": f"{alias}.v", "op": ">=", "value": 0}])
+             for i, (rel, alias) in enumerate([("t1", "t1"), ("t2", "t2"), ("t3", "t3"), ("t1", "t1#1")], start=1)]
+    for nid, kind, children, left, right in ((5, "HashJoin", [1, 2], "t1.k", "t2.k"),
+                                             (6, "MergeJoin", [3, 4], "t3.k", "t1#1.k"),
+                                             (7, "NestLoopJoin", [5, 6], "t1.j", "t3.j")):
+        nodes.append({"id": nid, "kind": kind, "children": children, "predicate": [{"left": left, "right": right}]})
+    twin = json.loads(json.dumps({"nodes": nodes, "root": 7}))
+    twin["nodes"][-1]["kind"] = "HashJoin"
+    return relations, {"nodes": nodes, "root": 7}, twin
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_truth_case())
+@example(_bushy_case())
+def test_shared_truth_equals_unshared_truth(case):
+    # Shared truth counts every join over column arrays, and is bitwise
+    # the truth alone.
+    assert _truths_shared_and_alone(*case)
+
+
+@pytest.mark.parametrize("fallback", _FALLBACKS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_shared_truth_with_a_fallback_stays_in_python(fallback, data):
+    # With a fallback no join counts over column arrays, and shared truth
+    # is bitwise the truth alone.
+    assert _truths_shared_and_alone(*data.draw(_int_truth_case(fallback))) == []
+
+
+def test_shared_truth_falls_back_where_a_leaf_product_reaches_2_63():
+    # A four-way self-join of 2**16 rows on one key: the root joins 2**64
+    # leaf combinations, every one kept, a count no int64 holds. So no
+    # join counts over column arrays, and the truth shared is the truth
+    # alone: every selectivity 1.0.
+    t = _rel("T", ["k"], [(0,)] * 2**16)
+    nodes = [_scan(1, "T"), _scan(2, "T"), {"id": 3, "kind": "HashJoin", "children": [1, 2],
+                                            "predicate": [{"left": "T.k", "right": "T#1.k"}]}]
+    for i in (2, 3):
+        nodes += [_scan(len(nodes) + 1, "T"), {"id": len(nodes) + 2, "kind": "HashJoin",
+                                               "children": [len(nodes), len(nodes) + 1],
+                                               "predicate": [{"left": "T.k", "right": f"T#{i}.k"}]}]
+    p = _parse({"nodes": nodes, "root": len(nodes)})
+    assert planmod.leaf_products(p, {"T": t})[p.root] == 2**64
+    array_join, on_arrays = planmod._array_join, []
+    with mock.patch.object(planmod, "_array_join", lambda *args, **kw: on_arrays.append(args) or array_join(*args, **kw)), \
+            planmod.sharing({}):
+        shared = planmod.selectivity_truth(p, {"T": t})
+    assert shared == planmod.selectivity_truth(p, {"T": t}) == dict.fromkeys(p.index.order, 1.0)
+    assert on_arrays == []
+
+
+def test_truth_alone_and_provenance_build_no_column_array(monkeypatch):
+    # Criterion 9 times estimation, executed with provenance, against truth
+    # outside a sharing block: neither builds a column array, decides or
+    # takes an array join or builds an array tally, so both loops keep
+    # their cost; estimation sharing a table builds none either. The same
+    # plans' truths inside a block do all of it.
+    relations = simeval.generate_database(0, sizes=(200, 200, 200), key_domain=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plans = [p for _, p in simeval.generate_workload(simeval.WorkloadSpec.grid(4, 4, 2, seed=0), relations)[0]]
+    pool = store.build_pool(relations, n=10, pool_size=1, seed=0)
+    built = []
+    for name in ("_int64_column", "_array_nodes", "_array_join", "_key_counts"):
+        monkeypatch.setattr(planmod, name, functools.partial(
+            lambda real, name, *args, **kw: built.append(name) or real(*args, **kw), getattr(planmod, name), name))
+    table = {}
+    for p in plans:
+        planmod.selectivity_truth(p, relations)
+        selest.estimate_all(p, pool, relations)
+        selest.estimate_all(p, pool, relations, table)
+        planmod.execute(p, {app: relations[app[0]] for app in p.index.appearance.values()}, provenance=True,
+                        shared=table)
+    assert built == [] and table
+    with planmod.sharing({}):
+        for p in plans:
+            planmod.selectivity_truth(p, relations)
+    assert set(built) == {"_int64_column", "_array_nodes", "_array_join", "_key_counts"}
 
 
 # How a parent reads the shared join below it: it counts per key on a t1
@@ -1104,8 +1293,10 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
     # Plans over one set of tiny relations that share the join of t1 and
     # t2 under different parents, executed without and with provenance
     # against one shared table: every result equals a fresh execution's,
-    # and the shared join is built once per distinct (inputs, join key,
-    # side, provenance), where each plan's fresh execution builds it again.
+    # one kept as column arrays once turned back into rows, and the shared
+    # join is built once per distinct (inputs, join key, side, provenance),
+    # over arrays or in Python, where each plan's fresh execution builds it
+    # again.
     # Its entry holds the two inputs its key names and the result every
     # plan then reads. An execution that fails after the join has stored
     # the join and its scans, each as a fresh execution builds it.
@@ -1114,17 +1305,23 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
     plans = [_parse(_read_join_doc(parent, inner, through)) for parent in parents]
     modes = (False, True)
     fresh = [[planmod.execute(p, bindings, provenance=prov) for p in plans] for prov in modes]
-    run_join, built = planmod._run_join, []
+    run_join, array_join, built = planmod._run_join, planmod._array_join, []
 
     def spying(node, left, right, provenance, read, side, *rest):
         if read:
             built.append((id(left), id(right), node.join_columns, repr(node.selections), side, provenance))
         return run_join(node, left, right, provenance, read, side, *rest)
 
+    def spying_arrays(node, left, right, provenance, read, side, *rest, shared):
+        if read:
+            built.append((id(left), id(right), node.join_columns, repr(node.selections), side, provenance))
+        return array_join(node, left, right, provenance, read, side, *rest, shared=shared)
+
     table = {}
-    with mock.patch.object(planmod, "_run_join", spying):
+    with mock.patch.object(planmod, "_run_join", spying), mock.patch.object(planmod, "_array_join", spying_arrays):
         shared = [[planmod.execute(p, bindings, provenance=prov, shared=table) for p in plans] for prov in modes]
-    assert shared == fresh  # every count, schema, row list, multiplicity and provenance list
+    # every count, schema, row list, multiplicity and provenance list
+    assert [list(map(results_as_rows, per_mode)) for per_mode in shared] == fresh
     sides = [{_SIDE_OF[how] for how, _, _ in parents}, {None}]
     want = {(side, prov) for prov, per in zip(modes, sides) for side in per}
     assert len(built) == len(set(built)) == len(want) and {b[4:] for b in built} == want
@@ -1157,6 +1354,7 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
         for stored in (empty, table):
             for p in plans + [twin]:
                 got, want = (planmod.execute(p, bindings, provenance=prov, shared=t) for t in (stored, None))
+                got = results_as_rows(got)
                 assert got == want and repr(got) == repr(want)
 
 
@@ -1171,11 +1369,15 @@ def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, par
     # twin's fresh execution builds it, and the hash table stays on that
     # result, the one its rows give. Every later execution sharing the
     # table, the good twin's included, equals a fresh execution, bitwise,
-    # and hashes the t1 scan's rows no more.
+    # and hashes the t1 scan's rows no more. Without provenance, a first
+    # plan whose root counts per key straight over the join would count
+    # over column arrays and store kept scans, which a join that builds
+    # pairs does not read; so that plan's root reads the join in pairs.
     relations = make_tiny_relations(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
     bindings = {(name, 0): rel for name, rel in relations.items()}
     bad = "column" if prov else "constant"
-    docs = [_read_join_doc(parent, key, through) for key in ("y", "z") if key != inner] + \
+    first = parent if prov or through else ("pairs", *parent[1:])
+    docs = [_read_join_doc(first, key, through) for key in ("y", "z") if key != inner] + \
         [_read_join_doc(parent, inner, through, _GOOD_TWIN[bad])]
     fresh = [[planmod.execute(_parse(doc), bindings, provenance=mode) for doc in docs] for mode in (False, True)]
     assume(prov or (fresh[0][1][3].count > 0 and fresh[0][1][5].count > 0))  # else no row shows the bad constant
@@ -1190,8 +1392,8 @@ def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, par
     assert scan.derived["hash", lpos] == planmod._hash_rows(scan.rows, lpos)
     hash_rows, hashed = planmod._hash_rows, []
     with mock.patch.object(planmod, "_hash_rows", lambda rows, pos: hashed.append(rows) or hash_rows(rows, pos)):
-        shared = [[planmod.execute(_parse(doc), bindings, provenance=mode, shared=table) for doc in docs]
-                  for mode in (False, True)]
+        shared = [[results_as_rows(planmod.execute(_parse(doc), bindings, provenance=mode, shared=table))
+                   for doc in docs] for mode in (False, True)]
     assert shared == fresh and repr(shared) == repr(fresh)
     assert all(rows is not scan.rows for rows in hashed)
 

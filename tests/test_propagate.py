@@ -612,8 +612,10 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # at each prediction and after each truth. What is derived from a
     # stored result lives on it: a scan's counters (a list) and a hash
     # table (a dict) cannot be watched either, so they are watched through
-    # that result; a tally, a Counter, is watched itself. A column array's
-    # entry holds the base relation its key names. A read join's entry
+    # that result; a tally is watched itself, here an array tally, by its
+    # two arrays, as truth counts every join over column arrays, and so are
+    # the positions and multiplicities a result keeps as arrays. A column
+    # array's entry holds the base relation its key names. A read join's entry
     # holds its two inputs and its result, all watched, and only a read
     # join's result carries a join's counters and S2 here; no join that no
     # parent reads is ever stored. A grid's entry holds its coordinates,
@@ -666,6 +668,11 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                     kinds.add((key if key == "counters" else key[0], type(value)))
                     if type(value) is Counter:
                         stored.append(value)
+                    elif key[0] == "counts":
+                        stored.extend(value)
+        for res in [obj for obj in stored if type(obj) is planmod.AnnotatedResult and obj.kept]:
+            kinds.add("kept")
+            stored.extend(array for array in res.kept[1:] if array is not None)
         kinds.update(map(type, stored))
         refs.update((id(obj), weakref.ref(obj)) for obj in stored)
         return stored
@@ -696,8 +703,8 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
         assert len(records) == len(tables) == len(truths) == 5 and summary["count"] == 5
         assert len(set(tables + truths)) == 1
-        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, Counter, np.ndarray,
-                         ("counters", list), ("hash", dict), ("tally", Counter), "read-join",
+        assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, np.ndarray,
+                         ("counters", list), ("hash", dict), ("counts", tuple), "kept", "read-join",
                          ("join counters", list), "grid", "fits", "probe"}
         assert True in unread and False in unread  # root joins and read joins both ran
         read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}

@@ -471,6 +471,26 @@ def test_actual_runtime_refuses_runs_that_would_share_draws():
         simeval.actual_runtime(plan, relations, world, seed=0, runs=1001)
 
 
+def test_a_relation_the_plan_names_but_relations_lack_is_an_execution_error():
+    # Truth, leaf products, the probe oracle, an actual runtime and so an
+    # evaluation each refuse a plan whose relation `relations` lacks with
+    # an ExecutionError, in ValueError's family, naming the relation (and
+    # in an evaluation, the plan), not a bare KeyError.
+    relations, world = simeval.generate_database(0), TrueCostWorld.generate(0)
+    units = calib.fit_cost_units(world.calibration_records(20, seed=0))
+    pool = store.build_pool(relations, n=10, pool_size=1, seed=0)
+    plan = planmod.parse_plan(json.dumps(
+        {"nodes": [{"id": 1, "kind": "SeqScan", "relation": "r9", "children": []}], "root": 1}))
+    calls = [lambda: planmod.selectivity_truth(plan, relations), lambda: planmod.leaf_products(plan, relations),
+             lambda: world.cost_oracle(plan, relations), lambda: simeval.actual_runtime(plan, relations, world, seed=0)]
+    for call in calls:
+        with pytest.raises(planmod.ExecutionError, match="relation 'r9' is not among the relations"):
+            call()
+    plans, _ = simeval.generate_workload(WorkloadSpec(scan_targets=[0.4, 0.7], seed=2), relations)
+    with pytest.raises(planmod.ExecutionError, match="^plan 'bad': relation 'r9' is not among"):
+        simeval.evaluate_workload(plans + [("bad", plan)], relations, pool, units, world, runs=1)
+
+
 @pytest.mark.parametrize("runs, message", [(0, "runs must be at least 1, got 0"),
                                            (1001, "runs must be at most 1000, got 1001")])
 def test_evaluate_refuses_runs_before_predicting(runs, message):
@@ -1238,7 +1258,7 @@ def test_sharing_changes_no_result(data):
 
     predict, run_scan, run_join = propagate.predict_distribution, planmod._run_scan, planmod._run_join
     scan_counters, hash_rows, tally = selest._scan_counters, planmod._hash_rows, planmod._tally
-    int64_column, grid_points = planmod._int64_column, costfit.grid_points
+    int64_column, key_counts, grid_points = planmod._int64_column, planmod._key_counts, costfit.grid_points
     tables, before = [], []  # per prediction: the table it was given, and its keys then
     # per sample scan run, its result (kept, so no id is reused) and its
     # scan; per full-data scan run, its scan; per counter build, its scan;
@@ -1252,15 +1272,15 @@ def test_sharing_changes_no_result(data):
     # other table) and the position; per grid built, its (input
     # distributions, W)
     scanned, truth_scanned, counted, joined, hashed = {}, [], [], {}, []
-    truth_results, tallied, arrays, gridded = {}, [], [], []
+    truth_results, tallied, arrays, key_counted, gridded = {}, [], [], [], []
 
     def spying(*args, shared=None, **kwargs):
         tables.append(shared)
         before.append(set(shared))
         return predict(*args, shared=shared, **kwargs)
 
-    def counting(node, appearance, bindings, provenance, read, shared):
-        res = run_scan(node, appearance, bindings, provenance, read, shared)
+    def counting(node, appearance, bindings, provenance, read, shared, kept):
+        res = run_scan(node, appearance, bindings, provenance, read, shared, kept)
         if bindings[appearance] is relations[appearance[0]]:  # truth's scan of a base relation
             truth_scanned.append((appearance, node.selections, read))
             truth_results[id(res)] = res, truth_scanned[-1]
@@ -1295,12 +1315,19 @@ def test_sharing_changes_no_result(data):
         gridded.append((tuple(distributions), W))
         return grid_points(distributions, W)
 
+    def array_tallies():
+        """Each array tally on a full-data scan's result, as (scan, key position)."""
+        return [(scan, key[1]) for res, scan in truth_results.values() for key in res.derived or () if key[0] == "counts"]
+
     def truth_tallies(p):
-        """The tallies one truth of `p` builds, outside an evaluation."""
+        """The tallies, in Python and over arrays, one truth of `p` builds
+        alone, sharing a table of its own."""
         tallied.clear()
-        with mock.patch.object(planmod, "_run_scan", counting), mock.patch.object(planmod, "_tally", counting_tallies):
+        truth_results.clear()
+        with mock.patch.object(planmod, "_run_scan", counting), mock.patch.object(planmod, "_tally", counting_tallies), \
+                planmod.sharing({}):
             planmod.selectivity_truth(p, relations)
-        return list(tallied)
+        return tallied + array_tallies()
 
     def truth_scans(p):
         """The full-data scans one truth of `p` runs, outside an evaluation."""
@@ -1310,7 +1337,8 @@ def test_sharing_changes_no_result(data):
         return len(truth_scanned)
 
     def evaluate(workload):
-        for spied in (tables, before, scanned, truth_scanned, counted, joined, hashed, tallied, arrays, gridded):
+        for spied in (tables, before, scanned, truth_scanned, counted, joined, hashed, truth_results, tallied, arrays,
+                      key_counted, gridded):
             spied.clear()
         with mock.patch.object(propagate, "predict_distribution", spying), \
                 mock.patch.object(planmod, "_run_scan", counting), \
@@ -1318,6 +1346,7 @@ def test_sharing_changes_no_result(data):
                 mock.patch.object(selest, "_scan_counters", counting_counters), \
                 mock.patch.object(planmod, "_hash_rows", counting_hashes), \
                 mock.patch.object(planmod, "_tally", counting_tallies), \
+                mock.patch.object(planmod, "_key_counts", lambda *args: key_counted.append(1) or key_counts(*args)), \
                 mock.patch.object(planmod, "_int64_column", counting_arrays), \
                 mock.patch.object(costfit, "grid_points", counting_grids):
             return simeval.evaluate_workload(workload, relations, pool, units, world, policy=policy, W=W, runs=runs)
@@ -1347,21 +1376,26 @@ def test_sharing_changes_no_result(data):
     base = {id(rel) for rel in relations.values()}
     held = {key: value[0] for key, value in tables[0].items()
             if isinstance(value[0], store.Relation) and key[0] != "column"}
-    assert all(key[0] == id(table) and key[2] is (key[0] not in base) for key, table in held.items())
-    assert {key[0] for key in held if key[2]}.isdisjoint({key[0] for key in held if not key[2]})
+    assert all(key[0] == id(table) and key[-1] is (key[0] not in base) for key, table in held.items())
+    assert {key[0] for key in held if key[-1]}.isdisjoint({key[0] for key in held if not key[-1]})
     # one tally per distinct (full-data scan, key positions): what the
-    # plans' truths build alone, each once, every one over a scan's rows
-    built = sorted(map(repr, tallied))
-    assert built == sorted({repr(t) for _, p in plans for t in truth_tallies(p)})
-    assert all(scan is not None for scan, _ in tallied)
+    # plans' truths build alone, each once, every one over a scan's rows;
+    # here every truth's join counts over column arrays, so every tally is
+    # an array tally
+    built = tallied + array_tallies()
+    assert tallied == [] and len(key_counted) == len(built)
+    assert sorted(map(repr, built)) == sorted({repr(t) for _, p in plans for t in truth_tallies(p)})
     assert built or all(len(p.index.appearance) == 1 for _, p in plans)
-    # one column array per distinct (base relation, position) that a
-    # count-only scan's atoms read, none over a sample table; each key
-    # names the relation its entry holds
+    # one column array per distinct (base relation, position) that a scan's
+    # atoms or a join's atoms read, none over a sample table: count-only
+    # scans count over them, and every join here counts over them; each
+    # key names the relation its entry holds
     assert sorted(arrays) == sorted({
         (app[0], relations[app[0]].column_names.index(col))
-        for _, p in plans for nid, app in p.index.appearance.items() if nid not in p.index.read
-        for col, _, _ in p.nodes[nid].selections})
+        for _, p in plans for nid, app in p.index.appearance.items()
+        for col in [col for col, _, _ in p.nodes[nid].selections] + [
+            col for n in p.nodes.values() for col in itertools.chain(*n.join_columns)
+            if col in relations[app[0]].column_names]})
     assert all(key[1] == id(value[0]) and value[0] is relations[value[0].name]
                for key, value in tables[0].items() if key[0] == "column")
     # generate_workload runs its plans over empty tables only, so it builds no array

@@ -23,7 +23,11 @@ Those calls share nothing across plans. So each tree then runs
 does: one call that predicts every plan with the table of results its
 plans share and averages five simulated runs per plan, the two trees in
 the repetition's order. Its records, every plan's mean, stddev, actual
-runtime and flags, must be bitwise equal between the trees.
+runtime and flags, must be bitwise equal between the trees. Each tree
+then takes every plan's ground truth once more inside one `plan.sharing`
+table, as that call does, the trees in the repetition's order: the
+"truth, shared" stage, beside the unshared "truth". Every selectivity
+must be bitwise equal between the trees.
 
 Then each tree runs the CLI set-up of the benchmark's bigrel workload,
 `gen-world`, `gen-workload` and `calibrate` through its `cli.dispatch`, at
@@ -42,7 +46,8 @@ repetitions) and the median of the per-repetition ratios NEW/OLD, with the
 number of repetitions in which NEW was faster; the set-up stages are printed
 the same way in milliseconds per run. "total" is the whole prediction, the
 four prediction stages without the harness's two, "evaluate" the whole
-shared evaluation per plan, and "set-up" the three subcommands. Timing
+shared evaluation per plan, "truth, shared" the shared ground truth per
+plan, and "set-up" the three subcommands. Timing
 both trees in one process, plan by plan, keeps a shared machine's drift
 out of the ratio. The timed part of a repetition runs with
 the cyclic garbage collector off, so a collection triggered by one tree's
@@ -78,7 +83,7 @@ import numpy as np  # noqa: E402  (after the thread setting)
 
 STAGES = ("estimate", "fit", "mean", "variance")
 HARNESS = ("truth", "simulate")
-SHARED = ("evaluate",)
+SHARED = ("evaluate", "truth, shared")
 RUNS = 5  # simulated runs per plan, as in the benchmark's study pass
 SETUP = ("gen-world", "gen-workload", "calibrate")
 SETUP_CONFIG = {"seed": 42, "relation_size": 8000, "key_domain": 800}  # the benchmark's bigrel
@@ -159,6 +164,17 @@ def evaluate(pkg, inputs, spent):
     return [(r.predicted_mean.hex(), r.predicted_stddev.hex(), r.actual.hex(), r.flags) for r in records]
 
 
+def shared_truth(pkg, inputs, spent):
+    """Every plan's ground truth inside one `plan.sharing` table, its
+    seconds added to `spent`; each truth's selectivities in hex."""
+    relations, plans, planmod = inputs[0], inputs[4], pkg["plan"]
+    t0 = time.perf_counter()
+    with planmod.sharing({}):
+        truths = [planmod.selectivity_truth(p, relations) for p in plans]
+    spent["truth, shared"] += time.perf_counter() - t0
+    return [{nid: sel.hex() for nid, sel in truth.items()} for truth in truths]
+
+
 def setup(pkgs, roots, spent):
     """Run each set-up subcommand through each tree's `cli.dispatch` under
     its root, the trees in the order of `pkgs` one after the other, adding
@@ -189,12 +205,12 @@ def written(root):
 
 
 def report(header, unit, stages, runs, reps, scale):
-    print(f"{header:12s} {'old ' + unit:>12s} {'new ' + unit:>12s} {'new/old':>8s}  new faster")
+    print(f"{header:13s} {'old ' + unit:>12s} {'new ' + unit:>12s} {'new/old':>8s}  new faster")
     for stage in stages:
         old_s = [r[stage] for r in runs["old"]]
         new_s = [r[stage] for r in runs["new"]]
         ratios = [b / a for a, b in zip(old_s, new_s)]
-        print(f"{stage:12s} {statistics.median(old_s) * scale:12.1f} {statistics.median(new_s) * scale:12.1f} "
+        print(f"{stage:13s} {statistics.median(old_s) * scale:12.1f} {statistics.median(new_s) * scale:12.1f} "
               f"{statistics.median(ratios):8.3f}  {sum(r < 1.0 for r in ratios)}/{reps}")
 
 
@@ -247,12 +263,15 @@ def main(argv=None):
                     for side in ORDERS[(i + rep) % 2]:
                         predict(pkgs[side], inputs[side], i, spent[side])
                 evaluated = {side: evaluate(pkg, inputs[side], spent[side]) for side, pkg in pkgs.items()}
+                truths = {side: shared_truth(pkg, inputs[side], spent[side]) for side, pkg in pkgs.items()}
                 for by_side in (pkgs, dict(reversed(pkgs.items()))) * (SETUP_RUNS // 2):  # each tree first in half
                     setup(by_side, roots, setup_spent)
             finally:
                 gc.enable()
         if evaluated["old"] != evaluated["new"]:
             sys.exit("evaluate_workload's records differ between the trees")
+        if truths["old"] != truths["new"]:
+            sys.exit("the shared truths' selectivities differ between the trees")
         for side in srcs:
             spent[side]["total"] = sum(spent[side][s] for s in STAGES)
             runs[side].append(spent[side])
