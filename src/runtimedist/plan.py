@@ -228,15 +228,17 @@ class AnnotatedResult:
     `count` is their sum. Any other kept row is one whole output row.
     Executed with provenance, a streamed operator's `provenance` holds one
     position vector per output row, read or not, in the order the rows
-    are produced, and its kept rows follow that order. Read by a join that
-    counts over column arrays (`execute`), a result keeps no rows but
-    `kept`: (the bound table they are rows of, their positions in it,
-    their multiplicities or None where each stands for one output row),
-    the two as int64 arrays, the rows in table order. A result is never
-    mutated, so what is built from it alone (a join's tallies and hash
-    tables over it, its `selest` counters) is built once, into `derived`,
-    made on first use, neither compared nor printed, and holding nothing
-    that refers back to the result, so no reference cycle forms."""
+    are produced, and its kept rows follow that order. A read scan that
+    filters over column arrays, and a read join that counts over them
+    (`execute`), keep no rows but `kept`: (the bound table they are rows
+    of, their positions in it, their multiplicities or None where each
+    stands for one output row), the two as int64 arrays, the rows in table
+    order; a reader in Python reads them through `_rows`. A result is
+    never mutated, so what is built from it alone (those rows, a join's
+    tallies and hash tables over it, its `selest` counters) is built once,
+    into `derived`, made on first use, neither compared nor printed, and
+    holding nothing that refers back to the result, so no reference cycle
+    forms."""
 
     count: int
     schema: tuple[str, ...] | None
@@ -558,14 +560,13 @@ def _column(shared, table, idx):
     return entry[1]
 
 
-def _run_scan(node, appearance, bindings, provenance, read, shared, on_arrays) -> AnnotatedResult:
+def _run_scan(node, appearance, bindings, provenance, read, shared) -> AnnotatedResult:
     """`shared` is the table of shared results, or None without one; only
-    a count-only scan given one, or one whose reader counts over column
-    arrays (`on_arrays`), may filter over column arrays (`execute`)."""
+    a scan given one, without provenance, may filter over column arrays
+    (`execute`)."""
     table, schema, tests = _scan_input(node, appearance, bindings)
     rows = table.rows
-    if (shared is not None and not provenance and (on_arrays or not read)
-            and all(type(val) is int for _, _, val in tests)):
+    if shared is not None and not provenance and all(type(val) is int for _, _, val in tests):
         keep = np.ones(len(rows), dtype=bool)
         for idx, op, val in tests:
             column = _column(shared, table, idx)
@@ -573,7 +574,7 @@ def _run_scan(node, appearance, bindings, provenance, read, shared, on_arrays) -
                 break
             keep &= op(column, val)
         else:
-            if on_arrays:
+            if read:
                 positions, = _read_only(np.flatnonzero(keep))
                 return AnnotatedResult(len(positions), schema, None, kept=(table, positions, None))
             return AnnotatedResult(int(np.count_nonzero(keep)), schema, None)
@@ -588,54 +589,16 @@ def _run_scan(node, appearance, bindings, provenance, read, shared, on_arrays) -
     return AnnotatedResult(len(kept), schema, kept_rows, [(j,) for j in kept])
 
 
-def _array_nodes(plan: Plan, bindings, side, shared) -> frozenset[int]:
-    """The joins that count over int64 column arrays in an execution given
-    a table of shared results, without provenance, and the operators they
-    read, which keep their rows as `kept` arrays. Such a join counts per
-    key (`_handed_on`: it is not read, or it hands on into such a join) on
-    one key column of each input, has no selection atom, reads two scans
-    or such joins directly, not through a pass-through, and has a leaf
-    product below 2**63, which bounds every count and multiplicity it
-    makes; every selection constant of a scan it reads is an int, and
-    every selection and key column read builds an exact int64 array
-    (`_column`). Empty where a column does not resolve or a constant
-    cannot be compared: execution then raises where it would without."""
-    index = plan.index
-    sources: dict[int, tuple] = {}  # a join that may hand on kept rows -> (their table, their schema)
-
-    def source(nid):
-        if nid not in index.appearance:
-            return sources.get(nid)
-        table, schema, tests = _scan_input(plan.nodes[nid], index.appearance[nid], bindings)
-        for idx, _, val in tests:
-            if type(val) is not int or _column(shared, table, idx) is None:
-                return None
-        return table, schema
-
-    joins = set()
-    try:
-        for nid in index.order:
-            node = plan.nodes[nid]
-            if (nid in index.appearance or nid in index.agg_above or index.var[nid] != nid or node.selections
-                    or len(node.join_columns[0]) != 1 or (nid in index.read and nid not in side)):
-                continue
-            left, right = source(node.children[0]), source(node.children[1])
-            if left is None or right is None:
-                continue
-            (lpos,), (rpos,) = _join_keys(node, left[1], right[1])
-            if (_column(shared, left[0], lpos) is not None and _column(shared, right[0], rpos) is not None
-                    and math.prod(len(bindings[app].rows) for app in index.leaves[nid]) < 2**63):
-                joins.add(nid)
-                if nid in index.read:
-                    sources[nid] = (left, right)[side[nid]]
-    except ExecutionError:
-        return frozenset()
-    arrays: set[int] = set()
-    for nid in reversed(index.order):  # every parent before its children
-        if nid in joins and (nid not in index.read or nid in arrays):
-            arrays.add(nid)
-            arrays.update(plan.nodes[nid].children)
-    return frozenset(arrays)
+def _rows(res) -> tuple[list, list | None]:
+    """A result's rows and their multiplicities, None where each stands for
+    one output row; for a result that keeps them as `kept` arrays, lists
+    of the table's tuples and of ints, built once, in table order, into
+    `derived`."""
+    if res.kept is None:
+        return res.rows, res.multiplicity
+    table, positions, multiplicity = res.kept
+    return res.derive("rows", lambda: ([table.rows[i] for i in positions.tolist()],
+                                       None if multiplicity is None else multiplicity.tolist()))
 
 
 def _tally(rows, pos, multiplicity=None) -> Counter:
@@ -691,10 +654,11 @@ def _matches(tally, values) -> np.ndarray:
 
 def _array_join(node, left, right, provenance, read, side, plain, *, shared) -> AnnotatedResult:
     """`_run_join`'s per-key count over int64 column arrays, for a join
-    `_array_nodes` lists, so `provenance` is False: both inputs keep
-    `kept` rows, whose columns are read from the table of shared results
-    `shared`, and each tally is an array tally (`_key_counts`) of the kept
-    rows' key column, built once per result. Every count is an exact int."""
+    that `execute` finds exact there, so `provenance` is False: both
+    inputs keep `kept` rows, whose one key column each is read from the
+    table of shared results `shared`, and each tally is an array tally
+    (`_key_counts`) of the kept rows' key column, built once per result.
+    Every count is an exact int."""
     lpos, rpos = _join_keys(node, left.schema, right.schema)
     inputs = ((left, lpos[0]), (right, rpos[0]))
 
@@ -734,7 +698,8 @@ def _run_join(node, left, right, provenance, read, side, plain) -> AnnotatedResu
 
         def tally(i):
             res, pos = inputs[i]
-            return res.derive(("tally", pos), _tally, res.rows, pos, res.multiplicity)
+            rows, multiplicity = _rows(res)
+            return res.derive(("tally", pos), _tally, rows, pos, multiplicity)
 
         if side is None and all(plain):  # two scans: the sum of T_L[k] * T_R[k]
             small, large = tally(0), tally(1)
@@ -747,25 +712,26 @@ def _run_join(node, left, right, provenance, read, side, plain) -> AnnotatedResu
         # other's tally.
         counted = 1 - side if side is not None else int(plain[1])
         keep, kpos = inputs[1 - counted]
-        matches = map(tally(counted).get, map(operator.itemgetter(*kpos), keep.rows), itertools.repeat(0))
-        if keep.multiplicity is not None:
-            matches = map(operator.mul, matches, keep.multiplicity)
+        krows, kmultiplicity = _rows(keep)
+        matches = map(tally(counted).get, map(operator.itemgetter(*kpos), krows), itertools.repeat(0))
+        if kmultiplicity is not None:
+            matches = map(operator.mul, matches, kmultiplicity)
         if not read:
             return AnnotatedResult(count=sum(matches), schema=left.schema + right.schema, rows=None)
         matches = list(matches)
         multiplicity = list(filter(None, matches))
-        rows = list(itertools.compress(keep.rows, matches))
+        rows = list(itertools.compress(krows, matches))
         return AnnotatedResult(sum(multiplicity), keep.schema, rows, multiplicity=multiplicity)
     # Pairs of whole rows: only a join that counts per key reads a handed-on input.
     schema = left.schema + right.schema
-    tests = _tests(node, schema, [left.rows[0] + right.rows[0]] if left.rows and right.rows else ())
-    ht = left.derive(("hash", lpos), _hash_rows, left.rows, lpos)
+    (lrows, _), (rrows, _) = _rows(left), _rows(right)
+    tests = _tests(node, schema, [lrows[0] + rrows[0]] if lrows and rrows else ())
+    ht = left.derive(("hash", lpos), _hash_rows, lrows, lpos)
     rkey = operator.itemgetter(*rpos)
     count = 0
     rows: list[tuple] | None = [] if read else None
     prov: list | None = [] if provenance else None
-    lrows = left.rows
-    for j, rrow in enumerate(right.rows):
+    for j, rrow in enumerate(rrows):
         for i in ht.get(rkey(rrow), ()):
             if tests or read:
                 out = lrows[i] + rrow
@@ -800,21 +766,26 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     that input's schema. Any other join builds pairs of whole rows.
     Counts are exact integers either way.
 
-    Given a table of shared results and no provenance, such per-key joins
-    count over int64 column arrays where `_array_nodes` lists them: each
-    on one key column pair, directly over scans and over such joins, with
-    int selection constants, exact int64 columns and a leaf product below
-    2**63. A scan one of them reads keeps its rows' positions, filtered
-    over the table's column arrays, instead of its rows; a tally is an
-    int64 (key, count) pair (`_key_counts`); two scans count as the dot
-    product of their tallies over common keys; a read join hands on the
-    positions and multiplicities of one input as arrays, and its reader
-    weights them by a gather on the other input's tally. Each keeps them
-    in `AnnotatedResult.kept`, the same rows, in the same order, with the
-    same multiplicities as the Python path, so every count is equal.
-    Everything else, and every execution with provenance or without a
-    table (truth outside `sharing`, estimation, `generate_workload`'s
-    check), takes the Python path.
+    Given a table of shared results and no provenance, each operator
+    decides as it runs whether it counts over int64 column arrays. A scan
+    whose selection constants are all ints filters over the arrays of the
+    columns its atoms read, where each builds an exact one: it counts what
+    it keeps, or, where a parent reads it, keeps their positions instead
+    of its rows. A per-key join counts over arrays (`_array_join`) where
+    both its inputs keep positions, passed through or not, it joins on one
+    key column pair whose columns both build exact arrays, and its leaf
+    product is below 2**63, which bounds every count and multiplicity it
+    makes: a tally is an int64 (key, count) pair (`_key_counts`); two
+    scans count as the dot product of their tallies over common keys; a
+    read join hands on the positions and multiplicities of one input as
+    arrays, and its reader weights them by a gather on the other input's
+    tally. Each keeps them in `AnnotatedResult.kept`. Any other reader of
+    such a result, a join in Python per key or in pairs, reads its rows
+    and multiplicities through `_rows`: the same rows, in the same order,
+    with the same multiplicities as the Python path, so every count is
+    equal. Every execution with provenance or without a table (truth
+    outside `sharing`, estimation, `generate_workload`'s check) takes the
+    Python path.
 
     With `provenance`, every streamed operator (`PlanIndex.streamed`)
     enumerates its output and lists, per row, read or not, the positions
@@ -829,24 +800,21 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     key and holds every object whose identity the key names, so no
     identity is reused while it lives. A scan is looked up under its bound
     table's identity, its `PlanIndex.scan_keys` entry (appearance,
-    selections, whether its rows are read), whether it keeps its rows as
-    column arrays, and `provenance`; the entry holds the table and the
-    result, so a scan read by a join that builds pairs or counts in Python
-    and the same scan read by one that counts over arrays are two
-    entries, each holding what its reader reads, and a full relation's
-    entries never meet a sample table's. A join a parent reads is looked
-    up under "read-join", its inputs' identities, its
+    selections, whether its rows are read) and `provenance`; the entry
+    holds the table and the result, which every reader reads, and a full
+    relation's entries never meet a sample table's. A join a parent reads
+    is looked up under "read-join", its inputs' identities, its
     `PlanIndex.read_join_keys` entry, the input it hands on (`_handed_on`;
     None for pairs) and `provenance`; the entry holds both inputs and the
     result, whose rows or kept arrays are what its reader reads. A root
-    join is never reused, so never stored. A count-only scan (no provenance, rows not read)
-    whose constants are all ints counts over the read-only int64 array of
+    join is never reused, so never stored. A scan without provenance
+    whose constants are all ints filters over the read-only int64 array of
     each column its atoms read ("column", the table's identity, the
     position; the entry holds the table, and None where no exact array
     builds, as for an empty table, and the scan filters in Python), only
     in an execution given a table: an array built for one scan alone
     costs about twice the Python filter; the joins that count over arrays
-    read the same entries, for selection and key columns. A grid's read-only
+    read the same entries for their key columns. A grid's read-only
     coordinates and distinct count are stored by
     `propagate.fit_all_cost_functions`, keyed by what fixes them. A probe
     reply is stored by the harness's oracle
@@ -854,9 +822,10 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     identity, the term's operator kind, unit, family and leaf-product
     tuple, and the shape and bytes of its float coordinates; the entry
     holds the world and the read-only reply. What is
-    built from one object alone lives on it, with no key: a join's hash
-    table over its left input or tally of an input it counts per key, in
-    Python or over arrays, and `selest`'s counters, on the result
+    built from one object alone lives on it, with no key: a kept result's
+    rows, a join's hash table over its left input or tally of an input it
+    counts per key, in Python or over arrays, and `selest`'s counters, on
+    the result
     (`AnnotatedResult.derive`); a
     grid's fits, by family and probe values, in the grid's entry. Every
     entry and derived structure is stored when it is built, so what a
@@ -876,7 +845,6 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
-    arrays = () if columns is None or provenance else _array_nodes(plan, bindings, side, columns)
     results: dict[int, AnnotatedResult] = {}
     for nid in index.order:
         node = plan.nodes[nid]
@@ -885,10 +853,10 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
         elif nid in index.appearance:
             appearance = index.appearance[nid]
             table = bindings.get(appearance)
-            key = (id(table), index.scan_keys[nid], nid in arrays, provenance)
+            key = (id(table), index.scan_keys[nid], provenance)
             entry = shared.get(key)
             if entry is None:
-                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, columns, nid in arrays)
+                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, columns)
                 entry = shared[key] = (table, res)
             res = entry[1]
         elif index.var[nid] != nid:
@@ -897,7 +865,13 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             (left, right), read, hand = node.children, nid in index.read, side.get(nid)
             lres, rres = results[left], results[right]
             plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
-            join = functools.partial(_array_join, shared=shared) if nid in arrays else _run_join
+            join = _run_join
+            if (lres.kept is not None and rres.kept is not None and not node.selections
+                    and (hand is not None or not read) and len(node.join_columns[0]) == 1
+                    and math.prod(len(bindings[app].rows) for app in index.leaves[nid]) < 2**63):
+                (lpos,), (rpos,) = _join_keys(node, lres.schema, rres.schema)
+                if _column(shared, lres.kept[0], lpos) is not None and _column(shared, rres.kept[0], rpos) is not None:
+                    join = functools.partial(_array_join, shared=shared)
             if not read:  # a root join is never reused: only a join a parent reads is looked up and stored
                 res = join(node, lres, rres, provenance, read, hand, plain)
             else:

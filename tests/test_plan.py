@@ -188,11 +188,12 @@ def test_plan_index_matches_brute_force(tree):
 
 def test_plan_and_results_leave_no_reference_cycle():
     # A plan, its index and an execution's results are freed by reference
-    # counting alone once dropped, and so is a result that carries a tally
-    # and a hash table: a join that counts per key on two columns and one
-    # that builds pairs, sharing one table, build both on one scan result;
-    # and a scan result kept as column arrays, with its array tally, which
-    # a join that counts per key on one column reads in a shared table.
+    # counting alone once dropped, and so is a scan result kept as column
+    # arrays that three joins sharing one table read, one entry for all:
+    # a join that counts per key on one column over arrays builds its array
+    # tally on it, and a join that counts per key on two columns and one
+    # that builds pairs read its rows, built once, and build a tally and a
+    # hash table over them.
     l = _rel("L", ["k", "a"], [(i % 7, i) for i in range(300)])
     r = _rel("R", ["k", "b"], [(i % 7, i) for i in range(300)])
     doc = {
@@ -219,13 +220,17 @@ def test_plan_and_results_leave_no_reference_cycle():
         doc["nodes"][2]["predicate"][1] = {"col": "a", "op": ">=", "value": 0}
         pairing = _parse({"nodes": doc["nodes"][:3], "root": 3})
         table, bindings = {}, {("L", 0): l, ("R", 0): r}
-        kept = planmod.execute(on_arrays, bindings, shared=table)[1]
-        scan = planmod.execute(counting, bindings, shared=table)[1]
-        assert planmod.execute(pairing, bindings, shared=table)[1] is scan is not kept
-        assert sorted(tag for tag, _ in scan.derived) == ["hash", "tally"] and list(kept.derived) == [("counts", 0)]
-        refs = [weakref.ref(obj) for obj in (scan, scan.derived["tally", (0, 1)], kept, *kept.derived["counts", 0])]
-        del on_arrays, counting, pairing, table, scan, kept
-        assert [ref() for ref in refs] == [None] * 5
+        scan = planmod.execute(on_arrays, bindings, shared=table)[1]
+        assert scan.rows is None and list(scan.derived) == [("counts", 0)]
+        assert planmod.execute(counting, bindings, shared=table)[1] is scan
+        rows = scan.derived["rows"]
+        assert rows == (list(l.rows), None)
+        assert planmod.execute(pairing, bindings, shared=table)[1] is scan and scan.derived["rows"] is rows
+        assert len(table) == 4  # the two scans and the two key columns
+        assert sorted(map(repr, scan.derived)) == ["'rows'", "('counts', 0)", "('hash', (0,))", "('tally', (0, 1))"]
+        refs = [weakref.ref(obj) for obj in (scan, scan.derived["tally", (0, 1)], *scan.derived["counts", 0])]
+        del on_arrays, counting, pairing, table, scan, rows
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 
@@ -309,12 +314,14 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
     assert len(shared) == 10
-    # Without provenance: the left join hands on T#1's rows after tallying
-    # T's, then the right join fails on its residual atom's constant. The
-    # root, which reads that join, counts per key in Python, so the left
-    # join does too. The scans and the left join are stored, the tally
-    # lives on T's result, and the good twin hits them all: it tallies only
-    # the left join's result, for its root, and stores the right join.
+    # Without provenance: the left join counts over column arrays and hands
+    # on T#1's positions after tallying T's, then the right join, which
+    # builds pairs over its scans' rows, fails on its residual atom's
+    # constant. The scans and the left join are stored, the array tally
+    # lives on T's result, and the good twin hits them all: its root,
+    # which reads the right join's rows, counts per key in Python, so it
+    # tallies only the rows of the left join's kept positions, and it
+    # stores the right join.
     def bushy(constant):
         return _parse({"nodes": doc["nodes"][:2] + [
             {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "T.k", "right": "T#1.k"}]},
@@ -329,14 +336,15 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     before = set(shared)
     with pytest.raises(planmod.ExecutionError, match="constant 'x' cannot be compared"):
         planmod.execute(bushy("x"), bindings, shared=shared)
-    assert len(tallied) == 1 and len(shared) == 10 + 5
+    assert tallied == [] and len(shared) == 10 + 5
     good = bushy(10)
     want = planmod.execute(good, bindings)
     assert assert_stored_as_fresh(shared, before, good, bindings, False) == 5
     tallied.clear()
     got = planmod.execute(good, bindings, shared=shared)
+    assert list(got[1].derived) == [("counts", 0)] and len(tallied) == 1 and tallied[0] is got[3].derived["rows"][0]
+    got = results_as_rows(got)
     assert got == want and repr(got) == repr(want) and len(shared) == 10 + 5 + 1
-    assert len(tallied) == 1 and tallied[0] is got[3].rows
 
 
 _columns = st.text("abk.#1", min_size=1, max_size=4)
@@ -794,7 +802,9 @@ def test_count_only_scan_counts_what_a_python_filter_keeps(rows, scans):
 def test_shared_execution_over_empty_tables_counts_as_a_fresh_one():
     # Bound to empty tables, an execution given a table of shared results,
     # fresh or holding what a first one stored, gives what one without a
-    # table gives: a scan with selections, one without, and a join.
+    # table gives: a scan with selections, one without, and a join, which
+    # reads the second's no positions as rows (`as_rows`): an empty table
+    # builds no int64 key column.
     bindings = {("L", 0): _rel("L", ["k", "a"], []), ("R", 0): _rel("R", ["k", "b"], [])}
     nodes = [_scan(1, "L", [{"col": "a", "op": "<", "value": 5}]), _scan(2, "R"),
              {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "k", "right": "k"}]}]
@@ -804,7 +814,7 @@ def test_shared_execution_over_empty_tables_counts_as_a_fresh_one():
         table = {}
         for _ in range(2):
             got = planmod.execute(p, bindings, shared=table)
-            assert got == fresh and got[root].count == 0 and type(got[root].count) is int
+            assert results_as_rows(got) == fresh and got[root].count == 0 and type(got[root].count) is int
 
 
 # ---------------------------------------------------------------------------
@@ -1037,10 +1047,11 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     # hash table either, and the table holds executions without provenance
     # only: every scan and read-join key says so, and every stored result
     # lists no provenance. Each tally or hash table on a stored result is
-    # that of the result's own rows, an array tally that of its kept rows,
-    # ascending. Each column array's key names the relation its entry
-    # holds, and the array holds that relation's column at the key's
-    # position.
+    # that of the result's own rows or kept rows, an array tally that of
+    # its kept rows, ascending, and the rows built from kept positions are
+    # those rows, in table order. Each column array's key names the
+    # relation its entry holds, and the array holds that relation's column
+    # at the key's position.
     relations, plans = {}, []
     for v in variants:
         rels, p, _, _ = _variant_plan(dict(v, seed=seed))
@@ -1065,13 +1076,17 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     results = [res for key in table.keys() - columns for res in table[key][1:]]
     assert all(res.provenance is None for res in results)
     derived = [(res, key, value) for res in results for key, value in (res.derived or {}).items()]
-    for res, (tag, pos), value in derived:
+    for res, key, value in derived:
+        rows = as_rows(res)
+        if key == "rows":
+            assert value == (rows.rows, rows.multiplicity)
+            continue
+        tag, pos = key
         if tag == "counts":
-            rows = as_rows(res)
             keys, counts = (array.tolist() for array in value)
             assert keys == sorted(keys) and dict(zip(keys, counts)) == tally(rows.rows, (pos,), rows.multiplicity)
         else:
-            assert value == (tally(res.rows, pos, res.multiplicity) if tag == "tally" else hash_rows(res.rows, pos))
+            assert value == (tally(rows.rows, pos, rows.multiplicity) if tag == "tally" else hash_rows(rows.rows, pos))
     joins = [nid for p in plans for nid in p.index.order if nid not in p.index.agg_above | p.index.appearance.keys()
              and p.index.var[nid] == nid]
     assert derived or not joins  # every join tallied or hashed a stored input
@@ -1082,25 +1097,31 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
 
 
 # Keys with repeats, negatives and values beyond 2**31, up to int64's
-# bounds; the fallbacks that keep a plan's truth in Python inside a
-# sharing block, each placed where it holds back every join of the plan.
+# bounds; the fallbacks that keep a join of a sharing block's truth in
+# Python, and every join above it, each put in at one join.
 _TRUTH_KEYS = st.integers(-2, 2) | st.sampled_from([2**31, -(2**31) - 1, 2**40 + 1, -(2**62), 2**63 - 1])
-_FALLBACKS = ("two keys", "float constant", "join atom", "pass-through", "float column")
+_FALLBACKS = ("two keys", "float constant", "join atom", "float column")
 
 
 @st.composite
 def _int_truth_case(draw, fallback=None):
-    """(relations, a plan's document, its twin's): three all-int relations
-    of one to eight rows (k, j: keys; v: 0-5), and a 2- or 3-way left-deep
-    plan over them, or a bushy join of two 2-way joins, relations maybe
-    repeated (self-joins), every join of any kind on one key column pair,
-    every scan with a selection that may keep nothing. The root of a
-    3-way or bushy plan reads either input of each join below it, which
-    hands that input on; a bushy root weights one such input by a tally
-    of the other. The twin differs only in its root join's kind.
-    `fallback` names one `_FALLBACKS` entry to put in."""
+    """(relations, a plan's document, its twin's, the id of the join that
+    holds `fallback` or None): three all-int relations of one to eight
+    rows (k, j, f: keys; v: 0-5), and a 2- or 3-way left-deep plan over
+    them, or a bushy join of two 2-way joins, relations maybe repeated
+    (self-joins), every join of any kind on one key column pair of k and
+    j, every scan with a selection that may keep nothing, scan 1 maybe
+    read through a Sort or Materialize. The root of a 3-way or bushy plan
+    reads either input of each join below it, which hands that input on;
+    a bushy root weights one such input by a tally of the other. The twin
+    differs only in its root join's kind. `fallback` names one
+    `_FALLBACKS` entry to put in at the innermost join or the root: a
+    second key pair, on v; a float constant in scan 1's atom, which the
+    innermost join reads; a selection atom; or the join's left key on f,
+    where a row of its relation holds a float."""
     names = ("t1", "t2", "t3")
-    rows = {name: draw(st.lists(st.tuples(_TRUTH_KEYS, _TRUTH_KEYS, st.integers(0, 5)), min_size=1, max_size=8))
+    rows = {name: draw(st.lists(st.tuples(_TRUTH_KEYS, _TRUTH_KEYS, st.integers(0, 5), st.integers(-2, 2)),
+                                min_size=1, max_size=8))
             for name in names}
     shape = draw(st.sampled_from(["2-way", "3-way", "bushy"]))
     rels = [draw(st.sampled_from(names)) for _ in range({"2-way": 2, "3-way": 3, "bushy": 4}[shape])]
@@ -1123,38 +1144,44 @@ def _int_truth_case(draw, fallback=None):
         root = 1
         for right in range(2, len(rels) + 1):
             root = join(root, right, list(range(right - 1)), [right - 1])
-    join = nodes[len(rels)]  # the innermost join
-    if fallback == "two keys":
-        join["predicate"].append({"left": f"{aliases[0]}.v", "right": f"{aliases[1]}.v"})
-    elif fallback == "float constant":
-        nodes[0]["predicate"][0]["value"] = 2.5
-    elif fallback == "join atom":
-        join["predicate"].append({"col": f"{aliases[0]}.v", "op": "<", "value": 3})
-    elif fallback == "pass-through":
+    innermost = len(rels) + 1
+    if draw(st.booleans()):
         nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(["Sort", "Materialize"])), "children": [1]})
-        join["children"][0] = len(nodes)
-    elif fallback == "float column":
-        k, j, v = rows[rels[0]][0]
-        rows[rels[0]][0] = (float(k), float(j), v)
-    relations = {name: _rel(name, ["k", "j", "v"], rows[name]) for name in names}
+        nodes[innermost - 1]["children"][0] = len(nodes)
+    at = None
+    if fallback is not None:
+        at = innermost if fallback == "float constant" else draw(st.sampled_from([innermost, root]))
+        join, atom = nodes[at - 1], nodes[at - 1]["predicate"][0]
+        if fallback == "two keys":
+            join["predicate"].append({side: atom[side].split(".")[0] + ".v" for side in ("left", "right")})
+        elif fallback == "float constant":
+            nodes[0]["predicate"][0]["value"] = 2.5
+        elif fallback == "join atom":
+            join["predicate"].append({"col": f"{aliases[0]}.v", "op": "<", "value": 3})
+        else:
+            alias = atom["left"].split(".")[0]
+            atom["left"] = f"{alias}.f"
+            rel = rels[aliases.index(alias)]
+            rows[rel][0] = (*rows[rel][0][:3], float(rows[rel][0][3]))
+    relations = {name: _rel(name, ["k", "j", "v", "f"], rows[name]) for name in names}
     doc = {"nodes": nodes, "root": root}
     twin = json.loads(json.dumps(doc))
     top = next(n for n in twin["nodes"] if n["id"] == root)
     top["kind"] = planmod.JOIN_KINDS[(planmod.JOIN_KINDS.index(top["kind"]) + 1) % len(planmod.JOIN_KINDS)]
-    return relations, doc, twin
+    return relations, doc, twin, at
 
 
 def _truths_shared_and_alone(relations, doc, twin_doc):
     """Inside one sharing block, a plan's truth, then its twin's, which
     hits every scan and read join the plan stored, then the plan's again,
-    each checked bitwise against its truth outside one; returns the calls
-    to `_array_join` they made."""
+    each checked bitwise against its truth outside one; returns the ids
+    of the joins that counted over column arrays (`_array_join`)."""
     plan, twin = _parse(doc), _parse(twin_doc)
     want = [planmod.selectivity_truth(p, relations) for p in (plan, twin, plan)]
-    array_join, on_arrays = planmod._array_join, []
+    array_join, on_arrays = planmod._array_join, set()
     table = {}
-    with mock.patch.object(planmod, "_array_join", lambda *args, **kw: on_arrays.append(args) or array_join(*args, **kw)), \
-            planmod.sharing(table):
+    with mock.patch.object(planmod, "_array_join", lambda node, *args, **kw: on_arrays.add(node.id)
+                           or array_join(node, *args, **kw)), planmod.sharing(table):
         got = [planmod.selectivity_truth(plan, relations)]
         stored = set(table)
         got += [planmod.selectivity_truth(p, relations) for p in (twin, plan)]
@@ -1163,47 +1190,64 @@ def _truths_shared_and_alone(relations, doc, twin_doc):
     return on_arrays
 
 
+def _joins(plan) -> dict[int, set]:
+    """Each join of `plan`, with the leaf appearances below it."""
+    return {nid: set(plan.index.leaves[nid]) for nid, node in plan.nodes.items() if node.kind in planmod.JOIN_KINDS}
+
+
 def _bushy_case():
-    """(t1 join t2 on k) join (t3 join t1 on k), on t1.j = t3.j: each join
-    below hands on rows of multiplicity up to 2, and the root weights t3's by
-    the tally of t1's, whose key 0 counts 4 with multiplicities, 2 without."""
+    """(t1 join t2 on k) join (Materialize(t3) join t1 on k), on t1.j =
+    t3.j: each join below hands on rows of multiplicity up to 2, and the
+    root weights t3's by the tally of t1's, whose key 0 counts 4 with
+    multiplicities, 2 without."""
     rows = {"t1": [(0, 0, 0), (0, 0, 1), (1, 1, 0)], "t2": [(0, 0, 0), (0, 1, 0), (2, 0, 0)],
             "t3": [(0, 0, 0), (0, 0, 5), (1, 0, 0)]}
     relations = {name: _rel(name, ["k", "j", "v"], r) for name, r in rows.items()}
     nodes = [_scan(i, rel, [{"col": f"{alias}.v", "op": ">=", "value": 0}])
              for i, (rel, alias) in enumerate([("t1", "t1"), ("t2", "t2"), ("t3", "t3"), ("t1", "t1#1")], start=1)]
     for nid, kind, children, left, right in ((5, "HashJoin", [1, 2], "t1.k", "t2.k"),
-                                             (6, "MergeJoin", [3, 4], "t3.k", "t1#1.k"),
+                                             (6, "MergeJoin", [8, 4], "t3.k", "t1#1.k"),
                                              (7, "NestLoopJoin", [5, 6], "t1.j", "t3.j")):
         nodes.append({"id": nid, "kind": kind, "children": children, "predicate": [{"left": left, "right": right}]})
+    nodes.append({"id": 8, "kind": "Materialize", "children": [3]})
     twin = json.loads(json.dumps({"nodes": nodes, "root": 7}))
-    twin["nodes"][-1]["kind"] = "HashJoin"
-    return relations, {"nodes": nodes, "root": 7}, twin
+    twin["nodes"][6]["kind"] = "HashJoin"  # the root
+    return relations, {"nodes": nodes, "root": 7}, twin, None
 
 
 @settings(max_examples=300, deadline=None)
 @given(_int_truth_case())
 @example(_bushy_case())
 def test_shared_truth_equals_unshared_truth(case):
-    # Shared truth counts every join over column arrays, and is bitwise
-    # the truth alone.
-    assert _truths_shared_and_alone(*case)
+    # Shared truth counts every join over column arrays, a join over a
+    # Sort or Materialize of a scan too, and is bitwise the truth alone.
+    relations, doc, twin, _ = case
+    assert _truths_shared_and_alone(relations, doc, twin) == _joins(_parse(doc)).keys()
 
 
 @pytest.mark.parametrize("fallback", _FALLBACKS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_shared_truth_with_a_fallback_stays_in_python(fallback, data):
-    # With a fallback no join counts over column arrays, and shared truth
-    # is bitwise the truth alone.
-    assert _truths_shared_and_alone(*data.draw(_int_truth_case(fallback))) == []
+    # The join that holds a fallback counts in Python, and so does every
+    # join above it, whose input keeps rows, not positions; a join below a
+    # join atom builds pairs for it. Every other join, one below a join
+    # with two keys or a float key column included, counts over column
+    # arrays, and shared truth is bitwise the truth alone.
+    relations, doc, twin, at = data.draw(_int_truth_case(fallback))
+    joins = _joins(_parse(doc))
+    python = {nid for nid, leaves in joins.items() if joins[at] <= leaves
+              or (fallback == "join atom" and leaves <= joins[at])}
+    assert _truths_shared_and_alone(relations, doc, twin) == joins.keys() - python
 
 
 def test_shared_truth_falls_back_where_a_leaf_product_reaches_2_63():
     # A four-way self-join of 2**16 rows on one key: the root joins 2**64
-    # leaf combinations, every one kept, a count no int64 holds. So no
-    # join counts over column arrays, and the truth shared is the truth
-    # alone: every selectivity 1.0.
+    # leaf combinations, every one kept, a count no int64 holds. So the
+    # root counts in Python, over the rows and multiplicities the joins
+    # below it hand on, which count over column arrays (2**32 and 2**48
+    # leaf combinations), and the truth shared is the truth alone: every
+    # selectivity 1.0.
     t = _rel("T", ["k"], [(0,)] * 2**16)
     nodes = [_scan(1, "T"), _scan(2, "T"), {"id": 3, "kind": "HashJoin", "children": [1, 2],
                                             "predicate": [{"left": "T.k", "right": "T#1.k"}]}]
@@ -1214,17 +1258,17 @@ def test_shared_truth_falls_back_where_a_leaf_product_reaches_2_63():
     p = _parse({"nodes": nodes, "root": len(nodes)})
     assert planmod.leaf_products(p, {"T": t})[p.root] == 2**64
     array_join, on_arrays = planmod._array_join, []
-    with mock.patch.object(planmod, "_array_join", lambda *args, **kw: on_arrays.append(args) or array_join(*args, **kw)), \
-            planmod.sharing({}):
+    with mock.patch.object(planmod, "_array_join", lambda node, *args, **kw: on_arrays.append(node.id)
+                           or array_join(node, *args, **kw)), planmod.sharing({}):
         shared = planmod.selectivity_truth(p, {"T": t})
     assert shared == planmod.selectivity_truth(p, {"T": t}) == dict.fromkeys(p.index.order, 1.0)
-    assert on_arrays == []
+    assert on_arrays == [3, 5]
 
 
 def test_truth_alone_and_provenance_build_no_column_array(monkeypatch):
     # Criterion 9 times estimation, executed with provenance, against truth
-    # outside a sharing block: neither builds a column array, decides or
-    # takes an array join or builds an array tally, so both loops keep
+    # outside a sharing block: neither builds a column array, takes an
+    # array join or builds an array tally, so both loops keep
     # their cost; estimation sharing a table builds none either. The same
     # plans' truths inside a block do all of it.
     relations = simeval.generate_database(0, sizes=(200, 200, 200), key_domain=20)
@@ -1233,7 +1277,7 @@ def test_truth_alone_and_provenance_build_no_column_array(monkeypatch):
         plans = [p for _, p in simeval.generate_workload(simeval.WorkloadSpec.grid(4, 4, 2, seed=0), relations)[0]]
     pool = store.build_pool(relations, n=10, pool_size=1, seed=0)
     built = []
-    for name in ("_int64_column", "_array_nodes", "_array_join", "_key_counts"):
+    for name in ("_int64_column", "_array_join", "_key_counts"):
         monkeypatch.setattr(planmod, name, functools.partial(
             lambda real, name, *args, **kw: built.append(name) or real(*args, **kw), getattr(planmod, name), name))
     table = {}
@@ -1247,7 +1291,7 @@ def test_truth_alone_and_provenance_build_no_column_array(monkeypatch):
     with planmod.sharing({}):
         for p in plans:
             planmod.selectivity_truth(p, relations)
-    assert set(built) == {"_int64_column", "_array_nodes", "_array_join", "_key_counts"}
+    assert set(built) == {"_int64_column", "_array_join", "_key_counts"}
 
 
 # How a parent reads the shared join below it: it counts per key on a t1
@@ -1369,15 +1413,13 @@ def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, par
     # twin's fresh execution builds it, and the hash table stays on that
     # result, the one its rows give. Every later execution sharing the
     # table, the good twin's included, equals a fresh execution, bitwise,
-    # and hashes the t1 scan's rows no more. Without provenance, a first
-    # plan whose root counts per key straight over the join would count
-    # over column arrays and store kept scans, which a join that builds
-    # pairs does not read; so that plan's root reads the join in pairs.
+    # and hashes the t1 scan's rows no more. Without provenance, the t1
+    # scan keeps positions, one entry whatever reads it, and a join that
+    # builds pairs over it reads its rows, built once into the result.
     relations = make_tiny_relations(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
     bindings = {(name, 0): rel for name, rel in relations.items()}
     bad = "column" if prov else "constant"
-    first = parent if prov or through else ("pairs", *parent[1:])
-    docs = [_read_join_doc(first, key, through) for key in ("y", "z") if key != inner] + \
+    docs = [_read_join_doc(parent, key, through) for key in ("y", "z") if key != inner] + \
         [_read_join_doc(parent, inner, through, _GOOD_TWIN[bad])]
     fresh = [[planmod.execute(_parse(doc), bindings, provenance=mode) for doc in docs] for mode in (False, True)]
     assume(prov or (fresh[0][1][3].count > 0 and fresh[0][1][5].count > 0))  # else no row shows the bad constant
@@ -1388,14 +1430,15 @@ def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, par
         planmod.execute(_parse(_read_join_doc(parent, inner, through, bad)), bindings, provenance=prov, shared=table)
     lpos = (scan.schema.index(f"t1.t1_{inner}"),)
     assert assert_stored_as_fresh(table, keys, _parse(docs[1]), bindings, prov) == 1
-    assert scan.derived.keys() - derived.keys() == {("hash", lpos)}
-    assert scan.derived["hash", lpos] == planmod._hash_rows(scan.rows, lpos)
+    rows = planmod._rows(scan)[0]
+    assert scan.derived.keys() - derived.keys() - {"rows"} == {("hash", lpos)}
+    assert scan.derived["hash", lpos] == planmod._hash_rows(rows, lpos)
     hash_rows, hashed = planmod._hash_rows, []
     with mock.patch.object(planmod, "_hash_rows", lambda rows, pos: hashed.append(rows) or hash_rows(rows, pos)):
         shared = [[results_as_rows(planmod.execute(_parse(doc), bindings, provenance=mode, shared=table))
                    for doc in docs] for mode in (False, True)]
     assert shared == fresh and repr(shared) == repr(fresh)
-    assert all(rows is not scan.rows for rows in hashed)
+    assert all(hashed_rows is not rows for hashed_rows in hashed)
 
 
 def _three_way(*residual):

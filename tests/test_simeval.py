@@ -1279,8 +1279,8 @@ def test_sharing_changes_no_result(data):
         before.append(set(shared))
         return predict(*args, shared=shared, **kwargs)
 
-    def counting(node, appearance, bindings, provenance, read, shared, kept):
-        res = run_scan(node, appearance, bindings, provenance, read, shared, kept)
+    def counting(node, appearance, bindings, provenance, read, shared):
+        res = run_scan(node, appearance, bindings, provenance, read, shared)
         if bindings[appearance] is relations[appearance[0]]:  # truth's scan of a base relation
             truth_scanned.append((appearance, node.selections, read))
             truth_results[id(res)] = res, truth_scanned[-1]
