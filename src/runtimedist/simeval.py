@@ -6,10 +6,10 @@ predictor sees the world only through calibration records and cost-model
 probe oracles (`oracle((node_id, unit), coords) -> values`, an (m, arity)
 coordinate array in, m true costs out); "actual" running times are
 simulated by evaluating the true cost model at the true selectivities with
-fresh cost-unit draws per run: one pass over the terms, reading one
-`plan.leaf_products` table as the oracle does, each term's cost one walk
-over its monomials' factors (`PlanIndex.monomials`) with the oracle's
-coefficients, then seeded draws.
+fresh cost-unit draws per run: one pass over the terms, reading their
+monomials at the leaf products as the oracle does, each term's cost one
+walk over its monomials' factors (`PlanIndex.monomials`) with the
+oracle's coefficients, then seeded draws.
 
 Also here: the exact enumeration oracle for Var[rho_n], workload
 generation, and the correlation / error-distribution metrics.
@@ -254,13 +254,10 @@ class TrueCostWorld:
         an (m, arity) selectivity coordinate array, as an m-vector,
         `design_matrix(tag, coords) @ b`. This is all the predictor learns
         of the cost model. When the oracle is made, each term's monomials
-        (`PlanIndex.monomials`) are taken at the plan's leaf products: per
-        monomial, the product of its factors' leaf products in factor
-        order, integers, so exact (a scan's left input, None, is its own
-        row count; the constant is 1.0). A term's coefficients b are its
-        slot's a-coefficients, read when it is probed, times those
-        products. A tuple built from `map` builds faster than a list
-        comprehension.
+        are taken at the plan's leaf products (`_leaf_monomials`). A
+        term's coefficients b are its slot's a-coefficients, read when it
+        is probed, times those products. A tuple built from `map` builds
+        faster than a list comprehension.
 
         An oracle made inside `plan.sharing(table)` keeps each reply in
         the table under "probe", the world's identity, the term's operator
@@ -272,18 +269,10 @@ class TrueCostWorld:
         for 0.0, which it equals. A probe that raises stores nothing. An
         oracle made outside a block keeps nothing, and each reply is a new
         writable array."""
-        products = planmod.leaf_products(plan, relations)
         nodes, terms, slot = plan.nodes, plan.index.terms, self._slot
-        scaled = {}  # term -> (operator kind, family, its monomials at the leaf products)
-        for key, (factors, _) in plan.index.monomials.items():
-            own = products[key[0]]
-            scale = []
-            for idx in factors:
-                m = 1 if idx else 1.0
-                for v in idx:
-                    m *= own if v is None else products[v]
-                scale.append(m)
-            scaled[key] = nodes[key[0]].kind, terms[key][0], scale
+        # term -> (operator kind, family, its monomials at the leaf products)
+        scaled = {key: (nodes[key[0]].kind, terms[key][0], scale)
+                  for key, scale in _leaf_monomials(plan, relations).items()}
 
         def oracle(key, coords):
             kind, tag, scale = scaled[key]
@@ -308,34 +297,49 @@ class TrueCostWorld:
         return keeping
 
 
+def _leaf_monomials(plan: Plan, relations) -> dict[tuple[int, str], list]:
+    """Per cost term, in `PlanIndex.monomials` order, its monomials at the
+    plan's leaf products (`plan.leaf_products`): per monomial, the product
+    of its factors' leaf products in factor order, integers, so exact (a
+    scan's left input, None, is its own row count; the constant is 1.0)."""
+    products = planmod.leaf_products(plan, relations)
+    scaled = {}
+    for key, (factors, _) in plan.index.monomials.items():
+        own = products[key[0]]
+        scale = []
+        for idx in factors:
+            m = 1 if idx else 1.0
+            for v in idx:
+                m *= own if v is None else products[v]
+            scale.append(m)
+        scaled[key] = scale
+    return scaled
+
+
 def _true_term_costs(plan: Plan, relations, world: TrueCostWorld, truth) -> list[tuple[str, float]]:
     """(unit, true logical cost) of every cost term at the true selectivities,
-    in post-order, from one `plan.leaf_products` table; a run only draws the
-    unit costs. A term's cost is one walk over its monomials' factors
-    (`PlanIndex.monomials`): per monomial k, (a_k * m_k(leaf products)) *
-    m_k(true selectivities), summed from 0 in monomial order by `sum`, as
-    the family sum of b_k * m_k(x) over the oracle's coefficients b is
-    (Python 3.12's `sum` of floats is compensated). m_k multiplies its
-    factors in order onto 1 on the leaf-product side (integers, exact) and
-    onto 1.0 on the selectivity side, where a leaf's left input, None, is
-    1.0 and is skipped: both are exact, so each cost is bitwise that family
-    sum at the true selectivities (the tests' `reference_costs`)."""
-    products = planmod.leaf_products(plan, relations)
-    nodes, terms = plan.nodes, plan.index.terms
+    in post-order, from the monomials at the leaf products that the oracle
+    reads (`_leaf_monomials`); a run only draws the unit costs. A term's
+    cost is one walk over its monomials' factors (`PlanIndex.monomials`):
+    per monomial k, (a_k * m_k(leaf products)) * m_k(true selectivities),
+    summed from 0 in monomial order by `sum`, as the family sum of
+    b_k * m_k(x) over the oracle's coefficients b is (Python 3.12's `sum`
+    of floats is compensated). m_k multiplies its factors in order onto
+    1.0 on the selectivity side, where a leaf's left input, None, is 1.0
+    and is skipped; the leaf-product side is exact and the constant's 1.0
+    scales a_k as 1 does, so each cost is bitwise that family sum at the
+    true selectivities (the tests' `reference_costs`)."""
+    nodes, terms, monomials = plan.nodes, plan.index.terms, plan.index.monomials
     costs = []
-    for key, (factors, _) in plan.index.monomials.items():
-        nid, unit = key
+    for key, scale in _leaf_monomials(plan, relations).items():
         parts = []
-        for a_k, idx in zip(world._slot(nodes[nid].kind, unit, terms[key][0]), factors):
-            m, x = 1, 1.0
+        for a_k, m, idx in zip(world._slot(nodes[key[0]].kind, key[1], terms[key][0]), scale, monomials[key][0]):
+            x = 1.0
             for v in idx:
-                if v is None:
-                    m *= products[nid]
-                else:
-                    m *= products[v]
+                if v is not None:
                     x *= truth[v]
             parts.append(a_k * m * x)
-        costs.append((unit, sum(parts)))
+        costs.append((key[1], sum(parts)))
     return costs
 
 
