@@ -1098,7 +1098,8 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
 
 # Keys with repeats, negatives and values beyond 2**31, up to int64's
 # bounds; the fallbacks that keep a join of a sharing block's truth in
-# Python, and every join above it, each put in at one join.
+# Python, and every join above it, each put in at one join. A
+# pass-through put in at a join's left input is no fallback.
 _TRUTH_KEYS = st.integers(-2, 2) | st.sampled_from([2**31, -(2**31) - 1, 2**40 + 1, -(2**62), 2**63 - 1])
 _FALLBACKS = ("two keys", "float constant", "join atom", "float column")
 
@@ -1115,10 +1116,12 @@ def _int_truth_case(draw, fallback=None):
     reads either input of each join below it, which hands that input on;
     a bushy root weights one such input by a tally of the other. The twin
     differs only in its root join's kind. `fallback` names one
-    `_FALLBACKS` entry to put in at the innermost join or the root: a
-    second key pair, on v; a float constant in scan 1's atom, which the
-    innermost join reads; a selection atom; or the join's left key on f,
-    where a row of its relation holds a float."""
+    `_FALLBACKS` entry, or "pass-through", to put in at the innermost
+    join or the root: a second key pair, on v; a float constant in scan
+    1's atom, which the innermost join reads; a selection atom; the join's
+    left key on f, where a row of its relation holds a float; or a Sort or
+    Materialize over the join's left input, a scan, a pass-through or a
+    join."""
     names = ("t1", "t2", "t3")
     rows = {name: draw(st.lists(st.tuples(_TRUTH_KEYS, _TRUTH_KEYS, st.integers(0, 5), st.integers(-2, 2)),
                                 min_size=1, max_size=8))
@@ -1158,6 +1161,10 @@ def _int_truth_case(draw, fallback=None):
             nodes[0]["predicate"][0]["value"] = 2.5
         elif fallback == "join atom":
             join["predicate"].append({"col": f"{aliases[0]}.v", "op": "<", "value": 3})
+        elif fallback == "pass-through":
+            nodes.append({"id": len(nodes) + 1, "kind": draw(st.sampled_from(["Sort", "Materialize"])),
+                          "children": [join["children"][0]]})
+            join["children"][0] = len(nodes)
         else:
             alias = atom["left"].split(".")[0]
             atom["left"] = f"{alias}.f"
@@ -1225,7 +1232,7 @@ def test_shared_truth_equals_unshared_truth(case):
     assert _truths_shared_and_alone(relations, doc, twin) == _joins(_parse(doc)).keys()
 
 
-@pytest.mark.parametrize("fallback", _FALLBACKS)
+@pytest.mark.parametrize("fallback", (*_FALLBACKS, "pass-through"))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_shared_truth_with_a_fallback_stays_in_python(fallback, data):
@@ -1233,11 +1240,13 @@ def test_shared_truth_with_a_fallback_stays_in_python(fallback, data):
     # join above it, whose input keeps rows, not positions; a join below a
     # join atom builds pairs for it. Every other join, one below a join
     # with two keys or a float key column included, counts over column
-    # arrays, and shared truth is bitwise the truth alone.
+    # arrays, and shared truth is bitwise the truth alone. A pass-through
+    # keeps no join in Python: what it hands on keeps its child's positions.
     relations, doc, twin, at = data.draw(_int_truth_case(fallback))
     joins = _joins(_parse(doc))
-    python = {nid for nid, leaves in joins.items() if joins[at] <= leaves
-              or (fallback == "join atom" and leaves <= joins[at])}
+    python = set() if fallback == "pass-through" else {
+        nid for nid, leaves in joins.items() if joins[at] <= leaves
+        or (fallback == "join atom" and leaves <= joins[at])}
     assert _truths_shared_and_alone(relations, doc, twin) == joins.keys() - python
 
 
