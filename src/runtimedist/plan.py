@@ -259,6 +259,31 @@ class AnnotatedResult:
         return value
 
 
+def shared_entry(shared, key, holds, build, *args):
+    """The value of `key` in a table of shared results: `build(*args)`,
+    built on the first lookup and stored as `(*holds, value)`, where
+    `holds` are the objects whose identities the key names; a build that
+    raises stores nothing.
+
+    The table is what the executions, fits and probes of one evaluation
+    share (`simeval.evaluate_workload` makes it and drops it on return).
+    Its rule, for every module, is this. An entry's value is a pure
+    function of its key, and the entry holds every object whose identity
+    the key names, so no identity is reused while it lives. A value is
+    stored when it is built, so what a failed execution or fit stored is
+    what a successful one would have, and a hit is bitwise a fresh build.
+    An entry keyed by values alone holds nothing and is a plain lookup
+    (`propagate.fit_all_cost_functions`'s grids). Each module states its
+    own keys: `execute` its scans, read joins and column arrays, and
+    `simeval.TrueCostWorld.cost_oracle` its probe replies. What is built
+    from one object alone lives on it, with no key
+    (`AnnotatedResult.derive`)."""
+    entry = shared.get(key)
+    if entry is None:
+        entry = shared[key] = (*holds, build(*args))
+    return entry[-1]
+
+
 def _parse_predicate(atoms) -> tuple[tuple, tuple[tuple[str, ...], tuple[str, ...]]]:
     """A node's selections and join columns, each atom checked in turn."""
     selections, lcols, rcols = [], [], []
@@ -550,14 +575,11 @@ def _int64_column(rows, idx):
 
 
 def _column(shared, table, idx):
-    """`_int64_column` of a table's rows, stored in the table of shared
-    results under ("column", the table's identity, the position) with the
-    table, built on first use."""
-    key = ("column", id(table), idx)
-    entry = shared.get(key)
-    if entry is None:
-        entry = shared[key] = (table, _int64_column(table.rows, idx))
-    return entry[1]
+    """`_int64_column` of a table's rows, the table of shared results'
+    entry ("column", the table's identity, the position), which holds the
+    table (`shared_entry`): None where no exact array builds, as for an
+    empty table, and the scan filters in Python."""
+    return shared_entry(shared, ("column", id(table), idx), (table,), _int64_column, table.rows, idx)
 
 
 def _run_scan(node, appearance, bindings, provenance, read, shared) -> AnnotatedResult:
@@ -652,19 +674,18 @@ def _matches(tally, values) -> np.ndarray:
     return np.where(keys[at] == values, counts[at], 0)
 
 
-def _array_join(node, left, right, provenance, read, side, plain, *, shared) -> AnnotatedResult:
+def _array_join(node, left, right, per_key, read, side, plain, *, columns) -> AnnotatedResult:
     """`_run_join`'s per-key count over int64 column arrays, for a join
-    that `execute` finds exact there, so `provenance` is False: both
-    inputs keep `kept` rows, whose one key column each is read from the
-    table of shared results `shared`, and each tally is an array tally
+    that `execute` finds counts per key (`per_key`) and is exact there:
+    both inputs keep `kept` rows, `columns` holds each one's key column
+    over its table (`_column`), and each tally is an array tally
     (`_key_counts`) of the kept rows' key column, built once per result.
     Every count is an exact int."""
     lpos, rpos = _join_keys(node, left.schema, right.schema)
     inputs = ((left, lpos[0]), (right, rpos[0]))
 
     def values(i):
-        res, pos = inputs[i]
-        return _column(shared, res.kept[0], pos)[res.kept[1]]
+        return columns[i][inputs[i][0].kept[1]]
 
     def tally(i):
         res, pos = inputs[i]
@@ -686,12 +707,15 @@ def _array_join(node, left, right, provenance, read, side, plain, *, shared) -> 
     return AnnotatedResult(int(matches.sum()), keep.schema, None, kept=(table, positions, matches))
 
 
-def _run_join(node, left, right, provenance, read, side, plain) -> AnnotatedResult:
-    """`plain` says which inputs, left and right, are scan results, passed
+def _run_join(node, left, right, per_key, read, side, plain) -> AnnotatedResult:
+    """`per_key` is `execute`'s decision that the join counts per key;
+    `plain` says which inputs, left and right, are scan results, passed
     through or not: a join that counts per key and hands nothing on weights
-    the rows of an input that is not a plain scan where the other is."""
+    the rows of an input that is not a plain scan where the other is. Any
+    other join builds pairs, and lists their provenance where its inputs
+    list theirs."""
     lpos, rpos = _join_keys(node, left.schema, right.schema)
-    if not provenance and not node.selections and (side is not None or not read):
+    if per_key:
         # Count per key, through each counted input's tally, which counts
         # each row by its multiplicity and is built once per result.
         inputs = ((left, lpos), (right, rpos))
@@ -730,6 +754,7 @@ def _run_join(node, left, right, provenance, read, side, plain) -> AnnotatedResu
     rkey = operator.itemgetter(*rpos)
     count = 0
     rows: list[tuple] | None = [] if read else None
+    provenance = left.provenance is not None  # the inputs, streamed too, list theirs where the execution does
     prov: list | None = [] if provenance else None
     for j, rrow in enumerate(rrows):
         for i in ht.get(rkey(rrow), ()):
@@ -740,7 +765,7 @@ def _run_join(node, left, right, provenance, read, side, plain) -> AnnotatedResu
                 if read:
                     rows.append(out)
             count += 1
-            if provenance:  # the children, streamed too, list theirs
+            if provenance:
                 prov.append(left.provenance[i] + right.provenance[j])
     return AnnotatedResult(count, schema, rows, prov)
 
@@ -763,7 +788,8 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     matches in the other's tally times the rows' multiplicities. A read
     join whose reader counts per key does too (`_handed_on`), and hands
     on the matching rows of one input, each with a multiplicity, under
-    that input's schema. Any other join builds pairs of whole rows.
+    that input's schema. Any other join builds pairs of whole rows. That
+    choice is made once per join, here, and every join path reads it.
     Counts are exact integers either way.
 
     Given a table of shared results and no provenance, each operator
@@ -793,53 +819,30 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     in the order the rows are produced; a kept row is at the same index
     as its provenance. Without it, no provenance is built.
 
-    `shared` is the table of results that the executions and fits of one
-    evaluation share (`simeval.evaluate_workload` makes it and drops it on
-    return); without it, a new empty one, so everything is computed. Its
-    rule, for every module, is this. Each entry is a pure function of its
-    key and holds every object whose identity the key names, so no
-    identity is reused while it lives. A scan is looked up under its bound
-    table's identity, its `PlanIndex.scan_keys` entry (appearance,
-    selections, whether its rows are read) and `provenance`; the entry
-    holds the table and the result, which every reader reads, and a full
-    relation's entries never meet a sample table's. A join a parent reads
-    is looked up under "read-join", its inputs' identities, its
-    `PlanIndex.read_join_keys` entry, the input it hands on (`_handed_on`;
-    None for pairs) and `provenance`; the entry holds both inputs and the
-    result, whose rows or kept arrays are what its reader reads. A root
-    join is never reused, so never stored. A scan without provenance
-    whose constants are all ints filters over the read-only int64 array of
-    each column its atoms read ("column", the table's identity, the
-    position; the entry holds the table, and None where no exact array
-    builds, as for an empty table, and the scan filters in Python), only
-    in an execution given a table: an array built for one scan alone
-    costs about twice the Python filter; the joins that count over arrays
-    read the same entries for their key columns. A grid's read-only
-    coordinates and distinct count are stored by
-    `propagate.fit_all_cost_functions`, keyed by what fixes them. A probe
-    reply is stored by the harness's oracle
-    (`simeval.TrueCostWorld.cost_oracle`) under its tag, the world's
-    identity, the term's operator kind, unit, family and leaf-product
-    tuple, and the shape and bytes of its float coordinates; the entry
-    holds the world and the read-only reply. What is
-    built from one object alone lives on it, with no key: a kept result's
-    rows, a join's hash table over its left input or tally of an input it
-    counts per key, in Python or over arrays, and `selest`'s counters, on
-    the result
-    (`AnnotatedResult.derive`); a
-    grid's fits, by family and probe values, in the grid's entry. Every
-    entry and derived structure is stored when it is built, so what a
-    failed execution or fit stored is what a successful one would have.
-    A hit is bitwise a fresh build: a result is never mutated, so every
-    count, row, multiplicity and provenance list is unchanged; a hash
-    table lists each left row's index per key in row order, so the same
-    rows match in the same order; tallies, column arrays and kept
-    positions and multiplicities are exact, and every array is read-only; a
-    grid is what `costfit.grid_points` builds from its key, a stored fit
-    what `costfit.fit_grid` made from the same coordinates and probe
-    values, and a stored reply what the oracle computes afresh: the key
-    fixes the family, the coefficients (the world's slot times the leaf
-    products) and every coordinate's bits.
+    `shared` is a table of shared results (`shared_entry` states its
+    rule); without it, a new empty one, so everything is computed. A scan
+    is looked up under its bound table's identity, its
+    `PlanIndex.scan_keys` entry (appearance, selections, whether its rows
+    are read) and `provenance`; the entry holds the table and the result,
+    which every reader reads, and a full relation's entries never meet a
+    sample table's. A join a parent reads is looked up under "read-join",
+    its inputs' identities, its `PlanIndex.read_join_keys` entry, the
+    input it hands on (`_handed_on`; None for pairs) and `provenance`; the
+    entry holds both inputs and the result, whose rows or kept arrays are
+    what its reader reads. A root join is never reused, so never stored. A
+    scan without provenance whose constants are all ints filters over the
+    read-only int64 array of each column its atoms read (`_column`), only
+    in an execution given a table: an array built for one scan alone costs
+    about twice the Python filter; the joins that count over arrays read
+    the same entries for their key columns. What is built from a result
+    alone lives on it (`AnnotatedResult.derive`): rows from its kept
+    positions, a join's hash table over its left input or tally of an
+    input it counts per key, in Python or over arrays, and `selest`'s
+    counters. A hit is bitwise a fresh build: a result is never mutated,
+    so every count, row, multiplicity and provenance list is unchanged; a
+    hash table lists each left row's index per key in row order, so the
+    same rows match in the same order; tallies, column arrays and kept
+    positions and multiplicities are exact, and every array is read-only.
     """
     columns = shared  # column arrays pay back only when shared
     shared = {} if shared is None else shared
@@ -853,33 +856,27 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
         elif nid in index.appearance:
             appearance = index.appearance[nid]
             table = bindings.get(appearance)
-            key = (id(table), index.scan_keys[nid], provenance)
-            entry = shared.get(key)
-            if entry is None:
-                res = _run_scan(node, appearance, bindings, provenance, nid in index.read, columns)
-                entry = shared[key] = (table, res)
-            res = entry[1]
+            res = shared_entry(shared, (id(table), index.scan_keys[nid], provenance), (table,), _run_scan,
+                               node, appearance, bindings, provenance, nid in index.read, columns)
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             (left, right), read, hand = node.children, nid in index.read, side.get(nid)
             lres, rres = results[left], results[right]
             plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
+            per_key = not provenance and not node.selections and (hand is not None or not read)
             join = _run_join
-            if (lres.kept is not None and rres.kept is not None and not node.selections
-                    and (hand is not None or not read) and len(node.join_columns[0]) == 1
+            if (per_key and lres.kept is not None and rres.kept is not None and len(node.join_columns[0]) == 1
                     and math.prod(len(bindings[app].rows) for app in index.leaves[nid]) < 2**63):
                 (lpos,), (rpos,) = _join_keys(node, lres.schema, rres.schema)
-                if _column(shared, lres.kept[0], lpos) is not None and _column(shared, rres.kept[0], rpos) is not None:
-                    join = functools.partial(_array_join, shared=shared)
+                if ((lcolumn := _column(shared, lres.kept[0], lpos)) is not None
+                        and (rcolumn := _column(shared, rres.kept[0], rpos)) is not None):
+                    join = functools.partial(_array_join, columns=(lcolumn, rcolumn))
             if not read:  # a root join is never reused: only a join a parent reads is looked up and stored
-                res = join(node, lres, rres, provenance, read, hand, plain)
+                res = join(node, lres, rres, per_key, read, hand, plain)
             else:
                 key = ("read-join", id(lres), id(rres), index.read_join_keys[nid], hand, provenance)
-                entry = shared.get(key)
-                if entry is None:
-                    entry = shared[key] = (lres, rres, join(node, lres, rres, provenance, read, hand, plain))
-                res = entry[2]
+                res = shared_entry(shared, key, (lres, rres), join, node, lres, rres, per_key, read, hand, plain)
         results[nid] = res
     return results
 

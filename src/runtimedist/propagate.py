@@ -375,7 +375,7 @@ def fit_all_cost_functions(plan: Plan, estimates, oracle, W: int = 10, shared=No
     reply that is not m values, or a non-finite one, is a `costfit.FitError`.
 
     `shared` is the table of results the plans of one evaluation share,
-    under the rule `plan.execute` states. A grid's read-only coordinates
+    under the rule `plan.shared_entry` states. A grid's read-only coordinates
     and distinct count (`costfit.grid_points`) are looked up under "grid",
     the bytes of each input's (rho_n, sigma2) and W, which fix them (bytes,
     since -0.0 == 0.0 yet a zero's sign can move a coordinate's). Every

@@ -264,11 +264,11 @@ class TrueCostWorld:
         kind, unit and family, its leaf-product tuple and the coordinates'
         shape and bytes as floats, which fix b and the design matrix; the
         entry holds the world and the reply, made read-only, and every
-        later equal probe, of any plan, is answered from it (`plan.execute`
-        states the table's rule). Bytes, so a -0.0 coordinate is not taken
-        for 0.0, which it equals. A probe that raises stores nothing. An
-        oracle made outside a block keeps nothing, and each reply is a new
-        writable array."""
+        later equal probe, of any plan, is answered from it
+        (`plan.shared_entry`, which states the table's rule). Bytes, so a
+        -0.0 coordinate is not taken for 0.0, which it equals. A probe
+        that raises stores nothing. An oracle made outside a block keeps
+        nothing, and each reply is a new writable array."""
         nodes, terms, slot = plan.nodes, plan.index.terms, self._slot
         # term -> (operator kind, family, its monomials at the leaf products)
         scaled = {key: (nodes[key[0]].kind, terms[key][0], scale)
@@ -283,16 +283,16 @@ class TrueCostWorld:
         if table is None:
             return oracle
 
+        def reply(key, coords):
+            values = oracle(key, coords)
+            values.setflags(write=False)
+            return values
+
         def keeping(key, coords):
             kind, tag, scale = scaled[key]
             coords = np.asarray(coords, dtype=float)
             probe = ("probe", id(self), kind, key[1], tag, tuple(scale), coords.shape, coords.tobytes())
-            entry = table.get(probe)
-            if entry is None:
-                values = oracle(key, coords)
-                values.setflags(write=False)
-                entry = table[probe] = self, values
-            return entry[1]
+            return planmod.shared_entry(table, probe, (self,), reply, key, coords)
 
         return keeping
 
@@ -616,9 +616,10 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     `plan.sharing`, which covers the plan loop only, to each truth and to
     each plan's probe oracle, which keeps its replies there
     (`TrueCostWorld.cost_oracle`); every term is still probed, one oracle
-    call each. `plan.execute` states what the table holds and why a hit
-    is bitwise a fresh build, so every record and the summary are bitwise
-    those of predicting each plan alone.
+    call each. `plan.shared_entry` states the table's rule, and each
+    module what its own entries hold: a hit is bitwise a fresh build, so
+    every record and the summary are bitwise those of predicting each
+    plan alone.
 
     Fewer than two plans with a nonzero predicted stddev cannot be
     correlated, nor can such plans that all have one predicted stddev, or

@@ -235,6 +235,34 @@ def test_plan_and_results_leave_no_reference_cycle():
         gc.enable()
 
 
+def test_shared_entry_builds_once_and_a_failed_build_stores_nothing():
+    # The first lookup of a key builds its value once and stores it after
+    # the objects the key names; a second lookup returns the stored value
+    # without building. A build that raises stores nothing, so the next
+    # lookup of its key builds again.
+    table, holds, calls = {}, (object(), object()), []
+
+    def build(*args):
+        calls.append(args)
+        return list(args)
+
+    def failing():
+        calls.append("raised")
+        raise planmod.ExecutionError("no value")
+
+    value = planmod.shared_entry(table, "k", holds, build, 1, 2)
+    assert value == [1, 2] and calls == [(1, 2)]
+    assert list(table) == ["k"] and len(table["k"]) == 3
+    assert all(got is want for got, want in zip(table["k"], (*holds, value)))
+    assert planmod.shared_entry(table, "k", holds, build, 3) is value and calls == [(1, 2)]
+    for _ in range(2):
+        with pytest.raises(planmod.ExecutionError, match="no value"):
+            planmod.shared_entry(table, "bad", holds, failing)
+        assert list(table) == ["k"]
+    assert calls == [(1, 2), "raised", "raised"]
+    assert planmod.shared_entry(table, "bad", (), build, 4) == [4] and table["bad"] == ([4],)
+
+
 def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     # One table bound to both appearances of a self-join: the two scans
     # read one table with one selection under two schemas, so they are two
@@ -1360,15 +1388,17 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
     fresh = [[planmod.execute(p, bindings, provenance=prov) for p in plans] for prov in modes]
     run_join, array_join, built = planmod._run_join, planmod._array_join, []
 
-    def spying(node, left, right, provenance, read, side, *rest):
+    def spying(node, left, right, per_key, read, side, *rest):
         if read:
-            built.append((id(left), id(right), node.join_columns, repr(node.selections), side, provenance))
-        return run_join(node, left, right, provenance, read, side, *rest)
+            built.append((id(left), id(right), node.join_columns, repr(node.selections), side,
+                          left.provenance is not None))
+        return run_join(node, left, right, per_key, read, side, *rest)
 
-    def spying_arrays(node, left, right, provenance, read, side, *rest, shared):
+    def spying_arrays(node, left, right, per_key, read, side, *rest, columns):
         if read:
-            built.append((id(left), id(right), node.join_columns, repr(node.selections), side, provenance))
-        return array_join(node, left, right, provenance, read, side, *rest, shared=shared)
+            built.append((id(left), id(right), node.join_columns, repr(node.selections), side,
+                          left.provenance is not None))
+        return array_join(node, left, right, per_key, read, side, *rest, columns=columns)
 
     table = {}
     with mock.patch.object(planmod, "_run_join", spying), mock.patch.object(planmod, "_array_join", spying_arrays):

@@ -614,8 +614,8 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # table (a dict) cannot be watched either, so they are watched through
     # that result; a tally is watched itself, here an array tally, by its
     # two arrays, as truth counts every join over column arrays, and so are
-    # the positions and multiplicities a result keeps as arrays. A column
-    # array's entry holds the base relation its key names. A read join's entry
+    # the positions and multiplicities a result keeps as arrays. A scan's and
+    # a column array's entry hold the table their key names. A read join's entry
     # holds its two inputs and its result, all watched, and only a read
     # join's result carries a join's counters and S2 here; no join that no
     # parent reads is ever stored. A grid's entry holds its coordinates,
@@ -656,8 +656,12 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                     assert tag in costfit.FAMILIES and {cf.tag for cf in fit} == {tag}
                     kinds.add("fits")
                     stored.extend(fit)
-            else:
-                assert key[0] != "column" or (key[1] == id(value[0]) and type(value[0]) is store.Relation)
+            elif key[0] == "column":
+                assert key[1] == id(value[0]) and type(value[0]) is store.Relation
+                stored.extend(value)
+            else:  # a scan: its bound table's identity first
+                assert key[0] == id(value[0]) and type(value[0]) is store.Relation
+                assert type(value[1]) is planmod.AnnotatedResult
                 stored.extend(value)
         for res in [obj for obj in stored if type(obj) is planmod.AnnotatedResult and obj.derived]:
             for key, value in res.derived.items():

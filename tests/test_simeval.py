@@ -1292,9 +1292,9 @@ def test_sharing_changes_no_result(data):
         counted.append(scanned[id(res)][1])
         return scan_counters(res)
 
-    def counting_joins(node, left, right, provenance, read, *rest):
-        res = run_join(node, left, right, provenance, read, *rest)
-        if provenance and read:
+    def counting_joins(node, left, right, per_key, read, *rest):
+        res = run_join(node, left, right, per_key, read, *rest)
+        if left.provenance is not None and read:
             sources = {**scanned, **joined}
             joined[id(res)] = res, (sources[id(left)][1], sources[id(right)][1], node.join_columns)
         return res
