@@ -8,8 +8,9 @@ one per leaf table of the operator's subtree, in left-to-right leaf
 order; a sample row's position is its sample index. An operator's rows
 are built only where a parent reads them; any other operator, the root
 included, only counts its output (and lists its provenance). Without
-provenance, a read join whose reader counts per key hands on one input's
-rows, each with a multiplicity, instead of its pairs.
+provenance, a join that counts per key matches one input's rows on the
+other's per-key tally, and a read one hands those rows on, each with a
+multiplicity, instead of its pairs.
 """
 
 from __future__ import annotations
@@ -277,7 +278,10 @@ def shared_entry(shared, key, holds, build, *args):
     own keys: `execute` its scans, read joins and column arrays, and
     `simeval.TrueCostWorld.cost_oracle` its probe replies. What is built
     from one object alone lives on it, with no key
-    (`AnnotatedResult.derive`)."""
+    (`AnnotatedResult.derive`). Without a table (`shared` None), the
+    value is built and nothing is stored."""
+    if shared is None:
+        return build(*args)
     entry = shared.get(key)
     if entry is None:
         entry = shared[key] = (*holds, build(*args))
@@ -674,30 +678,17 @@ def _matches(tally, values) -> np.ndarray:
     return np.where(keys[at] == values, counts[at], 0)
 
 
-def _array_join(node, left, right, per_key, read, side, plain, *, columns) -> AnnotatedResult:
-    """`_run_join`'s per-key count over int64 column arrays, for a join
-    that `execute` finds counts per key (`per_key`) and is exact there:
-    both inputs keep `kept` rows, `columns` holds each one's key column
-    over its table (`_column`), and each tally is an array tally
-    (`_key_counts`) of the kept rows' key column, built once per result.
-    Every count is an exact int."""
-    lpos, rpos = _join_keys(node, left.schema, right.schema)
-    inputs = ((left, lpos[0]), (right, rpos[0]))
-
-    def values(i):
-        return columns[i][inputs[i][0].kept[1]]
-
-    def tally(i):
-        res, pos = inputs[i]
-        return res.derive(("counts", pos), lambda: _key_counts(values(i), res.kept[2]))
-
-    if side is None and all(plain):  # two scans: the sum of T_L[k] * T_R[k]
-        keys, counts = tally(1)
-        return AnnotatedResult(int(np.dot(_matches(tally(0), keys), counts)), left.schema + right.schema, None)
-    counted = 1 - side if side is not None else int(plain[1])
-    keep = inputs[1 - counted][0]
+def _array_join(node, left, right, counted, read, *, columns) -> AnnotatedResult:
+    """`_run_join`'s per-key count over int64 column arrays, where it is
+    exact: both inputs keep `kept` rows, `columns` holds each one's key
+    column over its table (`_column`), and the tally of the `counted`
+    input is an array tally (`_key_counts`) of its kept rows' key column,
+    built once per result. Every count is an exact int."""
+    res, keep = (left, right)[counted], (left, right)[1 - counted]
+    pos = _join_keys(node, left.schema, right.schema)[counted][0]
+    tally = res.derive(("counts", pos), lambda: _key_counts(columns[counted][res.kept[1]], res.kept[2]))
     table, positions, multiplicity = keep.kept
-    matches = _matches(tally(counted), values(1 - counted))
+    matches = _matches(tally, columns[1 - counted][positions])
     if multiplicity is not None:
         matches = matches * multiplicity
     if not read:
@@ -707,37 +698,22 @@ def _array_join(node, left, right, per_key, read, side, plain, *, columns) -> An
     return AnnotatedResult(int(matches.sum()), keep.schema, None, kept=(table, positions, matches))
 
 
-def _run_join(node, left, right, per_key, read, side, plain) -> AnnotatedResult:
-    """`per_key` is `execute`'s decision that the join counts per key;
-    `plain` says which inputs, left and right, are scan results, passed
-    through or not: a join that counts per key and hands nothing on weights
-    the rows of an input that is not a plain scan where the other is. Any
-    other join builds pairs, and lists their provenance where its inputs
-    list theirs."""
+def _run_join(node, left, right, counted, read) -> AnnotatedResult:
+    """`counted` is the input, 0 for left or 1 for right, that a join
+    counting per key tallies and matches the other input's rows on
+    (`execute`); None where the join builds pairs, and lists their
+    provenance where its inputs list theirs."""
     lpos, rpos = _join_keys(node, left.schema, right.schema)
-    if per_key:
-        # Count per key, through each counted input's tally, which counts
-        # each row by its multiplicity and is built once per result.
+    if counted is not None:
+        # Weight the other input's rows by their matches on the counted
+        # input's tally, which counts each row by its multiplicity and is
+        # built once per result.
         inputs = ((left, lpos), (right, rpos))
-
-        def tally(i):
-            res, pos = inputs[i]
-            rows, multiplicity = _rows(res)
-            return res.derive(("tally", pos), _tally, rows, pos, multiplicity)
-
-        if side is None and all(plain):  # two scans: the sum of T_L[k] * T_R[k]
-            small, large = tally(0), tally(1)
-            if len(small) > len(large):
-                small, large = large, small
-            count = sum(map(operator.mul, small.values(), map(large.get, small, itertools.repeat(0))))
-            return AnnotatedResult(count, left.schema + right.schema, None)
-        # Weight the rows of one input, the handed-on one, else one that is
-        # not a plain scan where the other is, by their matches on the
-        # other's tally.
-        counted = 1 - side if side is not None else int(plain[1])
-        keep, kpos = inputs[1 - counted]
+        (res, pos), (keep, kpos) = inputs[counted], inputs[1 - counted]
+        crows, cmultiplicity = _rows(res)
+        tally = res.derive(("tally", pos), _tally, crows, pos, cmultiplicity)
         krows, kmultiplicity = _rows(keep)
-        matches = map(tally(counted).get, map(operator.itemgetter(*kpos), krows), itertools.repeat(0))
+        matches = map(tally.get, map(operator.itemgetter(*kpos), krows), itertools.repeat(0))
         if kmultiplicity is not None:
             matches = map(operator.mul, matches, kmultiplicity)
         if not read:
@@ -782,15 +758,17 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     to empty tables, an execution counts nothing but resolves the columns
     a full one does.
 
-    Without provenance, a join without selection atoms that is not read
-    counts per key: over two scan results, the sum of their per-key
-    tallies' products; else the sum, over one input's rows, of their
-    matches in the other's tally times the rows' multiplicities. A read
-    join whose reader counts per key does too (`_handed_on`), and hands
-    on the matching rows of one input, each with a multiplicity, under
-    that input's schema. Any other join builds pairs of whole rows. That
-    choice is made once per join, here, and every join path reads it.
-    Counts are exact integers either way.
+    Without provenance, a join without selection atoms counts per key
+    where it is not read, or where its reader counts per key too
+    (`_handed_on`). It tallies one input, `counted`, and sums the other
+    input's rows' matches in that tally times their multiplicities; a
+    read one hands those rows on, each with its product as its
+    multiplicity, under their input's schema. `counted` is the other
+    side of a handed-on input, else the right input where it is a scan
+    result, passed through or not, else the left, so a join of a scan
+    and a join tallies the scan. Any other join builds pairs of whole
+    rows (`counted` None). That choice is made once per join, here, and
+    both join paths read it. Counts are exact integers either way.
 
     Given a table of shared results and no provenance, each operator
     decides as it runs whether it counts over int64 column arrays. A scan
@@ -801,11 +779,10 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     both its inputs keep positions, passed through or not, it joins on one
     key column pair whose columns both build exact arrays, and its leaf
     product is below 2**63, which bounds every count and multiplicity it
-    makes: a tally is an int64 (key, count) pair (`_key_counts`); two
-    scans count as the dot product of their tallies over common keys; a
-    read join hands on the positions and multiplicities of one input as
-    arrays, and its reader weights them by a gather on the other input's
-    tally. Each keeps them in `AnnotatedResult.kept`. Any other reader of
+    makes: a tally is an int64 (key, count) pair (`_key_counts`), the
+    other input's kept rows are weighted by a gather on it (`_matches`),
+    and a read join hands on their positions and multiplicities as
+    arrays. Each keeps them in `AnnotatedResult.kept`. Any other reader of
     such a result, a join in Python per key or in pairs, reads its rows
     and multiplicities through `_rows`: the same rows, in the same order,
     with the same multiplicities as the Python path, so every count is
@@ -820,8 +797,8 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     as its provenance. Without it, no provenance is built.
 
     `shared` is a table of shared results (`shared_entry` states its
-    rule); without it, a new empty one, so everything is computed. A scan
-    is looked up under its bound table's identity, its
+    rule), or None, so that everything is computed and nothing kept. A
+    scan is looked up under its bound table's identity, its
     `PlanIndex.scan_keys` entry (appearance, selections, whether its rows
     are read) and `provenance`; the entry holds the table and the result,
     which every reader reads, and a full relation's entries never meet a
@@ -836,16 +813,14 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     about twice the Python filter; the joins that count over arrays read
     the same entries for their key columns. What is built from a result
     alone lives on it (`AnnotatedResult.derive`): rows from its kept
-    positions, a join's hash table over its left input or tally of an
-    input it counts per key, in Python or over arrays, and `selest`'s
-    counters. A hit is bitwise a fresh build: a result is never mutated,
-    so every count, row, multiplicity and provenance list is unchanged; a
-    hash table lists each left row's index per key in row order, so the
-    same rows match in the same order; tallies, column arrays and kept
+    positions, a join's hash table over its left input or tally of its
+    counted input, in Python or over arrays, and `selest`'s counters. A
+    hit is bitwise a fresh build: a result is never mutated, so every
+    count, row, multiplicity and provenance list is unchanged; a hash
+    table lists each left row's index per key in row order, so the same
+    rows match in the same order; tallies, column arrays and kept
     positions and multiplicities are exact, and every array is read-only.
     """
-    columns = shared  # column arrays pay back only when shared
-    shared = {} if shared is None else shared
     index = plan.index
     side = {} if provenance else _handed_on(plan, bindings)
     results: dict[int, AnnotatedResult] = {}
@@ -857,26 +832,30 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             appearance = index.appearance[nid]
             table = bindings.get(appearance)
             res = shared_entry(shared, (id(table), index.scan_keys[nid], provenance), (table,), _run_scan,
-                               node, appearance, bindings, provenance, nid in index.read, columns)
+                               node, appearance, bindings, provenance, nid in index.read, shared)
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
             (left, right), read, hand = node.children, nid in index.read, side.get(nid)
             lres, rres = results[left], results[right]
-            plain = (index.var[left] in index.appearance, index.var[right] in index.appearance)
-            per_key = not provenance and not node.selections and (hand is not None or not read)
+            if hand is not None:
+                counted = 1 - hand
+            elif provenance or node.selections or read:
+                counted = None  # pairs
+            else:
+                counted = int(index.var[right] in index.appearance)
             join = _run_join
-            if (per_key and lres.kept is not None and rres.kept is not None and len(node.join_columns[0]) == 1
+            if (counted is not None and lres.kept is not None and rres.kept is not None and len(node.join_columns[0]) == 1
                     and math.prod(len(bindings[app].rows) for app in index.leaves[nid]) < 2**63):
                 (lpos,), (rpos,) = _join_keys(node, lres.schema, rres.schema)
                 if ((lcolumn := _column(shared, lres.kept[0], lpos)) is not None
                         and (rcolumn := _column(shared, rres.kept[0], rpos)) is not None):
                     join = functools.partial(_array_join, columns=(lcolumn, rcolumn))
             if not read:  # a root join is never reused: only a join a parent reads is looked up and stored
-                res = join(node, lres, rres, per_key, read, hand, plain)
+                res = join(node, lres, rres, counted, read)
             else:
                 key = ("read-join", id(lres), id(rres), index.read_join_keys[nid], hand, provenance)
-                res = shared_entry(shared, key, (lres, rres), join, node, lres, rres, per_key, read, hand, plain)
+                res = shared_entry(shared, key, (lres, rres), join, node, lres, rres, counted, read)
         results[nid] = res
     return results
 

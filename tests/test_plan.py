@@ -188,12 +188,13 @@ def test_plan_index_matches_brute_force(tree):
 
 def test_plan_and_results_leave_no_reference_cycle():
     # A plan, its index and an execution's results are freed by reference
-    # counting alone once dropped, and so is a scan result kept as column
-    # arrays that three joins sharing one table read, one entry for all:
-    # a join that counts per key on one column over arrays builds its array
-    # tally on it, and a join that counts per key on two columns and one
-    # that builds pairs read its rows, built once, and build a tally and a
-    # hash table over them.
+    # counting alone once dropped, and so are two scan results kept as
+    # column arrays that three joins sharing one table read, one entry
+    # each for all: a join that counts per key on one column over arrays
+    # builds its array tally on the right scan, a join that counts per key
+    # on two columns builds a tally over the right scan's rows and reads
+    # the left's, and one that builds pairs hashes the left's rows, built
+    # once.
     l = _rel("L", ["k", "a"], [(i % 7, i) for i in range(300)])
     r = _rel("R", ["k", "b"], [(i % 7, i) for i in range(300)])
     doc = {
@@ -220,17 +221,20 @@ def test_plan_and_results_leave_no_reference_cycle():
         doc["nodes"][2]["predicate"][1] = {"col": "a", "op": ">=", "value": 0}
         pairing = _parse({"nodes": doc["nodes"][:3], "root": 3})
         table, bindings = {}, {("L", 0): l, ("R", 0): r}
-        scan = planmod.execute(on_arrays, bindings, shared=table)[1]
-        assert scan.rows is None and list(scan.derived) == [("counts", 0)]
+        scans = planmod.execute(on_arrays, bindings, shared=table)
+        scan, other = scans[1], scans[2]
+        assert scan.rows is None and scan.derived is None and list(other.derived) == [("counts", 0)]
         assert planmod.execute(counting, bindings, shared=table)[1] is scan
         rows = scan.derived["rows"]
         assert rows == (list(l.rows), None)
         assert planmod.execute(pairing, bindings, shared=table)[1] is scan and scan.derived["rows"] is rows
         assert len(table) == 4  # the two scans and the two key columns
-        assert sorted(map(repr, scan.derived)) == ["'rows'", "('counts', 0)", "('hash', (0,))", "('tally', (0, 1))"]
-        refs = [weakref.ref(obj) for obj in (scan, scan.derived["tally", (0, 1)], *scan.derived["counts", 0])]
-        del on_arrays, counting, pairing, table, scan, rows
-        assert [ref() for ref in refs] == [None] * 4
+        assert sorted(map(repr, scan.derived)) == ["'rows'", "('hash', (0,))"]
+        assert sorted(map(repr, other.derived)) == ["'rows'", "('counts', 0)", "('tally', (0, 1))"]
+        refs = [weakref.ref(obj) for obj in (scan, other, other.derived["tally", (0, 1)],
+                                             *other.derived["counts", 0])]
+        del on_arrays, counting, pairing, table, scans, scan, other, rows
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
 
@@ -263,6 +267,69 @@ def test_shared_entry_builds_once_and_a_failed_build_stores_nothing():
     assert planmod.shared_entry(table, "bad", (), build, 4) == [4] and table["bad"] == ([4],)
 
 
+def test_shared_entry_without_a_table_builds_and_stores_nothing():
+    # Given no table, every lookup builds its value afresh and keeps it
+    # nowhere.
+    calls = []
+
+    def build(*args):
+        calls.append(args)
+        return list(args)
+
+    first = planmod.shared_entry(None, "k", (object(),), build, 1, 2)
+    again = planmod.shared_entry(None, "k", (object(),), build, 1, 2)
+    assert first == again == [1, 2] and first is not again and calls == [(1, 2)] * 2
+
+
+def test_executions_without_a_table_hand_shared_entry_none(monkeypatch):
+    # `execute`, truth outside a sharing block and `selest.estimate_all`,
+    # each called without a table, hand `shared_entry` None for every scan
+    # and read join they look up, so none of them keys or stores anything.
+    relations = simeval.generate_database(0, sizes=(60, 60, 60), key_domain=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plans = [p for _, p in simeval.generate_workload(simeval.WorkloadSpec.grid(2, 2, 2, seed=0), relations)[0]]
+    pool = store.build_pool(relations, n=10, pool_size=1, seed=0)
+    real, handed = planmod.shared_entry, []
+    monkeypatch.setattr(planmod, "shared_entry", lambda shared, key, *args: handed.append((shared, key[0]))
+                        or real(shared, key, *args))
+    for p in plans:
+        bindings = {app: relations[app[0]] for app in p.index.appearance.values()}
+        for provenance in (False, True):
+            planmod.execute(p, bindings, provenance=provenance)
+        planmod.selectivity_truth(p, relations)
+        selest.estimate_all(p, pool, relations)
+    assert all(shared is None for shared, _ in handed)
+    assert "read-join" in {tag for _, tag in handed} and len(handed) > len(plans)
+
+
+def test_a_join_of_two_scans_tallies_its_right_scan_alone():
+    # A join of two scans that counts per key builds one tally, of its
+    # right scan, and matches the left scan's rows on it: a `_tally` of the
+    # right scan's rows in Python, a `_key_counts` of its key column over
+    # column arrays.
+    l = _rel("L", ["k"], [(i % 3,) for i in range(12)])
+    r = _rel("R", ["k"], [(i % 4,) for i in range(8)])
+    p = _parse({"nodes": [_scan(1, "L"), _scan(2, "R"), {"id": 3, "kind": "HashJoin", "children": [1, 2],
+                                                         "predicate": [{"left": "k", "right": "k"}]}], "root": 3})
+    bindings = {("L", 0): l, ("R", 0): r}
+    tally, key_counts, built = planmod._tally, planmod._key_counts, []
+
+    def tallying(rows, *args):
+        built.append(("tally", rows))
+        return tally(rows, *args)
+
+    def key_counting(values, *args):
+        built.append(("counts", values.tolist()))
+        return key_counts(values, *args)
+
+    with mock.patch.object(planmod, "_tally", tallying), mock.patch.object(planmod, "_key_counts", key_counting):
+        alone = planmod.execute(p, bindings)
+        shared = planmod.execute(p, bindings, shared={})
+    assert alone[3].count == shared[3].count == 3 * 4 * 2
+    assert built == [("tally", list(r.rows)), ("counts", [0, 1, 2, 3] * 2)]
+
+
 def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     # One table bound to both appearances of a self-join: the two scans
     # read one table with one selection under two schemas, so they are two
@@ -271,9 +338,10 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     # results themselves, hash table included. An execution without
     # provenance is keyed apart, and its join counts per key over T's two
     # column arrays, stored beside the scans, hashing and tallying nothing
-    # in Python: each scan keeps its rows' positions, its array tally lives
-    # on its result, and a second such execution builds none. A plan that
-    # passes the left scan through a Materialize hits its hash table too.
+    # in Python: each scan keeps its rows' positions, the right scan's
+    # array tally lives on its result, and a second such execution builds
+    # none. A plan that passes the left scan through a Materialize hits its
+    # hash table too.
     hash_rows, hashed = planmod._hash_rows, []
     monkeypatch.setattr(planmod, "_hash_rows", lambda rows, lpos: hashed.append(rows) or hash_rows(rows, lpos))
     tally, tallied = planmod._tally, []
@@ -306,7 +374,8 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     assert sorted(key[2] for key in shared if key[0] == "column") == [0, 1]
     for scan in (1, 2):
         assert counted[scan].kept[1].tolist() == list(range(30))
-        assert [array.tolist() for array in counted[scan].derived["counts", 0]] == [list(range(5)), [6] * 5]
+    assert counted[1].derived is None
+    assert [array.tolist() for array in counted[2].derived["counts", 0]] == [list(range(5)), [6] * 5]
     again = planmod.execute(p, bindings, shared=shared)
     assert again == counted and again[1] is counted[1] and len(shared) == 6 and tallied == []
     through = {"nodes": doc["nodes"][:2] + [
@@ -1037,10 +1106,10 @@ def _variant(seed, shape, **changes):
 @example(_variant(52, 4, fourth=("bushy", []), residual=(2, 1, "<=", 1)))
 @example(_variant(10, 4, fourth=("bushy", [(0, 2, 3, 2)])))
 @example(_variant(11, 3, inner_residual=(0, 2, "<=", 1)))
-# A count-only join of two scans, summed over the smaller tally's keys:
-# t1's 2 keys against t2's 3, then 3 against 2, then a self-join's 3 against
-# 2; a count-only join whose left input, handed on, holds multiplicities
-# up to 4, mapped through the right scan's tally.
+# A count-only join of two scans, the left scan's rows mapped through the
+# right scan's tally: t1's 2 keys against t2's 3, then 3 against 2, then a
+# self-join's 3 against 2; a count-only join whose left input, handed on,
+# holds multiplicities up to 4, mapped through the right scan's tally.
 @example(_variant(7, 2))
 @example(_variant(118, 2))
 @example(_variant(33, 2, self_join=True))
@@ -1388,17 +1457,19 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
     fresh = [[planmod.execute(p, bindings, provenance=prov) for p in plans] for prov in modes]
     run_join, array_join, built = planmod._run_join, planmod._array_join, []
 
-    def spying(node, left, right, per_key, read, side, *rest):
-        if read:
-            built.append((id(left), id(right), node.join_columns, repr(node.selections), side,
-                          left.provenance is not None))
-        return run_join(node, left, right, per_key, read, side, *rest)
+    def built_as(node, left, right, counted):  # the input a read join hands on is the one it does not tally
+        built.append((id(left), id(right), node.join_columns, repr(node.selections),
+                      None if counted is None else 1 - counted, left.provenance is not None))
 
-    def spying_arrays(node, left, right, per_key, read, side, *rest, columns):
+    def spying(node, left, right, counted, read):
         if read:
-            built.append((id(left), id(right), node.join_columns, repr(node.selections), side,
-                          left.provenance is not None))
-        return array_join(node, left, right, per_key, read, side, *rest, columns=columns)
+            built_as(node, left, right, counted)
+        return run_join(node, left, right, counted, read)
+
+    def spying_arrays(node, left, right, counted, read, *, columns):
+        if read:
+            built_as(node, left, right, counted)
+        return array_join(node, left, right, counted, read, columns=columns)
 
     table = {}
     with mock.patch.object(planmod, "_run_join", spying), mock.patch.object(planmod, "_array_join", spying_arrays):

@@ -1292,8 +1292,8 @@ def test_sharing_changes_no_result(data):
         counted.append(scanned[id(res)][1])
         return scan_counters(res)
 
-    def counting_joins(node, left, right, per_key, read, *rest):
-        res = run_join(node, left, right, per_key, read, *rest)
+    def counting_joins(node, left, right, counted, read):
+        res = run_join(node, left, right, counted, read)
         if left.provenance is not None and read:
             sources = {**scanned, **joined}
             joined[id(res)] = res, (sources[id(left)][1], sources[id(right)][1], node.join_columns)

@@ -130,6 +130,35 @@ def _handed_on_case(through):
     return rows, {"nodes": nodes, "root": 6}, subplans
 
 
+def _skewed_case():
+    """r1 join r2 on k, two scans with 9 of their 10 rows on key 0: the
+    join tallies r2's keys and matches r1's rows on them."""
+    rows = {"r1": [(0, i, i) for i in range(9)] + [(1, 0, 0)], "r2": [(0, -i, i) for i in range(9)] + [(1, 1, 1)]}
+    nodes = [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": []},
+             {"id": 2, "kind": "SeqScan", "relation": "r2", "children": []},
+             {"id": 3, "kind": "HashJoin", "children": [1, 2], "predicate": [{"left": "r1.k", "right": "r2.k"}]}]
+    subplans = {1: ([("r1", 0)], []), 2: ([("r2", 0)], []), 3: ([("r1", 0), ("r2", 0)], ["r1_0.k = r2_0.k"])}
+    return rows, {"nodes": nodes, "root": 3}, subplans
+
+
+def _right_deep_case():
+    """r1 join (r2 join r3 on k) on r1.j = r3.j: the inner join hands on
+    r3's rows, with multiplicities up to 2, and the root, whose left input
+    is a scan and right input is not, tallies r1's rows."""
+    rows = {"r1": [(0, 0, 0), (1, 0, 0), (2, 1, 0)], "r2": [(0, 0, 0), (0, 1, 0), (1, 0, 0)],
+            "r3": [(0, 0, 0), (1, 1, 0), (1, 0, 0)]}
+    r1, r2, r3 = ("r1", 0), ("r2", 0), ("r3", 0)
+    nodes = [{"id": 1, "kind": "SeqScan", "relation": "r1", "children": []},
+             {"id": 2, "kind": "SeqScan", "relation": "r2", "children": []},
+             {"id": 3, "kind": "SeqScan", "relation": "r3", "children": []},
+             {"id": 4, "kind": "HashJoin", "children": [2, 3], "predicate": [{"left": "r2.k", "right": "r3.k"}]},
+             {"id": 5, "kind": "NestLoopJoin", "children": [1, 4], "predicate": [{"left": "r1.j", "right": "r3.j"}]}]
+    inner = ["r2_0.k = r3_0.k"]
+    subplans = {1: ([r1], []), 2: ([r2], []), 3: ([r3], []), 4: ([r2, r3], inner),
+                5: ([r1, r2, r3], inner + ["r1_0.j = r3_0.j"])}
+    return rows, {"nodes": nodes, "root": 5}, subplans
+
+
 def _sqlite_counts(rows, subplans) -> dict[int, int]:
     """Every node's count, from SQLite, over its sub-plan's leaves and conditions."""
     db = sqlite3.connect(":memory:")
@@ -150,6 +179,8 @@ def _sqlite_counts(rows, subplans) -> dict[int, int]:
 @given(_cases())
 @example(_handed_on_case(through=False))
 @example(_handed_on_case(through=True))
+@example(_skewed_case())
+@example(_right_deep_case())
 def test_every_node_counts_as_sqlite_does(case):
     rows, doc, subplans = case
     relations = {name: store.Relation(name, tuple((c, "int64") for c in COLUMNS), tuple(table))

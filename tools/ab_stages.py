@@ -26,8 +26,14 @@ the repetition's order. Its records, every plan's mean, stddev, actual
 runtime and flags, must be bitwise equal between the trees. Each tree
 then takes every plan's ground truth once more inside one `plan.sharing`
 table, as that call does, the trees in the repetition's order: the
-"truth, shared" stage, beside the unshared "truth". Every selectivity
-must be bitwise equal between the trees.
+"truth, shared" stage, beside the unshared "truth". The study's relations
+are too small for the per-key joins over column arrays to show, so each
+tree then takes the ground truth of the benchmark's bigrel shape the same
+way, 200 plans (`WorkloadSpec.grid(80, 80, 40, seed=42)`) over three
+8000-row relations (`generate_database(42, sizes=(8000,) * 3,
+key_domain=800)`), inside one `plan.sharing` table of its own: the
+"truth, shared, 8000 rows" stage. Every selectivity of both must be
+bitwise equal between the trees.
 
 Then each tree runs the CLI set-up of the benchmark's bigrel workload,
 `gen-world`, `gen-workload` and `calibrate` through its `cli.dispatch`, at
@@ -46,8 +52,9 @@ repetitions) and the median of the per-repetition ratios NEW/OLD, with the
 number of repetitions in which NEW was faster; the set-up stages are printed
 the same way in milliseconds per run. "total" is the whole prediction, the
 four prediction stages without the harness's two, "evaluate" the whole
-shared evaluation per plan, "truth, shared" the shared ground truth per
-plan, and "set-up" the three subcommands. Timing
+shared evaluation per plan, "truth, shared" and "truth, shared, 8000
+rows" the shared ground truth per plan, and "set-up" the three
+subcommands. Timing
 both trees in one process, plan by plan, keeps a shared machine's drift
 out of the ratio. The timed part of a repetition runs with
 the cyclic garbage collector off, so a collection triggered by one tree's
@@ -83,7 +90,7 @@ import numpy as np  # noqa: E402  (after the thread setting)
 
 STAGES = ("estimate", "fit", "mean", "variance")
 HARNESS = ("truth", "simulate")
-SHARED = ("evaluate", "truth, shared")
+SHARED = ("evaluate", "truth, shared", "truth, shared, 8000 rows")
 RUNS = 5  # simulated runs per plan, as in the benchmark's study pass
 SETUP = ("gen-world", "gen-workload", "calibrate")
 SETUP_CONFIG = {"seed": 42, "relation_size": 8000, "key_domain": 800}  # the benchmark's bigrel
@@ -129,6 +136,21 @@ def study(pkg, seed=42, like=None):
     return relations, world, units, pool, [p for _, p in plans]
 
 
+def big(pkg, like=None):
+    """The relations and parsed plans of the benchmark's bigrel shape, at
+    its set-up config. Given `like`, another tree's, each relation holds
+    its row tuples (`same_rows`)."""
+    sim, seed = pkg["simeval"], SETUP_CONFIG["seed"]
+    relations = sim.generate_database(seed, sizes=(SETUP_CONFIG["relation_size"],) * 3,
+                                      key_domain=SETUP_CONFIG["key_domain"])
+    if like is not None:
+        relations = {name: same_rows(rel, like[0][name]) for name, rel in relations.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plans, _ = sim.generate_workload(sim.WorkloadSpec.grid(80, 80, 40, seed=seed), relations)
+    return relations, [p for _, p in plans]
+
+
 def predict(pkg, inputs, i, spent):
     """Predict plan i and simulate its actual runtime, adding each stage's
     seconds to `spent`."""
@@ -164,14 +186,14 @@ def evaluate(pkg, inputs, spent):
     return [(r.predicted_mean.hex(), r.predicted_stddev.hex(), r.actual.hex(), r.flags) for r in records]
 
 
-def shared_truth(pkg, inputs, spent):
+def shared_truth(pkg, relations, plans, spent, stage):
     """Every plan's ground truth inside one `plan.sharing` table, its
-    seconds added to `spent`; each truth's selectivities in hex."""
-    relations, plans, planmod = inputs[0], inputs[4], pkg["plan"]
+    seconds added to `spent[stage]`; each truth's selectivities in hex."""
+    planmod = pkg["plan"]
     t0 = time.perf_counter()
     with planmod.sharing({}):
         truths = [planmod.selectivity_truth(p, relations) for p in plans]
-    spent["truth, shared"] += time.perf_counter() - t0
+    spent[stage] += time.perf_counter() - t0
     return [{nid: sel.hex() for nid, sel in truth.items()} for truth in truths]
 
 
@@ -205,12 +227,13 @@ def written(root):
 
 
 def report(header, unit, stages, runs, reps, scale):
-    print(f"{header:13s} {'old ' + unit:>12s} {'new ' + unit:>12s} {'new/old':>8s}  new faster")
+    width = max(map(len, (header, *stages)))
+    print(f"{header:{width}s} {'old ' + unit:>12s} {'new ' + unit:>12s} {'new/old':>8s}  new faster")
     for stage in stages:
         old_s = [r[stage] for r in runs["old"]]
         new_s = [r[stage] for r in runs["new"]]
         ratios = [b / a for a, b in zip(old_s, new_s)]
-        print(f"{stage:13s} {statistics.median(old_s) * scale:12.1f} {statistics.median(new_s) * scale:12.1f} "
+        print(f"{stage:{width}s} {statistics.median(old_s) * scale:12.1f} {statistics.median(new_s) * scale:12.1f} "
               f"{statistics.median(ratios):8.3f}  {sum(r < 1.0 for r in ratios)}/{reps}")
 
 
@@ -227,13 +250,15 @@ def main(argv=None):
     ap.add_argument("--reps", type=int, default=15)
     args = ap.parse_args(argv)
     srcs = {"old": args.old_src, "new": args.new_src}
-    rows = study(load(srcs["old"], "rd_rows"))  # whose row tuples every study holds
+    first = load(srcs["old"], "rd_rows")
+    rows, big_rows = study(first), big(first)  # whose row tuples every study, and every bigrel shape, holds
     runs = {side: [] for side in srcs}
     setup_runs = {side: [] for side in srcs}
     files = None  # what the first repetition's first tree wrote
     for rep in range(args.reps):
         pkgs = {side: load(srcs[side], f"rd_{side}{rep}") for side in ORDERS[rep % 2]}
         inputs = {side: study(pkg, like=rows) for side, pkg in pkgs.items()}
+        bigs = {side: big(pkg, like=big_rows) for side, pkg in pkgs.items()}
         count = len(inputs["old"][4])
         for i in range(count):  # untimed: first-use costs, and the bitwise check
             got = {side: predict(pkg, inputs[side], i, dict.fromkeys(STAGES + HARNESS, 0.0))
@@ -263,7 +288,10 @@ def main(argv=None):
                     for side in ORDERS[(i + rep) % 2]:
                         predict(pkgs[side], inputs[side], i, spent[side])
                 evaluated = {side: evaluate(pkg, inputs[side], spent[side]) for side, pkg in pkgs.items()}
-                truths = {side: shared_truth(pkg, inputs[side], spent[side]) for side, pkg in pkgs.items()}
+                truths = {side: shared_truth(pkg, inputs[side][0], inputs[side][4], spent[side], "truth, shared")
+                          for side, pkg in pkgs.items()}
+                big_truths = {side: shared_truth(pkg, *bigs[side], spent[side], "truth, shared, 8000 rows")
+                              for side, pkg in pkgs.items()}
                 for by_side in (pkgs, dict(reversed(pkgs.items()))) * (SETUP_RUNS // 2):  # each tree first in half
                     setup(by_side, roots, setup_spent)
             finally:
@@ -272,13 +300,15 @@ def main(argv=None):
             sys.exit("evaluate_workload's records differ between the trees")
         if truths["old"] != truths["new"]:
             sys.exit("the shared truths' selectivities differ between the trees")
+        if big_truths["old"] != big_truths["new"]:
+            sys.exit("the shared truths' selectivities over 8000 rows differ between the trees")
         for side in srcs:
             spent[side]["total"] = sum(spent[side][s] for s in STAGES)
             runs[side].append(spent[side])
             fastest = {command: min(times) for command, times in setup_spent[side].items()}
             fastest["set-up"] = sum(fastest.values())
             setup_runs[side].append(fastest)
-        del pkgs, inputs
+        del pkgs, inputs, bigs
         for side in srcs:
             unload(f"rd_{side}{rep}")
     report("stage", "us/plan", STAGES + ("total",) + HARNESS + SHARED, runs, args.reps, 1e6 / count)
