@@ -607,13 +607,26 @@ def generate_workload(spec: WorkloadSpec, relations):
 def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, policy: str = "all", W: int = 10, runs: int = 5):
     """Predict every plan, simulate its actual runtime, and compute the
     correlation and error-distribution metrics. The summary's "flags"
-    counts the plans whose prediction carries each flag. An
-    ExecutionError names its plan's label.
+    counts the plans whose prediction carries each flag.
+
+    It runs in two phases, each over every plan in plan order: first each
+    plan's probe oracle and prediction, keeping its mean, stddev and
+    flags, then each plan's actual runtime. So each phase keeps its own
+    working set warm, the predictor's sample tables, fits and grids, then
+    the harness's full-data column arrays, tallies and seeded draws,
+    instead of alternating between them plan by plan. Every record and
+    the summary are bitwise those of predicting and then measuring each
+    plan in turn: no prediction reads an actual runtime or the other way
+    round, and a shared entry is the same whichever plan builds it. An
+    error is raised by the phase that meets it, so a prediction that
+    fails raises before any actual runtime is simulated, even where an
+    earlier plan's would fail too. An ExecutionError names its plan's
+    label in either phase.
 
     The plans read one sample pool, one set of relations and one cost
     model, so they repeat work: one table of shared results, made here and
     dropped on return, goes to each prediction and, through
-    `plan.sharing`, which covers the plan loop only, to each truth and to
+    `plan.sharing`, which covers the two phases only, to each truth and to
     each plan's probe oracle, which keeps its replies there
     (`TrueCostWorld.cost_oracle`); every term is still probed, one oracle
     call each. `plan.shared_entry` states the table's rule, and each
@@ -627,24 +640,22 @@ def evaluate_workload(plans, relations, pool, units, world: TrueCostWorld, polic
     A `runs` that `actual_runtime` refuses is refused before any plan is
     predicted."""
     check_runs(runs)
-    records = []
+    predicted = []
     shared = {}
     with planmod.sharing(shared):
-        for idx, (label, p) in enumerate(plans):
+        for label, p in plans:
             with planmod.naming(f"plan {label!r}"):
                 oracle = world.cost_oracle(p, relations)
                 dist, _, _, _ = propagate.predict_distribution(
                     p, pool, relations, units, oracle=oracle, W=W, policy=policy, shared=shared
                 )
+            predicted.append((label, p, dist.mean, dist.stddev, tuple(dist.flags)))
+        records = []
+        for idx, (label, p, mean, stddev, flags) in enumerate(predicted):
+            with planmod.naming(f"plan {label!r}"):
                 act = actual_runtime(p, relations, world, seed=idx, runs=runs)
             records.append(
-                EvalRecord(
-                    plan_id=label,
-                    predicted_mean=dist.mean,
-                    predicted_stddev=dist.stddev,
-                    actual=act,
-                    flags=tuple(dist.flags),
-                )
+                EvalRecord(plan_id=label, predicted_mean=mean, predicted_stddev=stddev, actual=act, flags=flags)
             )
     usable = [r for r in records if r.predicted_stddev > 0.0]
     if len(usable) < 2:

@@ -982,9 +982,9 @@ def test_evaluate_workload_summary():
         assert r.predicted_mean > 0.0 and r.actual > 0.0
 
 
-def test_evaluate_workload_names_the_plan_whose_truth_meets_an_empty_relation():
-    # The pool is drawn from the full relations, so only ground truth meets
-    # the empty one, and its ExecutionError carries the plan's label.
+def _emptied_after_the_pool():
+    """Two scan plans' evaluation inputs, the first plan's relation emptied
+    after the pool was drawn from it, and that relation's name."""
     relations = _small_db()
     world = TrueCostWorld.generate(8)
     units = calib.fit_cost_units(world.calibration_records(100, seed=8))
@@ -992,8 +992,72 @@ def test_evaluate_workload_names_the_plan_whose_truth_meets_an_empty_relation():
     plans, _ = simeval.generate_workload(WorkloadSpec(scan_targets=[0.4, 0.7], seed=2), relations)
     name = plans[0][1].nodes[plans[0][1].root].relation
     relations[name] = dataclasses.replace(relations[name], rows=())
+    return plans, relations, pool, units, world, name
+
+
+def test_evaluate_workload_names_the_plan_whose_truth_meets_an_empty_relation():
+    # The pool is drawn from the full relations, so only ground truth meets
+    # the empty one, and its ExecutionError carries the plan's label.
+    plans, relations, pool, units, world, name = _emptied_after_the_pool()
     with pytest.raises(planmod.ExecutionError, match=rf"^plan {plans[0][0]!r}: relation {name!r} is empty"):
         simeval.evaluate_workload(plans, relations, pool, units, world, runs=1)
+
+
+def test_evaluate_workload_predicts_every_plan_before_it_measures_any():
+    # On a bigrel-shaped workload (scans, joins and three-way joins over
+    # int columns), every plan is predicted once, in plan order, before
+    # any actual runtime is simulated, and then each plan's actual runtime
+    # once, in plan order. The records and summary are bitwise those of
+    # one loop that predicts and then measures each plan in turn.
+    relations = simeval.generate_database(3, sizes=(300, 300, 300), key_domain=30)
+    world = TrueCostWorld.generate(3)
+    units = calib.fit_cost_units(world.calibration_records(20, seed=3))
+    pool = store.build_pool(relations, n=20, pool_size=2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plans, _ = simeval.generate_workload(WorkloadSpec.grid(6, 4, 2, seed=3), relations)
+    predict, actual, calls = propagate.predict_distribution, simeval.actual_runtime, []
+
+    def predicting(p, *args, **kwargs):
+        calls.append(("predict", p))
+        return predict(p, *args, **kwargs)
+
+    def measuring(p, *args, **kwargs):
+        calls.append(("actual", p))
+        return actual(p, *args, **kwargs)
+
+    with mock.patch.object(propagate, "predict_distribution", predicting), \
+            mock.patch.object(simeval, "actual_runtime", measuring):
+        records, summary = simeval.evaluate_workload(plans, relations, pool, units, world, runs=2)
+    order = [("predict", id(p)) for _, p in plans] + [("actual", id(p)) for _, p in plans]
+    assert [(what, id(p)) for what, p in calls] == order
+
+    want, shared = [], {}
+    with planmod.sharing(shared):
+        for idx, (label, p) in enumerate(plans):
+            dist = predict(p, pool, relations, units, oracle=world.cost_oracle(p, relations), shared=shared)[0]
+            act = actual(p, relations, world, seed=idx, runs=2)
+            want.append(EvalRecord(label, dist.mean, dist.stddev, act, tuple(dist.flags)))
+    assert repr(records) == repr(want)  # bitwise: a float's repr round-trips and tells -0.0 from 0.0
+    assert repr(summary) == repr(_summary_or_error(want))
+
+
+def test_evaluate_workload_raises_a_later_plans_prediction_error_first():
+    # An earlier plan's truth meets a relation emptied after the pool was
+    # drawn, and a later plan's cost profile reads a family its world slot
+    # does not hold: every plan is predicted before any is measured, so
+    # the later plan's prediction error is raised. So is a later plan's
+    # ExecutionError from prediction, naming its plan, as the earlier
+    # plan's from truth does when no later plan fails (the test above).
+    plans, relations, pool, units, world, name = _emptied_after_the_pool()
+    other = next(rel for rel in sorted(relations) if rel != name)
+    swapped = dict(_scan_doc(1, other, "<", 10), cost_profile={"c_o": "C4"})
+    late = ("swapped", planmod.parse_plan(json.dumps({"nodes": [swapped], "root": 1})))
+    missing = ("missing", planmod.parse_plan(json.dumps({"nodes": [_scan_doc(1, "r9", "<", 10)], "root": 1})))
+    with pytest.raises(ValueError, match=r"no C4 coefficients for \(SeqScan, c_o\): it holds 2, C4 reads 3"):
+        simeval.evaluate_workload(plans + [late], relations, pool, units, world, runs=1)
+    with pytest.raises(planmod.ExecutionError, match=r"^plan 'missing': relation 'r9' is not among"):
+        simeval.evaluate_workload(plans + [missing], relations, pool, units, world, runs=1)
 
 
 def test_zero_count_flag_on_study(study):

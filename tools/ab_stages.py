@@ -23,16 +23,22 @@ Those calls share nothing across plans. So each tree then runs
 does: one call that predicts every plan with the table of results its
 plans share and averages five simulated runs per plan, the two trees in
 the repetition's order. Its records, every plan's mean, stddev, actual
-runtime and flags, must be bitwise equal between the trees. Each tree
-then takes every plan's ground truth once more inside one `plan.sharing`
-table, as that call does, the trees in the repetition's order: the
-"truth, shared" stage, beside the unshared "truth". The study's relations
-are too small for the per-key joins over column arrays to show, so each
-tree then takes the ground truth of the benchmark's bigrel shape the same
-way, 200 plans (`WorkloadSpec.grid(80, 80, 40, seed=42)`) over three
-8000-row relations (`generate_database(42, sizes=(8000,) * 3,
-key_domain=800)`), inside one `plan.sharing` table of its own: the
-"truth, shared, 8000 rows" stage. Every selectivity of both must be
+runtime and flags, must be bitwise equal between the trees. The study's
+relations are too small for the harness's full-data work to weigh as it
+does in the benchmark's bigrel workload, so each tree then runs
+`evaluate_workload` the same way over the bigrel shape, as `runtimedist
+evaluate` runs it there: 200 plans (`WorkloadSpec.grid(80, 80, 40,
+seed=42)`) over three 8000-row relations (`generate_database(42,
+sizes=(8000,) * 3, key_domain=800)`), the world
+`TrueCostWorld.generate(42)`, units fitted from
+`calibration_records(50, seed=42)` and the CLI's pool there (n = 400,
+pool size 2): the "evaluate, 8000 rows" stage, its records checked
+bitwise as above. Each tree then takes every plan's ground truth once
+more inside one `plan.sharing` table, as that call does, the trees in
+the repetition's order: the "truth, shared" stage, beside the unshared
+"truth"; and the same over the bigrel shape, where the per-key joins
+count over column arrays, inside one `plan.sharing` table of its own:
+the "truth, shared, 8000 rows" stage. Every selectivity of both must be
 bitwise equal between the trees.
 
 Then each tree runs the CLI set-up of the benchmark's bigrel workload,
@@ -51,10 +57,10 @@ Per stage it prints each tree's microseconds per plan (the median over the
 repetitions) and the median of the per-repetition ratios NEW/OLD, with the
 number of repetitions in which NEW was faster; the set-up stages are printed
 the same way in milliseconds per run. "total" is the whole prediction, the
-four prediction stages without the harness's two, "evaluate" the whole
-shared evaluation per plan, "truth, shared" and "truth, shared, 8000
-rows" the shared ground truth per plan, and "set-up" the three
-subcommands. Timing
+four prediction stages without the harness's two, "evaluate" and
+"evaluate, 8000 rows" the whole shared evaluation per plan, "truth,
+shared" and "truth, shared, 8000 rows" the shared ground truth per plan,
+and "set-up" the three subcommands. Timing
 both trees in one process, plan by plan, keeps a shared machine's drift
 out of the ratio. The timed part of a repetition runs with
 the cyclic garbage collector off, so a collection triggered by one tree's
@@ -64,10 +70,11 @@ Where objects lie in memory moves a stage's time by a few percent: a tree
 imported once, with its study, ran its estimation about 2% faster than the
 other through a whole run, whichever tree was imported first, and a
 study's rows ran ground truth up to a tenth faster or slower from one
-build to the next. So every study holds the row tuples of one study built
-at the start (`same_rows`), and each repetition imports both trees afresh
-and drops them after: how the two trees' objects lie is drawn anew each
-repetition, and the median over repetitions does not favour either tree.
+build to the next. So every study holds the row tuples of one study of
+its shape built at the start (`same_rows`), and each repetition imports
+both trees afresh and drops them after: how the two trees' objects lie
+is drawn anew each repetition, and the median over repetitions does not
+favour either tree.
 """
 
 import argparse
@@ -90,10 +97,15 @@ import numpy as np  # noqa: E402  (after the thread setting)
 
 STAGES = ("estimate", "fit", "mean", "variance")
 HARNESS = ("truth", "simulate")
-SHARED = ("evaluate", "truth, shared", "truth, shared, 8000 rows")
+SHARED = ("evaluate", "evaluate, 8000 rows", "truth, shared", "truth, shared, 8000 rows")
 RUNS = 5  # simulated runs per plan, as in the benchmark's study pass
 SETUP = ("gen-world", "gen-workload", "calibrate")
 SETUP_CONFIG = {"seed": 42, "relation_size": 8000, "key_domain": 800}  # the benchmark's bigrel
+SHAPES = {  # `generate_database`'s sizes and key domain, and the pool's sample size
+    "study": ({"sizes": (500, 2000, 8000)}, 25),
+    # the CLI's n at bigrel's config: sample_ratio 0.05 of 8000 rows
+    "bigrel": ({"sizes": (SETUP_CONFIG["relation_size"],) * 3, "key_domain": SETUP_CONFIG["key_domain"]}, 400),
+}
 SETUP_RUNS = 8  # timed set-up runs per tree and repetition, even: half of them run first
 MODULES = ("calib", "cli", "plan", "propagate", "selest", "simeval", "store")
 ORDERS = (("old", "new"), ("new", "old"))
@@ -118,15 +130,17 @@ def same_rows(mine, theirs):
     return dataclasses.replace(mine, rows=theirs.rows)
 
 
-def study(pkg, seed=42, like=None):
-    """Inputs and parsed plans of the test suite's study fixture. Given
-    `like`, another tree's study, each relation and sample table holds the
-    row tuples of `like`'s (`same_rows`)."""
-    sim = pkg["simeval"]
-    relations = sim.generate_database(seed, sizes=(500, 2000, 8000))
+def study(pkg, shape, like=None):
+    """Inputs and parsed plans of `shape` at seed 42: the test suite's
+    study, or the benchmark's bigrel shape at its set-up config. Given
+    `like`, another tree's, each relation and sample table holds the row
+    tuples of `like`'s (`same_rows`)."""
+    sim, seed = pkg["simeval"], SETUP_CONFIG["seed"]
+    db, n = SHAPES[shape]
+    relations = sim.generate_database(seed, **db)
     world = sim.TrueCostWorld.generate(seed)
     units = pkg["calib"].fit_cost_units(world.calibration_records(50, seed=seed))
-    pool = pkg["store"].build_pool(relations, n=25, pool_size=2, seed=seed)
+    pool = pkg["store"].build_pool(relations, n=n, pool_size=2, seed=seed)
     if like is not None:
         relations = {name: same_rows(rel, like[0][name]) for name, rel in relations.items()}
         pool.tables = {name: list(map(same_rows, tables, like[3].tables[name])) for name, tables in pool.tables.items()}
@@ -134,21 +148,6 @@ def study(pkg, seed=42, like=None):
         warnings.simplefilter("ignore")
         plans, _ = sim.generate_workload(sim.WorkloadSpec.grid(80, 80, 40, seed=seed), relations)
     return relations, world, units, pool, [p for _, p in plans]
-
-
-def big(pkg, like=None):
-    """The relations and parsed plans of the benchmark's bigrel shape, at
-    its set-up config. Given `like`, another tree's, each relation holds
-    its row tuples (`same_rows`)."""
-    sim, seed = pkg["simeval"], SETUP_CONFIG["seed"]
-    relations = sim.generate_database(seed, sizes=(SETUP_CONFIG["relation_size"],) * 3,
-                                      key_domain=SETUP_CONFIG["key_domain"])
-    if like is not None:
-        relations = {name: same_rows(rel, like[0][name]) for name, rel in relations.items()}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        plans, _ = sim.generate_workload(sim.WorkloadSpec.grid(80, 80, 40, seed=seed), relations)
-    return relations, [p for _, p in plans]
 
 
 def predict(pkg, inputs, i, spent):
@@ -175,14 +174,14 @@ def predict(pkg, inputs, i, spent):
     return mean.hex(), var.hex(), actual.hex()
 
 
-def evaluate(pkg, inputs, spent):
-    """One `evaluate_workload` over the study, its seconds added to
-    `spent`; each record's mean, stddev and actual runtime in hex, and
-    its flags."""
+def evaluate(pkg, inputs, spent, stage):
+    """One `evaluate_workload` over a study's inputs, its seconds added to
+    `spent[stage]`; each record's mean, stddev and actual runtime in hex,
+    and its flags."""
     relations, world, units, pool, plans = inputs
     t0 = time.perf_counter()
     records, _ = pkg["simeval"].evaluate_workload(list(enumerate(plans)), relations, pool, units, world, runs=RUNS)
-    spent["evaluate"] += time.perf_counter() - t0
+    spent[stage] += time.perf_counter() - t0
     return [(r.predicted_mean.hex(), r.predicted_stddev.hex(), r.actual.hex(), r.flags) for r in records]
 
 
@@ -251,14 +250,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     srcs = {"old": args.old_src, "new": args.new_src}
     first = load(srcs["old"], "rd_rows")
-    rows, big_rows = study(first), big(first)  # whose row tuples every study, and every bigrel shape, holds
+    rows, big_rows = study(first, "study"), study(first, "bigrel")  # whose row tuples every study of a shape holds
     runs = {side: [] for side in srcs}
     setup_runs = {side: [] for side in srcs}
     files = None  # what the first repetition's first tree wrote
     for rep in range(args.reps):
         pkgs = {side: load(srcs[side], f"rd_{side}{rep}") for side in ORDERS[rep % 2]}
-        inputs = {side: study(pkg, like=rows) for side, pkg in pkgs.items()}
-        bigs = {side: big(pkg, like=big_rows) for side, pkg in pkgs.items()}
+        inputs = {side: study(pkg, "study", like=rows) for side, pkg in pkgs.items()}
+        bigs = {side: study(pkg, "bigrel", like=big_rows) for side, pkg in pkgs.items()}
         count = len(inputs["old"][4])
         for i in range(count):  # untimed: first-use costs, and the bitwise check
             got = {side: predict(pkg, inputs[side], i, dict.fromkeys(STAGES + HARNESS, 0.0))
@@ -287,17 +286,21 @@ def main(argv=None):
                 for i in range(count):
                     for side in ORDERS[(i + rep) % 2]:
                         predict(pkgs[side], inputs[side], i, spent[side])
-                evaluated = {side: evaluate(pkg, inputs[side], spent[side]) for side, pkg in pkgs.items()}
+                evaluated = {side: evaluate(pkg, inputs[side], spent[side], "evaluate") for side, pkg in pkgs.items()}
+                big_evaluated = {side: evaluate(pkg, bigs[side], spent[side], "evaluate, 8000 rows")
+                                 for side, pkg in pkgs.items()}
                 truths = {side: shared_truth(pkg, inputs[side][0], inputs[side][4], spent[side], "truth, shared")
                           for side, pkg in pkgs.items()}
-                big_truths = {side: shared_truth(pkg, *bigs[side], spent[side], "truth, shared, 8000 rows")
-                              for side, pkg in pkgs.items()}
+                big_truths = {side: shared_truth(pkg, bigs[side][0], bigs[side][4], spent[side],
+                                                 "truth, shared, 8000 rows") for side, pkg in pkgs.items()}
                 for by_side in (pkgs, dict(reversed(pkgs.items()))) * (SETUP_RUNS // 2):  # each tree first in half
                     setup(by_side, roots, setup_spent)
             finally:
                 gc.enable()
         if evaluated["old"] != evaluated["new"]:
             sys.exit("evaluate_workload's records differ between the trees")
+        if big_evaluated["old"] != big_evaluated["new"]:
+            sys.exit("evaluate_workload's records over 8000 rows differ between the trees")
         if truths["old"] != truths["new"]:
             sys.exit("the shared truths' selectivities differ between the trees")
         if big_truths["old"] != big_truths["new"]:
