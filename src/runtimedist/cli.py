@@ -220,10 +220,11 @@ def _out(path, mode="w"):
 
 
 def _write_csv(path, header, rows, mode="w"):
-    """`rows` as CSV records, after `header` unless that is None."""
+    """`rows` as CSV records, after `header` where the opened file is
+    empty: always when written, and when appended to a new or empty file."""
     with _out(path, mode) as fh:
         writer = csv.writer(fh)
-        if header is not None:
+        if fh.tell() == 0:
             writer.writerow(header)
         writer.writerows(rows)
 
@@ -382,9 +383,7 @@ def cmd_predict(cfg, args):
     }
     with _out(os.path.join(cfg["out_dir"], "predictions.jsonl"), "a") as fh:
         fh.write(json.dumps(_stamp(record), sort_keys=True) + "\n")
-    csv_path = os.path.join(cfg["out_dir"], "predictions.csv")
-    header = None if os.path.exists(csv_path) else ("plan_id", "mean_s", "var_s2", "stddev_s", "flags")
-    _write_csv(csv_path, header,
+    _write_csv(os.path.join(cfg["out_dir"], "predictions.csv"), ("plan_id", "mean_s", "var_s2", "stddev_s", "flags"),
                [(plan_id, repr(dist.mean), repr(dist.variance), repr(dist.stddev), ";".join(dist.flags))], "a")
     print(f"{plan_id}: mean={dist.mean:.6g}s stddev={dist.stddev:.6g}s flags={dist.flags}")
     return 0

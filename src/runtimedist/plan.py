@@ -115,11 +115,11 @@ class PlanIndex:
     cost-profile order, to its family and the variables of the family's
     inputs: "own" is the operator's, "left" and "right" its children's,
     and a leaf's left input is None, the constant 1 (a scan reads its
-    whole relation). `scan_keys` maps every scan to the part of its key
-    in a table of shared results (`execute`) that the plan fixes: its
-    appearance, its selections by `repr` (a JSON constant may be a list,
-    which does not hash) and whether its rows are read; `read_join_keys`
-    every read join's: the `repr` of its join columns and selections.
+    whole relation). `read_keys` maps every scan or join a parent reads,
+    the only operators a table of shared results stores (`execute`), to
+    the part of its key there that the plan fixes: its appearance, None
+    for a join, and the `repr` of its join columns and selections (a JSON
+    constant may be a list, which does not hash).
     `monomials`, built on first read, says what each term's monomials
     multiply.
     """
@@ -132,8 +132,7 @@ class PlanIndex:
     streamed: tuple[int, ...]  # post-order
     var: dict[int, int]
     terms: dict[tuple[int, str], tuple[str, tuple]]
-    scan_keys: dict[int, tuple[tuple[str, int], str, bool]]
-    read_join_keys: dict[int, str]
+    read_keys: dict[int, tuple[tuple[str, int] | None, str]]
 
     @functools.cached_property
     def monomials(self) -> dict[tuple[int, str], tuple[tuple, tuple]]:
@@ -202,11 +201,10 @@ def _index_plan(plan: "Plan") -> PlanIndex:
     for nid in reversed(order):  # every parent before its children
         if nid not in agg_above and (var[nid] == nid or nid in read):  # a scan has no children
             read.update(plan.nodes[nid].children)
-    scan_keys = {nid: (app, repr(plan.nodes[nid].selections), nid in read) for nid, app in appearance.items()}
-    read_join_keys = {nid: repr((plan.nodes[nid].join_columns, plan.nodes[nid].selections))
-                      for nid in read if nid not in appearance and var[nid] == nid}
+    read_keys = {nid: (appearance.get(nid), repr((plan.nodes[nid].join_columns, plan.nodes[nid].selections)))
+                 for nid in read if var[nid] == nid}
     return PlanIndex(tuple(order), leaves, appearance, frozenset(agg_above), frozenset(read), streamed, var, terms,
-                     scan_keys, read_join_keys)
+                     read_keys)
 
 
 @dataclass
@@ -275,11 +273,11 @@ def shared_entry(shared, key, holds, build, *args):
     what a successful one would have, and a hit is bitwise a fresh build.
     An entry keyed by values alone holds nothing and is a plain lookup
     (`propagate.fit_all_cost_functions`'s grids). Each module states its
-    own keys: `execute` its scans, read joins and column arrays, and
-    `simeval.TrueCostWorld.cost_oracle` its probe replies. What is built
-    from one object alone lives on it, with no key
-    (`AnnotatedResult.derive`). Without a table (`shared` None), the
-    value is built and nothing is stored."""
+    own keys: `execute` its read results (only what a parent reads is
+    stored) and column arrays, `simeval.TrueCostWorld.cost_oracle` its
+    probe replies. What is built from one object alone lives on it, with
+    no key (`AnnotatedResult.derive`). Without a table (`shared` None),
+    the value is built and nothing is stored."""
     if shared is None:
         return build(*args)
     entry = shared.get(key)
@@ -797,28 +795,26 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
     as its provenance. Without it, no provenance is built.
 
     `shared` is a table of shared results (`shared_entry` states its
-    rule), or None, so that everything is computed and nothing kept. A
-    scan is looked up under its bound table's identity, its
-    `PlanIndex.scan_keys` entry (appearance, selections, whether its rows
-    are read) and `provenance`; the entry holds the table and the result,
-    which every reader reads, and a full relation's entries never meet a
-    sample table's. A join a parent reads is looked up under "read-join",
-    its inputs' identities, its `PlanIndex.read_join_keys` entry, the
-    input it hands on (`_handed_on`; None for pairs) and `provenance`; the
-    entry holds both inputs and the result, whose rows or kept arrays are
-    what its reader reads. A root join is never reused, so never stored. A
-    scan without provenance whose constants are all ints filters over the
-    read-only int64 array of each column its atoms read (`_column`), only
-    in an execution given a table: an array built for one scan alone costs
-    about twice the Python filter; the joins that count over arrays read
-    the same entries for their key columns. What is built from a result
-    alone lives on it (`AnnotatedResult.derive`): rows from its kept
-    positions, a join's hash table over its left input or tally of its
-    counted input, in Python or over arrays, and `selest`'s counters. A
-    hit is bitwise a fresh build: a result is never mutated, so every
-    count, row, multiplicity and provenance list is unchanged; a hash
-    table lists each left row's index per key in row order, so the same
-    rows match in the same order; tallies, column arrays and kept
+    rule), or None, so that everything is computed and nothing kept. Only
+    a scan or join a parent reads is stored there; any other, the root
+    included, is never reused, so never stored. A read result's key is
+    ("read", its inputs' identities: the bound table's or its two input
+    results', its `PlanIndex.read_keys` entry, the input it hands on
+    (`_handed_on`; None for a scan or for pairs), `provenance`); its entry
+    holds those inputs and the result, whose rows or kept arrays are what
+    its reader reads, and a full relation's entries never meet a sample
+    table's. A scan without provenance whose constants are all ints
+    filters over the read-only int64 array of each column its atoms read
+    (`_column`), only in an execution given a table: an array built for
+    one scan alone costs about twice the Python filter; the joins that
+    count over arrays read the same entries for their key columns. What is
+    built from a result alone lives on it (`AnnotatedResult.derive`): rows
+    from its kept positions, a join's hash table over its left input or
+    tally of its counted input, in Python or over arrays, and `selest`'s
+    counters. A hit is bitwise a fresh build: a result is never mutated,
+    so every count, row, multiplicity and provenance list is unchanged; a
+    hash table lists each left row's index per key in row order, so the
+    same rows match in the same order; tallies, column arrays and kept
     positions and multiplicities are exact, and every array is read-only.
     """
     index = plan.index
@@ -830,9 +826,12 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
             res = AnnotatedResult(count=node.estimate_M, schema=None, rows=None)
         elif nid in index.appearance:
             appearance = index.appearance[nid]
-            table = bindings.get(appearance)
-            res = shared_entry(shared, (id(table), index.scan_keys[nid], provenance), (table,), _run_scan,
-                               node, appearance, bindings, provenance, nid in index.read, shared)
+            if nid not in index.read:  # no parent reads it (a root, an aggregate's input): never stored
+                res = _run_scan(node, appearance, bindings, provenance, False, shared)
+            else:
+                table = bindings.get(appearance)
+                res = shared_entry(shared, ("read", (id(table),), index.read_keys[nid], None, provenance), (table,),
+                                   _run_scan, node, appearance, bindings, provenance, True, shared)
         elif index.var[nid] != nid:
             res = results[node.children[0]]  # pass-through: the child's result itself
         else:
@@ -851,10 +850,10 @@ def execute(plan: Plan, bindings: dict, *, provenance: bool = False, shared=None
                 if ((lcolumn := _column(shared, lres.kept[0], lpos)) is not None
                         and (rcolumn := _column(shared, rres.kept[0], rpos)) is not None):
                     join = functools.partial(_array_join, columns=(lcolumn, rcolumn))
-            if not read:  # a root join is never reused: only a join a parent reads is looked up and stored
+            if not read:  # no parent reads it: never stored
                 res = join(node, lres, rres, counted, read)
             else:
-                key = ("read-join", id(lres), id(rres), index.read_join_keys[nid], hand, provenance)
+                key = ("read", (id(lres), id(rres)), index.read_keys[nid], hand, provenance)
                 res = shared_entry(shared, key, (lres, rres), join, node, lres, rres, counted, read)
         results[nid] = res
     return results

@@ -198,17 +198,14 @@ class TrueCostWorld:
                                      f"numbers, got {a!r}")
                 coefs[kind][unit] = tuple(a)
         seed = checked_int(doc["seed"], "seed", 0)
-        world = cls(unit_means=means, unit_vars=variances, coefs=coefs, seed=seed)
-        for kind, profile in DEFAULT_COST_PROFILES.items():
-            for unit, tag in profile.items():
-                world._slot(kind, unit, tag)
-        return world._mark_drawn()
+        return cls(unit_means=means, unit_vars=variances, coefs=coefs, seed=seed)._mark_drawn()
 
     def _mark_drawn(self) -> "TrueCostWorld":
-        """Mark every default cost profile's slot as drawn for its family."""
+        """Check every default cost profile's slot, in profile order
+        (`_slot`), and mark it as drawn for its family."""
         for kind, profile in DEFAULT_COST_PROFILES.items():
             for unit, tag in profile.items():
-                a = self.coefs[kind][unit] = _Drawn(self.coefs[kind][unit])
+                a = self.coefs[kind][unit] = _Drawn(self._slot(kind, unit, tag))
                 a.family = tag
         return self
 

@@ -373,10 +373,11 @@ def assert_stored_as_fresh(table, before, plan: Plan, bindings, provenance: bool
     """Every entry of a shared table `table` not keyed in `before`, stored
     by a failed execution, holds what a fresh, successful execution of
     `plan` over `bindings` builds for that operator, by `==` and `repr`: a
-    scan's or a read join's result, found by its key, a result kept as
-    column arrays through `as_rows`, and a column array the column of the
-    relation its entry holds. `plan` is the failed plan's good twin, the
-    same below the failure. Returns how many results it checked."""
+    read scan's or read join's result, found by its key, which names the
+    inputs its entry holds, a result kept as column arrays through
+    `as_rows`, and a column array the column of the relation its entry
+    holds. `plan` is the failed plan's good twin, the same below the
+    failure. Returns how many results it checked."""
     fresh = planmod.execute(plan, bindings, provenance=provenance)
     index = plan.index
     side = {} if provenance else planmod._handed_on(plan, bindings)
@@ -385,16 +386,12 @@ def assert_stored_as_fresh(table, before, plan: Plan, bindings, provenance: bool
         assert key[1] == id(rel) and (column is None or column.tolist() == [row[key[2]] for row in rel.rows])
     new = [key for key in table if key not in before and key[0] != "column"]
     for key in new:
-        if key[0] == "read-join":
-            left, right, got = table[key]
-            nids = [nid for nid, join_key in index.read_join_keys.items()
-                    if (join_key, side.get(nid)) == key[3:5]
-                    and [fresh[c] for c in plan.nodes[nid].children] == [as_rows(left), as_rows(right)]]
-        else:
-            rel, got = table[key]
-            nids = [nid for nid, scan_key in index.scan_keys.items()
-                    if scan_key == key[1] and bindings[index.appearance[nid]] is rel]
-        assert nids and key[-1] is provenance
+        *inputs, got = table[key]
+        assert key[0] == "read" and key[1] == tuple(map(id, inputs)) and key[-1] is provenance
+        nids = [nid for nid, read_key in index.read_keys.items() if (read_key, side.get(nid)) == key[2:4] and (
+            inputs[0] is bindings[read_key[0]] if read_key[0]  # a scan holds its bound table
+            else list(map(as_rows, inputs)) == [fresh[c] for c in plan.nodes[nid].children])]
+        assert nids
         for nid in nids:
             assert as_rows(got) == fresh[nid] and repr(as_rows(got)) == repr(fresh[nid])
     return len(new)

@@ -171,6 +171,25 @@ def test_step7_predict_appends_and_is_deterministic(workdir, capsys):
     assert len(csv_lines) == 3 and csv_lines[1] == csv_lines[2]
 
 
+def test_predict_writes_the_csv_header_into_an_empty_file(workdir, tmp_path):
+    # `predict` appends its row after the header where predictions.csv is
+    # new or empty, and after the rows already there otherwise.
+    for name in ("world.json", "units.json"):
+        shutil.copy(workdir / "out" / name, tmp_path)
+    csv_path = tmp_path / "predictions.csv"
+    argv = ["predict", "--plan", str(workdir / "out" / "workload" / "scan-0.plan"), "--out-dir", str(tmp_path)]
+    for made in (False, True):
+        if made:
+            csv_path.write_text("")
+        assert _run(workdir, *argv) == 0
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == "plan_id,mean_s,var_s2,stddev_s,flags"
+        assert lines[1].startswith("scan-0,")
+    assert _run(workdir, *argv) == 0
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 3 and lines[2] == lines[1] and lines.count(lines[0]) == 1
+
+
 def test_step8_predict_ablation_policy(workdir):
     plan = workdir / "out" / "workload" / "scan-1.plan"
     assert _run(workdir, "predict", "--plan", str(plan), "--ablation", "no-var-x") == 0

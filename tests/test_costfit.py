@@ -26,6 +26,13 @@ def test_grid_equal_width():
     assert [round(x[0], 10) for x in pts] == [0.2, 0.5, 0.8]
 
 
+def test_grid_refuses_no_subinterval_and_three_distributions():
+    with pytest.raises(ValueError, match="^W must be >= 1$"):
+        costfit.grid_points([(0.5, 0.1**2)], W=0)
+    with pytest.raises(ValueError, match="^grid_points takes at most two distributions$"):
+        costfit.grid_points([(0.5, 0.1**2)] * 3, W=2)
+
+
 def test_grid_clamped_at_zero():
     pts, _ = costfit.grid_points([(0.05, 0.1**2)], W=2)
     assert [round(x[0], 10) for x in pts] == [0.0, 0.05, 0.35]

@@ -284,7 +284,9 @@ def test_shared_entry_without_a_table_builds_and_stores_nothing():
 def test_executions_without_a_table_hand_shared_entry_none(monkeypatch):
     # `execute`, truth outside a sharing block and `selest.estimate_all`,
     # each called without a table, hand `shared_entry` None for every scan
-    # and read join they look up, so none of them keys or stores anything.
+    # and join a parent reads, each under a "read" key, so none of them
+    # stores anything; no root, nor any other operator no parent reads, is
+    # looked up at all.
     relations = simeval.generate_database(0, sizes=(60, 60, 60), key_domain=6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -299,8 +301,9 @@ def test_executions_without_a_table_hand_shared_entry_none(monkeypatch):
             planmod.execute(p, bindings, provenance=provenance)
         planmod.selectivity_truth(p, relations)
         selest.estimate_all(p, pool, relations)
-    assert all(shared is None for shared, _ in handed)
-    assert "read-join" in {tag for _, tag in handed} and len(handed) > len(plans)
+    assert all(shared is None for shared, _ in handed) and {tag for _, tag in handed} == {"read"}
+    assert len(handed) == 4 * sum(len(p.index.read_keys) for p in plans) > len(plans)
+    assert any(len(p.index.read_keys) < len(p.index.streamed) for p in plans)  # some operator is not looked up
 
 
 def test_a_join_of_two_scans_tallies_its_right_scan_alone():
@@ -361,6 +364,8 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     shared = {}
     first = planmod.execute(p, bindings, provenance=True, shared=shared)
     assert first == fresh and len(shared) == 2
+    assert sorted(key[2][0] for key in shared) == [("T", 0), ("T", 1)]
+    assert all(key[:2] == ("read", (id(t),)) and key[3:] == (None, True) for key in shared)
     assert first[1].derived == {("hash", (0,)): {k: list(range(k, 30, 5)) for k in range(5)}}
     assert first[2].derived is None and len(hashed) == 2
     again = planmod.execute(p, bindings, provenance=True, shared=shared)
@@ -406,10 +411,13 @@ def test_shared_scans_give_a_fresh_execution_results(monkeypatch):
     del hashed[3:]
     got = planmod.execute(good, bindings, provenance=True, shared=shared)
     assert got == want and repr(got) == repr(want) and len(shared) == 10 and len(hashed) == 4
-    # A root join is never stored: failing there, the plan stores nothing new.
+    # A root join is never stored: failing there, the plan stores nothing
+    # new. Nor is a root scan, though a read scan like it is stored.
     doc["nodes"][2]["predicate"][0]["right"] = "zz"
     with pytest.raises(planmod.ExecutionError, match="'zz'"):
         planmod.execute(_parse(doc), bindings, provenance=True, shared=shared)
+    alone = planmod.execute(_parse({"nodes": doc["nodes"][:1], "root": 1}), bindings, provenance=True, shared=shared)
+    assert alone[1].rows is None and alone[1].provenance == got[1].provenance and got[1].rows
     assert len(shared) == 10
     # Without provenance: the left join counts over column arrays and hands
     # on T#1's positions after tallying T's, then the right join, which
@@ -579,6 +587,14 @@ def test_document_and_its_text_give_the_same_plan_or_error(doc):
         ({"nodes": [_scan(1, "R", [{"col": "a", "op": {}, "value": 1}])], "root": 1}, "unknown comparator {}"),
         *[({"nodes": [_scan(1, "R"), {"id": 2, "kind": "Sort", "children": [1], "relation": falsy}], "root": 2},
            "node 2: only scans may name a relation") for falsy in ([], 0, False, "")],
+        # nodes that form no tree: an id used twice, a node with two
+        # parents, nodes the root does not reach (a scan, a cycle of Sorts)
+        ({"nodes": [_scan(1, "R"), _scan(1, "S")], "root": 1}, "duplicate node id 1"),
+        ({"nodes": [_scan(1, "R"), {"id": 2, "kind": "HashJoin", "children": [1, 1]}], "root": 2},
+         "node 1 has multiple parents"),
+        ({"nodes": [_scan(1, "R"), _scan(2, "S")], "root": 1}, "nodes unreachable from the root"),
+        ({"nodes": [_scan(1, "R"), {"id": 2, "kind": "Sort", "children": [3]},
+                    {"id": 3, "kind": "Sort", "children": [2]}], "root": 1}, "nodes unreachable from the root"),
     ],
 )
 def test_validation_errors(doc, match):
@@ -783,6 +799,32 @@ def test_join_without_equi_atom_rejected():
     }
     with pytest.raises(planmod.ExecutionError, match="equi-join"):
         planmod.execute(_parse(doc), {("L", 0): l, ("R", 0): r})
+
+
+def _join_of_l_and_r(*atoms):
+    return _parse({"nodes": [_scan(1, "L"), _scan(2, "R"), {"id": 3, "kind": "HashJoin", "children": [1, 2],
+                                                         "predicate": [{"left": "L.k", "right": "R.k"}, *atoms]}],
+                   "root": 3})
+
+
+def test_an_unqualified_column_both_join_inputs_hold_is_ambiguous():
+    # A join's selection atom names "k", which both L.k and R.k end in.
+    p = _join_of_l_and_r({"col": "k", "op": "=", "value": 1})
+    bindings = {("L", 0): _rel("L", ["k"], [(1,)]), ("R", 0): _rel("R", ["k"], [(1,)])}
+    for provenance, shared in ((False, None), (True, None), (False, {})):
+        with pytest.raises(planmod.ExecutionError, match=r"^node 3: column 'k' is ambiguous in \('L.k', 'R.k'\)$"):
+            planmod.execute(p, bindings, provenance=provenance, shared=shared)
+
+
+def test_an_appearance_bound_to_no_table_is_refused():
+    # A leaf appearance missing from the bindings, read by a join or a
+    # root scan, is named, with or without provenance or a table.
+    scan = _parse({"nodes": [_scan(1, "R")], "root": 1})
+    bindings = {("L", 0): _rel("L", ["k"], [(1,)])}
+    for p in (_join_of_l_and_r(), scan):
+        for provenance, shared in ((False, None), (True, None), (False, {})):
+            with pytest.raises(planmod.ExecutionError, match=r"^leaf \('R', 0\) is not bound to a table$"):
+                planmod.execute(p, bindings, provenance=provenance, shared=shared)
 
 
 def test_unknown_column_rejected():
@@ -1138,17 +1180,17 @@ def test_count_only_execution_matches_materialized(v):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.lists(_variants(), min_size=1, max_size=4))
 def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
-    # Generated plans over one set of relations, their truths taken twice
-    # in turn inside one `sharing` block: each truth is bitwise the plan's
-    # fresh truth, the second round computes nothing anew, no tally or
-    # hash table either, and the table holds executions without provenance
-    # only: every scan and read-join key says so, and every stored result
-    # lists no provenance. Each tally or hash table on a stored result is
-    # that of the result's own rows or kept rows, an array tally that of
-    # its kept rows, ascending, and the rows built from kept positions are
-    # those rows, in table order. Each column array's key names the
-    # relation its entry holds, and the array holds that relation's column
-    # at the key's position.
+    # Generated plans over one set of relations, their truths taken twice in
+    # turn inside one `sharing` block: each truth is bitwise the plan's
+    # fresh truth, the second round computes nothing anew, no tally or hash
+    # table either, and the table holds executions without provenance only:
+    # every "read" key says so, and every stored result lists no provenance.
+    # Each tally or hash table on a stored result is that of the result's
+    # own rows or kept rows, an array tally that of its kept rows,
+    # ascending, and the rows built from kept positions are those rows, in
+    # table order. Each column array's key names the relation its entry
+    # holds, and the array holds that relation's column at the key's
+    # position.
     relations, plans = {}, []
     for v in variants:
         rels, p, _, _ = _variant_plan(dict(v, seed=seed))
@@ -1169,7 +1211,7 @@ def test_truths_sharing_one_table_equal_fresh_truths(seed, variants):
     assert stored and set(table) == stored and built == []  # the second round built and stored nothing new
     columns = {key for key in table if key[0] == "column"}
     assert all(key[-1] is False for key in table.keys() - columns)
-    # a scan's entry holds (table, result), a read join's (left, right, result)
+    # a read scan's entry holds (table, result), a read join's (left, right, result)
     results = [res for key in table.keys() - columns for res in table[key][1:]]
     assert all(res.provenance is None for res in results)
     derived = [(res, key, value) for res in results for key, value in (res.derived or {}).items()]
@@ -1440,16 +1482,16 @@ def _read_join_doc(parent, inner, through, bad=None):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.lists(_parents, min_size=1, max_size=5), st.sampled_from(["y", "z"]), st.booleans())
 def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, through):
-    # Plans over one set of tiny relations that share the join of t1 and
-    # t2 under different parents, executed without and with provenance
-    # against one shared table: every result equals a fresh execution's,
-    # one kept as column arrays once turned back into rows, and the shared
-    # join is built once per distinct (inputs, join key, side, provenance),
-    # over arrays or in Python, where each plan's fresh execution builds it
-    # again.
-    # Its entry holds the two inputs its key names and the result every
-    # plan then reads. An execution that fails after the join has stored
-    # the join and its scans, each as a fresh execution builds it.
+    # Plans over one set of tiny relations that share the join of t1 and t2
+    # under different parents, executed without and with provenance against
+    # one shared table: every result equals a fresh execution's, one kept as
+    # column arrays once turned back into rows, and the shared join is built
+    # once per distinct (inputs, join key, side, provenance), over arrays or
+    # in Python, where each plan's fresh execution builds it again. Its
+    # "read" entry holds the two inputs its key names and the result every
+    # plan then reads; no plan's root join is stored. An execution that
+    # fails after the join has stored the join and its scans, each as a
+    # fresh execution builds it.
     relations = make_tiny_relations(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
     bindings = {(name, 0): rel for name, rel in relations.items()}
     plans = [_parse(_read_join_doc(parent, inner, through)) for parent in parents]
@@ -1480,10 +1522,13 @@ def test_plans_sharing_a_read_join_equal_fresh_executions(seed, parents, inner, 
     want = {(side, prov) for prov, per in zip(modes, sides) for side in per}
     assert len(built) == len(set(built)) == len(want) and {b[4:] for b in built} == want
     assert all(len({id(results[3]) for results in per_mode}) == len(per) for per_mode, per in zip(shared, sides))
-    entries = {key: value for key, value in table.items() if key[0] == "read-join"}
+    assert {key[0] for key in table} <= {"read", "column"}
+    entries = {key: value for key, value in table.items() if key[0] == "read" and key[2][0] is None}
     assert len(entries) == len(built)
     for key, (left, right, res) in entries.items():
-        assert key[1:3] == (id(left), id(right)) and key[-1] is (res.provenance is not None)
+        assert key[1] == (id(left), id(right)) and key[-1] is (res.provenance is not None)
+    roots = {id(results[p.root]) for per_mode in shared for p, results in zip(plans, per_mode)}
+    assert roots.isdisjoint(id(value[-1]) for value in table.values())  # no root is stored
     # An execution that fails at its root has stored what it built below as
     # it built it, each entry what its good twin's fresh execution builds
     # for that operator: into an empty table, its three scans and the
@@ -1536,6 +1581,8 @@ def test_a_failed_execution_keeps_what_it_derived_from_a_shared_result(seed, par
     table = {}
     scan = planmod.execute(_parse(docs[0]), bindings, provenance=prov, shared=table)[1]
     keys, derived = set(table), dict(scan.derived or {})
+    # its three scans and the join its root reads, not its root
+    assert sorted(key[2][0] or () for key in keys if key[0] == "read") == [(), ("t1", 0), ("t2", 0), ("t3", 0)]
     with pytest.raises(planmod.ExecutionError, match="'zz'|cannot be compared"):
         planmod.execute(_parse(_read_join_doc(parent, inner, through, bad)), bindings, provenance=prov, shared=table)
     lpos = (scan.schema.index(f"t1.t1_{inner}"),)

@@ -609,20 +609,21 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # The table one evaluation shares is freed by reference counting alone
     # when the evaluation returns, and holds its inputs no longer: a dict
     # cannot be weakly referenced, so the stored results are watched, read
-    # at each prediction and after each truth. What is derived from a
-    # stored result lives on it: a scan's counters (a list) and a hash
-    # table (a dict) cannot be watched either, so they are watched through
-    # that result; a tally is watched itself, here an array tally, by its
-    # two arrays, as truth counts every join over column arrays, and so are
-    # the positions and multiplicities a result keeps as arrays. A scan's and
-    # a column array's entry hold the table their key names. A read join's entry
-    # holds its two inputs and its result, all watched, and only a read
-    # join's result carries a join's counters and S2 here; no join that no
-    # parent reads is ever stored. A grid's entry holds its coordinates,
-    # watched, its distinct count, an int, which cannot be, and its fits,
-    # whose functions are watched. A probe reply's entry holds the world its
-    # key names, which outlives the evaluation here, and the reply, a
-    # read-only array, watched.
+    # at each prediction and after each truth. What is derived from a stored
+    # result lives on it: a scan's counters (a list) and a hash table (a
+    # dict) cannot be watched either, so they are watched through that
+    # result; a tally is watched itself, here an array tally, by its two
+    # arrays, as truth counts every join over column arrays, and so are the
+    # positions and multiplicities a result keeps as arrays. A column
+    # array's entry holds the table its key names. A "read" entry holds the
+    # inputs its key names, a read scan's bound table or a read join's two
+    # inputs, and its result, all watched, and only a read join's result
+    # carries a join's counters and S2 here; no scan or join that no parent
+    # reads, a root one included, is ever stored. A grid's entry holds its
+    # coordinates, watched, its distinct count, an int, which cannot be, and
+    # its fits, whose functions are watched. A probe reply's entry holds the
+    # world its key names, which outlives the evaluation here, and the
+    # reply, a read-only array, watched.
     relations, world, units, pool = _world_fixture(sizes=(60, 60, 60))
     spec = simeval.WorkloadSpec(scan_targets=[0.3, 0.3, 0.6], join_targets=[(0.5, 0.5)],
                                 three_way_targets=[(0.5, 0.5, 0.5)], seed=1)
@@ -632,16 +633,17 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
     # by id: a sample table or base relation, a scan result, a tally or a
     # cost function
     tables, truths, kinds, refs = [], [], set(), {}
-    unread = []  # per join executed, whether no parent reads it
+    unread = []  # per scan or join executed, (whether it is a scan, whether no parent reads it)
 
     def watch(shared):
         stored = []
-        joins = {id(value[2]) for key, value in shared.items() if key[0] == "read-join"}
+        joins = {id(value[2]) for key, value in shared.items() if key[0] == "read" and key[2][0] is None}
         for key, value in shared.items():
-            if key[0] == "read-join":
-                assert key[1:3] == (id(value[0]), id(value[1]))
-                assert {type(obj) for obj in value} == {planmod.AnnotatedResult}
-                kinds.add(key[0])
+            if key[0] == "read":  # a read scan's or read join's: its inputs' identities first
+                assert key[1] == tuple(map(id, value[:-1])) and type(value[-1]) is planmod.AnnotatedResult
+                assert {type(obj) for obj in value[:-1]} == {planmod.AnnotatedResult if key[2][0] is None
+                                                             else store.Relation}
+                kinds.add((key[0], len(value)))
                 stored.extend(value)
             elif key[0] == "probe":
                 assert key[1] == id(value[0]) and type(value[0]) is simeval.TrueCostWorld
@@ -656,12 +658,8 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
                     assert tag in costfit.FAMILIES and {cf.tag for cf in fit} == {tag}
                     kinds.add("fits")
                     stored.extend(fit)
-            elif key[0] == "column":
-                assert key[1] == id(value[0]) and type(value[0]) is store.Relation
-                stored.extend(value)
-            else:  # a scan: its bound table's identity first
-                assert key[0] == id(value[0]) and type(value[0]) is store.Relation
-                assert type(value[1]) is planmod.AnnotatedResult
+            else:
+                assert key[0] == "column" and key[1] == id(value[0]) and type(value[0]) is store.Relation
                 stored.extend(value)
         for res in [obj for obj in stored if type(obj) is planmod.AnnotatedResult and obj.derived]:
             for key, value in res.derived.items():
@@ -694,9 +692,8 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         stored = {id(obj) for obj in watch(shared)}
         index = plan.index
         for nid in index.streamed:  # every result is alive here, so no id is reused
-            if nid not in index.appearance:
-                assert (id(out[nid]) in stored) is (nid in index.read)
-                unread.append(nid not in index.read)
+            assert (id(out[nid]) in stored) is (nid in index.read)
+            unread.append((nid in index.appearance, nid not in index.read))
         return out
 
     monkeypatch.setattr(propagate, "predict_distribution", spying)
@@ -708,9 +705,9 @@ def test_shared_table_lives_only_as_long_as_its_evaluation(monkeypatch):
         assert len(records) == len(tables) == len(truths) == 5 and summary["count"] == 5
         assert len(set(tables + truths)) == 1
         assert kinds == {store.Relation, planmod.AnnotatedResult, costfit.CostFunction, np.ndarray,
-                         ("counters", list), ("hash", dict), ("counts", tuple), "kept", "read-join",
+                         ("counters", list), ("hash", dict), ("counts", tuple), "kept", ("read", 2), ("read", 3),
                          ("join counters", list), "grid", "fits", "probe"}
-        assert True in unread and False in unread  # root joins and read joins both ran
+        assert set(unread) == {(True, True), (True, False), (False, True), (False, False)}  # root scans and joins ran
         read = {rel for _, p in plans for rel, _ in p.index.appearance.values()}
         assert {id(relations[rel]) for rel in read} <= refs.keys()  # truth's scans were stored
         # only the sample tables, which the pool holds, and the base

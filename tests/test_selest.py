@@ -40,6 +40,12 @@ def _join2_fixture(left_keys, right_keys):
 # Closed forms and hand enumerations
 
 
+def test_estimate_all_refuses_a_pool_of_no_sampling_steps():
+    p, relations, pool = _join2_fixture([1, 2], [2, 3])
+    with pytest.raises(selest.EstimationError, match="^pool has no sampling steps$"):
+        selest.estimate_all(p, store.SamplePool(n=0, pool_size=1, seed=0, tables=pool.tables), relations)
+
+
 def test_scan_variance_values():
     assert selest.scan_variance(0.0) == 0.0
     assert selest.scan_variance(1.0) == 0.0

@@ -1286,18 +1286,50 @@ def test_probe_replies_shared_within_an_evaluation_only():
     assert len(table) == 2
 
 
+def test_an_evaluation_stores_only_what_a_parent_reads(study):
+    # One evaluation of the seed-42 study looks every scan and join a
+    # parent reads up in its table, each under a "read" key, and nothing
+    # else of a plan: the read scans 560 times, 516 of them hits, the read
+    # joins 80 times, 60 of them hits. So the table holds 64 results, and
+    # no plan's root result, scan or join, is among them; an evaluation
+    # that stored its root scans too held 160 more, never hit.
+    real_entry, real_execute = planmod.shared_entry, planmod.execute
+    lookups, tables, roots = Counter(), [], []
+
+    def looking_up(shared, key, holds, build, *args):
+        if shared is not None and key[0] == "read":
+            kind = "join" if key[2][0] is None else "scan"
+            lookups[kind] += 1
+            lookups[kind, "hit"] += key in shared
+            tables.append(shared)
+        return real_entry(shared, key, holds, build, *args)
+
+    def executing(plan, bindings, **kwargs):
+        out = real_execute(plan, bindings, **kwargs)
+        roots.append(out[plan.index.var[plan.root]])  # kept, so no id is reused
+        return out
+
+    with mock.patch.object(planmod, "shared_entry", looking_up), mock.patch.object(planmod, "execute", executing):
+        simeval.evaluate_workload(study["plans"], study["relations"], study["pool"], study["units"], study["world"],
+                                  runs=1)
+    assert lookups == {"scan": 560, ("scan", "hit"): 516, "join": 80, ("join", "hit"): 60}
+    assert all(table is tables[0] for table in tables) and len(roots) == 2 * len(study["plans"])
+    stored = [value[-1] for key, value in tables[0].items() if key[0] == "read"]
+    assert len(stored) == (560 - 516) + (80 - 60)
+    assert {id(res) for res in stored}.isdisjoint(map(id, roots))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sharing_changes_no_result(data):
-    # evaluate_workload shares one table of scans, read joins, column arrays
-    # and grids across its plans, their truths included, and with them the
-    # hash tables, tallies, counters and fits that live on those; its
-    # records and summary are bitwise those of each plan predicted alone.
-    # A plan that fails has stored only what its good twin's fresh
-    # execution builds, so a prediction sharing the table after it is
-    # still bitwise that of the plan alone; a truth after an evaluation
-    # shares nothing, and a non-finite probe on a stored grid is still a
-    # FitError.
+    # evaluate_workload shares one table of read scans and joins, column
+    # arrays and grids across its plans, their truths included, and with
+    # them the hash tables, tallies, counters and fits that live on those;
+    # its records and summary are bitwise those of each plan predicted
+    # alone. A plan that fails has stored only what its good twin's fresh
+    # execution builds, so a prediction sharing the table after it is still
+    # bitwise that of the plan alone; a truth after an evaluation shares
+    # nothing, and a non-finite probe on a stored grid is still a FitError.
     seed = data.draw(st.integers(0, 2**16), label="seed")
     relations = simeval.generate_database(seed, sizes=(40, 40, 40), key_domain=5)
     world = TrueCostWorld.generate(seed)
@@ -1428,20 +1460,24 @@ def test_sharing_changes_no_result(data):
     # families and plans that fit on it
     assert sorted(map(repr, gridded)) == sorted(grids)
     # one sample scan run, and one counter build, per distinct
-    # (appearance, selections, read): repeats hit
-    scans = {(p.index.appearance[nid], p.nodes[nid].selections, nid in p.index.read)
-             for _, p in plans for nid in p.index.appearance}
-    assert sorted(repr(scan) for _, scan in scanned.values()) == sorted(map(repr, scans))
-    assert sorted(map(repr, counted)) == sorted(map(repr, scans))
-    # and one full-data scan run per distinct scan over the base relations
-    assert sorted(map(repr, truth_scanned)) == sorted(map(repr, scans))
-    # a scan entry holding a base relation lists no provenance, one holding
-    # a sample table does, and no table identity keys both kinds
+    # (appearance, selections) a parent reads: repeats hit; a scan no
+    # parent reads, a root one, is never stored, so it runs in every plan
+    scans = [(p.index.appearance[nid], p.nodes[nid].selections, nid in p.index.read)
+             for _, p in plans for nid in p.index.appearance]
+    read_scans = {scan for scan in scans if scan[2]}
+    scans = sorted(map(repr, [*read_scans, *(scan for scan in scans if not scan[2])]))
+    assert sorted(repr(scan) for _, scan in scanned.values()) == scans
+    assert sorted(map(repr, counted)) == scans
+    # and one full-data scan run per such scan over the base relations
+    assert sorted(map(repr, truth_scanned)) == scans
+    # a read scan's entry holding a base relation lists no provenance, one
+    # holding a sample table does, and no table identity keys both kinds;
+    # one entry of each per read scan, so no root scan is stored
     base = {id(rel) for rel in relations.values()}
-    held = {key: value[0] for key, value in tables[0].items()
-            if isinstance(value[0], store.Relation) and key[0] != "column"}
-    assert all(key[0] == id(table) and key[-1] is (key[0] not in base) for key, table in held.items())
-    assert {key[0] for key in held if key[-1]}.isdisjoint({key[0] for key in held if not key[-1]})
+    held = {key: value[0] for key, value in tables[0].items() if key[0] == "read" and key[2][0] is not None}
+    assert all(key[1] == (id(table),) and key[-1] is (id(table) not in base) for key, table in held.items())
+    assert {key[1] for key in held if key[-1]}.isdisjoint({key[1] for key in held if not key[-1]})
+    assert len(held) == 2 * len(read_scans)
     # one tally per distinct (full-data scan, key positions): what the
     # plans' truths build alone, each once, every one over a scan's rows;
     # here every truth's join counts over column arrays, so every tally is

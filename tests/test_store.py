@@ -16,6 +16,11 @@ def _relation(n=10):
     return store.Relation(name="r", schema=schema, rows=rows)
 
 
+def test_draw_samples_refuses_a_sample_size_below_one():
+    with pytest.raises(ValueError, match="^sample size n must be positive$"):
+        store.draw_samples(_relation(), n=0, pool_size=1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Ingestion
 
